@@ -241,7 +241,12 @@ def cmd_convergence(args) -> dict:
 
 
 def global_flux_balance(problem, system, solution) -> dict:
-    """Net boundary outflow versus total injected source."""
+    """Net outflow versus total injected source.
+
+    The outflow is the flux through the fracture boundaries plus, in dc
+    runs, the 1D flux leaving through the intersection ends,
+    ``line_flux[g][-1] - line_flux[g][0]``.  cc runs carry no line flux.
+    """
     total_out = 0.0
     total_abs = 0.0
     for fid in sorted(problem.meshes):
@@ -250,6 +255,10 @@ def global_flux_balance(problem, system, solution) -> dict:
             v = float(solution.edge_flux[fid][int(e)])
             total_out += v
             total_abs += abs(v)
+    for gid in sorted(solution.line_flux):
+        first, last = (float(v) for v in solution.line_flux[gid][[0, -1]])
+        total_out += last - first
+        total_abs += abs(last) + abs(first)
     total_src = 0.0
     for fid in sorted(problem.meshes):
         mesh = problem.meshes[fid]

@@ -185,8 +185,9 @@ class PolyMesh:
         return nrm * np.asarray(self.cell_signs[cell], float)[:, None]
 
     def _loop_nodes(self, cell: int):
-        es, ss = self.cells[cell], self.cell_signs[cell]
-        return [self.edge_nodes[e][0 if s > 0 else 1] for e, s in zip(es, ss)]
+        ends = self.edge_nodes[self.cells[cell]].tolist()
+        signs = self.cell_signs[cell].tolist()
+        return [a if s > 0 else b for (a, b), s in zip(ends, signs)]
 
     @property
     def cell_areas(self):
@@ -209,11 +210,12 @@ class PolyMesh:
                 cen = np.empty((self.n_cells, 2))
                 for k in range(self.n_cells):
                     pts = self.nodes[self._loop_nodes(k)]
-                    nxt = np.roll(pts, -1, axis=0)
+                    nxt = np.concatenate([pts[1:], pts[:1]])
                     cr = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
-                    if abs(cr.sum()) < 1e-300:
+                    twice_area = cr.sum()
+                    if abs(twice_area) < 1e-300:
                         raise MeshError(f"cell {k} has zero area")
-                    cen[k] = ((pts + nxt) * cr[:, None]).sum(axis=0) / (3 * cr.sum())
+                    cen[k] = ((pts + nxt) * cr[:, None]).sum(axis=0) / (3 * twice_area)
                 self._cache["centroids"] = cen
         return self._cache["centroids"]
 
@@ -241,53 +243,59 @@ class PolyMesh:
     # mutation (used by co-refinement)
     # -------------------------------------------------------------- #
 
-    def split_edge(self, eid: int, points: np.ndarray):
-        """Split edge ``eid`` at interior points ordered from node a to b."""
-        points = np.atleast_2d(points)
-        a, b = self.edge_nodes[eid]
-        new_ids = list(range(self.n_nodes, self.n_nodes + len(points)))
-        self.nodes = np.vstack([self.nodes, points])
-        chain_nodes = [a] + new_ids + [b]
-        sub_edges = [eid]
-        pairs = list(zip(chain_nodes[:-1], chain_nodes[1:]))
-        self.edge_nodes[eid] = pairs[0]
-        for pair in pairs[1:]:
-            sub_edges.append(len(self.edge_nodes))
-            self.edge_nodes = np.vstack([self.edge_nodes, pair])
-            for arr_name in ("edge_trace", "edge_trace_elem"):
-                arr = getattr(self, arr_name)
-                setattr(self, arr_name, np.append(arr, arr[eid]))
-            self.edge_trace_side = np.append(self.edge_trace_side,
-                                             self.edge_trace_side[eid])
-        for k in range(self.n_cells):
-            es = self.cells[k]
-            hits = np.where(es == eid)[0]
-            if len(hits) == 0:
-                continue
-            pos = int(hits[0])
-            sign = int(self.cell_signs[k][pos])
-            ins_edges = sub_edges if sign > 0 else sub_edges[::-1]
-            self.cells[k] = np.concatenate(
-                [es[:pos], ins_edges, es[pos + 1:]]
-            ).astype(int)
-            self.cell_signs[k] = np.concatenate(
-                [self.cell_signs[k][:pos], [sign] * len(ins_edges),
-                 self.cell_signs[k][pos + 1:]]
-            ).astype(np.int8)
-        self._invalidate()
-        return sub_edges
+    def split_edges(self, splits):
+        """Split edges at interior points, all in one batch.
 
-    def duplicate_edge(self, eid: int) -> int:
-        """Append a copy of ``eid`` (same nodes and tags); returns its id."""
-        new_id = self.n_edges
-        self.edge_nodes = np.vstack([self.edge_nodes, self.edge_nodes[eid]])
-        self.edge_trace = np.append(self.edge_trace, self.edge_trace[eid])
-        self.edge_trace_elem = np.append(self.edge_trace_elem,
-                                         self.edge_trace_elem[eid])
-        self.edge_trace_side = np.append(self.edge_trace_side,
-                                         self.edge_trace_side[eid])
+        ``splits`` lists ``(eid, points)`` pairs, the points ordered from
+        node a to node b of the edge.  Edge ``eid`` keeps its first piece
+        and the others are appended; nodes and edges are numbered as if
+        the edges were split one after the other in list order.
+        """
+        if not splits:
+            return
+        edge_cells = self.edge_cells
+        n_nodes, n_edges = self.n_nodes, self.n_edges
+        new_pts, new_pairs, parents = [], [], []
+        for eid, points in splits:
+            points = np.atleast_2d(points)
+            chain = [self.edge_nodes[eid, 0]]
+            chain += range(n_nodes, n_nodes + len(points))
+            chain.append(self.edge_nodes[eid, 1])
+            n_nodes += len(points)
+            pairs = list(zip(chain[:-1], chain[1:]))
+            self.edge_nodes[eid] = pairs[0]
+            first = n_edges + len(new_pairs)
+            sub_edges = [eid, *range(first, first + len(pairs) - 1)]
+            new_pts.append(points)
+            new_pairs.extend(pairs[1:])
+            parents.extend([eid] * (len(pairs) - 1))
+            for k in {int(c) for c in edge_cells[eid] if c >= 0}:
+                es, ss = self.cells[k], self.cell_signs[k]
+                pos = int(np.flatnonzero(es == eid)[0])
+                sign = int(ss[pos])
+                ins_edges = sub_edges if sign > 0 else sub_edges[::-1]
+                self.cells[k] = np.concatenate(
+                    [es[:pos], ins_edges, es[pos + 1:]]
+                ).astype(int)
+                self.cell_signs[k] = np.concatenate(
+                    [ss[:pos], [sign] * len(ins_edges), ss[pos + 1:]]
+                ).astype(np.int8)
+        self.nodes = np.vstack([self.nodes, *new_pts])
+        self.edge_nodes = np.vstack([self.edge_nodes,
+                                     np.reshape(new_pairs, (-1, 2))])
+        self._append_edge_tags(parents)
         self._invalidate()
-        return new_id
+
+    def _append_edge_tags(self, parents, side=None):
+        """Append the trace tags of edges ``parents`` for new edges."""
+        parents = np.asarray(parents, int)
+        self.edge_trace = np.concatenate(
+            [self.edge_trace, self.edge_trace[parents]])
+        self.edge_trace_elem = np.concatenate(
+            [self.edge_trace_elem, self.edge_trace_elem[parents]])
+        side = self.edge_trace_side[parents] if side is None else side
+        self.edge_trace_side = np.concatenate(
+            [self.edge_trace_side, side]).astype(np.int8)
 
 
 # ------------------------------------------------------------------ #
@@ -418,18 +426,28 @@ class _PointPool:
 
     def __init__(self, tol):
         self.tol = tol
-        self.pts = []
+        self._buf = np.empty((256, 2))
+        self.n = 0
         self.tags = []  # list of dicts: {"boundary": True, "trace": {gid: t}}
+
+    @property
+    def pts(self) -> np.ndarray:
+        return self._buf[:self.n]
+
+    def append(self, p) -> int:
+        """Register ``p`` without deduplication; returns its id."""
+        if self.n == len(self._buf):
+            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
+        self._buf[self.n] = p
+        self.n += 1
+        self.tags.append({"boundary": False, "trace": {}})
+        return self.n - 1
 
     def add(self, p, kind=None, gid=None, t=None):
         p = np.asarray(p, float)
-        for i, q in enumerate(self.pts):
-            if np.linalg.norm(q - p) <= self.tol:
-                break
-        else:
-            self.pts.append(p)
-            self.tags.append({"boundary": False, "trace": {}})
-            i = len(self.pts) - 1
+        # The first match wins, which keeps the numbering deterministic.
+        hits = np.flatnonzero(np.linalg.norm(self.pts - p, axis=1) <= self.tol)
+        i = int(hits[0]) if len(hits) else self.append(p)
         if kind == "boundary":
             self.tags[i]["boundary"] = True
         elif kind == "trace":
@@ -566,8 +584,7 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
         ok &= _points_segments_mindist(cand, constraint_segs) >= 0.5 * s
         for p in cand[ok]:
             # Lattice points are well separated; skip dedup.
-            pool.pts.append(p)
-            pool.tags.append({"boundary": False, "trace": {}})
+            pool.append(p)
 
     # Delaunay with constraint-edge recovery by midpoint insertion.  Four
     # distant padding points keep every real point off the convex hull,
@@ -576,7 +593,7 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     pad = np.array([center + 10 * diag * np.array(d)
                     for d in ((-1, -1), (1, -1), (1, 1), (-1, 1))])
     for _ in range(12):
-        pts = np.asarray(pool.pts)
+        pts = pool.pts
         if len(pts) < 3:
             raise EmptyDomain("not enough points to triangulate")
         tri = Delaunay(np.vstack([pts, pad]))
@@ -744,11 +761,11 @@ def corefine(drafts: list, length: float, tol: float) -> np.ndarray:
 def _apply_breakpoints(mesh: PolyMesh, line: IntersectionLine,
                        breaks: np.ndarray, tol: float):
     """Split the mesh's trace edges so they match the union partition."""
-    eids = list(np.where(mesh.edge_trace == line.id)[0])
-    for e in eids:
-        a, b = mesh.edge_nodes[e]
-        ta = line.param_of(mesh.frame.to_global(mesh.nodes[a]))
-        tb = line.param_of(mesh.frame.to_global(mesh.nodes[b]))
+    eids = np.where(mesh.edge_trace == line.id)[0]
+    ends = mesh.frame.to_global(mesh.nodes[mesh.edge_nodes[eids].ravel()])
+    ts = ((ends - line.p0) @ line.direction).reshape(-1, 2)
+    splits = []
+    for e, (ta, tb) in zip(eids, ts):
         lo, hi = min(ta, tb), max(ta, tb)
         inner = breaks[(breaks > lo + tol) & (breaks < hi - tol)]
         if len(inner) == 0:
@@ -756,7 +773,8 @@ def _apply_breakpoints(mesh: PolyMesh, line: IntersectionLine,
         if tb < ta:
             inner = inner[::-1]
         pts3 = line.p0 + np.outer(inner, line.direction)
-        mesh.split_edge(e, mesh.frame.to_local(pts3))
+        splits.append((e, mesh.frame.to_local(pts3)))
+    mesh.split_edges(splits)
     # Assign element indices from edge midpoints.
     eids = np.where(mesh.edge_trace == line.id)[0]
     mids3 = mesh.frame.to_global(mesh.edge_mid[eids])
@@ -810,57 +828,60 @@ def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict, fid: int,
     (n x t)`` evaluated in 3D, which is deterministic and frame
     independent.  Edges where the trace runs along the fracture boundary
     keep a single copy on their only side.  Tip nodes are shared, never
-    duplicated.
+    duplicated.  The copies are appended trace by trace in element order.
     """
     mesh = mesh.copy()
-    for tm in trace_meshes.values():
-        if fid not in tm.edges:
-            continue
+    traces = [tm for tm in trace_meshes.values() if fid in tm.edges]
+    if not traces:
+        return mesh
+    # Duplication changes no cell geometry: one pass serves every edge,
+    # and the centroids stay valid for the split mesh.
+    edge_cells = mesh.edge_cells
+    centroids = mesh.cell_centroids
+    cen3 = mesh.frame.to_global(centroids)
+    mid3 = mesh.frame.to_global(mesh.edge_mid)
+    first_dup = n_edges = mesh.n_edges
+    sources, sides, seconds = [], [], []
+    for tm in traces:
         line = tm.line
+        eids = np.asarray(tm.edges[fid], int)
+        cells = edge_cells[eids]
         side_vec = np.cross(mesh.frame.n, line.direction)
-        plus = np.full(tm.n_elems, -1, int)
-        minus = np.full(tm.n_elems, -1, int)
-        for elem, e in enumerate(tm.edges[fid]):
-            e = int(e)
-            cells = [int(c) for c in mesh.edge_cells[e] if c >= 0]
-            mid3 = mesh.frame.to_global(mesh.edge_mid[e])
-
-            def side_of(cell):
-                c3 = mesh.frame.to_global(mesh.cell_centroids[cell])
-                return 1 if (c3 - mid3) @ side_vec > 0 else -1
-
-            if len(cells) == 2:
-                s0, s1 = side_of(cells[0]), side_of(cells[1])
-                if s0 == s1:
-                    raise MeshError(
-                        f"trace {line.id}: cells on the same side of edge {e}"
-                    )
-                dup = mesh.duplicate_edge(e)
-                # Rewire the second cell to the copy.
-                k = cells[1]
-                es = mesh.cells[k]
-                es[np.where(es == e)[0][0]] = dup
-                mesh._invalidate()
-                first, second = (e, dup)
-                mesh.edge_trace_side[first] = s0
-                mesh.edge_trace_side[second] = s1
-                if s0 > 0:
-                    plus[elem], minus[elem] = first, second
-                else:
-                    plus[elem], minus[elem] = second, first
-            elif len(cells) == 1:
-                s0 = side_of(cells[0])
-                mesh.edge_trace_side[e] = s0
-                if s0 > 0:
-                    plus[elem] = e
-                else:
-                    minus[elem] = e
-            else:
+        dist = (cen3[cells] - mid3[eids, None]) @ side_vec
+        side = np.where(dist > 0, 1, -1).astype(np.int8)
+        n_adj = (cells >= 0).sum(axis=1)
+        two = n_adj == 2
+        bad = np.flatnonzero((n_adj == 0) | (two & (side[:, 0] == side[:, 1])))
+        if len(bad):
+            e = int(eids[bad[0]])
+            if n_adj[bad[0]] == 0:
                 raise MeshError(f"trace edge {e} has no adjacent cell")
+            raise MeshError(
+                f"trace {line.id}: cells on the same side of edge {e}"
+            )
+        # The second cell of an interior edge moves to an appended copy.
+        dup = np.full(len(eids), -1, int)
+        dup[two] = n_edges + np.arange(two.sum())
+        n_edges += int(two.sum())
+        sources.append(eids[two])
+        sides.append(side[two, 1])
+        seconds.append(cells[two, 1])
+        mesh.edge_trace_side[eids] = side[:, 0]
+        plus = np.where(side[:, 0] > 0, eids, dup)
+        minus = np.where(side[:, 0] > 0, dup, eids)
         if (plus >= 0).any():
             tm.side_edges[(fid, 1)] = plus
         if (minus >= 0).any():
             tm.side_edges[(fid, -1)] = minus
+    sources = np.concatenate(sources)
+    mesh.edge_nodes = np.vstack([mesh.edge_nodes, mesh.edge_nodes[sources]])
+    mesh._append_edge_tags(sources, np.concatenate(sides))
+    for d, (k, e) in enumerate(zip(np.concatenate(seconds), sources),
+                               start=first_dup):
+        es = mesh.cells[k]
+        es[np.flatnonzero(es == e)[0]] = d
+    mesh._invalidate()
+    mesh._cache["centroids"] = centroids
     return mesh
 
 
@@ -915,25 +936,38 @@ def save_mesh(mesh: PolyMesh, path) -> None:
 
 
 def load_mesh(path, frame: Frame | None = None) -> PolyMesh:
+    """Read a mesh written by ``save_mesh``; ``MeshError`` if malformed."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("# dfnvem mesh"):
-            raise MeshError(f"{path}: not a dfnvem mesh file")
-        tag, n = fh.readline().split()
-        assert tag == "nodes"
-        nodes = np.array([[float(v) for v in fh.readline().split()]
-                          for _ in range(int(n))])
-        tag, n = fh.readline().split()
-        assert tag == "edges"
-        rows = [[int(v) for v in fh.readline().split()] for _ in range(int(n))]
-        rows = np.asarray(rows, int)
-        tag, n = fh.readline().split()
-        assert tag == "cells"
-        cells, signs = [], []
-        for _ in range(int(n)):
-            signed = [int(v) for v in fh.readline().split()]
-            cells.append([abs(v) - 1 for v in signed])
-            signs.append([1 if v > 0 else -1 for v in signed])
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith("# dfnvem mesh"):
+        raise MeshError(f"{path}: not a dfnvem mesh file")
+    at = 1
+
+    def section(tag, convert, width=None):
+        # Parses the rows of section ``tag`` and moves past them.
+        nonlocal at
+        head = lines[at].split() if at < len(lines) else []
+        if len(head) != 2 or head[0] != tag or not head[1].isdigit():
+            raise MeshError(f"{path}, line {at + 1}: expected '{tag} <count>'")
+        first, n = at + 1, int(head[1])
+        rows = []
+        for i in range(first, first + n):
+            try:
+                row = [convert(v) for v in lines[i].split()]
+            except (IndexError, ValueError):
+                row = None
+            if not row or (width and len(row) != width):
+                raise MeshError(f"{path}, line {i + 1}: malformed '{tag}' row")
+            rows.append(row)
+        at = first + n
+        return rows
+
+    nodes = np.array(section("nodes", float, 2), float).reshape(-1, 2)
+    rows = np.array(section("edges", int, 5), int).reshape(-1, 5)
+    cells, signs = [], []
+    for signed in section("cells", int):
+        cells.append([abs(v) - 1 for v in signed])
+        signs.append([1 if v > 0 else -1 for v in signed])
     return PolyMesh(nodes, rows[:, :2], cells, signs, frame=frame,
                     edge_trace=rows[:, 2], edge_trace_elem=rows[:, 3],
                     edge_trace_side=rows[:, 4])

@@ -30,6 +30,15 @@ class TestSolveCommand:
         # Unit source balances the boundary outflow.
         assert abs(summary["flux_balance"]["boundary_outflow"] - 1.0) < 1e-8
 
+    def test_dc_balance_counts_intersection_ends(self, tmp_path):
+        # Dirichlet intersection ends carry outflow that the balance
+        # must include for a conservative dc solve to read as balanced.
+        rc = run_cli(["solve", "--case", "intersection-flow", "--level", "2",
+                      "--model", "dc", "--out", tmp_path])
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["flux_balance"]["relative_imbalance"] < 1e-8
+
     def test_network_import(self, tmp_path):
         net_path = tmp_path / "net.json"
         net_path.write_text(json.dumps(import_network_dict()))

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
-from dfnvem.errors import ConstraintConflict, InconsistentEndpoints
+from dfnvem.errors import ConstraintConflict, InconsistentEndpoints, MeshError
 
 UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
 
@@ -113,6 +115,21 @@ class TestTriangulate:
                         (1, [0.2, 0.5 + 1e-7], [0.8, 0.5 + 1e-7])],
                 h_target=0.25,
             )
+
+    def test_point_pool_matches_scan(self):
+        # Reference: scan the pool in order and take the first point
+        # within tolerance.
+        rng = np.random.default_rng(0)
+        base = rng.uniform(size=(400, 2))
+        pts = base[rng.integers(0, 400, 1000)]
+        pts = pts + rng.uniform(-1e-13, 1e-13, pts.shape)
+        pool, ref = msh._PointPool(1e-12), []
+        for p in pts:
+            hits = [i for i, q in enumerate(ref) if np.linalg.norm(q - p) <= 1e-12]
+            if not hits:
+                ref.append(p)
+            assert pool.add(p) == (hits[0] if hits else len(ref) - 1)
+        assert np.array_equal(pool.pts, ref)
 
     def test_deterministic(self):
         m1 = msh.triangulate(UNIT_SQUARE, h_target=0.3)
@@ -235,6 +252,108 @@ class TestSplitInterface:
         assert split.n_edges == mesh.n_edges + n_tr
 
 
+def split_one_edge_at_a_time(mesh, trace_meshes, fid):
+    """Reference splitter: one edge per step, geometry rebuilt each time.
+
+    Returns the split mesh and ``{(gid, fid, side): edge ids}``.
+    """
+    mesh = mesh.copy()
+    side_edges = {}
+    for tm in trace_meshes.values():
+        if fid not in tm.edges:
+            continue
+        side_vec = np.cross(mesh.frame.n, tm.line.direction)
+        plus = np.full(tm.n_elems, -1, int)
+        minus = np.full(tm.n_elems, -1, int)
+        for elem, e in enumerate(tm.edges[fid]):
+            cells = [int(c) for c in mesh.edge_cells[e] if c >= 0]
+            mid3 = mesh.frame.to_global(mesh.edge_mid[e])
+            sides = [1 if (mesh.frame.to_global(mesh.cell_centroids[c]) - mid3)
+                     @ side_vec > 0 else -1 for c in cells]
+            mesh.edge_trace_side[e] = sides[0]
+            pair = [e]
+            if len(cells) == 2:
+                assert sides[0] != sides[1]
+                dup = mesh.n_edges
+                mesh.edge_nodes = np.vstack([mesh.edge_nodes, mesh.edge_nodes[e]])
+                mesh.edge_trace = np.append(mesh.edge_trace, mesh.edge_trace[e])
+                mesh.edge_trace_elem = np.append(mesh.edge_trace_elem,
+                                                 mesh.edge_trace_elem[e])
+                mesh.edge_trace_side = np.append(mesh.edge_trace_side,
+                                                 np.int8(sides[1]))
+                es = mesh.cells[cells[1]]
+                es[np.where(es == e)[0][0]] = dup
+                mesh._invalidate()
+                pair.append(dup)
+            for s, edge in zip(sides, pair):
+                (plus if s > 0 else minus)[elem] = edge
+        for side, arr in ((1, plus), (-1, minus)):
+            if (arr >= 0).any():
+                side_edges[(tm.gamma, fid, side)] = arr
+    return mesh, side_edges
+
+
+def import_network(tmp_path):
+    from _util import import_network_dict
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(import_network_dict()))
+    return geo.load_network(path)[0]
+
+
+class TestSplitMatchesReference:
+    def check(self, net, h):
+        meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), h)
+                  for f in net.fractures}
+        tms = msh.corefine_network(meshes, net)
+        n_split = 0
+        for fid, mesh in meshes.items():
+            ref, ref_sides = split_one_edge_at_a_time(mesh, tms, fid)
+            got = msh.split_interface_dofs(mesh, tms, fid)
+            got_sides = {(tm.gamma, f, side): arr
+                         for tm in tms.values()
+                         for (f, side), arr in tm.side_edges.items() if f == fid}
+            assert np.array_equal(got.edge_nodes, ref.edge_nodes)
+            assert np.array_equal(got.edge_trace, ref.edge_trace)
+            assert np.array_equal(got.edge_trace_elem, ref.edge_trace_elem)
+            assert np.array_equal(got.edge_trace_side, ref.edge_trace_side)
+            assert got.edge_trace_side.dtype == ref.edge_trace_side.dtype
+            assert len(got.cells) == len(ref.cells)
+            for a, b in zip(got.cells, ref.cells):
+                assert np.array_equal(a, b)
+            for a, b in zip(got.cell_signs, ref.cell_signs):
+                assert np.array_equal(a, b)
+            assert got_sides.keys() == ref_sides.keys()
+            for key, arr in ref_sides.items():
+                assert np.array_equal(got_sides[key], arr)
+            assert np.array_equal(got.cell_centroids, ref.cell_centroids)
+            n_split += got.n_edges - mesh.n_edges
+        assert n_split > 0
+
+    def test_two_fractures(self):
+        self.check(two_fracture_network(), 0.3)
+
+    def test_import_network(self, tmp_path):
+        self.check(import_network(tmp_path), 0.3)
+
+    def test_geometry_built_once(self, tmp_path, monkeypatch):
+        net = import_network(tmp_path)
+        meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.3)
+                  for f in net.fractures}
+        tms = msh.corefine_network(meshes, net)
+        calls = []
+        loop_nodes = msh.PolyMesh._loop_nodes
+
+        def counted(self, cell):
+            calls.append(cell)
+            return loop_nodes(self, cell)
+
+        monkeypatch.setattr(msh.PolyMesh, "_loop_nodes", counted)
+        for fid, mesh in meshes.items():
+            calls.clear()
+            msh.split_interface_dofs(mesh, tms, fid)
+            assert 0 < len(calls) <= mesh.n_cells
+
+
 class TestMeshIO:
     def test_roundtrip(self, tmp_path):
         mesh = msh.triangulate(UNIT_SQUARE, traces=[(0, [0.25, 0.5], [0.75, 0.5])],
@@ -247,6 +366,23 @@ class TestMeshIO:
         assert np.array_equal(back.edge_trace, mesh.edge_trace)
         assert back.n_cells == mesh.n_cells
         assert np.allclose(back.cell_areas, mesh.cell_areas)
+
+    @pytest.mark.parametrize("fault, expected", [
+        (lambda head, row: ("egdes" + head[5:], row), "expected 'edges <count>'"),
+        (lambda head, row: (head, row[:-2]), "malformed 'edges' row"),
+        (lambda head, row: (head, "x" + row[1:]), "malformed 'edges' row"),
+    ])
+    def test_malformed_file_raises(self, tmp_path, fault, expected):
+        mesh = msh.cartesian_mesh(2)
+        path = tmp_path / "mesh.txt"
+        msh.save_mesh(mesh, path)
+        lines = path.read_text().splitlines()
+        at = lines.index(f"edges {mesh.n_edges}")
+        lines[at], lines[at + 1] = fault(lines[at], lines[at + 1])
+        path.write_text("\n".join(lines) + "\n")
+        line = at + 1 if "<count>" in expected else at + 2
+        with pytest.raises(MeshError, match=f"line {line}: {expected}"):
+            msh.load_mesh(path)
 
     def test_imported_mesh_solves(self, tmp_path):
         # Externally generated triangulations enter through the text
