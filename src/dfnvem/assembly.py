@@ -22,6 +22,7 @@ from scipy import sparse
 
 from . import vem
 from .errors import (
+    ConfigError,
     ConflictingBC,
     MissingIntersectionProps,
     UnconstrainedPressureWarning,
@@ -635,8 +636,15 @@ def boundary_spec_from_json(raw: dict, network: FractureNetwork) -> BoundarySpec
 
     Fracture selectors pick boundary edges by polygon-edge index or by an
     axis-aligned box containing the edge midpoint; unselected edges are
-    no-flow.  Intersection endpoints default to zero-flux tips.
+    no-flow.  Intersection endpoints default to zero-flux tips.  An
+    unknown ``type`` raises ``ConfigError`` naming its JSON path.
     """
+    for key, kinds in (("boundary_conditions", ("dirichlet", "neumann")),
+                       ("intersection_conditions", ("tip", "dirichlet"))):
+        for i, item in enumerate(raw.get(key, [])):
+            if item.get("type", kinds[0]) not in kinds:
+                raise ConfigError(f"{key}[{i}].type: {item['type']!r} is "
+                                  f"not one of {kinds}")
     frac_rules = {}
     for item in raw.get("boundary_conditions", []):
         fid = int(item["fracture"])

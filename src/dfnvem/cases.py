@@ -32,6 +32,7 @@ __all__ = [
     "case_intersection_flow",
     "case_four_fractures",
     "get_case",
+    "solve_meshes",
     "run_level",
     "run_convergence",
     "verify_strong_form",
@@ -95,23 +96,6 @@ def _rotate(points, theta, origin, axis):
     R = _rotation(theta, axis)
     origin = np.asarray(origin, float)
     return (np.asarray(points, float) - origin) @ R.T + origin
-
-
-def _coarsen_meshes(network, meshes: dict, c_depth: int, lam=None) -> dict:
-    out = {}
-    for fid, mesh in meshes.items():
-        frac = network.fracture(fid)
-        tips = []
-        for ln in network.traces_of(fid):
-            for p in (ln.p0, ln.p1):
-                if frac.boundary_distance(p) > 100 * frac.tol:
-                    tips.append(frac.frame.to_local(p))
-        lam_f = np.eye(2) if lam is None else lam
-        coarse, _ = coa.agglomerate(mesh, tips_local=tips, c_depth=c_depth,
-                                    lam=lam_f)
-        coarse.frame = frac.frame
-        out[fid] = coarse
-    return out
 
 
 def _octagon(plane: str) -> np.ndarray:
@@ -189,7 +173,8 @@ def case_single_fracture() -> BenchmarkCase:
             return {0: msh.triangulate(frac.local_polygon, h_target=h,
                                        frame=frac.frame)}
         base = {0: msh.cartesian_mesh(n, frame=frac.frame)}
-        return _coarsen_meshes(net, base, c_depth=2)
+        coarse = coa.agglomerate_network(net, base, c_depth=2)
+        return {fid: mesh for fid, (mesh, _) in coarse.items()}
 
     return BenchmarkCase(
         name="single", model="cc", network_builder=network,
@@ -278,7 +263,8 @@ def _ellipse_meshes(net, family, level):
         return base
     if family.startswith("coarse"):
         depth = int(family.removeprefix("coarse"))
-        return _coarsen_meshes(net, base, c_depth=depth)
+        coarse = coa.agglomerate_network(net, base, c_depth=depth)
+        return {fid: mesh for fid, (mesh, _) in coarse.items()}
     raise ConfigError(f"unknown ellipse family {family!r}")
 
 
@@ -437,22 +423,34 @@ def get_case(name: str, **kw) -> BenchmarkCase:
 # harness
 # ------------------------------------------------------------------ #
 
+def solve_meshes(network, meshes: dict, bcs, model: str, *,
+                 solver: str = "direct", tol: float = 1e-10, source=None,
+                 line_source=None, point_sources=()):
+    """Prepare, number, assemble, solve and extract one set of meshes.
+
+    ``meshes`` maps fracture id to its unsplit mesh and is modified in
+    place by the co-refinement.  Returns ``(problem, system, solution,
+    report)``.
+    """
+    problem = asm.prepare_problem(network, meshes, source=source,
+                                  line_source=line_source,
+                                  point_sources=point_sources)
+    dofs = asm.build_dof_map(problem, model)
+    assemble = asm.assemble_cc if model == "cc" else asm.assemble_dc
+    system = assemble(problem, dofs, bcs)
+    report = slv.solve(system, method=solver, tol=tol)
+    solution = asm.extract_solution(system, report.x)
+    return problem, system, solution, report
+
+
 def run_level(case: BenchmarkCase, family: str, level: int,
               model: str | None = None, solver: str = "direct",
               tol: float = 1e-10):
     """Mesh, assemble, solve, and post-process one refinement level."""
-    net = case.network()
-    meshes = case.meshes(family, level)
-    problem = asm.prepare_problem(
-        net, meshes, source=case.source, line_source=case.line_source,
-        point_sources=case.point_sources,
-    )
-    model = model or case.model
-    dofs = asm.build_dof_map(problem, model)
-    assemble = asm.assemble_cc if model == "cc" else asm.assemble_dc
-    system = assemble(problem, dofs, case.bcs())
-    report = slv.solve(system, method=solver, tol=tol)
-    solution = asm.extract_solution(system, report.x)
+    problem, system, solution, report = solve_meshes(
+        case.network(), case.meshes(family, level), case.bcs(),
+        model or case.model, solver=solver, tol=tol, source=case.source,
+        line_source=case.line_source, point_sources=case.point_sources)
     err = None
     if case.p_exact is not None:
         err = post.relative_errors(problem, system, solution, case, level=level)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,9 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps-str", type=float, default=0.25)
         sp.add_argument("--out", type=Path, default=Path("out"))
         sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("DFN_VEM_THREADS", "1")))
+                        default=os.environ.get("DFN_VEM_THREADS", "1"),
+                        help="accepted for compatibility; meshing runs "
+                             "serially")
         if with_model:
             sp.add_argument("--model", choices=("cc", "dc"), default=None)
             sp.add_argument("--solver", choices=("direct", "minres"),
@@ -69,33 +71,60 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _network_meshes(args):
-    """Meshes for a file-based network at a uniform target size."""
-    network, raw = load_network(args.network)
-    ids = sorted(f.id for f in network.fractures)
-
-    def mesh_one(fid):
-        frac = network.fracture(fid)
-        return fid, msh.triangulate_fracture(frac, network.traces_of(fid),
-                                             args.h)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            meshes = dict(pool.map(mesh_one, ids))
-    else:
-        meshes = dict(mesh_one(fid) for fid in ids)
-    if args.c_depth > 0:
-        meshes = case_mod._coarsen_meshes(network, meshes, args.c_depth)
-    bcs = asm.boundary_spec_from_json(raw, network)
-    return network, meshes, bcs, raw
+def _check_flags(args):
+    """Reject out-of-range flag values before any work starts."""
+    rules = [
+        ("level", args.level >= 1, "an integer >= 1"),
+        ("h", math.isfinite(args.h) and args.h > 0, "a finite number > 0"),
+        ("c_depth", args.c_depth >= 0, "an integer >= 0"),
+        ("eps_str", 0 < args.eps_str < 1, "a number in (0, 1)"),
+        ("threads", args.threads >= 1, "an integer >= 1"),
+    ]
+    if args.command == "convergence":
+        rules.append(("levels", args.levels >= 1, "an integer >= 1"))
+    for dest, ok, need in rules:
+        if not ok:
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag} must be {need}, got "
+                              f"{getattr(args, dest)!r}")
 
 
-def _case_setup(args):
-    if args.network is not None:
-        return None
+def _case(args):
     if args.case is None:
         raise ConfigError("either --case or --network is required")
     return case_mod.get_case(args.case)
+
+
+def _load_inputs(args):
+    """Network, fine meshes and boundary data of ``--network`` or ``--case``.
+
+    Network files are triangulated one fracture after another at ``--h``:
+    triangulation runs in Python under the interpreter lock, so threads
+    would not overlap it.
+    """
+    if args.network is None:
+        case = _case(args)
+        return case.network(), case.meshes(args.family, args.level), case.bcs()
+    network, raw = load_network(args.network)
+    try:
+        bcs = asm.boundary_spec_from_json(raw, network)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.network}: {exc}") from None
+    meshes = {
+        fid: msh.triangulate_fracture(network.fracture(fid),
+                                      network.traces_of(fid), args.h)
+        for fid in sorted(f.id for f in network.fractures)
+    }
+    return network, meshes, bcs
+
+
+def _network_coarse(args, network, meshes: dict) -> dict:
+    """A network's fine meshes, agglomerated when ``--c-depth`` is set."""
+    if args.c_depth == 0:
+        return meshes
+    coarse = coa.agglomerate_network(network, meshes, args.c_depth,
+                                     args.eps_str)
+    return {fid: mesh for fid, (mesh, _) in coarse.items()}
 
 
 def _write_summary(out_dir: Path, payload: dict):
@@ -122,12 +151,9 @@ def _report_dict(r: post.ErrorReport) -> dict:
 def cmd_mesh(args) -> dict:
     out = {"command": "mesh"}
     args.out.mkdir(parents=True, exist_ok=True)
+    network, meshes, _ = _load_inputs(args)
     if args.network is not None:
-        network, meshes, _, _ = _network_meshes(args)
-    else:
-        case = _case_setup(args)
-        network = case.network()
-        meshes = case.meshes(args.family, args.level)
+        meshes = _network_coarse(args, network, meshes)
     stats = {}
     for fid, mesh in sorted(meshes.items()):
         msh.save_mesh(mesh, args.out / f"fracture_{fid}.mesh.txt")
@@ -139,62 +165,41 @@ def cmd_mesh(args) -> dict:
 def cmd_coarsen(args) -> dict:
     out = {"command": "coarsen"}
     args.out.mkdir(parents=True, exist_ok=True)
-    if args.network is not None:
-        network, _ = load_network(args.network)
-        raw_meshes = {
-            f.id: msh.triangulate_fracture(f, network.traces_of(f.id), args.h)
-            for f in network.fractures
-        }
-    else:
-        case = _case_setup(args)
-        network = case.network()
-        raw_meshes = case.meshes("triangular", args.level)
-    depth = args.c_depth if args.c_depth > 0 else 1
+    network, meshes, _ = _load_inputs(args)
+    coarse = coa.agglomerate_network(network, meshes, max(args.c_depth, 1),
+                                     args.eps_str)
     stats = {}
-    for fid, mesh in sorted(raw_meshes.items()):
-        frac = network.fracture(fid)
-        tips = [frac.frame.to_local(p)
-                for ln in network.traces_of(fid) for p in (ln.p0, ln.p1)
-                if frac.boundary_distance(p) > 100 * frac.tol]
-        coarse, part = coa.agglomerate(mesh, tips_local=tips, c_depth=depth,
-                                       eps_str=args.eps_str)
-        coarse.frame = frac.frame
+    for fid, (mesh, part) in sorted(coarse.items()):
         post.export_partition_csv(part, args.out / f"partition_{fid}.csv")
-        msh.save_mesh(coarse, args.out / f"fracture_{fid}_coarse.mesh.txt")
+        msh.save_mesh(mesh, args.out / f"fracture_{fid}_coarse.mesh.txt")
         stats[str(fid)] = {
-            "fine_cells": mesh.n_cells,
-            "coarse_cells": coarse.n_cells,
-            **{f"coarse_{k}": v for k, v in msh.mesh_stats(coarse).items()},
+            "fine_cells": meshes[fid].n_cells,
+            "coarse_cells": mesh.n_cells,
+            **{f"coarse_{k}": v for k, v in msh.mesh_stats(mesh).items()},
         }
     out["coarsen_stats"] = stats
     return out
 
 
-def _solve_once(args, level=None):
-    level = level if level is not None else args.level
-    if args.network is not None:
-        network, meshes, bcs, raw = _network_meshes(args)
-        problem = asm.prepare_problem(network, meshes)
-        model = args.model or "cc"
-        dofs = asm.build_dof_map(problem, model)
-        assemble = asm.assemble_cc if model == "cc" else asm.assemble_dc
-        system = assemble(problem, dofs, bcs)
-        report = slv.solve(system, method=args.solver, tol=args.tol)
-        solution = asm.extract_solution(system, report.x)
-        err = None
-        case = None
-    else:
-        case = _case_setup(args)
+def _solve_once(args):
+    """One solve; returns ``(problem, system, solution, report, errors,
+    model)``, with errors only for built-in cases with exact solutions."""
+    if args.network is None:
+        case = _case(args)
         model = args.model or case.model
-        problem, system, solution, report, err = case_mod.run_level(
-            case, args.family, level, model=model, solver=args.solver,
-            tol=args.tol)
-    return problem, system, solution, report, err, case, model
+        return *case_mod.run_level(case, args.family, args.level, model=model,
+                                   solver=args.solver, tol=args.tol), model
+    network, meshes, bcs = _load_inputs(args)
+    model = args.model or "cc"
+    problem, system, solution, report = case_mod.solve_meshes(
+        network, _network_coarse(args, network, meshes), bcs, model,
+        solver=args.solver, tol=args.tol)
+    return problem, system, solution, report, None, model
 
 
 def cmd_solve(args) -> dict:
     t0 = time.monotonic()
-    problem, system, solution, report, err, case, model = _solve_once(args)
+    problem, system, solution, report, err, model = _solve_once(args)
     args.out.mkdir(parents=True, exist_ok=True)
     tag = args.case or Path(args.network).stem
     post.export_vtk(problem, solution,
@@ -220,7 +225,7 @@ def cmd_convergence(args) -> dict:
     t0 = time.monotonic()
     if args.network is not None:
         raise ConfigError("convergence studies need a built-in case")
-    case = _case_setup(args)
+    case = _case(args)
     model = args.model or case.model
     reports, runs = case_mod.run_convergence(case, args.family, args.levels,
                                              model=model, solver=args.solver)
@@ -283,17 +288,11 @@ def global_flux_balance(problem, system, solution) -> dict:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    commands = {"mesh": cmd_mesh, "coarsen": cmd_coarsen,
+                "solve": cmd_solve, "convergence": cmd_convergence}
     try:
-        if args.command == "mesh":
-            payload = cmd_mesh(args)
-        elif args.command == "coarsen":
-            payload = cmd_coarsen(args)
-        elif args.command == "solve":
-            payload = cmd_solve(args)
-        elif args.command == "convergence":
-            payload = cmd_convergence(args)
-        else:
-            raise ConfigError(f"unknown command {args.command!r}")
+        _check_flags(args)
+        payload = commands[args.command](args)
     except DfnError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -26,6 +26,7 @@ __all__ = [
     "tpfa_matrix",
     "cf_split",
     "agglomerate",
+    "agglomerate_network",
 ]
 
 
@@ -412,3 +413,27 @@ def agglomerate(mesh: PolyMesh, tips_local=None, c_depth: int = 1,
         current = _build_coarse_mesh(current, part)
         total = part[total]
     return current, CoarsePartition(cell_to_coarse=total, levels=c_depth)
+
+
+def agglomerate_network(network, meshes: dict, c_depth: int,
+                        eps_str: float = 0.25) -> dict:
+    """Agglomerate every fracture mesh of a network.
+
+    A trace endpoint farther than ``100 * tol`` from its fracture's
+    boundary is an immersed tip; the strength matrix uses the fracture's
+    effective permeability ``aperture * k_tangential``.  Each coarse mesh
+    gets its fracture's frame.  Returns ``{fid: (coarse_mesh,
+    CoarsePartition)}`` in the order of ``meshes``.
+    """
+    out = {}
+    for fid, mesh in meshes.items():
+        frac = network.fracture(fid)
+        tips = [frac.frame.to_local(p)
+                for ln in network.traces_of(fid) for p in (ln.p0, ln.p1)
+                if frac.boundary_distance(p) > 100 * frac.tol]
+        coarse, part = agglomerate(mesh, tips_local=tips, c_depth=c_depth,
+                                   eps_str=eps_str,
+                                   lam=frac.effective_permeability)
+        coarse.frame = frac.frame
+        out[fid] = coarse, part
+    return out

@@ -334,9 +334,6 @@ class IntersectionLine:
     def direction(self) -> np.ndarray:
         return (self.p1 - self.p0) / self.length
 
-    def point_at(self, t: float) -> np.ndarray:
-        return self.p0 + t * self.direction
-
     def param_of(self, p3: np.ndarray) -> float:
         return float((np.asarray(p3, float) - self.p0) @ self.direction)
 
@@ -549,11 +546,6 @@ class FractureNetwork:
     def line(self, gid: int) -> IntersectionLine:
         return self.lines[gid]
 
-    @property
-    def bbox_diagonal(self) -> float:
-        pts = np.vstack([f.vertices for f in self.fractures])
-        return float(np.linalg.norm(pts.max(0) - pts.min(0)))
-
 
 def _same_segment(a: IntersectionLine, b: IntersectionLine, tol: float) -> bool:
     d00 = np.linalg.norm(a.p0 - b.p0) + np.linalg.norm(a.p1 - b.p1)
@@ -631,19 +623,28 @@ def load_network(path) -> tuple:
     Returns ``(network, raw_dict)``; boundary condition selectors in the
     file are interpreted by the assembly module.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "fractures" not in data:
-        raise ConfigError("network file lacks a 'fractures' array")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: cannot read network JSON: {exc}") from None
+    if not isinstance(data, dict) or "fractures" not in data:
+        raise ConfigError(f"{path}: network file lacks a 'fractures' array")
     fractures = []
-    for spec in data["fractures"]:
-        k = spec.get("k_tangential", [1.0, 0.0, 1.0])
-        kxx, kxy, kyy = (float(v) for v in k)
+    for i, spec in enumerate(data["fractures"]):
+        try:
+            k = spec.get("k_tangential", [1.0, 0.0, 1.0])
+            kxx, kxy, kyy = (float(v) for v in k)
+            fid = int(spec["id"])
+            vertices = np.asarray(spec["vertices"], float)
+            aperture = float(spec.get("aperture", 1.0))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{path}: fractures[{i}]: {type(exc).__name__}: {exc}"
+            ) from None
         fractures.append(
             Fracture(
-                id=int(spec["id"]),
-                vertices=np.asarray(spec["vertices"], float),
-                aperture=float(spec.get("aperture", 1.0)),
+                id=fid, vertices=vertices, aperture=aperture,
                 k_tangential=np.array([[kxx, kxy], [kxy, kyy]]),
             )
         )

@@ -168,14 +168,6 @@ class PolyMesh:
             self._cache["edge_cells"] = ec
         return self._cache["edge_cells"]
 
-    def outward_normal(self, cell: int, pos: int) -> np.ndarray:
-        """Unit outward normal of the cell's ``pos``-th edge."""
-        e = self.cells[cell][pos]
-        a, b = self.edge_nodes[e]
-        t = (self.nodes[b] - self.nodes[a]) / self.edge_len[e]
-        nrm = np.array([t[1], -t[0]])
-        return nrm if self.cell_signs[cell][pos] > 0 else -nrm
-
     def cell_outward_normals(self, cell: int) -> np.ndarray:
         es = self.cells[cell]
         a = self.edge_nodes[es, 0]
@@ -235,9 +227,6 @@ class PolyMesh:
     def boundary_edges(self):
         """Outer-boundary edges: one adjacent cell and not on a trace."""
         return np.where((self.edge_cells[:, 1] < 0) & (self.edge_trace < 0))[0]
-
-    def cell_nodes_3d(self, cell: int) -> np.ndarray:
-        return self.frame.to_global(self.nodes[self._loop_nodes(cell)])
 
     # -------------------------------------------------------------- #
     # mutation (used by co-refinement)

@@ -50,14 +50,6 @@ class ErrorReport:
     extras: dict = field(default_factory=dict)
 
 
-def _weighted_rel(weights, got, exact):
-    num = float(np.sum(weights * np.sum((got - exact) ** 2, axis=-1)))
-    den = float(np.sum(weights * np.sum(exact**2, axis=-1)))
-    if den == 0.0:
-        return np.sqrt(num)
-    return float(np.sqrt(num / den))
-
-
 def _componentwise_rel(num: np.ndarray, den: np.ndarray) -> float:
     """Root-sum-square of per-component relative errors.
 

@@ -23,30 +23,11 @@ from .errors import SingularG
 __all__ = [
     "LocalElement2D",
     "LocalElement1D",
-    "monomials",
     "local_matrices_2d",
     "local_matrices_1d",
     "project_velocity",
     "stabilization_parameter",
 ]
-
-
-def monomials(centroid: np.ndarray, diameter: float):
-    """Scaled linear monomial evaluators for one cell.
-
-    Returns ``(m, grad)`` where ``m(x)`` evaluates the pair
-    ``([x]_j - [x_E]_j) / h_E`` at points ``x`` and ``grad`` is the
-    constant 2x2 gradient ``grad[m_j] = e_j / h_E`` stored column-wise.
-    """
-    centroid = np.asarray(centroid, float)
-    if diameter <= 0.0:
-        raise SingularG("cell diameter must be positive")
-
-    def m(x):
-        return (np.asarray(x, float) - centroid) / diameter
-
-    grad = np.eye(2) / diameter
-    return m, grad
 
 
 @dataclass
@@ -73,10 +54,6 @@ class LocalElement2D:
 
     def consistency(self) -> np.ndarray:
         return self.Pi.T @ self.G @ self.Pi
-
-    def stability(self) -> np.ndarray:
-        R = np.eye(self.n_dof) - self.D @ self.Pi
-        return self.varsigma * (R.T @ R)
 
 
 def local_matrices_2d(area: float, centroid: np.ndarray, diameter: float,
@@ -149,11 +126,6 @@ class LocalElement1D:
     varsigma_hat: float
     M: np.ndarray
 
-    def project(self, fluxes: np.ndarray) -> float:
-        """Tangential projected velocity (constant along the element)."""
-        # Pi* = (h / 2 lam_hat) [-1, 1]; lam_hat grad m = lam_hat / h.
-        return 0.5 * (fluxes[1] - fluxes[0])
-
 
 def local_matrices_1d(h: float, lam_hat: float) -> LocalElement1D:
     """Closed-form 1D mixed-VEM matrices with stabilization h/lam_hat."""
@@ -167,16 +139,6 @@ def local_matrices_1d(h: float, lam_hat: float) -> LocalElement1D:
         stabilization=stab, varsigma_hat=varsigma_hat,
         M=consistency + varsigma_hat * stab,
     )
-
-
-def dump_local_matrices(elem: LocalElement2D, path) -> None:
-    """CSV dump of one element's matrices for external oracle checks."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for name, mat in (("G", elem.G), ("F", elem.F), ("Pi", elem.Pi),
-                          ("D", elem.D), ("M", elem.M)):
-            fh.write(f"# {name} {mat.shape[0]}x{mat.shape[1]}\n")
-            for row in np.atleast_2d(mat):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def stabilization_parameter(lam_cells: np.ndarray) -> float:

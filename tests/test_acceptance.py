@@ -344,17 +344,13 @@ def test_criterion_7_network_import_pipeline(tmp_path):
     ok &= imbalance < 1e-8
     # Coarsening at depth 2 halves the network-wide cell count at least.
     network, raw = geo.load_network(net_path)
-    fine_cells = coarse_cells = 0
-    for frac in network.fractures:
-        mesh = msh.triangulate_fracture(frac, network.traces_of(frac.id), 0.15)
-        coarse, _ = coa.agglomerate(
-            mesh, tips_local=[frac.frame.to_local(p)
-                              for ln in network.traces_of(frac.id)
-                              for p in (ln.p0, ln.p1)
-                              if frac.boundary_distance(p) > 100 * frac.tol],
-            c_depth=2)
-        fine_cells += mesh.n_cells
-        coarse_cells += coarse.n_cells
+    meshes = {
+        frac.id: msh.triangulate_fracture(frac, network.traces_of(frac.id), 0.15)
+        for frac in network.fractures
+    }
+    coarse = coa.agglomerate_network(network, meshes, c_depth=2)
+    fine_cells = sum(mesh.n_cells for mesh in meshes.values())
+    coarse_cells = sum(mesh.n_cells for mesh, _ in coarse.values())
     ratio = coarse_cells / fine_cells
     ok &= ratio <= 0.5
     report(7, ok, f"residual={summary['residual']:.1e}; "

@@ -1,6 +1,12 @@
 import json
 
+import pytest
+
+from dfnvem import assembly as asm
 from dfnvem import cli
+from dfnvem import coarsening as coa
+from dfnvem import meshing as msh
+from dfnvem import solver as slv
 
 from _util import import_network_dict
 
@@ -119,11 +125,157 @@ class TestErrors:
         assert rc == 3
 
     def test_mesh_error_exit_code(self, tmp_path, capsys):
+        # Fracture 2's trace ends 5e-8 from fracture 1's without meeting
+        # it: closer than 100 tol, so the triangulation refuses it.
+        x = 0.50000005
+        data = {"fractures": [
+            {"id": 0, "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]},
+            {"id": 1, "vertices": [[0.5, 0.2, -1], [0.5, 0.8, -1],
+                                   [0.5, 0.8, 1], [0.5, 0.2, 1]]},
+            {"id": 2, "vertices": [[x, 0.2, -1], [0.9, 0.8, -1],
+                                   [0.9, 0.8, 1], [x, 0.2, 1]]},
+        ]}
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(import_network_dict()))
-        rc = run_cli(["mesh", "--network", path, "--h", "-1",
+        path.write_text(json.dumps(data))
+        rc = run_cli(["mesh", "--network", path, "--h", "0.3",
                       "--out", tmp_path / "o"])
         assert rc == 4
+        assert "ConstraintConflict" in capsys.readouterr().err
+
+
+def _bad_inputs():
+    """Network files for the malformed-input cases, by name."""
+    bc = import_network_dict()
+    bc["boundary_conditions"][0]["type"] = "dirichlett"
+    isec = import_network_dict()
+    isec["intersection_conditions"] = [{"gamma": 0, "end": 0,
+                                        "type": "dirichelt", "value": 1.0}]
+    no_id = import_network_dict()
+    del no_id["fractures"][0]["id"]
+    return {"net.json": json.dumps(import_network_dict()),
+            "bad.json": '{"fractures": [', "bc.json": json.dumps(bc),
+            "isec.json": json.dumps(isec), "no_id.json": json.dumps(no_id)}
+
+
+MALFORMED = {
+    "level-0": (["solve", "--case", "single", "--family", "cartesian",
+                 "--level", "0"], "--level"),
+    "h-nan": (["solve", "--network", "net.json", "--h", "nan"], "--h"),
+    "h-0": (["mesh", "--network", "net.json", "--h", "0"], "--h"),
+    "h-negative": (["mesh", "--network", "net.json", "--h", "-1"], "--h"),
+    "c-depth-negative": (["solve", "--case", "single", "--c-depth", "-1"],
+                         "--c-depth"),
+    "eps-str-above-1": (["coarsen", "--network", "net.json",
+                         "--eps-str", "1.5"], "--eps-str"),
+    "threads-0": (["solve", "--case", "single", "--threads", "0"],
+                  "--threads"),
+    "levels-0": (["convergence", "--case", "single", "--levels", "0"],
+                 "--levels"),
+    "invalid-json": (["solve", "--network", "bad.json"], "bad.json"),
+    "missing-file": (["solve", "--network", "missing.json"], "missing.json"),
+    "fracture-without-id": (["mesh", "--network", "no_id.json"],
+                            "fractures[0]"),
+    "bc-type": (["solve", "--network", "bc.json"],
+                "boundary_conditions[0].type"),
+    "intersection-type": (["solve", "--network", "isec.json"],
+                          "intersection_conditions[0].type"),
+}
+
+
+@pytest.mark.parametrize("argv, names", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_is_config_error(tmp_path, capsys, argv, names):
+    for name, text in _bad_inputs().items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    rc = run_cli(argv + ["--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "[ConfigError]" in err and names in err
+
+
+def _count_calls(monkeypatch, targets):
+    """Replace each ``(module, attr)`` by a spy; returns the call counts."""
+    counts = {}
+    for module, attr in targets:
+        real = getattr(module, attr)
+        key = f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
+        counts[key] = 0
+
+        def spy(*args, _real=real, _key=key, **kwargs):
+            counts[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, spy)
+    return counts
+
+
+class TestSharedPaths:
+    @pytest.mark.parametrize("source", ["case", "network"])
+    def test_solve_calls_each_stage_through_its_module(self, tmp_path,
+                                                       monkeypatch, source):
+        # Benchmark tracing wraps these module attributes: a caller that
+        # bound one of them at import would bypass the wrapper.
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(import_network_dict()))
+        counts = _count_calls(monkeypatch, [
+            (asm, "prepare_problem"), (asm, "build_dof_map"),
+            (asm, "assemble_cc"), (asm, "assemble_dc"),
+            (slv, "solve"), (asm, "extract_solution"),
+            (msh, "triangulate_fracture"),
+        ])
+        inputs = (["--case", "two-fractures", "--level", "1"]
+                  if source == "case" else ["--network", net_path, "--h", "0.3"])
+        rc = run_cli(["solve", *inputs, "--model", "cc", "--out", tmp_path / "o"])
+        assert rc == 0
+        n_fractures = 2 if source == "case" else 12
+        assert counts == {
+            "assembly.prepare_problem": 1, "assembly.build_dof_map": 1,
+            "assembly.assemble_cc": 1, "assembly.assemble_dc": 0,
+            "solver.solve": 1, "assembly.extract_solution": 1,
+            "meshing.triangulate_fracture": n_fractures,
+        }
+
+    def test_network_solve_honours_eps_str(self, tmp_path, monkeypatch):
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(import_network_dict()))
+        seen = []
+        real = coa.agglomerate
+
+        def spy(mesh, **kw):
+            seen.append((kw["c_depth"], kw["eps_str"]))
+            return real(mesh, **kw)
+
+        monkeypatch.setattr(coa, "agglomerate", spy)
+        rc = run_cli(["solve", "--network", net_path, "--h", "0.3",
+                      "--c-depth", "2", "--eps-str", "0.4",
+                      "--out", tmp_path / "o"])
+        assert rc == 0
+        assert seen == [(2, 0.4)] * 12
+
+    def test_coarsen_case_uses_family(self, tmp_path):
+        rc = run_cli(["coarsen", "--case", "single", "--family", "cartesian",
+                      "--level", "1", "--out", tmp_path])
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["coarsen_stats"]["0"]["fine_cells"] == 100
+
+    def test_coarsen_and_mesh_c_depth_agree(self, tmp_path):
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(import_network_dict()))
+        stats = {}
+        for command in ("coarsen", "mesh"):
+            out = tmp_path / command
+            rc = run_cli([command, "--network", net_path, "--h", "0.3",
+                          "--c-depth", "2", "--out", out])
+            assert rc == 0
+            stats[command] = json.loads((out / "summary.json").read_text())
+        coarse = {fid: s["coarse_cells"]
+                  for fid, s in stats["coarsen"]["coarsen_stats"].items()}
+        meshed = {fid: s["n_cells"]
+                  for fid, s in stats["mesh"]["mesh_stats"].items()}
+        assert coarse == meshed
+        assert all(s["coarse_cells"] < s["fine_cells"]
+                   for s in stats["coarsen"]["coarsen_stats"].values())
 
 
 class TestThreads:

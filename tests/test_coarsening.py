@@ -216,6 +216,43 @@ class TestAgglomerate:
         assert abs(coarse.cell_areas.sum() - mesh.cell_areas.sum()) < 1e-12
 
 
+
+class TestAgglomerateNetwork:
+    def test_tips_permeability_and_frame(self, monkeypatch):
+        # One trace, boundary-to-interior in each fracture: fracture 0
+        # holds its immersed tip at x = 0.6, fracture 1 at x = 0.
+        k = np.array([[2.0, 0.5], [0.5, 1.0]])
+        f0 = geo.Fracture(id=0, vertices=square_fracture().vertices,
+                          aperture=0.5, k_tangential=k)
+        f1 = geo.Fracture(id=1, vertices=np.array(
+            [[-0.2, 0.5, -1], [0.6, 0.5, -1], [0.6, 0.5, 1], [-0.2, 0.5, 1]],
+            float))
+        net = geo.build_network([f0, f1])
+        meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.2)
+                  for f in net.fractures}
+        calls = []
+        real = coa.agglomerate
+
+        def spy(mesh, **kw):
+            calls.append(kw)
+            return real(mesh, **kw)
+
+        monkeypatch.setattr(coa, "agglomerate", spy)
+        out = coa.agglomerate_network(net, meshes, c_depth=2, eps_str=0.3)
+        assert [kw["eps_str"] for kw in calls] == [0.3, 0.3]
+        assert np.array_equal(calls[0]["lam"], 0.5 * k)
+        assert np.array_equal(calls[1]["lam"], np.eye(2))
+        tips = {0: [0.6, 0.5, 0.0], 1: [0.0, 0.5, 0.0]}
+        for fid, kw in enumerate(calls):
+            frac = net.fracture(fid)
+            assert np.allclose(kw["tips_local"],
+                               [frac.frame.to_local(np.array(tips[fid]))])
+            coarse, part = out[fid]
+            assert coarse.frame is frac.frame
+            assert coarse.n_cells < meshes[fid].n_cells
+            partition_is_valid(meshes[fid], part)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_randomized_triangulations_properties(seed):
     """Partition validity, trace separation, tip rule, area conservation."""

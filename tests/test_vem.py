@@ -59,20 +59,6 @@ def interpolate(elem, field):
     return vals * elem.edge_len
 
 
-class TestMonomials:
-    def test_centering(self):
-        m, _ = vem.monomials([0.3, 0.7], 2.0)
-        assert np.allclose(m([0.3, 0.7]), 0.0)
-
-    def test_unit_square_value(self):
-        m, _ = vem.monomials([0.5, 0.5], np.sqrt(2.0))
-        assert np.allclose(m([1.5, 0.5]), [1 / np.sqrt(2), 0])
-
-    def test_gradient_orthogonality(self):
-        _, grad = vem.monomials([0.0, 0.0], 0.5)
-        assert abs(grad[:, 0] @ grad[:, 1]) < 1e-15
-
-
 class TestLocalMatrices2D:
     def test_unit_square_G(self):
         elem = square_cell()
@@ -207,14 +193,3 @@ class TestStabilizationParameter:
     def test_heterogeneous(self):
         lam = np.stack([np.diag([4.0, 2.0]), np.diag([0.5, 1.0])])
         assert vem.stabilization_parameter(lam) == 2.0
-
-
-def test_dump_local_matrices(tmp_path):
-    elem = square_cell()
-    path = tmp_path / "elem.csv"
-    vem.dump_local_matrices(elem, path)
-    text = path.read_text()
-    for name in ("# G 2x2", "# F 2x4", "# Pi 2x4", "# D 4x2", "# M 4x4"):
-        assert name in text
-    first = [float(v) for v in text.splitlines()[1].split(",")]
-    assert np.allclose(first, elem.G[0])
