@@ -255,24 +255,24 @@ class SaddleSystem:
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
 
-def _local_element(mesh: PolyMesh, k: int, lam_k, varsigma):
-    es = mesh.cells[k]
-    return vem.local_matrices_2d(
-        area=float(mesh.cell_areas[k]),
-        centroid=mesh.cell_centroids[k],
-        diameter=float(mesh.cell_diameters[k]),
-        edge_len=mesh.edge_len[es],
-        edge_normal=mesh.cell_outward_normals(k),
-        edge_mid=mesh.edge_mid[es],
-        lam=lam_k,
-        varsigma=varsigma,
-    )
-
-
-def _orientation(mesh: PolyMesh, k: int, es) -> np.ndarray:
-    """+1 where the global dof (outward from the first adjacent cell)
-    coincides with this cell's outward flux."""
-    return np.where(mesh.edge_cells[es, 0] == k, 1.0, -1.0)
+def _cell_groups(mesh: PolyMesh):
+    """Per edge count ``d``: cell ids ``(n,)``, edge ids ``(n, d)``, outward
+    unit normals ``(n, d, 2)`` and signs ``(n, d)``, +1 where the global dof
+    (outward from the first adjacent cell) is this cell's outward flux."""
+    counts = np.fromiter(map(len, mesh.cells), int, mesh.n_cells)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    flat_edges = np.concatenate(mesh.cells)
+    flat_signs = np.concatenate(mesh.cell_signs).astype(float)
+    ends = mesh.nodes[mesh.edge_nodes]
+    t = (ends[:, 1] - ends[:, 0]) / mesh.edge_len[:, None]
+    edge_normal = np.column_stack([t[:, 1], -t[:, 0]])
+    for d in np.unique(counts):
+        ids = np.flatnonzero(counts == d)
+        pos = starts[ids][:, None] + np.arange(d)
+        es = flat_edges[pos]
+        normals = edge_normal[es] * flat_signs[pos][..., None]
+        signs = np.where(mesh.edge_cells[es, 0] == ids[:, None], 1.0, -1.0)
+        yield ids, es, normals, signs
 
 
 def _cell_source(problem, fid, mesh) -> np.ndarray:
@@ -293,32 +293,28 @@ def _cell_source(problem, fid, mesh) -> np.ndarray:
     return vals
 
 
-def _assemble_fractures(problem, dofs, rows, cols, vals, rhs):
+def _assemble_fractures(problem, dofs, rhs):
+    """Fracture triplets: one kernel call per (fracture, edge count)."""
+    rows, cols, vals = [], [], []
     for fid in sorted(problem.meshes):
         mesh = problem.meshes[fid]
         edof = dofs.edge_dof[fid]
         cdof = dofs.cell_dof[fid]
-        lam_f = problem.lam[fid]
-        sig = problem.varsigma[fid]
-        fsrc = _cell_source(problem, fid, mesh)
-        for k in range(mesh.n_cells):
-            es = mesh.cells[k]
-            elem = _local_element(mesh, k, lam_f[k], sig)
+        rhs[cdof] -= _cell_source(problem, fid, mesh)
+        for ids, es, normals, s in _cell_groups(mesh):
+            M = vem.local_matrices_2d(
+                mesh.cell_areas[ids], mesh.cell_centroids[ids],
+                mesh.edge_len[es], normals, mesh.edge_mid[es],
+                problem.lam[fid][ids], problem.varsigma[fid])
+            d = es.shape[1]
             g = edof[es]
-            s = _orientation(mesh, k, es)
-            M = elem.M * np.outer(s, s)
-            nn = len(es)
-            rows.extend(np.repeat(g, nn))
-            cols.extend(np.tile(g, nn))
-            vals.extend(M.ravel())
+            p = np.repeat(cdof[ids], d)
+            rows += [np.repeat(g, d, axis=1).ravel(), p, g.ravel()]
+            cols += [np.tile(g, d).ravel(), g.ravel(), p]
             # b(u, q) = -(div u, q): entries -s on (pressure row, flux col).
-            rows.extend([cdof[k]] * nn)
-            cols.extend(g)
-            vals.extend(-s)
-            rows.extend(g)
-            cols.extend([cdof[k]] * nn)
-            vals.extend(-s)
-            rhs[cdof[k]] -= fsrc[k]
+            vals += [(M * s[:, :, None] * s[:, None, :]).ravel(),
+                     -s.ravel(), -s.ravel()]
+    return rows, cols, vals
 
 
 def _interface_entries_cc(problem, dofs, rows, cols, vals):
@@ -426,9 +422,12 @@ def _interface_entries_dc(problem, dofs, rows, cols, vals, rhs):
                 vals.extend([sgn, sgn])
 
 
-def _finish(problem, dofs, model, rows, cols, vals, rhs) -> SaddleSystem:
+def _finish(problem, dofs, model, frac, rows, cols, vals, rhs) -> SaddleSystem:
+    frows, fcols, fvals = frac
     A = sparse.csr_matrix(
-        (np.asarray(vals, float), (np.asarray(rows, int), np.asarray(cols, int))),
+        (np.concatenate([*fvals, np.asarray(vals, float)]),
+         (np.concatenate([*frows, np.asarray(rows, int)]),
+          np.concatenate([*fcols, np.asarray(cols, int)]))),
         shape=(dofs.total, dofs.total),
     )
     A.sum_duplicates()
@@ -442,9 +441,9 @@ def assemble_cc(problem: DiscreteProblem, dofs: DofMap,
     interface pressure."""
     rows, cols, vals = [], [], []
     rhs = np.zeros(dofs.total)
-    _assemble_fractures(problem, dofs, rows, cols, vals, rhs)
+    frac = _assemble_fractures(problem, dofs, rhs)
     _interface_entries_cc(problem, dofs, rows, cols, vals)
-    system = _finish(problem, dofs, "cc", rows, cols, vals, rhs)
+    system = _finish(problem, dofs, "cc", frac, rows, cols, vals, rhs)
     if bcs is not None:
         apply_bc(system, bcs)
     return system
@@ -455,9 +454,9 @@ def assemble_dc(problem: DiscreteProblem, dofs: DofMap,
     """Discontinuous coupling with tangential intersection flow."""
     rows, cols, vals = [], [], []
     rhs = np.zeros(dofs.total)
-    _assemble_fractures(problem, dofs, rows, cols, vals, rhs)
+    frac = _assemble_fractures(problem, dofs, rhs)
     _interface_entries_dc(problem, dofs, rows, cols, vals, rhs)
-    system = _finish(problem, dofs, "dc", rows, cols, vals, rhs)
+    system = _finish(problem, dofs, "dc", frac, rows, cols, vals, rhs)
     if bcs is not None:
         apply_bc(system, bcs)
     return system
@@ -603,17 +602,12 @@ def extract_solution(system: SaddleSystem, x: np.ndarray) -> Solution:
         mesh = problem.meshes[fid]
         pressure[fid] = x[dofs.cell_dof[fid]]
         edge_flux[fid] = x[dofs.edge_dof[fid]]
-        vel = np.empty((mesh.n_cells, 3))
-        lam_f = problem.lam[fid]
-        sig = problem.varsigma[fid]
-        for k in range(mesh.n_cells):
-            es = mesh.cells[k]
-            elem = _local_element(mesh, k, lam_f[k], sig)
-            s = _orientation(mesh, k, es)
-            vel[k] = vem.project_velocity(
-                elem, s * x[dofs.edge_dof[fid][es]], frame=mesh.frame
-            )
-        velocity[fid] = vel
+        vel = np.empty((mesh.n_cells, 2))
+        for ids, es, _, s in _cell_groups(mesh):
+            vel[ids] = vem.project_velocity(
+                mesh.cell_areas[ids], mesh.cell_centroids[ids],
+                mesh.edge_mid[es], s * edge_flux[fid][es])
+        velocity[fid] = mesh.frame.vector_to_global(vel)
     line_pressure, line_flux, interface_pressure = {}, {}, {}
     if system.model == "dc":
         for gid in problem.traces:
@@ -637,21 +631,39 @@ def boundary_spec_from_json(raw: dict, network: FractureNetwork) -> BoundarySpec
     Fracture selectors pick boundary edges by polygon-edge index or by an
     axis-aligned box containing the edge midpoint; unselected edges are
     no-flow.  Intersection endpoints default to zero-flux tips.  An
-    unknown ``type`` raises ``ConfigError`` naming its JSON path.
+    unknown ``type``, fracture, edge, intersection or end raises
+    ``ConfigError`` naming its JSON path.
     """
+    def index(item, path, key, valid, need):
+        try:
+            if int(item[key]) in valid:
+                return int(item[key])
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise ConfigError(f"{path}.{key}: {item.get(key)!r} is not {need}")
+
     for key, kinds in (("boundary_conditions", ("dirichlet", "neumann")),
                        ("intersection_conditions", ("tip", "dirichlet"))):
         for i, item in enumerate(raw.get(key, [])):
             if item.get("type", kinds[0]) not in kinds:
                 raise ConfigError(f"{key}[{i}].type: {item['type']!r} is "
                                   f"not one of {kinds}")
+    fids = {f.id for f in network.fractures}
     frac_rules = {}
-    for item in raw.get("boundary_conditions", []):
-        fid = int(item["fracture"])
+    for i, item in enumerate(raw.get("boundary_conditions", [])):
+        path = f"boundary_conditions[{i}]"
+        fid = index(item, path, "fracture", fids, "a fracture id")
+        if "edge" in item:
+            n = len(network.fracture(fid).vertices)
+            index(item, path, "edge", range(n),
+                  f"a polygon edge index of fracture {fid} (0..{n - 1})")
         frac_rules.setdefault(fid, []).append(item)
+    gids = {line.id for line in network.lines}
     gamma_rules = {}
-    for item in raw.get("intersection_conditions", []):
-        key = (int(item["gamma"]), int(item["end"]))
+    for i, item in enumerate(raw.get("intersection_conditions", [])):
+        path = f"intersection_conditions[{i}]"
+        key = (index(item, path, "gamma", gids, "an intersection id"),
+               index(item, path, "end", (0, 1), "0 or 1"))
         gamma_rules[key] = item
 
     def fracture_bc(fid, mid3):

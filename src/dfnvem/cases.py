@@ -458,13 +458,14 @@ def run_level(case: BenchmarkCase, family: str, level: int,
 
 
 def run_convergence(case: BenchmarkCase, family: str, levels: int,
-                    model: str | None = None, solver: str = "direct"):
+                    model: str | None = None, solver: str = "direct",
+                    tol: float = 1e-10):
     """Run a refinement ladder and fill inter-level convergence orders."""
     reports = []
     runs = []
     for level in range(1, levels + 1):
         problem, system, solution, rep, err = run_level(
-            case, family, level, model=model, solver=solver)
+            case, family, level, model=model, solver=solver, tol=tol)
         if err is None:
             raise ConfigError(f"case {case.name} has no exact solution; "
                               "convergence study not applicable")

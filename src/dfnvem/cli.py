@@ -45,10 +45,10 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--family", default="triangular",
                         help="mesh family of the case")
         sp.add_argument("--level", type=int, default=1)
-        sp.add_argument("--h", type=float, default=0.1,
-                        help="target mesh size for network files")
-        sp.add_argument("--c-depth", type=int, default=0)
-        sp.add_argument("--eps-str", type=float, default=0.25)
+        sp.add_argument("--h", type=float,
+                        help="target mesh size for network files (0.1)")
+        sp.add_argument("--c-depth", type=int, help="default 0")
+        sp.add_argument("--eps-str", type=float, help="default 0.25")
         sp.add_argument("--out", type=Path, default=Path("out"))
         sp.add_argument("--threads", type=int,
                         default=os.environ.get("DFN_VEM_THREADS", "1"),
@@ -72,14 +72,26 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args):
-    """Reject out-of-range flag values before any work starts."""
-    rules = [
+    """Reject inapplicable or out-of-range flags before any work starts,
+    then fill in the defaults of the flags left unset."""
+    case_only = ["network", "h"]
+    if args.command != "coarsen":
+        case_only += ["c_depth", "eps_str"]
+    rules = [(dest, args.case is None or getattr(args, dest) is None,
+              f"left out of {args.command} --case") for dest in case_only]
+    for dest, value in (("h", 0.1), ("c_depth", 0), ("eps_str", 0.25)):
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    rules += [
         ("level", args.level >= 1, "an integer >= 1"),
         ("h", math.isfinite(args.h) and args.h > 0, "a finite number > 0"),
         ("c_depth", args.c_depth >= 0, "an integer >= 0"),
         ("eps_str", 0 < args.eps_str < 1, "a number in (0, 1)"),
         ("threads", args.threads >= 1, "an integer >= 1"),
     ]
+    if args.command in ("solve", "convergence"):
+        rules.append(("tol", math.isfinite(args.tol) and args.tol > 0,
+                      "a finite number > 0"))
     if args.command == "convergence":
         rules.append(("levels", args.levels >= 1, "an integer >= 1"))
     for dest, ok, need in rules:
@@ -228,7 +240,8 @@ def cmd_convergence(args) -> dict:
     case = _case(args)
     model = args.model or case.model
     reports, runs = case_mod.run_convergence(case, args.family, args.levels,
-                                             model=model, solver=args.solver)
+                                             model=model, solver=args.solver,
+                                             tol=args.tol)
     args.out.mkdir(parents=True, exist_ok=True)
     tag = f"{case.name}_{args.family}"
     post.export_csv(reports, args.out / f"{tag}.csv")

@@ -341,10 +341,6 @@ def random_mesh(n: int, seed: int, amplitude: float = 0.3,
                 return False
         return True
 
-    node_cells = {}
-    for k, es in enumerate(mesh.cells):
-        for nid_ in np.unique(mesh.edge_nodes[es]):
-            node_cells.setdefault(nid_, []).append(k)
     loops = [mesh._loop_nodes(k) for k in range(mesh.n_cells)]
     for _ in range(50):
         bad = set()

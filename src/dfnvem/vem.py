@@ -10,6 +10,19 @@ stabilization.  All quantities live in the 2D fracture frame; mapping to
 Cell integrals of linear functions use the centroid rule and edge
 integrals the midpoint rule; both are exact for the (linear) monomials,
 which makes the algebraic identities below hold to machine precision.
+
+With the scaled monomials ``(x - x_E) / h`` the projection matrices are
+``G = |E|/h^2 lam``, ``F = Delta^T / h``, ``Pi = G^-1 F`` and
+``D = W lam / h``, where the rows of ``Delta`` are ``x_e - x_E`` (edge
+midpoint minus centroid) and the rows of ``W`` are ``|e| n_e``.  The
+diameter ``h`` cancels everywhere:
+
+    M_E = |E|^-1 Delta lam^-1 Delta^T + varsigma R^T R,
+          R = I - |E|^-1 W Delta^T   (= I - D Pi),
+    lam Pi u / h = |E|^-1 Delta^T u  (the projected velocity).
+
+So the kernels below need neither ``h`` nor ``G``, and the velocity does
+not depend on ``lam``.
 """
 
 from __future__ import annotations
@@ -21,7 +34,6 @@ import numpy as np
 from .errors import SingularG
 
 __all__ = [
-    "LocalElement2D",
     "LocalElement1D",
     "local_matrices_2d",
     "local_matrices_1d",
@@ -30,82 +42,41 @@ __all__ = [
 ]
 
 
-@dataclass
-class LocalElement2D:
-    """Geometry and local matrices of one polygonal face element."""
+def local_matrices_2d(area, centroid, edge_len, edge_normal, edge_mid, lam,
+                      varsigma=1.0) -> np.ndarray:
+    """Local H(div) mass matrices of ``n`` polygons with ``d`` edges each.
 
-    area: float
-    centroid: np.ndarray
-    diameter: float
-    edge_len: np.ndarray
-    edge_normal: np.ndarray   # outward unit normals, one row per edge dof
-    edge_mid: np.ndarray
-    lam: np.ndarray           # effective permeability, constant on the cell
-    varsigma: float
-    G: np.ndarray             # (lam grad m_i, grad m_j)_E
-    F: np.ndarray
-    Pi: np.ndarray            # projection coefficients, G^{-1} F
-    D: np.ndarray             # dof_i(lam grad m_j)
-    M: np.ndarray             # local H(div) mass matrix a_h
+    Every argument has a leading cell axis: ``area (n,)``, ``centroid
+    (n, 2)``, ``edge_len (n, d)``, outward unit ``edge_normal (n, d, 2)``,
+    ``edge_mid (n, d, 2)`` and ``lam (n, 2, 2)``; ``varsigma`` is a scalar
+    or ``(n,)``.  ``centroid`` must be the exact area centroid.  Returns
+    ``M`` of shape ``(n, d, d)`` for outward-oriented dofs; the assembly
+    applies orientation signs.
 
-    @property
-    def n_dof(self) -> int:
-        return len(self.edge_len)
-
-    def consistency(self) -> np.ndarray:
-        return self.Pi.T @ self.G @ self.Pi
-
-
-def local_matrices_2d(area: float, centroid: np.ndarray, diameter: float,
-                      edge_len: np.ndarray, edge_normal: np.ndarray,
-                      edge_mid: np.ndarray, lam: np.ndarray,
-                      varsigma: float = 1.0) -> LocalElement2D:
-    """Local mixed-VEM matrices for one polygon with outward-oriented dofs.
-
-    ``centroid`` must be the exact area centroid so the interior moment of
-    the monomials vanishes.  The local divergence of each basis function
-    is ``1/|E|``; the assembly applies orientation signs.
-
-    Raises ``SingularG`` for degenerate geometry.
+    Raises ``SingularG`` for a cell with ``area <= 0``, named by its row
+    in the batch, and for a tensor that is not positive definite.
     """
+    area = np.asarray(area, float)
     lam = np.asarray(lam, float)
-    if area <= 0.0 or diameter <= 0.0:
-        raise SingularG(f"degenerate cell: area={area}, diameter={diameter}")
-    if np.linalg.det(lam) <= 0.0:
+    bad = np.flatnonzero(area <= 0.0)
+    if bad.size:
+        raise SingularG(f"degenerate cell {bad[0]}: area={area[bad[0]]}")
+    if (np.linalg.det(lam) <= 0.0).any():
         raise SingularG("permeability tensor is not positive definite")
-    centroid = np.asarray(centroid, float)
-    edge_len = np.asarray(edge_len, float)
-    edge_normal = np.asarray(edge_normal, float)
-    edge_mid = np.asarray(edge_mid, float)
-
-    G = (area / diameter**2) * lam
-    # f_w = -(1/|E|)(1, m)_E + (1/|e_w|)(1, m)_{e_w}; the first term
-    # vanishes because the monomials are centred at the centroid.
-    F = ((edge_mid - centroid) / diameter).T
-    Pi = np.linalg.solve(G, F)
-    D = edge_len[:, None] * (edge_normal @ lam) / diameter
-    R = np.eye(len(edge_len)) - D @ Pi
-    M = Pi.T @ G @ Pi + varsigma * (R.T @ R)
-    M = 0.5 * (M + M.T)  # exact symmetry for the global scatter
-    return LocalElement2D(
-        area=float(area), centroid=centroid, diameter=float(diameter),
-        edge_len=edge_len, edge_normal=edge_normal, edge_mid=edge_mid,
-        lam=lam, varsigma=float(varsigma), G=G, F=F, Pi=Pi, D=D, M=M,
-    )
+    delta = np.asarray(edge_mid, float) - np.asarray(centroid, float)[:, None]
+    w = np.asarray(edge_len, float)[..., None] * np.asarray(edge_normal, float)
+    a, delta_t = area[:, None, None], delta.transpose(0, 2, 1)
+    r = np.eye(delta.shape[1]) - w @ delta_t / a
+    M = (delta @ np.linalg.solve(lam, delta_t) / a
+         + np.reshape(varsigma, (-1, 1, 1)) * (r.transpose(0, 2, 1) @ r))
+    return 0.5 * (M + M.transpose(0, 2, 1))  # exact symmetry for the scatter
 
 
-def project_velocity(elem: LocalElement2D, fluxes: np.ndarray, frame=None):
-    """Projected velocity at the cell centre from outward-oriented dofs.
-
-    The projection expands as ``sum_j s_j lam grad m_j`` with
-    ``s = Pi @ fluxes``; it is constant on the cell.  With a ``frame`` the
-    vector is returned in 3D coordinates, otherwise in the 2D frame.
-    """
-    s = elem.Pi @ np.asarray(fluxes, float)
-    v2 = elem.lam @ s / elem.diameter
-    if frame is None:
-        return v2
-    return frame.vector_to_global(v2)
+def project_velocity(area, centroid, edge_mid, fluxes) -> np.ndarray:
+    """Cell velocities ``|E|^-1 (x_e - x_E)^T u`` in the 2D frame, ``(n, 2)``,
+    from outward-oriented ``fluxes (n, d)``; see ``local_matrices_2d``."""
+    delta = np.asarray(edge_mid, float) - np.asarray(centroid, float)[:, None]
+    return np.einsum("nd,ndk->nk", fluxes, delta) / np.asarray(area)[:, None]
 
 
 @dataclass

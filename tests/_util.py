@@ -1,11 +1,14 @@
 """Shared builders for the assembly/solver/case tests."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from dfnvem import assembly as asm
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
+from dfnvem.errors import SingularG
 
 
 def single_fracture_plane(fid=0):
@@ -116,3 +119,84 @@ def import_network_dict():
             {"fracture": 3, "edge": 2, "type": "dirichlet", "value": 0.0},
         ],
     }
+
+
+@dataclass
+class LocalElement2D:
+    """Reference element: one polygon's projection matrices, step by step.
+
+    ``local_matrices_2d_ref`` builds G, F, Pi = G^-1 F and D from the
+    scaled monomials ``(x - x_E) / h`` exactly as the method defines them;
+    the production kernel ``vem.local_matrices_2d`` uses the closed form
+    in which ``h`` and ``G`` cancel, and the tests tie the two together.
+    """
+
+    area: float
+    centroid: np.ndarray
+    diameter: float
+    edge_len: np.ndarray
+    edge_normal: np.ndarray   # outward unit normals, one row per edge dof
+    edge_mid: np.ndarray
+    lam: np.ndarray           # effective permeability, constant on the cell
+    varsigma: float
+    G: np.ndarray             # (lam grad m_i, grad m_j)_E
+    F: np.ndarray
+    Pi: np.ndarray            # projection coefficients, G^{-1} F
+    D: np.ndarray             # dof_i(lam grad m_j)
+    M: np.ndarray             # local H(div) mass matrix a_h
+
+    @property
+    def n_dof(self) -> int:
+        return len(self.edge_len)
+
+    def consistency(self) -> np.ndarray:
+        return self.Pi.T @ self.G @ self.Pi
+
+
+def local_matrices_2d_ref(area, centroid, diameter, edge_len, edge_normal,
+                          edge_mid, lam, varsigma=1.0) -> LocalElement2D:
+    """Scalar reference mixed-VEM matrices of one outward-oriented polygon."""
+    lam = np.asarray(lam, float)
+    if area <= 0.0 or diameter <= 0.0:
+        raise SingularG(f"degenerate cell: area={area}, diameter={diameter}")
+    if np.linalg.det(lam) <= 0.0:
+        raise SingularG("permeability tensor is not positive definite")
+    centroid = np.asarray(centroid, float)
+    edge_len = np.asarray(edge_len, float)
+    edge_normal = np.asarray(edge_normal, float)
+    edge_mid = np.asarray(edge_mid, float)
+
+    G = (area / diameter**2) * lam
+    # f_w = -(1/|E|)(1, m)_E + (1/|e_w|)(1, m)_{e_w}; the first term
+    # vanishes because the monomials are centred at the centroid.
+    F = ((edge_mid - centroid) / diameter).T
+    Pi = np.linalg.solve(G, F)
+    D = edge_len[:, None] * (edge_normal @ lam) / diameter
+    R = np.eye(len(edge_len)) - D @ Pi
+    M = Pi.T @ G @ Pi + varsigma * (R.T @ R)
+    M = 0.5 * (M + M.T)
+    return LocalElement2D(
+        area=float(area), centroid=centroid, diameter=float(diameter),
+        edge_len=edge_len, edge_normal=edge_normal, edge_mid=edge_mid,
+        lam=lam, varsigma=float(varsigma), G=G, F=F, Pi=Pi, D=D, M=M,
+    )
+
+
+def project_velocity_ref(elem: LocalElement2D, fluxes) -> np.ndarray:
+    """Reference projected velocity ``lam Pi u / h`` in the 2D frame."""
+    return elem.lam @ (elem.Pi @ np.asarray(fluxes, float)) / elem.diameter
+
+
+def polygon_geometry(pts):
+    """Exact area, centroid, diameter, edge lengths, outward normals and
+    edge midpoints of a counterclockwise polygon, in the argument order of
+    ``local_matrices_2d_ref``."""
+    nxt = np.roll(pts, -1, axis=0)
+    cross = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
+    area = 0.5 * cross.sum()
+    centroid = ((pts + nxt) * cross[:, None]).sum(axis=0) / (6 * area)
+    e = nxt - pts
+    elen = np.linalg.norm(e, axis=1)
+    normal = np.column_stack([e[:, 1], -e[:, 0]]) / elen[:, None]
+    diam = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1).max())
+    return area, centroid, diam, elen, normal, 0.5 * (pts + nxt)

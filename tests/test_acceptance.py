@@ -21,7 +21,7 @@ from dfnvem import postprocess as post
 from dfnvem import solver as slv
 from dfnvem import vem
 
-from _util import import_network_dict
+from _util import import_network_dict, local_matrices_2d_ref, polygon_geometry
 
 
 def report(num, ok, msg):
@@ -156,20 +156,14 @@ def test_criterion_5_property_suite():
             ang = np.sort(rng.uniform(0, 2 * np.pi, n))
         r = rng.uniform(0.5, 1.5, n)
         pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-        nxt = np.roll(pts, -1, axis=0)
-        cross = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
-        area = 0.5 * cross.sum()
-        centroid = ((pts + nxt) * cross[:, None]).sum(axis=0) / (6 * area)
-        e = nxt - pts
-        elen = np.linalg.norm(e, axis=1)
-        nrm = np.column_stack([e[:, 1], -e[:, 0]]) / elen[:, None]
-        diam = max(np.linalg.norm(pts[i] - pts[j])
-                   for i in range(n) for j in range(n))
-        elem = vem.local_matrices_2d(area, centroid, diam, elen, nrm,
-                                     0.5 * (pts + nxt), np.eye(2))
-        u = elem.D @ rng.normal(size=2)
+        area, centroid, diam, elen, nrm, mid = polygon_geometry(pts)
+        ref = local_matrices_2d_ref(area, centroid, diam, elen, nrm, mid,
+                                    np.eye(2))
+        M = vem.local_matrices_2d([area], [centroid], [elen], [nrm], [mid],
+                                  [np.eye(2)])[0]
+        u = ref.D @ rng.normal(size=2)
         v = rng.normal(size=n)
-        worst_c = max(worst_c, abs(u @ elem.M @ v - u @ elem.consistency() @ v))
+        worst_c = max(worst_c, abs(u @ M @ v - u @ ref.consistency() @ v))
     ok &= worst_c < 1e-12
     msgs.append(f"consistency={worst_c:.1e}")
 

@@ -7,6 +7,7 @@ from dfnvem import cli
 from dfnvem import coarsening as coa
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
+from dfnvem import vem
 
 from _util import import_network_dict
 
@@ -102,6 +103,19 @@ class TestConvergenceCommand:
                (b / "single_triangular_finest.vtk").read_bytes()
 
 
+    def test_rerun_bit_identical_mixed_degree_vtk(self, tmp_path):
+        # Agglomerated cells have many edge counts, so the assembly and
+        # the velocity recovery run over several cell groups per fracture.
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            rc = run_cli(["solve", "--case", "two-fractures", "--family",
+                          "coarse2", "--level", "1", "--out", out])
+            assert rc == 0
+        for name in ("two-fractures_coarse2_1.vtk",
+                     "two-fractures_coarse2_1_lines.vtk"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 class TestErrors:
     def test_missing_case_is_config_error(self, tmp_path, capsys):
         rc = run_cli(["solve", "--out", tmp_path])
@@ -152,9 +166,24 @@ def _bad_inputs():
                                         "type": "dirichelt", "value": 1.0}]
     no_id = import_network_dict()
     del no_id["fractures"][0]["id"]
-    return {"net.json": json.dumps(import_network_dict()),
-            "bad.json": '{"fractures": [', "bc.json": json.dumps(bc),
-            "isec.json": json.dumps(isec), "no_id.json": json.dumps(no_id)}
+    files = {"net.json": json.dumps(import_network_dict()),
+             "bad.json": '{"fractures": [', "bc.json": json.dumps(bc),
+             "isec.json": json.dumps(isec), "no_id.json": json.dumps(no_id)}
+    for name, key, value in (("bc_fid.json", "fracture", 99),
+                             ("bc_nofid.json", "fracture", None),
+                             ("bc_edge.json", "edge", 4),
+                             ("bc_edge_neg.json", "edge", -1)):
+        data = import_network_dict()
+        data["boundary_conditions"][0][key] = value
+        if value is None:
+            del data["boundary_conditions"][0][key]
+        files[name] = json.dumps(data)
+    for name, gamma, end in (("gamma.json", 999, 0), ("end.json", 0, 2)):
+        data = import_network_dict()
+        data["intersection_conditions"] = [
+            {"gamma": gamma, "end": end, "type": "dirichlet", "value": 1.0}]
+        files[name] = json.dumps(data)
+    return files
 
 
 MALFORMED = {
@@ -179,6 +208,37 @@ MALFORMED = {
                 "boundary_conditions[0].type"),
     "intersection-type": (["solve", "--network", "isec.json"],
                           "intersection_conditions[0].type"),
+    "bc-unknown-fracture": (["solve", "--network", "bc_fid.json"],
+                            "boundary_conditions[0].fracture"),
+    "bc-missing-fracture": (["solve", "--network", "bc_nofid.json"],
+                            "boundary_conditions[0].fracture"),
+    "bc-edge-past-end": (["solve", "--network", "bc_edge.json"],
+                         "boundary_conditions[0].edge"),
+    "bc-edge-negative": (["solve", "--network", "bc_edge_neg.json"],
+                         "boundary_conditions[0].edge"),
+    "intersection-unknown-gamma": (["solve", "--network", "gamma.json"],
+                                   "intersection_conditions[0].gamma"),
+    "intersection-end-2": (["solve", "--network", "end.json"],
+                           "intersection_conditions[0].end"),
+    "tol-0": (["solve", "--case", "single", "--family", "cartesian",
+               "--tol", "0"], "--tol"),
+    "tol-nan": (["convergence", "--case", "single", "--family", "cartesian",
+                 "--levels", "1", "--tol", "nan"], "--tol"),
+    "h-with-case": (["solve", "--case", "single", "--family", "cartesian",
+                     "--h", "0.2"], "--h"),
+    "c-depth-with-solve-case": (["solve", "--case", "single", "--family",
+                                 "cartesian", "--c-depth", "2"], "--c-depth"),
+    "eps-str-with-mesh-case": (["mesh", "--case", "single", "--family",
+                                "cartesian", "--eps-str", "0.3"],
+                               "--eps-str"),
+    "c-depth-with-convergence-case": (["convergence", "--case", "single",
+                                       "--family", "cartesian", "--levels",
+                                       "1", "--c-depth", "1"], "--c-depth"),
+    "c-depth-negative-coarsen": (["coarsen", "--case", "single", "--family",
+                                  "cartesian", "--c-depth", "-1"],
+                                 "--c-depth must be"),
+    "case-and-network": (["solve", "--case", "single", "--network",
+                          "net.json"], "--network"),
 }
 
 
@@ -251,6 +311,52 @@ class TestSharedPaths:
                       "--out", tmp_path / "o"])
         assert rc == 0
         assert seen == [(2, 0.4)] * 12
+
+    def test_coarsen_case_honours_c_depth_and_eps_str(self, tmp_path,
+                                                      monkeypatch):
+        seen = []
+        real = coa.agglomerate
+
+        def spy(mesh, **kw):
+            seen.append((kw["c_depth"], kw["eps_str"]))
+            return real(mesh, **kw)
+
+        monkeypatch.setattr(coa, "agglomerate", spy)
+        rc = run_cli(["coarsen", "--case", "single", "--family", "cartesian",
+                      "--c-depth", "2", "--eps-str", "0.4",
+                      "--out", tmp_path])
+        assert rc == 0
+        assert seen == [(2, 0.4)]
+
+    @pytest.mark.parametrize("case, family, level", [
+        ("single", "random", 2), ("two-fractures", "coarse2", 1)])
+    def test_one_kernel_call_per_cell_group(self, tmp_path, monkeypatch,
+                                            case, family, level):
+        # Assembly calls the local kernel once per (fracture, edge count)
+        # group, through the module attribute the benchmark traces, and
+        # extraction never calls it.
+        counts = _count_calls(monkeypatch, [(vem, "local_matrices_2d")])
+        seen = {}
+        real = asm.extract_solution
+
+        def spy(system, x):
+            seen["assembly"] = counts["vem.local_matrices_2d"]
+            out = real(system, x)
+            seen["extraction"] = (counts["vem.local_matrices_2d"]
+                                  - seen["assembly"])
+            seen["groups"] = sum(len({len(c) for c in mesh.cells})
+                                 for mesh in system.problem.meshes.values())
+            seen["fractures"] = len(system.problem.meshes)
+            return out
+
+        monkeypatch.setattr(asm, "extract_solution", spy)
+        rc = run_cli(["solve", "--case", case, "--family", family,
+                      "--level", level, "--out", tmp_path])
+        assert rc == 0
+        assert seen["assembly"] == seen["groups"]
+        assert seen["extraction"] == 0
+        if family == "coarse2":   # mixed edge counts: several groups each
+            assert seen["groups"] > 2 * seen["fractures"]
 
     def test_coarsen_case_uses_family(self, tmp_path):
         rc = run_cli(["coarsen", "--case", "single", "--family", "cartesian",

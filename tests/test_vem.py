@@ -4,13 +4,15 @@ import pytest
 from dfnvem import vem
 from dfnvem.errors import SingularG
 
+from _util import local_matrices_2d_ref, polygon_geometry, project_velocity_ref
+
 RNG = np.random.default_rng(7)
 
 
 def square_cell(lam=None, varsigma=1.0):
     """Unit square with outward dofs ordered bottom, right, top, left."""
     lam = np.eye(2) if lam is None else lam
-    return vem.local_matrices_2d(
+    return local_matrices_2d_ref(
         area=1.0,
         centroid=[0.5, 0.5],
         diameter=np.sqrt(2.0),
@@ -30,17 +32,8 @@ def random_polygon_cell(n=None, lam=None, rng=RNG):
         ang = np.sort(rng.uniform(0, 2 * np.pi, n))
     r = rng.uniform(0.5, 1.5, n)
     pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-    nxt = np.roll(pts, -1, axis=0)
-    cross = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
-    area = 0.5 * cross.sum()
-    centroid = ((pts + nxt) * cross[:, None]).sum(axis=0) / (6 * area)
-    e = nxt - pts
-    elen = np.linalg.norm(e, axis=1)
-    normal = np.column_stack([e[:, 1], -e[:, 0]]) / elen[:, None]
-    mid = 0.5 * (pts + nxt)
     lam = np.eye(2) if lam is None else lam
-    diam = max(np.linalg.norm(pts[i] - pts[j]) for i in range(n) for j in range(n))
-    return vem.local_matrices_2d(area, centroid, diam, elen, normal, mid, lam), pts
+    return local_matrices_2d_ref(*polygon_geometry(pts), lam), pts
 
 
 def interpolate(elem, field):
@@ -96,15 +89,19 @@ class TestLocalMatrices2D:
             assert np.linalg.eigvalsh(elem.M).min() > 0
 
     def test_singular_geometry_raises(self):
-        with pytest.raises(SingularG):
-            vem.local_matrices_2d(0.0, [0, 0], 1.0, np.ones(3),
-                                  np.eye(3, 2), np.zeros((3, 2)), np.eye(2))
+        args = ([1.0, 0.0], np.zeros((2, 2)), np.ones((2, 3)),
+                np.zeros((2, 3, 2)), np.zeros((2, 3, 2)), [np.eye(2)] * 2)
+        with pytest.raises(SingularG, match="cell 1"):
+            vem.local_matrices_2d(*args)
+        with pytest.raises(SingularG, match="positive definite"):
+            vem.local_matrices_2d([1.0, 1.0], *args[1:5],
+                                  [np.eye(2), np.diag([1.0, -1.0])])
 
     def test_spectral_ratio_mesh_independent(self):
         # Stability vs consistency scales stay bounded as cells shrink.
         ratios = []
         for scale in (1.0, 0.1, 0.01):
-            elem = vem.local_matrices_2d(
+            elem = local_matrices_2d_ref(
                 area=scale**2, centroid=[0.5 * scale] * 2,
                 diameter=np.sqrt(2) * scale,
                 edge_len=np.full(4, scale),
@@ -124,11 +121,12 @@ class TestProjectVelocity:
     def test_uniform_field(self):
         elem = square_cell()
         dofs = interpolate(elem, lambda x: np.broadcast_to([1.0, 0.0], x.shape))
-        assert np.allclose(vem.project_velocity(elem, dofs), [1, 0], atol=1e-13)
+        got = project_velocity_ref(elem, dofs)
+        assert np.allclose(got, [1, 0], atol=1e-13)
 
     def test_zero_fluxes(self):
         elem = square_cell()
-        assert np.allclose(vem.project_velocity(elem, np.zeros(4)), 0.0)
+        assert np.allclose(project_velocity_ref(elem, np.zeros(4)), 0.0)
 
     def test_linear_field_exact(self):
         # Fields in lam grad P1 are reproduced exactly on any polygon.
@@ -136,7 +134,8 @@ class TestProjectVelocity:
             elem, _ = random_polygon_cell()
             grad = RNG.normal(size=2)
             dofs = interpolate(elem, lambda x: np.broadcast_to(grad, x.shape))
-            assert np.allclose(vem.project_velocity(elem, dofs), grad, atol=1e-12)
+            got = project_velocity_ref(elem, dofs)
+            assert np.allclose(got, grad, atol=1e-12)
 
     def test_smooth_field_first_order(self):
         # Sampling an analytic solenoidal-ish field on one shrinking square.
@@ -145,7 +144,7 @@ class TestProjectVelocity:
 
         errs = []
         for scale in (0.2, 0.1, 0.05):
-            elem = vem.local_matrices_2d(
+            elem = local_matrices_2d_ref(
                 area=scale**2, centroid=[0.5 * scale + 0.3, 0.5 * scale + 0.2],
                 diameter=np.sqrt(2) * scale, edge_len=np.full(4, scale),
                 edge_normal=np.array([[0, -1], [1, 0], [0, 1], [-1, 0]], float),
@@ -156,11 +155,73 @@ class TestProjectVelocity:
                 lam=np.eye(2),
             )
             dofs = interpolate(elem, field)
-            got = vem.project_velocity(elem, dofs)
+            got = project_velocity_ref(elem, dofs)
             exact = field(elem.centroid[None])[0]
             errs.append(np.linalg.norm(got - exact))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.05 * 0.05
+
+
+def kernel_cases(count=240, seed=11):
+    """Random polygons of 3-8 edges and sizes 1e-3..10, each with an SPD
+    tensor of condition number 1, 1e3, 1e6 or 1e10, grouped by edge
+    count as the assembly batches them: ``{d: [(geometry, lam, cond)]}``.
+    """
+    rng = np.random.default_rng(seed)
+    groups = {}
+    for i in range(count):
+        n = int(rng.integers(3, 9))
+        gaps = [0.0]
+        # Gaps below pi keep the polygon star-shaped about the origin.
+        while min(gaps) < 0.2 or max(gaps) > 0.9 * np.pi:
+            ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+            gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
+        size = 10.0 ** rng.uniform(-3, 1)
+        r = size * rng.uniform(0.5, 1.5, n)
+        pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+        pts += size * rng.uniform(-2, 2, 2)
+        cond = (1.0, 1e3, 1e6, 1e10)[i % 4]
+        t = rng.uniform(0, np.pi)
+        q = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        lam = (10.0 ** rng.uniform(-2, 2)) * (q * [1.0, cond]) @ q.T
+        lam = 0.5 * (lam + lam.T)
+        groups.setdefault(n, []).append((polygon_geometry(pts), lam, cond))
+    return groups
+
+
+class TestBatchedKernel:
+    """The closed-form batched kernel against the scalar reference."""
+
+    def test_matches_reference(self):
+        checked = 0
+        for d, cases in kernel_cases().items():
+            geo = [np.array(x) for x in zip(*(g for g, _, _ in cases))]
+            area, centroid, _, elen, normal, mid = geo
+            lam = np.array([lam for _, lam, _ in cases])
+            sig = np.array([vem.stabilization_parameter(x) for x in lam])
+            M = vem.local_matrices_2d(area, centroid, elen, normal, mid,
+                                      lam, sig)
+            assert M.shape == (len(cases), d, d)
+            for i, (g, lam_i, cond) in enumerate(cases):
+                ref = local_matrices_2d_ref(*g, lam_i, sig[i]).M
+                bound = 1e-14 * cond * np.abs(ref).max()
+                assert np.abs(M[i] - ref).max() <= bound
+                assert np.array_equal(M[i], M[i].T)
+                checked += 1
+        assert checked >= 200
+
+    def test_velocity_matches_reference(self):
+        rng = np.random.default_rng(5)
+        for d, cases in kernel_cases().items():
+            geo = [np.array(x) for x in zip(*(g for g, _, _ in cases))]
+            area, centroid, _, _, _, mid = geo
+            fluxes = rng.normal(size=(len(cases), d))
+            got = vem.project_velocity(area, centroid, mid, fluxes)
+            for i, (g, lam_i, cond) in enumerate(cases):
+                ref = project_velocity_ref(local_matrices_2d_ref(*g, lam_i),
+                                           fluxes[i])
+                bound = 1e-14 * cond * np.abs(ref).max()
+                assert np.abs(got[i] - ref).max() <= bound
 
 
 class TestLocalMatrices1D:
