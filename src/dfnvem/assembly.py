@@ -259,20 +259,11 @@ def _cell_groups(mesh: PolyMesh):
     """Per edge count ``d``: cell ids ``(n,)``, edge ids ``(n, d)``, outward
     unit normals ``(n, d, 2)`` and signs ``(n, d)``, +1 where the global dof
     (outward from the first adjacent cell) is this cell's outward flux."""
-    counts = np.fromiter(map(len, mesh.cells), int, mesh.n_cells)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    flat_edges = np.concatenate(mesh.cells)
-    flat_signs = np.concatenate(mesh.cell_signs).astype(float)
-    ends = mesh.nodes[mesh.edge_nodes]
-    t = (ends[:, 1] - ends[:, 0]) / mesh.edge_len[:, None]
-    edge_normal = np.column_stack([t[:, 1], -t[:, 0]])
-    for d in np.unique(counts):
-        ids = np.flatnonzero(counts == d)
-        pos = starts[ids][:, None] + np.arange(d)
-        es = flat_edges[pos]
-        normals = edge_normal[es] * flat_signs[pos][..., None]
+    lay = mesh.layout
+    for ids, pos in lay.groups():
+        es = lay.cell_edge[pos]
         signs = np.where(mesh.edge_cells[es, 0] == ids[:, None], 1.0, -1.0)
-        yield ids, es, normals, signs
+        yield ids, es, mesh.outward_normals(pos), signs
 
 
 def _cell_source(problem, fid, mesh) -> np.ndarray:

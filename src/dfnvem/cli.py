@@ -42,9 +42,10 @@ def _parser() -> argparse.ArgumentParser:
                         help="built-in benchmark case")
         sp.add_argument("--network", type=Path,
                         help="network JSON file (alternative to --case)")
-        sp.add_argument("--family", default="triangular",
-                        help="mesh family of the case")
-        sp.add_argument("--level", type=int, default=1)
+        sp.add_argument("--family",
+                        help="mesh family of the case (triangular)")
+        sp.add_argument("--level", type=int,
+                        help="refinement level of the case (1)")
         sp.add_argument("--h", type=float,
                         help="target mesh size for network files (0.1)")
         sp.add_argument("--c-depth", type=int, help="default 0")
@@ -79,7 +80,15 @@ def _check_flags(args):
         case_only += ["c_depth", "eps_str"]
     rules = [(dest, args.case is None or getattr(args, dest) is None,
               f"left out of {args.command} --case") for dest in case_only]
-    for dest, value in (("h", 0.1), ("c_depth", 0), ("eps_str", 0.25)):
+    rules += [(dest, args.network is None or getattr(args, dest) is None,
+               f"left out of {args.command} --network")
+              for dest in ("family", "level")]
+    if args.command == "convergence":
+        rules.append(("level", args.level is None,
+                      "left out of convergence, which runs levels 1 to "
+                      "--levels"))
+    for dest, value in (("h", 0.1), ("c_depth", 0), ("eps_str", 0.25),
+                        ("family", "triangular"), ("level", 1)):
         if getattr(args, dest) is None:
             setattr(args, dest, value)
     rules += [

@@ -12,7 +12,7 @@ in different coarse cells.  The split/merge sweep is repeated
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -35,26 +35,32 @@ class StrengthMatrix:
     """TPFA matrix with lazily computed strong-coupling sets."""
 
     A: sparse.csr_matrix
+    _strong: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
     def strong_sets(self, eps_str: float):
-        """``S[i]``: columns j with ``-A_ij >= eps_str * max_k(-A_ik)``."""
-        A = self.A
-        S = [set() for _ in range(self.n)]
-        for i in range(self.n):
-            cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
-            vals = A.data[A.indptr[i]:A.indptr[i + 1]]
-            neg = vals < 0
-            if not neg.any():
-                continue
-            thresh = eps_str * (-vals[neg]).max()
-            for j, v in zip(cols[neg], vals[neg]):
-                if -v >= thresh and j != i:
-                    S[i].add(int(j))
-        return S
+        """``S[i]``: ascending tuple of the columns j with
+        ``-A_ij >= eps_str * max_k(-A_ik)``.
+
+        Computed once per ``eps_str``; callers share the returned list.
+        """
+        if eps_str not in self._strong:
+            A = self.A
+            row = np.repeat(np.arange(self.n), np.diff(A.indptr))
+            neg = A.data < 0
+            most = np.zeros(self.n)
+            np.maximum.at(most, row, np.where(neg, -A.data, 0.0))
+            thresh = eps_str * most
+            strong = neg & (-A.data >= thresh[row]) & (A.indices != row)
+            cols = A.indices[strong].tolist()
+            ptr = np.searchsorted(row[strong], np.arange(self.n + 1)).tolist()
+            self._strong[eps_str] = [tuple(cols[a:b])
+                                     for a, b in zip(ptr[:-1], ptr[1:])]
+        return self._strong[eps_str]
 
 
 def _cell_lambda(lam, centroids: np.ndarray) -> np.ndarray:
@@ -78,55 +84,42 @@ def tpfa_matrix(mesh: PolyMesh, lam, dirichlet_boundary: bool = True) -> Strengt
     across interior edges.  Trace edges always act as Dirichlet-like
     closures contributing to the diagonal only; outer boundary edges do
     so when ``dirichlet_boundary`` is set, otherwise they are no-flow.
+    Triplets are laid out edge by edge, and each diagonal sums its
+    contributions in edge order.
     """
     n = mesh.n_cells
     lam_c = _cell_lambda(lam, mesh.cell_centroids)
-    areas = mesh.cell_areas
-    if (areas <= 0).any():
+    if (mesh.cell_areas <= 0).any():
         raise DegenerateCell("mesh contains non-positive cell areas")
-    centroids = mesh.cell_centroids
-
-    def half_trans(cell, eid, nrm):
-        d = mesh.edge_mid[eid] - centroids[cell]
-        dd = float(d @ d)
-        if dd <= 0.0:
-            raise DegenerateCell(
-                f"cell {cell}: centroid coincides with edge {eid} midpoint"
-            )
-        alpha = mesh.edge_len[eid] * float(nrm @ (lam_c[cell] @ d)) / dd
-        # Non-convex agglomerates can produce non-positive contributions;
-        # clamp so the strength graph stays usable.
-        return max(alpha, 1e-12 * mesh.edge_len[eid])
-
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    # Outward normals per (cell, position) are needed edge by edge.
-    normal_of = {}
-    for k in range(n):
-        nrm = mesh.cell_outward_normals(k)
-        for pos, e in enumerate(mesh.cells[k]):
-            normal_of[(k, int(e))] = nrm[pos]
     ec = mesh.edge_cells
-    for e in range(mesh.n_edges):
-        c0, c1 = ec[e]
-        on_trace = mesh.edge_trace[e] >= 0
-        if c0 >= 0 and c1 >= 0 and not on_trace:
-            a0 = half_trans(int(c0), e, normal_of[(int(c0), e)])
-            a1 = half_trans(int(c1), e, normal_of[(int(c1), e)])
-            T = a0 * a1 / (a0 + a1)
-            rows += [int(c0), int(c1)]
-            cols += [int(c1), int(c0)]
-            vals += [-T, -T]
-            diag[int(c0)] += T
-            diag[int(c1)] += T
-        else:
-            closures = [c for c in (c0, c1) if c >= 0]
-            if on_trace or dirichlet_boundary:
-                for c in closures:
-                    diag[int(c)] += half_trans(int(c), e, normal_of[(int(c), e)])
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += list(diag)
+    inner = (ec[:, 1] >= 0) & (mesh.edge_trace < 0)
+    closed = (mesh.edge_trace >= 0) | dirichlet_boundary
+    # (edge, side) slots that need a half transmissibility, in loop order.
+    need = (ec >= 0) & (inner | closed)[:, None]
+    e, side = np.nonzero(need)
+    cell = ec[e, side]
+    d = mesh.edge_mid[e] - mesh.cell_centroids[cell]
+    dd = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    if (dd <= 0.0).any():
+        i = np.flatnonzero(dd <= 0.0)[0]
+        raise DegenerateCell(
+            f"cell {cell[i]}: centroid coincides with edge {e[i]} midpoint")
+    nrm = mesh.outward_normals(mesh.edge_entry[e, side])
+    flux = np.matmul(nrm[:, None, :],
+                     np.matmul(lam_c[cell], d[:, :, None]))[:, 0, 0]
+    elen = mesh.edge_len[e]
+    # Non-convex agglomerates can produce non-positive contributions;
+    # clamp so the strength graph stays usable.
+    alpha = np.zeros(need.shape)
+    alpha[e, side] = np.maximum(elen * flux / dd, 1e-12 * elen)
+    a0, a1 = alpha[inner, 0], alpha[inner, 1]
+    T = a0 * a1 / (a0 + a1)
+    alpha[inner] = T[:, None]
+    diag = np.bincount(cell, weights=alpha[e, side], minlength=n)
+    pair = ec[inner]
+    rows = np.concatenate([pair.ravel(), np.arange(n)])
+    cols = np.concatenate([pair[:, ::-1].ravel(), np.arange(n)])
+    vals = np.concatenate([np.repeat(-T, 2), diag])
     A = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     A.sum_duplicates()
     return StrengthMatrix(A=A)
@@ -146,10 +139,10 @@ def cf_split(strength: StrengthMatrix, eps_str: float = 0.25,
         raise ValueError("eps_str must lie in (0, 1)")
     n = strength.n
     S = strength.strong_sets(eps_str)
-    ST = [set() for _ in range(n)]
+    ST = [[] for _ in range(n)]   # ascending, as i runs upwards
     for i in range(n):
         for j in S[i]:
-            ST[j].add(i)
+            ST[j].append(i)
     UNDECIDED, FINE, COARSE = -1, 0, 1
     labels = np.full(n, UNDECIDED, np.int8)
     lam = np.array([len(ST[i]) for i in range(n)], float)
@@ -160,7 +153,7 @@ def cf_split(strength: StrengthMatrix, eps_str: float = 0.25,
             if labels[k] == UNDECIDED:
                 lam[k] -= 1.0
                 heapq.heappush(heap, (-lam[k], k))
-        for j in sorted(ST[i]):
+        for j in ST[i]:
             if labels[j] == UNDECIDED:
                 mark_fine(j)
 
@@ -192,25 +185,29 @@ def cf_split(strength: StrengthMatrix, eps_str: float = 0.25,
 
 
 def _cell_trace_sides(mesh: PolyMesh):
-    """Per-cell set of (trace id, side) labels of its trace edges."""
-    out = [set() for _ in range(mesh.n_cells)]
-    ec = mesh.edge_cells
-    for e in np.where(mesh.edge_trace >= 0)[0]:
-        gid = int(mesh.edge_trace[e])
-        mid = mesh.edge_mid[e]
-        a, b = mesh.edge_nodes[e]
-        t = mesh.nodes[b] - mesh.nodes[a]
-        for c in ec[e]:
-            if c < 0:
-                continue
-            d = mesh.cell_centroids[int(c)] - mid
-            side = 1 if t[0] * d[1] - t[1] * d[0] > 0 else -1
-            out[int(c)].add((gid, side))
+    """``{cell: set of (trace id, side)}`` for the cells with trace edges."""
+    out = {}
+    e, slot = np.nonzero((mesh.edge_cells >= 0)
+                         & (mesh.edge_trace >= 0)[:, None])
+    cell = mesh.edge_cells[e, slot]
+    ends = mesh.nodes[mesh.edge_nodes[e]]
+    t = ends[:, 1] - ends[:, 0]
+    d = mesh.cell_centroids[cell] - mesh.edge_mid[e]
+    side = np.where(t[:, 0] * d[:, 1] - t[:, 1] * d[:, 0] > 0, 1, -1)
+    for c, gid, s in zip(cell.tolist(), mesh.edge_trace[e].tolist(),
+                         side.tolist()):
+        out.setdefault(c, set()).add((gid, s))
     return out
 
 
+_NO_SIDES = frozenset()
+
+
 def _attach_fine(strength: StrengthMatrix, S, labels, trace_sides) -> np.ndarray:
-    """Merge each F cell into a C neighbour without mixing trace sides."""
+    """Merge each F cell into a C neighbour without mixing trace sides.
+
+    ``trace_sides`` and the coarse cells' labels omit empty label sets.
+    """
     n = strength.n
     A = strength.A
     part = np.full(n, -1, int)
@@ -218,7 +215,8 @@ def _attach_fine(strength: StrengthMatrix, S, labels, trace_sides) -> np.ndarray
     next_id = 0
     for i in np.where(labels == 1)[0]:
         part[i] = next_id
-        group_sides[next_id] = set(trace_sides[i])
+        if i in trace_sides:
+            group_sides[next_id] = set(trace_sides[i])
         next_id += 1
 
     def conflict(gid_set, add):
@@ -237,18 +235,21 @@ def _attach_fine(strength: StrengthMatrix, S, labels, trace_sides) -> np.ndarray
             in_strong = 1 if j in S[i] else 0
             cand.append((-in_strong, v, j))  # strong first, then most negative
         cand.sort()
+        sides = trace_sides.get(i, _NO_SIDES)
         placed = False
         for _, _, j in cand:
             g = part[j]
-            if conflict(group_sides[g], trace_sides[i]):
+            if conflict(group_sides.get(g, _NO_SIDES), sides):
                 continue
             part[i] = g
-            group_sides[g] |= trace_sides[i]
+            if sides:
+                group_sides[g] = group_sides.get(g, _NO_SIDES) | sides
             placed = True
             break
         if not placed:
             part[i] = next_id
-            group_sides[next_id] = set(trace_sides[i])
+            if sides:
+                group_sides[next_id] = set(sides)
             next_id += 1
     # Renumber by first appearance for determinism.
     remap = {}
@@ -267,45 +268,37 @@ def _tip_cells(mesh: PolyMesh, tips_local) -> list:
         return []
     tips_local = np.atleast_2d(np.asarray(tips_local, float))
     tol = 1e-9 * max(mesh.cell_diameters.max(), 1.0)
+    lay = mesh.layout
     has_trace = np.zeros(mesh.n_cells, bool)
-    for k in range(mesh.n_cells):
-        es = mesh.cells[k]
-        if (mesh.edge_trace[es] >= 0).any():
-            has_trace[k] = True
-    out = []
-    for k in np.where(has_trace)[0]:
-        ids = np.unique(mesh.edge_nodes[mesh.cells[k]])
-        d = np.linalg.norm(
-            mesh.nodes[ids][:, None, :] - tips_local[None, :, :], axis=2
-        )
-        if d.min() < tol:
-            out.append(int(k))
-    return out
+    has_trace[lay.entry_cell[mesh.edge_trace[lay.cell_edge] >= 0]] = True
+    entries = np.flatnonzero(has_trace[lay.entry_cell])
+    pts = mesh.nodes[mesh.edge_nodes[lay.cell_edge[entries]]]
+    d = np.linalg.norm(pts[:, :, None, :] - tips_local[None, None], axis=3)
+    near = np.zeros(mesh.n_cells, bool)
+    near[lay.entry_cell[entries[(d < tol).any(axis=(1, 2))]]] = True
+    return np.flatnonzero(near).tolist()
 
 
 def _build_coarse_mesh(mesh: PolyMesh, part: np.ndarray) -> PolyMesh:
     """Agglomerate cells; internal edges vanish, hanging nodes remain."""
     ec = mesh.edge_cells
-    keep = []
-    for e in range(mesh.n_edges):
-        c0, c1 = ec[e]
-        if c1 < 0 or mesh.edge_trace[e] >= 0 or part[c0] != part[c1]:
-            keep.append(e)
-    keep = np.asarray(keep, int)
+    lay = mesh.layout
+    on_trace = mesh.edge_trace >= 0
+    pc = np.where(ec >= 0, part[ec], -1)
+    keep = np.flatnonzero((ec[:, 1] < 0) | on_trace | (pc[:, 0] != pc[:, 1]))
     new_eid = -np.ones(mesh.n_edges, int)
     new_eid[keep] = np.arange(len(keep))
     n_coarse = part.max() + 1
-    cell_edges = [[] for _ in range(n_coarse)]
-    cell_signs = [[] for _ in range(n_coarse)]
-    for k in range(mesh.n_cells):
-        g = part[k]
-        for e, s in zip(mesh.cells[k], mesh.cell_signs[k]):
-            c0, c1 = ec[e]
-            other = c1 if c0 == k else c0
-            if other >= 0 and part[other] == g and mesh.edge_trace[e] < 0:
-                continue
-            cell_edges[g].append(int(new_eid[e]))
-            cell_signs[g].append(int(s))
+    # An entry survives unless the cell across its edge (the other slot)
+    # joins the same coarse cell off a trace.
+    first = mesh.edge_entry[lay.cell_edge, 0] == np.arange(len(lay.cell_edge))
+    across = pc[lay.cell_edge, first.astype(int)]
+    group = part[lay.entry_cell]
+    kept = np.flatnonzero((across != group) | on_trace[lay.cell_edge])
+    kept = kept[np.argsort(group[kept], kind="stable")]
+    bounds = np.searchsorted(group[kept], np.arange(n_coarse + 1)).tolist()
+    edges = new_eid[lay.cell_edge[kept]]
+    signs = lay.cell_sign[kept]
     areas = np.zeros(n_coarse)
     centroids = np.zeros((n_coarse, 2))
     np.add.at(areas, part, mesh.cell_areas)
@@ -321,9 +314,8 @@ def _build_coarse_mesh(mesh: PolyMesh, part: np.ndarray) -> PolyMesh:
 
     # Try to order each coarse cell's edges into a single boundary loop.
     ordered_edges, ordered_signs, chained = [], [], []
-    for g in range(n_coarse):
-        es = np.asarray(cell_edges[g], int)
-        ss = np.asarray(cell_signs[g], np.int8)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        es, ss = edges[a:b], signs[a:b]
         loop = _chain_loop(edge_nodes, es, ss)
         if loop is None:
             ordered_edges.append(es)
@@ -380,12 +372,6 @@ class CoarsePartition:
     @property
     def n_coarse(self) -> int:
         return int(self.cell_to_coarse.max()) + 1
-
-    def members(self) -> list:
-        out = [[] for _ in range(self.n_coarse)]
-        for i, g in enumerate(self.cell_to_coarse):
-            out[int(g)].append(i)
-        return out
 
 
 def agglomerate(mesh: PolyMesh, tips_local=None, c_depth: int = 1,

@@ -1,5 +1,6 @@
 """Shared builders for the assembly/solver/case tests."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,3 +201,285 @@ def polygon_geometry(pts):
     normal = np.column_stack([e[:, 1], -e[:, 0]]) / elen[:, None]
     diam = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1).max())
     return area, centroid, diam, elen, normal, 0.5 * (pts + nxt)
+
+
+@functools.cache
+def oracle_meshes():
+    """Triangulations with traces, random quads, corefined meshes with
+    hanging nodes, and agglomerated meshes (explicit areas, unchained
+    cells), each with the agglomerates also stripped of their explicit
+    geometry so their many-edge loops go through the batched sums."""
+    from dfnvem import coarsening as coa
+
+    square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
+    out = {}
+    rng = np.random.default_rng(7)
+    for seed in range(4):
+        y = rng.uniform(0.2, 0.8)
+        out[f"triangulated-{seed}"] = msh.triangulate(
+            square, [(0, [rng.uniform(0, 0.3), y], [rng.uniform(0.6, 1), y])],
+            h_target=rng.uniform(0.06, 0.2), seed=seed)
+    out["random-quads"] = msh.random_mesh(12, seed=5)
+    out["cartesian"] = msh.cartesian_mesh(4, 3)
+    net = crossing_rectangles()
+    meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), h)
+              for f, h in zip(net.fractures, (0.3, 0.17))}
+    tms = msh.corefine_network(meshes, net)
+    out["corefined-split"] = msh.split_interface_dofs(meshes[0], tms, 0)
+    # Seed 9 at depth 4 leaves one coarse cell whose edges do not chain.
+    y = np.random.default_rng(9).uniform(0.3, 0.7)
+    tips = [[0.2, y], [0.7, y], [0.5, 0.1], [0.5, 0.35]]
+    tri = msh.triangulate(square, [(0, tips[0], tips[1]), (1, *tips[2:])],
+                          h_target=0.08, seed=9)
+    for depth in (2, 4):
+        coarse, _ = coa.agglomerate(tri, tips_local=tips, c_depth=depth)
+        out[f"agglomerated-{depth}"] = coarse
+        out[f"agglomerated-{depth}-bare"] = msh.PolyMesh(
+            coarse.nodes, coarse.edge_nodes, coarse.cells, coarse.cell_signs,
+            edge_trace=coarse.edge_trace)
+    return out
+
+
+ORACLE_MESHES = ["triangulated-0", "triangulated-1", "triangulated-2",
+                 "triangulated-3", "random-quads", "cartesian",
+                 "corefined-split", "agglomerated-2", "agglomerated-2-bare",
+                 "agglomerated-4", "agglomerated-4-bare"]
+
+
+# ------------------------------------------------------------------ #
+# Per-cell reference geometry and coarsening.  These are the loops that
+# ``meshing.PolyMesh`` and ``coarsening`` replaced with batched array code;
+# the tests require the batched results to equal them.
+# ------------------------------------------------------------------ #
+
+def loop_nodes_ref(mesh, k):
+    """Tail node of each of cell ``k``'s edges, in its stored order."""
+    ends = mesh.edge_nodes[mesh.cells[k]].tolist()
+    signs = mesh.cell_signs[k].tolist()
+    return [a if s > 0 else b for (a, b), s in zip(ends, signs)]
+
+
+def cell_areas_ref(mesh):
+    return np.array([geo.polygon_area(mesh.nodes[loop_nodes_ref(mesh, k)])
+                     for k in range(mesh.n_cells)])
+
+
+def cell_centroids_ref(mesh):
+    cen = np.empty((mesh.n_cells, 2))
+    for k in range(mesh.n_cells):
+        pts = mesh.nodes[loop_nodes_ref(mesh, k)]
+        nxt = np.concatenate([pts[1:], pts[:1]])
+        cr = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
+        cen[k] = ((pts + nxt) * cr[:, None]).sum(axis=0) / (3 * cr.sum())
+    return cen
+
+
+def geometry_ref(mesh):
+    """Areas and centroids, the explicit ones of an agglomerated mesh."""
+    areas = cell_areas_ref(mesh) if mesh._areas is None else mesh._areas
+    cen = cell_centroids_ref(mesh) if mesh._centroids is None else mesh._centroids
+    return areas, cen
+
+
+def cell_diameters_ref(mesh):
+    diam = np.empty(mesh.n_cells)
+    for k in range(mesh.n_cells):
+        pts = mesh.nodes[np.unique(mesh.edge_nodes[mesh.cells[k]])]
+        diam[k] = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1).max())
+    return diam
+
+
+def edge_cells_ref(mesh):
+    ec = np.full((mesh.n_edges, 2), -1, int)
+    for k, es in enumerate(mesh.cells):
+        for e in es:
+            if ec[e, 0] < 0:
+                ec[e, 0] = k
+            elif ec[e, 1] < 0:
+                ec[e, 1] = k
+            else:
+                raise AssertionError(f"edge {e} bounds more than two cells")
+    return ec
+
+
+def cell_outward_normals_ref(mesh, k):
+    es = mesh.cells[k]
+    a, b = mesh.edge_nodes[es, 0], mesh.edge_nodes[es, 1]
+    t = (mesh.nodes[b] - mesh.nodes[a]) / mesh.edge_len[es][:, None]
+    nrm = np.column_stack([t[:, 1], -t[:, 0]])
+    return nrm * np.asarray(mesh.cell_signs[k], float)[:, None]
+
+
+def tpfa_matrix_ref(mesh, lam, dirichlet_boundary=True):
+    """The TPFA strength matrix, one half transmissibility at a time."""
+    from scipy import sparse
+
+    from dfnvem import coarsening as coa
+
+    n = mesh.n_cells
+    _, centroids = geometry_ref(mesh)
+    lam_c = coa._cell_lambda(lam, centroids)
+
+    def half_trans(cell, eid, nrm):
+        d = mesh.edge_mid[eid] - centroids[cell]
+        alpha = mesh.edge_len[eid] * float(nrm @ (lam_c[cell] @ d)) / float(d @ d)
+        return max(alpha, 1e-12 * mesh.edge_len[eid])
+
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    normal_of = {}
+    for k in range(n):
+        nrm = cell_outward_normals_ref(mesh, k)
+        for pos, e in enumerate(mesh.cells[k]):
+            normal_of[(k, int(e))] = nrm[pos]
+    ec = edge_cells_ref(mesh)
+    for e in range(mesh.n_edges):
+        c0, c1 = ec[e]
+        on_trace = mesh.edge_trace[e] >= 0
+        if c0 >= 0 and c1 >= 0 and not on_trace:
+            a0 = half_trans(int(c0), e, normal_of[(int(c0), e)])
+            a1 = half_trans(int(c1), e, normal_of[(int(c1), e)])
+            T = a0 * a1 / (a0 + a1)
+            rows += [int(c0), int(c1)]
+            cols += [int(c1), int(c0)]
+            vals += [-T, -T]
+            diag[int(c0)] += T
+            diag[int(c1)] += T
+        elif on_trace or dirichlet_boundary:
+            for c in (c0, c1):
+                if c >= 0:
+                    diag[int(c)] += half_trans(int(c), e, normal_of[(int(c), e)])
+    rows += list(range(n))
+    cols += list(range(n))
+    vals += list(diag)
+    A = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    A.sum_duplicates()
+    return A
+
+
+def strong_sets_ref(A, eps_str):
+    S = [set() for _ in range(A.shape[0])]
+    for i in range(A.shape[0]):
+        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        vals = A.data[A.indptr[i]:A.indptr[i + 1]]
+        neg = vals < 0
+        if not neg.any():
+            continue
+        thresh = eps_str * (-vals[neg]).max()
+        for j, v in zip(cols[neg], vals[neg]):
+            if -v >= thresh and j != i:
+                S[i].add(int(j))
+    return S
+
+
+def cell_trace_sides_ref(mesh):
+    out = [set() for _ in range(mesh.n_cells)]
+    ec = edge_cells_ref(mesh)
+    _, centroids = geometry_ref(mesh)
+    for e in np.where(mesh.edge_trace >= 0)[0]:
+        a, b = mesh.edge_nodes[e]
+        t = mesh.nodes[b] - mesh.nodes[a]
+        for c in ec[e]:
+            if c >= 0:
+                d = centroids[int(c)] - mesh.edge_mid[e]
+                side = 1 if t[0] * d[1] - t[1] * d[0] > 0 else -1
+                out[int(c)].add((int(mesh.edge_trace[e]), side))
+    return {c: sides for c, sides in enumerate(out) if sides}
+
+
+def tip_cells_ref(mesh, tips_local):
+    if tips_local is None or len(tips_local) == 0:
+        return []
+    tips_local = np.atleast_2d(np.asarray(tips_local, float))
+    tol = 1e-9 * max(cell_diameters_ref(mesh).max(), 1.0)
+    out = []
+    for k in range(mesh.n_cells):
+        es = mesh.cells[k]
+        if not (mesh.edge_trace[es] >= 0).any():
+            continue
+        pts = mesh.nodes[np.unique(mesh.edge_nodes[es])]
+        d = np.linalg.norm(pts[:, None, :] - tips_local[None, :, :], axis=2)
+        if d.min() < tol:
+            out.append(k)
+    return out
+
+
+def build_coarse_mesh_ref(mesh, part):
+    from dfnvem import coarsening as coa
+
+    ec = edge_cells_ref(mesh)
+    keep = np.asarray([e for e in range(mesh.n_edges)
+                       if ec[e, 1] < 0 or mesh.edge_trace[e] >= 0
+                       or part[ec[e, 0]] != part[ec[e, 1]]], int)
+    new_eid = -np.ones(mesh.n_edges, int)
+    new_eid[keep] = np.arange(len(keep))
+    n_coarse = part.max() + 1
+    cell_edges = [[] for _ in range(n_coarse)]
+    cell_signs = [[] for _ in range(n_coarse)]
+    for k in range(mesh.n_cells):
+        g = part[k]
+        for e, s in zip(mesh.cells[k], mesh.cell_signs[k]):
+            c0, c1 = ec[e]
+            other = c1 if c0 == k else c0
+            if other >= 0 and part[other] == g and mesh.edge_trace[e] < 0:
+                continue
+            cell_edges[g].append(int(new_eid[e]))
+            cell_signs[g].append(int(s))
+    fine_areas, fine_centroids = geometry_ref(mesh)
+    areas = np.zeros(n_coarse)
+    centroids = np.zeros((n_coarse, 2))
+    np.add.at(areas, part, fine_areas)
+    np.add.at(centroids, part, fine_areas[:, None] * fine_centroids)
+    centroids /= areas[:, None]
+    used = np.unique(mesh.edge_nodes[keep])
+    nid = -np.ones(mesh.n_nodes, int)
+    nid[used] = np.arange(len(used))
+    edge_nodes = nid[mesh.edge_nodes[keep]]
+    ordered_edges, ordered_signs, chained = [], [], []
+    for g in range(n_coarse):
+        es = np.asarray(cell_edges[g], int)
+        ss = np.asarray(cell_signs[g], np.int8)
+        loop = coa._chain_loop(edge_nodes, es, ss)
+        chained.append(loop is not None)
+        ordered_edges.append(es if loop is None else es[loop])
+        ordered_signs.append(ss if loop is None else ss[loop])
+    return msh.PolyMesh(
+        mesh.nodes[used], edge_nodes, ordered_edges, ordered_signs,
+        frame=mesh.frame, edge_trace=mesh.edge_trace[keep],
+        edge_trace_elem=mesh.edge_trace_elem[keep],
+        edge_trace_side=mesh.edge_trace_side[keep],
+        areas=areas, centroids=centroids, chained=chained,
+    )
+
+
+def agglomerate_ref(mesh, tips_local=None, c_depth=1, eps_str=0.25,
+                    lam=np.eye(2)):
+    """``coarsening.agglomerate`` on the reference pieces above; the C/F
+    split and the fine-cell attachment are the production ones."""
+    from dfnvem import coarsening as coa
+
+    class RefStrength(coa.StrengthMatrix):
+        def strong_sets(self, eps):
+            return strong_sets_ref(self.A, eps)
+
+    total = np.arange(mesh.n_cells)
+    current = mesh
+    for _ in range(c_depth):
+        strength = RefStrength(A=tpfa_matrix_ref(current, lam))
+        labels = coa.cf_split(strength, eps_str,
+                              premark_c=tip_cells_ref(current, tips_local))
+        part = coa._attach_fine(strength, strength.strong_sets(eps_str),
+                                labels, cell_trace_sides_ref(current))
+        if part.max() + 1 >= current.n_cells:
+            break
+        current = build_coarse_mesh_ref(current, part)
+        total = part[total]
+    return current, total
+
+
+def partition_members(partition):
+    """Fine cell ids of each coarse cell of a ``CoarsePartition``."""
+    out = [[] for _ in range(partition.n_coarse)]
+    for i, g in enumerate(partition.cell_to_coarse):
+        out[int(g)].append(i)
+    return out

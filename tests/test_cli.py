@@ -56,6 +56,9 @@ class TestSolveCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["residual"] < 1e-10
         assert summary["flux_balance"]["relative_imbalance"] < 1e-8
+        # --family and --level are rejected with --network, and the
+        # output names keep their defaults.
+        assert (out / "net_triangular_1.vtk").exists()
 
 
 class TestMeshAndCoarsen:
@@ -239,6 +242,14 @@ MALFORMED = {
                                  "--c-depth must be"),
     "case-and-network": (["solve", "--case", "single", "--network",
                           "net.json"], "--network"),
+    "level-with-convergence": (["convergence", "--case", "single", "--family",
+                                "cartesian", "--level", "3", "--levels", "1"],
+                               "--level must be left out of convergence"),
+    "level-with-network": (["solve", "--network", "net.json", "--level", "2"],
+                           "--level must be left out of solve --network"),
+    "family-with-network": (["mesh", "--network", "net.json", "--family",
+                             "random"],
+                            "--family must be left out of mesh --network"),
 }
 
 

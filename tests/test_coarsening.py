@@ -1,10 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from dfnvem import cases
 from dfnvem import coarsening as coa
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
+
+from _util import (ORACLE_MESHES, agglomerate_ref, import_network_dict,
+                   oracle_meshes, partition_members, strong_sets_ref,
+                   tpfa_matrix_ref)
 
 
 def strength_from_dense(A):
@@ -173,7 +180,7 @@ class TestAgglomerate:
             return out
 
         coarse, part = coa.agglomerate(mesh, c_depth=3, lam=lam)
-        members = part.members()
+        members = partition_members(part)
         aligns = []
         for g, mem in enumerate(members):
             if len(mem) < 4:
@@ -281,3 +288,94 @@ def test_randomized_triangulations_properties(seed):
             assert cmap[c0] != cmap[c1]
     tip_cells = coa._tip_cells(mesh, tips)
     assert len({cmap[c] for c in tip_cells}) == len(tip_cells)
+
+
+ANISOTROPIC = np.array([[3.0, 0.7], [0.7, 0.4]])
+
+
+class TestBatchedAgainstReference:
+    @pytest.mark.parametrize("name", ORACLE_MESHES)
+    @pytest.mark.parametrize("lam", ["eye", "anisotropic"])
+    @pytest.mark.parametrize("dirichlet", [True, False])
+    def test_tpfa_entries(self, name, lam, dirichlet):
+        mesh = oracle_meshes()[name]
+        lam = np.eye(2) if lam == "eye" else ANISOTROPIC
+        got = coa.tpfa_matrix(mesh, lam, dirichlet_boundary=dirichlet).A
+        ref = tpfa_matrix_ref(mesh, lam, dirichlet_boundary=dirichlet)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field))
+
+    @pytest.mark.parametrize("name", ORACLE_MESHES)
+    def test_strong_sets(self, name):
+        A = tpfa_matrix_ref(oracle_meshes()[name], ANISOTROPIC)
+        for eps in (0.25, 0.6, 0.95):
+            ref = [tuple(sorted(row)) for row in strong_sets_ref(A, eps)]
+            assert coa.StrengthMatrix(A=A).strong_sets(eps) == ref
+
+    def test_strong_sets_of_empty_and_positive_rows(self):
+        A = sparse.csr_matrix(np.array([[0, 0, 0], [1.0, 2, -3], [0, -1, 0]]))
+        assert coa.StrengthMatrix(A=A).strong_sets(0.5) == [(), (2,), (1,)]
+
+    @staticmethod
+    def check_partitions(network, meshes, c_depth):
+        got = coa.agglomerate_network(network, meshes, c_depth)
+        for fid, mesh in meshes.items():
+            frac = network.fracture(fid)
+            tips = [frac.frame.to_local(p)
+                    for ln in network.traces_of(fid) for p in (ln.p0, ln.p1)
+                    if frac.boundary_distance(p) > 100 * frac.tol]
+            coarse_ref, total_ref = agglomerate_ref(
+                mesh, tips, c_depth, lam=frac.effective_permeability)
+            coarse, part = got[fid]
+            assert np.array_equal(part.cell_to_coarse, total_ref)
+            assert np.array_equal(coarse.edge_nodes, coarse_ref.edge_nodes)
+            assert np.array_equal(coarse.nodes, coarse_ref.nodes)
+            assert np.array_equal(coarse.chained, coarse_ref.chained)
+            assert np.array_equal(coarse.cell_areas, coarse_ref.cell_areas)
+            assert np.array_equal(coarse.cell_centroids,
+                                  coarse_ref.cell_centroids)
+            for a, b in zip(coarse.cells + coarse.cell_signs,
+                            coarse_ref.cells + coarse_ref.cell_signs):
+                assert np.array_equal(a, b)
+
+    def test_partition_two_fractures_coarse2(self):
+        case = cases.get_case("two-fractures")
+        self.check_partitions(case.network(), case.meshes("triangular", 1), 2)
+
+    def test_partition_imported_network(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(import_network_dict()))
+        net = geo.load_network(path)[0]
+        meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.22)
+                  for f in net.fractures}
+        self.check_partitions(net, meshes, 2)
+
+    def test_no_per_cell_geometry(self, monkeypatch):
+        frac = square_fracture()
+        mesh = msh.triangulate(frac.local_polygon, [(0, [0, 0.5], [0.6, 0.5])],
+                               h_target=0.1, frame=frac.frame)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-cell geometry call")
+
+        monkeypatch.setattr(geo, "polygon_area", forbidden)
+        monkeypatch.setattr(msh, "polygon_area", forbidden)
+        monkeypatch.setattr(msh.PolyMesh, "cell_outward_normals", forbidden)
+        coarse, _ = coa.agglomerate(mesh, tips_local=[[0.6, 0.5]], c_depth=2)
+        assert coarse.n_cells < mesh.n_cells
+
+    def test_strong_sets_once_per_sweep(self, monkeypatch):
+        frac = square_fracture()
+        mesh = msh.triangulate(frac.local_polygon, h_target=0.1, frame=frac.frame)
+        returned = []
+        real = coa.StrengthMatrix.strong_sets
+
+        def spy(self, eps_str):
+            returned.append(real(self, eps_str))
+            return returned[-1]
+
+        monkeypatch.setattr(coa.StrengthMatrix, "strong_sets", spy)
+        coarse, _ = coa.agglomerate(mesh, c_depth=3)
+        # The attachment and the C/F split of each sweep share one result.
+        assert len(returned) == 6
+        assert all(a is b for a, b in zip(returned[::2], returned[1::2]))

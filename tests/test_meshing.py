@@ -7,6 +7,8 @@ from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem.errors import ConstraintConflict, InconsistentEndpoints, MeshError
 
+from _util import ORACLE_MESHES, oracle_meshes
+
 UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
 
 
@@ -341,17 +343,17 @@ class TestSplitMatchesReference:
                   for f in net.fractures}
         tms = msh.corefine_network(meshes, net)
         calls = []
-        loop_nodes = msh.PolyMesh._loop_nodes
+        loop_sums = msh.PolyMesh._loop_sums
 
-        def counted(self, cell):
-            calls.append(cell)
-            return loop_nodes(self, cell)
+        def counted(self):
+            calls.append(self)
+            return loop_sums(self)
 
-        monkeypatch.setattr(msh.PolyMesh, "_loop_nodes", counted)
+        monkeypatch.setattr(msh.PolyMesh, "_loop_sums", counted)
         for fid, mesh in meshes.items():
             calls.clear()
             msh.split_interface_dofs(mesh, tms, fid)
-            assert 0 < len(calls) <= mesh.n_cells
+            assert len(calls) == 1
 
 
 class TestMeshIO:
@@ -400,3 +402,45 @@ class TestMeshIO:
         problem, dofs, system, sol, rep = run(net, {0: imported}, g=g)
         c3 = imported.frame.to_global(imported.cell_centroids)
         assert np.abs(sol.pressure[0] - g(0, c3)).max() < 1e-10
+
+
+class TestBatchedGeometry:
+    def test_meshes_cover_the_hard_cases(self):
+        meshes = oracle_meshes()
+        assert sorted(meshes) == sorted(ORACLE_MESHES)
+        counts = {name: {len(c) for c in m.cells} for name, m in meshes.items()}
+        assert max(counts["corefined-split"]) > 3   # hanging nodes
+        assert max(counts["agglomerated-4-bare"]) > 9   # pairwise summation
+        assert not meshes["agglomerated-4"].chained.all()
+
+    @pytest.mark.parametrize("name", ORACLE_MESHES)
+    def test_equals_per_cell_reference(self, name):
+        from _util import (cell_diameters_ref, cell_outward_normals_ref,
+                           edge_cells_ref, geometry_ref)
+
+        mesh = oracle_meshes()[name]
+        areas, centroids = geometry_ref(mesh)
+        assert np.array_equal(mesh.cell_areas, areas)
+        assert np.array_equal(mesh.cell_centroids, centroids)
+        assert np.array_equal(mesh.cell_diameters, cell_diameters_ref(mesh))
+        assert np.array_equal(mesh.edge_cells, edge_cells_ref(mesh))
+        for k in range(mesh.n_cells):
+            assert np.array_equal(mesh.cell_outward_normals(k),
+                                  cell_outward_normals_ref(mesh, k))
+
+    def test_from_cells_orients_and_numbers_edges_by_first_appearance(self):
+        nodes = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [2, 0]], float)
+        mesh = msh.PolyMesh.from_cells(nodes, [[0, 3, 2, 1], [1, 4, 2]])
+        # The clockwise first loop is walked as 1, 2, 3, 0.
+        assert mesh.edge_nodes.tolist() == [[1, 2], [2, 3], [0, 3], [0, 1],
+                                            [1, 4], [2, 4]]
+        assert [c.tolist() for c in mesh.cells] == [[0, 1, 2, 3], [4, 5, 0]]
+        assert [s.tolist() for s in mesh.cell_signs] == [[1, 1, -1, 1],
+                                                         [1, -1, -1]]
+        assert np.allclose(mesh.cell_areas, [1.0, 0.5])
+
+    def test_edge_with_three_cells_raises(self):
+        nodes = np.array([[0, 0], [1, 0], [0, 1], [0, -1], [1, 1]], float)
+        mesh = msh.PolyMesh.from_cells(nodes, [[0, 1, 2], [0, 3, 1], [0, 1, 4]])
+        with pytest.raises(MeshError, match="edge 0 bounds more than two"):
+            mesh.edge_cells
