@@ -259,9 +259,8 @@ def _cell_groups(mesh: PolyMesh):
     """Per edge count ``d``: cell ids ``(n,)``, edge ids ``(n, d)``, outward
     unit normals ``(n, d, 2)`` and signs ``(n, d)``, +1 where the global dof
     (outward from the first adjacent cell) is this cell's outward flux."""
-    lay = mesh.layout
-    for ids, pos in lay.groups():
-        es = lay.cell_edge[pos]
+    for ids, pos in mesh.cell_groups:
+        es = mesh.cell_edge[pos]
         signs = np.where(mesh.edge_cells[es, 0] == ids[:, None], 1.0, -1.0)
         yield ids, es, mesh.outward_normals(pos), signs
 

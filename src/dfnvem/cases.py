@@ -35,7 +35,6 @@ __all__ = [
     "solve_meshes",
     "run_level",
     "run_convergence",
-    "verify_strong_form",
 ]
 
 CASE_NAMES = ("single", "two-fractures", "intersection-flow", "four-fractures")
@@ -474,55 +473,3 @@ def run_convergence(case: BenchmarkCase, family: str, levels: int,
     post.convergence_orders(reports)
     return reports, runs
 
-
-def verify_strong_form(case: BenchmarkCase, n_samples: int = 100,
-                       seed: int = 42, tol: float = 1e-8) -> float:
-    """Residual of -lap(p_ex) - f at random in-plane sample points.
-
-    The case's independently derived tangential Laplacian serves as the
-    oracle; a central-difference cross-check guards the Laplacian itself.
-    Raises when the manufactured data are inconsistent.
-    """
-    from .geometry import point_in_polygon
-
-    if case.laplacian_exact is None:
-        raise ConfigError(f"case {case.name} has no exact Laplacian oracle")
-    net = case.network()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_fd = 0.0
-    eps = 1e-4
-    for frac in net.fractures:
-        poly = frac.local_polygon
-        lo, hi = poly.min(0), poly.max(0)
-        pts = []
-        while len(pts) < n_samples:
-            q = rng.uniform(lo, hi)
-            if point_in_polygon(q, poly, -1e-3):
-                # Stay away from branch interfaces of the piecewise data
-                # (the in-plane coordinate among x and z changes branch).
-                p3 = frac.frame.to_global(q)
-                if max(abs(p3[0]), abs(p3[2])) > 10 * eps:
-                    pts.append(q)
-        pts3 = frac.frame.to_global(np.asarray(pts))
-        lap = np.asarray(case.laplacian_exact(frac.id, pts3), float)
-        f = np.asarray(case.source(frac.id, pts3), float)
-        worst = max(worst, float(np.abs(-lap - f).max()))
-        for q, lp in zip(pts[:10], lap):
-            def p_of(uv):
-                vals = case.p_exact(frac.id, frac.frame.to_global(uv)[None])
-                return float(np.asarray(vals).ravel()[0])
-            fd = 0.0
-            for d in (np.array([eps, 0.0]), np.array([0.0, eps])):
-                fd += (p_of(q + d) - 2 * p_of(q) + p_of(q - d)) / eps**2
-            worst_fd = max(worst_fd, abs(fd - lp))
-    if worst > tol:
-        raise ConfigError(
-            f"case {case.name}: strong-form residual {worst:.3e} > {tol:.1e}"
-        )
-    if worst_fd > 1e-4:
-        raise ConfigError(
-            f"case {case.name}: Laplacian oracle disagrees with finite "
-            f"differences by {worst_fd:.3e}"
-        )
-    return worst

@@ -268,21 +268,19 @@ def _tip_cells(mesh: PolyMesh, tips_local) -> list:
         return []
     tips_local = np.atleast_2d(np.asarray(tips_local, float))
     tol = 1e-9 * max(mesh.cell_diameters.max(), 1.0)
-    lay = mesh.layout
     has_trace = np.zeros(mesh.n_cells, bool)
-    has_trace[lay.entry_cell[mesh.edge_trace[lay.cell_edge] >= 0]] = True
-    entries = np.flatnonzero(has_trace[lay.entry_cell])
-    pts = mesh.nodes[mesh.edge_nodes[lay.cell_edge[entries]]]
+    has_trace[mesh.entry_cell[mesh.edge_trace[mesh.cell_edge] >= 0]] = True
+    entries = np.flatnonzero(has_trace[mesh.entry_cell])
+    pts = mesh.nodes[mesh.edge_nodes[mesh.cell_edge[entries]]]
     d = np.linalg.norm(pts[:, :, None, :] - tips_local[None, None], axis=3)
     near = np.zeros(mesh.n_cells, bool)
-    near[lay.entry_cell[entries[(d < tol).any(axis=(1, 2))]]] = True
+    near[mesh.entry_cell[entries[(d < tol).any(axis=(1, 2))]]] = True
     return np.flatnonzero(near).tolist()
 
 
 def _build_coarse_mesh(mesh: PolyMesh, part: np.ndarray) -> PolyMesh:
     """Agglomerate cells; internal edges vanish, hanging nodes remain."""
     ec = mesh.edge_cells
-    lay = mesh.layout
     on_trace = mesh.edge_trace >= 0
     pc = np.where(ec >= 0, part[ec], -1)
     keep = np.flatnonzero((ec[:, 1] < 0) | on_trace | (pc[:, 0] != pc[:, 1]))
@@ -291,14 +289,14 @@ def _build_coarse_mesh(mesh: PolyMesh, part: np.ndarray) -> PolyMesh:
     n_coarse = part.max() + 1
     # An entry survives unless the cell across its edge (the other slot)
     # joins the same coarse cell off a trace.
-    first = mesh.edge_entry[lay.cell_edge, 0] == np.arange(len(lay.cell_edge))
-    across = pc[lay.cell_edge, first.astype(int)]
-    group = part[lay.entry_cell]
-    kept = np.flatnonzero((across != group) | on_trace[lay.cell_edge])
+    first = mesh.edge_entry[mesh.cell_edge, 0] == np.arange(len(mesh.cell_edge))
+    across = pc[mesh.cell_edge, first.astype(int)]
+    group = part[mesh.entry_cell]
+    kept = np.flatnonzero((across != group) | on_trace[mesh.cell_edge])
     kept = kept[np.argsort(group[kept], kind="stable")]
-    bounds = np.searchsorted(group[kept], np.arange(n_coarse + 1)).tolist()
-    edges = new_eid[lay.cell_edge[kept]]
-    signs = lay.cell_sign[kept]
+    bounds = np.searchsorted(group[kept], np.arange(n_coarse + 1))
+    edges = new_eid[mesh.cell_edge[kept]]
+    signs = mesh.cell_sign[kept]
     areas = np.zeros(n_coarse)
     centroids = np.zeros((n_coarse, 2))
     np.add.at(areas, part, mesh.cell_areas)
@@ -313,25 +311,20 @@ def _build_coarse_mesh(mesh: PolyMesh, part: np.ndarray) -> PolyMesh:
     edge_nodes = nid[old_nodes]
 
     # Try to order each coarse cell's edges into a single boundary loop.
-    ordered_edges, ordered_signs, chained = [], [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        es, ss = edges[a:b], signs[a:b]
-        loop = _chain_loop(edge_nodes, es, ss)
-        if loop is None:
-            ordered_edges.append(es)
-            ordered_signs.append(ss)
-            chained.append(False)
-        else:
-            ordered_edges.append(es[loop])
-            ordered_signs.append(ss[loop])
-            chained.append(True)
+    order = np.arange(len(kept))
+    chained = np.zeros(n_coarse, bool)
+    for k, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        loop = _chain_loop(edge_nodes, edges[a:b], signs[a:b])
+        if loop is not None:
+            order[a:b] = a + loop
+            chained[k] = True
     return PolyMesh(
-        mesh.nodes[used], edge_nodes, ordered_edges, ordered_signs,
+        mesh.nodes[used], edge_nodes, bounds, edges[order], signs[order],
         frame=mesh.frame,
         edge_trace=mesh.edge_trace[keep],
         edge_trace_elem=mesh.edge_trace_elem[keep],
         edge_trace_side=mesh.edge_trace_side[keep],
-        areas=areas, centroids=centroids, chained=np.asarray(chained, bool),
+        areas=areas, centroids=centroids, chained=chained,
     )
 
 

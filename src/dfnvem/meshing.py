@@ -34,7 +34,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "CellLayout",
     "PolyMesh",
     "TraceMesh",
     "cartesian_mesh",
@@ -50,76 +49,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CellLayout:
-    """Every cell's edges laid end to end: one entry per (cell, edge) pair.
-
-    Entries ``cell_ptr[k]:cell_ptr[k + 1]`` are cell ``k``'s, in the order
-    of ``PolyMesh.cells[k]``; ``cell_sign`` is their traversal sign.
-    ``entry_tail`` is the node an entry's edge is walked from and
-    ``entry_next`` the position of the cell's following entry (the last
-    wraps to the first), so a chained cell's polygon is
-    ``nodes[entry_tail]`` and each vertex's successor
-    ``nodes[entry_tail[entry_next]]``.  ``group_cells`` holds the cell
-    ids of each edge count, in increasing order.  Index arrays are
-    int32, which halves the memory the layout keeps alive beside the
-    mesh.
-    """
-
-    cell_ptr: np.ndarray
-    cell_edge: np.ndarray
-    cell_sign: np.ndarray
-    entry_cell: np.ndarray
-    entry_tail: np.ndarray
-    entry_next: np.ndarray
-    group_cells: tuple
-
-    @classmethod
-    def build(cls, edge_nodes, cells, cell_signs) -> "CellLayout":
-        n = len(cells)
-        counts = np.fromiter(map(len, cells), np.int32, n)
-        ptr = np.zeros(n + 1, np.int32)
-        np.cumsum(counts, out=ptr[1:])
-        edge = np.concatenate([np.zeros(0, np.int32), *cells], dtype=np.int32,
-                              casting="same_kind")
-        sign = np.concatenate([np.zeros(0, np.int8), *cell_signs])
-        tail = np.where(sign > 0, edge_nodes[edge, 0], edge_nodes[edge, 1])
-        nxt = np.arange(1, ptr[-1] + 1, dtype=np.int32)
-        full = counts > 0
-        nxt[ptr[1:][full] - 1] = ptr[:-1][full]
-        groups = tuple(np.flatnonzero(counts == d).astype(np.int32)
-                       for d in np.unique(counts[full]))
-        return cls(ptr, edge, sign, np.repeat(np.arange(n, dtype=np.int32), counts),
-                   tail.astype(np.int32), nxt, groups)
-
-    def groups(self):
-        """Per edge count ``d``: cell ids ``(n,)`` and their entry positions
-        ``(n, d)``.  A sum over ``axis=1`` of a gathered group adds in the
-        order a per-cell sum over its entries would."""
-        for ids in self.group_cells:
-            d = self.cell_ptr[ids[0] + 1] - self.cell_ptr[ids[0]]
-            yield ids, self.cell_ptr[ids][:, None] + np.arange(d)
-
-
 class PolyMesh:
     """Polygonal tessellation of one fracture in frame coordinates.
 
-    ``cells[k]`` lists edge indices and ``cell_signs[k]`` the traversal
-    direction: +1 means edge ``(a, b)`` is walked a->b in the cell's
-    counterclockwise boundary, so its outward normal is the right-hand
-    side of a->b.  Agglomerated cells may carry an unordered edge set;
-    their area and centroid are then supplied explicitly.  Derived
-    geometry is computed from the flat ``layout`` and cached until the
-    mesh is mutated.
+    Every cell's edges are stored end to end, one entry per (cell, edge)
+    pair: entries ``cell_ptr[k]:cell_ptr[k + 1]`` are cell ``k``'s, with
+    edge ids ``cell_edge`` and traversal signs ``cell_sign``.  Sign +1
+    means edge ``(a, b)`` is walked a->b in the cell's counterclockwise
+    boundary, so its outward normal is the right-hand side of a->b.
+    Agglomerated cells may carry an unordered edge set; their area and
+    centroid are then supplied explicitly.  Index arrays are int32.
+    Derived data is computed from these arrays and cached until the mesh
+    is mutated.
     """
 
-    def __init__(self, nodes, edge_nodes, cells, cell_signs, frame=None,
-                 edge_trace=None, edge_trace_elem=None, edge_trace_side=None,
-                 areas=None, centroids=None, chained=None):
+    def __init__(self, nodes, edge_nodes, cell_ptr, cell_edge, cell_sign,
+                 frame=None, edge_trace=None, edge_trace_elem=None,
+                 edge_trace_side=None, areas=None, centroids=None, chained=None):
         self.nodes = np.asarray(nodes, float)
         self.edge_nodes = np.asarray(edge_nodes, int)
-        self.cells = [np.asarray(c, int) for c in cells]
-        self.cell_signs = [np.asarray(s, np.int8) for s in cell_signs]
+        self.cell_ptr = np.asarray(cell_ptr, np.int32)
+        self.cell_edge = np.asarray(cell_edge, np.int32)
+        self.cell_sign = np.asarray(cell_sign, np.int8)
         self.frame = frame
         ne = len(self.edge_nodes)
         self.edge_trace = (np.full(ne, -1, int) if edge_trace is None
@@ -130,7 +81,7 @@ class PolyMesh:
                                 else np.asarray(edge_trace_side, np.int8))
         self._areas = None if areas is None else np.asarray(areas, float)
         self._centroids = None if centroids is None else np.asarray(centroids, float)
-        self.chained = (np.ones(len(self.cells), bool) if chained is None
+        self.chained = (np.ones(self.n_cells, bool) if chained is None
                         else np.asarray(chained, bool))
         self._cache = {}
 
@@ -163,15 +114,14 @@ class PolyMesh:
                                       return_inverse=True)
         edge_id = np.empty(len(first), int)
         edge_id[np.argsort(first)] = np.arange(len(first))
-        edges = np.split(edge_id[inverse], ptr[1:-1])
-        signs = np.split(np.where(loop <= head, 1, -1).astype(np.int8), ptr[1:-1])
         edge_nodes = np.column_stack([lo, hi])[np.sort(first)]
-        return cls(nodes, edge_nodes, edges, signs, frame=frame)
+        return cls(nodes, edge_nodes, ptr, edge_id[inverse],
+                   np.where(loop <= head, 1, -1), frame=frame)
 
     def copy(self) -> "PolyMesh":
         return PolyMesh(
-            self.nodes.copy(), self.edge_nodes.copy(),
-            [c.copy() for c in self.cells], [s.copy() for s in self.cell_signs],
+            self.nodes.copy(), self.edge_nodes.copy(), self.cell_ptr.copy(),
+            self.cell_edge.copy(), self.cell_sign.copy(),
             frame=self.frame, edge_trace=self.edge_trace.copy(),
             edge_trace_elem=self.edge_trace_elem.copy(),
             edge_trace_side=self.edge_trace_side.copy(),
@@ -194,17 +144,54 @@ class PolyMesh:
 
     @property
     def n_cells(self):
-        return len(self.cells)
+        return len(self.cell_ptr) - 1
 
     def _invalidate(self):
         self._cache.clear()
 
     @property
-    def layout(self) -> CellLayout:
-        if "layout" not in self._cache:
-            self._cache["layout"] = CellLayout.build(
-                self.edge_nodes, self.cells, self.cell_signs)
-        return self._cache["layout"]
+    def entry_cell(self):
+        """Cell id of each entry."""
+        if "entry_cell" not in self._cache:
+            self._cache["entry_cell"] = np.repeat(
+                np.arange(self.n_cells, dtype=np.int32), np.diff(self.cell_ptr))
+        return self._cache["entry_cell"]
+
+    @property
+    def entry_tail(self):
+        """Node each entry's edge is walked from.  A chained cell's polygon
+        is ``nodes[entry_tail]`` over its entries."""
+        if "entry_tail" not in self._cache:
+            ends = self.edge_nodes[self.cell_edge]
+            self._cache["entry_tail"] = np.where(
+                self.cell_sign > 0, ends[:, 0], ends[:, 1]).astype(np.int32)
+        return self._cache["entry_tail"]
+
+    @property
+    def entry_next(self):
+        """Position of the following entry in the same cell; the last
+        wraps to the first."""
+        if "entry_next" not in self._cache:
+            ptr = self.cell_ptr
+            nxt = np.arange(1, ptr[-1] + 1, dtype=np.int32)
+            full = ptr[1:] > ptr[:-1]
+            nxt[ptr[1:][full] - 1] = ptr[:-1][full]
+            self._cache["entry_next"] = nxt
+        return self._cache["entry_next"]
+
+    @property
+    def cell_groups(self):
+        """Per edge count ``d``, increasing: cell ids ``(n,)`` and their
+        entry positions ``(n, d)``.  A sum over ``axis=1`` of a gathered
+        group adds in the order a per-cell sum over its entries would."""
+        if "cell_groups" not in self._cache:
+            counts = np.diff(self.cell_ptr)
+            groups = []
+            for d in np.unique(counts[counts > 0]):
+                ids = np.flatnonzero(counts == d).astype(np.int32)
+                groups.append((ids, self.cell_ptr[ids][:, None] + np.arange(d)))
+            self._cache["cell_groups"] = tuple(groups)
+        return self._cache["cell_groups"]
 
     @property
     def edge_len(self):
@@ -222,22 +209,21 @@ class PolyMesh:
         return self._cache["edge_mid"]
 
     def _edge_slots(self):
-        # Slot 0 of an edge is its first entry in layout order, slot 1 the
-        # second; a third entry is an error.
+        # Slot 0 of an edge is its first entry, slot 1 the second; a third
+        # entry is an error.
         if "edge_cells" not in self._cache:
-            lay = self.layout
-            order = np.argsort(lay.cell_edge, kind="stable")
-            sorted_edges = lay.cell_edge[order]
+            order = np.argsort(self.cell_edge, kind="stable")
+            sorted_edges = self.cell_edge[order]
             rank = np.arange(len(order)) - np.searchsorted(sorted_edges,
                                                            sorted_edges)
             if (rank > 1).any():
-                e = lay.cell_edge[order[rank > 1].min()]
+                e = self.cell_edge[order[rank > 1].min()]
                 raise MeshError(f"edge {e} bounds more than two cells")
             entry = np.full((self.n_edges, 2), -1, np.int32)
             entry[sorted_edges, rank] = order
             self._cache["edge_entry"] = entry
             self._cache["edge_cells"] = np.where(
-                entry >= 0, lay.entry_cell[entry], -1).astype(int)
+                entry >= 0, self.entry_cell[entry], -1).astype(int)
         return self._cache["edge_cells"], self._cache["edge_entry"]
 
     @property
@@ -247,36 +233,26 @@ class PolyMesh:
 
     @property
     def edge_entry(self):
-        """(E, 2) layout entry of each ``edge_cells`` cell, -1 where absent."""
+        """(E, 2) entry of each ``edge_cells`` cell, -1 where absent."""
         return self._edge_slots()[1]
 
     def outward_normals(self, entries) -> np.ndarray:
-        """Outward unit normals of layout entries, shape ``entries.shape + (2,)``."""
-        lay = self.layout
-        edges = lay.cell_edge[entries]
+        """Outward unit normals of entries, shape ``entries.shape + (2,)``."""
+        edges = self.cell_edge[entries]
         ends = self.nodes[self.edge_nodes[edges]]
         t = (ends[..., 1, :] - ends[..., 0, :]) / self.edge_len[edges][..., None]
-        return np.stack([t[..., 1], -t[..., 0]], axis=-1) * lay.cell_sign[entries][..., None]
-
-    def cell_outward_normals(self, cell: int) -> np.ndarray:
-        ptr = self.layout.cell_ptr
-        return self.outward_normals(np.arange(ptr[cell], ptr[cell + 1]))
-
-    def _loop_nodes(self, cell: int):
-        lay = self.layout
-        return lay.entry_tail[lay.cell_ptr[cell]:lay.cell_ptr[cell + 1]].tolist()
+        return np.stack([t[..., 1], -t[..., 0]], axis=-1) * self.cell_sign[entries][..., None]
 
     def _loop_sums(self):
         """Per cell, twice the signed shoelace area and the first moment
         ``sum((p + q) (p x q))`` over its entries' edges ``p -> q``."""
-        lay = self.layout
-        p = self.nodes[lay.entry_tail]
-        q = p[lay.entry_next]
+        p = self.nodes[self.entry_tail]
+        q = p[self.entry_next]
         cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
         moment = (p + q) * cross[:, None]
         twice = np.zeros(self.n_cells)
         first = np.zeros((self.n_cells, 2))
-        for ids, pos in lay.groups():
+        for ids, pos in self.cell_groups:
             twice[ids] = cross[pos].sum(axis=1)
             first[ids] = moment[pos].sum(axis=1)
         return twice, first
@@ -310,10 +286,9 @@ class PolyMesh:
         """Largest vertex distance per cell.  Every node of a cell bounded
         by closed walks is the tail of one of its entries."""
         if "diameters" not in self._cache:
-            lay = self.layout
             diam = np.zeros(self.n_cells)
-            for ids, pos in lay.groups():
-                pts = self.nodes[lay.entry_tail[pos]]
+            for ids, pos in self.cell_groups:
+                pts = self.nodes[self.entry_tail[pos]]
                 d2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(-1)
                 diam[ids] = np.sqrt(d2.max(axis=(1, 2)))
             self._cache["diameters"] = diam
@@ -331,44 +306,47 @@ class PolyMesh:
     def split_edges(self, splits):
         """Split edges at interior points, all in one batch.
 
-        ``splits`` lists ``(eid, points)`` pairs, the points ordered from
-        node a to node b of the edge.  Edge ``eid`` keeps its first piece
-        and the others are appended; nodes and edges are numbered as if
-        the edges were split one after the other in list order.
+        ``splits`` lists ``(eid, points)`` pairs, each edge at most once
+        and with at least one point, the points ordered from node a to
+        node b of the edge.  Edge ``eid`` keeps its first piece and the
+        others are appended; nodes and edges are numbered as if the edges
+        were split one after the other in list order.
         """
+        splits = [(e, np.atleast_2d(p)) for e, p in splits]
         if not splits:
             return
-        edge_cells = self.edge_cells
-        n_nodes, n_edges = self.n_nodes, self.n_edges
-        new_pts, new_pairs, parents = [], [], []
-        for eid, points in splits:
-            points = np.atleast_2d(points)
-            chain = [self.edge_nodes[eid, 0]]
-            chain += range(n_nodes, n_nodes + len(points))
-            chain.append(self.edge_nodes[eid, 1])
-            n_nodes += len(points)
-            pairs = list(zip(chain[:-1], chain[1:]))
-            self.edge_nodes[eid] = pairs[0]
-            first = n_edges + len(new_pairs)
-            sub_edges = [eid, *range(first, first + len(pairs) - 1)]
-            new_pts.append(points)
-            new_pairs.extend(pairs[1:])
-            parents.extend([eid] * (len(pairs) - 1))
-            for k in {int(c) for c in edge_cells[eid] if c >= 0}:
-                es, ss = self.cells[k], self.cell_signs[k]
-                pos = int(np.flatnonzero(es == eid)[0])
-                sign = int(ss[pos])
-                ins_edges = sub_edges if sign > 0 else sub_edges[::-1]
-                self.cells[k] = np.concatenate(
-                    [es[:pos], ins_edges, es[pos + 1:]]
-                ).astype(int)
-                self.cell_signs[k] = np.concatenate(
-                    [ss[:pos], [sign] * len(ins_edges), ss[pos + 1:]]
-                ).astype(np.int8)
-        self.nodes = np.vstack([self.nodes, *new_pts])
+        eids = np.array([e for e, _ in splits], int)
+        n_pts = np.array([len(p) for _, p in splits], int)
+        # Split i adds nodes and edges k0[i] .. k0[i] + n_pts[i] - 1 past
+        # the current counts; its pieces are eid, then those new edges.
+        k0 = np.cumsum(n_pts) - n_pts
+        tails = self.n_nodes + np.arange(n_pts.sum())
+        heads = tails + 1
+        heads[k0 + n_pts - 1] = self.edge_nodes[eids, 1]
+        # Every entry of a split edge becomes its pieces, reversed where
+        # the cell walks the edge b -> a.
+        entries = self.edge_entry[eids]
+        split_of = np.nonzero(entries >= 0)[0]
+        entries = entries[entries >= 0]
+        m = n_pts[split_of] + 1
+        reps = np.ones(len(self.cell_edge), int)
+        reps[entries] = m
+        end = np.cumsum(reps)
+        k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+        piece = np.where(np.repeat(self.cell_sign[entries] > 0, m), k,
+                         np.repeat(m - 1, m) - k)
+        i = np.repeat(split_of, m)
+        cell_edge = np.repeat(self.cell_edge, reps)
+        cell_edge[np.repeat(end[entries] - m, m) + k] = np.where(
+            piece == 0, eids[i], self.n_edges + k0[i] + piece - 1)
+        self.cell_ptr = np.concatenate([[0], end])[self.cell_ptr].astype(np.int32)
+        self.cell_edge = cell_edge
+        self.cell_sign = np.repeat(self.cell_sign, reps)
+        self.edge_nodes[eids, 1] = tails[k0]
+        self.nodes = np.vstack([self.nodes, *(p for _, p in splits)])
         self.edge_nodes = np.vstack([self.edge_nodes,
-                                     np.reshape(new_pairs, (-1, 2))])
-        self._append_edge_tags(parents)
+                                     np.column_stack([tails, heads])])
+        self._append_edge_tags(np.repeat(eids, n_pts))
         self._invalidate()
 
     def _append_edge_tags(self, parents, side=None):
@@ -428,7 +406,7 @@ def random_mesh(n: int, seed: int, amplitude: float = 0.3,
                                          (len(interior), 2))
 
     # A quad must be simple and star-shaped with respect to its vertex mean.
-    loops = mesh.layout.entry_tail.reshape(-1, 4)
+    loops = mesh.entry_tail.reshape(-1, 4)
     is_interior = np.zeros(len(nodes), bool)
     is_interior[interior] = True
     for _ in range(50):
@@ -445,9 +423,8 @@ def random_mesh(n: int, seed: int, amplitude: float = 0.3,
             nodes[i] = base[j] + rng.uniform(-amplitude * h, amplitude * h, 2)
     else:
         raise MeshError("random mesh validity check failed to converge")
-    mesh.nodes = nodes
-    mesh._invalidate()
-    return mesh
+    return PolyMesh(nodes, mesh.edge_nodes, mesh.cell_ptr, mesh.cell_edge,
+                    mesh.cell_sign, frame=frame)
 
 
 # ------------------------------------------------------------------ #
@@ -740,7 +717,6 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
             if e is None:
                 raise MeshError(f"trace {gid} not covered by mesh edges")
             mesh.edge_trace[e] = gid
-    mesh._invalidate()
     return mesh
 
 
@@ -904,13 +880,13 @@ def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict, fid: int,
     if not traces:
         return mesh
     # Duplication changes no cell geometry: one pass serves every edge,
-    # and the centroids stay valid for the split mesh.
-    edge_cells = mesh.edge_cells
+    # and the areas and centroids stay valid for the split mesh.
+    edge_cells, edge_entry = mesh.edge_cells, mesh.edge_entry
     centroids = mesh.cell_centroids
     cen3 = mesh.frame.to_global(centroids)
     mid3 = mesh.frame.to_global(mesh.edge_mid)
     first_dup = n_edges = mesh.n_edges
-    sources, sides, seconds = [], [], []
+    sources, sides = [], []
     for tm in traces:
         line = tm.line
         eids = np.asarray(tm.edges[fid], int)
@@ -934,7 +910,6 @@ def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict, fid: int,
         n_edges += int(two.sum())
         sources.append(eids[two])
         sides.append(side[two, 1])
-        seconds.append(cells[two, 1])
         mesh.edge_trace_side[eids] = side[:, 0]
         plus = np.where(side[:, 0] > 0, eids, dup)
         minus = np.where(side[:, 0] > 0, dup, eids)
@@ -943,15 +918,14 @@ def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict, fid: int,
         if (minus >= 0).any():
             tm.side_edges[(fid, -1)] = minus
     sources = np.concatenate(sources)
-    mesh.edge_nodes = np.vstack([mesh.edge_nodes, mesh.edge_nodes[sources]])
     mesh._append_edge_tags(sources, np.concatenate(sides))
-    for d, (k, e) in enumerate(zip(np.concatenate(seconds), sources),
-                               start=first_dup):
-        es = mesh.cells[k]
-        es[np.flatnonzero(es == e)[0]] = d
-    mesh._invalidate()
-    mesh._cache["centroids"] = centroids
-    return mesh
+    mesh.cell_edge[edge_entry[sources, 1]] = first_dup + np.arange(len(sources))
+    return PolyMesh(
+        mesh.nodes, np.vstack([mesh.edge_nodes, mesh.edge_nodes[sources]]),
+        mesh.cell_ptr, mesh.cell_edge, mesh.cell_sign, frame=mesh.frame,
+        edge_trace=mesh.edge_trace, edge_trace_elem=mesh.edge_trace_elem,
+        edge_trace_side=mesh.edge_trace_side, areas=mesh.cell_areas,
+        centroids=centroids, chained=mesh.chained)
 
 
 # ------------------------------------------------------------------ #
@@ -964,16 +938,15 @@ def mesh_stats(mesh: PolyMesh) -> dict:
     A cell counts as non-star when its edges do not chain into one loop,
     or when the loop is not star-shaped with respect to its centroid.
     """
-    epc = np.diff(mesh.layout.cell_ptr)
+    epc = np.diff(mesh.cell_ptr)
     star = mesh.chained.copy()
     if star.any():
-        lay = mesh.layout
-        p = mesh.nodes[lay.entry_tail]
-        d = p[lay.entry_next] - p
-        c = mesh.cell_centroids[lay.entry_cell]
+        p = mesh.nodes[mesh.entry_tail]
+        d = p[mesh.entry_next] - p
+        c = mesh.cell_centroids[mesh.entry_cell]
         cross = d[:, 0] * (c[:, 1] - p[:, 1]) - d[:, 1] * (c[:, 0] - p[:, 0])
-        ok = cross > -1e-12 * mesh.cell_diameters[lay.entry_cell] ** 2
-        for ids, pos in lay.groups():
+        ok = cross > -1e-12 * mesh.cell_diameters[mesh.entry_cell] ** 2
+        for ids, pos in mesh.cell_groups:
             star[ids] &= ok[pos].all(axis=1)
     return {
         "n_cells": mesh.n_cells,
@@ -1001,9 +974,10 @@ def save_mesh(mesh: PolyMesh, path) -> None:
             fh.write(f"{a} {b} {mesh.edge_trace[e]} "
                      f"{mesh.edge_trace_elem[e]} {mesh.edge_trace_side[e]}\n")
         fh.write(f"cells {mesh.n_cells}\n")
-        for es, ss in zip(mesh.cells, mesh.cell_signs):
-            signed = [int(s) * (int(e) + 1) for e, s in zip(es, ss)]
-            fh.write(" ".join(str(v) for v in signed) + "\n")
+        signed = (mesh.cell_sign * (mesh.cell_edge.astype(int) + 1)).tolist()
+        ptr = mesh.cell_ptr.tolist()
+        for a, b in zip(ptr[:-1], ptr[1:]):
+            fh.write(" ".join(str(v) for v in signed[a:b]) + "\n")
 
 
 def load_mesh(path, frame: Frame | None = None) -> PolyMesh:
@@ -1015,7 +989,8 @@ def load_mesh(path, frame: Frame | None = None) -> PolyMesh:
     at = 1
 
     def section(tag, convert, width=None):
-        # Parses the rows of section ``tag`` and moves past them.
+        # Parses the rows of section ``tag`` and moves past them; returns
+        # the rows and the index of the first row's line.
         nonlocal at
         head = lines[at].split() if at < len(lines) else []
         if len(head) != 2 or head[0] != tag or not head[1].isdigit():
@@ -1031,14 +1006,29 @@ def load_mesh(path, frame: Frame | None = None) -> PolyMesh:
                 raise MeshError(f"{path}, line {i + 1}: malformed '{tag}' row")
             rows.append(row)
         at = first + n
-        return rows
+        return rows, first
 
-    nodes = np.array(section("nodes", float, 2), float).reshape(-1, 2)
-    rows = np.array(section("edges", int, 5), int).reshape(-1, 5)
-    cells, signs = [], []
-    for signed in section("cells", int):
-        cells.append([abs(v) - 1 for v in signed])
-        signs.append([1 if v > 0 else -1 for v in signed])
-    return PolyMesh(nodes, rows[:, :2], cells, signs, frame=frame,
+    def reject(bad_rows, first, what):
+        if len(bad_rows):
+            raise MeshError(f"{path}, line {first + int(bad_rows.min()) + 1}: {what}")
+
+    nodes = np.array(section("nodes", float, 2)[0], float).reshape(-1, 2)
+    rows, edge_line = section("edges", int, 5)
+    rows = np.array(rows, int).reshape(-1, 5)
+    cells, cell_line = section("cells", int)
+    counts = np.fromiter(map(len, cells), int, len(cells))
+    ptr = np.zeros(len(cells) + 1, int)
+    np.cumsum(counts, out=ptr[1:])
+    signed = np.fromiter(chain.from_iterable(cells), int, ptr[-1])
+    n_nodes, n_edges = len(nodes), len(rows)
+    reject(np.flatnonzero(((rows[:, :2] < 0) | (rows[:, :2] >= n_nodes)).any(axis=1)),
+           edge_line, f"edge node outside 0..{n_nodes - 1}")
+    reject(np.flatnonzero(np.abs(rows[:, 4]) > 1), edge_line,
+           "side tag not in {-1, 0, 1}")
+    reject(np.repeat(np.arange(len(cells)), counts)[
+               (signed == 0) | (np.abs(signed) > n_edges)],
+           cell_line, f"cell entry not in -{n_edges}..-1 or 1..{n_edges}")
+    return PolyMesh(nodes, rows[:, :2], ptr, np.abs(signed) - 1,
+                    np.where(signed > 0, 1, -1), frame=frame,
                     edge_trace=rows[:, 2], edge_trace_elem=rows[:, 3],
                     edge_trace_side=rows[:, 4])

@@ -103,8 +103,9 @@ def relative_errors(problem, system, solution, case, level: int = 0) -> ErrorRep
         max_p = max(max_p, float(solution.pressure[fid].max()))
         wsum.append(w)
         diam.append(mesh.cell_diameters)
-        epc.extend(len(c) for c in mesh.cells)
+        epc.append(np.diff(mesh.cell_ptr))
     diam = np.concatenate(diam)
+    epc = np.concatenate(epc)
     report = ErrorReport(
         level=level,
         h_avg=float(diam.mean()),
@@ -196,11 +197,10 @@ def export_vtk(problem, solution, path) -> None:
         base = len(points)
         pts3 = mesh.frame.to_global(mesh.nodes)
         points.extend(pts3)
-        for k in range(mesh.n_cells):
-            if not mesh.chained[k]:
-                continue
-            loop = [base + int(i) for i in mesh._loop_nodes(k)]
-            polys.append(loop)
+        tail = (mesh.entry_tail + base).tolist()
+        ptr = mesh.cell_ptr.tolist()
+        for k in np.flatnonzero(mesh.chained).tolist():
+            polys.append(tail[ptr[k]:ptr[k + 1]])
             pvals.append(float(solution.pressure[fid][k]))
             vvals.append(solution.velocity[fid][k])
     with open(path, "w", encoding="ascii", newline="\n") as fh:

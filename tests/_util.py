@@ -9,7 +9,58 @@ from dfnvem import assembly as asm
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
-from dfnvem.errors import SingularG
+from dfnvem.errors import ConfigError, SingularG
+
+
+def verify_strong_form(case, n_samples: int = 100,
+                       seed: int = 42, tol: float = 1e-8) -> float:
+    """Residual of -lap(p_ex) - f at random in-plane sample points.
+
+    The case's independently derived tangential Laplacian serves as the
+    oracle; a central-difference cross-check guards the Laplacian itself.
+    Raises when the manufactured data are inconsistent.
+    """
+    if case.laplacian_exact is None:
+        raise ConfigError(f"case {case.name} has no exact Laplacian oracle")
+    net = case.network()
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    worst_fd = 0.0
+    eps = 1e-4
+    for frac in net.fractures:
+        poly = frac.local_polygon
+        lo, hi = poly.min(0), poly.max(0)
+        pts = []
+        while len(pts) < n_samples:
+            q = rng.uniform(lo, hi)
+            if geo.point_in_polygon(q, poly, -1e-3):
+                # Stay away from branch interfaces of the piecewise data
+                # (the in-plane coordinate among x and z changes branch).
+                p3 = frac.frame.to_global(q)
+                if max(abs(p3[0]), abs(p3[2])) > 10 * eps:
+                    pts.append(q)
+        pts3 = frac.frame.to_global(np.asarray(pts))
+        lap = np.asarray(case.laplacian_exact(frac.id, pts3), float)
+        f = np.asarray(case.source(frac.id, pts3), float)
+        worst = max(worst, float(np.abs(-lap - f).max()))
+        for q, lp in zip(pts[:10], lap):
+            def p_of(uv):
+                vals = case.p_exact(frac.id, frac.frame.to_global(uv)[None])
+                return float(np.asarray(vals).ravel()[0])
+            fd = 0.0
+            for d in (np.array([eps, 0.0]), np.array([0.0, eps])):
+                fd += (p_of(q + d) - 2 * p_of(q) + p_of(q - d)) / eps**2
+            worst_fd = max(worst_fd, abs(fd - lp))
+    if worst > tol:
+        raise ConfigError(
+            f"case {case.name}: strong-form residual {worst:.3e} > {tol:.1e}"
+        )
+    if worst_fd > 1e-4:
+        raise ConfigError(
+            f"case {case.name}: Laplacian oracle disagrees with finite "
+            f"differences by {worst_fd:.3e}"
+        )
+    return worst
 
 
 def single_fracture_plane(fid=0):
@@ -211,6 +262,10 @@ def oracle_meshes():
     geometry so their many-edge loops go through the batched sums."""
     from dfnvem import coarsening as coa
 
+    def bare(m):
+        return msh.PolyMesh(m.nodes, m.edge_nodes, m.cell_ptr, m.cell_edge,
+                            m.cell_sign, edge_trace=m.edge_trace)
+
     square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
     out = {}
     rng = np.random.default_rng(7)
@@ -225,7 +280,9 @@ def oracle_meshes():
     meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), h)
               for f, h in zip(net.fractures, (0.3, 0.17))}
     tms = msh.corefine_network(meshes, net)
-    out["corefined-split"] = msh.split_interface_dofs(meshes[0], tms, 0)
+    # The split mesh carries its fine geometry; it is dropped so that the
+    # loops with hanging nodes go through the batched sums.
+    out["corefined-split"] = bare(msh.split_interface_dofs(meshes[0], tms, 0))
     # Seed 9 at depth 4 leaves one coarse cell whose edges do not chain.
     y = np.random.default_rng(9).uniform(0.3, 0.7)
     tips = [[0.2, y], [0.7, y], [0.5, 0.1], [0.5, 0.35]]
@@ -234,9 +291,7 @@ def oracle_meshes():
     for depth in (2, 4):
         coarse, _ = coa.agglomerate(tri, tips_local=tips, c_depth=depth)
         out[f"agglomerated-{depth}"] = coarse
-        out[f"agglomerated-{depth}-bare"] = msh.PolyMesh(
-            coarse.nodes, coarse.edge_nodes, coarse.cells, coarse.cell_signs,
-            edge_trace=coarse.edge_trace)
+        out[f"agglomerated-{depth}-bare"] = bare(coarse)
     return out
 
 
@@ -247,6 +302,84 @@ ORACLE_MESHES = ["triangulated-0", "triangulated-1", "triangulated-2",
 
 
 # ------------------------------------------------------------------ #
+# Per-cell lists.  ``PolyMesh`` stores its cells as flat arrays; the
+# references below read them as one edge array and one sign array per
+# cell, so that they stay apart from the array code they check.
+# ------------------------------------------------------------------ #
+
+def cell_lists(mesh):
+    """Per-cell edge ids and traversal signs, two lists of arrays."""
+    ptr = mesh.cell_ptr[1:-1]
+    return np.split(mesh.cell_edge, ptr), np.split(mesh.cell_sign, ptr)
+
+
+def cell_of(mesh, k):
+    """Cell ``k``'s edge ids and traversal signs."""
+    at = slice(mesh.cell_ptr[k], mesh.cell_ptr[k + 1])
+    return mesh.cell_edge[at], mesh.cell_sign[at]
+
+
+def mesh_from_lists(nodes, edge_nodes, cells, cell_signs, **kw):
+    """A ``PolyMesh`` from per-cell edge and sign lists."""
+    ptr = np.zeros(len(cells) + 1, int)
+    np.cumsum([len(c) for c in cells], out=ptr[1:])
+    return msh.PolyMesh(nodes, edge_nodes, ptr,
+                        np.concatenate([np.zeros(0, int), *cells]),
+                        np.concatenate([np.zeros(0, int), *cell_signs]), **kw)
+
+
+def outward_normals_of_cell(mesh, k):
+    """``PolyMesh.outward_normals`` of cell ``k``'s entries."""
+    return mesh.outward_normals(np.arange(mesh.cell_ptr[k], mesh.cell_ptr[k + 1]))
+
+
+def split_edges_ref(mesh, splits):
+    """``PolyMesh.split_edges`` one edge at a time on per-cell lists.
+
+    Returns a new mesh; ``mesh`` is left unchanged.
+    """
+    cells, cell_signs = cell_lists(mesh)
+    nodes, edge_nodes = mesh.nodes.copy(), mesh.edge_nodes.copy()
+    edge_cells = mesh.edge_cells
+    n_nodes, n_edges = mesh.n_nodes, mesh.n_edges
+    new_pts, new_pairs, parents = [], [], []
+    for eid, points in splits:
+        points = np.atleast_2d(points)
+        chain = [edge_nodes[eid, 0]]
+        chain += range(n_nodes, n_nodes + len(points))
+        chain.append(edge_nodes[eid, 1])
+        n_nodes += len(points)
+        pairs = list(zip(chain[:-1], chain[1:]))
+        edge_nodes[eid] = pairs[0]
+        first = n_edges + len(new_pairs)
+        sub_edges = [eid, *range(first, first + len(pairs) - 1)]
+        new_pts.append(points)
+        new_pairs.extend(pairs[1:])
+        parents.extend([eid] * (len(pairs) - 1))
+        for k in {int(c) for c in edge_cells[eid] if c >= 0}:
+            es, ss = cells[k], cell_signs[k]
+            pos = int(np.flatnonzero(es == eid)[0])
+            sign = int(ss[pos])
+            ins_edges = sub_edges if sign > 0 else sub_edges[::-1]
+            cells[k] = np.concatenate(
+                [es[:pos], ins_edges, es[pos + 1:]]
+            ).astype(int)
+            cell_signs[k] = np.concatenate(
+                [ss[:pos], [sign] * len(ins_edges), ss[pos + 1:]]
+            ).astype(np.int8)
+    parents = np.asarray(parents, int)
+    return mesh_from_lists(
+        np.vstack([nodes, *new_pts]),
+        np.vstack([edge_nodes, np.reshape(new_pairs, (-1, 2))]),
+        cells, cell_signs, frame=mesh.frame,
+        edge_trace=np.concatenate([mesh.edge_trace, mesh.edge_trace[parents]]),
+        edge_trace_elem=np.concatenate([mesh.edge_trace_elem,
+                                        mesh.edge_trace_elem[parents]]),
+        edge_trace_side=np.concatenate([mesh.edge_trace_side,
+                                        mesh.edge_trace_side[parents]]))
+
+
+# ------------------------------------------------------------------ #
 # Per-cell reference geometry and coarsening.  These are the loops that
 # ``meshing.PolyMesh`` and ``coarsening`` replaced with batched array code;
 # the tests require the batched results to equal them.
@@ -254,8 +387,9 @@ ORACLE_MESHES = ["triangulated-0", "triangulated-1", "triangulated-2",
 
 def loop_nodes_ref(mesh, k):
     """Tail node of each of cell ``k``'s edges, in its stored order."""
-    ends = mesh.edge_nodes[mesh.cells[k]].tolist()
-    signs = mesh.cell_signs[k].tolist()
+    es, ss = cell_of(mesh, k)
+    ends = mesh.edge_nodes[es].tolist()
+    signs = ss.tolist()
     return [a if s > 0 else b for (a, b), s in zip(ends, signs)]
 
 
@@ -282,16 +416,17 @@ def geometry_ref(mesh):
 
 
 def cell_diameters_ref(mesh):
+    cells, _ = cell_lists(mesh)
     diam = np.empty(mesh.n_cells)
     for k in range(mesh.n_cells):
-        pts = mesh.nodes[np.unique(mesh.edge_nodes[mesh.cells[k]])]
+        pts = mesh.nodes[np.unique(mesh.edge_nodes[cells[k]])]
         diam[k] = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1).max())
     return diam
 
 
 def edge_cells_ref(mesh):
     ec = np.full((mesh.n_edges, 2), -1, int)
-    for k, es in enumerate(mesh.cells):
+    for k, es in enumerate(cell_lists(mesh)[0]):
         for e in es:
             if ec[e, 0] < 0:
                 ec[e, 0] = k
@@ -303,11 +438,11 @@ def edge_cells_ref(mesh):
 
 
 def cell_outward_normals_ref(mesh, k):
-    es = mesh.cells[k]
+    es, ss = cell_of(mesh, k)
     a, b = mesh.edge_nodes[es, 0], mesh.edge_nodes[es, 1]
     t = (mesh.nodes[b] - mesh.nodes[a]) / mesh.edge_len[es][:, None]
     nrm = np.column_stack([t[:, 1], -t[:, 0]])
-    return nrm * np.asarray(mesh.cell_signs[k], float)[:, None]
+    return nrm * np.asarray(ss, float)[:, None]
 
 
 def tpfa_matrix_ref(mesh, lam, dirichlet_boundary=True):
@@ -328,9 +463,10 @@ def tpfa_matrix_ref(mesh, lam, dirichlet_boundary=True):
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
     normal_of = {}
+    cells, _ = cell_lists(mesh)
     for k in range(n):
         nrm = cell_outward_normals_ref(mesh, k)
-        for pos, e in enumerate(mesh.cells[k]):
+        for pos, e in enumerate(cells[k]):
             normal_of[(k, int(e))] = nrm[pos]
     ec = edge_cells_ref(mesh)
     for e in range(mesh.n_edges):
@@ -393,8 +529,9 @@ def tip_cells_ref(mesh, tips_local):
     tips_local = np.atleast_2d(np.asarray(tips_local, float))
     tol = 1e-9 * max(cell_diameters_ref(mesh).max(), 1.0)
     out = []
+    cells, _ = cell_lists(mesh)
     for k in range(mesh.n_cells):
-        es = mesh.cells[k]
+        es = cells[k]
         if not (mesh.edge_trace[es] >= 0).any():
             continue
         pts = mesh.nodes[np.unique(mesh.edge_nodes[es])]
@@ -416,9 +553,10 @@ def build_coarse_mesh_ref(mesh, part):
     n_coarse = part.max() + 1
     cell_edges = [[] for _ in range(n_coarse)]
     cell_signs = [[] for _ in range(n_coarse)]
+    fine_cells, fine_signs = cell_lists(mesh)
     for k in range(mesh.n_cells):
         g = part[k]
-        for e, s in zip(mesh.cells[k], mesh.cell_signs[k]):
+        for e, s in zip(fine_cells[k], fine_signs[k]):
             c0, c1 = ec[e]
             other = c1 if c0 == k else c0
             if other >= 0 and part[other] == g and mesh.edge_trace[e] < 0:
@@ -443,7 +581,7 @@ def build_coarse_mesh_ref(mesh, part):
         chained.append(loop is not None)
         ordered_edges.append(es if loop is None else es[loop])
         ordered_signs.append(ss if loop is None else ss[loop])
-    return msh.PolyMesh(
+    return mesh_from_lists(
         mesh.nodes[used], edge_nodes, ordered_edges, ordered_signs,
         frame=mesh.frame, edge_trace=mesh.edge_trace[keep],
         edge_trace_elem=mesh.edge_trace_elem[keep],

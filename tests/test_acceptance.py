@@ -21,7 +21,8 @@ from dfnvem import postprocess as post
 from dfnvem import solver as slv
 from dfnvem import vem
 
-from _util import import_network_dict, local_matrices_2d_ref, polygon_geometry
+from _util import (cell_of, import_network_dict, local_matrices_2d_ref,
+                   polygon_geometry)
 
 
 def report(num, ok, msg):
@@ -184,7 +185,7 @@ def test_criterion_5_property_suite():
         c3 = m.frame.to_global(m.cell_centroids)
         target = m.cell_areas * f(fid, c3)
         for k in range(m.n_cells):
-            es = m.cells[k]
+            es, _ = cell_of(m, k)
             s = np.where(m.edge_cells[es, 0] == k, 1.0, -1.0)
             worst_cons = max(worst_cons,
                              abs(float(s @ sol.edge_flux[fid][es]) - target[k]))

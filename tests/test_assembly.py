@@ -9,7 +9,9 @@ from dfnvem import solver as slv
 from dfnvem.errors import MissingIntersectionProps, UnconstrainedPressureWarning
 
 from _util import (
+    cell_of,
     crossing_rectangles,
+    outward_normals_of_cell,
     rect_mesh_with_trace,
     run,
     single_fracture_plane,
@@ -87,8 +89,8 @@ class TestPatchTest:
         vel = -(lam @ grad)
         m = problem.meshes[0]
         for k in range(m.n_cells):
-            es = m.cells[k]
-            nrm = m.cell_outward_normals(k)
+            es, _ = cell_of(m, k)
+            nrm = outward_normals_of_cell(m, k)
             s = np.where(m.edge_cells[es, 0] == k, 1.0, -1.0)
             exact = (nrm @ vel) * m.edge_len[es]
             got = s * sol.edge_flux[0][es]
@@ -121,7 +123,7 @@ class TestLocalConservation:
         centers3 = m.frame.to_global(m.cell_centroids)
         target = m.cell_areas * f(0, centers3)
         for k in range(m.n_cells):
-            es = m.cells[k]
+            es, _ = cell_of(m, k)
             s = np.where(m.edge_cells[es, 0] == k, 1.0, -1.0)
             total = float(s @ sol.edge_flux[0][es])
             assert abs(total - target[k]) < 1e-10

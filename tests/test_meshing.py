@@ -1,13 +1,16 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from dfnvem import coarsening as coa
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem.errors import ConstraintConflict, InconsistentEndpoints, MeshError
 
-from _util import ORACLE_MESHES, oracle_meshes
+from _util import (ORACLE_MESHES, cell_of, oracle_meshes,
+                   outward_normals_of_cell, split_edges_ref)
 
 UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
 
@@ -36,8 +39,8 @@ class TestCartesian:
         assert len(mesh.boundary_edges) == 20
         # Outward normals sum to zero around every cell.
         for k in range(mesh.n_cells):
-            nrm = mesh.cell_outward_normals(k)
-            ln = mesh.edge_len[mesh.cells[k]]
+            nrm = outward_normals_of_cell(mesh, k)
+            ln = mesh.edge_len[cell_of(mesh, k)[0]]
             assert np.allclose((nrm * ln[:, None]).sum(0), 0, atol=1e-13)
 
 
@@ -223,6 +226,20 @@ class TestSplitInterface:
                 assert (split.edge_trace_side[eids] == side).all()
             tm.side_edges.clear()
 
+    def test_agglomerated_mesh_keeps_its_geometry(self):
+        net = two_fracture_network()
+        fine = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.2)
+                for f in net.fractures}
+        meshes = {fid: coarse for fid, (coarse, _)
+                  in coa.agglomerate_network(net, fine, 2).items()}
+        tms = msh.corefine_network(meshes, net)
+        for fid, mesh in meshes.items():
+            split = msh.split_interface_dofs(mesh, tms, fid)
+            assert split.n_edges > mesh.n_edges
+            assert np.array_equal(split.cell_areas, mesh.cell_areas)
+            assert np.array_equal(split.cell_centroids, mesh.cell_centroids)
+            assert np.array_equal(split.chained, mesh.chained)
+
     def test_no_traces_identity(self):
         mesh = msh.cartesian_mesh(3)
         mesh.frame = geo.build_frame(
@@ -283,7 +300,7 @@ def split_one_edge_at_a_time(mesh, trace_meshes, fid):
                                                  mesh.edge_trace_elem[e])
                 mesh.edge_trace_side = np.append(mesh.edge_trace_side,
                                                  np.int8(sides[1]))
-                es = mesh.cells[cells[1]]
+                es, _ = cell_of(mesh, cells[1])
                 es[np.where(es == e)[0][0]] = dup
                 mesh._invalidate()
                 pair.append(dup)
@@ -319,15 +336,13 @@ class TestSplitMatchesReference:
             assert np.array_equal(got.edge_trace_elem, ref.edge_trace_elem)
             assert np.array_equal(got.edge_trace_side, ref.edge_trace_side)
             assert got.edge_trace_side.dtype == ref.edge_trace_side.dtype
-            assert len(got.cells) == len(ref.cells)
-            for a, b in zip(got.cells, ref.cells):
-                assert np.array_equal(a, b)
-            for a, b in zip(got.cell_signs, ref.cell_signs):
-                assert np.array_equal(a, b)
+            for name in ("cell_ptr", "cell_edge", "cell_sign"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
             assert got_sides.keys() == ref_sides.keys()
             for key, arr in ref_sides.items():
                 assert np.array_equal(got_sides[key], arr)
             assert np.array_equal(got.cell_centroids, ref.cell_centroids)
+            assert np.array_equal(got.cell_areas, ref.cell_areas)
             n_split += got.n_edges - mesh.n_edges
         assert n_split > 0
 
@@ -356,6 +371,62 @@ class TestSplitMatchesReference:
             assert len(calls) == 1
 
 
+def points_on(mesh, e, ts):
+    """Points at parameters ``ts`` from node a to node b of edge ``e``."""
+    a, b = mesh.nodes[mesh.edge_nodes[e]]
+    return a + np.outer(ts, b - a)
+
+
+class TestSplitEdgesMatchesReference:
+    FIELDS = ("cell_ptr", "cell_edge", "cell_sign", "edge_nodes", "nodes",
+              "edge_trace", "edge_trace_elem", "edge_trace_side")
+
+    def check(self, mesh, splits):
+        ref = split_edges_ref(mesh, splits)
+        got = mesh.copy()
+        got.split_edges(splits)
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            assert getattr(got, name).dtype == getattr(ref, name).dtype, name
+        assert np.allclose(got.cell_areas, mesh.cell_areas, rtol=0, atol=1e-15)
+        return got
+
+    def test_one_cell_two_edges_of_both_signs(self):
+        mesh = msh.cartesian_mesh(2)
+        es, ss = cell_of(mesh, 0)
+        one_cell = mesh.edge_cells[es, 1] < 0
+        # A boundary trace edge walked forward, an interior one backward.
+        fwd = int(es[(ss > 0) & one_cell][0])
+        back = int(es[(ss < 0) & ~one_cell][0])
+        mesh.edge_trace[[fwd, back]] = [3, 5]
+        mesh.edge_trace_side[fwd] = -1
+        got = self.check(mesh, [(fwd, points_on(mesh, fwd, [0.2, 0.7])),
+                                (back, points_on(mesh, back, [0.4]))])
+        assert got.n_edges == mesh.n_edges + 3
+        assert np.diff(got.cell_ptr).tolist()[:2] == [7, 5]
+
+    def test_boundary_edges_of_both_signs(self):
+        mesh = msh.cartesian_mesh(3)
+        edges = mesh.boundary_edges
+        mesh.edge_trace[edges] = 0
+        splits = [(int(e), points_on(mesh, e, np.linspace(0, 1, n + 2)[1:-1]))
+                  for e, n in zip(edges[::-1], [1, 2, 3] * len(edges))]
+        signs = {int(mesh.cell_sign[mesh.edge_entry[e, 0]]) for e, _ in splits}
+        assert signs == {1, -1}
+        self.check(mesh, splits)
+
+    def test_triangulation_trace_edges_in_shuffled_order(self):
+        mesh = msh.triangulate(
+            UNIT_SQUARE,
+            traces=[(0, [0.1, 0.5], [0.9, 0.5]), (1, [0.5, 0.1], [0.5, 0.9])],
+            h_target=0.2)
+        rng = np.random.default_rng(3)
+        edges = rng.permutation(np.flatnonzero(mesh.edge_trace >= 0))
+        splits = [(int(e), points_on(mesh, e, np.sort(rng.uniform(0.1, 0.9, n))))
+                  for e, n in zip(edges, rng.integers(1, 4, len(edges)))]
+        self.check(mesh, splits)
+
+
 class TestMeshIO:
     def test_roundtrip(self, tmp_path):
         mesh = msh.triangulate(UNIT_SQUARE, traces=[(0, [0.25, 0.5], [0.75, 0.5])],
@@ -369,22 +440,57 @@ class TestMeshIO:
         assert back.n_cells == mesh.n_cells
         assert np.allclose(back.cell_areas, mesh.cell_areas)
 
-    @pytest.mark.parametrize("fault, expected", [
-        (lambda head, row: ("egdes" + head[5:], row), "expected 'edges <count>'"),
-        (lambda head, row: (head, row[:-2]), "malformed 'edges' row"),
-        (lambda head, row: (head, "x" + row[1:]), "malformed 'edges' row"),
+    @pytest.mark.parametrize("tag, fault, expected", [
+        ("edges", lambda head, row: ("egdes" + head[5:], row),
+         "expected 'edges <count>'"),
+        ("edges", lambda head, row: (head, row[:-2]), "malformed 'edges' row"),
+        ("edges", lambda head, row: (head, "x" + row[1:]),
+         "malformed 'edges' row"),
+        ("edges", lambda head, row: (head, "99" + row[1:]),
+         "edge node outside 0..8"),
+        ("edges", lambda head, row: (head, row[:-1] + "2"),
+         "side tag not in"),
+        ("cells", lambda head, row: (head, "0" + row[1:]),
+         "cell entry not in"),
+        ("cells", lambda head, row: (head, "999" + row[1:]),
+         "cell entry not in"),
     ])
-    def test_malformed_file_raises(self, tmp_path, fault, expected):
+    def test_malformed_file_raises(self, tmp_path, tag, fault, expected):
         mesh = msh.cartesian_mesh(2)
         path = tmp_path / "mesh.txt"
         msh.save_mesh(mesh, path)
         lines = path.read_text().splitlines()
-        at = lines.index(f"edges {mesh.n_edges}")
+        at = lines.index(f"{tag} {getattr(mesh, 'n_' + tag)}")
         lines[at], lines[at + 1] = fault(lines[at], lines[at + 1])
         path.write_text("\n".join(lines) + "\n")
         line = at + 1 if "<count>" in expected else at + 2
         with pytest.raises(MeshError, match=f"line {line}: {expected}"):
             msh.load_mesh(path)
+
+    @pytest.mark.parametrize("name, digest", [
+        ("cartesian-4",
+         "03cda7e95f99ebcf9492cb95ac3706ca83c44323f833e7cb046e7635500f1914"),
+        ("split-0",
+         "3b565bf31f305f6c93872fde1bf7912da1e662c3dcfa3aaf28e00e142bd72172"),
+        ("agglomerated-0",
+         "8b86c79cfb4d4796d995d4d2586bb8498e8548226885b01236939ec9c5310878"),
+    ])
+    def test_file_bytes_are_pinned(self, tmp_path, name, digest):
+        # Any renumbering of nodes, edges or cell entries changes the
+        # bytes; the digests were taken from list-per-cell storage.
+        if name == "cartesian-4":
+            mesh = msh.cartesian_mesh(4)
+        else:
+            net = import_network(tmp_path)
+            meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.3)
+                      for f in net.fractures}
+            tms = msh.corefine_network(meshes, net)
+            mesh = msh.split_interface_dofs(meshes[0], tms, 0)
+            if name == "agglomerated-0":
+                mesh = coa.agglomerate_network(net, {0: mesh}, 2)[0][0]
+        path = tmp_path / "mesh.txt"
+        msh.save_mesh(mesh, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_imported_mesh_solves(self, tmp_path):
         # Externally generated triangulations enter through the text
@@ -408,7 +514,7 @@ class TestBatchedGeometry:
     def test_meshes_cover_the_hard_cases(self):
         meshes = oracle_meshes()
         assert sorted(meshes) == sorted(ORACLE_MESHES)
-        counts = {name: {len(c) for c in m.cells} for name, m in meshes.items()}
+        counts = {name: set(np.diff(m.cell_ptr)) for name, m in meshes.items()}
         assert max(counts["corefined-split"]) > 3   # hanging nodes
         assert max(counts["agglomerated-4-bare"]) > 9   # pairwise summation
         assert not meshes["agglomerated-4"].chained.all()
@@ -425,7 +531,7 @@ class TestBatchedGeometry:
         assert np.array_equal(mesh.cell_diameters, cell_diameters_ref(mesh))
         assert np.array_equal(mesh.edge_cells, edge_cells_ref(mesh))
         for k in range(mesh.n_cells):
-            assert np.array_equal(mesh.cell_outward_normals(k),
+            assert np.array_equal(outward_normals_of_cell(mesh, k),
                                   cell_outward_normals_ref(mesh, k))
 
     def test_from_cells_orients_and_numbers_edges_by_first_appearance(self):
@@ -434,9 +540,9 @@ class TestBatchedGeometry:
         # The clockwise first loop is walked as 1, 2, 3, 0.
         assert mesh.edge_nodes.tolist() == [[1, 2], [2, 3], [0, 3], [0, 1],
                                             [1, 4], [2, 4]]
-        assert [c.tolist() for c in mesh.cells] == [[0, 1, 2, 3], [4, 5, 0]]
-        assert [s.tolist() for s in mesh.cell_signs] == [[1, 1, -1, 1],
-                                                         [1, -1, -1]]
+        assert mesh.cell_ptr.tolist() == [0, 4, 7]
+        assert mesh.cell_edge.tolist() == [0, 1, 2, 3, 4, 5, 0]
+        assert mesh.cell_sign.tolist() == [1, 1, -1, 1, 1, -1, -1]
         assert np.allclose(mesh.cell_areas, [1.0, 0.5])
 
     def test_edge_with_three_cells_raises(self):
