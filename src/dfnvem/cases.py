@@ -23,7 +23,7 @@ from . import meshing as msh
 from . import postprocess as post
 from . import solver as slv
 from .errors import ConfigError
-from .geometry import Fracture, build_network
+from .geometry import Fracture, build_network, point_segment_distance
 
 __all__ = [
     "BenchmarkCase",
@@ -390,7 +390,6 @@ def case_four_fractures() -> BenchmarkCase:
             ]
 
         def fracture_bc(fid, mid3):
-            from .geometry import point_segment_distance
             for a, b in outlets.get(fid, ()):
                 if point_segment_distance(mid3, a, b) < 1e-9:
                     return ("dirichlet", 0.0)

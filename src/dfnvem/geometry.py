@@ -50,39 +50,44 @@ def polygon_area(pts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def point_in_polygon(p, poly: np.ndarray, tol: float) -> bool:
-    """Even-odd test treating the polygon as closed (boundary counts)."""
-    if point_on_polygon_boundary(p, poly, tol):
-        return True
-    inside = False
-    x, y = p
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        if (y0 > y) != (y1 > y):
-            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if xc > x:
-                inside = not inside
-    return inside
+def point_segment_distance(p, a, b):
+    """Distance from points ``p`` to segments ``a``-``b``.
 
-
-def point_on_polygon_boundary(p, poly: np.ndarray, tol: float) -> bool:
-    n = len(poly)
-    for i in range(n):
-        if point_segment_distance(p, poly[i], poly[(i + 1) % n]) <= tol:
-            return True
-    return False
-
-
-def point_segment_distance(p, a, b) -> float:
-    p, a, b = np.asarray(p, float), np.asarray(a, float), np.asarray(b, float)
+    Broadcasts over leading axes, with coordinates (2D or 3D) on the last
+    axis.  A zero-length segment gives ``|p - a|``.  Returns a float when
+    every input is a single point.
+    """
+    p, a, b = (np.asarray(v, float) for v in (p, a, b))
     d = b - a
-    L2 = float(d @ d)
-    if L2 == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = np.clip(float((p - a) @ d) / L2, 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + t * d)))
+    L2 = np.sum(d * d, axis=-1)
+    t = np.sum((p - a) * d, axis=-1) / np.where(L2 == 0.0, 1.0, L2)
+    t = np.clip(t, 0.0, 1.0)[..., None]
+    dist = np.linalg.norm(p - (a + t * d), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
+
+
+def point_in_polygon(pts, poly: np.ndarray, tol: float):
+    """Even-odd test of 2D points ``pts`` (shape ``(..., 2)``) in a polygon.
+
+    A point within ``tol`` of the boundary counts as inside, so ``tol = 0``
+    still takes points lying exactly on an edge; a negative ``tol`` means
+    no boundary band.  Returns a bool for a single point, else a bool
+    array of shape ``pts.shape[:-1]``.
+    """
+    pts = np.asarray(pts, float)
+    poly = np.asarray(poly, float)
+    nxt = np.roll(poly, -1, axis=0)
+    x, y = pts[..., 0], pts[..., 1]
+    inside = np.zeros(x.shape, bool)
+    for (x0, y0), (x1, y1) in zip(poly, nxt):
+        if y1 != y0:
+            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+            inside ^= ((y0 > y) != (y1 > y)) & (xc > x)
+    if tol >= 0:
+        # One edge at a time keeps memory linear in the number of points.
+        for a, b in zip(poly, nxt):
+            inside |= point_segment_distance(pts, a, b) <= tol
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 def segments_cross(a0, a1, b0, b1, tol: float) -> bool:
@@ -146,11 +151,9 @@ def clip_line_to_polygon(q0, d2, poly: np.ndarray, tol: float):
     for t in ts[1:]:
         if t - merged[-1] > tol:
             merged.append(t)
-    intervals = []
-    for t0, t1 in zip(merged[:-1], merged[1:]):
-        mid = q0 + 0.5 * (t0 + t1) * d2
-        if point_in_polygon(mid, poly, tol):
-            intervals.append((t0, t1))
+    mids = q0 + 0.5 * np.add(merged[:-1], merged[1:])[:, None] * d2
+    inside = point_in_polygon(mids, poly, tol)
+    intervals = [iv for iv, ok in zip(zip(merged[:-1], merged[1:]), inside) if ok]
     # Fuse adjacent intervals sharing an endpoint.
     fused: list[list[float]] = []
     for t0, t1 in intervals:
@@ -298,10 +301,7 @@ class Fracture:
     def boundary_distance(self, p3: np.ndarray) -> float:
         q = self.frame.to_local(p3)
         poly = self.local_polygon
-        return min(
-            point_segment_distance(q, poly[i], poly[(i + 1) % len(poly)])
-            for i in range(len(poly))
-        )
+        return float(point_segment_distance(q, poly, np.roll(poly, -1, 0)).min())
 
 
 @dataclass
@@ -378,13 +378,11 @@ def _coplanar_intersection(a: Fracture, b: Fracture, tol: float):
                 raise CoplanarOverlap(
                     f"fractures {a.id} and {b.id} are coplanar and overlap"
                 )
-    for q in pb:
-        if point_in_polygon(q, pa, tol) and not point_on_polygon_boundary(q, pa, tol):
-            raise CoplanarOverlap(
-                f"fractures {a.id} and {b.id} are coplanar and overlap"
-            )
-    for q in pa:
-        if point_in_polygon(q, pb, tol) and not point_on_polygon_boundary(q, pb, tol):
+    for q, poly in ((pb, pa), (pa, pb)):
+        # A vertex strictly inside the other polygon, off its boundary band.
+        off_boundary = point_segment_distance(
+            q[:, None], poly, np.roll(poly, -1, 0)).min(1) > tol
+        if (point_in_polygon(q, poly, -1.0) & off_boundary).any():
             raise CoplanarOverlap(
                 f"fractures {a.id} and {b.id} are coplanar and overlap"
             )
@@ -498,8 +496,7 @@ def intersect_lines(a: IntersectionLine, b: IntersectionLine,
     r = b.p0 - a.p0
     cr = np.cross(d1 / L1, d2 / L2)
     if np.linalg.norm(cr) < _PARALLEL_TOL:
-        if point_segment_distance(b.p0, a.p0, a.p1) < tol or \
-                point_segment_distance(b.p1, a.p0, a.p1) < tol:
+        if point_segment_distance([b.p0, b.p1], a.p0, a.p1).min() < tol:
             u = d1 / L1
             t0, t1 = sorted([float((b.p0 - a.p0) @ u), float((b.p1 - a.p0) @ u)])
             if min(L1, t1) - max(0.0, t0) > tol:

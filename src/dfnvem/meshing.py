@@ -28,6 +28,7 @@ from .errors import (
 from .geometry import (
     Frame,
     IntersectionLine,
+    point_in_polygon,
     point_segment_distance,
     polygon_area,
     segments_cross,
@@ -439,41 +440,6 @@ def _subdivide(p0, p1, h):
     return p0 + np.outer(ts, p1 - p0)
 
 
-def _points_in_polygon(pts: np.ndarray, poly: np.ndarray, tol: float):
-    """Vectorized even-odd test; ``tol > 0`` includes a boundary band."""
-    pts = np.atleast_2d(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    inside = np.zeros(len(pts), bool)
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        cond = (y0 > y) != (y1 > y)
-        if y1 != y0:
-            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            inside ^= cond & (xc > x)
-    if tol > 0:
-        segs = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
-        inside |= _points_segments_mindist(pts, segs) <= tol
-    return inside
-
-
-def _points_segments_mindist(pts: np.ndarray, segs) -> np.ndarray:
-    pts = np.atleast_2d(pts)
-    best = np.full(len(pts), np.inf)
-    for a, b in segs:
-        a = np.asarray(a, float)
-        d = np.asarray(b, float) - a
-        L2 = float(d @ d)
-        if L2 == 0.0:
-            dist = np.linalg.norm(pts - a, axis=1)
-        else:
-            t = np.clip((pts - a) @ d / L2, 0.0, 1.0)
-            dist = np.linalg.norm(pts - a - t[:, None] * d, axis=1)
-        best = np.minimum(best, dist)
-    return best
-
-
 class _PointPool:
     """Deduplicating point registry for the PSLG."""
 
@@ -558,23 +524,23 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
                 pieces.append((gid, p0 + s0 * (p1 - p0), p0 + s1 * (p1 - p0)))
 
     # Conflict detection: non-touching constraints closer than tol.
-    def seg_distance(a0, a1, b0, b1):
-        return min(
-            point_segment_distance(a0, b0, b1),
-            point_segment_distance(a1, b0, b1),
-            point_segment_distance(b0, a0, a1),
-            point_segment_distance(b1, a0, a1),
-        )
-
-    for i, (g1, a0, a1) in enumerate(pieces):
-        for g2, b0, b1 in pieces[i + 1:]:
-            if g1 == g2:
-                continue
-            d = seg_distance(a0, a1, b0, b1)
-            if tol < d < 100 * tol and not segments_cross(a0, a1, b0, b1, tol):
-                raise ConstraintConflict(
-                    f"traces {g1} and {g2} are {d:.3e} apart without meeting"
-                )
+    gids = np.array([gid for gid, _, _ in pieces], int)
+    ends0 = np.array([q0 for _, q0, _ in pieces]).reshape(-1, 2)
+    ends1 = np.array([q1 for _, _, q1 in pieces]).reshape(-1, 2)
+    i, j = np.triu_indices(len(pieces), 1)
+    pair = gids[i] != gids[j]
+    i, j = i[pair], j[pair]
+    a0, a1, b0, b1 = ends0[i], ends1[i], ends0[j], ends1[j]
+    d = np.min([point_segment_distance(a0, b0, b1),
+                point_segment_distance(a1, b0, b1),
+                point_segment_distance(b0, a0, a1),
+                point_segment_distance(b1, a0, a1)], axis=0)
+    for k in np.flatnonzero((tol < d) & (d < 100 * tol)):
+        if not segments_cross(a0[k], a1[k], b0[k], b1[k], tol):
+            raise ConstraintConflict(
+                f"traces {gids[i[k]]} and {gids[j[k]]} are {d[k]:.3e} apart "
+                f"without meeting"
+            )
 
     pool = _PointPool(max(tol, 1e-12 * diag))
     nbv = len(polygon)
@@ -582,18 +548,16 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     # constraint segment passing through one (a trace ending mid-edge on
     # the boundary, a T-junction between traces) is split there first so
     # consecutive constraint points are always Delaunay-connectable.
-    hard = [polygon[i] for i in range(nbv)]
-    for _, q0, q1 in pieces:
-        hard.extend((q0, q1))
+    hard = np.vstack([polygon, ends0, ends1])
 
     def forced_subdivide(a, b):
         d = b - a
         L = np.linalg.norm(d)
         u = d / L
         cuts = [0.0, L]
-        for p in hard:
+        for p in hard[point_segment_distance(hard, a, b) <= tol]:
             t = float((p - a) @ u)
-            if tol < t < L - tol and point_segment_distance(p, a, b) <= tol:
+            if tol < t < L - tol:
                 cuts.append(t)
         cuts = sorted(set(cuts))
         out = [a]
@@ -630,11 +594,13 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     cand = np.vstack(cand) if cand else np.zeros((0, 2))
     if len(cand):
         cand = cand + rng.uniform(-jitter * s, jitter * s, cand.shape)
-    constraint_segs = [(polygon[i], polygon[(i + 1) % nbv]) for i in range(nbv)]
-    constraint_segs += [(q0, q1) for _, q0, q1 in pieces]
-    if len(cand):
-        ok = _points_in_polygon(cand, polygon, 0.0)
-        ok &= _points_segments_mindist(cand, constraint_segs) >= 0.5 * s
+        # Even-odd only: the distance test below drops boundary points.
+        ok = point_in_polygon(cand, polygon, -1.0)
+        # One constraint segment at a time keeps memory linear in the
+        # lattice size when a fracture carries many traces.
+        for a, b in zip(np.vstack([polygon, ends0]),
+                        np.vstack([np.roll(polygon, -1, 0), ends1])):
+            ok &= point_segment_distance(cand, a, b) >= 0.5 * s
         for p in cand[ok]:
             # Lattice points are well separated; skip dedup.
             pool.append(p)
@@ -690,7 +656,7 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     real = tri.simplices[(tri.simplices < n_real).all(axis=1)]
     all_pts = np.vstack([pts, pad])
     centers = all_pts[real].mean(axis=1)
-    inside = _points_in_polygon(centers, polygon, tol)
+    inside = point_in_polygon(centers, polygon, tol)
     keep = real[inside]
     if not len(keep):
         raise EmptyDomain("no triangles inside the polygon")
@@ -1000,7 +966,7 @@ def load_mesh(path, frame: Frame | None = None) -> PolyMesh:
         for i in range(first, first + n):
             try:
                 row = [convert(v) for v in lines[i].split()]
-            except (IndexError, ValueError):
+            except (IndexError, ValueError, OverflowError):
                 row = None
             if not row or (width and len(row) != width):
                 raise MeshError(f"{path}, line {i + 1}: malformed '{tag}' row")
@@ -1013,9 +979,9 @@ def load_mesh(path, frame: Frame | None = None) -> PolyMesh:
             raise MeshError(f"{path}, line {first + int(bad_rows.min()) + 1}: {what}")
 
     nodes = np.array(section("nodes", float, 2)[0], float).reshape(-1, 2)
-    rows, edge_line = section("edges", int, 5)
+    rows, edge_line = section("edges", np.int64, 5)
     rows = np.array(rows, int).reshape(-1, 5)
-    cells, cell_line = section("cells", int)
+    cells, cell_line = section("cells", np.int64)
     counts = np.fromiter(map(len, cells), int, len(cells))
     ptr = np.zeros(len(cells) + 1, int)
     np.cumsum(counts, out=ptr[1:])
@@ -1023,10 +989,11 @@ def load_mesh(path, frame: Frame | None = None) -> PolyMesh:
     n_nodes, n_edges = len(nodes), len(rows)
     reject(np.flatnonzero(((rows[:, :2] < 0) | (rows[:, :2] >= n_nodes)).any(axis=1)),
            edge_line, f"edge node outside 0..{n_nodes - 1}")
-    reject(np.flatnonzero(np.abs(rows[:, 4]) > 1), edge_line,
+    # Range tests, not abs(): abs(-2**63) wraps to a negative int64.
+    reject(np.flatnonzero((rows[:, 4] < -1) | (rows[:, 4] > 1)), edge_line,
            "side tag not in {-1, 0, 1}")
     reject(np.repeat(np.arange(len(cells)), counts)[
-               (signed == 0) | (np.abs(signed) > n_edges)],
+               (signed == 0) | (signed < -n_edges) | (signed > n_edges)],
            cell_line, f"cell entry not in -{n_edges}..-1 or 1..{n_edges}")
     return PolyMesh(nodes, rows[:, :2], ptr, np.abs(signed) - 1,
                     np.where(signed > 0, 1, -1), frame=frame,

@@ -621,3 +621,42 @@ def partition_members(partition):
     for i, g in enumerate(partition.cell_to_coarse):
         out[int(g)].append(i)
     return out
+
+
+# ------------------------------------------------------------------ #
+# Scalar geometric predicates.  ``geometry.point_segment_distance`` and
+# ``geometry.point_in_polygon`` broadcast over arrays of points; these
+# one-point loops are the formulas they replaced.
+# ------------------------------------------------------------------ #
+
+def point_segment_distance_ref(p, a, b) -> float:
+    p, a, b = np.asarray(p, float), np.asarray(a, float), np.asarray(b, float)
+    d = b - a
+    L2 = float(d @ d)
+    if L2 == 0.0:
+        return float(np.linalg.norm(p - a))
+    t = np.clip(float((p - a) @ d) / L2, 0.0, 1.0)
+    return float(np.linalg.norm(p - (a + t * d)))
+
+
+def point_on_polygon_boundary_ref(p, poly, tol) -> bool:
+    n = len(poly)
+    return any(point_segment_distance_ref(p, poly[i], poly[(i + 1) % n]) <= tol
+               for i in range(n))
+
+
+def point_in_polygon_ref(p, poly, tol) -> bool:
+    """Even-odd test treating the polygon as closed (boundary counts)."""
+    if point_on_polygon_boundary_ref(p, poly, tol):
+        return True
+    inside = False
+    x, y = p
+    n = len(poly)
+    for i in range(n):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % n]
+        if (y0 > y) != (y1 > y):
+            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+            if xc > x:
+                inside = not inside
+    return inside

@@ -4,6 +4,8 @@ import pytest
 from dfnvem import geometry as geo
 from dfnvem.errors import CollinearOverlap, CollinearVertices, CoplanarOverlap
 
+from _util import point_in_polygon_ref, point_segment_distance_ref
+
 RNG = np.random.default_rng(20240811)
 
 
@@ -68,6 +70,62 @@ class TestBuildFrame:
         T = f.tangent_projector
         assert np.allclose(T + N, np.eye(3), atol=1e-12)
         assert np.allclose(T @ T, T, atol=1e-12)
+
+
+# Non-convex: (2, 1) is a reflex vertex.  Integer corners make every
+# vertex and edge midpoint lie exactly on the boundary.
+NOTCHED = np.array([[0, 0], [4, 0], [4, 4], [2, 1], [0, 4]], float)
+
+
+def polygon_probes(poly):
+    """Vertices, edge midpoints, a lattice whose rows pass through every
+    vertex, and random points around ``poly``."""
+    mids = 0.5 * (poly + np.roll(poly, -1, 0))
+    xs = np.arange(-1.0, 5.25, 0.25)
+    ys = np.union1d(poly[:, 1], np.arange(-1.0, 5.25, 0.5))
+    grid = np.stack(np.meshgrid(xs, ys), -1).reshape(-1, 2)
+    return np.vstack([poly, mids, grid, RNG.uniform(-1, 5, (200, 2))])
+
+
+class TestPredicates:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_distance_equals_scalar_reference(self, dim):
+        a, b = RNG.normal(size=(2, 8, dim))
+        b[0] = a[0]                                   # zero-length segment
+        pts = np.vstack([RNG.normal(size=(30, dim)), a, b, 0.5 * (a + b)])
+        got = geo.point_segment_distance(pts[:, None], a, b)
+        ref = [[point_segment_distance_ref(p, a[j], b[j]) for j in range(8)]
+               for p in pts]
+        assert got.shape == (len(pts), 8)
+        # The kernel sums the dot products in another order than ``@``
+        # does, so the two agree to rounding, not bit for bit.
+        assert np.allclose(got, ref, rtol=0, atol=1e-14)
+        assert np.array_equal(got[:, 0], np.linalg.norm(pts - a[0], axis=1))
+
+    def test_distance_of_single_points_is_a_float(self):
+        d = geo.point_segment_distance([3, 4, 0], [0, 0, 0], [0, 0, 0])
+        assert type(d) is float and d == 5.0
+        assert geo.point_segment_distance([0.5, 2], [0, 0], [1, 0]) == 2.0
+
+    @pytest.mark.parametrize("tol", [-0.1, 0.0, 0.1])
+    def test_in_polygon_equals_scalar_reference(self, tol):
+        probes = polygon_probes(NOTCHED)
+        got = geo.point_in_polygon(probes, NOTCHED, tol)
+        ref = [point_in_polygon_ref(p, NOTCHED, tol) for p in probes]
+        assert np.array_equal(got, ref)
+        assert np.array_equal(
+            geo.point_in_polygon(probes[:, None], NOTCHED, tol), got[:, None])
+
+    def test_in_polygon_boundary_band(self):
+        mids = 0.5 * (NOTCHED + np.roll(NOTCHED, -1, 0))
+        on_boundary = np.vstack([NOTCHED, mids])
+        assert geo.point_in_polygon(on_boundary, NOTCHED, 0.0).all()
+        # Without the band the even-odd test splits boundary points.
+        bare = geo.point_in_polygon(on_boundary, NOTCHED, -1.0)
+        assert bare.any() and not bare.all()
+        assert geo.point_in_polygon([2, 0.5], NOTCHED, -1.0) is True
+        assert geo.point_in_polygon([2, 1.05], NOTCHED, 0.0) is False
+        assert geo.point_in_polygon([2, 1.05], NOTCHED, 0.1) is True
 
 
 class TestIntersectFractures:

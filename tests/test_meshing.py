@@ -72,9 +72,8 @@ class TestTriangulate:
         assert euler_characteristic(mesh) == 1
         # Every square edge is covered by boundary edges.
         bmid = mesh.edge_mid[mesh.boundary_edges]
-        dist = msh._points_segments_mindist(
-            bmid, [(UNIT_SQUARE[i], UNIT_SQUARE[(i + 1) % 4]) for i in range(4)]
-        )
+        dist = geo.point_segment_distance(
+            bmid[:, None], UNIT_SQUARE, np.roll(UNIT_SQUARE, -1, 0)).min(1)
         assert dist.max() < 1e-12
         blen = mesh.edge_len[mesh.boundary_edges].sum()
         assert abs(blen - 4.0) < 1e-10
@@ -120,6 +119,21 @@ class TestTriangulate:
                         (1, [0.2, 0.5 + 1e-7], [0.8, 0.5 + 1e-7])],
                 h_target=0.25,
             )
+
+    def test_conflict_names_the_first_pair(self):
+        # tol is 1.4e-9 here, so pairs 1e-7 and 5e-8 apart conflict and
+        # traces 1 and 0, 1.5e-7 apart, do not.  The first pair in piece
+        # order is reported, not the closest one or the lowest ids.
+        traces = [(2, [0.2, 0.5], [0.8, 0.5]),
+                  (1, [0.2, 0.5 + 1e-7], [0.8, 0.5 + 1e-7]),
+                  (0, [0.2, 0.5 - 5e-8], [0.8, 0.5 - 5e-8])]
+        with pytest.raises(ConstraintConflict,
+                           match=r"^traces 2 and 1 are 1\.000e-07 apart"):
+            msh.triangulate(UNIT_SQUARE, traces=traces, h_target=0.25)
+        with pytest.raises(ConstraintConflict,
+                           match=r"^traces 2 and 0 are 5\.000e-08 apart"):
+            msh.triangulate(UNIT_SQUARE, traces=[traces[0], traces[2]],
+                            h_target=0.25)
 
     def test_point_pool_matches_scan(self):
         # Reference: scan the pool in order and take the first point
@@ -453,6 +467,14 @@ class TestMeshIO:
         ("cells", lambda head, row: (head, "0" + row[1:]),
          "cell entry not in"),
         ("cells", lambda head, row: (head, "999" + row[1:]),
+         "cell entry not in"),
+        ("edges", lambda head, row: (head, "99999999999999999999" + row[1:]),
+         "malformed 'edges' row"),
+        ("cells", lambda head, row: (head, "99999999999999999999" + row[1:]),
+         "malformed 'cells' row"),
+        ("edges", lambda head, row: (head, row[:-1] + "-9223372036854775808"),
+         "side tag not in"),
+        ("cells", lambda head, row: (head, "-9223372036854775808" + row[1:]),
          "cell entry not in"),
     ])
     def test_malformed_file_raises(self, tmp_path, tag, fault, expected):
