@@ -27,7 +27,7 @@ from .errors import (
     MissingIntersectionProps,
     UnconstrainedPressureWarning,
 )
-from .geometry import FractureNetwork, point_segment_distance
+from .geometry import FractureNetwork, json_list, point_segment_distance
 from .meshing import PolyMesh, corefine_network, split_interface_dofs
 
 __all__ = [
@@ -620,24 +620,42 @@ def boundary_spec_from_json(raw: dict, network: FractureNetwork) -> BoundarySpec
 
     Fracture selectors pick boundary edges by polygon-edge index or by an
     axis-aligned box containing the edge midpoint; unselected edges are
-    no-flow.  Intersection endpoints default to zero-flux tips.  An
-    unknown ``type``, fracture, edge, intersection or end raises
-    ``ConfigError`` naming its JSON path.
+    no-flow.  Intersection endpoints default to zero-flux tips.  A
+    selector that is not an object, an unknown ``type``, fracture, edge,
+    intersection or end, a ``value`` that is not a finite number or a
+    ``box`` that is not two finite 3-vectors raises ``ConfigError``
+    naming its JSON path.
     """
-    def index(item, path, key, valid, need):
+    def check(item, path, key, ok, need):
         try:
-            if int(item[key]) in valid:
-                return int(item[key])
+            if ok(item[key]):
+                return
         except (KeyError, TypeError, ValueError):
             pass
         raise ConfigError(f"{path}.{key}: {item.get(key)!r} is not {need}")
 
+    def index(item, path, key, valid, need):
+        check(item, path, key, lambda v: int(v) in valid, need)
+        return int(item[key])
+
+    def finite(v, shape=()):
+        v = np.asarray(v, float)
+        return v.shape == shape and np.isfinite(v).all()
+
     for key, kinds in (("boundary_conditions", ("dirichlet", "neumann")),
                        ("intersection_conditions", ("tip", "dirichlet"))):
-        for i, item in enumerate(raw.get(key, [])):
+        for i, item in enumerate(json_list(raw, key)):
+            path = f"{key}[{i}]"
+            if not isinstance(item, dict):
+                raise ConfigError(f"{path}: {item!r} is not an object")
             if item.get("type", kinds[0]) not in kinds:
-                raise ConfigError(f"{key}[{i}].type: {item['type']!r} is "
+                raise ConfigError(f"{path}.type: {item['type']!r} is "
                                   f"not one of {kinds}")
+            if "value" in item:
+                check(item, path, "value", finite, "a finite number")
+            if "box" in item:
+                check(item, path, "box", lambda v: finite(v, (2, 3)),
+                      "two finite 3-vectors [lo, hi]")
     fids = {f.id for f in network.fractures}
     frac_rules = {}
     for i, item in enumerate(raw.get("boundary_conditions", [])):

@@ -252,14 +252,8 @@ def _attach_fine(strength: StrengthMatrix, S, labels, trace_sides) -> np.ndarray
                 group_sides[next_id] = set(sides)
             next_id += 1
     # Renumber by first appearance for determinism.
-    remap = {}
-    out = np.empty(n, int)
-    for i in range(n):
-        g = part[i]
-        if g not in remap:
-            remap[g] = len(remap)
-        out[i] = remap[g]
-    return out
+    _, first, inverse = np.unique(part, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def _tip_cells(mesh: PolyMesh, tips_local) -> list:
@@ -332,25 +326,20 @@ def _chain_loop(edge_nodes, es, ss):
     """Order edges into one closed walk; None if pinched or multi-loop."""
     if len(es) == 0:
         return None
-    start = {}
-    for pos, (e, s) in enumerate(zip(es, ss)):
-        a, b = edge_nodes[e]
-        tail = a if s > 0 else b
-        if tail in start:
-            return None
-        start[tail] = pos
-    order = [0]
-    a, b = edge_nodes[es[0]]
-    cur = b if ss[0] > 0 else a
-    first = a if ss[0] > 0 else b
+    ends = edge_nodes[es]
+    tails = np.where(ss > 0, ends[:, 0], ends[:, 1]).tolist()
+    heads = np.where(ss > 0, ends[:, 1], ends[:, 0]).tolist()
+    start = {tail: pos for pos, tail in enumerate(tails)}
+    if len(start) < len(tails):
+        return None
+    order, seen = [0], {0}
     for _ in range(len(es) - 1):
-        pos = start.get(int(cur))
-        if pos is None or pos in order:
+        pos = start.get(heads[order[-1]])
+        if pos is None or pos in seen:
             return None
         order.append(pos)
-        a, b = edge_nodes[es[pos]]
-        cur = b if ss[pos] > 0 else a
-    if int(cur) != int(first) or len(order) != len(es):
+        seen.add(pos)
+    if heads[order[-1]] != tails[0]:
         return None
     return np.asarray(order, int)
 

@@ -614,27 +614,46 @@ def build_network(fractures: list, tol: float | None = None,
                            tol=tol)
 
 
+def json_list(data: dict, key: str, where: str = "") -> list:
+    """``data[key]``, default ``[]``; ``ConfigError`` unless a JSON array.
+
+    ``where`` prefixes the error message, such as the file's path.
+    """
+    items = data.get(key, [])
+    if not isinstance(items, list):
+        raise ConfigError(f"{where}{key}: expected a list, "
+                          f"not {type(items).__name__}")
+    return items
+
+
 def load_network(path) -> tuple:
     """Read a network from the JSON input format.
 
     Returns ``(network, raw_dict)``; boundary condition selectors in the
-    file are interpreted by the assembly module.
+    file are interpreted by the assembly module.  A malformed fracture or
+    intersection entry raises ``ConfigError`` naming its JSON path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: cannot read network JSON: {exc}") from None
-    if not isinstance(data, dict) or "fractures" not in data:
-        raise ConfigError(f"{path}: network file lacks a 'fractures' array")
+    if not isinstance(data, dict) or not data.get("fractures"):
+        raise ConfigError(f"{path}: network file lacks a non-empty "
+                          f"'fractures' array")
     fractures = []
-    for i, spec in enumerate(data["fractures"]):
+    for i, spec in enumerate(json_list(data, "fractures", f"{path}: ")):
         try:
             k = spec.get("k_tangential", [1.0, 0.0, 1.0])
             kxx, kxy, kyy = (float(v) for v in k)
             fid = int(spec["id"])
             vertices = np.asarray(spec["vertices"], float)
             aperture = float(spec.get("aperture", 1.0))
+            if not np.isfinite([kxx, kxy, kyy, aperture, *vertices.flat]).all():
+                raise ValueError("vertices, aperture and k_tangential "
+                                 "must be finite")
+            if fid in {f.id for f in fractures}:
+                raise ValueError(f"duplicate fracture id {fid}")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
                 f"{path}: fractures[{i}]: {type(exc).__name__}: {exc}"
@@ -645,12 +664,21 @@ def load_network(path) -> tuple:
                 k_tangential=np.array([[kxx, kxy], [kxy, kyy]]),
             )
         )
+    fids = {f.id for f in fractures}
     props = {}
-    for isec in data.get("intersections", []):
-        key = frozenset(int(v) for v in isec["fractures"])
-        props[key] = {
-            "k_hat": isec.get("k_hat", 1.0),
-            "k_tilde": isec.get("k_tilde", 1.0),
-        }
+    for i, isec in enumerate(json_list(data, "intersections", f"{path}: ")):
+        try:
+            key = frozenset(int(v) for v in isec["fractures"])
+            if len(key) < 2 or not key <= fids:
+                raise ValueError("'fractures' must name two or more of the "
+                                 "network's fracture ids")
+            props[key] = {k: float(isec.get(k, 1.0))
+                          for k in ("k_hat", "k_tilde")}
+            if not np.isfinite(list(props[key].values())).all():
+                raise ValueError("k_hat and k_tilde must be finite")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{path}: intersections[{i}]: {type(exc).__name__}: {exc}"
+            ) from None
     network = build_network(fractures, intersection_props=props)
     return network, data

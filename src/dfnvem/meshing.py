@@ -447,7 +447,6 @@ class _PointPool:
         self.tol = tol
         self._buf = np.empty((256, 2))
         self.n = 0
-        self.tags = []  # list of dicts: {"boundary": True, "trace": {gid: t}}
 
     @property
     def pts(self) -> np.ndarray:
@@ -459,19 +458,13 @@ class _PointPool:
             self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
         self._buf[self.n] = p
         self.n += 1
-        self.tags.append({"boundary": False, "trace": {}})
         return self.n - 1
 
-    def add(self, p, kind=None, gid=None, t=None):
-        p = np.asarray(p, float)
+    def add(self, p) -> int:
+        """Id of the first point within ``tol`` of ``p``, else a new id."""
         # The first match wins, which keeps the numbering deterministic.
         hits = np.flatnonzero(np.linalg.norm(self.pts - p, axis=1) <= self.tol)
-        i = int(hits[0]) if len(hits) else self.append(p)
-        if kind == "boundary":
-            self.tags[i]["boundary"] = True
-        elif kind == "trace":
-            self.tags[i]["trace"][gid] = t
-        return i
+        return int(hits[0]) if len(hits) else self.append(p)
 
 
 def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
@@ -566,20 +559,13 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
             out.extend(seg[1:])
         return out
 
-    chains = []  # lists of point ids that must appear as edges
-    for i in range(nbv):
-        seg = forced_subdivide(polygon[i], polygon[(i + 1) % nbv])
-        ids = [pool.add(p, "boundary") for p in seg]
-        chains.append(ids)
-    # Record trace parameters along each full trace for later tagging.
-    trace_geom = {gid: (np.asarray(p0, float), np.asarray(p1, float))
-                  for gid, p0, p1 in traces}
-    for gid, q0, q1 in pieces:
-        seg = forced_subdivide(q0, q1)
-        p0, p1 = trace_geom[gid]
-        u = (p1 - p0) / np.linalg.norm(p1 - p0)
-        ids = [pool.add(p, "trace", gid, float((p - p0) @ u)) for p in seg]
-        chains.append(ids)
+    # Chains of point ids whose consecutive pairs must become edges, with
+    # the trace id they carry (-1 on the polygon).
+    chains = [(-1, [pool.add(p) for p in forced_subdivide(polygon[i],
+                                                          polygon[(i + 1) % nbv])])
+              for i in range(nbv)]
+    chains += [(gid, [pool.add(p) for p in forced_subdivide(q0, q1)])
+               for gid, q0, q1 in pieces]
 
     # Hexagonal interior lattice with deterministic jitter.
     rng = np.random.default_rng(seed)
@@ -613,41 +599,30 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
                     for d in ((-1, -1), (1, -1), (1, 1), (-1, 1))])
     for _ in range(12):
         pts = pool.pts
-        if len(pts) < 3:
+        n_real = len(pts)
+        if n_real < 3:
             raise EmptyDomain("not enough points to triangulate")
         tri = Delaunay(np.vstack([pts, pad]))
-        n_real = len(pts)
-        edge_set = set()
-        for simplex in tri.simplices:
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                i, j = simplex[a], simplex[b]
-                edge_set.add((min(i, j), max(i, j)))
-        missing = []
-        new_chains = []
-        for chain in chains:
-            new_chain = [chain[0]]
-            for a, b in zip(chain[:-1], chain[1:]):
-                if (min(a, b), max(a, b)) not in edge_set:
-                    missing.append((a, b))
-                    mid = 0.5 * (pts[a] + pts[b])
-                    tag_a = pool.tags[a]
-                    mid_id = pool.add(mid)
-                    # Propagate shared tags so the midpoint stays a
-                    # constraint vertex.
-                    tag_b = pool.tags[b]
-                    if tag_a["boundary"] and tag_b["boundary"]:
-                        pool.tags[mid_id]["boundary"] = True
-                    for gid in set(tag_a["trace"]) & set(tag_b["trace"]):
-                        pool.tags[mid_id]["trace"][gid] = 0.5 * (
-                            tag_a["trace"][gid] + tag_b["trace"][gid]
-                        )
-                    new_chain.extend([mid_id, b])
-                else:
-                    new_chain.append(b)
-            new_chains.append(new_chain)
-        chains = new_chains
-        if not missing:
+        stride = n_real + len(pad)
+        ends = np.sort(tri.simplices, axis=1).astype(int)
+        keys = np.unique(ends[:, [0, 1, 0]] * stride + ends[:, [1, 2, 2]])
+        pairs = np.concatenate([np.column_stack([ids[:-1], ids[1:]])
+                                for _, ids in chains])
+        want = pairs.min(axis=1) * stride + pairs.max(axis=1)
+        found = keys[np.searchsorted(keys, want) % len(keys)] == want
+        if found.all():
             break
+        # Split each missing pair at its midpoint, chain by chain.
+        found = iter(found.tolist())
+        new_chains = []
+        for gid, ids in chains:
+            new_ids = ids[:1]
+            for a, b in zip(ids[:-1], ids[1:]):
+                if not next(found):
+                    new_ids.append(pool.add(0.5 * (pts[a] + pts[b])))
+                new_ids.append(b)
+            new_chains.append((gid, new_ids))
+        chains = new_chains
     else:
         raise MeshError("constraint recovery did not converge")
 
@@ -666,23 +641,20 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     loops = renum[keep]
     mesh = PolyMesh.from_cells(pts[used], loops, frame=frame)
 
-    # Tag trace edges from constraint vertex parameters.
-    node_trace = {}
-    for old in used:
-        if renum[old] < 0:
-            continue
-        for gid, t in pool.tags[old]["trace"].items():
-            node_trace.setdefault(gid, []).append((t, renum[old]))
-    edge_lookup = {}
-    for e, (a, b) in enumerate(mesh.edge_nodes):
-        edge_lookup[(min(a, b), max(a, b))] = e
-    for gid, items in node_trace.items():
-        items.sort()
-        for (t0, a), (t1, b) in zip(items[:-1], items[1:]):
-            e = edge_lookup.get((min(a, b), max(a, b)))
-            if e is None:
-                raise MeshError(f"trace {gid} not covered by mesh edges")
-            mesh.edge_trace[e] = gid
+    # Tag trace edges: every consecutive pair of a trace chain is one.
+    gids = np.repeat([gid for gid, _ in chains],
+                     [len(ids) - 1 for _, ids in chains])
+    pairs = np.sort(renum[pairs[gids >= 0]], axis=1)
+    gids = gids[gids >= 0]
+    n = len(used)
+    keys = mesh.edge_nodes[:, 0] * n + mesh.edge_nodes[:, 1]
+    order = np.argsort(keys)
+    want = pairs[:, 0] * n + pairs[:, 1]
+    at = order[np.searchsorted(keys, want, sorter=order) % len(keys)]
+    bad = keys[at] != want
+    if bad.any():
+        raise MeshError(f"trace {gids[bad][0]} not covered by mesh edges")
+    mesh.edge_trace[at] = gids
     return mesh
 
 

@@ -255,6 +255,51 @@ def polygon_geometry(pts):
 
 
 @functools.cache
+def traced_triangulations():
+    """``{name: (mesh, polygon, traces)}`` of triangulations with traces,
+    polygon and ``(gid, p0, p1)`` traces in frame coordinates: four
+    squares with one partial trace, both fractures of
+    ``crossing_rectangles``, and a square with a T-junction and a trace
+    along its boundary."""
+    square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
+    out = {}
+    rng = np.random.default_rng(7)
+    for seed in range(4):
+        y = rng.uniform(0.2, 0.8)
+        traces = [(0, [rng.uniform(0, 0.3), y], [rng.uniform(0.6, 1), y])]
+        out[f"triangulated-{seed}"] = (msh.triangulate(
+            square, traces, h_target=rng.uniform(0.06, 0.2), seed=seed),
+            square, traces)
+    net = crossing_rectangles()
+    for frac, h in zip(net.fractures, (0.3, 0.17)):
+        lines = net.traces_of(frac.id)
+        traces = [(ln.id, frac.frame.to_local(ln.p0), frac.frame.to_local(ln.p1))
+                  for ln in lines]
+        out[f"crossing-{frac.id}"] = (msh.triangulate_fracture(frac, lines, h),
+                                      frac.local_polygon, traces)
+    traces = [(0, [0.2, 0.5], [0.8, 0.5]), (1, [0.5, 0.5], [0.5, 0.9]),
+              (2, [0.0, 0.1], [0.0, 0.7])]
+    out["t-junction"] = (msh.triangulate(square, traces, h_target=0.15),
+                         square, traces)
+    return out
+
+
+def trace_edges_ref(mesh, polygon, traces):
+    """Each edge's trace id from geometry alone: ``gid`` when both of its
+    nodes lie within ``1e-9 * diag`` of trace ``gid``'s segment, else -1."""
+    polygon = np.asarray(polygon, float)
+    tol = 1e-9 * np.linalg.norm(polygon.max(0) - polygon.min(0))
+    out = np.full(mesh.n_edges, -1)
+    for gid, p0, p1 in traces:
+        on = np.array([point_segment_distance_ref(p, p0, p1) <= tol
+                       for p in mesh.nodes])
+        along = on[mesh.edge_nodes].all(axis=1)
+        assert (out[along] < 0).all(), "an edge lies on two traces"
+        out[along] = gid
+    return out
+
+
+@functools.cache
 def oracle_meshes():
     """Triangulations with traces, random quads, corefined meshes with
     hanging nodes, and agglomerated meshes (explicit areas, unchained
@@ -267,13 +312,8 @@ def oracle_meshes():
                             m.cell_sign, edge_trace=m.edge_trace)
 
     square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
-    out = {}
-    rng = np.random.default_rng(7)
-    for seed in range(4):
-        y = rng.uniform(0.2, 0.8)
-        out[f"triangulated-{seed}"] = msh.triangulate(
-            square, [(0, [rng.uniform(0, 0.3), y], [rng.uniform(0.6, 1), y])],
-            h_target=rng.uniform(0.06, 0.2), seed=seed)
+    out = {name: mesh for name, (mesh, _, _) in traced_triangulations().items()
+           if name.startswith("triangulated-")}
     out["random-quads"] = msh.random_mesh(12, seed=5)
     out["cartesian"] = msh.cartesian_mesh(4, 3)
     net = crossing_rectangles()

@@ -161,6 +161,36 @@ class TestErrors:
         assert "ConstraintConflict" in capsys.readouterr().err
 
 
+def _set(key, value, at=0, entry="boundary_conditions"):
+    """An edit setting ``data[entry][at][key] = value``."""
+    return lambda data: data[entry][at].__setitem__(key, value)
+
+
+# Network files that each break one rule of the input format, by name.
+EDITS = {
+    "isec_no_fractures.json":
+        lambda data: data.update(intersections=[{"k_hat": 2.0}]),
+    "isec_bad_id.json":
+        lambda data: data.update(intersections=[{"fractures": [0, "a"]}]),
+    "isec_k_hat.json": lambda data: data.update(
+        intersections=[{"fractures": [0, 4], "k_hat": "abc"}]),
+    "isec_k_tilde.json": lambda data: data.update(
+        intersections=[{"fractures": [0, 4], "k_tilde": "abc"}]),
+    "isec_not_list.json": lambda data: data.update(intersections=5),
+    "isec_empty.json":
+        lambda data: data.update(intersections=[{"fractures": []}]),
+    "no_fractures.json": lambda data: data.update(fractures=[]),
+    "nan_vertex.json":
+        lambda data: data["fractures"][0]["vertices"][0].__setitem__(
+            0, float("nan")),
+    "duplicate_id.json": _set("id", 0, at=1, entry="fractures"),
+    "bc_value_text.json": _set("value", "abc"),
+    "bc_value_null.json": _set("value", None),
+    "bc_box.json": _set("box", [[0, 0, 0]]),
+    "bc_not_list.json": lambda data: data.update(boundary_conditions={}),
+}
+
+
 def _bad_inputs():
     """Network files for the malformed-input cases, by name."""
     bc = import_network_dict()
@@ -186,6 +216,10 @@ def _bad_inputs():
         data = import_network_dict()
         data["intersection_conditions"] = [
             {"gamma": gamma, "end": end, "type": "dirichlet", "value": 1.0}]
+        files[name] = json.dumps(data)
+    for name, edit in EDITS.items():
+        data = import_network_dict()
+        edit(data)
         files[name] = json.dumps(data)
     return files
 
@@ -224,6 +258,31 @@ MALFORMED = {
                                    "intersection_conditions[0].gamma"),
     "intersection-end-2": (["solve", "--network", "end.json"],
                            "intersection_conditions[0].end"),
+    "intersection-without-fractures": (
+        ["mesh", "--network", "isec_no_fractures.json"], "intersections[0]"),
+    "intersection-non-integer-id": (
+        ["mesh", "--network", "isec_bad_id.json"], "intersections[0]"),
+    "intersection-k-hat-text": (
+        ["mesh", "--network", "isec_k_hat.json"], "intersections[0]"),
+    "intersection-k-tilde-text": (
+        ["mesh", "--network", "isec_k_tilde.json"], "intersections[0]"),
+    "intersections-not-a-list": (
+        ["mesh", "--network", "isec_not_list.json"], "intersections: "),
+    "intersection-empty-fractures": (
+        ["mesh", "--network", "isec_empty.json"], "intersections[0]"),
+    "no-fractures": (["mesh", "--network", "no_fractures.json"],
+                     "'fractures' array"),
+    "nan-vertex": (["mesh", "--network", "nan_vertex.json"], "fractures[0]"),
+    "duplicate-fracture-id": (["mesh", "--network", "duplicate_id.json"],
+                              "fractures[1]"),
+    "bc-value-text": (["solve", "--network", "bc_value_text.json"],
+                      "boundary_conditions[0].value"),
+    "bc-value-null": (["solve", "--network", "bc_value_null.json"],
+                      "boundary_conditions[0].value"),
+    "bc-box-one-corner": (["solve", "--network", "bc_box.json"],
+                          "boundary_conditions[0].box"),
+    "bc-not-a-list": (["mesh", "--network", "bc_not_list.json"],
+                      "boundary_conditions: "),
     "tol-0": (["solve", "--case", "single", "--family", "cartesian",
                "--tol", "0"], "--tol"),
     "tol-nan": (["convergence", "--case", "single", "--family", "cartesian",

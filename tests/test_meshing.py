@@ -9,8 +9,9 @@ from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem.errors import ConstraintConflict, InconsistentEndpoints, MeshError
 
-from _util import (ORACLE_MESHES, cell_of, oracle_meshes,
-                   outward_normals_of_cell, split_edges_ref)
+from _util import (ORACLE_MESHES, cell_of, crossing_rectangles, oracle_meshes,
+                   outward_normals_of_cell, split_edges_ref, trace_edges_ref,
+                   traced_triangulations)
 
 UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
 
@@ -110,6 +111,12 @@ class TestTriangulate:
         assert np.linalg.norm(mesh.nodes - [0.5, 0.5], axis=1).min() < 1e-12
         assert (mesh.edge_trace == 0).sum() >= 4
         assert (mesh.edge_trace == 1).sum() >= 4
+
+    def test_trace_tags_match_geometry(self):
+        for name, (mesh, polygon, traces) in traced_triangulations().items():
+            ref = trace_edges_ref(mesh, polygon, traces)
+            assert np.array_equal(mesh.edge_trace, ref), name
+            assert set(ref) == {-1} | {gid for gid, _, _ in traces}, name
 
     def test_conflicting_traces_raise(self):
         with pytest.raises(ConstraintConflict):
@@ -496,12 +503,19 @@ class TestMeshIO:
          "3b565bf31f305f6c93872fde1bf7912da1e662c3dcfa3aaf28e00e142bd72172"),
         ("agglomerated-0",
          "8b86c79cfb4d4796d995d4d2586bb8498e8548226885b01236939ec9c5310878"),
+        ("triangulated-crossing",
+         "511586c5e7ce2e6968ab93c99ca7eca822802045d90c7785c264502998761591"),
     ])
     def test_file_bytes_are_pinned(self, tmp_path, name, digest):
         # Any renumbering of nodes, edges or cell entries changes the
-        # bytes; the digests were taken from list-per-cell storage.
+        # bytes; the digests were taken from list-per-cell storage, the
+        # triangulated one from trace tags kept per point.
         if name == "cartesian-4":
             mesh = msh.cartesian_mesh(4)
+        elif name == "triangulated-crossing":
+            net = crossing_rectangles()
+            mesh = msh.triangulate_fracture(net.fractures[1],
+                                            net.traces_of(1), 0.17)
         else:
             net = import_network(tmp_path)
             meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.3)
