@@ -241,6 +241,12 @@ class SaddleSystem:
     model: str
     constrained: dict = field(default_factory=dict)  # dof -> value
     pinned: list = field(default_factory=list)
+    dirichlet: dict = field(default_factory=dict)    # dof -> boundary value
+    # One (flux dofs (n, d), signs (n, d), pressure dofs (n,), M (n, d, d))
+    # per (fracture, edge count) cell group, and every other entry of A as
+    # it was before the boundary conditions: the solver condenses the cells.
+    groups: list = field(default_factory=list)
+    coupling: sparse.csr_matrix = None
 
     @property
     def size(self) -> int:
@@ -284,8 +290,9 @@ def _cell_source(problem, fid, mesh) -> np.ndarray:
 
 
 def _assemble_fractures(problem, dofs, rhs):
-    """Fracture triplets: one kernel call per (fracture, edge count)."""
-    rows, cols, vals = [], [], []
+    """Fracture triplets and cell groups: one kernel call per (fracture,
+    edge count)."""
+    rows, cols, vals, groups = [], [], [], []
     for fid in sorted(problem.meshes):
         mesh = problem.meshes[fid]
         edof = dofs.edge_dof[fid]
@@ -304,7 +311,8 @@ def _assemble_fractures(problem, dofs, rhs):
             # b(u, q) = -(div u, q): entries -s on (pressure row, flux col).
             vals += [(M * s[:, :, None] * s[:, None, :]).ravel(),
                      -s.ravel(), -s.ravel()]
-    return rows, cols, vals
+            groups.append((g, s, cdof[ids], M))
+    return rows, cols, vals, groups
 
 
 def _interface_entries_cc(problem, dofs, rows, cols, vals):
@@ -413,15 +421,19 @@ def _interface_entries_dc(problem, dofs, rows, cols, vals, rhs):
 
 
 def _finish(problem, dofs, model, frac, rows, cols, vals, rhs) -> SaddleSystem:
-    frows, fcols, fvals = frac
+    frows, fcols, fvals, groups = frac
+    rows, cols, vals = (np.asarray(rows, int), np.asarray(cols, int),
+                        np.asarray(vals, float))
+    shape = (dofs.total, dofs.total)
     A = sparse.csr_matrix(
-        (np.concatenate([*fvals, np.asarray(vals, float)]),
-         (np.concatenate([*frows, np.asarray(rows, int)]),
-          np.concatenate([*fcols, np.asarray(cols, int)]))),
-        shape=(dofs.total, dofs.total),
+        (np.concatenate([*fvals, vals]),
+         (np.concatenate([*frows, rows]), np.concatenate([*fcols, cols]))),
+        shape=shape,
     )
     A.sum_duplicates()
-    return SaddleSystem(A=A, rhs=rhs, dofs=dofs, problem=problem, model=model)
+    coupling = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    return SaddleSystem(A=A, rhs=rhs, dofs=dofs, problem=problem, model=model,
+                        groups=groups, coupling=coupling)
 
 
 def assemble_cc(problem: DiscreteProblem, dofs: DofMap,
@@ -476,6 +488,7 @@ def apply_bc(system: SaddleSystem, bcs: BoundarySpec) -> SaddleSystem:
             kind, value = bcs.fracture_bc(fid, mids3[int(e)])
             if kind == "dirichlet":
                 system.rhs[int(edof[e])] -= float(value)
+                system.dirichlet[int(edof[e])] = float(value)
                 has_dirichlet = True
             elif kind == "neumann":
                 eliminate[int(edof[e])] = float(value) * float(mesh.edge_len[e])
@@ -494,6 +507,7 @@ def apply_bc(system: SaddleSystem, bcs: BoundarySpec) -> SaddleSystem:
                 sgn = -1.0 if end == 0 else 1.0
                 if kind == "dirichlet":
                     system.rhs[dof] -= sgn * float(value)
+                    system.dirichlet[dof] = float(value)
                     has_dirichlet = True
                 elif kind == "tip":
                     eliminate[dof] = 0.0

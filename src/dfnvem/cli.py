@@ -232,7 +232,8 @@ def cmd_solve(args) -> dict:
     out = {
         "command": "solve", "model": model, "size": system.size,
         "sparsity": system.sparsity, "residual": report.residual,
-        "solver": report.method,
+        "solver": report.method, "reduced_size": report.reduced_size,
+        "lu_fill": report.lu_fill,
         "timings": {"total_s": time.monotonic() - t0},
     }
     if err is not None:
@@ -273,6 +274,10 @@ def global_flux_balance(problem, system, solution) -> dict:
     The outflow is the flux through the fracture boundaries plus, in dc
     runs, the 1D flux leaving through the intersection ends,
     ``line_flux[g][-1] - line_flux[g][0]``.  cc runs carry no line flux.
+    The scale is the larger of the flux magnitudes and a floor from the
+    data, the largest |Dirichlet value| times the boundary length times
+    the largest permeability, so a solution without flow reads as
+    balanced instead of comparing rounding noise with itself.
     """
     total_out = 0.0
     total_abs = 0.0
@@ -300,7 +305,11 @@ def global_flux_balance(problem, system, solution) -> dict:
         for gid, tm in problem.traces.items():
             vals = np.asarray(problem.line_source(gid, tm.elem_mid_3d()))
             total_src += float((tm.elem_len * vals).sum())
-    scale = max(total_abs, abs(total_src), 1e-300)
+    floor = (max(map(abs, system.dirichlet.values()), default=0.0)
+             * sum(float(mesh.edge_len[mesh.boundary_edges].sum())
+                   for mesh in problem.meshes.values())
+             * max(float(np.abs(lam).max()) for lam in problem.lam.values()))
+    scale = max(total_abs, abs(total_src), floor, 1e-300)
     return {
         "boundary_outflow": total_out,
         "total_source": total_src,

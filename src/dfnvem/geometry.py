@@ -631,7 +631,8 @@ def load_network(path) -> tuple:
 
     Returns ``(network, raw_dict)``; boundary condition selectors in the
     file are interpreted by the assembly module.  A malformed fracture or
-    intersection entry raises ``ConfigError`` naming its JSON path.
+    intersection entry, or an intersection entry naming fractures that do
+    not meet, raises ``ConfigError`` naming its JSON path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -681,4 +682,9 @@ def load_network(path) -> tuple:
                 f"{path}: intersections[{i}]: {type(exc).__name__}: {exc}"
             ) from None
     network = build_network(fractures, intersection_props=props)
+    for i, isec in enumerate(data.get("intersections", [])):
+        key = frozenset(int(v) for v in isec["fractures"])
+        if not any(key <= set(ln.parents) for ln in network.lines):
+            raise ConfigError(f"{path}: intersections[{i}]: fractures "
+                              f"{sorted(key)} do not meet")
     return network, data

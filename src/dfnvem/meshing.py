@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .errors import (
     ConstraintConflict,
@@ -479,6 +478,9 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     Interior points come from a lightly jittered hexagonal lattice, so
     the result is deterministic but unstructured.
     """
+    # Imported here so that commands which never triangulate skip it.
+    from scipy.spatial import Delaunay
+
     polygon = np.asarray(polygon, float)
     if traces is None:
         traces = []

@@ -4,6 +4,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import linalg as spla
 
 from dfnvem import assembly as asm
 from dfnvem import geometry as geo
@@ -122,6 +123,12 @@ def run(network, meshes, model="cc", g=None, g_hat=None, f=None, f_hat=None,
     system = assemble(problem, dofs, bcs)
     report = slv.solve(system, method=method)
     return problem, dofs, system, asm.extract_solution(system, report.x), report
+
+
+def saddle_lu_solve(system) -> np.ndarray:
+    """Oracle of the hybridized direct solve: sparse LU (COLAMD) of the
+    whole saddle system."""
+    return spla.splu(system.A.tocsc(), permc_spec="COLAMD").solve(system.rhs)
 
 
 def import_network_dict():

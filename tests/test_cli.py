@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dfnvem
 from dfnvem import assembly as asm
 from dfnvem import cli
 from dfnvem import coarsening as coa
@@ -26,6 +31,8 @@ class TestSolveCommand:
         assert summary["schema"] == 1
         assert abs(summary["errors"]["err_p"] - 4.099e-2) < 0.05 * 4.099e-2
         assert summary["residual"] < 1e-10
+        assert 0 < summary["reduced_size"] < summary["size"]
+        assert summary["lu_fill"] > 0
         assert (tmp_path / "single_cartesian_1.vtk").exists()
 
     def test_four_fracture_dc_writes_line_fields(self, tmp_path):
@@ -60,6 +67,50 @@ class TestSolveCommand:
         # --family and --level are rejected with --network, and the
         # output names keep their defaults.
         assert (out / "net_triangular_1.vtk").exists()
+
+    def test_balance_of_a_solution_without_flow(self, tmp_path):
+        # The README's example network: p = 1 on one edge and no flow
+        # elsewhere, so p = 1 everywhere and the outflow is rounding noise.
+        # The balance scale has a floor from the data, so the noise does
+        # not read as a relative imbalance of 1.
+        net_path = tmp_path / "readme.json"
+        net_path.write_text(json.dumps(README_NETWORK))
+        rc = run_cli(["solve", "--network", net_path, "--h", "0.2",
+                      "--model", "cc", "--out", tmp_path])
+        assert rc == 0
+        balance = json.loads((tmp_path / "summary.json").read_text())[
+            "flux_balance"]
+        assert abs(balance["boundary_outflow"]) < 1e-12
+        assert balance["relative_imbalance"] < 1e-8
+
+
+README_NETWORK = {
+    "fractures": [
+        {"id": 0, "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+         "aperture": 0.01, "k_tangential": [1.0, 0.0, 1.0]},
+        {"id": 1,
+         "vertices": [[0.5, 0, -0.5], [0.5, 1, -0.5], [0.5, 1, 0.5],
+                      [0.5, 0, 0.5]],
+         "aperture": 0.01},
+    ],
+    "intersections": [{"fractures": [0, 1], "k_hat": 1.0, "k_tilde": 1.0}],
+    "boundary_conditions": [
+        {"fracture": 0, "edge": 3, "type": "dirichlet", "value": 1.0},
+        {"fracture": 0, "box": [[0, 0, 0], [1, 0, 1]], "type": "neumann",
+         "value": 0.0},
+    ],
+    "intersection_conditions": [
+        {"gamma": 0, "end": 0, "type": "dirichlet", "value": 0.0}],
+}
+
+
+def test_cli_import_defers_scipy_spatial():
+    """Only triangulation needs scipy.spatial, so importing the CLI (and
+    failing fast on a malformed input) does not pay for it."""
+    code = "import sys, dfnvem.cli; assert 'scipy.spatial' not in sys.modules"
+    src = str(Path(dfnvem.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 class TestMeshAndCoarsen:
@@ -179,6 +230,9 @@ EDITS = {
     "isec_not_list.json": lambda data: data.update(intersections=5),
     "isec_empty.json":
         lambda data: data.update(intersections=[{"fractures": []}]),
+    # Fractures 0 and 1 are the parallel planes x = 0.2 and x = 0.4.
+    "isec_apart.json": lambda data: data.update(
+        intersections=[{"fractures": [0, 1], "k_hat": 5.0}]),
     "no_fractures.json": lambda data: data.update(fractures=[]),
     "nan_vertex.json":
         lambda data: data["fractures"][0]["vertices"][0].__setitem__(
@@ -270,6 +324,9 @@ MALFORMED = {
         ["mesh", "--network", "isec_not_list.json"], "intersections: "),
     "intersection-empty-fractures": (
         ["mesh", "--network", "isec_empty.json"], "intersections[0]"),
+    "intersection-fractures-apart": (
+        ["mesh", "--network", "isec_apart.json", "--h", "0.5"],
+        "intersections[0]: fractures [0, 1] do not meet"),
     "no-fractures": (["mesh", "--network", "no_fractures.json"],
                      "'fractures' array"),
     "nan-vertex": (["mesh", "--network", "nan_vertex.json"], "fractures[0]"),
