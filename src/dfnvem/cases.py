@@ -13,6 +13,7 @@ exact pressure branch by branch so the strong equations hold exactly.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -428,27 +429,42 @@ def solve_meshes(network, meshes: dict, bcs, model: str, *,
 
     ``meshes`` maps fracture id to its unsplit mesh and is modified in
     place by the co-refinement.  Returns ``(problem, system, solution,
-    report)``.
+    report)``; ``report.timings`` holds each stage's wall seconds.
     """
+    clock = [time.perf_counter()]
     problem = asm.prepare_problem(network, meshes, source=source,
                                   line_source=line_source,
                                   point_sources=point_sources)
+    clock.append(time.perf_counter())
     dofs = asm.build_dof_map(problem, model)
+    clock.append(time.perf_counter())
     assemble = asm.assemble_cc if model == "cc" else asm.assemble_dc
     system = assemble(problem, dofs, bcs)
+    clock.append(time.perf_counter())
     report = slv.solve(system, method=solver, tol=tol)
+    clock.append(time.perf_counter())
     solution = asm.extract_solution(system, report.x)
+    clock.append(time.perf_counter())
+    report.timings = dict(zip(("prepare_s", "dofs_s", "assemble_s", "solve_s",
+                               "extract_s"), np.diff(clock).tolist()))
     return problem, system, solution, report
 
 
 def run_level(case: BenchmarkCase, family: str, level: int,
               model: str | None = None, solver: str = "direct",
               tol: float = 1e-10):
-    """Mesh, assemble, solve, and post-process one refinement level."""
+    """Mesh, assemble, solve, and post-process one refinement level.
+
+    ``report.timings["mesh_s"]`` covers the network, the meshes and
+    their agglomeration."""
+    t0 = time.perf_counter()
+    network, meshes = case.network(), case.meshes(family, level)
+    mesh_s = time.perf_counter() - t0
     problem, system, solution, report = solve_meshes(
-        case.network(), case.meshes(family, level), case.bcs(),
+        network, meshes, case.bcs(),
         model or case.model, solver=solver, tol=tol, source=case.source,
         line_source=case.line_source, point_sources=case.point_sources)
+    report.timings = {"mesh_s": mesh_s, **report.timings}
     err = None
     if case.p_exact is not None:
         err = post.relative_errors(problem, system, solution, case, level=level)

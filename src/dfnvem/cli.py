@@ -48,7 +48,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="refinement level of the case (1)")
         sp.add_argument("--h", type=float,
                         help="target mesh size for network files (0.1)")
-        sp.add_argument("--c-depth", type=int, help="default 0")
+        sp.add_argument("--c-depth", type=int,
+                        help="default 0; 1 for coarsen")
         sp.add_argument("--eps-str", type=float, help="default 0.25")
         sp.add_argument("--out", type=Path, default=Path("out"))
         sp.add_argument("--threads", type=int,
@@ -87,14 +88,16 @@ def _check_flags(args):
         rules.append(("level", args.level is None,
                       "left out of convergence, which runs levels 1 to "
                       "--levels"))
-    for dest, value in (("h", 0.1), ("c_depth", 0), ("eps_str", 0.25),
+    # coarsen always runs at least one sweep; elsewhere 0 means none.
+    min_depth = 1 if args.command == "coarsen" else 0
+    for dest, value in (("h", 0.1), ("c_depth", min_depth), ("eps_str", 0.25),
                         ("family", "triangular"), ("level", 1)):
         if getattr(args, dest) is None:
             setattr(args, dest, value)
     rules += [
         ("level", args.level >= 1, "an integer >= 1"),
         ("h", math.isfinite(args.h) and args.h > 0, "a finite number > 0"),
-        ("c_depth", args.c_depth >= 0, "an integer >= 0"),
+        ("c_depth", args.c_depth >= min_depth, f"an integer >= {min_depth}"),
         ("eps_str", 0 < args.eps_str < 1, "a number in (0, 1)"),
         ("threads", args.threads >= 1, "an integer >= 1"),
     ]
@@ -187,7 +190,7 @@ def cmd_coarsen(args) -> dict:
     out = {"command": "coarsen"}
     args.out.mkdir(parents=True, exist_ok=True)
     network, meshes, _ = _load_inputs(args)
-    coarse = coa.agglomerate_network(network, meshes, max(args.c_depth, 1),
+    coarse = coa.agglomerate_network(network, meshes, args.c_depth,
                                      args.eps_str)
     stats = {}
     for fid, (mesh, part) in sorted(coarse.items()):
@@ -210,17 +213,21 @@ def _solve_once(args):
         model = args.model or case.model
         return *case_mod.run_level(case, args.family, args.level, model=model,
                                    solver=args.solver, tol=args.tol), model
+    t0 = time.perf_counter()
     network, meshes, bcs = _load_inputs(args)
+    meshes = _network_coarse(args, network, meshes)
+    mesh_s = time.perf_counter() - t0
     model = args.model or "cc"
     problem, system, solution, report = case_mod.solve_meshes(
-        network, _network_coarse(args, network, meshes), bcs, model,
-        solver=args.solver, tol=args.tol)
+        network, meshes, bcs, model, solver=args.solver, tol=args.tol)
+    report.timings = {"mesh_s": mesh_s, **report.timings}
     return problem, system, solution, report, None, model
 
 
 def cmd_solve(args) -> dict:
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     problem, system, solution, report, err, model = _solve_once(args)
+    t_export = time.perf_counter()
     args.out.mkdir(parents=True, exist_ok=True)
     tag = args.case or Path(args.network).stem
     post.export_vtk(problem, solution,
@@ -229,12 +236,14 @@ def cmd_solve(args) -> dict:
         post.export_line_vtk(
             problem, solution,
             args.out / f"{tag}_{args.family}_{args.level}_lines.vtk")
+    now = time.perf_counter()
     out = {
         "command": "solve", "model": model, "size": system.size,
         "sparsity": system.sparsity, "residual": report.residual,
         "solver": report.method, "reduced_size": report.reduced_size,
         "lu_fill": report.lu_fill,
-        "timings": {"total_s": time.monotonic() - t0},
+        "timings": {**report.timings, "export_s": now - t_export,
+                    "total_s": now - t0},
     }
     if err is not None:
         out["errors"] = _report_dict(err)

@@ -12,7 +12,7 @@ in different coarse cells.  The split/merge sweep is repeated
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -32,35 +32,23 @@ __all__ = [
 
 @dataclass
 class StrengthMatrix:
-    """TPFA matrix with lazily computed strong-coupling sets."""
+    """TPFA matrix whose negative couplings give the strength graph."""
 
     A: sparse.csr_matrix
-    _strong: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
-    def strong_sets(self, eps_str: float):
-        """``S[i]``: ascending tuple of the columns j with
-        ``-A_ij >= eps_str * max_k(-A_ik)``.
-
-        Computed once per ``eps_str``; callers share the returned list.
-        """
-        if eps_str not in self._strong:
-            A = self.A
-            row = np.repeat(np.arange(self.n), np.diff(A.indptr))
-            neg = A.data < 0
-            most = np.zeros(self.n)
-            np.maximum.at(most, row, np.where(neg, -A.data, 0.0))
-            thresh = eps_str * most
-            strong = neg & (-A.data >= thresh[row]) & (A.indices != row)
-            cols = A.indices[strong].tolist()
-            ptr = np.searchsorted(row[strong], np.arange(self.n + 1)).tolist()
-            self._strong[eps_str] = [tuple(cols[a:b])
-                                     for a, b in zip(ptr[:-1], ptr[1:])]
-        return self._strong[eps_str]
+    def strong_sets(self, eps_str: float) -> np.ndarray:
+        """Mask over ``A.data`` of the strong couplings: the off-diagonal
+        ``A_ij`` with ``-A_ij >= eps_str * max_k(-A_ik)``."""
+        A = self.A
+        row = np.repeat(np.arange(self.n), np.diff(A.indptr))
+        neg = A.data < 0
+        most = np.zeros(self.n)
+        np.maximum.at(most, row, np.where(neg, -A.data, 0.0))
+        return neg & (-A.data >= eps_str * most[row]) & (A.indices != row)
 
 
 def _cell_lambda(lam, centroids: np.ndarray) -> np.ndarray:
@@ -125,6 +113,14 @@ def tpfa_matrix(mesh: PolyMesh, lam, dirichlet_boundary: bool = True) -> Strengt
     return StrengthMatrix(A=A)
 
 
+def _row_lists(n: int, rows: np.ndarray, cols: np.ndarray) -> list:
+    """``out[i]``: the ``cols`` of the entries with ``rows == i``, in their
+    order; ``rows`` must be sorted."""
+    cols = cols.tolist()
+    ptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    return [cols[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+
+
 def cf_split(strength: StrengthMatrix, eps_str: float = 0.25,
              premark_c=()) -> np.ndarray:
     """Coarse/fine labelling by strong negative couplings.
@@ -138,50 +134,50 @@ def cf_split(strength: StrengthMatrix, eps_str: float = 0.25,
     if not 0.0 < eps_str < 1.0:
         raise ValueError("eps_str must lie in (0, 1)")
     n = strength.n
-    S = strength.strong_sets(eps_str)
-    ST = [[] for _ in range(n)]   # ascending, as i runs upwards
-    for i in range(n):
-        for j in S[i]:
-            ST[j].append(i)
+    A = strength.A
+    strong = strength.strong_sets(eps_str)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))[strong]
+    cols = A.indices[strong]
+    S = _row_lists(n, rows, cols)
+    by_col = np.argsort(cols, kind="stable")
+    ST = _row_lists(n, cols[by_col], rows[by_col])   # ascending rows
     UNDECIDED, FINE, COARSE = -1, 0, 1
-    labels = np.full(n, UNDECIDED, np.int8)
-    lam = np.array([len(ST[i]) for i in range(n)], float)
+    labels = [UNDECIDED] * n
+    lam = [len(t) for t in ST]
+    # Heap keys i - lam[i] * n order by largest weight, then lowest index.
+    heap = []
+    push = heapq.heappush
 
     def mark_coarse(i):
         labels[i] = COARSE
         for k in S[i]:
             if labels[k] == UNDECIDED:
-                lam[k] -= 1.0
-                heapq.heappush(heap, (-lam[k], k))
+                lam[k] -= 1
+                push(heap, k - lam[k] * n)
         for j in ST[i]:
             if labels[j] == UNDECIDED:
-                mark_fine(j)
+                labels[j] = FINE
+                for k in S[j]:
+                    if labels[k] == UNDECIDED:
+                        lam[k] += 1
+                        push(heap, k - lam[k] * n)
 
-    def mark_fine(j):
-        labels[j] = FINE
-        for k in S[j]:
-            if labels[k] == UNDECIDED:
-                lam[k] += 1.0
-                heapq.heappush(heap, (-lam[k], k))
-
-    heap = []
-    for i in np.where([len(S[i]) == 0 and len(ST[i]) == 0 for i in range(n)])[0]:
-        labels[i] = COARSE
+    for i in range(n):
+        if not S[i] and not ST[i]:
+            labels[i] = COARSE
     premark = [int(i) for i in sorted(set(premark_c)) if labels[i] == UNDECIDED]
     for i in premark:
         labels[i] = COARSE
     for i in premark:
         mark_coarse(i)
-    for i in sorted(np.where(labels == UNDECIDED)[0]):
-        heapq.heappush(heap, (-lam[i], int(i)))
+    heap += [i - lam[i] * n for i in range(n) if labels[i] == UNDECIDED]
+    heapq.heapify(heap)
     while heap:
-        neg, i = heapq.heappop(heap)
-        if labels[i] != UNDECIDED or -neg != lam[i]:
-            continue
-        mark_coarse(i)
-    # Anything untouched (only positive couplings) becomes coarse.
-    labels[labels == UNDECIDED] = COARSE
-    return labels.astype(int)
+        key = heapq.heappop(heap)
+        i = key % n
+        if labels[i] == UNDECIDED and key == i - lam[i] * n:   # not stale
+            mark_coarse(i)
+    return np.array(labels)
 
 
 def _cell_trace_sides(mesh: PolyMesh):
@@ -203,54 +199,58 @@ def _cell_trace_sides(mesh: PolyMesh):
 _NO_SIDES = frozenset()
 
 
-def _attach_fine(strength: StrengthMatrix, S, labels, trace_sides) -> np.ndarray:
+def _mixes_sides(sides) -> bool:
+    """Whether a set of (trace id, side) holds both sides of one trace."""
+    return any((g, -s) in sides for g, s in sides)
+
+
+def _attach_fine(strength: StrengthMatrix, labels, trace_sides) -> np.ndarray:
     """Merge each F cell into a C neighbour without mixing trace sides.
 
-    ``trace_sides`` and the coarse cells' labels omit empty label sets.
+    The candidates of an F cell are its C neighbours with a negative
+    coupling, ranked most negative first (so the strong couplings come
+    first), then lowest index; the cell joins the first whose group it
+    can join without the group holding both sides of one trace, or else
+    forms its own group.
+
+    ``trace_sides`` omits the cells without trace edges.  Such a cell
+    never changes a group's sides, and an accepted cell never makes a
+    group mix sides, so the cells without sides only avoid the C seeds
+    that mix sides themselves and are placed all at once; the F cells
+    with sides follow one at a time, in index order.
     """
     n = strength.n
     A = strength.A
-    part = np.full(n, -1, int)
-    group_sides = {}
-    next_id = 0
-    for i in np.where(labels == 1)[0]:
-        part[i] = next_id
-        if i in trace_sides:
-            group_sides[next_id] = set(trace_sides[i])
-        next_id += 1
-
-    def conflict(gid_set, add):
-        s = gid_set | add
-        return any((g, 1) in s and (g, -1) in s for g, _ in s)
-
-    for i in np.where(labels == 0)[0]:
-        i = int(i)
-        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
-        vals = A.data[A.indptr[i]:A.indptr[i + 1]]
-        cand = []
-        for j, v in zip(cols, vals):
-            j = int(j)
-            if j == i or labels[j] != 1 or v >= 0:
-                continue
-            in_strong = 1 if j in S[i] else 0
-            cand.append((-in_strong, v, j))  # strong first, then most negative
-        cand.sort()
-        sides = trace_sides.get(i, _NO_SIDES)
-        placed = False
-        for _, _, j in cand:
+    coarse = labels == 1
+    part = np.where(coarse, np.cumsum(coarse) - 1, -1)
+    group_sides = {part[c]: sides for c, sides in trace_sides.items()
+                   if coarse[c]}
+    split_seed = np.zeros(n, bool)
+    split_seed[[c for c, sides in trace_sides.items()
+                if coarse[c] and _mixes_sides(sides)]] = True
+    has_sides = np.zeros(n, bool)
+    has_sides[list(trace_sides)] = True
+    row = np.repeat(np.arange(n), np.diff(A.indptr))
+    col = A.indices
+    cand = np.flatnonzero((A.data < 0) & (labels[row] == 0) & coarse[col])
+    cand = cand[np.lexsort((col[cand], A.data[cand], row[cand]))]
+    # A cell without sides takes its first candidate that is no split seed.
+    ok = cand[~has_sides[row[cand]] & ~split_seed[col[cand]]]
+    cells, best = np.unique(row[ok], return_index=True)
+    part[cells] = part[col[ok[best]]]
+    bounds = np.searchsorted(row[cand], np.arange(n + 1))
+    for i in sorted(c for c in trace_sides if labels[c] == 0):
+        sides = trace_sides[i]
+        for j in col[cand[bounds[i]:bounds[i + 1]]].tolist():
             g = part[j]
-            if conflict(group_sides.get(g, _NO_SIDES), sides):
-                continue
-            part[i] = g
-            if sides:
-                group_sides[g] = group_sides.get(g, _NO_SIDES) | sides
-            placed = True
-            break
-        if not placed:
-            part[i] = next_id
-            if sides:
-                group_sides[next_id] = set(sides)
-            next_id += 1
+            joined = group_sides.get(g, _NO_SIDES) | sides
+            if not _mixes_sides(joined):
+                part[i] = g
+                group_sides[g] = joined
+                break
+    # The F cells left over form groups of their own.
+    alone = np.flatnonzero(part < 0)
+    part[alone] = n + alone
     # Renumber by first appearance for determinism.
     _, first, inverse = np.unique(part, return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[inverse]
@@ -304,14 +304,7 @@ def _build_coarse_mesh(mesh: PolyMesh, part: np.ndarray) -> PolyMesh:
     nid[used] = np.arange(len(used))
     edge_nodes = nid[old_nodes]
 
-    # Try to order each coarse cell's edges into a single boundary loop.
-    order = np.arange(len(kept))
-    chained = np.zeros(n_coarse, bool)
-    for k, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-        loop = _chain_loop(edge_nodes, edges[a:b], signs[a:b])
-        if loop is not None:
-            order[a:b] = a + loop
-            chained[k] = True
+    order, chained = _chain_loops(edge_nodes, edges, signs, bounds)
     return PolyMesh(
         mesh.nodes[used], edge_nodes, bounds, edges[order], signs[order],
         frame=mesh.frame,
@@ -322,26 +315,48 @@ def _build_coarse_mesh(mesh: PolyMesh, part: np.ndarray) -> PolyMesh:
     )
 
 
-def _chain_loop(edge_nodes, es, ss):
-    """Order edges into one closed walk; None if pinched or multi-loop."""
-    if len(es) == 0:
-        return None
-    ends = edge_nodes[es]
-    tails = np.where(ss > 0, ends[:, 0], ends[:, 1]).tolist()
-    heads = np.where(ss > 0, ends[:, 1], ends[:, 0]).tolist()
-    start = {tail: pos for pos, tail in enumerate(tails)}
-    if len(start) < len(tails):
-        return None
-    order, seen = [0], {0}
-    for _ in range(len(es) - 1):
-        pos = start.get(heads[order[-1]])
-        if pos is None or pos in seen:
-            return None
-        order.append(pos)
-        seen.add(pos)
-    if heads[order[-1]] != tails[0]:
-        return None
-    return np.asarray(order, int)
+def _chain_loops(edge_nodes, edges, signs, bounds):
+    """Order every cell's edges into one closed walk, all cells at once.
+
+    Cell ``k`` owns the entries ``bounds[k]:bounds[k + 1]`` of ``edges``
+    and ``signs``.  Each entry's successor is an entry of its cell whose
+    tail node is its head node.  A cell is chained when the walk along
+    the successors from its first entry visits all its entries and
+    closes; a repeated tail leaves an entry that no walk reaches.  The
+    walk is found by pointer jumping, cut before each first entry.
+    Pinched, multi-loop, open and empty cells keep their entry order.
+    Returns ``(order, chained)``: the permutation of the entries and one
+    flag per cell.
+    """
+    n_cells = len(bounds) - 1
+    count = np.diff(bounds)
+    cell = np.repeat(np.arange(n_cells), count)
+    m = len(cell)
+    ends = edge_nodes[edges]
+    fwd = signs > 0
+    width = int(edge_nodes.max(initial=-1)) + 1
+    tail = cell * width + np.where(fwd, ends[:, 0], ends[:, 1])
+    head = cell * width + np.where(fwd, ends[:, 1], ends[:, 0])
+    by_tail = np.argsort(tail)
+    at = np.minimum(np.searchsorted(tail[by_tail], head), m - 1)
+    succ = by_tail[at]
+    found = tail[succ] == head
+    # Steps from each entry to the one before its cell's first entry.  An
+    # entry without successor counts as farther than any cell is long,
+    # and so do the entries on loops that miss the first entry.
+    stop = succ == bounds[cell]
+    nxt = np.where(found & ~stop, succ, np.arange(m))
+    dist = np.where(found, ~stop, m)
+    for _ in range(int(count.max(initial=1) - 1).bit_length()):
+        dist += dist[nxt]
+        nxt = nxt[nxt]
+    chained = count > 0
+    chained[chained] = dist[bounds[:-1][chained]] == count[chained] - 1
+    pos = np.where(chained[cell], count[cell] - 1 - dist,
+                   np.arange(m) - bounds[cell])
+    order = np.empty(m, int)
+    order[bounds[cell] + pos] = np.arange(m)
+    return order, chained
 
 
 @dataclass
@@ -349,7 +364,6 @@ class CoarsePartition:
     """Composed fine-to-coarse map across all sweeps."""
 
     cell_to_coarse: np.ndarray
-    levels: int
 
     @property
     def n_coarse(self) -> int:
@@ -372,15 +386,14 @@ def agglomerate(mesh: PolyMesh, tips_local=None, c_depth: int = 1,
     current = mesh
     for _ in range(c_depth):
         strength = tpfa_matrix(current, lam)
-        S = strength.strong_sets(eps_str)
         labels = cf_split(strength, eps_str,
                           premark_c=_tip_cells(current, tips_local))
-        part = _attach_fine(strength, S, labels, _cell_trace_sides(current))
+        part = _attach_fine(strength, labels, _cell_trace_sides(current))
         if part.max() + 1 >= current.n_cells:
             break
         current = _build_coarse_mesh(current, part)
         total = part[total]
-    return current, CoarsePartition(cell_to_coarse=total, levels=c_depth)
+    return current, CoarsePartition(cell_to_coarse=total)
 
 
 def agglomerate_network(network, meshes: dict, c_depth: int,

@@ -18,7 +18,7 @@ diagonal Schur-complement proxy for pressure and multiplier rows).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -39,6 +39,7 @@ class SolveReport:
     nullspace_pinned: bool = False
     reduced_size: int = 0     # unknowns of the factored hybrid system
     lu_fill: int = 0          # nnz of its L and U factors
+    timings: dict = field(default_factory=dict)   # stage -> wall seconds
 
 
 def _relative_residual(A, x, b) -> float:

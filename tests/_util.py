@@ -1,6 +1,7 @@
 """Shared builders for the assembly/solver/case tests."""
 
 import functools
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -588,9 +589,151 @@ def tip_cells_ref(mesh, tips_local):
     return out
 
 
-def build_coarse_mesh_ref(mesh, part):
-    from dfnvem import coarsening as coa
+# ------------------------------------------------------------------ #
+# Sequential coarsening pieces.  ``coarsening`` runs the C/F split on
+# lists and a heap, the fine-cell attachment as one row-wise selection
+# and the loop chaining by pointer jumping over all coarse cells; these
+# are the one-cell-at-a-time versions they replaced, kept as oracles.
+# ------------------------------------------------------------------ #
 
+def cf_split_ref(strength, eps_str: float = 0.25,
+                 premark_c=()) -> np.ndarray:
+    """Coarse/fine labelling by strong negative couplings.
+
+    Repeatedly picks the undecided cell maximizing
+    ``#(S_i^T & U) + 2 #(S_i^T & F)`` (ties to the lowest index), marks
+    it coarse and its strong dependents fine.  Cells without strong
+    couplings in either direction become coarse.  Returns 1 for C, 0
+    for F.
+    """
+    if not 0.0 < eps_str < 1.0:
+        raise ValueError("eps_str must lie in (0, 1)")
+    n = strength.n
+    S = strength.strong_sets(eps_str)
+    ST = [[] for _ in range(n)]   # ascending, as i runs upwards
+    for i in range(n):
+        for j in S[i]:
+            ST[j].append(i)
+    UNDECIDED, FINE, COARSE = -1, 0, 1
+    labels = np.full(n, UNDECIDED, np.int8)
+    lam = np.array([len(ST[i]) for i in range(n)], float)
+
+    def mark_coarse(i):
+        labels[i] = COARSE
+        for k in S[i]:
+            if labels[k] == UNDECIDED:
+                lam[k] -= 1.0
+                heapq.heappush(heap, (-lam[k], k))
+        for j in ST[i]:
+            if labels[j] == UNDECIDED:
+                mark_fine(j)
+
+    def mark_fine(j):
+        labels[j] = FINE
+        for k in S[j]:
+            if labels[k] == UNDECIDED:
+                lam[k] += 1.0
+                heapq.heappush(heap, (-lam[k], k))
+
+    heap = []
+    for i in np.where([len(S[i]) == 0 and len(ST[i]) == 0 for i in range(n)])[0]:
+        labels[i] = COARSE
+    premark = [int(i) for i in sorted(set(premark_c)) if labels[i] == UNDECIDED]
+    for i in premark:
+        labels[i] = COARSE
+    for i in premark:
+        mark_coarse(i)
+    for i in sorted(np.where(labels == UNDECIDED)[0]):
+        heapq.heappush(heap, (-lam[i], int(i)))
+    while heap:
+        neg, i = heapq.heappop(heap)
+        if labels[i] != UNDECIDED or -neg != lam[i]:
+            continue
+        mark_coarse(i)
+    # Anything untouched (only positive couplings) becomes coarse.
+    labels[labels == UNDECIDED] = COARSE
+    return labels.astype(int)
+
+
+_NO_SIDES = frozenset()
+
+
+def attach_fine_ref(strength, S, labels, trace_sides) -> np.ndarray:
+    """Merge each F cell into a C neighbour without mixing trace sides.
+
+    ``trace_sides`` and the coarse cells' labels omit empty label sets.
+    """
+    n = strength.n
+    A = strength.A
+    part = np.full(n, -1, int)
+    group_sides = {}
+    next_id = 0
+    for i in np.where(labels == 1)[0]:
+        part[i] = next_id
+        if i in trace_sides:
+            group_sides[next_id] = set(trace_sides[i])
+        next_id += 1
+
+    def conflict(gid_set, add):
+        s = gid_set | add
+        return any((g, 1) in s and (g, -1) in s for g, _ in s)
+
+    for i in np.where(labels == 0)[0]:
+        i = int(i)
+        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        vals = A.data[A.indptr[i]:A.indptr[i + 1]]
+        cand = []
+        for j, v in zip(cols, vals):
+            j = int(j)
+            if j == i or labels[j] != 1 or v >= 0:
+                continue
+            in_strong = 1 if j in S[i] else 0
+            cand.append((-in_strong, v, j))  # strong first, then most negative
+        cand.sort()
+        sides = trace_sides.get(i, _NO_SIDES)
+        placed = False
+        for _, _, j in cand:
+            g = part[j]
+            if conflict(group_sides.get(g, _NO_SIDES), sides):
+                continue
+            part[i] = g
+            if sides:
+                group_sides[g] = group_sides.get(g, _NO_SIDES) | sides
+            placed = True
+            break
+        if not placed:
+            part[i] = next_id
+            if sides:
+                group_sides[next_id] = set(sides)
+            next_id += 1
+    # Renumber by first appearance for determinism.
+    _, first, inverse = np.unique(part, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def chain_loop_ref(edge_nodes, es, ss):
+    """Order edges into one closed walk; None if pinched or multi-loop."""
+    if len(es) == 0:
+        return None
+    ends = edge_nodes[es]
+    tails = np.where(ss > 0, ends[:, 0], ends[:, 1]).tolist()
+    heads = np.where(ss > 0, ends[:, 1], ends[:, 0]).tolist()
+    start = {tail: pos for pos, tail in enumerate(tails)}
+    if len(start) < len(tails):
+        return None
+    order, seen = [0], {0}
+    for _ in range(len(es) - 1):
+        pos = start.get(heads[order[-1]])
+        if pos is None or pos in seen:
+            return None
+        order.append(pos)
+        seen.add(pos)
+    if heads[order[-1]] != tails[0]:
+        return None
+    return np.asarray(order, int)
+
+
+def build_coarse_mesh_ref(mesh, part):
     ec = edge_cells_ref(mesh)
     keep = np.asarray([e for e in range(mesh.n_edges)
                        if ec[e, 1] < 0 or mesh.edge_trace[e] >= 0
@@ -624,7 +767,7 @@ def build_coarse_mesh_ref(mesh, part):
     for g in range(n_coarse):
         es = np.asarray(cell_edges[g], int)
         ss = np.asarray(cell_signs[g], np.int8)
-        loop = coa._chain_loop(edge_nodes, es, ss)
+        loop = chain_loop_ref(edge_nodes, es, ss)
         chained.append(loop is not None)
         ordered_edges.append(es if loop is None else es[loop])
         ordered_signs.append(ss if loop is None else ss[loop])
@@ -637,24 +780,32 @@ def build_coarse_mesh_ref(mesh, part):
     )
 
 
+@dataclass
+class RefStrength:
+    """A TPFA matrix whose strong sets are ``strong_sets_ref``'s Python
+    sets, as the sequential references read them."""
+
+    A: object
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    def strong_sets(self, eps_str):
+        return strong_sets_ref(self.A, eps_str)
+
+
 def agglomerate_ref(mesh, tips_local=None, c_depth=1, eps_str=0.25,
                     lam=np.eye(2)):
-    """``coarsening.agglomerate`` on the reference pieces above; the C/F
-    split and the fine-cell attachment are the production ones."""
-    from dfnvem import coarsening as coa
-
-    class RefStrength(coa.StrengthMatrix):
-        def strong_sets(self, eps):
-            return strong_sets_ref(self.A, eps)
-
+    """``coarsening.agglomerate`` on the reference pieces above."""
     total = np.arange(mesh.n_cells)
     current = mesh
     for _ in range(c_depth):
         strength = RefStrength(A=tpfa_matrix_ref(current, lam))
-        labels = coa.cf_split(strength, eps_str,
+        labels = cf_split_ref(strength, eps_str,
                               premark_c=tip_cells_ref(current, tips_local))
-        part = coa._attach_fine(strength, strength.strong_sets(eps_str),
-                                labels, cell_trace_sides_ref(current))
+        part = attach_fine_ref(strength, strength.strong_sets(eps_str),
+                               labels, cell_trace_sides_ref(current))
         if part.max() + 1 >= current.n_cells:
             break
         current = build_coarse_mesh_ref(current, part)

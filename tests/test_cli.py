@@ -54,6 +54,24 @@ class TestSolveCommand:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["flux_balance"]["relative_imbalance"] < 1e-8
 
+    @pytest.mark.parametrize("source", ["case", "network"])
+    def test_stage_timings(self, tmp_path, source):
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(import_network_dict()))
+        inputs = (["--case", "two-fractures", "--family", "coarse2"]
+                  if source == "case"
+                  else ["--network", net_path, "--h", "0.3", "--c-depth", "1"])
+        rc = run_cli(["solve", *inputs, "--out", tmp_path / "o"])
+        assert rc == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        timings = summary["timings"]
+        stages = ["mesh_s", "prepare_s", "dofs_s", "assemble_s", "solve_s",
+                  "extract_s", "export_s"]
+        assert sorted(timings) == sorted(stages + ["total_s"])
+        assert all(timings[k] >= 0.0 for k in timings)
+        assert sum(timings[k] for k in stages) <= timings["total_s"]
+        assert summary["schema"] == 1
+
     def test_network_import(self, tmp_path):
         net_path = tmp_path / "net.json"
         net_path.write_text(json.dumps(import_network_dict()))
@@ -357,6 +375,9 @@ MALFORMED = {
     "c-depth-negative-coarsen": (["coarsen", "--case", "single", "--family",
                                   "cartesian", "--c-depth", "-1"],
                                  "--c-depth must be"),
+    "c-depth-0-coarsen": (["coarsen", "--case", "two-fractures", "--level",
+                           "1", "--c-depth", "0"],
+                          "--c-depth must be an integer >= 1, got 0"),
     "case-and-network": (["solve", "--case", "single", "--network",
                           "net.json"], "--network"),
     "level-with-convergence": (["convergence", "--case", "single", "--family",
@@ -485,6 +506,20 @@ class TestSharedPaths:
         assert seen["extraction"] == 0
         if family == "coarse2":   # mixed edge counts: several groups each
             assert seen["groups"] > 2 * seen["fractures"]
+
+    def test_coarsen_defaults_to_one_sweep(self, tmp_path, monkeypatch):
+        seen = []
+        real = coa.agglomerate
+
+        def spy(mesh, **kw):
+            seen.append(kw["c_depth"])
+            return real(mesh, **kw)
+
+        monkeypatch.setattr(coa, "agglomerate", spy)
+        rc = run_cli(["coarsen", "--case", "two-fractures", "--level", "1",
+                      "--out", tmp_path])
+        assert rc == 0
+        assert seen == [1, 1]
 
     def test_coarsen_case_uses_family(self, tmp_path):
         rc = run_cli(["coarsen", "--case", "single", "--family", "cartesian",

@@ -9,13 +9,20 @@ from dfnvem import coarsening as coa
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 
-from _util import (ORACLE_MESHES, agglomerate_ref, import_network_dict,
-                   oracle_meshes, partition_members, strong_sets_ref,
-                   tpfa_matrix_ref)
+from _util import (ORACLE_MESHES, RefStrength, agglomerate_ref,
+                   attach_fine_ref, cf_split_ref, chain_loop_ref,
+                   import_network_dict, oracle_meshes, partition_members,
+                   strong_sets_ref, tpfa_matrix_ref)
 
 
 def strength_from_dense(A):
     return coa.StrengthMatrix(A=sparse.csr_matrix(np.asarray(A, float)))
+
+
+def strong_rows(A, strong):
+    """A mask over ``A.data`` as one ascending tuple of columns per row."""
+    return [tuple(A.indices[a:b][strong[a:b]].tolist())
+            for a, b in zip(A.indptr[:-1], A.indptr[1:])]
 
 
 class TestTPFA:
@@ -310,11 +317,12 @@ class TestBatchedAgainstReference:
         A = tpfa_matrix_ref(oracle_meshes()[name], ANISOTROPIC)
         for eps in (0.25, 0.6, 0.95):
             ref = [tuple(sorted(row)) for row in strong_sets_ref(A, eps)]
-            assert coa.StrengthMatrix(A=A).strong_sets(eps) == ref
+            assert strong_rows(A, coa.StrengthMatrix(A=A).strong_sets(eps)) == ref
 
     def test_strong_sets_of_empty_and_positive_rows(self):
         A = sparse.csr_matrix(np.array([[0, 0, 0], [1.0, 2, -3], [0, -1, 0]]))
-        assert coa.StrengthMatrix(A=A).strong_sets(0.5) == [(), (2,), (1,)]
+        strong = coa.StrengthMatrix(A=A).strong_sets(0.5)
+        assert strong_rows(A, strong) == [(), (2,), (1,)]
 
     @staticmethod
     def check_partitions(network, meshes, c_depth):
@@ -366,15 +374,183 @@ class TestBatchedAgainstReference:
     def test_strong_sets_once_per_sweep(self, monkeypatch):
         frac = square_fracture()
         mesh = msh.triangulate(frac.local_polygon, h_target=0.1, frame=frac.frame)
-        returned = []
+        calls = []
         real = coa.StrengthMatrix.strong_sets
 
         def spy(self, eps_str):
-            returned.append(real(self, eps_str))
-            return returned[-1]
+            calls.append(eps_str)
+            return real(self, eps_str)
 
         monkeypatch.setattr(coa.StrengthMatrix, "strong_sets", spy)
-        coarse, _ = coa.agglomerate(mesh, c_depth=3)
-        # The attachment and the C/F split of each sweep share one result.
-        assert len(returned) == 6
-        assert all(a is b for a, b in zip(returned[::2], returned[1::2]))
+        coa.agglomerate(mesh, c_depth=3)
+        # Only the C/F split reads the strong couplings.
+        assert len(calls) == 3
+
+
+# Coarse cells as (tail, head) node pairs, one list per cell.
+CRAFTED_CELLS = {
+    "loop": [(2, 3), (0, 1), (3, 0), (1, 2)],
+    "pinched": [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)],
+    "two-loops": [(0, 1), (5, 6), (1, 2), (6, 7), (2, 0), (7, 5)],
+    "open": [(0, 1), (1, 2), (2, 3)],
+    "single": [(4, 7)],
+    "empty": [],
+    "tail-into-loop": [(2, 0), (0, 1), (1, 0)],
+    "loop-then-tail": [(0, 1), (1, 0), (2, 0)],
+    "self-loop": [(3, 3)],
+    "long-loop": [(k, (k + 1) % 11) for k in (4, 9, 0, 7, 2, 10, 5, 1, 8, 3, 6)],
+}
+
+
+def crafted_layout(names, seed=0):
+    """Edge nodes, edge ids, signs and cell bounds of the named crafted
+    cells, each edge stored in a random direction with the matching sign."""
+    rng = np.random.default_rng(seed)
+    edge_nodes, edges, signs, bounds = [], [], [], [0]
+    for name in names:
+        for tail, head in CRAFTED_CELLS[name]:
+            forward = bool(rng.integers(2))
+            edges.append(len(edge_nodes))
+            edge_nodes.append((tail, head) if forward else (head, tail))
+            signs.append(1 if forward else -1)
+        bounds.append(len(edges))
+    return (np.array(edge_nodes, int).reshape(-1, 2), np.array(edges, int),
+            np.array(signs, np.int8), np.array(bounds))
+
+
+class TestChainLoops:
+    EXPECTED = {"loop": True, "pinched": False, "two-loops": False,
+                "open": False, "single": False, "empty": False,
+                "tail-into-loop": False, "loop-then-tail": False,
+                "self-loop": True, "long-loop": True}
+
+    @staticmethod
+    def check(names, seed):
+        edge_nodes, edges, signs, bounds = crafted_layout(names, seed)
+        order, chained = coa._chain_loops(edge_nodes, edges, signs, bounds)
+        for k, name in enumerate(names):
+            a, b = bounds[k], bounds[k + 1]
+            loop = chain_loop_ref(edge_nodes, edges[a:b], signs[a:b])
+            assert chained[k] == (loop is not None) == TestChainLoops.EXPECTED[name]
+            ref = np.arange(a, b) if loop is None else a + loop
+            assert np.array_equal(order[a:b], ref), name
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED_CELLS))
+    def test_one_cell(self, name):
+        self.check([name], seed=1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_all_cells_at_once(self, seed):
+        names = list(np.random.default_rng(seed).permutation(
+            sorted(CRAFTED_CELLS)))
+        self.check(names + names[::-1], seed)
+
+    def test_no_cells(self):
+        order, chained = coa._chain_loops(np.zeros((0, 2), int),
+                                          np.zeros(0, int),
+                                          np.zeros(0, np.int8), np.zeros(1, int))
+        assert len(order) == 0 and len(chained) == 0
+
+    def test_agglomerate_with_an_unchained_cell(self):
+        # The triangulation behind oracle_meshes' agglomerates: at depth 4
+        # one coarse cell's edges do not chain into a single loop.
+        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
+        y = np.random.default_rng(9).uniform(0.3, 0.7)
+        tips = [[0.2, y], [0.7, y], [0.5, 0.1], [0.5, 0.35]]
+        tri = msh.triangulate(square, [(0, tips[0], tips[1]), (1, *tips[2:])],
+                              h_target=0.08, seed=9)
+        coarse, part = coa.agglomerate(tri, tips_local=tips, c_depth=4)
+        coarse_ref, total_ref = agglomerate_ref(tri, tips, 4)
+        assert not coarse.chained.all()
+        assert np.array_equal(part.cell_to_coarse, total_ref)
+        assert np.array_equal(coarse.chained, coarse_ref.chained)
+        assert np.array_equal(coarse.cell_edge, coarse_ref.cell_edge)
+        assert np.array_equal(coarse.cell_sign, coarse_ref.cell_sign)
+
+
+def random_strength(seed, n):
+    """A seeded sparse matrix with mostly negative off-diagonal couplings,
+    some positive ones, a few empty rows and a few all-positive rows."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in rng.choice(n, size=rng.integers(1, 6), replace=False):
+            if j != i:
+                A[i, j] = -rng.choice([1.0, 2.0, rng.uniform(0.1, 3.0)])
+    A = np.where(rng.random((n, n)) < 0.5, A, A.T)   # partly symmetric
+    A[rng.random((n, n)) < 0.02] = 0.7
+    A[np.arange(n), np.arange(n)] = -A.sum(axis=1) + 1.0
+    empty = rng.choice(n, size=3, replace=False)
+    A[empty] = 0.0
+    positive = rng.choice(n, size=3, replace=False)
+    A[positive] = np.abs(A[positive])
+    return sparse.csr_matrix(A)
+
+
+class TestSplitAndAttachAgainstSequential:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cf_split(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(5, 120))
+        A = random_strength(seed, n)
+        eps = float(rng.choice([0.1, 0.25, 0.5, 0.9]))
+        premark = rng.choice(n, size=int(rng.integers(0, 5)), replace=False)
+        got = coa.cf_split(coa.StrengthMatrix(A=A), eps, premark_c=premark)
+        ref = cf_split_ref(RefStrength(A=A), eps, premark_c=premark)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_attach_fine(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(5, 120))
+        A = random_strength(seed, n)
+        strength = coa.StrengthMatrix(A=A)
+        # Labels of the C/F split, or random ones that leave F cells
+        # without any C neighbour.
+        labels = (coa.cf_split(strength) if seed % 2
+                  else rng.integers(0, 2, n))
+        # Random trace sides; some C seeds get both sides of one trace.
+        sides = {}
+        for c in rng.choice(n, size=n // 3, replace=False).tolist():
+            sides[c] = {(int(rng.integers(3)), int(rng.choice([-1, 1])))
+                        for _ in range(rng.integers(1, 4))}
+        got = coa._attach_fine(strength, labels, sides)
+        # The reference ranks strong couplings first; at any threshold
+        # they are the most negative ones, which the attachment ranks first.
+        eps = float(rng.choice([0.1, 0.25, 0.9]))
+        ref = attach_fine_ref(RefStrength(A=A), strong_sets_ref(A, eps),
+                              labels, sides)
+        assert np.array_equal(got, ref)
+
+    @staticmethod
+    def attach(A, labels, sides):
+        A = sparse.csr_matrix(np.asarray(A, float))
+        strength = coa.StrengthMatrix(A=A)
+        labels = np.asarray(labels)
+        got = coa._attach_fine(strength, labels, sides)
+        ref = attach_fine_ref(RefStrength(A=A), strong_sets_ref(A, 0.25),
+                              labels, sides)
+        assert np.array_equal(got, ref)
+        return got.tolist()
+
+    def test_strongest_neighbour_across_a_trace(self):
+        # F cell 1 lies on side -1 of trace 0; its strongest C neighbour 0
+        # holds side +1, so it joins the weaker neighbour 2.
+        A = [[3, -2, 0], [-2, 3, -1], [0, -1, 3]]
+        part = self.attach(A, [1, 0, 1], {0: {(0, 1)}, 1: {(0, -1)}})
+        assert part == [0, 1, 1]
+
+    def test_seed_holding_both_sides_of_a_trace(self):
+        # C seed 0 owns both sides of trace 0: F cell 1 (no sides) skips it
+        # for neighbour 2, F cell 3 (sides of trace 1) cannot join it.
+        A = [[4, -3, 0, -2], [-3, 4, -1, 0], [0, -1, 2, 0], [-2, 0, 0, 2]]
+        part = self.attach(A, [1, 0, 1, 0],
+                           {0: {(0, 1), (0, -1)}, 3: {(1, 1)}})
+        assert part == [0, 1, 1, 2]
+
+    def test_fine_cell_without_admissible_neighbour(self):
+        # F cell 2 couples only to F cell 1 and positively to C cell 0.
+        A = [[2, -1, 0.5], [-1, 2, -1], [0.5, -1, 2]]
+        part = self.attach(A, [1, 0, 0], {})
+        assert part == [0, 0, 1]
