@@ -27,7 +27,8 @@ from .errors import (
     MissingIntersectionProps,
     UnconstrainedPressureWarning,
 )
-from .geometry import FractureNetwork, json_list, point_segment_distance
+from .geometry import (FractureNetwork, is_json_int, json_list,
+                       point_segment_distance)
 from .meshing import PolyMesh, corefine_network, split_interface_dofs
 
 __all__ = [
@@ -649,7 +650,8 @@ def boundary_spec_from_json(raw: dict, network: FractureNetwork) -> BoundarySpec
         raise ConfigError(f"{path}.{key}: {item.get(key)!r} is not {need}")
 
     def index(item, path, key, valid, need):
-        check(item, path, key, lambda v: int(v) in valid, need)
+        check(item, path, key, lambda v: is_json_int(v) and int(v) in valid,
+              need)
         return int(item[key])
 
     def finite(v, shape=()):

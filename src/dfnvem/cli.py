@@ -120,26 +120,31 @@ def _case(args):
 
 
 def _load_inputs(args):
-    """Network, fine meshes and boundary data of ``--network`` or ``--case``.
+    """Network, fine meshes and boundary data of ``--network`` or ``--case``,
+    and the wall seconds spent on the network and its boundary data.
 
     Network files are triangulated one fracture after another at ``--h``:
     triangulation runs in Python under the interpreter lock, so threads
     would not overlap it.
     """
+    t0 = time.perf_counter()
     if args.network is None:
         case = _case(args)
-        return case.network(), case.meshes(args.family, args.level), case.bcs()
+        network, bcs = case.network(), case.bcs()
+        network_s = time.perf_counter() - t0
+        return network, case.meshes(args.family, args.level), bcs, network_s
     network, raw = load_network(args.network)
     try:
         bcs = asm.boundary_spec_from_json(raw, network)
     except ConfigError as exc:
         raise ConfigError(f"{args.network}: {exc}") from None
+    network_s = time.perf_counter() - t0
     meshes = {
         fid: msh.triangulate_fracture(network.fracture(fid),
                                       network.traces_of(fid), args.h)
         for fid in sorted(f.id for f in network.fractures)
     }
-    return network, meshes, bcs
+    return network, meshes, bcs, network_s
 
 
 def _network_coarse(args, network, meshes: dict) -> dict:
@@ -175,7 +180,7 @@ def _report_dict(r: post.ErrorReport) -> dict:
 def cmd_mesh(args) -> dict:
     out = {"command": "mesh"}
     args.out.mkdir(parents=True, exist_ok=True)
-    network, meshes, _ = _load_inputs(args)
+    network, meshes, _, _ = _load_inputs(args)
     if args.network is not None:
         meshes = _network_coarse(args, network, meshes)
     stats = {}
@@ -189,7 +194,7 @@ def cmd_mesh(args) -> dict:
 def cmd_coarsen(args) -> dict:
     out = {"command": "coarsen"}
     args.out.mkdir(parents=True, exist_ok=True)
-    network, meshes, _ = _load_inputs(args)
+    network, meshes, _, _ = _load_inputs(args)
     coarse = coa.agglomerate_network(network, meshes, args.c_depth,
                                      args.eps_str)
     stats = {}
@@ -214,13 +219,14 @@ def _solve_once(args):
         return *case_mod.run_level(case, args.family, args.level, model=model,
                                    solver=args.solver, tol=args.tol), model
     t0 = time.perf_counter()
-    network, meshes, bcs = _load_inputs(args)
+    network, meshes, bcs, network_s = _load_inputs(args)
     meshes = _network_coarse(args, network, meshes)
-    mesh_s = time.perf_counter() - t0
+    mesh_s = time.perf_counter() - t0 - network_s
     model = args.model or "cc"
     problem, system, solution, report = case_mod.solve_meshes(
         network, meshes, bcs, model, solver=args.solver, tol=args.tol)
-    report.timings = {"mesh_s": mesh_s, **report.timings}
+    report.timings = {"network_s": network_s, "mesh_s": mesh_s,
+                      **report.timings}
     return problem, system, solution, report, None, model
 
 
@@ -237,8 +243,12 @@ def cmd_solve(args) -> dict:
             problem, solution,
             args.out / f"{tag}_{args.family}_{args.level}_lines.vtk")
     now = time.perf_counter()
+    network = problem.network
     out = {
         "command": "solve", "model": model, "size": system.size,
+        "network": {"fractures": len(network.fractures),
+                    "lines": len(network.lines),
+                    "points": len(network.points)},
         "sparsity": system.sparsity, "residual": report.residual,
         "solver": report.method, "reduced_size": report.reduced_size,
         "lu_fill": report.lu_fill,

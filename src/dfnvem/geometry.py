@@ -57,12 +57,14 @@ def point_segment_distance(p, a, b):
     axis.  A zero-length segment gives ``|p - a|``.  Returns a float when
     every input is a single point.
     """
-    p, a, b = (np.asarray(v, float) for v in (p, a, b))
+    p, a, b = np.asarray(p, float), np.asarray(a, float), np.asarray(b, float)
     d = b - a
-    L2 = np.sum(d * d, axis=-1)
-    t = np.sum((p - a) * d, axis=-1) / np.where(L2 == 0.0, 1.0, L2)
-    t = np.clip(t, 0.0, 1.0)[..., None]
-    dist = np.linalg.norm(p - (a + t * d), axis=-1)
+    L2 = (d * d).sum(-1)
+    t = ((p - a) * d).sum(-1) / np.where(L2 == 0.0, 1.0, L2)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)[..., None]
+    # np.linalg.norm(x, axis=-1) is this sum, without its call overhead.
+    x = p - (a + t * d)
+    dist = np.sqrt((x * x).sum(-1))
     return float(dist) if dist.ndim == 0 else dist
 
 
@@ -131,9 +133,10 @@ def clip_line_to_polygon(q0, d2, poly: np.ndarray, tol: float):
     for i in range(n):
         a, b = poly[i], poly[(i + 1) % n]
         e = b - a
+        Le = np.linalg.norm(e)
         den = d2[0] * e[1] - d2[1] * e[0]
         r = a - q0
-        if abs(den) <= _PARALLEL_TOL * max(np.linalg.norm(e), 1.0):
+        if abs(den) <= _PARALLEL_TOL * max(Le, 1.0):
             # Edge parallel to the line: if collinear, its endpoints are
             # crossing parameters.
             if abs(d2[0] * r[1] - d2[1] * r[0]) <= tol:
@@ -142,7 +145,7 @@ def clip_line_to_polygon(q0, d2, poly: np.ndarray, tol: float):
             continue
         t = (r[0] * e[1] - r[1] * e[0]) / den
         u = (r[0] * d2[1] - r[1] * d2[0]) / den
-        if -tol <= u * np.linalg.norm(e) <= np.linalg.norm(e) + tol:
+        if -tol <= u * Le <= Le + tol:
             ts.append(t)
     if not ts:
         return []
@@ -280,6 +283,15 @@ class Fracture:
         if self.tol is None:
             diag = np.linalg.norm(self.vertices.max(0) - self.vertices.min(0))
             self.tol = 1e-9 * diag
+        n = len(self.vertices)
+        edge_len = np.linalg.norm(np.roll(self.vertices, -1, 0) - self.vertices,
+                                  axis=1)
+        short = np.flatnonzero(edge_len < self.tol)
+        if len(short):
+            i = int(short[0])
+            raise GeometryError(
+                f"fracture {self.id}: the edge from vertex {i} to vertex "
+                f"{(i + 1) % n} is shorter than the tolerance {self.tol:.3e}")
         local = self.frame.to_local(self.vertices)
         if not polygon_is_simple(local, self.tol):
             raise GeometryError(f"fracture {self.id}: polygon is not simple")
@@ -482,6 +494,57 @@ def intersect_fractures(a: Fracture, b: Fracture, tol: float | None = None):
     )
 
 
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise ``u[k] @ v[k]``, bit for bit: a stacked ``(1, n) @ (n, 1)``
+    product runs numpy's 1-D dot on each row, as ``@`` does on vectors."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.linalg.norm``, bit for bit (see ``_dots``)."""
+    return np.sqrt(_dots(v, v))
+
+
+def _crossings(a0, a1, b0, b1, tol: float):
+    """``intersect_lines`` on rows of segment pairs ``a0-a1``, ``b0-b1``.
+
+    Returns a mask of the (near-)parallel pairs, which this does not
+    decide, and the common interior point of every other pair, nan
+    where there is none.
+    """
+    d1, d2 = a1 - a0, b1 - b0
+    L1, L2 = _norms(d1), _norms(d2)
+    r = b0 - a0
+    parallel = _norms(np.cross(d1 / L1[:, None], d2 / L2[:, None])) < _PARALLEL_TOL
+    loc = np.full(a0.shape, np.nan)
+    k = np.flatnonzero(~parallel)
+    d1, d2, r, L1, L2 = d1[k], d2[k], r[k], L1[k], L2[k]
+    d12 = _dots(d1, d2)
+    M = np.stack([_dots(d1, d1), -d12, -d12, _dots(d2, d2)], 1).reshape(-1, 2, 2)
+    rhs = np.stack([_dots(r, d1), -_dots(r, d2)], 1)
+    s, u = np.linalg.solve(M, rhs[:, :, None])[:, :, 0].T
+    pa = a0[k] + s[:, None] * d1
+    pb = b0[k] + u[:, None] * d2
+    eps1, eps2 = tol / L1, tol / L2
+    ok = ((_norms(pa - pb) <= tol) & (eps1 < s) & (s < 1 - eps1)
+          & (eps2 < u) & (u < 1 - eps2))
+    loc[k[ok]] = 0.5 * (pa[ok] + pb[ok])
+    return parallel, loc
+
+
+def _check_collinear(a: IntersectionLine, b: IntersectionLine, tol: float):
+    """Raise ``CollinearOverlap`` if parallel segments overlap on a line."""
+    d1 = a.p1 - a.p0
+    L1 = np.linalg.norm(d1)
+    if point_segment_distance([b.p0, b.p1], a.p0, a.p1).min() < tol:
+        u = d1 / L1
+        t0, t1 = sorted([float((b.p0 - a.p0) @ u), float((b.p1 - a.p0) @ u)])
+        if min(L1, t1) - max(0.0, t0) > tol:
+            raise CollinearOverlap(
+                f"intersection lines {a.id} and {b.id} overlap"
+            )
+
+
 def intersect_lines(a: IntersectionLine, b: IntersectionLine,
                     tol: float = 1e-9):
     """Common interior point of two intersection segments, or ``None``.
@@ -490,32 +553,13 @@ def intersect_lines(a: IntersectionLine, b: IntersectionLine,
     crossings at segment endpoints are not reported (the model requires
     points interior to each parent line).
     """
-    d1 = a.p1 - a.p0
-    d2 = b.p1 - b.p0
-    L1, L2 = np.linalg.norm(d1), np.linalg.norm(d2)
-    r = b.p0 - a.p0
-    cr = np.cross(d1 / L1, d2 / L2)
-    if np.linalg.norm(cr) < _PARALLEL_TOL:
-        if point_segment_distance([b.p0, b.p1], a.p0, a.p1).min() < tol:
-            u = d1 / L1
-            t0, t1 = sorted([float((b.p0 - a.p0) @ u), float((b.p1 - a.p0) @ u)])
-            if min(L1, t1) - max(0.0, t0) > tol:
-                raise CollinearOverlap(
-                    f"intersection lines {a.id} and {b.id} overlap"
-                )
+    parallel, loc = _crossings(a.p0[None], a.p1[None], b.p0[None], b.p1[None],
+                               tol)
+    if parallel[0]:
+        _check_collinear(a, b, tol)
+    if np.isnan(loc[0, 0]):
         return None
-    M = np.array([[d1 @ d1, -(d1 @ d2)], [-(d1 @ d2), d2 @ d2]])
-    rhs = np.array([r @ d1, -(r @ d2)])
-    s, u = np.linalg.solve(M, rhs)
-    pa = a.p0 + s * d1
-    pb = b.p0 + u * d2
-    if np.linalg.norm(pa - pb) > tol:
-        return None
-    eps1, eps2 = tol / L1, tol / L2
-    if not (eps1 < s < 1 - eps1 and eps2 < u < 1 - eps2):
-        return None
-    return IntersectionPoint(id=-1, location=0.5 * (pa + pb),
-                             parent_lines=(a.id, b.id))
+    return IntersectionPoint(id=-1, location=loc[0], parent_lines=(a.id, b.id))
 
 
 # ------------------------------------------------------------------ #
@@ -544,10 +588,16 @@ class FractureNetwork:
         return self.lines[gid]
 
 
-def _same_segment(a: IntersectionLine, b: IntersectionLine, tol: float) -> bool:
-    d00 = np.linalg.norm(a.p0 - b.p0) + np.linalg.norm(a.p1 - b.p1)
-    d01 = np.linalg.norm(a.p0 - b.p1) + np.linalg.norm(a.p1 - b.p0)
-    return min(d00, d01) < tol
+def _boxes_meet(lo: np.ndarray, hi: np.ndarray, i, j, pad: float):
+    """Whether boxes ``[lo[i], hi[i]]`` and ``[lo[j], hi[j]]`` overlap
+    once each is grown by ``pad``."""
+    return ((lo[i] - pad <= hi[j] + pad) & (lo[j] - pad <= hi[i] + pad)).all(axis=1)
+
+
+def _first_below(values: np.ndarray, bound: float):
+    """Index of the first entry of ``values`` below ``bound``, or None."""
+    hits = np.flatnonzero(values < bound)
+    return int(hits[0]) if len(hits) else None
 
 
 def build_network(fractures: list, tol: float | None = None,
@@ -560,26 +610,47 @@ def build_network(fractures: list, tol: float | None = None,
 
     ``intersection_props`` maps a frozenset of parent ids to a dict with
     ``k_hat`` / ``k_tilde`` overriding the unit defaults.
+
+    Only pairs whose bounding boxes come within ``2 * merge_tol`` are
+    intersected.  A fracture pair's segment lies within ``tol`` of both
+    polygons and a line pair's point within ``merge_tol`` of both
+    segments, so every skipped pair would have given ``None`` without
+    raising.  Near-parallel fracture pairs closer than ``20 * tol`` are
+    always intersected, since the coplanar test projects one polygon
+    onto the other's plane.
     """
     fractures = sorted(fractures, key=lambda f: f.id)
     if tol is None:
         pts = np.vstack([f.vertices for f in fractures])
         tol = 1e-9 * float(np.linalg.norm(pts.max(0) - pts.min(0)))
-    raw = []
-    for i, fa in enumerate(fractures):
-        for fb in fractures[i + 1:]:
-            seg = intersect_fractures(fa, fb, tol)
-            if seg is not None:
-                raw.append(seg)
     merge_tol = max(tol * 1e3, tol)
+    box = np.array([[f.vertices.min(0), f.vertices.max(0)]
+                    for f in fractures]).reshape(-1, 2, 3)
+    frame = np.array([[f.frame.origin, f.frame.n]
+                      for f in fractures]).reshape(-1, 2, 3)
+    i, j = np.triu_indices(len(fractures), 1)
+    origin, normal = frame[:, 0], frame[:, 1]
+    near = _boxes_meet(box[:, 0], box[:, 1], i, j, merge_tol) | (
+        (np.linalg.norm(np.cross(normal[i], normal[j]), axis=1)
+         < 2 * _PARALLEL_TOL)
+        & (np.abs(((origin[j] - origin[i]) * normal[i]).sum(1)) <= 20 * tol))
+    ends = np.empty((near.sum(), 2, 3))
     lines: list[IntersectionLine] = []
-    for seg in raw:
-        for ln in lines:
-            if _same_segment(seg, ln, merge_tol):
-                ln.parents = tuple(sorted(set(ln.parents) | set(seg.parents)))
-                break
-        else:
+    for a, b in zip(i[near].tolist(), j[near].tolist()):
+        seg = intersect_fractures(fractures[a], fractures[b], tol)
+        if seg is None:
+            continue
+        kept = ends[:len(lines)]
+        k = _first_below(np.minimum(
+            _norms(kept[:, 0] - seg.p0) + _norms(kept[:, 1] - seg.p1),
+            _norms(kept[:, 0] - seg.p1) + _norms(kept[:, 1] - seg.p0)),
+            merge_tol)
+        if k is None:
+            ends[len(lines)] = seg.p0, seg.p1
             lines.append(seg)
+        else:
+            lines[k].parents = tuple(sorted(set(lines[k].parents)
+                                            | set(seg.parents)))
     for k, ln in enumerate(lines):
         ln.id = k
         props = None
@@ -594,24 +665,35 @@ def build_network(fractures: list, tol: float | None = None,
             ln.k_hat = float(props.get("k_hat", ln.k_hat))
             ln.k_tilde = float(props.get("k_tilde", ln.k_tilde))
 
+    ends = ends[:len(lines)]
+    a, b = np.triu_indices(len(lines), 1)
+    near = _boxes_meet(ends.min(1), ends.max(1), a, b, merge_tol)
+    a, b = a[near], b[near]
+    parallel, found = _crossings(ends[a, 0], ends[a, 1], ends[b, 0], ends[b, 1],
+                                 merge_tol)
+    locations = np.empty((len(a), 3))
     points: list[IntersectionPoint] = []
-    for i, la in enumerate(lines):
-        for lb in lines[i + 1:]:
-            pt = intersect_lines(la, lb, merge_tol)
-            if pt is None:
-                continue
-            for known in points:
-                if np.linalg.norm(known.location - pt.location) < merge_tol:
-                    known.parent_lines = tuple(
-                        sorted(set(known.parent_lines) | set(pt.parent_lines))
-                    )
-                    break
-            else:
-                points.append(pt)
-    for k, pt in enumerate(points):
-        pt.id = k
+    for la, lb, par, loc in zip(a.tolist(), b.tolist(), parallel, found):
+        if par:
+            _check_collinear(lines[la], lines[lb], merge_tol)
+        if np.isnan(loc[0]):
+            continue
+        k = _first_below(_norms(locations[:len(points)] - loc), merge_tol)
+        if k is None:
+            locations[len(points)] = loc
+            points.append(IntersectionPoint(id=len(points), location=loc,
+                                            parent_lines=(la, lb)))
+        else:
+            points[k].parent_lines = tuple(
+                sorted(set(points[k].parent_lines) | {la, lb}))
     return FractureNetwork(fractures=fractures, lines=lines, points=points,
                            tol=tol)
+
+
+def is_json_int(value) -> bool:
+    """True for an integral JSON number; a bool is not one."""
+    return ((isinstance(value, int) and not isinstance(value, bool))
+            or (isinstance(value, float) and value.is_integer()))
 
 
 def json_list(data: dict, key: str, where: str = "") -> list:
@@ -647,6 +729,9 @@ def load_network(path) -> tuple:
         try:
             k = spec.get("k_tangential", [1.0, 0.0, 1.0])
             kxx, kxy, kyy = (float(v) for v in k)
+            if not is_json_int(spec["id"]):
+                raise ConfigError(f"{path}: fractures[{i}].id: "
+                                  f"{spec['id']!r} is not an integer")
             fid = int(spec["id"])
             vertices = np.asarray(spec["vertices"], float)
             aperture = float(spec.get("aperture", 1.0))
@@ -667,9 +752,15 @@ def load_network(path) -> tuple:
         )
     fids = {f.id for f in fractures}
     props = {}
+    keys = []
     for i, isec in enumerate(json_list(data, "intersections", f"{path}: ")):
         try:
+            for k, v in enumerate(isec["fractures"]):
+                if not is_json_int(v):
+                    raise ConfigError(f"{path}: intersections[{i}].fractures"
+                                      f"[{k}]: {v!r} is not an integer")
             key = frozenset(int(v) for v in isec["fractures"])
+            keys.append(key)
             if len(key) < 2 or not key <= fids:
                 raise ValueError("'fractures' must name two or more of the "
                                  "network's fracture ids")
@@ -682,8 +773,7 @@ def load_network(path) -> tuple:
                 f"{path}: intersections[{i}]: {type(exc).__name__}: {exc}"
             ) from None
     network = build_network(fractures, intersection_props=props)
-    for i, isec in enumerate(data.get("intersections", [])):
-        key = frozenset(int(v) for v in isec["fractures"])
+    for i, key in enumerate(keys):
         if not any(key <= set(ln.parents) for ln in network.lines):
             raise ConfigError(f"{path}: intersections[{i}]: fractures "
                               f"{sorted(key)} do not meet")

@@ -27,6 +27,7 @@ from .errors import (
 from .geometry import (
     Frame,
     IntersectionLine,
+    _dots,
     point_in_polygon,
     point_segment_distance,
     polygon_area,
@@ -431,39 +432,56 @@ def random_mesh(n: int, seed: int, amplitude: float = 0.3,
 # constrained triangulation
 # ------------------------------------------------------------------ #
 
-def _subdivide(p0, p1, h):
-    """Points splitting segment p0-p1 into pieces of length <= h."""
-    L = np.linalg.norm(p1 - p0)
-    n = max(1, int(np.ceil(L / h - 1e-12)))
-    ts = np.linspace(0.0, 1.0, n + 1)
-    return p0 + np.outer(ts, p1 - p0)
-
-
 class _PointPool:
-    """Deduplicating point registry for the PSLG."""
+    """Deduplicating point registry for the PSLG.
+
+    Point ids are hashed on a grid of square cells of side ``2 * tol``:
+    two points within ``tol`` of each other lie in the same or in
+    neighbouring cells, even after the rounding of the cell index.
+    """
 
     def __init__(self, tol):
         self.tol = tol
-        self._buf = np.empty((256, 2))
-        self.n = 0
+        self._side = 2.0 * tol
+        self._grid = {}
+        self._xy = []  # x0, y0, x1, y1, ...
 
     @property
     def pts(self) -> np.ndarray:
-        return self._buf[:self.n]
+        return np.array(self._xy, float).reshape(-1, 2)
 
-    def append(self, p) -> int:
-        """Register ``p`` without deduplication; returns its id."""
-        if self.n == len(self._buf):
-            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
-        self._buf[self.n] = p
-        self.n += 1
-        return self.n - 1
+    def extend(self, pts: np.ndarray) -> None:
+        """Register the rows of ``pts`` without deduplication."""
+        side, grid = self._side, self._grid
+        for i, (x, y) in enumerate(pts.tolist(), start=len(self._xy) // 2):
+            grid.setdefault((x // side, y // side), []).append(i)
+        self._xy += pts.ravel().tolist()
 
     def add(self, p) -> int:
         """Id of the first point within ``tol`` of ``p``, else a new id."""
-        # The first match wins, which keeps the numbering deterministic.
-        hits = np.flatnonzero(np.linalg.norm(self.pts - p, axis=1) <= self.tol)
-        return int(hits[0]) if len(hits) else self.append(p)
+        return self.add_rows(np.reshape(p, (1, 2)))[0]
+
+    def add_rows(self, pts: np.ndarray) -> list:
+        """``add`` of each row of ``pts`` in turn."""
+        from math import sqrt
+        side, grid, xy, tol = self._side, self._grid, self._xy, self.tol
+        ids = []
+        for x, y in pts.tolist():
+            kx, ky = x // side, y // side
+            # The lowest id wins, which keeps the numbering deterministic.
+            # The distance is np.linalg.norm's, rounding for rounding.
+            near = sorted(i for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)
+                          for i in grid.get((kx + dx, ky + dy), ()))
+            hit = next((i for i in near
+                        if sqrt((xy[2 * i] - x) * (xy[2 * i] - x)
+                                + (xy[2 * i + 1] - y) * (xy[2 * i + 1] - y))
+                        <= tol), None)
+            if hit is None:
+                hit = len(xy) // 2
+                grid.setdefault((kx, ky), []).append(hit)
+                xy += (x, y)
+            ids.append(hit)
+        return ids
 
 
 def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
@@ -544,30 +562,34 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     # the boundary, a T-junction between traces) is split there first so
     # consecutive constraint points are always Delaunay-connectable.
     hard = np.vstack([polygon, ends0, ends1])
+    # Constraint segments: the polygon's edges, then the trace pieces.
+    seg0 = np.vstack([polygon, ends0])
+    seg1 = np.vstack([np.roll(polygon, -1, 0), ends1])
+    on_seg = point_segment_distance(hard, seg0[:, None], seg1[:, None]) <= tol
 
-    def forced_subdivide(a, b):
+    steps = {}  # n -> np.linspace(0, 1, n + 1)[1:] as a column
+
+    def forced_subdivide(a, b, on):
         d = b - a
         L = np.linalg.norm(d)
         u = d / L
-        cuts = [0.0, L]
-        for p in hard[point_segment_distance(hard, a, b) <= tol]:
-            t = float((p - a) @ u)
-            if tol < t < L - tol:
-                cuts.append(t)
-        cuts = sorted(set(cuts))
-        out = [a]
+        t = _dots(hard[on] - a, u)
+        cuts = sorted({0.0, L, *t[(tol < t) & (t < L - tol)].tolist()})
+        out = [a[None]]
         for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            seg = _subdivide(a + t0 * u, a + t1 * u, h_target)
-            out.extend(seg[1:])
-        return out
+            # Split the piece into n parts no longer than h_target.
+            p0, p1 = a + t0 * u, a + t1 * u
+            n = max(1, int(np.ceil(np.linalg.norm(p1 - p0) / h_target - 1e-12)))
+            if n not in steps:
+                steps[n] = np.linspace(0.0, 1.0, n + 1)[1:, None]
+            out.append(p0 + steps[n] * (p1 - p0))
+        return np.vstack(out)
 
     # Chains of point ids whose consecutive pairs must become edges, with
     # the trace id they carry (-1 on the polygon).
-    chains = [(-1, [pool.add(p) for p in forced_subdivide(polygon[i],
-                                                          polygon[(i + 1) % nbv])])
-              for i in range(nbv)]
-    chains += [(gid, [pool.add(p) for p in forced_subdivide(q0, q1)])
-               for gid, q0, q1 in pieces]
+    chains = [(gid, pool.add_rows(forced_subdivide(a, b, on)))
+              for gid, a, b, on in zip([-1] * nbv + gids.tolist(), seg0, seg1,
+                                       on_seg)]
 
     # Hexagonal interior lattice with deterministic jitter.
     rng = np.random.default_rng(seed)
@@ -583,15 +605,13 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     if len(cand):
         cand = cand + rng.uniform(-jitter * s, jitter * s, cand.shape)
         # Even-odd only: the distance test below drops boundary points.
-        ok = point_in_polygon(cand, polygon, -1.0)
+        keep = np.flatnonzero(point_in_polygon(cand, polygon, -1.0))
         # One constraint segment at a time keeps memory linear in the
         # lattice size when a fracture carries many traces.
-        for a, b in zip(np.vstack([polygon, ends0]),
-                        np.vstack([np.roll(polygon, -1, 0), ends1])):
-            ok &= point_segment_distance(cand, a, b) >= 0.5 * s
-        for p in cand[ok]:
-            # Lattice points are well separated; skip dedup.
-            pool.append(p)
+        for a, b in zip(seg0, seg1):
+            keep = keep[point_segment_distance(cand[keep], a, b) >= 0.5 * s]
+        # Lattice points are well separated; skip dedup.
+        pool.extend(cand[keep])
 
     # Delaunay with constraint-edge recovery by midpoint insertion.  Four
     # distant padding points keep every real point off the convex hull,

@@ -180,8 +180,14 @@ def regression_order(hs, errs) -> float:
 # VTK / CSV export
 # ------------------------------------------------------------------ #
 
-def _fmt(x) -> str:
-    return f"{float(x):.16g}"
+def _rows(fmt: str, values: np.ndarray) -> str:
+    """One ``fmt % row`` per row of ``values``."""
+    return (fmt * len(values)) % tuple(values.ravel().tolist())
+
+
+def _column(values: np.ndarray) -> str:
+    """One ``%.16g`` value per line; a lone newline when there are none."""
+    return "\n".join(["%.16g"] * len(values)) % tuple(values.tolist()) + "\n"
 
 
 def export_vtk(problem, solution, path) -> None:
@@ -191,66 +197,71 @@ def export_vtk(problem, solution, path) -> None:
     Agglomerated cells whose boundary cannot be chained into one loop
     are skipped (their member triangles are only a visual aid anyway).
     """
-    points, polys, pvals, vvals = [], [], [], []
+    points, tails, counts, pvals, vvals = [], [], [], [], []
+    base = 0
     for fid in sorted(problem.meshes):
         mesh = problem.meshes[fid]
-        base = len(points)
-        pts3 = mesh.frame.to_global(mesh.nodes)
-        points.extend(pts3)
-        tail = (mesh.entry_tail + base).tolist()
-        ptr = mesh.cell_ptr.tolist()
-        for k in np.flatnonzero(mesh.chained).tolist():
-            polys.append(tail[ptr[k]:ptr[k + 1]])
-            pvals.append(float(solution.pressure[fid][k]))
-            vvals.append(solution.velocity[fid][k])
+        keep = mesh.chained
+        n_edges = np.diff(mesh.cell_ptr)
+        points.append(mesh.frame.to_global(mesh.nodes))
+        tails.append(mesh.entry_tail[np.repeat(keep, n_edges)] + base)
+        counts.append(n_edges[keep])
+        pvals.append(solution.pressure[fid][keep])
+        vvals.append(solution.velocity[fid][keep])
+        base += mesh.n_nodes
+    points = np.concatenate(points)
+    counts = np.concatenate(counts)
+    pvals = np.concatenate(pvals)
+    vvals = np.concatenate(vvals)
+    # A cell's row is its node count, then its nodes.
+    cells = np.insert(np.concatenate(tails), np.cumsum(counts) - counts, counts)
+    fmt = {d: "%d" + " %d" * d + "\n" for d in set(counts.tolist())}
+    n = len(counts)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("# vtk DataFile Version 4.2\n")
         fh.write("dfnvem fracture fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(points)} double\n")
-        for p in points:
-            fh.write(" ".join(_fmt(v) for v in p) + "\n")
-        total = sum(len(c) + 1 for c in polys)
-        fh.write(f"CELLS {len(polys)} {total}\n")
-        for c in polys:
-            fh.write(" ".join(str(v) for v in [len(c)] + c) + "\n")
-        fh.write(f"CELL_TYPES {len(polys)}\n")
-        fh.write("\n".join(["7"] * len(polys)) + "\n")
-        fh.write(f"CELL_DATA {len(polys)}\n")
+        fh.write(_rows("%.16g %.16g %.16g\n", points))
+        fh.write(f"CELLS {n} {len(cells)}\n")
+        fh.write("".join([fmt[d] for d in counts.tolist()])
+                 % tuple(cells.tolist()))
+        fh.write(f"CELL_TYPES {n}\n")
+        fh.write("\n".join(["7"] * n) + "\n")
+        fh.write(f"CELL_DATA {n}\n")
         fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-        fh.write("\n".join(_fmt(v) for v in pvals) + "\n")
+        fh.write(_column(pvals))
         fh.write("VECTORS velocity double\n")
-        for v in vvals:
-            fh.write(" ".join(_fmt(c) for c in v) + "\n")
+        fh.write(_rows("%.16g %.16g %.16g\n", vvals))
 
 
 def export_line_vtk(problem, solution, path) -> None:
     """Intersection polylines with 1D pressures (dc) or multipliers (cc)."""
-    points, lines, vals = [], [], []
+    points, first, vals = [np.zeros((0, 3))], [np.zeros(0, int)], [np.zeros(0)]
+    base = 0
     for gid, tm in sorted(problem.traces.items()):
-        base = len(points)
-        pts = [tm.line.p0 + t * tm.line.direction for t in tm.breakpoints]
-        points.extend(pts)
+        points.append(tm.line.p0 + tm.breakpoints[:, None] * tm.line.direction)
+        first.append(base + np.arange(tm.n_elems))
+        base += len(tm.breakpoints)
         data = (solution.line_pressure.get(gid)
                 if solution.line_pressure else None)
         if data is None:
             data = solution.interface_pressure.get(gid)
-        for j in range(tm.n_elems):
-            lines.append((base + j, base + j + 1))
-            vals.append(float(data[j]) if data is not None else 0.0)
+        vals.append(np.zeros(tm.n_elems) if data is None
+                    else np.asarray(data, float)[:tm.n_elems])
+    points, first, vals = (np.concatenate(v) for v in (points, first, vals))
+    n = len(first)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("# vtk DataFile Version 4.2\n")
         fh.write("dfnvem intersection fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(points)} double\n")
-        for p in points:
-            fh.write(" ".join(_fmt(v) for v in p) + "\n")
-        fh.write(f"CELLS {len(lines)} {3 * len(lines)}\n")
-        for a, b in lines:
-            fh.write(f"2 {a} {b}\n")
-        fh.write(f"CELL_TYPES {len(lines)}\n")
-        fh.write("\n".join(["3"] * len(lines)) + "\n")
-        fh.write(f"CELL_DATA {len(lines)}\n")
+        fh.write(_rows("%.16g %.16g %.16g\n", points))
+        fh.write(f"CELLS {n} {3 * n}\n")
+        fh.write(_rows("2 %d %d\n", np.column_stack([first, first + 1])))
+        fh.write(f"CELL_TYPES {n}\n")
+        fh.write("\n".join(["3"] * n) + "\n")
+        fh.write(f"CELL_DATA {n}\n")
         fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-        fh.write("\n".join(_fmt(v) for v in vals) + "\n")
+        fh.write(_column(vals))
 
 
 _CSV_COLUMNS = [

@@ -11,7 +11,7 @@ from dfnvem import assembly as asm
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
-from dfnvem.errors import ConfigError, SingularG
+from dfnvem.errors import CollinearOverlap, ConfigError, DfnError, SingularG
 
 
 def verify_strong_form(case, n_samples: int = 100,
@@ -858,3 +858,220 @@ def point_in_polygon_ref(p, poly, tol) -> bool:
             if xc > x:
                 inside = not inside
     return inside
+
+
+# ------------------------------------------------------------------ #
+# Network set-up oracles: the pair-by-pair ``build_network``, the
+# scanning point pool of ``triangulate`` and the float-by-float VTK
+# writer that the array versions replaced.
+# ------------------------------------------------------------------ #
+
+def _same_segment_ref(a, b, tol: float) -> bool:
+    d00 = np.linalg.norm(a.p0 - b.p0) + np.linalg.norm(a.p1 - b.p1)
+    d01 = np.linalg.norm(a.p0 - b.p1) + np.linalg.norm(a.p1 - b.p0)
+    return min(d00, d01) < tol
+
+
+def intersect_lines_ref(a, b, tol: float = 1e-9):
+    """Common interior point of two intersection segments, or ``None``.
+
+    Raises ``CollinearOverlap`` when the segments overlap along a line;
+    crossings at segment endpoints are not reported (the model requires
+    points interior to each parent line).
+    """
+    d1 = a.p1 - a.p0
+    d2 = b.p1 - b.p0
+    L1, L2 = np.linalg.norm(d1), np.linalg.norm(d2)
+    r = b.p0 - a.p0
+    cr = np.cross(d1 / L1, d2 / L2)
+    if np.linalg.norm(cr) < geo._PARALLEL_TOL:
+        if geo.point_segment_distance([b.p0, b.p1], a.p0, a.p1).min() < tol:
+            u = d1 / L1
+            t0, t1 = sorted([float((b.p0 - a.p0) @ u), float((b.p1 - a.p0) @ u)])
+            if min(L1, t1) - max(0.0, t0) > tol:
+                raise CollinearOverlap(
+                    f"intersection lines {a.id} and {b.id} overlap"
+                )
+        return None
+    M = np.array([[d1 @ d1, -(d1 @ d2)], [-(d1 @ d2), d2 @ d2]])
+    rhs = np.array([r @ d1, -(r @ d2)])
+    s, u = np.linalg.solve(M, rhs)
+    pa = a.p0 + s * d1
+    pb = b.p0 + u * d2
+    if np.linalg.norm(pa - pb) > tol:
+        return None
+    eps1, eps2 = tol / L1, tol / L2
+    if not (eps1 < s < 1 - eps1 and eps2 < u < 1 - eps2):
+        return None
+    return geo.IntersectionPoint(id=-1, location=0.5 * (pa + pb),
+                                 parent_lines=(a.id, b.id))
+
+
+def build_network_ref(fractures: list, tol: float | None = None,
+                      intersection_props: dict | None = None):
+    """Every fracture pair and every line pair, merged by linear scans."""
+    fractures = sorted(fractures, key=lambda f: f.id)
+    if tol is None:
+        pts = np.vstack([f.vertices for f in fractures])
+        tol = 1e-9 * float(np.linalg.norm(pts.max(0) - pts.min(0)))
+    raw = []
+    for i, fa in enumerate(fractures):
+        for fb in fractures[i + 1:]:
+            seg = geo.intersect_fractures(fa, fb, tol)
+            if seg is not None:
+                raw.append(seg)
+    merge_tol = max(tol * 1e3, tol)
+    lines: list = []
+    for seg in raw:
+        for ln in lines:
+            if _same_segment_ref(seg, ln, merge_tol):
+                ln.parents = tuple(sorted(set(ln.parents) | set(seg.parents)))
+                break
+        else:
+            lines.append(seg)
+    for k, ln in enumerate(lines):
+        ln.id = k
+        props = None
+        if intersection_props:
+            props = intersection_props.get(frozenset(ln.parents))
+            if props is None and len(ln.parents) > 2:
+                for key, val in intersection_props.items():
+                    if key <= set(ln.parents):
+                        props = val
+                        break
+        if props:
+            ln.k_hat = float(props.get("k_hat", ln.k_hat))
+            ln.k_tilde = float(props.get("k_tilde", ln.k_tilde))
+
+    points: list = []
+    for i, la in enumerate(lines):
+        for lb in lines[i + 1:]:
+            pt = intersect_lines_ref(la, lb, merge_tol)
+            if pt is None:
+                continue
+            for known in points:
+                if np.linalg.norm(known.location - pt.location) < merge_tol:
+                    known.parent_lines = tuple(
+                        sorted(set(known.parent_lines) | set(pt.parent_lines))
+                    )
+                    break
+            else:
+                points.append(pt)
+    for k, pt in enumerate(points):
+        pt.id = k
+    return geo.FractureNetwork(fractures=fractures, lines=lines, points=points,
+                               tol=tol)
+
+
+class point_pool_ref:
+    """Deduplicating point registry that scans every known point."""
+
+    def __init__(self, tol):
+        self.tol = tol
+        self._buf = np.empty((256, 2))
+        self.n = 0
+
+    @property
+    def pts(self) -> np.ndarray:
+        return self._buf[:self.n]
+
+    def append(self, p) -> int:
+        """Register ``p`` without deduplication; returns its id."""
+        if self.n == len(self._buf):
+            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
+        self._buf[self.n] = p
+        self.n += 1
+        return self.n - 1
+
+    def add(self, p) -> int:
+        """Id of the first point within ``tol`` of ``p``, else a new id."""
+        # The first match wins, which keeps the numbering deterministic.
+        hits = np.flatnonzero(np.linalg.norm(self.pts - p, axis=1) <= self.tol)
+        return int(hits[0]) if len(hits) else self.append(p)
+
+
+def _fmt_ref(x) -> str:
+    return f"{float(x):.16g}"
+
+
+def export_vtk_ref(problem, solution, path) -> None:
+    """Legacy-ASCII unstructured grid of all fracture meshes in 3D.
+
+    Cells are POLYGONs carrying pressure and the projected velocity.
+    Agglomerated cells whose boundary cannot be chained into one loop
+    are skipped (their member triangles are only a visual aid anyway).
+    """
+    points, polys, pvals, vvals = [], [], [], []
+    for fid in sorted(problem.meshes):
+        mesh = problem.meshes[fid]
+        base = len(points)
+        pts3 = mesh.frame.to_global(mesh.nodes)
+        points.extend(pts3)
+        tail = (mesh.entry_tail + base).tolist()
+        ptr = mesh.cell_ptr.tolist()
+        for k in np.flatnonzero(mesh.chained).tolist():
+            polys.append(tail[ptr[k]:ptr[k + 1]])
+            pvals.append(float(solution.pressure[fid][k]))
+            vvals.append(solution.velocity[fid][k])
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("# vtk DataFile Version 4.2\n")
+        fh.write("dfnvem fracture fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {len(points)} double\n")
+        for p in points:
+            fh.write(" ".join(_fmt_ref(v) for v in p) + "\n")
+        total = sum(len(c) + 1 for c in polys)
+        fh.write(f"CELLS {len(polys)} {total}\n")
+        for c in polys:
+            fh.write(" ".join(str(v) for v in [len(c)] + c) + "\n")
+        fh.write(f"CELL_TYPES {len(polys)}\n")
+        fh.write("\n".join(["7"] * len(polys)) + "\n")
+        fh.write(f"CELL_DATA {len(polys)}\n")
+        fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
+        fh.write("\n".join(_fmt_ref(v) for v in pvals) + "\n")
+        fh.write("VECTORS velocity double\n")
+        for v in vvals:
+            fh.write(" ".join(_fmt_ref(c) for c in v) + "\n")
+
+
+def export_line_vtk_ref(problem, solution, path) -> None:
+    """Intersection polylines with 1D pressures (dc) or multipliers (cc)."""
+    points, lines, vals = [], [], []
+    for gid, tm in sorted(problem.traces.items()):
+        base = len(points)
+        pts = [tm.line.p0 + t * tm.line.direction for t in tm.breakpoints]
+        points.extend(pts)
+        data = (solution.line_pressure.get(gid)
+                if solution.line_pressure else None)
+        if data is None:
+            data = solution.interface_pressure.get(gid)
+        for j in range(tm.n_elems):
+            lines.append((base + j, base + j + 1))
+            vals.append(float(data[j]) if data is not None else 0.0)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("# vtk DataFile Version 4.2\n")
+        fh.write("dfnvem intersection fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {len(points)} double\n")
+        for p in points:
+            fh.write(" ".join(_fmt_ref(v) for v in p) + "\n")
+        fh.write(f"CELLS {len(lines)} {3 * len(lines)}\n")
+        for a, b in lines:
+            fh.write(f"2 {a} {b}\n")
+        fh.write(f"CELL_TYPES {len(lines)}\n")
+        fh.write("\n".join(["3"] * len(lines)) + "\n")
+        fh.write(f"CELL_DATA {len(lines)}\n")
+        fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
+        fh.write("\n".join(_fmt_ref(v) for v in vals) + "\n")
+
+
+def network_outcome(build, fractures, **kw) -> tuple:
+    """Everything ``build`` decides about the network of ``fractures``:
+    its lines, points and tolerance, or the type and message it raised."""
+    try:
+        net = build(fractures, **kw)
+    except DfnError as exc:
+        return type(exc), str(exc)
+    lines = tuple((ln.id, ln.p0.tobytes(), ln.p1.tobytes(), ln.parents,
+                   ln.end_kind, ln.k_hat, ln.k_tilde) for ln in net.lines)
+    points = tuple((pt.id, pt.location.tobytes(), pt.parent_lines)
+                   for pt in net.points)
+    return lines, points, net.tol

@@ -65,12 +65,36 @@ class TestSolveCommand:
         assert rc == 0
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         timings = summary["timings"]
-        stages = ["mesh_s", "prepare_s", "dofs_s", "assemble_s", "solve_s",
-                  "extract_s", "export_s"]
+        stages = ["network_s", "mesh_s", "prepare_s", "dofs_s", "assemble_s",
+                  "solve_s", "extract_s", "export_s"]
         assert sorted(timings) == sorted(stages + ["total_s"])
         assert all(timings[k] >= 0.0 for k in timings)
         assert sum(timings[k] for k in stages) <= timings["total_s"]
         assert summary["schema"] == 1
+
+    @pytest.mark.parametrize("source, counts", [
+        ("case", {"fractures": 2, "lines": 1, "points": 0}),
+        ("network", {"fractures": 12, "lines": 45, "points": 50}),
+    ])
+    def test_network_counts(self, tmp_path, source, counts):
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(import_network_dict()))
+        inputs = (["--case", "two-fractures", "--family", "coarse2"]
+                  if source == "case" else ["--network", net_path, "--h", "0.5"])
+        assert run_cli(["solve", *inputs, "--out", tmp_path / "o"]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["network"] == counts
+
+    def test_repeated_vertex_is_geometry_error(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"fractures": [{"id": 0, "vertices": [
+            [0, 0, 0], [1, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]}]}))
+        rc = run_cli(["solve", "--network", path, "--h", "0.3",
+                      "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert "[GeometryError]" in err
+        assert "fracture 0: the edge from vertex 1 to vertex 2" in err
 
     def test_network_import(self, tmp_path):
         net_path = tmp_path / "net.json"
@@ -260,6 +284,17 @@ EDITS = {
     "bc_value_null.json": _set("value", None),
     "bc_box.json": _set("box", [[0, 0, 0]]),
     "bc_not_list.json": lambda data: data.update(boundary_conditions={}),
+    "id_fraction.json": _set("id", 1.7, at=1, entry="fractures"),
+    "id_bool.json": _set("id", True, at=1, entry="fractures"),
+    "isec_fraction.json": lambda data: data.update(
+        intersections=[{"fractures": [0, 4.5]}]),
+    "bc_fid_fraction.json": _set("fracture", 0.5),
+    "bc_edge_fraction.json": _set("edge", 1.5),
+    "bc_edge_bool.json": _set("edge", True),
+    "gamma_fraction.json": lambda data: data.update(intersection_conditions=[
+        {"gamma": 0.5, "end": 0, "type": "tip"}]),
+    "end_bool.json": lambda data: data.update(intersection_conditions=[
+        {"gamma": 0, "end": False, "type": "tip"}]),
 }
 
 
@@ -358,6 +393,24 @@ MALFORMED = {
                           "boundary_conditions[0].box"),
     "bc-not-a-list": (["mesh", "--network", "bc_not_list.json"],
                       "boundary_conditions: "),
+    "fractional-fracture-id": (["mesh", "--network", "id_fraction.json"],
+                               "fractures[1].id: 1.7 is not an integer"),
+    "bool-fracture-id": (["mesh", "--network", "id_bool.json"],
+                         "fractures[1].id: True is not an integer"),
+    "intersection-fractional-id": (
+        ["mesh", "--network", "isec_fraction.json"],
+        "intersections[0].fractures[1]: 4.5 is not an integer"),
+    "bc-fractional-fracture": (["solve", "--network", "bc_fid_fraction.json"],
+                               "boundary_conditions[0].fracture: 0.5"),
+    "bc-fractional-edge": (["solve", "--network", "bc_edge_fraction.json"],
+                           "boundary_conditions[0].edge: 1.5"),
+    "bc-bool-edge": (["solve", "--network", "bc_edge_bool.json"],
+                     "boundary_conditions[0].edge: True"),
+    "intersection-fractional-gamma": (
+        ["solve", "--network", "gamma_fraction.json"],
+        "intersection_conditions[0].gamma: 0.5"),
+    "intersection-bool-end": (["solve", "--network", "end_bool.json"],
+                              "intersection_conditions[0].end: False"),
     "tol-0": (["solve", "--case", "single", "--family", "cartesian",
                "--tol", "0"], "--tol"),
     "tol-nan": (["convergence", "--case", "single", "--family", "cartesian",

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from dfnvem import geometry as geo
-from dfnvem.errors import CollinearOverlap, CollinearVertices, CoplanarOverlap
+from dfnvem.errors import (CollinearOverlap, CollinearVertices, CoplanarOverlap,
+                           GeometryError)
 
-from _util import point_in_polygon_ref, point_segment_distance_ref
+from _util import (build_network_ref, import_network_dict, network_outcome,
+                   point_in_polygon_ref, point_segment_distance_ref)
 
 RNG = np.random.default_rng(20240811)
 
@@ -268,3 +270,172 @@ class TestNetwork:
         assert net.fractures[0].aperture == 0.01
         assert net.lines[0].k_hat == 3.0
         assert raw["fractures"][0]["id"] == 0
+
+
+def rectangle(fid, corner, size, normal=2):
+    """Axis-aligned rectangle with the given normal axis."""
+    u, v = np.eye(3)[(normal + 1) % 3], np.eye(3)[(normal + 2) % 3]
+    c = np.asarray(corner, float)
+    return geo.Fracture(id=fid, vertices=[c, c + size[0] * u,
+                                          c + size[0] * u + size[1] * v,
+                                          c + size[1] * v])
+
+
+class TestPrunedNetworkAgainstReference:
+    """``build_network`` intersects only the pairs whose bounding boxes
+    meet; it must decide exactly what every pair decides."""
+
+    def test_collinear_overlapping_lines_raise(self):
+        # Lines on the x axis from (0, 1.5), (1, 2) and (1, 1.5) overlap.
+        f0 = geo.Fracture(id=0, vertices=[[0, -1, 0], [2, -1, 0],
+                                          [2, 1, 0], [0, 1, 0]])
+        f1 = geo.Fracture(id=1, vertices=[[0, 0, -1], [1.5, 0, -1],
+                                          [1.5, 0, 1], [0, 0, 1]])
+        f2 = geo.Fracture(id=2, vertices=[[1, -1, -1], [2, -1, -1],
+                                          [2, 1, 1], [1, 1, 1]])
+        got = network_outcome(geo.build_network, [f0, f1, f2])
+        assert got == network_outcome(build_network_ref, [f0, f1, f2])
+        assert got[0] is CollinearOverlap
+
+    def test_coplanar_fractures_sharing_an_edge(self):
+        fracs = [rectangle(0, [0, 0, 0], [1, 1]), rectangle(1, [1, 0, 0], [1, 1]),
+                 rectangle(2, [3, 0, 0], [1, 1])]
+        got = network_outcome(geo.build_network, fracs)
+        assert got == network_outcome(build_network_ref, fracs)
+        assert len(got[0]) == 1 and got[0][0][3] == (0, 1)
+
+    def test_three_fractures_on_one_line_merge(self):
+        f0 = geo.Fracture(id=0, vertices=[[0, -1, 0], [0, 1, 0],
+                                          [0, 1, 1], [0, -1, 1]])
+        f1 = geo.Fracture(id=1, vertices=[[-1, 0, 0], [1, 0, 0],
+                                          [1, 0, 1], [-1, 0, 1]])
+        f2 = geo.Fracture(id=2, vertices=[[-1, -1, 0], [1, 1, 0],
+                                          [1, 1, 1], [-1, -1, 1]])
+        got = network_outcome(geo.build_network, [f2, f0, f1])
+        assert got == network_outcome(build_network_ref, [f2, f0, f1])
+        assert [ln[3] for ln in got[0]] == [(0, 1, 2)]
+
+    def test_point_where_six_lines_meet(self):
+        # Planes x = 0, y = 0, z = 0 and x + y + z = 0 meet in six lines
+        # through the origin.
+        fracs = [rectangle(0, [0, -1, -1], [2, 2], normal=0),
+                 rectangle(1, [-1, 0, -1], [2, 2], normal=1),
+                 rectangle(2, [-1, -1, 0], [2, 2], normal=2),
+                 geo.Fracture(id=3, vertices=[[1, -1, 0], [1, 0, -1],
+                                              [-1, 1, 0], [-1, 0, 1]])]
+        got = network_outcome(geo.build_network, fracs)
+        assert got == network_outcome(build_network_ref, fracs)
+        lines, points, _ = got
+        assert len(lines) == 6
+        assert len(points) == 1 and points[0][2] == tuple(range(6))
+
+    def test_boxes_touching_at_the_pad_are_paired(self):
+        lo = np.array([[0.0, 0, 0], [1.5, 0, 0], [1.5 + 2**-20, 0, 0]])
+        hi = lo + [1.0, 1, 1]
+        i, j = np.triu_indices(3, 1)
+        meet = geo._boxes_meet(lo, hi, i, j, 0.25)
+        # Box 1 is 0.5 = 2 * pad from box 0; box 2 is just beyond.
+        assert list(zip(i[meet].tolist(), j[meet].tolist())) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("gap", [0.5e-6, 1e-6, 2e-6, 2e-6 * (1 + 1e-9),
+                                     3e-6])
+    def test_fracture_boxes_near_merge_tol(self, gap):
+        # merge_tol is 1e3 * tol = 1e-6; the boxes are ``gap`` apart.
+        fracs = [rectangle(0, [0, 0, 0], [1, 1]),
+                 rectangle(1, [1 + gap, 0, -0.5], [1, 1], normal=0),
+                 rectangle(2, [0.5, 0, -0.5], [1, 1], normal=0),
+                 rectangle(3, [0, 0.5 + gap, -0.5], [1, 1], normal=1)]
+        for f in fracs:
+            f.tol = 1e-9
+        got = network_outcome(geo.build_network, fracs, tol=1e-9)
+        assert got == network_outcome(build_network_ref, fracs, tol=1e-9)
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5e-9, 0.9e-9])
+    def test_contact_across_a_gap_below_tol(self, gap):
+        # Fracture 1 stands on fracture 0 with its lower edge ``gap`` above
+        # it: their boxes are apart, yet they meet within tol = 1e-9.
+        fracs = [rectangle(0, [0, 0, 0], [1, 1]),
+                 rectangle(1, [0.5, 0.2, gap], [0.6, 1], normal=0)]
+        got = network_outcome(geo.build_network, fracs, tol=1e-9)
+        assert got == network_outcome(build_network_ref, fracs, tol=1e-9)
+        assert len(got[0]) == 1
+
+    def test_point_within_merge_tol_of_two_points(self):
+        # The x axis (planes z = 0 and y = z) is crossed at x = 0, 1.5e-6
+        # and 0.75e-6, in that order, by the traces of three upright
+        # planes at 90, 60 and 120 degrees.  merge_tol is 1e-6, so the
+        # third crossing merges into the first point, not the second.
+        fracs = [rectangle(0, [-1, -1, 0], [2, 2]),
+                 geo.Fracture(id=1, vertices=[[-1, -1, -1], [1, -1, -1],
+                                              [1, 1, 1], [-1, 1, 1]])]
+        for k, (x, deg) in enumerate([(0.0, 90), (1.5e-6, 60), (0.75e-6, 120)]):
+            d = np.array([np.cos(np.radians(deg)), np.sin(np.radians(deg)), 0])
+            c, up = np.array([x, 0, 0]), np.array([0, 0, 1.0])
+            fracs.append(geo.Fracture(id=2 + k, vertices=[
+                c - d - up, c + d - up, c + d + up, c - d + up]))
+        got = network_outcome(geo.build_network, fracs, tol=1e-9)
+        assert got == network_outcome(build_network_ref, fracs, tol=1e-9)
+        on_axis = sorted(x for x, y, z in (np.frombuffer(p[1]) for p in got[1])
+                         if abs(x) < 2e-6 and abs(y) + abs(z) < 1e-12)
+        assert np.allclose(on_axis, [0.0, 1.5e-6], rtol=0, atol=1e-12)
+
+    def test_near_coplanar_pair_with_boxes_apart(self):
+        # Fracture 1 turns by 7e-10 rad out of fracture 0's plane
+        # x + z = 0, so its edge over fracture 0's edge x = 1 lies 1e-9
+        # off that plane and their boxes are 7e-10 apart, more than
+        # 2 * merge_tol = 2e-12 for tol = 1e-15.  Projected onto the plane,
+        # the two share that edge.
+        n = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
+        f0 = geo.Fracture(id=0, vertices=[[0, 0, 0], [1, 0, -1], [1, 1, -1],
+                                          [0, 1, 0]])
+        f1 = geo.Fracture(id=1, vertices=[[2, 0, -2], [2, 1, -2],
+                                          np.add([1, 1, -1], 1e-9 * n),
+                                          np.add([1, 0, -1], 1e-9 * n)])
+        got = network_outcome(geo.build_network, [f0, f1], tol=1e-15)
+        assert got == network_outcome(build_network_ref, [f0, f1], tol=1e-15)
+        assert len(got[0]) == 1
+
+    @pytest.mark.parametrize("n_lines", [0, 1])
+    def test_networks_with_few_lines(self, n_lines):
+        fracs = [rectangle(0, [0, 0, 0], [1, 1]),
+                 rectangle(1, [0, 0, 1], [1, 1])]
+        if n_lines:
+            fracs.append(rectangle(2, [0.5, 0, -0.5], [1, 1], normal=0))
+        got = network_outcome(geo.build_network, fracs)
+        assert got == network_outcome(build_network_ref, fracs)
+        assert len(got[0]) == n_lines and got[1] == ()
+        single = network_outcome(geo.build_network, fracs[:1])
+        assert single == network_outcome(build_network_ref, fracs[:1])
+
+    def test_imported_network_with_fewer_pairs(self, monkeypatch):
+        fracs = [geo.Fracture(id=f["id"], vertices=f["vertices"])
+                 for f in import_network_dict()["fractures"]]
+        calls = []
+        real = geo.intersect_fractures
+        monkeypatch.setattr(geo, "intersect_fractures",
+                            lambda *a: calls.append(a) or real(*a))
+        got = network_outcome(geo.build_network, fracs)
+        monkeypatch.undo()
+        assert got == network_outcome(build_network_ref, fracs)
+        assert (len(got[0]), len(got[1])) == (45, 50)
+        assert len(calls) < 66 * 3 // 4
+
+
+class TestFractureEdges:
+    @pytest.mark.parametrize("verts, names", [
+        ([[0, 0, 0], [1, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+         "edge from vertex 1 to vertex 2"),
+        ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 0]],
+         "edge from vertex 4 to vertex 0"),
+        ([[0, 0, 0], [1, 0, 0], [1, 1e-10, 0], [1, 1, 0], [0, 1, 0]],
+         "edge from vertex 1 to vertex 2"),
+    ])
+    def test_edge_shorter_than_tol_is_rejected(self, verts, names):
+        with pytest.raises(GeometryError, match=f"fracture 7: the {names} "):
+            geo.Fracture(id=7, vertices=verts)
+
+    def test_edge_of_tol_is_kept(self):
+        # tol is 1e-9 times the diagonal, here 1e-9 * sqrt(2).
+        short = 1e-9 * np.sqrt(2) * 1.01
+        geo.Fracture(id=0, vertices=[[0, 0, 0], [1, 0, 0], [1, short, 0],
+                                     [1, 1, 0], [0, 1, 0]])

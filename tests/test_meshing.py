@@ -10,8 +10,8 @@ from dfnvem import meshing as msh
 from dfnvem.errors import ConstraintConflict, InconsistentEndpoints, MeshError
 
 from _util import (ORACLE_MESHES, cell_of, crossing_rectangles, oracle_meshes,
-                   outward_normals_of_cell, split_edges_ref, trace_edges_ref,
-                   traced_triangulations)
+                   outward_normals_of_cell, point_pool_ref, split_edges_ref,
+                   trace_edges_ref, traced_triangulations)
 
 UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
 
@@ -156,6 +156,29 @@ class TestTriangulate:
                 ref.append(p)
             assert pool.add(p) == (hits[0] if hits else len(ref) - 1)
         assert np.array_equal(pool.pts, ref)
+
+    @pytest.mark.parametrize("tol", [1e-12, 0.1, 1.0])
+    def test_point_pool_matches_reference(self, tol):
+        # Points within tol of two earlier points, on and across the
+        # grid's cell borders (cells are 2 * tol wide), and far apart.
+        side = 2 * tol
+        probes = [[0, 0], [1.5 * tol, 0], [0.75 * tol, 0], [tol, 0],
+                  [side, side], [side - tol, side], [side + 0.5 * tol, side],
+                  [-side, 3 * side], [-side - tol, 3 * side + tol * 1e-3],
+                  [5 * side, 5 * side], [5 * side + tol, 5 * side]]
+        rng = np.random.default_rng(3)
+        walk = np.cumsum(rng.uniform(-1.1 * tol, 1.1 * tol, (300, 2)), axis=0)
+        pts = np.vstack([np.array(probes, float), walk,
+                         rng.uniform(-4 * side, 4 * side, (300, 2))])
+        pool, ref = msh._PointPool(tol), point_pool_ref(tol)
+        pool.extend(pts[:5])
+        for p in pts[:5]:
+            ref.append(p)
+        got = [pool.add(p) for p in pts[5:300]] + pool.add_rows(pts[300:])
+        assert got == [ref.add(p) for p in pts[5:]]
+        assert np.array_equal(pool.pts, ref.pts)
+        # Both outcomes occur: merged into an earlier point, and new.
+        assert 100 < len(set(got)) < len(got)
 
     def test_deterministic(self):
         m1 = msh.triangulate(UNIT_SQUARE, h_target=0.3)

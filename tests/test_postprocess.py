@@ -179,3 +179,70 @@ class TestExports:
         n_chained = int(problem.meshes[0].chained.sum())
         assert n_exported == n_chained
         assert n_exported >= 0.9 * problem.meshes[0].n_cells
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e-300,
+                    5e-324, 1 / 3, -2.5, 1e16, 123456789.0])
+
+
+def special(n, shift=0):
+    """``n`` values cycling through nan, +-inf, -0.0, 1e+-300 and others."""
+    return np.roll(np.resize(SPECIAL, n), shift)
+
+
+class TestBatchedExportAgainstReference:
+    """The batched writers give the bytes of the per-float reference."""
+
+    @pytest.fixture(scope="class")
+    def coarse_single(self):
+        case = cases.case_single_fracture()
+        problem, _, solution, _, _ = cases.run_level(case, "coarse", 1)
+        return problem, solution
+
+    def test_fracture_vtk_with_special_values(self, coarse_single, tmp_path):
+        from types import SimpleNamespace
+        from _util import export_vtk_ref
+        problem, solution = coarse_single
+        # Agglomerated cells that do not chain into one loop are skipped.
+        mesh = problem.meshes[0].copy()
+        mesh.chained[1::3] = False
+        far = mesh.copy()
+        far.nodes = far.nodes * 1e300
+        odd = SimpleNamespace(meshes={0: mesh, 3: far})
+        sol = SimpleNamespace(
+            pressure={0: special(mesh.n_cells), 3: special(far.n_cells, 5)},
+            velocity={0: special(3 * mesh.n_cells, 1).reshape(-1, 3),
+                      3: special(3 * far.n_cells, 7).reshape(-1, 3)})
+        for name, prob, soln in (("real", problem, solution),
+                                 ("odd", odd, sol)):
+            post.export_vtk(prob, soln, tmp_path / f"{name}.vtk")
+            export_vtk_ref(prob, soln, tmp_path / f"{name}_ref.vtk")
+            assert ((tmp_path / f"{name}.vtk").read_bytes()
+                    == (tmp_path / f"{name}_ref.vtk").read_bytes())
+        assert "nan" in (tmp_path / "odd.vtk").read_text()
+
+    def test_fracture_vtk_without_chained_cells(self, coarse_single, tmp_path):
+        from types import SimpleNamespace
+        from _util import export_vtk_ref
+        problem, solution = coarse_single
+        mesh = problem.meshes[0].copy()
+        mesh.chained[:] = False
+        prob = SimpleNamespace(meshes={0: mesh})
+        post.export_vtk(prob, solution, tmp_path / "a.vtk")
+        export_vtk_ref(prob, solution, tmp_path / "b.vtk")
+        assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
+
+    @pytest.mark.parametrize("data", ["line", "interface", "none"])
+    def test_line_vtk_with_special_values(self, tmp_path, data):
+        from types import SimpleNamespace
+        from _util import export_line_vtk_ref
+        case = cases.case_intersection_flow()
+        problem, _, _, _, _ = cases.run_level(case, "triangular", 1)
+        values = {gid: special(tm.n_elems, gid)
+                  for gid, tm in problem.traces.items()}
+        sol = SimpleNamespace(
+            line_pressure=values if data == "line" else {},
+            interface_pressure=values if data == "interface" else {})
+        post.export_line_vtk(problem, sol, tmp_path / "a.vtk")
+        export_line_vtk_ref(problem, sol, tmp_path / "b.vtk")
+        assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
