@@ -102,32 +102,22 @@ class DiscreteProblem:
     point_sources: list = field(default_factory=list)  # (fid, xyz, strength)
 
 
-def prepare_problem(network: FractureNetwork, meshes: dict, lam=None,
-                    source=None, line_source=None, point_sources=()):
+def prepare_problem(network: FractureNetwork, meshes: dict, source=None,
+                    line_source=None, point_sources=()):
     """Co-refine traces, split interface dofs and bundle the coefficients.
 
     ``meshes`` maps fracture id to its (not yet split) mesh and is
-    modified in place by the co-refinement.  ``lam`` overrides the
-    fractures' effective permeability: a dict of per-cell arrays, a
-    callable ``(fid, centers3) -> (n, 2, 2)``, or ``None`` to use
-    ``aperture * k_tangential``.
+    modified in place by the co-refinement.  Each cell's permeability is
+    its fracture's ``aperture * k_tangential``.
     """
     traces = corefine_network(meshes, network)
     split = {fid: split_interface_dofs(meshes[fid], traces, fid)
              for fid in sorted(meshes)}
     lam_arrays, sigma = {}, {}
     for fid, mesh in split.items():
-        frac = network.fracture(fid)
-        n = mesh.n_cells
-        if lam is None:
-            arr = np.broadcast_to(frac.effective_permeability, (n, 2, 2)).copy()
-        elif callable(lam):
-            centers3 = mesh.frame.to_global(mesh.cell_centroids)
-            arr = np.asarray(lam(fid, centers3), float)
-        else:
-            arr = np.asarray(lam[fid], float)
-        lam_arrays[fid] = arr
-        sigma[fid] = vem.stabilization_parameter(arr)
+        perm = network.fracture(fid).effective_permeability
+        lam_arrays[fid] = np.broadcast_to(perm, (mesh.n_cells, 2, 2)).copy()
+        sigma[fid] = vem.stabilization_parameter(lam_arrays[fid])
     return DiscreteProblem(
         network=network, meshes=split, traces=traces, lam=lam_arrays,
         varsigma=sigma, source=source, line_source=line_source,
@@ -154,14 +144,6 @@ class DofMap:
     xi_mult: dict          # xi id -> dof      (dc only)
     total: int
     blocks: dict
-
-    def flux_like(self) -> np.ndarray:
-        idx = [d for arr in self.edge_dof.values() for d in arr]
-        for gid, arr in self.line_flux.items():
-            idx.extend(int(v) for v in arr if v >= 0)
-            for left, right in self.line_dup.get(gid, {}).values():
-                idx.extend((int(left), int(right)))
-        return np.unique(np.asarray(idx, int))
 
 
 def build_dof_map(problem: DiscreteProblem, model: str) -> DofMap:

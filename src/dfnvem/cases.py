@@ -59,7 +59,6 @@ class BenchmarkCase:
     p_hat_exact: callable = None
     u_hat_exact: callable = None
     laplacian_exact: callable = None  # in-plane Laplacian of p_exact
-    levels: int = 4
     _network: object = None
 
     def network(self):
@@ -183,7 +182,7 @@ def case_single_fracture() -> BenchmarkCase:
         source=source,
         bcs_builder=lambda net: asm.BoundarySpec.dirichlet(
             lambda fid, x: p_exact(fid, x)),
-        p_exact=p_exact, u_exact=u_exact, laplacian_exact=laplacian, levels=4,
+        p_exact=p_exact, u_exact=u_exact, laplacian_exact=laplacian,
     )
 
 
@@ -279,7 +278,7 @@ def case_two_fractures(zeta: float = 1.0) -> BenchmarkCase:
         source=source,
         bcs_builder=lambda net: asm.BoundarySpec.dirichlet(
             lambda fid, x: p_exact(fid, x)),
-        p_exact=p_exact, u_exact=u_exact, laplacian_exact=laplacian, levels=4,
+        p_exact=p_exact, u_exact=u_exact, laplacian_exact=laplacian,
     )
 
 
@@ -323,7 +322,7 @@ def case_intersection_flow() -> BenchmarkCase:
         families=("triangular", "coarse2", "coarse4"),
         source=source, line_source=line_source, bcs_builder=bcs,
         p_exact=p_exact, u_exact=u_exact, laplacian_exact=laplacian,
-        p_hat_exact=p_hat_exact, u_hat_exact=u_hat_exact, levels=4,
+        p_hat_exact=p_hat_exact, u_hat_exact=u_hat_exact,
     )
 
 
@@ -402,15 +401,15 @@ def case_four_fractures() -> BenchmarkCase:
         name="four-fractures", model="dc", network_builder=network,
         mesh_builder=meshes, families=("triangular",),
         point_sources=[(0, (0.5, 0.0, 0.5), 1.0)],
-        bcs_builder=bcs, levels=1,
+        bcs_builder=bcs,
     )
 
 
-def get_case(name: str, **kw) -> BenchmarkCase:
+def get_case(name: str) -> BenchmarkCase:
     if name == "single":
         return case_single_fracture()
     if name == "two-fractures":
-        return case_two_fractures(**kw)
+        return case_two_fractures()
     if name == "intersection-flow":
         return case_intersection_flow()
     if name == "four-fractures":
@@ -422,8 +421,7 @@ def get_case(name: str, **kw) -> BenchmarkCase:
 # harness
 # ------------------------------------------------------------------ #
 
-def solve_meshes(network, meshes: dict, bcs, model: str, *,
-                 solver: str = "direct", tol: float = 1e-10, source=None,
+def solve_meshes(network, meshes: dict, bcs, model: str, *, source=None,
                  line_source=None, point_sources=()):
     """Prepare, number, assemble, solve and extract one set of meshes.
 
@@ -441,7 +439,7 @@ def solve_meshes(network, meshes: dict, bcs, model: str, *,
     assemble = asm.assemble_cc if model == "cc" else asm.assemble_dc
     system = assemble(problem, dofs, bcs)
     clock.append(time.perf_counter())
-    report = slv.solve(system, method=solver, tol=tol)
+    report = slv.solve(system)
     clock.append(time.perf_counter())
     solution = asm.extract_solution(system, report.x)
     clock.append(time.perf_counter())
@@ -451,8 +449,7 @@ def solve_meshes(network, meshes: dict, bcs, model: str, *,
 
 
 def run_level(case: BenchmarkCase, family: str, level: int,
-              model: str | None = None, solver: str = "direct",
-              tol: float = 1e-10):
+              model: str | None = None):
     """Mesh, assemble, solve, and post-process one refinement level.
 
     ``report.timings`` adds ``network_s`` for the network and
@@ -463,8 +460,7 @@ def run_level(case: BenchmarkCase, family: str, level: int,
     meshes = case.meshes(family, level)
     mesh_s = time.perf_counter() - t1
     problem, system, solution, report = solve_meshes(
-        network, meshes, case.bcs(),
-        model or case.model, solver=solver, tol=tol, source=case.source,
+        network, meshes, case.bcs(), model or case.model, source=case.source,
         line_source=case.line_source, point_sources=case.point_sources)
     report.timings = {"network_s": t1 - t0, "mesh_s": mesh_s, **report.timings}
     err = None
@@ -474,14 +470,13 @@ def run_level(case: BenchmarkCase, family: str, level: int,
 
 
 def run_convergence(case: BenchmarkCase, family: str, levels: int,
-                    model: str | None = None, solver: str = "direct",
-                    tol: float = 1e-10):
+                    model: str | None = None):
     """Run a refinement ladder and fill inter-level convergence orders."""
     reports = []
     runs = []
     for level in range(1, levels + 1):
         problem, system, solution, rep, err = run_level(
-            case, family, level, model=model, solver=solver, tol=tol)
+            case, family, level, model=model)
         if err is None:
             raise ConfigError(f"case {case.name} has no exact solution; "
                               "convergence study not applicable")

@@ -22,7 +22,6 @@ from . import cases as case_mod
 from . import coarsening as coa
 from . import meshing as msh
 from . import postprocess as post
-from . import solver as slv
 from .errors import ConfigError, DfnError
 from .geometry import load_network
 
@@ -58,9 +57,6 @@ def _parser() -> argparse.ArgumentParser:
                              "serially")
         if with_model:
             sp.add_argument("--model", choices=("cc", "dc"), default=None)
-            sp.add_argument("--solver", choices=("direct", "minres"),
-                            default="direct")
-            sp.add_argument("--tol", type=float, default=1e-10)
 
     common(sub.add_parser("mesh", help="mesh a case or network and export"),
            with_model=False)
@@ -101,9 +97,6 @@ def _check_flags(args):
         ("eps_str", 0 < args.eps_str < 1, "a number in (0, 1)"),
         ("threads", args.threads >= 1, "an integer >= 1"),
     ]
-    if args.command in ("solve", "convergence"):
-        rules.append(("tol", math.isfinite(args.tol) and args.tol > 0,
-                      "a finite number > 0"))
     if args.command == "convergence":
         rules.append(("levels", args.levels >= 1, "an integer >= 1"))
     for dest, ok, need in rules:
@@ -216,15 +209,15 @@ def _solve_once(args):
     if args.network is None:
         case = _case(args)
         model = args.model or case.model
-        return *case_mod.run_level(case, args.family, args.level, model=model,
-                                   solver=args.solver, tol=args.tol), model
+        return *case_mod.run_level(case, args.family, args.level,
+                                   model=model), model
     t0 = time.perf_counter()
     network, meshes, bcs, network_s = _load_inputs(args)
     meshes = _network_coarse(args, network, meshes)
     mesh_s = time.perf_counter() - t0 - network_s
     model = args.model or "cc"
     problem, system, solution, report = case_mod.solve_meshes(
-        network, meshes, bcs, model, solver=args.solver, tol=args.tol)
+        network, meshes, bcs, model)
     report.timings = {"network_s": network_s, "mesh_s": mesh_s,
                       **report.timings}
     return problem, system, solution, report, None, model
@@ -250,8 +243,7 @@ def cmd_solve(args) -> dict:
                     "lines": len(network.lines),
                     "points": len(network.points)},
         "sparsity": system.sparsity, "residual": report.residual,
-        "solver": report.method, "reduced_size": report.reduced_size,
-        "lu_fill": report.lu_fill,
+        "reduced_size": report.reduced_size, "lu_fill": report.lu_fill,
         "timings": {**report.timings, "export_s": now - t_export,
                     "total_s": now - t0},
     }
@@ -269,8 +261,7 @@ def cmd_convergence(args) -> dict:
     case = _case(args)
     model = args.model or case.model
     reports, runs = case_mod.run_convergence(case, args.family, args.levels,
-                                             model=model, solver=args.solver,
-                                             tol=args.tol)
+                                             model=model)
     args.out.mkdir(parents=True, exist_ok=True)
     tag = f"{case.name}_{args.family}"
     post.export_csv(reports, args.out / f"{tag}.csv")
@@ -292,7 +283,8 @@ def global_flux_balance(problem, system, solution) -> dict:
 
     The outflow is the flux through the fracture boundaries plus, in dc
     runs, the 1D flux leaving through the intersection ends,
-    ``line_flux[g][-1] - line_flux[g][0]``.  cc runs carry no line flux.
+    ``line_flux[g][-1] - line_flux[g][0]``.  cc runs carry no line flux,
+    and their assembly ignores the line source, so only dc runs count it.
     The scale is the larger of the flux magnitudes and a floor from the
     data, the largest |Dirichlet value| times the boundary length times
     the largest permeability, so a solution without flow reads as
@@ -320,7 +312,7 @@ def global_flux_balance(problem, system, solution) -> dict:
             )
     for _, _, s in problem.point_sources:
         total_src += s
-    if problem.line_source is not None:
+    if problem.line_source is not None and system.model == "dc":
         for gid, tm in problem.traces.items():
             vals = np.asarray(problem.line_source(gid, tm.elem_mid_3d()))
             total_src += float((tm.elem_len * vals).sum())

@@ -337,14 +337,9 @@ class IntersectionLine:
     def __post_init__(self):
         self.p0 = np.asarray(self.p0, float)
         self.p1 = np.asarray(self.p1, float)
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.p1 - self.p0))
-
-    @property
-    def direction(self) -> np.ndarray:
-        return (self.p1 - self.p0) / self.length
+        # Computed once: the end points are not reassigned after this.
+        self.length = float(np.linalg.norm(self.p1 - self.p0))
+        self.direction = (self.p1 - self.p0) / self.length
 
     def param_of(self, p3: np.ndarray) -> float:
         return float((np.asarray(p3, float) - self.p0) @ self.direction)

@@ -1,6 +1,6 @@
-"""Direct and iterative solution of the saddle-point systems.
+"""Hybridized direct solution of the saddle-point systems.
 
-The direct path hybridizes the mixed system (Arnold & Brezzi 1985): every
+The solve hybridizes the mixed system (Arnold & Brezzi 1985): every
 cell keeps its own copy of its edge fluxes, a multiplier on each shared
 edge ties the two copies together, and each cell's local saddle block is
 inverted on its own, one batched ``np.linalg.inv`` per (fracture,
@@ -11,9 +11,7 @@ sparser than the saddle system.  It is factored by sparse LU with a
 symmetric ordering, the cell unknowns are recovered group by group, and
 one step of iterative refinement against the saddle residual follows.
 The saddle system stays the definition of the problem: the residual is
-reported and gated on it.  The fallback is MINRES on the whole saddle
-system with a block-diagonal preconditioner (inverse flux diagonal and a
-diagonal Schur-complement proxy for pressure and multiplier rows).
+reported and gated on it, at ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -27,15 +25,15 @@ from scipy.sparse import linalg as spla
 from .assembly import SaddleSystem
 from .errors import SingularSystem
 
-__all__ = ["SolveReport", "solve"]
+__all__ = ["RESIDUAL_TOL", "SolveReport", "solve"]
+
+RESIDUAL_TOL = 1e-8   # largest relative saddle residual a solve may return
 
 
 @dataclass
 class SolveReport:
     x: np.ndarray
     residual: float
-    method: str
-    iterations: int = 0
     nullspace_pinned: bool = False
     reduced_size: int = 0     # unknowns of the factored hybrid system
     lu_fill: int = 0          # nnz of its L and U factors
@@ -47,27 +45,6 @@ def _relative_residual(A, x, b) -> float:
     if nb == 0.0:
         return float(np.linalg.norm(A @ x))
     return float(np.linalg.norm(A @ x - b) / nb)
-
-
-def _block_preconditioner(system: SaddleSystem):
-    A = system.A
-    n = A.shape[0]
-    d = np.abs(A.diagonal())
-    flux = system.dofs.flux_like()
-    scale = np.ones(n)
-    mask = np.zeros(n, bool)
-    mask[flux] = True
-    df = np.where(d > 0, d, 1.0)
-    scale[mask] = 1.0 / df[mask]
-    # Diagonal Schur proxy: diag(B diag(M)^-1 B^T) on constraint rows.
-    other = np.where(~mask)[0]
-    Ao = A[other]
-    prox = np.asarray(
-        Ao.multiply(Ao).dot(sparse.diags(1.0 / df).dot(np.ones(n)))
-    ).ravel()
-    prox[prox <= 0] = 1.0
-    scale[other] = 1.0 / prox
-    return spla.LinearOperator((n, n), matvec=lambda v: scale * v)
 
 
 def _cell_blocks(system: SaddleSystem, robin, link, coef, lam, masked):
@@ -183,47 +160,28 @@ def _hybrid_factor(system: SaddleSystem):
     return solve_for, nz, fill
 
 
-def solve(system: SaddleSystem, method: str = "direct",
-          tol: float = 1e-10, maxiter: int | None = None) -> SolveReport:
-    """Solve an assembled system and report the relative residual.
-
-    ``method`` is ``direct`` (hybridized sparse LU, default) or
-    ``minres``.  Raises ``SingularSystem`` on structural or numerical rank
-    deficiency.
+def solve(system: SaddleSystem) -> SolveReport:
+    """Solve an assembled system by the hybridized sparse LU and report the
+    relative residual.  Raises ``SingularSystem`` on structural or
+    numerical rank deficiency.
     """
     A = system.A
     b = system.rhs
-    if method == "direct":
-        solve_for, size, fill = _hybrid_factor(system)
-        x = solve_for(b)
-        # One step of iterative refinement.  K weighs the p-hat of a nearly
-        # sealed intersection by the inverse of its Robin coefficient, so
-        # the first solve leaves that p-hat accurate only to about eps
-        # times that coefficient; the saddle residual restores it.
-        x += solve_for(b - A @ x)
-        if not np.isfinite(x).all():
-            raise SingularSystem("solution contains non-finite entries")
-        res = _relative_residual(A, x, b)
-        if res > max(tol, 1e-8):
-            raise SingularSystem(
-                f"direct solve residual {res:.3e} exceeds {max(tol, 1e-8):.1e}; "
-                "system is numerically singular"
-            )
-        return SolveReport(x=x, residual=res, method="direct",
-                           nullspace_pinned=bool(system.pinned),
-                           reduced_size=size, lu_fill=fill)
-    if method == "minres":
-        M = _block_preconditioner(system)
-        count = {"it": 0}
-
-        def cb(_):
-            count["it"] += 1
-
-        x, info = spla.minres(A, b, rtol=tol, M=M,
-                              maxiter=maxiter or 50 * A.shape[0], callback=cb)
-        if info != 0:
-            raise SingularSystem(f"minres did not converge (info={info})")
-        return SolveReport(x=x, residual=_relative_residual(A, x, b),
-                           method="minres", iterations=count["it"],
-                           nullspace_pinned=bool(system.pinned))
-    raise ValueError(f"unknown solver method {method!r}")
+    solve_for, size, fill = _hybrid_factor(system)
+    x = solve_for(b)
+    # One step of iterative refinement.  K weighs the p-hat of a nearly
+    # sealed intersection by the inverse of its Robin coefficient, so
+    # the first solve leaves that p-hat accurate only to about eps
+    # times that coefficient; the saddle residual restores it.
+    x += solve_for(b - A @ x)
+    if not np.isfinite(x).all():
+        raise SingularSystem("solution contains non-finite entries")
+    res = _relative_residual(A, x, b)
+    if res > RESIDUAL_TOL:
+        raise SingularSystem(
+            f"direct solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}; "
+            "system is numerically singular"
+        )
+    return SolveReport(x=x, residual=res,
+                       nullspace_pinned=bool(system.pinned),
+                       reduced_size=size, lu_fill=fill)

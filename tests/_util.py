@@ -111,9 +111,9 @@ def rect_mesh_with_trace(frac, n_along=3, n_across=2, gid=0):
 
 
 def run(network, meshes, model="cc", g=None, g_hat=None, f=None, f_hat=None,
-        lam=None, bcs=None, point_sources=(), method="direct"):
+        bcs=None, point_sources=()):
     """Full pipeline: prepare, number, assemble, apply BCs, solve."""
-    problem = asm.prepare_problem(network, meshes, lam=lam, source=f,
+    problem = asm.prepare_problem(network, meshes, source=f,
                                   line_source=f_hat,
                                   point_sources=point_sources)
     dofs = asm.build_dof_map(problem, model)
@@ -122,7 +122,7 @@ def run(network, meshes, model="cc", g=None, g_hat=None, f=None, f_hat=None,
         bcs = asm.BoundarySpec.dirichlet(g, g_hat)
     assemble = asm.assemble_cc if model == "cc" else asm.assemble_dc
     system = assemble(problem, dofs, bcs)
-    report = slv.solve(system, method=method)
+    report = slv.solve(system)
     return problem, dofs, system, asm.extract_solution(system, report.x), report
 
 

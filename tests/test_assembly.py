@@ -63,7 +63,8 @@ class TestPatchTest:
     @pytest.mark.parametrize("lam", [np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])])
     @pytest.mark.parametrize("kind", ["cartesian", "triangular", "coarse", "random"])
     def test_linear_pressure_reproduced(self, kind, lam):
-        frac = single_fracture_plane()
+        frac = geo.Fracture(id=0, vertices=single_fracture_plane().vertices,
+                            k_tangential=lam)
         net = geo.build_network([frac])
         if kind == "cartesian":
             mesh = msh.cartesian_mesh(4, frame=frac.frame)
@@ -78,9 +79,7 @@ class TestPatchTest:
             mesh, _ = coa.agglomerate(base, c_depth=2, lam=lam)
             mesh.frame = frac.frame
         g = p1_field(0.7, 2.0, -3.0)
-        lam_map = {0: np.broadcast_to(lam, (mesh.n_cells, 2, 2))}
-        problem, dofs, system, sol, rep = run(
-            net, {0: mesh}, g=g, lam=lam_map)
+        problem, dofs, system, sol, rep = run(net, {0: mesh}, g=g)
         centers3 = mesh.frame.to_global(mesh.cell_centroids)
         expected = g(0, centers3)
         assert np.abs(sol.pressure[0] - expected).max() < 1e-10

@@ -18,14 +18,9 @@ from _util import (crossing_rectangles, rect_mesh_with_trace,
 
 
 def toy_system(A, b):
-    """Wrap a dense matrix as a SaddleSystem shim for the solver."""
-    A = sparse.csr_matrix(np.asarray(A, float))
-
-    class Dofs:
-        def flux_like(self):
-            return np.arange(A.shape[0] - 1)
-
-    return asm.SaddleSystem(A=A, rhs=np.asarray(b, float), dofs=Dofs(),
+    """Wrap a dense matrix as a SaddleSystem without cell blocks."""
+    return asm.SaddleSystem(A=sparse.csr_matrix(np.asarray(A, float)),
+                            rhs=np.asarray(b, float), dofs=None,
                             problem=None, model="cc")
 
 
@@ -34,7 +29,6 @@ class TestDirect:
         rep = slv.solve(toy_system(np.eye(3), [1, 0, 0]))
         assert np.allclose(rep.x, [1, 0, 0])
         assert rep.residual == 0.0
-        assert rep.method == "direct"
         # Without cell blocks the reduced system is -A itself.
         assert rep.reduced_size == 3 and rep.lu_fill > 0
 
@@ -59,26 +53,6 @@ class TestDirect:
         x1 = slv.solve(system).x
         x2 = slv.solve(system).x
         assert np.array_equal(x1, x2)
-
-
-class TestMinres:
-    def test_matches_direct_on_saddle(self):
-        frac = single_fracture_plane()
-        net = geo.build_network([frac])
-        problem = asm.prepare_problem(
-            net, {0: msh.cartesian_mesh(6, frame=frac.frame)},
-            source=lambda fid, x: np.ones(len(x)))
-        dofs = asm.build_dof_map(problem, "cc")
-        system = asm.assemble_cc(problem, dofs,
-                                 asm.BoundarySpec.dirichlet(lambda f, x: 0.0))
-        direct = slv.solve(system, method="direct")
-        it = slv.solve(system, method="minres", tol=1e-12)
-        assert it.iterations > 0
-        assert np.abs(direct.x - it.x).max() < 1e-7
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            slv.solve(toy_system(np.eye(2), [1, 1]), method="qmr")
 
 
 # ------------------------------------------------------------------ #
