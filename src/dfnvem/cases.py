@@ -267,9 +267,9 @@ def _ellipse_meshes(net, family, level):
     raise ConfigError(f"unknown ellipse family {family!r}")
 
 
-def case_two_fractures(zeta: float = 1.0) -> BenchmarkCase:
+def case_two_fractures() -> BenchmarkCase:
     """Two orthogonal ellipse fractures with continuous coupling."""
-    p_exact, u_exact, source, laplacian = _two_fracture_fields(zeta)
+    p_exact, u_exact, source, laplacian = _two_fracture_fields(1.0)
     return BenchmarkCase(
         name="two-fractures", model="cc",
         network_builder=_ellipse_pair_network,

@@ -242,6 +242,8 @@ def cmd_solve(args) -> dict:
         "network": {"fractures": len(network.fractures),
                     "lines": len(network.lines),
                     "points": len(network.points)},
+        "dofs": {name: len(ids) for name, ids in system.dofs.blocks.items()},
+        "nnz": system.A.nnz,
         "sparsity": system.sparsity, "residual": report.residual,
         "reduced_size": report.reduced_size, "lu_fill": report.lu_fill,
         "timings": {**report.timings, "export_s": now - t_export,

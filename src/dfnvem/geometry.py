@@ -181,9 +181,11 @@ class Frame:
     n: np.ndarray
 
     def to_local(self, pts: np.ndarray) -> np.ndarray:
-        """Map 3D points to in-plane (u, v) coordinates."""
+        """Map 3D points (shape ``(..., 3)``) to in-plane (u, v)
+        coordinates.  A stack of point sets maps each set as a call on it
+        alone would, bit for bit: the matrix-vector product runs per set."""
         q = np.atleast_2d(pts) - self.origin
-        out = np.column_stack([q @ self.t1, q @ self.t2])
+        out = np.stack([q @ self.t1, q @ self.t2], axis=-1)
         return out[0] if np.ndim(pts) == 1 else out
 
     def to_global(self, uv: np.ndarray) -> np.ndarray:

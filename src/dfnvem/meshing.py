@@ -28,6 +28,7 @@ from .geometry import (
     Frame,
     IntersectionLine,
     _dots,
+    _norms,
     point_in_polygon,
     point_segment_distance,
     polygon_area,
@@ -40,7 +41,6 @@ __all__ = [
     "cartesian_mesh",
     "random_mesh",
     "triangulate",
-    "trace_draft",
     "corefine",
     "corefine_network",
     "split_interface_dofs",
@@ -96,12 +96,17 @@ class PolyMesh:
 
         Clockwise loops are reversed.  Edges are numbered in order of first
         appearance along the loops, each stored as (lower, higher) node.
+        ``cell_nodes`` is a list of loops, or an array with one per row.
         """
         nodes = np.asarray(nodes, float)
-        counts = np.fromiter(map(len, cell_nodes), int, len(cell_nodes))
+        if isinstance(cell_nodes, np.ndarray):
+            counts = np.full(len(cell_nodes), cell_nodes.shape[1])
+            loop = cell_nodes.astype(int).ravel()
+        else:
+            counts = np.fromiter(map(len, cell_nodes), int, len(cell_nodes))
+            loop = np.fromiter(chain.from_iterable(cell_nodes), int, counts.sum())
         ptr = np.zeros(len(counts) + 1, int)
         np.cumsum(counts, out=ptr[1:])
-        loop = np.fromiter(chain.from_iterable(cell_nodes), int, ptr[-1])
         head = np.empty_like(loop)
         for d in np.unique(counts):
             pos = ptr[:-1][counts == d][:, None] + np.arange(d)
@@ -376,13 +381,9 @@ def cartesian_mesh(n: int, ny: int | None = None, frame: Frame | None = None,
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    loops = [
-        [nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)]
-        for i in range(n) for j in range(ny)
-    ]
+    # Cell (i, j) has corner (i, j) at node i * (ny + 1) + j.
+    corner = (np.arange(n)[:, None] * (ny + 1) + np.arange(ny)).reshape(-1, 1)
+    loops = corner + np.array([0, ny + 1, ny + 2, 1])
     return PolyMesh.from_cells(nodes, loops, frame=frame)
 
 
@@ -432,10 +433,17 @@ def random_mesh(n: int, seed: int, amplitude: float = 0.3,
 # constrained triangulation
 # ------------------------------------------------------------------ #
 
+def _ranges(start, count):
+    """Concatenated ``arange(start[k], start[k] + count[k])`` over ``k``:
+    the ``k`` of each position, and the positions."""
+    k = np.repeat(np.arange(len(start)), count)
+    return k, np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
 class _PointPool:
     """Deduplicating point registry for the PSLG.
 
-    Point ids are hashed on a grid of square cells of side ``2 * tol``:
+    Points are looked up on a grid of square cells of side ``2 * tol``:
     two points within ``tol`` of each other lie in the same or in
     neighbouring cells, even after the rounding of the cell index.
     """
@@ -443,19 +451,11 @@ class _PointPool:
     def __init__(self, tol):
         self.tol = tol
         self._side = 2.0 * tol
-        self._grid = {}
-        self._xy = []  # x0, y0, x1, y1, ...
-
-    @property
-    def pts(self) -> np.ndarray:
-        return np.array(self._xy, float).reshape(-1, 2)
+        self.pts = np.zeros((0, 2))
 
     def extend(self, pts: np.ndarray) -> None:
         """Register the rows of ``pts`` without deduplication."""
-        side, grid = self._side, self._grid
-        for i, (x, y) in enumerate(pts.tolist(), start=len(self._xy) // 2):
-            grid.setdefault((x // side, y // side), []).append(i)
-        self._xy += pts.ravel().tolist()
+        self.pts = np.vstack([self.pts, pts])
 
     def add(self, p) -> int:
         """Id of the first point within ``tol`` of ``p``, else a new id."""
@@ -463,25 +463,152 @@ class _PointPool:
 
     def add_rows(self, pts: np.ndarray) -> list:
         """``add`` of each row of ``pts`` in turn."""
-        from math import sqrt
-        side, grid, xy, tol = self._side, self._grid, self._xy, self.tol
-        ids = []
-        for x, y in pts.tolist():
-            kx, ky = x // side, y // side
-            # The lowest id wins, which keeps the numbering deterministic.
-            # The distance is np.linalg.norm's, rounding for rounding.
-            near = sorted(i for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)
-                          for i in grid.get((kx + dx, ky + dy), ()))
-            hit = next((i for i in near
-                        if sqrt((xy[2 * i] - x) * (xy[2 * i] - x)
-                                + (xy[2 * i + 1] - y) * (xy[2 * i + 1] - y))
-                        <= tol), None)
-            if hit is None:
-                hit = len(xy) // 2
-                grid.setdefault((kx, ky), []).append(hit)
-                xy += (x, y)
-            ids.append(hit)
-        return ids
+        pts = np.asarray(pts, float).reshape(-1, 2)
+        n0, m = len(self.pts), len(pts)
+        # The lowest id wins, which keeps the numbering deterministic.
+        ids = np.full(m, n0 + m)
+        np.minimum.at(ids, *self._near(pts, self.pts))
+        # A row near no earlier point merges into the first earlier row
+        # near it that was itself registered, else it is registered.  A
+        # row is settled once every earlier row near it is.
+        new = np.flatnonzero(ids == n0 + m)
+        i, j = self._near(pts[new], pts[new])
+        later, earlier = i[j < i], j[j < i]
+        target = np.arange(len(new))
+        pending = np.zeros(len(new), bool)
+        pending[later] = True
+        while pending.any():
+            blocked = np.zeros(len(new), bool)
+            blocked[later[pending[earlier]]] = True
+            ready = pending & ~blocked
+            hit = np.full(len(new), len(new))
+            sel = ready[later] & (target[earlier] == earlier)
+            np.minimum.at(hit, later[sel], earlier[sel])
+            merged = ready & (hit < len(new))
+            target[merged] = hit[merged]
+            pending[ready] = False
+        kept = target == np.arange(len(new))
+        ids[new] = n0 + (np.cumsum(kept) - 1)[target]
+        self.pts = np.vstack([self.pts, pts[new[kept]]])
+        return ids.tolist()
+
+    def _near(self, a, b):
+        """Index pairs ``(i, j)`` with ``a[i]`` within ``tol`` of ``b[j]``."""
+        if not len(a) or not len(b):
+            return np.zeros(0, int), np.zeros(0, int)
+        # Complex keys order cells by x, then y: the three cells of one
+        # column around a point are one run of the sorted keys.
+        cell = np.floor(b / self._side)
+        key = cell[:, 0] + 1j * cell[:, 1]
+        order = np.argsort(key)
+        key = key[order]
+        cell = np.floor(a / self._side)
+        x = (cell[:, 0] + np.array([[-1.0], [0.0], [1.0]])).ravel()
+        y = np.tile(cell[:, 1], 3)
+        lo = np.searchsorted(key, x + 1j * (y - 1.0), "left")
+        hi = np.searchsorted(key, x + 1j * (y + 1.0), "right")
+        i, at = _ranges(lo, hi - lo)
+        i, j = i % len(a), order[at]
+        # The distance is np.linalg.norm's, rounding for rounding.
+        d = a[i] - b[j]
+        near = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= self.tol
+        return i[near], j[near]
+
+
+def _trace_pieces(traces, tol):
+    """Split traces at their mutual crossings so constraints never cross.
+
+    Returns the trace id and the two end points of every piece longer
+    than ``tol`` in parameter, trace by trace and along each trace.
+    """
+    gid = np.array([g for g, _, _ in traces], int)
+    p0 = np.array([a for _, a, _ in traces], float).reshape(-1, 2)
+    p1 = np.array([b for _, _, b in traces], float).reshape(-1, 2)
+    d = p1 - p0
+    # Trace j meets trace i at s along i and u along j.
+    d1, d2 = d[:, None], d[None, :]
+    r = p0[None, :] - p0[:, None]
+    den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / den
+        u = (r[..., 0] * d1[..., 1] - r[..., 1] * d1[..., 0]) / den
+    # |den| is |d1| |d2| sin(angle), so parallel is judged by the angle
+    # alone, at every scale.
+    length = _norms(d)
+    cross = ((gid[:, None] != gid[None, :])
+             & (np.abs(den) >= 1e-14 * length[:, None] * length[None, :])
+             & (-1e-12 <= s) & (s <= 1 + 1e-12) & (-1e-12 <= u) & (u <= 1 + 1e-12))
+    i, j = np.nonzero(cross)
+    n = len(traces)
+    owner = np.concatenate([np.arange(n), np.arange(n), i])
+    # + 0.0 turns a clipped -0.0 into the 0.0 it repeats.
+    at = np.concatenate([np.zeros(n), np.ones(n), np.clip(s[i, j], 0.0, 1.0) + 0.0])
+    order = np.lexsort((at, owner))
+    owner, at = owner[order], at[order]
+    k = np.flatnonzero((owner[1:] == owner[:-1]) & (at[1:] - at[:-1] > tol))
+    own = owner[k]
+    return (gid[own], p0[own] + at[k, None] * d[own],
+            p0[own] + at[k + 1, None] * d[own])
+
+
+def _constraint_points(seg0, seg1, hard, on_seg, tol, h_target):
+    """Points of the constraint segments ``seg0[k]``-``seg1[k]``.
+
+    Each segment is split at the hard vertices ``on_seg[k]`` marks inside
+    it, then every piece into equal parts no longer than ``h_target``.
+    Returns the rows of every segment, one segment after the other, each
+    from its first end, and the row count of each segment.
+    """
+    d = seg1 - seg0
+    length = _norms(d)
+    u = d / length[:, None]
+    k, v = np.nonzero(on_seg)
+    t = _dots(hard[v] - seg0[k], u[k])
+    inner = (tol < t) & (t < length[k] - tol)
+    n_seg = len(seg0)
+    seg = np.concatenate([np.arange(n_seg), np.arange(n_seg), k[inner]])
+    at = np.concatenate([np.zeros(n_seg), length, t[inner]])
+    order = np.lexsort((at, seg))
+    seg, at = seg[order], at[order]
+    # Consecutive distinct cuts of one segment bound a piece.
+    piece = np.flatnonzero((seg[1:] == seg[:-1]) & (at[1:] > at[:-1]))
+    ks = seg[piece]
+    q0 = seg0[ks] + at[piece, None] * u[ks]
+    q1 = seg0[ks] + at[piece + 1, None] * u[ks]
+    n = np.maximum(1, np.ceil(_norms(q1 - q0) / h_target - 1e-12)).astype(int)
+    counts = 1 + np.bincount(ks, n, n_seg).astype(int)
+    start = np.cumsum(counts) - counts
+    out = np.empty((counts.sum(), 2))
+    out[start] = seg0
+    # A piece's rows follow its segment's first end and earlier pieces.
+    first = np.cumsum(n) - n + ks + 1
+    for m in np.unique(n):
+        sel = np.flatnonzero(n == m)
+        steps = np.linspace(0.0, 1.0, m + 1)[1:, None]
+        out[first[sel, None] + np.arange(m)] = (
+            q0[sel, None] + steps * (q1 - q0)[sel, None])
+    return out, counts
+
+
+def _clear_of_segments(pts, seg0, seg1, reach):
+    """Mask of the points at least ``reach`` from every segment.
+
+    Only the points inside a segment's bounding box grown by ``2 *
+    reach`` are measured against it: a point outside is farther than
+    ``reach`` with room to spare for rounding.
+    """
+    order = np.argsort(pts[:, 0], kind="stable")
+    lo = np.minimum(seg0, seg1) - 2 * reach
+    hi = np.maximum(seg0, seg1) + 2 * reach
+    start = np.searchsorted(pts[order, 0], lo[:, 0], "left")
+    stop = np.searchsorted(pts[order, 0], hi[:, 0], "right")
+    k, at = _ranges(start, stop - start)
+    j = order[at]
+    box = (lo[k, 1] <= pts[j, 1]) & (pts[j, 1] <= hi[k, 1])
+    k, j = k[box], j[box]
+    clear = np.ones(len(pts), bool)
+    clear[j[point_segment_distance(pts[j], seg0[k], seg1[k]) < reach]] = False
+    return clear
 
 
 def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
@@ -514,40 +641,16 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     if tol is None:
         tol = 1e-9 * diag
 
-    # Split traces at mutual crossing points so constraints never cross.
-    pieces = []  # (gid, q0, q1)
-    for gid, p0, p1 in traces:
-        p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
-        cuts = [0.0, 1.0]
-        for gid2, q0, q1 in traces:
-            if gid2 == gid:
-                continue
-            q0, q1 = np.asarray(q0, float), np.asarray(q1, float)
-            d1, d2 = p1 - p0, q1 - q0
-            den = d1[0] * d2[1] - d1[1] * d2[0]
-            if abs(den) < 1e-14:
-                continue
-            r = q0 - p0
-            s = (r[0] * d2[1] - r[1] * d2[0]) / den
-            u = (r[0] * d1[1] - r[1] * d1[0]) / den
-            if -1e-12 <= s <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
-                cuts.append(float(np.clip(s, 0, 1)))
-        for s0, s1 in zip(sorted(set(cuts))[:-1], sorted(set(cuts))[1:]):
-            if s1 - s0 > tol:
-                pieces.append((gid, p0 + s0 * (p1 - p0), p0 + s1 * (p1 - p0)))
+    gids, ends0, ends1 = _trace_pieces(traces, tol)
 
     # Conflict detection: non-touching constraints closer than tol.
-    gids = np.array([gid for gid, _, _ in pieces], int)
-    ends0 = np.array([q0 for _, q0, _ in pieces]).reshape(-1, 2)
-    ends1 = np.array([q1 for _, _, q1 in pieces]).reshape(-1, 2)
-    i, j = np.triu_indices(len(pieces), 1)
+    i, j = np.triu_indices(len(gids), 1)
     pair = gids[i] != gids[j]
     i, j = i[pair], j[pair]
     a0, a1, b0, b1 = ends0[i], ends1[i], ends0[j], ends1[j]
-    d = np.min([point_segment_distance(a0, b0, b1),
-                point_segment_distance(a1, b0, b1),
-                point_segment_distance(b0, a0, a1),
-                point_segment_distance(b1, a0, a1)], axis=0)
+    d = point_segment_distance(np.stack([a0, a1, b0, b1]),
+                               np.stack([b0, b0, a0, a0]),
+                               np.stack([b1, b1, a1, a1])).min(axis=0)
     for k in np.flatnonzero((tol < d) & (d < 100 * tol)):
         if not segments_cross(a0[k], a1[k], b0[k], b1[k], tol):
             raise ConstraintConflict(
@@ -567,51 +670,30 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     seg1 = np.vstack([np.roll(polygon, -1, 0), ends1])
     on_seg = point_segment_distance(hard, seg0[:, None], seg1[:, None]) <= tol
 
-    steps = {}  # n -> np.linspace(0, 1, n + 1)[1:] as a column
-
-    def forced_subdivide(a, b, on):
-        d = b - a
-        L = np.linalg.norm(d)
-        u = d / L
-        t = _dots(hard[on] - a, u)
-        cuts = sorted({0.0, L, *t[(tol < t) & (t < L - tol)].tolist()})
-        out = [a[None]]
-        for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            # Split the piece into n parts no longer than h_target.
-            p0, p1 = a + t0 * u, a + t1 * u
-            n = max(1, int(np.ceil(np.linalg.norm(p1 - p0) / h_target - 1e-12)))
-            if n not in steps:
-                steps[n] = np.linspace(0.0, 1.0, n + 1)[1:, None]
-            out.append(p0 + steps[n] * (p1 - p0))
-        return np.vstack(out)
-
-    # Chains of point ids whose consecutive pairs must become edges, with
-    # the trace id they carry (-1 on the polygon).
-    chains = [(gid, pool.add_rows(forced_subdivide(a, b, on)))
-              for gid, a, b, on in zip([-1] * nbv + gids.tolist(), seg0, seg1,
-                                       on_seg)]
+    # Chains of point ids whose consecutive pairs must become edges, one
+    # per segment, end to end in ``chain``; ``ptr`` bounds them and
+    # ``chain_gid`` is the trace id each carries (-1 on the polygon).
+    points, counts = _constraint_points(seg0, seg1, hard, on_seg, tol, h_target)
+    chain = np.array(pool.add_rows(points), int)
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    chain_gid = np.concatenate([np.full(nbv, -1), gids])
 
     # Hexagonal interior lattice with deterministic jitter.
     rng = np.random.default_rng(seed)
     s = h_target
     lo, hi = polygon.min(0), polygon.max(0)
     rows = np.arange(lo[1] - s, hi[1] + s, s * np.sqrt(3) / 2)
-    cand = []
-    for j, y in enumerate(rows):
-        off = 0.5 * s if j % 2 else 0.0
-        xs = np.arange(lo[0] - s + off, hi[0] + s, s)
-        cand.append(np.column_stack([xs, np.full(len(xs), y)]))
-    cand = np.vstack(cand) if cand else np.zeros((0, 2))
+    # Even rows take the first x run, odd rows the one offset by s / 2.
+    xs = [np.arange(lo[0] - s + off, hi[0] + s, s) for off in (0.0, 0.5 * s)]
+    per_row = np.resize([len(xs[0]), len(xs[1])], len(rows))
+    cand = np.column_stack([np.resize(np.concatenate(xs), per_row.sum()),
+                            np.repeat(rows, per_row)])
     if len(cand):
         cand = cand + rng.uniform(-jitter * s, jitter * s, cand.shape)
         # Even-odd only: the distance test below drops boundary points.
-        keep = np.flatnonzero(point_in_polygon(cand, polygon, -1.0))
-        # One constraint segment at a time keeps memory linear in the
-        # lattice size when a fracture carries many traces.
-        for a, b in zip(seg0, seg1):
-            keep = keep[point_segment_distance(cand[keep], a, b) >= 0.5 * s]
+        cand = cand[point_in_polygon(cand, polygon, -1.0)]
         # Lattice points are well separated; skip dedup.
-        pool.extend(cand[keep])
+        pool.extend(cand[_clear_of_segments(cand, seg0, seg1, 0.5 * s)])
 
     # Delaunay with constraint-edge recovery by midpoint insertion.  Four
     # distant padding points keep every real point off the convex hull,
@@ -628,23 +710,18 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
         stride = n_real + len(pad)
         ends = np.sort(tri.simplices, axis=1).astype(int)
         keys = np.unique(ends[:, [0, 1, 0]] * stride + ends[:, [1, 2, 2]])
-        pairs = np.concatenate([np.column_stack([ids[:-1], ids[1:]])
-                                for _, ids in chains])
+        link = np.ones(len(chain) - 1, bool)
+        link[ptr[1:-1] - 1] = False
+        pairs = np.column_stack([chain[:-1], chain[1:]])[link]
         want = pairs.min(axis=1) * stride + pairs.max(axis=1)
         found = keys[np.searchsorted(keys, want) % len(keys)] == want
         if found.all():
             break
-        # Split each missing pair at its midpoint, chain by chain.
-        found = iter(found.tolist())
-        new_chains = []
-        for gid, ids in chains:
-            new_ids = ids[:1]
-            for a, b in zip(ids[:-1], ids[1:]):
-                if not next(found):
-                    new_ids.append(pool.add(0.5 * (pts[a] + pts[b])))
-                new_ids.append(b)
-            new_chains.append((gid, new_ids))
-        chains = new_chains
+        # Split each missing pair at its midpoint, in chain order.
+        at = np.flatnonzero(link)[~found] + 1
+        mids = 0.5 * (pts[pairs[~found, 0]] + pts[pairs[~found, 1]])
+        chain = np.insert(chain, at, pool.add_rows(mids))
+        ptr = ptr + np.searchsorted(at, ptr)
     else:
         raise MeshError("constraint recovery did not converge")
 
@@ -664,8 +741,7 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     mesh = PolyMesh.from_cells(pts[used], loops, frame=frame)
 
     # Tag trace edges: every consecutive pair of a trace chain is one.
-    gids = np.repeat([gid for gid, _ in chains],
-                     [len(ids) - 1 for _, ids in chains])
+    gids = np.repeat(chain_gid, np.diff(ptr) - 1)
     pairs = np.sort(renum[pairs[gids >= 0]], axis=1)
     gids = gids[gids >= 0]
     n = len(used)
@@ -728,17 +804,20 @@ class TraceMesh:
         return self.line.p0 + np.outer(self.elem_mid, self.line.direction)
 
 
-def trace_draft(mesh: PolyMesh, line: IntersectionLine) -> np.ndarray:
-    """Breakpoint parameters of the mesh's partition of one trace."""
-    eids = np.where(mesh.edge_trace == line.id)[0]
-    if len(eids) == 0:
-        raise InconsistentEndpoints(
-            f"mesh has no edges on trace {line.id}"
-        )
+def _edges_by_trace(mesh: PolyMesh) -> dict:
+    """Trace id -> the ids of the mesh's edges on that trace, ascending."""
+    on = np.flatnonzero(mesh.edge_trace >= 0)
+    on = on[np.argsort(mesh.edge_trace[on], kind="stable")]
+    gids, start = np.unique(mesh.edge_trace[on], return_index=True)
+    return dict(zip(gids.tolist(), np.split(on, start[1:])))
+
+
+def _trace_draft(mesh: PolyMesh, nodes3: np.ndarray, eids: np.ndarray,
+                line: IntersectionLine) -> np.ndarray:
+    """Breakpoint parameters of the partition of ``line`` by the mesh's
+    edges ``eids``; ``nodes3`` holds the mesh's nodes in 3D."""
     nodes = np.unique(mesh.edge_nodes[eids])
-    pts3 = mesh.frame.to_global(mesh.nodes[nodes])
-    ts = np.sort([line.param_of(p) for p in np.atleast_2d(pts3)])
-    return np.asarray(ts, float)
+    return np.sort(_dots(nodes3[nodes] - line.p0, line.direction))
 
 
 def corefine(drafts: list, length: float, tol: float) -> np.ndarray:
@@ -763,33 +842,37 @@ def corefine(drafts: list, length: float, tol: float) -> np.ndarray:
     return np.asarray(merged)
 
 
-def _apply_breakpoints(mesh: PolyMesh, line: IntersectionLine,
-                       breaks: np.ndarray, tol: float):
-    """Split the mesh's trace edges so they match the union partition."""
-    eids = np.where(mesh.edge_trace == line.id)[0]
-    ends = mesh.frame.to_global(mesh.nodes[mesh.edge_nodes[eids].ravel()])
+def _trace_splits(mesh: PolyMesh, nodes3: np.ndarray, eids: np.ndarray,
+                  line: IntersectionLine, breaks: np.ndarray, tol: float) -> list:
+    """``split_edges`` pairs that cut the mesh's edges ``eids`` on ``line``
+    at the breakpoints strictly inside them, in edge order."""
+    ends = nodes3[mesh.edge_nodes[eids].ravel()]
     ts = ((ends - line.p0) @ line.direction).reshape(-1, 2)
-    splits = []
-    for e, (ta, tb) in zip(eids, ts):
-        lo, hi = min(ta, tb), max(ta, tb)
-        inner = breaks[(breaks > lo + tol) & (breaks < hi - tol)]
-        if len(inner) == 0:
-            continue
-        if tb < ta:
-            inner = inner[::-1]
-        pts3 = line.p0 + np.outer(inner, line.direction)
-        splits.append((e, mesh.frame.to_local(pts3)))
-    mesh.split_edges(splits)
-    # Assign element indices from edge midpoints.
-    eids = np.where(mesh.edge_trace == line.id)[0]
-    mids3 = mesh.frame.to_global(mesh.edge_mid[eids])
-    tm = np.array([line.param_of(p) for p in np.atleast_2d(mids3)])
-    elems = np.searchsorted(breaks, tm) - 1
+    first = np.searchsorted(breaks, ts.min(axis=1) + tol, "right")
+    count = np.searchsorted(breaks, ts.max(axis=1) - tol, "left") - first
+    local = [None] * len(eids)
+    for m in np.unique(count[count > 0]):
+        sel = np.flatnonzero(count == m)
+        idx = first[sel, None] + np.arange(m)
+        idx = np.where((ts[sel, 1] < ts[sel, 0])[:, None], idx[:, ::-1], idx)
+        pts3 = line.p0 + breaks[idx][..., None] * line.direction
+        for k, pts in zip(sel.tolist(), mesh.frame.to_local(pts3)):
+            local[k] = pts
+    return [(e, pts) for e, pts in zip(eids.tolist(), local) if pts is not None]
+
+
+def _assign_elements(mesh: PolyMesh, mids3: np.ndarray, eids: np.ndarray,
+                     line: IntersectionLine, breaks: np.ndarray) -> np.ndarray:
+    """Tag the mesh's edges ``eids`` on ``line`` with their 1D element
+    from their midpoints ``mids3[eids]``; returns them in element order."""
+    elems = np.searchsorted(breaks, _dots(mids3[eids] - line.p0,
+                                          line.direction)) - 1
     if len(np.unique(elems)) != len(breaks) - 1 or len(eids) != len(breaks) - 1:
         raise MeshError(
             f"trace {line.id}: partition mismatch after corefinement"
         )
     mesh.edge_trace_elem[eids] = elems
+    return eids[np.argsort(elems)]
 
 
 def corefine_network(meshes: dict, network) -> dict:
@@ -799,29 +882,50 @@ def corefine_network(meshes: dict, network) -> dict:
     are modified in place (edge splits only).  Intersection points are
     forced into every partition.
     """
-    tol = max(network.tol, 1e-12)
+    tol = 100 * max(network.tol, 1e-12)
+    points = {}
+    for pt in network.points:
+        for gid in set(pt.parent_lines):
+            points.setdefault(gid, []).append(pt)
+    on_trace = {fid: _edges_by_trace(mesh) for fid, mesh in meshes.items()}
+    nodes3 = {fid: mesh.frame.to_global(mesh.nodes)
+              for fid, mesh in meshes.items()}
     out = {}
+    splits = {fid: [] for fid in meshes}
     for ln in network.lines:
         parents = [f for f in ln.parents if f in meshes]
-        drafts = [trace_draft(meshes[f], ln) for f in parents]
-        breaks = corefine(drafts, ln.length, 100 * tol)
-        for pt in network.points:
-            if ln.id in pt.parent_lines:
-                t = ln.param_of(pt.location)
-                if np.min(np.abs(breaks - t)) > 100 * tol:
-                    breaks = np.sort(np.append(breaks, t))
-        tm = TraceMesh(gamma=ln.id, line=ln, breakpoints=breaks)
-        for pt in network.points:
-            if ln.id in pt.parent_lines:
-                t = ln.param_of(pt.location)
-                idx = int(np.argmin(np.abs(breaks - t)))
-                tm.xi_breaks.append((idx, pt.id))
         for f in parents:
-            _apply_breakpoints(meshes[f], ln, breaks, 100 * tol)
-            eids = np.where(meshes[f].edge_trace == ln.id)[0]
-            order = np.argsort(meshes[f].edge_trace_elem[eids])
-            tm.edges[f] = eids[order]
-        out[ln.id] = tm
+            if ln.id not in on_trace[f]:
+                raise InconsistentEndpoints(
+                    f"mesh has no edges on trace {ln.id}")
+        breaks = corefine([_trace_draft(meshes[f], nodes3[f],
+                                        on_trace[f][ln.id], ln)
+                           for f in parents], ln.length, tol)
+        on_line = [(ln.param_of(pt.location), pt.id)
+                   for pt in points.get(ln.id, ())]
+        for t, _ in on_line:
+            if np.min(np.abs(breaks - t)) > tol:
+                breaks = np.sort(np.append(breaks, t))
+        out[ln.id] = TraceMesh(
+            gamma=ln.id, line=ln, breakpoints=breaks,
+            xi_breaks=[(int(np.argmin(np.abs(breaks - t))), pid)
+                       for t, pid in on_line])
+        for f in parents:
+            splits[f] += _trace_splits(meshes[f], nodes3[f], on_trace[f][ln.id],
+                                       ln, breaks, tol)
+    # An edge lies on one trace only, so the lines' splits are disjoint
+    # and one batch per fracture numbers them as line after line would.
+    mids3 = {}
+    for fid, mesh in meshes.items():
+        mesh.split_edges(splits[fid])
+        on_trace[fid] = _edges_by_trace(mesh)
+        mids3[fid] = mesh.frame.to_global(mesh.edge_mid)
+    for tm in out.values():
+        for f in tm.line.parents:
+            if f in meshes:
+                tm.edges[f] = _assign_elements(
+                    meshes[f], mids3[f], on_trace[f][tm.gamma], tm.line,
+                    tm.breakpoints)
     return out
 
 

@@ -2,7 +2,9 @@
 
 import functools
 import heapq
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import linalg as spla
@@ -11,7 +13,13 @@ from dfnvem import assembly as asm
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
-from dfnvem.errors import CollinearOverlap, ConfigError, DfnError, SingularG
+from dfnvem.errors import (CollinearOverlap, ConfigError, ConstraintConflict,
+                           DfnError, EmptyDomain, InconsistentEndpoints,
+                           MeshError, SingularG)
+from dfnvem.geometry import (Frame, IntersectionLine, _dots, point_in_polygon,
+                             point_segment_distance, polygon_area,
+                             segments_cross)
+from dfnvem.meshing import PolyMesh
 
 
 def verify_strong_form(case, n_samples: int = 100,
@@ -130,6 +138,17 @@ def saddle_lu_solve(system) -> np.ndarray:
     """Oracle of the hybridized direct solve: sparse LU (COLAMD) of the
     whole saddle system."""
     return spla.splu(system.A.tocsc(), permc_spec="COLAMD").solve(system.rhs)
+
+
+def write_perfbench_network(path, seed: int) -> None:
+    """Write ``perfbench/network.py``'s seeded 12-fracture network to
+    ``path``: four x-planes, four y-planes, two z-planes, an immersed
+    sheet and a slanted rectangle, with crossings (xi points) and tips."""
+    file = Path(__file__).resolve().parents[1] / "perfbench" / "network.py"
+    spec = importlib.util.spec_from_file_location("perfbench_network", file)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.write_network(path, seed)
 
 
 def import_network_dict():
@@ -1075,3 +1094,335 @@ def network_outcome(build, fractures, **kw) -> tuple:
     points = tuple((pt.id, pt.location.tobytes(), pt.parent_lines)
                    for pt in net.points)
     return lines, points, net.tol
+
+
+# ------------------------------------------------------------------ #
+# Constraint meshing and co-refinement one piece at a time: the grid
+# point pool that registers points one by one, ``triangulate`` with its
+# per-segment subdivision, pairwise trace crossings and per-segment
+# lattice filter, and ``corefine_network`` with one edge split and one
+# ``param_of`` call per point for each line.  The array versions in
+# ``dfnvem.meshing`` must give the same arrays bit for bit.
+# ------------------------------------------------------------------ #
+
+class grid_pool_ref:
+    """Deduplicating point registry for the PSLG.
+
+    Point ids are hashed on a grid of square cells of side ``2 * tol``:
+    two points within ``tol`` of each other lie in the same or in
+    neighbouring cells, even after the rounding of the cell index.
+    """
+
+    def __init__(self, tol):
+        self.tol = tol
+        self._side = 2.0 * tol
+        self._grid = {}
+        self._xy = []  # x0, y0, x1, y1, ...
+
+    @property
+    def pts(self) -> np.ndarray:
+        return np.array(self._xy, float).reshape(-1, 2)
+
+    def extend(self, pts: np.ndarray) -> None:
+        """Register the rows of ``pts`` without deduplication."""
+        side, grid = self._side, self._grid
+        for i, (x, y) in enumerate(pts.tolist(), start=len(self._xy) // 2):
+            grid.setdefault((x // side, y // side), []).append(i)
+        self._xy += pts.ravel().tolist()
+
+    def add(self, p) -> int:
+        """Id of the first point within ``tol`` of ``p``, else a new id."""
+        return self.add_rows(np.reshape(p, (1, 2)))[0]
+
+    def add_rows(self, pts: np.ndarray) -> list:
+        """``add`` of each row of ``pts`` in turn."""
+        from math import sqrt
+        side, grid, xy, tol = self._side, self._grid, self._xy, self.tol
+        ids = []
+        for x, y in pts.tolist():
+            kx, ky = x // side, y // side
+            # The lowest id wins, which keeps the numbering deterministic.
+            # The distance is np.linalg.norm's, rounding for rounding.
+            near = sorted(i for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)
+                          for i in grid.get((kx + dx, ky + dy), ()))
+            hit = next((i for i in near
+                        if sqrt((xy[2 * i] - x) * (xy[2 * i] - x)
+                                + (xy[2 * i + 1] - y) * (xy[2 * i + 1] - y))
+                        <= tol), None)
+            if hit is None:
+                hit = len(xy) // 2
+                grid.setdefault((kx, ky), []).append(hit)
+                xy += (x, y)
+            ids.append(hit)
+        return ids
+
+
+def triangulate_ref(polygon: np.ndarray, traces=None, h_target: float = 0.1,
+                tol: float | None = None, frame: Frame | None = None,
+                jitter: float = 0.15, seed: int = 1234) -> PolyMesh:
+    """Constrained Delaunay triangulation of a polygon with trace segments.
+
+    ``polygon`` is the CCW boundary in frame coordinates and ``traces`` a
+    list of ``(gid, p0, p1)`` constraint segments (frame coordinates).
+    All constraints are subdivided to ``h_target`` and recovered exactly:
+    every trace is covered by a chain of mesh edges tagged with its id.
+    Interior points come from a lightly jittered hexagonal lattice, so
+    the result is deterministic but unstructured.
+    """
+    # Imported here so that commands which never triangulate skip it.
+    from scipy.spatial import Delaunay
+
+    polygon = np.asarray(polygon, float)
+    if traces is None:
+        traces = []
+    area = polygon_area(polygon)
+    if area < 0:
+        polygon = polygon[::-1]
+        area = -area
+    if area <= 1e-300:
+        raise EmptyDomain("polygon has no area")
+    if h_target <= 0:
+        raise EmptyDomain("h_target must be positive")
+    diag = np.linalg.norm(polygon.max(0) - polygon.min(0))
+    if tol is None:
+        tol = 1e-9 * diag
+
+    # Split traces at mutual crossing points so constraints never cross.
+    pieces = []  # (gid, q0, q1)
+    for gid, p0, p1 in traces:
+        p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
+        cuts = [0.0, 1.0]
+        for gid2, q0, q1 in traces:
+            if gid2 == gid:
+                continue
+            q0, q1 = np.asarray(q0, float), np.asarray(q1, float)
+            d1, d2 = p1 - p0, q1 - q0
+            den = d1[0] * d2[1] - d1[1] * d2[0]
+            if abs(den) < 1e-14:
+                continue
+            r = q0 - p0
+            s = (r[0] * d2[1] - r[1] * d2[0]) / den
+            u = (r[0] * d1[1] - r[1] * d1[0]) / den
+            if -1e-12 <= s <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
+                cuts.append(float(np.clip(s, 0, 1)))
+        for s0, s1 in zip(sorted(set(cuts))[:-1], sorted(set(cuts))[1:]):
+            if s1 - s0 > tol:
+                pieces.append((gid, p0 + s0 * (p1 - p0), p0 + s1 * (p1 - p0)))
+
+    # Conflict detection: non-touching constraints closer than tol.
+    gids = np.array([gid for gid, _, _ in pieces], int)
+    ends0 = np.array([q0 for _, q0, _ in pieces]).reshape(-1, 2)
+    ends1 = np.array([q1 for _, _, q1 in pieces]).reshape(-1, 2)
+    i, j = np.triu_indices(len(pieces), 1)
+    pair = gids[i] != gids[j]
+    i, j = i[pair], j[pair]
+    a0, a1, b0, b1 = ends0[i], ends1[i], ends0[j], ends1[j]
+    d = np.min([point_segment_distance(a0, b0, b1),
+                point_segment_distance(a1, b0, b1),
+                point_segment_distance(b0, a0, a1),
+                point_segment_distance(b1, a0, a1)], axis=0)
+    for k in np.flatnonzero((tol < d) & (d < 100 * tol)):
+        if not segments_cross(a0[k], a1[k], b0[k], b1[k], tol):
+            raise ConstraintConflict(
+                f"traces {gids[i[k]]} and {gids[j[k]]} are {d[k]:.3e} apart "
+                f"without meeting"
+            )
+
+    pool = grid_pool_ref(max(tol, 1e-12 * diag))
+    nbv = len(polygon)
+    # Hard vertices: polygon corners and trace piece endpoints.  Any
+    # constraint segment passing through one (a trace ending mid-edge on
+    # the boundary, a T-junction between traces) is split there first so
+    # consecutive constraint points are always Delaunay-connectable.
+    hard = np.vstack([polygon, ends0, ends1])
+    # Constraint segments: the polygon's edges, then the trace pieces.
+    seg0 = np.vstack([polygon, ends0])
+    seg1 = np.vstack([np.roll(polygon, -1, 0), ends1])
+    on_seg = point_segment_distance(hard, seg0[:, None], seg1[:, None]) <= tol
+
+    steps = {}  # n -> np.linspace(0, 1, n + 1)[1:] as a column
+
+    def forced_subdivide(a, b, on):
+        d = b - a
+        L = np.linalg.norm(d)
+        u = d / L
+        t = _dots(hard[on] - a, u)
+        cuts = sorted({0.0, L, *t[(tol < t) & (t < L - tol)].tolist()})
+        out = [a[None]]
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            # Split the piece into n parts no longer than h_target.
+            p0, p1 = a + t0 * u, a + t1 * u
+            n = max(1, int(np.ceil(np.linalg.norm(p1 - p0) / h_target - 1e-12)))
+            if n not in steps:
+                steps[n] = np.linspace(0.0, 1.0, n + 1)[1:, None]
+            out.append(p0 + steps[n] * (p1 - p0))
+        return np.vstack(out)
+
+    # Chains of point ids whose consecutive pairs must become edges, with
+    # the trace id they carry (-1 on the polygon).
+    chains = [(gid, pool.add_rows(forced_subdivide(a, b, on)))
+              for gid, a, b, on in zip([-1] * nbv + gids.tolist(), seg0, seg1,
+                                       on_seg)]
+
+    # Hexagonal interior lattice with deterministic jitter.
+    rng = np.random.default_rng(seed)
+    s = h_target
+    lo, hi = polygon.min(0), polygon.max(0)
+    rows = np.arange(lo[1] - s, hi[1] + s, s * np.sqrt(3) / 2)
+    cand = []
+    for j, y in enumerate(rows):
+        off = 0.5 * s if j % 2 else 0.0
+        xs = np.arange(lo[0] - s + off, hi[0] + s, s)
+        cand.append(np.column_stack([xs, np.full(len(xs), y)]))
+    cand = np.vstack(cand) if cand else np.zeros((0, 2))
+    if len(cand):
+        cand = cand + rng.uniform(-jitter * s, jitter * s, cand.shape)
+        # Even-odd only: the distance test below drops boundary points.
+        keep = np.flatnonzero(point_in_polygon(cand, polygon, -1.0))
+        # One constraint segment at a time keeps memory linear in the
+        # lattice size when a fracture carries many traces.
+        for a, b in zip(seg0, seg1):
+            keep = keep[point_segment_distance(cand[keep], a, b) >= 0.5 * s]
+        # Lattice points are well separated; skip dedup.
+        pool.extend(cand[keep])
+
+    # Delaunay with constraint-edge recovery by midpoint insertion.  Four
+    # distant padding points keep every real point off the convex hull,
+    # which prevents zero-area slivers between collinear boundary points.
+    center = 0.5 * (lo + hi)
+    pad = np.array([center + 10 * diag * np.array(d)
+                    for d in ((-1, -1), (1, -1), (1, 1), (-1, 1))])
+    for _ in range(12):
+        pts = pool.pts
+        n_real = len(pts)
+        if n_real < 3:
+            raise EmptyDomain("not enough points to triangulate")
+        tri = Delaunay(np.vstack([pts, pad]))
+        stride = n_real + len(pad)
+        ends = np.sort(tri.simplices, axis=1).astype(int)
+        keys = np.unique(ends[:, [0, 1, 0]] * stride + ends[:, [1, 2, 2]])
+        pairs = np.concatenate([np.column_stack([ids[:-1], ids[1:]])
+                                for _, ids in chains])
+        want = pairs.min(axis=1) * stride + pairs.max(axis=1)
+        found = keys[np.searchsorted(keys, want) % len(keys)] == want
+        if found.all():
+            break
+        # Split each missing pair at its midpoint, chain by chain.
+        found = iter(found.tolist())
+        new_chains = []
+        for gid, ids in chains:
+            new_ids = ids[:1]
+            for a, b in zip(ids[:-1], ids[1:]):
+                if not next(found):
+                    new_ids.append(pool.add(0.5 * (pts[a] + pts[b])))
+                new_ids.append(b)
+            new_chains.append((gid, new_ids))
+        chains = new_chains
+    else:
+        raise MeshError("constraint recovery did not converge")
+
+    # Keep real triangles inside the polygon; after recovery constraints
+    # are unions of Delaunay edges, so the centroid test is sufficient.
+    real = tri.simplices[(tri.simplices < n_real).all(axis=1)]
+    all_pts = np.vstack([pts, pad])
+    centers = all_pts[real].mean(axis=1)
+    inside = point_in_polygon(centers, polygon, tol)
+    keep = real[inside]
+    if not len(keep):
+        raise EmptyDomain("no triangles inside the polygon")
+    used = np.unique(keep)
+    renum = -np.ones(len(pts), int)
+    renum[used] = np.arange(len(used))
+    loops = renum[keep]
+    mesh = PolyMesh.from_cells(pts[used], loops, frame=frame)
+
+    # Tag trace edges: every consecutive pair of a trace chain is one.
+    gids = np.repeat([gid for gid, _ in chains],
+                     [len(ids) - 1 for _, ids in chains])
+    pairs = np.sort(renum[pairs[gids >= 0]], axis=1)
+    gids = gids[gids >= 0]
+    n = len(used)
+    keys = mesh.edge_nodes[:, 0] * n + mesh.edge_nodes[:, 1]
+    order = np.argsort(keys)
+    want = pairs[:, 0] * n + pairs[:, 1]
+    at = order[np.searchsorted(keys, want, sorter=order) % len(keys)]
+    bad = keys[at] != want
+    if bad.any():
+        raise MeshError(f"trace {gids[bad][0]} not covered by mesh edges")
+    mesh.edge_trace[at] = gids
+    return mesh
+
+
+def trace_draft_ref(mesh: PolyMesh, line: IntersectionLine) -> np.ndarray:
+    """Breakpoint parameters of the mesh's partition of one trace."""
+    eids = np.where(mesh.edge_trace == line.id)[0]
+    if len(eids) == 0:
+        raise InconsistentEndpoints(
+            f"mesh has no edges on trace {line.id}"
+        )
+    nodes = np.unique(mesh.edge_nodes[eids])
+    pts3 = mesh.frame.to_global(mesh.nodes[nodes])
+    ts = np.sort([line.param_of(p) for p in np.atleast_2d(pts3)])
+    return np.asarray(ts, float)
+
+
+def apply_breakpoints_ref(mesh: PolyMesh, line: IntersectionLine,
+                       breaks: np.ndarray, tol: float):
+    """Split the mesh's trace edges so they match the union partition."""
+    eids = np.where(mesh.edge_trace == line.id)[0]
+    ends = mesh.frame.to_global(mesh.nodes[mesh.edge_nodes[eids].ravel()])
+    ts = ((ends - line.p0) @ line.direction).reshape(-1, 2)
+    splits = []
+    for e, (ta, tb) in zip(eids, ts):
+        lo, hi = min(ta, tb), max(ta, tb)
+        inner = breaks[(breaks > lo + tol) & (breaks < hi - tol)]
+        if len(inner) == 0:
+            continue
+        if tb < ta:
+            inner = inner[::-1]
+        pts3 = line.p0 + np.outer(inner, line.direction)
+        splits.append((e, mesh.frame.to_local(pts3)))
+    mesh.split_edges(splits)
+    # Assign element indices from edge midpoints.
+    eids = np.where(mesh.edge_trace == line.id)[0]
+    mids3 = mesh.frame.to_global(mesh.edge_mid[eids])
+    tm = np.array([line.param_of(p) for p in np.atleast_2d(mids3)])
+    elems = np.searchsorted(breaks, tm) - 1
+    if len(np.unique(elems)) != len(breaks) - 1 or len(eids) != len(breaks) - 1:
+        raise MeshError(
+            f"trace {line.id}: partition mismatch after corefinement"
+        )
+    mesh.edge_trace_elem[eids] = elems
+
+
+def corefine_network_ref(meshes: dict, network) -> dict:
+    """Co-refine every trace across its parent fractures.
+
+    Returns a ``TraceMesh`` per intersection line; the per-fracture meshes
+    are modified in place (edge splits only).  Intersection points are
+    forced into every partition.
+    """
+    tol = max(network.tol, 1e-12)
+    out = {}
+    for ln in network.lines:
+        parents = [f for f in ln.parents if f in meshes]
+        drafts = [trace_draft_ref(meshes[f], ln) for f in parents]
+        breaks = msh.corefine(drafts, ln.length, 100 * tol)
+        for pt in network.points:
+            if ln.id in pt.parent_lines:
+                t = ln.param_of(pt.location)
+                if np.min(np.abs(breaks - t)) > 100 * tol:
+                    breaks = np.sort(np.append(breaks, t))
+        tm = msh.TraceMesh(gamma=ln.id, line=ln, breakpoints=breaks)
+        for pt in network.points:
+            if ln.id in pt.parent_lines:
+                t = ln.param_of(pt.location)
+                idx = int(np.argmin(np.abs(breaks - t)))
+                tm.xi_breaks.append((idx, pt.id))
+        for f in parents:
+            apply_breakpoints_ref(meshes[f], ln, breaks, 100 * tol)
+            eids = np.where(meshes[f].edge_trace == ln.id)[0]
+            order = np.argsort(meshes[f].edge_trace_elem[eids])
+            tm.edges[f] = eids[order]
+        out[ln.id] = tm
+    return out

@@ -75,7 +75,7 @@ def test_criterion_2_triangular_and_random_orders():
 
 def test_criterion_3_two_fracture_continuous_coupling():
     """Ellipse pair, pressure-continuous model: orders and max-p trend."""
-    case = cases.case_two_fractures(1.0)
+    case = cases.case_two_fractures()
     msgs = []
     ok = True
     for family in ("triangular", "coarse2"):

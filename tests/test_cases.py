@@ -13,7 +13,7 @@ def single():
 
 @pytest.fixture(scope="module")
 def two_cc():
-    return cases.case_two_fractures(1.0)
+    return cases.case_two_fractures()
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,9 @@ import pytest
 
 import dfnvem
 from dfnvem import assembly as asm
-from dfnvem import cli
+from dfnvem import cases, cli
 from dfnvem import coarsening as coa
+from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
 from dfnvem import vem
@@ -94,6 +95,30 @@ class TestSolveCommand:
         assert run_cli(["solve", *inputs, "--out", tmp_path / "o"]) == 0
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["network"] == counts
+
+    @pytest.mark.parametrize("source", ["case", "network"])
+    def test_dof_blocks_and_nnz(self, tmp_path, source):
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(import_network_dict()))
+        if source == "case":
+            inputs = ["--case", "two-fractures", "--family", "coarse2"]
+            _, system, _, _, _ = cases.run_level(
+                cases.get_case("two-fractures"), "coarse2", 1)
+        else:
+            inputs = ["--network", net_path, "--h", "0.5"]
+            network, raw = geo.load_network(net_path)
+            meshes = {f.id: msh.triangulate_fracture(f, network.traces_of(f.id),
+                                                     0.5)
+                      for f in network.fractures}
+            _, system, _, _ = cases.solve_meshes(
+                network, meshes, asm.boundary_spec_from_json(raw, network), "cc")
+        assert run_cli(["solve", *inputs, "--out", tmp_path / "o"]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["nnz"] == system.A.nnz
+        assert summary["dofs"] == {name: len(ids) for name, ids
+                                   in system.dofs.blocks.items()}
+        assert sum(summary["dofs"].values()) == summary["size"]
+        assert summary["dofs"]["multiplier"] > 0
 
     def test_repeated_vertex_is_geometry_error(self, tmp_path, capsys):
         path = tmp_path / "f.json"

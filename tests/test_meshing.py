@@ -9,9 +9,10 @@ from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem.errors import ConstraintConflict, InconsistentEndpoints, MeshError
 
-from _util import (ORACLE_MESHES, cell_of, crossing_rectangles, oracle_meshes,
-                   outward_normals_of_cell, point_pool_ref, split_edges_ref,
-                   trace_edges_ref, traced_triangulations)
+from _util import (ORACLE_MESHES, cell_of, corefine_network_ref,
+                   crossing_rectangles, oracle_meshes, outward_normals_of_cell,
+                   point_pool_ref, split_edges_ref, trace_edges_ref,
+                   traced_triangulations, write_perfbench_network)
 
 UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
 
@@ -111,6 +112,21 @@ class TestTriangulate:
         assert np.linalg.norm(mesh.nodes - [0.5, 0.5], axis=1).min() < 1e-12
         assert (mesh.edge_trace == 0).sum() >= 4
         assert (mesh.edge_trace == 1).sum() >= 4
+
+    def test_crossing_split_is_scale_free(self):
+        # At this scale the traces' direction cross product is about 4e-17:
+        # an absolute parallel bound skipped the crossing split, and the
+        # crossing constraints made recovery fail to converge.
+        s = 1e-8
+        traces = [(0, [0.2 * s, 0.5 * s], [0.8 * s, 0.5 * s]),
+                  (1, [0.43 * s, 0.17 * s], [0.43 * s, 0.83 * s])]
+        mesh = msh.triangulate(UNIT_SQUARE * s, traces, h_target=0.1 * s)
+        xi = np.array([0.43, 0.5]) * s
+        assert np.linalg.norm(mesh.nodes - xi, axis=1).min() < 1e-12 * s
+        ref = trace_edges_ref(mesh, UNIT_SQUARE * s, traces)
+        assert np.array_equal(mesh.edge_trace, ref)
+        assert set(ref) == {-1, 0, 1}
+        assert abs(total_area(mesh) - s * s) < 1e-10 * s * s
 
     def test_trace_tags_match_geometry(self):
         for name, (mesh, polygon, traces) in traced_triangulations().items():
@@ -242,6 +258,54 @@ class TestCorefine:
         for fid in (0, 1):
             area = abs(geo.polygon_area(net.fractures[fid].local_polygon))
             assert abs(meshes[fid].cell_areas.sum() - area) < 1e-10 * area
+
+
+def perfbench_meshes(tmp_path, seed, h, turn=None):
+    """The benchmark network of ``seed`` and its meshes at ``h``, with
+    every vertex first multiplied by the matrix ``turn`` if one is given."""
+    path = tmp_path / f"net{seed}.json"
+    write_perfbench_network(path, seed)
+    if turn is not None:
+        raw = json.loads(path.read_text())
+        for frac in raw["fractures"]:
+            frac["vertices"] = (np.array(frac["vertices"]) @ turn.T).tolist()
+        path.write_text(json.dumps(raw))
+    net, _ = geo.load_network(path)
+    return net, {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), h)
+                 for f in net.fractures}
+
+
+def turned(a, b):
+    """Rotation by ``a`` about z after rotation by ``b`` about x."""
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    return (np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
+            @ np.array([[1, 0, 0], [0, cb, -sb], [0, sb, cb]]))
+
+
+@pytest.mark.parametrize("seed, turn", [(0, None), (1, None),
+                                        (0, turned(0.3, 0.7))])
+def test_network_corefine_equals_line_by_line(tmp_path, seed, turn):
+    # One batch of edge splits per fracture numbers nodes and edges as the
+    # per-line splits did, and the array parameters round as param_of.
+    # Turned, no line runs along an axis, so a matrix-vector product
+    # would round some parameters differently.
+    net, meshes = perfbench_meshes(tmp_path, seed, 0.14, turn)
+    ref = {fid: mesh.copy() for fid, mesh in meshes.items()}
+    got_tm = msh.corefine_network(meshes, net)
+    ref_tm = corefine_network_ref(ref, net)
+    for fid, mesh in meshes.items():
+        for name in ("nodes", "edge_nodes", "cell_ptr", "cell_edge", "cell_sign",
+                     "edge_trace", "edge_trace_elem", "edge_trace_side"):
+            a, b = getattr(mesh, name), getattr(ref[fid], name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (fid, name)
+    assert got_tm.keys() == ref_tm.keys()
+    for gid, tm in got_tm.items():
+        assert np.array_equal(tm.breakpoints, ref_tm[gid].breakpoints)
+        assert tm.xi_breaks == ref_tm[gid].xi_breaks
+        assert tm.edges.keys() == ref_tm[gid].edges.keys()
+        for fid, eids in tm.edges.items():
+            assert np.array_equal(eids, ref_tm[gid].edges[fid])
+    assert any(tm.xi_breaks for tm in got_tm.values())
 
 
 class TestSplitInterface:
@@ -528,13 +592,21 @@ class TestMeshIO:
          "8b86c79cfb4d4796d995d4d2586bb8498e8548226885b01236939ec9c5310878"),
         ("triangulated-crossing",
          "511586c5e7ce2e6968ab93c99ca7eca822802045d90c7785c264502998761591"),
+        ("corefined-network",
+         "86acb025f84a9a2df32f7178a13268f07bfc913891068ff1c29a744a571744a5"),
     ])
     def test_file_bytes_are_pinned(self, tmp_path, name, digest):
         # Any renumbering of nodes, edges or cell entries changes the
         # bytes; the digests were taken from list-per-cell storage, the
-        # triangulated one from trace tags kept per point.
+        # triangulated one from trace tags kept per point, the co-refined
+        # network one from one batch of edge splits per line.
         if name == "cartesian-4":
             mesh = msh.cartesian_mesh(4)
+        elif name == "corefined-network":
+            # The slanted fracture of the benchmark network, nine traces.
+            net, meshes = perfbench_meshes(tmp_path, 0, 0.1)
+            msh.corefine_network(meshes, net)
+            mesh = meshes[11]
         elif name == "triangulated-crossing":
             net = crossing_rectangles()
             mesh = msh.triangulate_fracture(net.fractures[1],

@@ -1,10 +1,12 @@
-"""Property checks of the pruned network build against the all-pairs one.
+"""Property checks of the array network code against piecewise oracles.
 
 Random networks of rectangles, axis-aligned or turned about a coordinate
 axis, with corners on a coarse grid so that traces often cross, end on
 each other, share a line or lie in one plane.  ``build_network`` must
 give the lines and points of ``build_network_ref``, or raise the same
-error.
+error.  Random convex polygons with traces on a coarse grid of weights:
+``triangulate`` must give the arrays of ``triangulate_ref``, or raise
+the same error type.
 """
 
 import numpy as np
@@ -12,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfnvem import geometry as geo
+from dfnvem import meshing as msh
 
-from _util import build_network_ref, network_outcome
+from _util import build_network_ref, network_outcome, triangulate_ref
 
 STEPS = np.linspace(0.25, 0.75, 17).tolist()
 HALF = [0.25, 0.5]
@@ -47,3 +50,61 @@ def test_pruned_build_equals_all_pairs(quads):
     fractures = [geo.Fracture(id=i, vertices=q) for i, q in enumerate(quads)]
     assert (network_outcome(geo.build_network, fractures)
             == network_outcome(build_network_ref, fractures))
+
+
+# ------------------------------------------------------------------ #
+# triangulate against its one-piece-at-a-time reference
+# ------------------------------------------------------------------ #
+
+TURNS = np.linspace(0.0, 2 * np.pi, 12, endpoint=False).tolist()
+WEIGHTS = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def traced_polygons(draw):
+    """A convex polygon with 0-4 traces between points inside it, on its
+    boundary or on an earlier trace: traces cross, meet in T-junctions,
+    end on the boundary, share end points or overlap."""
+    turns = sorted(draw(st.lists(st.sampled_from(TURNS), min_size=3,
+                                 max_size=7, unique=True)))
+    rx, ry = (draw(st.sampled_from([0.5, 1.0])) for _ in range(2))
+    poly = np.column_stack([rx * np.cos(turns), ry * np.sin(turns)])
+    center = poly.mean(axis=0)
+
+    def point(traces):
+        kind = draw(st.sampled_from(["boundary", "inside", "trace", "corner"]))
+        w = draw(st.sampled_from(WEIGHTS))
+        k = draw(st.integers(0, len(poly) - 1))
+        if kind == "inside":  # between the center and a corner
+            return center + w * (poly[k] - center)
+        if kind == "corner":
+            return poly[k]
+        if kind == "trace" and traces:
+            _, a, b = traces[draw(st.integers(0, len(traces) - 1))]
+            return a + w * (b - a)
+        return poly[k] + w * (poly[(k + 1) % len(poly)] - poly[k])
+
+    traces = []
+    for gid in range(draw(st.sampled_from([2, 3, 4, 1, 0]))):
+        a, b = point(traces), point(traces)
+        if np.linalg.norm(b - a) > 1e-3:
+            traces.append((gid, a, b))
+    return poly, traces, draw(st.sampled_from([0.12, 0.2, 0.35]))
+
+
+def triangulation_outcome(fn, poly, traces, h):
+    try:
+        mesh = fn(poly, traces, h_target=h)
+    except Exception as exc:  # the type is the outcome under test
+        return type(exc)
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in (
+        mesh.nodes, mesh.edge_nodes, mesh.cell_ptr, mesh.cell_edge,
+        mesh.cell_sign, mesh.edge_trace))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(traced_polygons())
+def test_triangulate_equals_piecewise(case):
+    poly, traces, h = case
+    assert (triangulation_outcome(msh.triangulate, poly, traces, h)
+            == triangulation_outcome(triangulate_ref, poly, traces, h))

@@ -1,6 +1,4 @@
-import importlib.util
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +12,8 @@ from dfnvem import solver as slv
 from dfnvem.errors import SingularSystem, UnconstrainedPressureWarning
 
 from _util import (crossing_rectangles, rect_mesh_with_trace,
-                   saddle_lu_solve, single_fracture_plane)
+                   saddle_lu_solve, single_fracture_plane,
+                   write_perfbench_network)
 
 
 def toy_system(A, b):
@@ -86,21 +85,13 @@ def test_hybrid_matches_saddle_lu_on_cases(name, family, level, model):
     assert_matches_saddle_lu(system)
 
 
-def _perfbench_network():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "network.py"
-    spec = importlib.util.spec_from_file_location("perfbench_network", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("h", [0.5, 0.14])
 @pytest.mark.parametrize("model", ["cc", "dc"])
 def test_hybrid_matches_saddle_lu_on_networks(tmp_path, seed, h, model):
     """Seeded 12-fracture networks with crossings (xi points) and tips."""
     path = tmp_path / "net.json"
-    _perfbench_network().write_network(path, seed)
+    write_perfbench_network(path, seed)
     network, raw = geo.load_network(path)
     bcs = asm.boundary_spec_from_json(raw, network)
     meshes = {f.id: msh.triangulate_fracture(f, network.traces_of(f.id), h)
