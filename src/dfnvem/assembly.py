@@ -52,40 +52,31 @@ __all__ = [
 
 @dataclass
 class BoundarySpec:
-    """Boundary data resolved per boundary edge / intersection endpoint.
+    """Boundary data, evaluated on arrays.
 
-    ``fracture_bc(fid, mid3)`` returns ``("dirichlet", g)`` or
-    ``("neumann", q)`` with q the outward normal flux density;
-    ``gamma_end(gid, end, point3)`` returns ``("dirichlet", g)`` or
-    ``("tip", None)``.
+    ``fracture_bc(fid, mids3)`` takes the ``(n, 3)`` midpoints of a
+    fracture's boundary edges and returns two ``(n,)`` arrays
+    ``(is_dirichlet, value)``: the pressure where ``is_dirichlet``, else
+    the outward normal flux density.  ``gamma_end(gid, end, point3)``
+    returns the pressure at an intersection end, or ``None`` for a tip.
     """
 
     fracture_bc: callable
-    gamma_end: callable = None
-
-    def __post_init__(self):
-        if self.gamma_end is None:
-            self.gamma_end = lambda gid, end, p: ("tip", None)
+    gamma_end: callable = lambda gid, end, p3: None
 
     @classmethod
     def dirichlet(cls, g, g_hat=None):
-        """All-Dirichlet data from pressure functions of 3D position."""
-        def scalar(v):
-            return float(np.asarray(v).ravel()[0])
-
-        def frac(fid, mid3):
-            return ("dirichlet", scalar(g(fid, mid3)))
+        """All-Dirichlet data from pressure functions of 3D position; a
+        scalar ``g`` is broadcast to every edge."""
+        def frac(fid, mids3):
+            n = len(mids3)
+            return (np.ones(n, bool),
+                    np.broadcast_to(np.asarray(g(fid, mids3), float), (n,)))
 
         def gend(gid, end, p3):
-            if g_hat is None:
-                return ("tip", None)
-            return ("dirichlet", scalar(g_hat(gid, p3)))
+            return None if g_hat is None else float(np.ravel(g_hat(gid, p3))[0])
 
         return cls(fracture_bc=frac, gamma_end=gend)
-
-    @classmethod
-    def no_flow(cls):
-        return cls(fracture_bc=lambda fid, mid3: ("neumann", 0.0))
 
 
 @dataclass
@@ -215,21 +206,26 @@ def build_dof_map(problem: DiscreteProblem, model: str) -> DofMap:
 
 @dataclass
 class SaddleSystem:
-    """Sparse symmetric indefinite system with block bookkeeping."""
+    """Sparse symmetric indefinite system with block bookkeeping.
+
+    Every dof in ``fixed`` (Neumann fluxes, intersection tips, pinned
+    pressures) is eliminated from ``A`` and ``rhs``: its row and column
+    are the identity's and its right-hand side is its ``bc_value``.
+    ``bc_value`` also holds the pressure of every Dirichlet dof.
+    """
 
     A: sparse.csr_matrix
     rhs: np.ndarray
     dofs: DofMap
     problem: DiscreteProblem
     model: str
-    constrained: dict = field(default_factory=dict)  # dof -> value
-    pinned: list = field(default_factory=list)
-    dirichlet: dict = field(default_factory=dict)    # dof -> boundary value
+    fixed: np.ndarray                                # (size,) bool
+    bc_value: np.ndarray                             # (size,)
+    pinned: dict = field(default_factory=dict)       # fid -> pinned dof
     # One (flux dofs (n, d), signs (n, d), pressure dofs (n,), M (n, d, d))
-    # per (fracture, edge count) cell group, and every other entry of A as
-    # it was before the boundary conditions: the solver condenses the cells.
+    # per (fracture, edge count) cell group, before the boundary
+    # conditions: the solver condenses the cells.
     groups: list = field(default_factory=list)
-    coupling: sparse.csr_matrix = None
 
     @property
     def size(self) -> int:
@@ -238,10 +234,6 @@ class SaddleSystem:
     @property
     def sparsity(self) -> float:
         return self.A.nnz / float(self.size) ** 2
-
-    def symmetry_error(self) -> float:
-        d = (self.A - self.A.T).tocoo()
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
 
 def _cell_groups(mesh: PolyMesh):
@@ -272,9 +264,10 @@ def _cell_source(problem, fid, mesh) -> np.ndarray:
     return vals
 
 
-def _assemble_fractures(problem, dofs, rhs):
+def _assemble_fractures(problem, dofs, rhs, robin):
     """Fracture triplets and cell groups: one kernel call per (fracture,
-    edge count)."""
+    edge count).  ``robin`` (per dof) adds the dc exchange term to the
+    diagonal of each side edge's one cell block."""
     rows, cols, vals, groups = [], [], [], []
     for fid in sorted(problem.meshes):
         mesh = problem.meshes[fid]
@@ -288,6 +281,7 @@ def _assemble_fractures(problem, dofs, rhs):
                 problem.lam[fid][ids], problem.varsigma[fid])
             d = es.shape[1]
             g = edof[es]
+            M[:, np.arange(d), np.arange(d)] += robin[g]
             p = np.repeat(cdof[ids], d)
             rows += [np.repeat(g, d, axis=1).ravel(), p, g.ravel()]
             cols += [np.tile(g, d).ravel(), g.ravel(), p]
@@ -298,20 +292,26 @@ def _assemble_fractures(problem, dofs, rhs):
     return rows, cols, vals, groups
 
 
-def _interface_entries_cc(problem, dofs, rows, cols, vals):
+def _side_entries(problem, dofs, rows, cols, vals, robin):
+    """Unit symmetric links from every side edge of a trace to its 1D
+    element's dof: the multiplier in cc, the intersection pressure in dc.
+    In dc each side edge also gets its Robin exchange term in ``robin``."""
     for gid in sorted(problem.traces):
         tm = problem.traces[gid]
-        mult = dofs.elem_mult[gid]
+        if dofs.model == "cc":
+            elem_dof = dofs.elem_mult[gid]
+        else:
+            elem_dof = dofs.line_pressure[gid]
+            lam_tilde = _line_props(problem, gid)[1]
         for (fid, side), eids in sorted(tm.side_edges.items()):
-            edof = dofs.edge_dof[fid]
-            for elem, e in enumerate(eids):
-                if e < 0:
-                    continue
-                d = int(edof[int(e)])
-                m = int(mult[elem])
-                rows.extend([d, m])
-                cols.extend([m, d])
-                vals.extend([1.0, 1.0])
+            ok = eids >= 0
+            d = dofs.edge_dof[fid][eids[ok]]
+            if dofs.model == "dc":
+                robin[d] = 1.0 / (lam_tilde[fid] * tm.elem_len[ok])
+            d, m = d.tolist(), elem_dof[ok].tolist()
+            rows += d + m
+            cols += m + d
+            vals += [1.0] * (2 * len(d))
 
 
 def _line_props(problem, gid):
@@ -349,27 +349,12 @@ def _elem_end_dofs(dofs, gid, tm, j):
     return int(d_left), int(d_right)
 
 
-def _interface_entries_dc(problem, dofs, rows, cols, vals, rhs):
+def _line_entries_dc(problem, dofs, rows, cols, vals, rhs):
     for gid in sorted(problem.traces):
         tm = problem.traces[gid]
-        lam_hat, lam_tilde = _line_props(problem, gid)
+        lam_hat = _line_props(problem, gid)[0]
         phat = dofs.line_pressure[gid]
         lens = tm.elem_len
-        # Robin exchange and jump coupling on every side of every parent.
-        for (fid, side), eids in sorted(tm.side_edges.items()):
-            edof = dofs.edge_dof[fid]
-            lt = lam_tilde[fid]
-            for elem, e in enumerate(eids):
-                if e < 0:
-                    continue
-                d = int(edof[int(e)])
-                rows.append(d)
-                cols.append(d)
-                vals.append(1.0 / (lt * lens[elem]))
-                p = int(phat[elem])
-                rows.extend([d, p])
-                cols.extend([p, d])
-                vals.extend([1.0, 1.0])
         # 1D mixed VEM along the line.
         for j in range(tm.n_elems):
             elem1d = vem.local_matrices_1d(float(lens[j]), lam_hat)
@@ -403,20 +388,28 @@ def _interface_entries_dc(problem, dofs, rows, cols, vals, rhs):
                 vals.extend([sgn, sgn])
 
 
-def _finish(problem, dofs, model, frac, rows, cols, vals, rhs) -> SaddleSystem:
-    frows, fcols, fvals, groups = frac
-    rows, cols, vals = (np.asarray(rows, int), np.asarray(cols, int),
-                        np.asarray(vals, float))
-    shape = (dofs.total, dofs.total)
+def _assemble(problem, dofs, bcs, model) -> SaddleSystem:
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(dofs.total)
+    robin = np.zeros(dofs.total)
+    _side_entries(problem, dofs, rows, cols, vals, robin)
+    if model == "dc":
+        _line_entries_dc(problem, dofs, rows, cols, vals, rhs)
+    frows, fcols, fvals, groups = _assemble_fractures(problem, dofs, rhs,
+                                                      robin)
     A = sparse.csr_matrix(
-        (np.concatenate([*fvals, vals]),
-         (np.concatenate([*frows, rows]), np.concatenate([*fcols, cols]))),
-        shape=shape,
+        (np.concatenate([*fvals, np.asarray(vals, float)]),
+         (np.concatenate([*frows, np.asarray(rows, int)]),
+          np.concatenate([*fcols, np.asarray(cols, int)]))),
+        shape=(dofs.total, dofs.total),
     )
     A.sum_duplicates()
-    coupling = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
-    return SaddleSystem(A=A, rhs=rhs, dofs=dofs, problem=problem, model=model,
-                        groups=groups, coupling=coupling)
+    system = SaddleSystem(A=A, rhs=rhs, dofs=dofs, problem=problem,
+                          model=model, fixed=np.zeros(dofs.total, bool),
+                          bc_value=np.zeros(dofs.total), groups=groups)
+    if bcs is not None:
+        apply_bc(system, bcs)
+    return system
 
 
 def assemble_cc(problem: DiscreteProblem, dofs: DofMap,
@@ -424,27 +417,13 @@ def assemble_cc(problem: DiscreteProblem, dofs: DofMap,
     """Pressure-continuous coupling: per-element Lagrange multipliers
     enforce total flux balance across every trace element and act as the
     interface pressure."""
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dofs.total)
-    frac = _assemble_fractures(problem, dofs, rhs)
-    _interface_entries_cc(problem, dofs, rows, cols, vals)
-    system = _finish(problem, dofs, "cc", frac, rows, cols, vals, rhs)
-    if bcs is not None:
-        apply_bc(system, bcs)
-    return system
+    return _assemble(problem, dofs, bcs, "cc")
 
 
 def assemble_dc(problem: DiscreteProblem, dofs: DofMap,
                 bcs: BoundarySpec | None = None) -> SaddleSystem:
     """Discontinuous coupling with tangential intersection flow."""
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dofs.total)
-    frac = _assemble_fractures(problem, dofs, rhs)
-    _interface_entries_dc(problem, dofs, rows, cols, vals, rhs)
-    system = _finish(problem, dofs, "dc", frac, rows, cols, vals, rhs)
-    if bcs is not None:
-        apply_bc(system, bcs)
-    return system
+    return _assemble(problem, dofs, bcs, "dc")
 
 
 # ------------------------------------------------------------------ #
@@ -455,75 +434,52 @@ def apply_bc(system: SaddleSystem, bcs: BoundarySpec) -> SaddleSystem:
     """Impose boundary data on an assembled system, in place.
 
     Dirichlet pressures add ``-g`` (times the signed dof weight) to the
-    boundary flux rows; Neumann fluxes and intersection tips are
-    eliminated symmetrically.  A floating component (no Dirichlet data
-    anywhere) gets one pressure pinned to zero with a warning.
+    boundary flux rows.  Neumann fluxes, intersection tips and one
+    pressure per floating component (no Dirichlet data anywhere; with a
+    warning) are fixed, and all fixed dofs are eliminated symmetrically
+    at once.
     """
     problem, dofs = system.problem, system.dofs
-    eliminate = {}
-    dirichlet_flags = {}
+    fixed, value = system.fixed, system.bc_value
+    has_dirichlet = {}
     for fid in sorted(problem.meshes):
         mesh = problem.meshes[fid]
-        edof = dofs.edge_dof[fid]
-        mids3 = mesh.frame.to_global(mesh.edge_mid)
-        has_dirichlet = False
-        for e in mesh.boundary_edges:
-            kind, value = bcs.fracture_bc(fid, mids3[int(e)])
-            if kind == "dirichlet":
-                system.rhs[int(edof[e])] -= float(value)
-                system.dirichlet[int(edof[e])] = float(value)
-                has_dirichlet = True
-            elif kind == "neumann":
-                eliminate[int(edof[e])] = float(value) * float(mesh.edge_len[e])
-            else:
-                raise ConflictingBC(f"unknown BC kind {kind!r}")
-        dirichlet_flags[("f", fid)] = has_dirichlet
+        b = mesh.boundary_edges
+        d = dofs.edge_dof[fid][b]
+        is_dir, g = bcs.fracture_bc(fid, mesh.frame.to_global(mesh.edge_mid[b]))
+        system.rhs[d[is_dir]] -= g[is_dir]
+        value[d] = np.where(is_dir, g, g * mesh.edge_len[b])
+        fixed[d] = ~is_dir
+        has_dirichlet[("f", fid)] = bool(is_dir.any())
     if system.model == "dc":
         for gid in sorted(problem.traces):
             tm = problem.traces[gid]
-            has_dirichlet = False
-            for end in (0, 1):
-                p3 = tm.line.p0 if end == 0 else tm.line.p1
-                kind, value = bcs.gamma_end(gid, end, p3)
-                bp = 0 if end == 0 else tm.n_elems
-                dof = int(dofs.line_flux[gid][bp])
-                sgn = -1.0 if end == 0 else 1.0
-                if kind == "dirichlet":
-                    system.rhs[dof] -= sgn * float(value)
-                    system.dirichlet[dof] = float(value)
-                    has_dirichlet = True
-                elif kind == "tip":
-                    eliminate[dof] = 0.0
-                else:
-                    raise ConflictingBC(f"unknown end kind {kind!r}")
-            dirichlet_flags[("g", gid)] = has_dirichlet
-    _pin_floating_components(system, dirichlet_flags)
-    if eliminate:
-        _eliminate_dofs(system, eliminate)
-    system.constrained.update(eliminate)
+            has_dirichlet[("g", gid)] = False
+            for end, p3, bp, sgn in ((0, tm.line.p0, 0, -1.0),
+                                     (1, tm.line.p1, tm.n_elems, 1.0)):
+                g = bcs.gamma_end(gid, end, p3)
+                dof = dofs.line_flux[gid][bp]
+                if g is None:
+                    fixed[dof] = True
+                    continue
+                system.rhs[dof] -= sgn * g
+                value[dof] = g
+                has_dirichlet[("g", gid)] = True
+    system.pinned = _pin_floating_components(problem, dofs, has_dirichlet)
+    fixed[list(system.pinned.values())] = True
+    if fixed.any():
+        system.rhs -= system.A @ np.where(fixed, value, 0.0)
+        keep = sparse.diags((~fixed).astype(float))
+        idx = np.flatnonzero(fixed)
+        system.A = ((keep @ system.A @ keep).tocsr() + sparse.csr_matrix(
+            (np.ones(len(idx)), (idx, idx)), shape=system.A.shape)).tocsr()
+        system.rhs[idx] = value[idx]
     return system
 
 
-def _eliminate_dofs(system: SaddleSystem, values: dict):
-    """Replace rows/columns by identity, preserving symmetry via the RHS."""
-    n = system.size
-    idx = np.fromiter(values.keys(), int)
-    val = np.fromiter((values[i] for i in idx), float)
-    x = np.zeros(n)
-    x[idx] = val
-    system.rhs -= system.A @ x
-    keep = np.ones(n)
-    keep[idx] = 0.0
-    P = sparse.diags(keep)
-    system.A = (P @ system.A @ P).tocsr()
-    system.A = (system.A + sparse.csr_matrix(
-        (np.ones(len(idx)), (idx, idx)), shape=(n, n))).tocsr()
-    system.rhs[idx] = val
-
-
-def _pin_floating_components(system: SaddleSystem, dirichlet_flags: dict):
-    """Pin one pressure per connected component without Dirichlet data."""
-    problem = system.problem
+def _pin_floating_components(problem, dofs, has_dirichlet: dict) -> dict:
+    """One pressure dof per connected component without Dirichlet data,
+    by fracture id: the first cell of its lowest fracture."""
     ids = sorted(problem.meshes)
     comp = {("f", fid): ("f", fid) for fid in ids}
     for gid in sorted(problem.traces):
@@ -547,22 +503,22 @@ def _pin_floating_components(system: SaddleSystem, dirichlet_flags: dict):
         for g in lines[1:]:
             union(("g", lines[0]), ("g", g))
     have = {}
-    for key, flag in dirichlet_flags.items():
+    for key, flag in has_dirichlet.items():
         root = find(key)
         have[root] = have.get(root, False) or flag
+    pins = {}
     for fid in ids:
         root = find(("f", fid))
         if have.get(root, False):
             continue
-        dof = int(system.dofs.cell_dof[fid][0])
         warnings.warn(
             f"component of fracture {fid} has no Dirichlet data; pinning "
             "one pressure to zero (analysis assumes Dirichlet somewhere)",
             UnconstrainedPressureWarning,
         )
-        _eliminate_dofs(system, {dof: 0.0})
-        system.pinned.append(dof)
+        pins[fid] = int(dofs.cell_dof[fid][0])
         have[root] = True
+    return pins
 
 
 # ------------------------------------------------------------------ #
@@ -619,9 +575,10 @@ def boundary_spec_from_json(raw: dict, network: FractureNetwork) -> BoundarySpec
     axis-aligned box containing the edge midpoint; unselected edges are
     no-flow.  Intersection endpoints default to zero-flux tips.  A
     selector that is not an object, an unknown ``type``, fracture, edge,
-    intersection or end, a ``value`` that is not a finite number or a
-    ``box`` that is not two finite 3-vectors raises ``ConfigError``
-    naming its JSON path.
+    intersection or end, a ``value`` that is not a finite number, a
+    ``box`` that is not two finite 3-vectors ``lo <= hi``, or a fracture
+    selector without exactly one of ``edge`` and ``box`` raises
+    ``ConfigError`` naming its JSON path.
     """
     def check(item, path, key, ok, need):
         try:
@@ -640,6 +597,13 @@ def boundary_spec_from_json(raw: dict, network: FractureNetwork) -> BoundarySpec
         v = np.asarray(v, float)
         return v.shape == shape and np.isfinite(v).all()
 
+    def on_edge(a, b, tol):
+        return lambda mids3: point_segment_distance(mids3, a, b) <= tol
+
+    def in_box(lo, hi):
+        return lambda mids3: ((mids3 >= lo - 1e-12)
+                              & (mids3 <= hi + 1e-12)).all(axis=1)
+
     for key, kinds in (("boundary_conditions", ("dirichlet", "neumann")),
                        ("intersection_conditions", ("tip", "dirichlet"))):
         for i, item in enumerate(json_list(raw, key)):
@@ -652,55 +616,52 @@ def boundary_spec_from_json(raw: dict, network: FractureNetwork) -> BoundarySpec
             if "value" in item:
                 check(item, path, "value", finite, "a finite number")
             if "box" in item:
-                check(item, path, "box", lambda v: finite(v, (2, 3)),
-                      "two finite 3-vectors [lo, hi]")
+                check(item, path, "box", lambda v: finite(v, (2, 3))
+                      and np.all(np.diff(v, axis=0) >= 0),
+                      "two finite 3-vectors [lo, hi] with lo <= hi")
     fids = {f.id for f in network.fractures}
-    frac_rules = {}
+    frac_rules = {}     # fid -> [(selector (n, 3) -> mask, is_dirichlet, value)]
     for i, item in enumerate(raw.get("boundary_conditions", [])):
         path = f"boundary_conditions[{i}]"
         fid = index(item, path, "fracture", fids, "a fracture id")
+        if ("edge" in item) == ("box" in item):
+            raise ConfigError(f"{path}: needs exactly one of 'edge' and "
+                              "'box' to select boundary edges")
         if "edge" in item:
-            n = len(network.fracture(fid).vertices)
-            index(item, path, "edge", range(n),
-                  f"a polygon edge index of fracture {fid} (0..{n - 1})")
-        frac_rules.setdefault(fid, []).append(item)
+            frac = network.fracture(fid)
+            n = len(frac.vertices)
+            e = index(item, path, "edge", range(n),
+                      f"a polygon edge index of fracture {fid} (0..{n - 1})")
+            select = on_edge(frac.vertices[e], frac.vertices[(e + 1) % n],
+                             100 * frac.tol)
+        else:
+            select = in_box(*np.asarray(item["box"], float))
+        frac_rules.setdefault(fid, []).append(
+            (select, item.get("type", "dirichlet") == "dirichlet",
+             float(item.get("value", 0.0))))
     gids = {line.id for line in network.lines}
-    gamma_rules = {}
+    gamma_values = {}
     for i, item in enumerate(raw.get("intersection_conditions", [])):
         path = f"intersection_conditions[{i}]"
         key = (index(item, path, "gamma", gids, "an intersection id"),
                index(item, path, "end", (0, 1), "0 or 1"))
-        gamma_rules[key] = item
+        gamma_values[key] = (float(item.get("value", 0.0))
+                             if item.get("type") == "dirichlet" else None)
 
-    def fracture_bc(fid, mid3):
-        frac = network.fracture(fid)
-        hit = None
-        for item in frac_rules.get(fid, []):
-            ok = False
-            if "edge" in item:
-                i = int(item["edge"])
-                a = frac.vertices[i]
-                b = frac.vertices[(i + 1) % len(frac.vertices)]
-                ok = point_segment_distance(mid3, a, b) <= 100 * frac.tol
-            elif "box" in item:
-                lo, hi = (np.asarray(v, float) for v in item["box"])
-                ok = bool((mid3 >= lo - 1e-12).all() and (mid3 <= hi + 1e-12).all())
-            if not ok:
-                continue
-            rule = (item.get("type", "dirichlet"), float(item.get("value", 0.0)))
-            if hit is not None and hit != rule:
-                raise ConflictingBC(
-                    f"fracture {fid}: conflicting BCs at {mid3}"
-                )
-            hit = rule
-        return hit if hit is not None else ("neumann", 0.0)
+    def fracture_bc(fid, mids3):
+        n = len(mids3)
+        hit, is_dir, value = np.zeros(n, bool), np.zeros(n, bool), np.zeros(n)
+        for select, d, v in frac_rules.get(fid, []):
+            sel = select(mids3)
+            clash = sel & hit & ((is_dir != d) | (value != v))
+            if clash.any():
+                raise ConflictingBC(f"fracture {fid}: conflicting BCs at "
+                                    f"{mids3[np.argmax(clash)]}")
+            hit |= sel
+            is_dir[sel] = d
+            value[sel] = v
+        return is_dir, value
 
-    def gamma_end(gid, end, p3):
-        item = gamma_rules.get((gid, end))
-        if item is None:
-            return ("tip", None)
-        if item.get("type", "tip") == "dirichlet":
-            return ("dirichlet", float(item.get("value", 0.0)))
-        return ("tip", None)
-
-    return BoundarySpec(fracture_bc=fracture_bc, gamma_end=gamma_end)
+    return BoundarySpec(fracture_bc=fracture_bc,
+                        gamma_end=lambda gid, end, p3: gamma_values.get(
+                            (gid, end)))

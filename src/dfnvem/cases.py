@@ -389,11 +389,11 @@ def case_four_fractures() -> BenchmarkCase:
                 (frac.vertices[far - 1], frac.vertices[far]),
             ]
 
-        def fracture_bc(fid, mid3):
+        def fracture_bc(fid, mids3):
+            outlet = np.zeros(len(mids3), bool)
             for a, b in outlets.get(fid, ()):
-                if point_segment_distance(mid3, a, b) < 1e-9:
-                    return ("dirichlet", 0.0)
-            return ("neumann", 0.0)
+                outlet |= point_segment_distance(mids3, a, b) < 1e-9
+            return outlet, np.zeros(len(mids3))
 
         return asm.BoundarySpec(fracture_bc=fracture_bc)
 

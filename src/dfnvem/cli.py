@@ -246,6 +246,8 @@ def cmd_solve(args) -> dict:
         "nnz": system.A.nnz,
         "sparsity": system.sparsity, "residual": report.residual,
         "reduced_size": report.reduced_size, "lu_fill": report.lu_fill,
+        "pinned": [{"fracture": fid, "dof": dof}
+                   for fid, dof in sorted(system.pinned.items())],
         "timings": {**report.timings, "export_s": now - t_export,
                     "total_s": now - t0},
     }
@@ -292,14 +294,11 @@ def global_flux_balance(problem, system, solution) -> dict:
     the largest permeability, so a solution without flow reads as
     balanced instead of comparing rounding noise with itself.
     """
-    total_out = 0.0
-    total_abs = 0.0
+    total_out = total_abs = 0.0
     for fid in sorted(problem.meshes):
-        mesh = problem.meshes[fid]
-        for e in mesh.boundary_edges:
-            v = float(solution.edge_flux[fid][int(e)])
-            total_out += v
-            total_abs += abs(v)
+        flux = solution.edge_flux[fid][problem.meshes[fid].boundary_edges]
+        total_out += float(flux.sum())
+        total_abs += float(np.abs(flux).sum())
     for gid in sorted(solution.line_flux):
         first, last = (float(v) for v in solution.line_flux[gid][[0, -1]])
         total_out += last - first
@@ -318,7 +317,7 @@ def global_flux_balance(problem, system, solution) -> dict:
         for gid, tm in problem.traces.items():
             vals = np.asarray(problem.line_source(gid, tm.elem_mid_3d()))
             total_src += float((tm.elem_len * vals).sum())
-    floor = (max(map(abs, system.dirichlet.values()), default=0.0)
+    floor = (float(np.abs(system.bc_value[~system.fixed]).max(initial=0.0))
              * sum(float(mesh.edge_len[mesh.boundary_edges].sum())
                    for mesh in problem.meshes.values())
              * max(float(np.abs(lam).max()) for lam in problem.lam.values()))

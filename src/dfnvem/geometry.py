@@ -203,14 +203,6 @@ class Frame:
         out = np.column_stack([q @ self.t1, q @ self.t2])
         return out[0] if np.ndim(vec3) == 1 else out
 
-    @property
-    def normal_projector(self) -> np.ndarray:
-        return np.outer(self.n, self.n)
-
-    @property
-    def tangent_projector(self) -> np.ndarray:
-        return np.eye(3) - self.normal_projector
-
 
 def build_frame(vertices: np.ndarray, tol_plane: float | None = None) -> Frame:
     """Best-fit plane frame of a polygon.

@@ -169,13 +169,6 @@ def convergence_orders(reports: list) -> list:
     return reports
 
 
-def regression_order(hs, errs) -> float:
-    """Least-squares slope of log(err) against log(h)."""
-    hs = np.asarray(hs, float)
-    errs = np.asarray(errs, float)
-    return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-
-
 # ------------------------------------------------------------------ #
 # VTK / CSV export
 # ------------------------------------------------------------------ #

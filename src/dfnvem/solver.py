@@ -47,17 +47,17 @@ def _relative_residual(A, x, b) -> float:
     return float(np.linalg.norm(A @ x - b) / nb)
 
 
-def _cell_blocks(system: SaddleSystem, robin, link, coef, lam, masked):
+def _cell_blocks(system: SaddleSystem, link, coef, lam):
     """Per cell group: the global dofs ``(n, m)`` of each cell's local
     block (its fluxes, then its pressure), the inverse blocks, each local
     dof's reduced column and coefficient, and where the cell takes its
     right-hand side from.
 
-    A block is ``[[sMs, -s], [-s^T, 0]]`` plus the dc Robin diagonal on
-    side edges.  Constrained and pinned dofs get a zero row and column and
-    a unit diagonal, as in the assembled system.  The right-hand side of a
-    flux shared by two cells goes to the cell in its slot 0 (``s > 0``);
-    the edge multiplier absorbs either split.
+    A block is ``[[sMs, -s], [-s^T, 0]]``, where ``M`` carries the dc
+    Robin diagonal on side edges.  Fixed dofs get a zero row and column
+    and a unit diagonal, as in the assembled system.  The right-hand side
+    of a flux shared by two cells goes to the cell in its slot 0
+    (``s > 0``); the edge multiplier absorbs either split.
     """
     for g, s, p, M in system.groups:
         n, d = g.shape
@@ -66,8 +66,7 @@ def _cell_blocks(system: SaddleSystem, robin, link, coef, lam, masked):
         L[:, :d, :d] = M * s[:, :, None] * s[:, None, :]
         L[:, :d, d] = L[:, d, :d] = -s
         diag = np.arange(d + 1)
-        L[:, diag[:d], diag[:d]] += robin[g]
-        mk = masked[idx]
+        mk = system.fixed[idx]
         L[mk[:, :, None] | mk[:, None, :]] = 0.0
         L[:, diag, diag] += mk
         try:
@@ -85,7 +84,7 @@ def _hybrid_factor(system: SaddleSystem):
     returns ``(solve, reduced size, LU fill)``, where ``solve(b)`` is the
     solution of ``A x = b``.
 
-    ``z`` holds one multiplier per unconstrained flux shared by two cells
+    ``z`` holds one multiplier per unfixed flux shared by two cells
     and every dof outside the cell blocks, in dof order.  With ``E`` the
     local links to ``z``, ``K = sum E^T L^-1 E - A_YY`` and the reduced
     right-hand side is ``sum E^T L^-1 r - b_Y``.  A system without cell
@@ -93,16 +92,13 @@ def _hybrid_factor(system: SaddleSystem):
     """
     A = system.A
     n = A.shape[0]
-    masked = np.zeros(n, bool)
-    masked[list(system.constrained)] = True
-    masked[system.pinned] = True
     count = np.bincount(np.concatenate(
         [np.zeros(0, int)] + [g.ravel() for g, _, _, _ in system.groups]),
         minlength=n)
     in_cell = count > 0
     for _, _, p, _ in system.groups:
         in_cell[p] = True
-    lam = (count == 2) & ~masked
+    lam = (count == 2) & ~system.fixed
     outside = np.flatnonzero(~in_cell)
     z_dofs = np.flatnonzero(lam | ~in_cell)
     nz = len(z_dofs)
@@ -110,18 +106,20 @@ def _hybrid_factor(system: SaddleSystem):
     zpos[z_dofs] = np.arange(nz)
     # Each cell dof links to at most one z unknown: its edge multiplier,
     # or the one outside dof (trace multiplier or p-hat) a side edge
-    # couples to.
+    # couples to.  A is symmetric and its fixed rows and columns are the
+    # identity's, so the rows A[outside] hold every unfixed link.
     link = np.where(lam, zpos, -1)
     coef = np.zeros(n)
-    C = sparse.coo_matrix(system.coupling if system.coupling is not None
-                          else (n, n))
-    keep = in_cell[C.row] & ~in_cell[C.col] & ~masked[C.row] & ~masked[C.col]
-    link[C.row[keep]] = zpos[C.col[keep]]
-    coef[C.row[keep]] = C.data[keep]
-    A_yy = A[outside][:, outside].tocoo()
-    rows, cols = [zpos[outside][A_yy.row]], [zpos[outside][A_yy.col]]
+    ypos = zpos[outside]
+    A_out = A[outside]
+    C = A_out.tocoo()
+    keep = in_cell[C.col]
+    link[C.col[keep]] = ypos[C.row[keep]]
+    coef[C.col[keep]] = C.data[keep]
+    A_yy = A_out[:, outside].tocoo()
+    rows, cols = [ypos[A_yy.row]], [ypos[A_yy.col]]
     vals = [-A_yy.data]
-    blocks = list(_cell_blocks(system, C.diagonal(), link, coef, lam, masked))
+    blocks = list(_cell_blocks(system, link, coef, lam))
     for _, Linv, col, c, _ in blocks:
         pair = (col[:, :, None] >= 0) & (col[:, None, :] >= 0)
         rows.append(np.broadcast_to(col[:, :, None], Linv.shape)[pair])
@@ -143,7 +141,7 @@ def _hybrid_factor(system: SaddleSystem):
 
     def solve_for(b):
         rhs = np.zeros(nz + 1)      # slot 0 collects column -1: no link
-        rhs[zpos[outside] + 1] = -b[outside]
+        rhs[ypos + 1] = -b[outside]
         local = []
         for idx, Linv, col, c, own in blocks:
             local.append(np.einsum("kij,kj->ki", Linv, b[idx] * own))
@@ -151,7 +149,7 @@ def _hybrid_factor(system: SaddleSystem):
                                minlength=nz + 1)
         z = lu.solve(rhs[1:]) if nz else rhs[1:]
         x = np.empty(n)
-        x[outside] = z[zpos[outside]]
+        x[outside] = z[ypos]
         z = np.append(z, 0.0)       # the value at column -1
         for (idx, Linv, col, c, _), Lr in zip(blocks, local):
             x[idx] = Lr - np.einsum("kij,kj->ki", Linv, c * z[col])

@@ -13,9 +13,9 @@ from dfnvem import assembly as asm
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
-from dfnvem.errors import (CollinearOverlap, ConfigError, ConstraintConflict,
-                           DfnError, EmptyDomain, InconsistentEndpoints,
-                           MeshError, SingularG)
+from dfnvem.errors import (CollinearOverlap, ConfigError, ConflictingBC,
+                           ConstraintConflict, DfnError, EmptyDomain,
+                           InconsistentEndpoints, MeshError, SingularG)
 from dfnvem.geometry import (Frame, IntersectionLine, _dots, point_in_polygon,
                              point_segment_distance, polygon_area,
                              segments_cross)
@@ -134,6 +134,107 @@ def run(network, meshes, model="cc", g=None, g_hat=None, f=None, f_hat=None,
     return problem, dofs, system, asm.extract_solution(system, report.x), report
 
 
+def symmetry_error(system) -> float:
+    """Largest |A - A^T| entry of an assembled system."""
+    d = (system.A - system.A.T).tocoo()
+    return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+
+
+def no_flow() -> asm.BoundarySpec:
+    """Zero Neumann data on every boundary edge, tips at every end."""
+    return asm.BoundarySpec(
+        fracture_bc=lambda fid, mids3: (np.zeros(len(mids3), bool),
+                                        np.zeros(len(mids3))))
+
+
+def pointwise_bc(rule) -> asm.BoundarySpec:
+    """Boundary data from a per-midpoint ``rule(fid, mid3)`` returning
+    ``("dirichlet", g)`` or ``("neumann", q)``."""
+    def fracture_bc(fid, mids3):
+        pairs = [rule(fid, m) for m in mids3]
+        return (np.array([k == "dirichlet" for k, _ in pairs], bool),
+                np.array([v for _, v in pairs], float))
+    return asm.BoundarySpec(fracture_bc=fracture_bc)
+
+
+def json_fracture_bc_ref(raw: dict, network):
+    """Per-midpoint oracle of ``boundary_spec_from_json``'s fracture data:
+    ``f(fid, mid3)`` returns ``("dirichlet" | "neumann", value)`` or raises
+    ``ConflictingBC``.  The selectors must already be valid."""
+    rules = {}
+    for item in raw.get("boundary_conditions", []):
+        rules.setdefault(int(item["fracture"]), []).append(item)
+
+    def fracture_bc(fid, mid3):
+        frac = network.fracture(fid)
+        hit = None
+        for item in rules.get(fid, []):
+            ok = False
+            if "edge" in item:
+                i = int(item["edge"])
+                a = frac.vertices[i]
+                b = frac.vertices[(i + 1) % len(frac.vertices)]
+                ok = point_segment_distance(mid3, a, b) <= 100 * frac.tol
+            elif "box" in item:
+                lo, hi = (np.asarray(v, float) for v in item["box"])
+                ok = bool((mid3 >= lo - 1e-12).all()
+                          and (mid3 <= hi + 1e-12).all())
+            if not ok:
+                continue
+            rule = (item.get("type", "dirichlet"),
+                    float(item.get("value", 0.0)))
+            if hit is not None and hit != rule:
+                raise ConflictingBC(f"fracture {fid}: conflicting BCs at "
+                                    f"{mid3}")
+            hit = rule
+        return hit if hit is not None else ("neumann", 0.0)
+
+    return fracture_bc
+
+
+def json_bc_outcomes(raw: dict, network, mids: dict) -> tuple:
+    """``boundary_spec_from_json``'s fracture data and its per-midpoint
+    oracle's on the ``(n, 3)`` midpoints ``mids[fid]``: per fracture, the
+    Dirichlet mask and values as lists, or ``"ConflictingBC"``."""
+    spec = asm.boundary_spec_from_json(raw, network)
+    ref = json_fracture_bc_ref(raw, network)
+    got, want = {}, {}
+    for fid, mids3 in mids.items():
+        try:
+            is_dir, value = spec.fracture_bc(fid, mids3)
+            got[fid] = (is_dir.tolist(), value.tolist())
+        except ConflictingBC:
+            got[fid] = "ConflictingBC"
+        try:
+            pairs = [ref(fid, m) for m in mids3]
+            want[fid] = ([k == "dirichlet" for k, _ in pairs],
+                         [v for _, v in pairs])
+        except ConflictingBC:
+            want[fid] = "ConflictingBC"
+    return got, want
+
+
+def boundary_mids(meshes: dict) -> dict:
+    """Fracture id -> the 3D midpoints of its mesh's boundary edges."""
+    return {fid: m.frame.to_global(m.edge_mid[m.boundary_edges])
+            for fid, m in meshes.items()}
+
+
+def tangent_projector(frame: Frame) -> np.ndarray:
+    return np.eye(3) - normal_projector(frame)
+
+
+def normal_projector(frame: Frame) -> np.ndarray:
+    return np.outer(frame.n, frame.n)
+
+
+def regression_order(hs, errs) -> float:
+    """Least-squares slope of log(err) against log(h)."""
+    hs = np.asarray(hs, float)
+    errs = np.asarray(errs, float)
+    return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+
+
 def saddle_lu_solve(system) -> np.ndarray:
     """Oracle of the hybridized direct solve: sparse LU (COLAMD) of the
     whole saddle system."""
@@ -149,6 +250,27 @@ def write_perfbench_network(path, seed: int) -> None:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     module.write_network(path, seed)
+
+
+# The network file of the README's input-format section.
+README_NETWORK = {
+    "fractures": [
+        {"id": 0, "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+         "aperture": 0.01, "k_tangential": [1.0, 0.0, 1.0]},
+        {"id": 1,
+         "vertices": [[0.5, 0, -0.5], [0.5, 1, -0.5], [0.5, 1, 0.5],
+                      [0.5, 0, 0.5]],
+         "aperture": 0.01},
+    ],
+    "intersections": [{"fractures": [0, 1], "k_hat": 1.0, "k_tilde": 1.0}],
+    "boundary_conditions": [
+        {"fracture": 0, "edge": 3, "type": "dirichlet", "value": 1.0},
+        {"fracture": 0, "box": [[0, 0, 0], [1, 0, 1]], "type": "neumann",
+         "value": 0.0},
+    ],
+    "intersection_conditions": [
+        {"gamma": 0, "end": 0, "type": "dirichlet", "value": 0.0}],
+}
 
 
 def import_network_dict():

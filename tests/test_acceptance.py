@@ -17,12 +17,11 @@ from dfnvem import cli
 from dfnvem import coarsening as coa
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
-from dfnvem import postprocess as post
 from dfnvem import solver as slv
 from dfnvem import vem
 
 from _util import (cell_of, import_network_dict, local_matrices_2d_ref,
-                   polygon_geometry)
+                   polygon_geometry, regression_order)
 
 
 def report(num, ok, msg):
@@ -33,7 +32,7 @@ def report(num, ok, msg):
 def tail_slope(reports, attr="err_p", hattr="h_avg", skip=1):
     hs = [getattr(r, hattr) for r in reports][skip:]
     es = [getattr(r, attr) for r in reports][skip:]
-    return post.regression_order(hs, es)
+    return regression_order(hs, es)
 
 
 def test_criterion_1_cartesian_table_values():

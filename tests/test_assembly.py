@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,19 @@ from dfnvem import solver as slv
 from dfnvem.errors import MissingIntersectionProps, UnconstrainedPressureWarning
 
 from _util import (
+    README_NETWORK,
+    boundary_mids,
     cell_of,
     crossing_rectangles,
+    json_bc_outcomes,
+    no_flow,
     outward_normals_of_cell,
+    pointwise_bc,
     rect_mesh_with_trace,
     run,
     single_fracture_plane,
+    symmetry_error,
+    write_perfbench_network,
 )
 
 
@@ -52,7 +61,7 @@ class TestOneCell:
         dofs = asm.build_dof_map(problem, "cc")
         system = asm.assemble_cc(problem, dofs,
                                  asm.BoundarySpec.dirichlet(lambda fid, x: 0.0))
-        assert system.symmetry_error() == 0.0
+        assert symmetry_error(system) == 0.0
 
 
 def p1_field(a, b, c):
@@ -384,8 +393,8 @@ class TestApplyBC:
                 return ("dirichlet", 0.0)
             return ("neumann", 0.0)
 
-        system = asm.assemble_cc(problem, dofs, asm.BoundarySpec(bc))
-        assert system.symmetry_error() == 0.0
+        system = asm.assemble_cc(problem, dofs, pointwise_bc(bc))
+        assert symmetry_error(system) == 0.0
         rep = slv.solve(system)
         sol = asm.extract_solution(system, rep.x)
         # 1D flow: p = 1 - x, flux = 1 per unit width.
@@ -400,7 +409,7 @@ class TestApplyBC:
                                                                   frame=frac.frame)})
         dofs = asm.build_dof_map(problem, "cc")
         with pytest.warns(UnconstrainedPressureWarning):
-            system = asm.assemble_cc(problem, dofs, asm.BoundarySpec.no_flow())
+            system = asm.assemble_cc(problem, dofs, no_flow())
         rep = slv.solve(system)
         assert rep.nullspace_pinned
         assert rep.residual < 1e-10
@@ -415,9 +424,10 @@ class TestJsonBCs:
             {"fracture": 0, "edge": 1, "type": "dirichlet", "value": 0.0},
         ]}
         spec = asm.boundary_spec_from_json(raw, net)
-        assert spec.fracture_bc(0, np.array([0.0, 0.5, 0.0])) == ("dirichlet", 1.0)
-        assert spec.fracture_bc(0, np.array([1.0, 0.5, 0.0])) == ("dirichlet", 0.0)
-        assert spec.fracture_bc(0, np.array([0.5, 0.0, 0.0])) == ("neumann", 0.0)
+        is_dir, value = spec.fracture_bc(0, np.array(
+            [[0.0, 0.5, 0.0], [1.0, 0.5, 0.0], [0.5, 0.0, 0.0]]))
+        assert is_dir.tolist() == [True, True, False]
+        assert value.tolist() == [1.0, 0.0, 0.0]
 
     def test_box_selector_and_gamma(self):
         net = crossing_rectangles()
@@ -431,6 +441,52 @@ class TestJsonBCs:
             ],
         }
         spec = asm.boundary_spec_from_json(raw, net)
-        assert spec.fracture_bc(1, np.array([1.0, 0.5, 0.0])) == ("dirichlet", 2.0)
-        assert spec.gamma_end(0, 0, net.lines[0].p0) == ("dirichlet", 5.0)
-        assert spec.gamma_end(0, 1, net.lines[0].p1) == ("tip", None)
+        is_dir, value = spec.fracture_bc(1, np.array([[1.0, 0.5, 0.0]]))
+        assert is_dir.tolist() == [True] and value.tolist() == [2.0]
+        assert spec.gamma_end(0, 0, net.lines[0].p0) == 5.0
+        assert spec.gamma_end(0, 1, net.lines[0].p1) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_perfbench_networks_match_pointwise_ref(self, tmp_path, seed):
+        path = tmp_path / "net.json"
+        write_perfbench_network(path, seed)
+        net, raw = geo.load_network(path)
+        meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.3)
+                  for f in net.fractures}
+        got, want = json_bc_outcomes(raw, net, boundary_mids(meshes))
+        assert got == want
+        assert any(any(mask) for mask, _ in got.values())
+
+    def test_one_fracture_bc_call_per_fracture(self, tmp_path):
+        path = tmp_path / "net.json"
+        write_perfbench_network(path, 0)
+        net, raw = geo.load_network(path)
+        spec = asm.boundary_spec_from_json(raw, net)
+        calls, evaluate = [], spec.fracture_bc
+        spec.fracture_bc = lambda fid, mids3: (calls.append(fid)
+                                               or evaluate(fid, mids3))
+        meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.5)
+                  for f in net.fractures}
+        problem = asm.prepare_problem(net, meshes)
+        asm.assemble_cc(problem, asm.build_dof_map(problem, "cc"), spec)
+        assert calls == sorted(f.id for f in net.fractures)
+
+    def test_readme_example_matches_pointwise_ref(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(README_NETWORK))
+        net, raw = geo.load_network(path)
+        meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.2)
+                  for f in net.fractures}
+        got, want = json_bc_outcomes(raw, net, boundary_mids(meshes))
+        assert got == want
+        assert sum(got[0][0]) > 0 and not all(got[0][0])
+
+    def test_conflict_raises_like_pointwise_ref(self):
+        net = crossing_rectangles()
+        raw = {"boundary_conditions": [
+            {"fracture": 1, "edge": 1, "value": 1.0},
+            {"fracture": 1, "box": [[0.5, -1, -1], [2, 2, 1]], "value": 2.0},
+        ]}
+        mids = {1: np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0]])}
+        got, want = json_bc_outcomes(raw, net, mids)
+        assert got == want == {1: "ConflictingBC"}

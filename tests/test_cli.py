@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
 from dfnvem import vem
+from dfnvem.errors import UnconstrainedPressureWarning
 
-from _util import import_network_dict
+from _util import README_NETWORK, import_network_dict
 
 
 def run_cli(args):
@@ -161,24 +163,34 @@ class TestSolveCommand:
         assert balance["relative_imbalance"] < 1e-8
 
 
-README_NETWORK = {
-    "fractures": [
-        {"id": 0, "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
-         "aperture": 0.01, "k_tangential": [1.0, 0.0, 1.0]},
-        {"id": 1,
-         "vertices": [[0.5, 0, -0.5], [0.5, 1, -0.5], [0.5, 1, 0.5],
-                      [0.5, 0, 0.5]],
-         "aperture": 0.01},
-    ],
-    "intersections": [{"fractures": [0, 1], "k_hat": 1.0, "k_tilde": 1.0}],
-    "boundary_conditions": [
-        {"fracture": 0, "edge": 3, "type": "dirichlet", "value": 1.0},
-        {"fracture": 0, "box": [[0, 0, 0], [1, 0, 1]], "type": "neumann",
-         "value": 0.0},
-    ],
-    "intersection_conditions": [
-        {"gamma": 0, "end": 0, "type": "dirichlet", "value": 0.0}],
-}
+@pytest.mark.parametrize("dirichlet", [True, False])
+def test_summary_lists_pinned_pressures(tmp_path, dirichlet):
+    """Without Dirichlet data each floating component gets one pinned
+    pressure, the first of its lowest fracture, and ``summary.json``
+    names it.  A fracture far from the rest is a second component."""
+    data = import_network_dict()
+    data["fractures"].append({
+        "id": 12, "aperture": 1.0, "k_tangential": [1.0, 0.0, 1.0],
+        "vertices": [[5, 0, 0], [5, 1, 0], [5, 1, 1], [5, 0, 1]]})
+    if not dirichlet:
+        for bc in data["boundary_conditions"]:
+            bc.update(type="neumann", value=0.0)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(["solve", "--network", path, "--h", "0.5",
+                      "--out", tmp_path / "o"])
+    assert rc == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    first = summary["dofs"]["fracture_flux"]    # fracture 0's first cell
+    last = first + summary["dofs"]["fracture_pressure"]
+    fids = [p["fracture"] for p in summary["pinned"]]
+    assert fids == ([12] if dirichlet else [0, 12])
+    assert all(first <= p["dof"] < last for p in summary["pinned"])
+    assert dirichlet or summary["pinned"][0]["dof"] == first
+    assert len(fids) == sum(issubclass(w.category, UnconstrainedPressureWarning)
+                            for w in caught)
 
 
 def test_cli_import_defers_scipy_spatial():
@@ -306,6 +318,14 @@ def _set(key, value, at=0, entry="boundary_conditions"):
     return lambda data: data[entry][at].__setitem__(key, value)
 
 
+def _selector(**keys):
+    """An edit replacing the edge or box of boundary selector 0 by ``keys``."""
+    def edit(data):
+        data["boundary_conditions"][0].pop("edge")
+        data["boundary_conditions"][0].update(keys)
+    return edit
+
+
 # Network files that each break one rule of the input format, by name.
 EDITS = {
     "isec_no_fractures.json":
@@ -330,6 +350,9 @@ EDITS = {
     "bc_value_text.json": _set("value", "abc"),
     "bc_value_null.json": _set("value", None),
     "bc_box.json": _set("box", [[0, 0, 0]]),
+    "bc_no_selector.json": _selector(),
+    "bc_edge_and_box.json": _selector(edge=0, box=[[0, 0, 0], [1, 1, 1]]),
+    "bc_box_reversed.json": _selector(box=[[0, 0, 1], [1, 1, 0]]),
     "bc_not_list.json": lambda data: data.update(boundary_conditions={}),
     "id_fraction.json": _set("id", 1.7, at=1, entry="fractures"),
     "id_bool.json": _set("id", True, at=1, entry="fractures"),
@@ -438,6 +461,15 @@ MALFORMED = {
                       "boundary_conditions[0].value"),
     "bc-box-one-corner": (["solve", "--network", "bc_box.json"],
                           "boundary_conditions[0].box"),
+    "bc-no-selector": (["solve", "--network", "bc_no_selector.json"],
+                       "boundary_conditions[0]: needs exactly one of 'edge' "
+                       "and 'box'"),
+    "bc-edge-and-box": (["solve", "--network", "bc_edge_and_box.json"],
+                        "boundary_conditions[0]: needs exactly one of "
+                        "'edge' and 'box'"),
+    "bc-box-reversed": (["solve", "--network", "bc_box_reversed.json"],
+                        "boundary_conditions[0].box: [[0, 0, 1], [1, 1, 0]] "
+                        "is not two finite 3-vectors [lo, hi] with lo <= hi"),
     "bc-not-a-list": (["mesh", "--network", "bc_not_list.json"],
                       "boundary_conditions: "),
     "fractional-fracture-id": (["mesh", "--network", "id_fraction.json"],

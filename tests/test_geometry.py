@@ -6,7 +6,8 @@ from dfnvem.errors import (CollinearOverlap, CollinearVertices, CoplanarOverlap,
                            GeometryError)
 
 from _util import (build_network_ref, import_network_dict, network_outcome,
-                   point_in_polygon_ref, point_segment_distance_ref)
+                   normal_projector, point_in_polygon_ref,
+                   point_segment_distance_ref, tangent_projector)
 
 RNG = np.random.default_rng(20240811)
 
@@ -68,8 +69,8 @@ class TestBuildFrame:
         # Right-handed triad.
         assert np.allclose(np.cross(f.t1, f.t2), f.n, atol=1e-12)
         # Projector identities.
-        N = f.normal_projector
-        T = f.tangent_projector
+        N = normal_projector(f)
+        T = tangent_projector(f)
         assert np.allclose(T + N, np.eye(3), atol=1e-12)
         assert np.allclose(T @ T, T, atol=1e-12)
 

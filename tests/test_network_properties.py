@@ -9,6 +9,8 @@ error.  Random convex polygons with traces on a coarse grid of weights:
 the same error type.
 """
 
+import functools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 
-from _util import build_network_ref, network_outcome, triangulate_ref
+from _util import (boundary_mids, build_network_ref, crossing_rectangles,
+                   json_bc_outcomes, network_outcome, triangulate_ref)
 
 STEPS = np.linspace(0.25, 0.75, 17).tolist()
 HALF = [0.25, 0.5]
@@ -108,3 +111,44 @@ def test_triangulate_equals_piecewise(case):
     poly, traces, h = case
     assert (triangulation_outcome(msh.triangulate, poly, traces, h)
             == triangulation_outcome(triangulate_ref, poly, traces, h))
+
+
+# ------------------------------------------------------------------ #
+# JSON boundary selectors against their per-midpoint reference
+# ------------------------------------------------------------------ #
+
+BOX_GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+@functools.lru_cache(maxsize=1)
+def crossing_pair_mids():
+    net = crossing_rectangles()
+    meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.25)
+              for f in net.fractures}
+    return net, boundary_mids(meshes)
+
+
+@st.composite
+def bc_rules(draw):
+    """One selector of the crossing pair: a polygon edge or a grid box,
+    with the type and value sometimes left to their defaults."""
+    rule = {"fracture": draw(st.integers(0, 1))}
+    if draw(st.booleans()):
+        rule["type"] = draw(st.sampled_from(["dirichlet", "neumann"]))
+    if draw(st.booleans()):
+        rule["value"] = draw(st.sampled_from([0.0, 1.0, 2.5]))
+    if draw(st.booleans()):
+        rule["edge"] = draw(st.integers(0, 3))
+    else:
+        a, b = ([draw(st.sampled_from(BOX_GRID)) for _ in range(3)]
+                for _ in range(2))
+        rule["box"] = [list(map(min, a, b)), list(map(max, a, b))]
+    return rule
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(bc_rules(), min_size=1, max_size=5))
+def test_json_bc_masks_equal_pointwise_ref(rules):
+    net, mids = crossing_pair_mids()
+    got, want = json_bc_outcomes({"boundary_conditions": rules}, net, mids)
+    assert got == want

@@ -7,6 +7,8 @@ from dfnvem import cases
 from dfnvem import postprocess as post
 from dfnvem.errors import MissingExactSolution
 
+from _util import regression_order
+
 
 @pytest.fixture(scope="module")
 def solved_single():
@@ -107,7 +109,7 @@ class TestConvergenceOrders:
     def test_regression_slope(self):
         hs = [0.1, 0.05, 0.025]
         errs = [4e-2 * (h / 0.1) ** 1.5 for h in hs]
-        assert abs(post.regression_order(hs, errs) - 1.5) < 1e-12
+        assert abs(regression_order(hs, errs) - 1.5) < 1e-12
 
 
 class TestExports:

@@ -11,7 +11,7 @@ from dfnvem import meshing as msh
 from dfnvem import solver as slv
 from dfnvem.errors import SingularSystem, UnconstrainedPressureWarning
 
-from _util import (crossing_rectangles, rect_mesh_with_trace,
+from _util import (crossing_rectangles, pointwise_bc, rect_mesh_with_trace,
                    saddle_lu_solve, single_fracture_plane,
                    write_perfbench_network)
 
@@ -20,7 +20,9 @@ def toy_system(A, b):
     """Wrap a dense matrix as a SaddleSystem without cell blocks."""
     return asm.SaddleSystem(A=sparse.csr_matrix(np.asarray(A, float)),
                             rhs=np.asarray(b, float), dofs=None,
-                            problem=None, model="cc")
+                            problem=None, model="cc",
+                            fixed=np.zeros(len(b), bool),
+                            bc_value=np.zeros(len(b)))
 
 
 class TestDirect:
@@ -98,7 +100,7 @@ def test_hybrid_matches_saddle_lu_on_networks(tmp_path, seed, h, model):
               for f in network.fractures}
     _, system, _, _ = cases.solve_meshes(network, meshes, bcs, model)
     if model == "dc":
-        assert network.points and system.constrained
+        assert network.points and system.fixed.any()
     assert_matches_saddle_lu(system)
 
 
@@ -113,7 +115,7 @@ def _inflow_outflow(q_in, q_out, dirichlet=None):
         if dirichlet is not None and mid3[1] > 1 - 1e-12:
             return ("dirichlet", dirichlet)
         return ("neumann", 0.0)
-    return asm.BoundarySpec(bc)
+    return pointwise_bc(bc)
 
 
 def test_hybrid_matches_saddle_lu_pure_neumann_pinned():
@@ -167,5 +169,47 @@ def test_hybrid_matches_saddle_lu_neumann_with_trace(model):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         system = (asm.assemble_cc if model == "cc" else asm.assemble_dc)(
-            problem, dofs, asm.BoundarySpec(bc))
+            problem, dofs, pointwise_bc(bc))
     assert_matches_saddle_lu(system)
+
+
+@pytest.mark.parametrize("model", ["cc", "dc"])
+def test_hybrid_matches_saddle_lu_two_pins_nonzero_neumann(model):
+    """Two floating components, the crossing pair and a far square, each
+    with nonzero Neumann inflow and outflow: two pressures are pinned and
+    eliminated with the fluxes in one pass."""
+    pair = crossing_rectangles()
+    far = geo.Fracture(id=2, vertices=np.array(
+        [[3, 0, 5], [4, 0, 5], [4, 1, 5], [3, 1, 5]], float))
+    net = geo.build_network([*pair.fractures, far])
+    meshes = {fid: rect_mesh_with_trace(net.fracture(fid), 4, 4)
+              for fid in (0, 1)}
+    meshes[2] = msh.triangulate_fracture(far, [], 0.3)
+    problem = asm.prepare_problem(net, meshes)
+    dofs = asm.build_dof_map(problem, model)
+
+    def bc(fid, mid3):
+        if fid == 0 and mid3[2] < -1 + 1e-12:
+            return ("neumann", -1.5)
+        if fid == 1 and mid3[0] > 1 - 1e-12:
+            return ("neumann", 1.5)
+        if fid == 2 and abs(mid3[0] - 3) < 1e-12:
+            return ("neumann", -0.7)
+        if fid == 2 and abs(mid3[0] - 4) < 1e-12:
+            return ("neumann", 0.7)
+        return ("neumann", 0.0)
+
+    with pytest.warns(UnconstrainedPressureWarning):
+        system = (asm.assemble_cc if model == "cc" else asm.assemble_dc)(
+            problem, dofs, pointwise_bc(bc))
+    assert system.pinned == {0: dofs.cell_dof[0][0], 2: dofs.cell_dof[2][0]}
+    rep = assert_matches_saddle_lu(system)
+    assert rep.nullspace_pinned
+    fixed = system.fixed
+    assert np.array_equal(rep.x[fixed], system.bc_value[fixed])
+    mesh = problem.meshes[2]
+    b = mesh.boundary_edges
+    inflow = b[np.abs(mesh.frame.to_global(mesh.edge_mid[b])[:, 0] - 3) < 1e-12]
+    assert len(inflow)
+    assert np.allclose(rep.x[dofs.edge_dof[2][inflow]],
+                       -0.7 * mesh.edge_len[inflow], rtol=0, atol=1e-14)
