@@ -1,10 +1,11 @@
 """Global saddle-point assembly for both intersection coupling models.
 
-The pressure-continuous model (``cc``) enforces flux balance across every
-trace element with one Lagrange multiplier per element, which doubles as
-the single-valued interface pressure.  The flow-carrying model (``dc``)
-instead adds Robin-type exchange terms weighted by the inverse effective
-normal permeability, a 1D mixed-VEM system along every intersection, and
+Both models keep one trace pressure per trace element, linked to every
+side edge of that element.  In the pressure-continuous model (``cc``) it
+is the Lagrange multiplier that enforces flux balance across the element
+and the single-valued interface pressure.  The flow-carrying model
+(``dc``) adds Robin-type exchange terms weighted by the inverse effective
+normal permeability, a 1D mixed-VEM flux along every intersection, and
 point multipliers where intersections meet.
 
 Edge flux dofs are integrated normal fluxes oriented outward from the
@@ -27,7 +28,7 @@ from .errors import (
     MissingIntersectionProps,
     UnconstrainedPressureWarning,
 )
-from .geometry import (FractureNetwork, is_json_int, json_list,
+from .geometry import (FractureNetwork, is_json_int, json_keys, json_list,
                        point_segment_distance)
 from .meshing import PolyMesh, corefine_network, split_interface_dofs
 
@@ -127,11 +128,10 @@ class DofMap:
     model: str
     edge_dof: dict
     cell_dof: dict
-    line_flux: dict        # gid -> (n_bp,) dof ids; xi breakpoints hold the
-                           # left-side dof, the right-side lives in line_dup
-    line_dup: dict         # gid -> {bp_index: (left_dof, right_dof)}
-    line_pressure: dict    # gid -> (n_elems,)
-    elem_mult: dict        # gid -> (n_elems,)  (cc only)
+    line_ends: dict        # gid -> (n_elems, 2) end dofs of each element's
+                           # 1D flux (dc); a crossing breakpoint has two,
+                           # the left element's first
+    trace_pressure: dict   # gid -> (n_elems,): the cc multiplier, the dc p-hat
     xi_mult: dict          # xi id -> dof      (dc only)
     total: int
     blocks: dict
@@ -139,7 +139,7 @@ class DofMap:
 
 def build_dof_map(problem: DiscreteProblem, model: str) -> DofMap:
     """Deterministic numbering: fracture fluxes, fracture pressures,
-    per-line 1D fluxes and pressures (dc), then multipliers."""
+    per-line 1D fluxes (dc), trace pressures, then point multipliers (dc)."""
     if model not in ("cc", "dc"):
         raise ValueError(f"unknown model {model!r}")
     nxt = 0
@@ -154,39 +154,26 @@ def build_dof_map(problem: DiscreteProblem, model: str) -> DofMap:
         cell_dof[fid] = np.arange(nxt, nxt + nc)
         nxt += nc
     n_frac_press = nxt
-    line_flux, line_dup, line_pressure, elem_mult, xi_mult = {}, {}, {}, {}, {}
+    line_ends, trace_pressure, xi_mult = {}, {}, {}
     if model == "dc":
         for gid in sorted(problem.traces):
             tm = problem.traces[gid]
-            nbp = tm.n_elems + 1
-            dofs = np.empty(nbp, int)
-            dup = {}
-            xi_idx = {idx for idx, _ in tm.xi_breaks}
-            for i in range(nbp):
-                if i in xi_idx:
-                    dup[i] = (nxt, nxt + 1)
-                    dofs[i] = nxt
-                    nxt += 2
-                else:
-                    dofs[i] = nxt
-                    nxt += 1
-            line_flux[gid] = dofs
-            line_dup[gid] = dup
-        n_line_flux = nxt
-        for gid in sorted(problem.traces):
-            tm = problem.traces[gid]
-            line_pressure[gid] = np.arange(nxt, nxt + tm.n_elems)
-            nxt += tm.n_elems
-        n_line_press = nxt
+            width = np.ones(tm.n_elems + 1, int)
+            width[[idx for idx, _ in tm.xi_breaks]] = 2
+            first = nxt + np.cumsum(width) - width
+            line_ends[gid] = np.column_stack([(first + width - 1)[:-1],
+                                              first[1:]])
+            nxt += int(width.sum())
+    n_line_flux = nxt
+    for gid in sorted(problem.traces):
+        trace_pressure[gid] = np.arange(nxt, nxt + problem.traces[gid].n_elems)
+        nxt += problem.traces[gid].n_elems
+    # cc trace pressures are multipliers; dc's are line pressures.
+    n_line_press = nxt if model == "dc" else n_line_flux
+    if model == "dc":
         for pt in problem.network.points:
             xi_mult[pt.id] = nxt
             nxt += 1
-    else:
-        n_line_flux = n_line_press = nxt
-        for gid in sorted(problem.traces):
-            tm = problem.traces[gid]
-            elem_mult[gid] = np.arange(nxt, nxt + tm.n_elems)
-            nxt += tm.n_elems
     blocks = {
         "fracture_flux": np.arange(0, n_frac_flux),
         "fracture_pressure": np.arange(n_frac_flux, n_frac_press),
@@ -195,8 +182,7 @@ def build_dof_map(problem: DiscreteProblem, model: str) -> DofMap:
         "multiplier": np.arange(n_line_press, nxt),
     }
     return DofMap(model=model, edge_dof=edge_dof, cell_dof=cell_dof,
-                  line_flux=line_flux, line_dup=line_dup,
-                  line_pressure=line_pressure, elem_mult=elem_mult,
+                  line_ends=line_ends, trace_pressure=trace_pressure,
                   xi_mult=xi_mult, total=nxt, blocks=blocks)
 
 
@@ -292,26 +278,28 @@ def _assemble_fractures(problem, dofs, rhs, robin):
     return rows, cols, vals, groups
 
 
-def _side_entries(problem, dofs, rows, cols, vals, robin):
-    """Unit symmetric links from every side edge of a trace to its 1D
-    element's dof: the multiplier in cc, the intersection pressure in dc.
+def _side_entries(problem, dofs, robin):
+    """Triplets of the unit symmetric links from every side edge of a
+    trace to its 1D element's trace pressure, read from the edge tags.
     In dc each side edge also gets its Robin exchange term in ``robin``."""
-    for gid in sorted(problem.traces):
-        tm = problem.traces[gid]
-        if dofs.model == "cc":
-            elem_dof = dofs.elem_mult[gid]
-        else:
-            elem_dof = dofs.line_pressure[gid]
-            lam_tilde = _line_props(problem, gid)[1]
-        for (fid, side), eids in sorted(tm.side_edges.items()):
-            ok = eids >= 0
-            d = dofs.edge_dof[fid][eids[ok]]
-            if dofs.model == "dc":
-                robin[d] = 1.0 / (lam_tilde[fid] * tm.elem_len[ok])
-            d, m = d.tolist(), elem_dof[ok].tolist()
-            rows += d + m
-            cols += m + d
-            vals += [1.0] * (2 * len(d))
+    rows, cols = [], []
+    lam_tilde = ({gid: _line_props(problem, gid)[1]
+                  for gid in sorted(problem.traces)}
+                 if dofs.model == "dc" else {})
+    for fid in sorted(problem.meshes):
+        mesh = problem.meshes[fid]
+        on = np.flatnonzero(mesh.edge_trace >= 0)
+        gids, elems = mesh.edge_trace[on], mesh.edge_trace_elem[on]
+        d, m = dofs.edge_dof[fid][on], np.empty(len(on), int)
+        for gid in np.unique(gids).tolist():
+            sel = gids == gid
+            m[sel] = dofs.trace_pressure[gid][elems[sel]]
+            if gid in lam_tilde:
+                robin[d[sel]] = 1.0 / (lam_tilde[gid][fid] * problem.traces[
+                    gid].elem_len[elems[sel]])
+        rows += [d, m]
+        cols += [m, d]
+    return rows, cols, [np.ones(len(r)) for r in rows]
 
 
 def _line_props(problem, gid):
@@ -330,82 +318,54 @@ def _line_props(problem, gid):
     return lam_hat, lam_tilde
 
 
-def _elem_end_dofs(dofs, gid, tm, j):
-    """Global 1D dofs of element j handling duplicated xi breakpoints.
-
-    Returns ((dof_left, dof_right)); at a duplicated breakpoint the
-    element left of it uses the left-side copy.
-    """
-    dup = dofs.line_dup.get(gid, {})
-    left_bp, right_bp = j, j + 1
-    if left_bp in dup:
-        d_left = dup[left_bp][1]    # element right of xi: right-side copy
-    else:
-        d_left = dofs.line_flux[gid][left_bp]
-    if right_bp in dup:
-        d_right = dup[right_bp][0]  # element left of xi: left-side copy
-    else:
-        d_right = dofs.line_flux[gid][right_bp]
-    return int(d_left), int(d_right)
-
-
-def _line_entries_dc(problem, dofs, rows, cols, vals, rhs):
+def _line_entries_dc(problem, dofs, rhs):
+    """Triplets of the 1D mixed VEM along every intersection, one kernel
+    call per line, and of the point multipliers where lines meet."""
+    rows, cols, vals = [], [], []
+    s = np.array([-1.0, 1.0])   # outward dof = sign * (tangential value)
     for gid in sorted(problem.traces):
         tm = problem.traces[gid]
-        lam_hat = _line_props(problem, gid)[0]
-        phat = dofs.line_pressure[gid]
-        lens = tm.elem_len
-        # 1D mixed VEM along the line.
-        for j in range(tm.n_elems):
-            elem1d = vem.local_matrices_1d(float(lens[j]), lam_hat)
-            d_left, d_right = _elem_end_dofs(dofs, gid, tm, j)
-            g = (d_left, d_right)
-            s = (-1.0, 1.0)   # outward dof = sign * (tangential value)
-            for a in range(2):
-                for b in range(2):
-                    rows.append(g[a])
-                    cols.append(g[b])
-                    vals.append(s[a] * s[b] * elem1d.M[a, b])
-            p = int(phat[j])
-            # b(u, q) = -(div u, q) = -(u_right - u_left).
-            rows.extend([p, p, d_left, d_right])
-            cols.extend([d_left, d_right, p, p])
-            vals.extend([1.0, -1.0, 1.0, -1.0])
-            if problem.line_source is not None:
-                mid3 = tm.line.p0 + tm.elem_mid[j] * tm.line.direction
-                rhs[p] -= float(lens[j]) * float(
-                    np.asarray(problem.line_source(gid, mid3[None])).ravel()[0]
-                )
-        # Point multipliers where intersection lines meet.
-        for bp_idx, xi_id in tm.xi_breaks:
+        ends, p = dofs.line_ends[gid], dofs.trace_pressure[gid]
+        M = vem.local_matrices_1d(tm.elem_len, _line_props(problem, gid)[0]).M
+        b = np.tile(-s, tm.n_elems)
+        # b(u, q) = -(div u, q): entries -s on (pressure row, flux col).
+        rows += [np.repeat(ends, 2, axis=1).ravel(), np.repeat(p, 2),
+                 ends.ravel()]
+        cols += [np.tile(ends, 2).ravel(), ends.ravel(), np.repeat(p, 2)]
+        vals += [(M * s * s[:, None]).ravel(), b, b]
+        if problem.line_source is not None:
+            rhs[p] -= tm.elem_len * np.asarray(
+                problem.line_source(gid, tm.elem_mid_3d()), float)
+        # Point multipliers: the outward flux of the element left of a
+        # crossing is +u(t), of the element right of it -u(t).
+        for bp, xi_id in tm.xi_breaks:
             mu = dofs.xi_mult[xi_id]
-            d_left, d_right = dofs.line_dup[gid][bp_idx]
-            # Outward flux of the element left of xi is +u(t); of the
-            # element right of xi is -u(t).
-            for d, sgn in ((int(d_left), 1.0), (int(d_right), -1.0)):
-                rows.extend([d, mu])
-                cols.extend([mu, d])
-                vals.extend([sgn, sgn])
+            d = [ends[bp - 1, 1], ends[bp, 0]]
+            rows += [d, [mu, mu]]
+            cols += [[mu, mu], d]
+            vals += [-s, -s]
+    return rows, cols, vals
 
 
 def _assemble(problem, dofs, bcs, model) -> SaddleSystem:
-    rows, cols, vals = [], [], []
+    if dofs.model != model:
+        raise ValueError(f"dofs numbered for {dofs.model}, not {model}")
     rhs = np.zeros(dofs.total)
     robin = np.zeros(dofs.total)
-    _side_entries(problem, dofs, rows, cols, vals, robin)
-    if model == "dc":
-        _line_entries_dc(problem, dofs, rows, cols, vals, rhs)
+    rows, cols, vals = _side_entries(problem, dofs, robin)
+    if dofs.model == "dc":
+        lrows, lcols, lvals = _line_entries_dc(problem, dofs, rhs)
+        rows, cols, vals = rows + lrows, cols + lcols, vals + lvals
     frows, fcols, fvals, groups = _assemble_fractures(problem, dofs, rhs,
                                                       robin)
     A = sparse.csr_matrix(
-        (np.concatenate([*fvals, np.asarray(vals, float)]),
-         (np.concatenate([*frows, np.asarray(rows, int)]),
-          np.concatenate([*fcols, np.asarray(cols, int)]))),
+        (np.concatenate([*fvals, *vals]),
+         (np.concatenate([*frows, *rows]), np.concatenate([*fcols, *cols]))),
         shape=(dofs.total, dofs.total),
     )
     A.sum_duplicates()
     system = SaddleSystem(A=A, rhs=rhs, dofs=dofs, problem=problem,
-                          model=model, fixed=np.zeros(dofs.total, bool),
+                          model=dofs.model, fixed=np.zeros(dofs.total, bool),
                           bc_value=np.zeros(dofs.total), groups=groups)
     if bcs is not None:
         apply_bc(system, bcs)
@@ -455,10 +415,10 @@ def apply_bc(system: SaddleSystem, bcs: BoundarySpec) -> SaddleSystem:
         for gid in sorted(problem.traces):
             tm = problem.traces[gid]
             has_dirichlet[("g", gid)] = False
-            for end, p3, bp, sgn in ((0, tm.line.p0, 0, -1.0),
-                                     (1, tm.line.p1, tm.n_elems, 1.0)):
+            ends = dofs.line_ends[gid]
+            for end, p3, dof, sgn in ((0, tm.line.p0, ends[0, 0], -1.0),
+                                      (1, tm.line.p1, ends[-1, 1], 1.0)):
                 g = bcs.gamma_end(gid, end, p3)
-                dof = dofs.line_flux[gid][bp]
                 if g is None:
                     fixed[dof] = True
                     continue
@@ -532,9 +492,9 @@ class Solution:
     pressure: dict            # fid -> (n_cells,)
     edge_flux: dict           # fid -> (n_edges,)  global orientation
     velocity: dict            # fid -> (n_cells, 3) projected at centroids
-    line_pressure: dict       # gid -> (n_elems,)
-    line_flux: dict           # gid -> (n_bp,) tangential values
-    interface_pressure: dict  # gid -> (n_elems,) cc multipliers
+    trace_pressure: dict      # gid -> (n_elems,): cc multiplier or dc p-hat
+    line_flux: dict           # gid -> (n_bp,) tangential values (dc); the
+                              # left side's at a crossing
     x: np.ndarray
 
 
@@ -551,17 +511,14 @@ def extract_solution(system: SaddleSystem, x: np.ndarray) -> Solution:
                 mesh.cell_areas[ids], mesh.cell_centroids[ids],
                 mesh.edge_mid[es], s * edge_flux[fid][es])
         velocity[fid] = mesh.frame.vector_to_global(vel)
-    line_pressure, line_flux, interface_pressure = {}, {}, {}
-    if system.model == "dc":
-        for gid in problem.traces:
-            line_pressure[gid] = x[dofs.line_pressure[gid]]
-            line_flux[gid] = x[dofs.line_flux[gid]].copy()
-    else:
-        for gid in problem.traces:
-            interface_pressure[gid] = x[dofs.elem_mult[gid]]
-    return Solution(pressure=pressure, edge_flux=edge_flux, velocity=velocity,
-                    line_pressure=line_pressure, line_flux=line_flux,
-                    interface_pressure=interface_pressure, x=x)
+    ends = dofs.line_ends
+    return Solution(
+        pressure=pressure, edge_flux=edge_flux, velocity=velocity,
+        trace_pressure={gid: x[dofs.trace_pressure[gid]]
+                        for gid in problem.traces},
+        line_flux={gid: x[np.append(ends[gid][0, 0], ends[gid][:, 1])]
+                   for gid in problem.traces if gid in ends},
+        x=x)
 
 
 # ------------------------------------------------------------------ #
@@ -574,7 +531,8 @@ def boundary_spec_from_json(raw: dict, network: FractureNetwork) -> BoundarySpec
     Fracture selectors pick boundary edges by polygon-edge index or by an
     axis-aligned box containing the edge midpoint; unselected edges are
     no-flow.  Intersection endpoints default to zero-flux tips.  A
-    selector that is not an object, an unknown ``type``, fracture, edge,
+    selector that is not an object or has an unknown key, an unknown
+    ``type``, fracture, edge,
     intersection or end, a ``value`` that is not a finite number, a
     ``box`` that is not two finite 3-vectors ``lo <= hi``, or a fracture
     selector without exactly one of ``edge`` and ``box`` raises
@@ -604,12 +562,16 @@ def boundary_spec_from_json(raw: dict, network: FractureNetwork) -> BoundarySpec
         return lambda mids3: ((mids3 >= lo - 1e-12)
                               & (mids3 <= hi + 1e-12)).all(axis=1)
 
-    for key, kinds in (("boundary_conditions", ("dirichlet", "neumann")),
-                       ("intersection_conditions", ("tip", "dirichlet"))):
+    for key, kinds, known in (
+            ("boundary_conditions", ("dirichlet", "neumann"),
+             ("fracture", "edge", "box", "type", "value")),
+            ("intersection_conditions", ("tip", "dirichlet"),
+             ("gamma", "end", "type", "value"))):
         for i, item in enumerate(json_list(raw, key)):
             path = f"{key}[{i}]"
             if not isinstance(item, dict):
                 raise ConfigError(f"{path}: {item!r} is not an object")
+            json_keys(item, known, path)
             if item.get("type", kinds[0]) not in kinds:
                 raise ConfigError(f"{path}.type: {item['type']!r} is "
                                   f"not one of {kinds}")

@@ -32,7 +32,6 @@ __all__ = [
     "FractureNetwork",
     "build_frame",
     "intersect_fractures",
-    "intersect_lines",
     "build_network",
     "load_network",
 ]
@@ -298,12 +297,6 @@ class Fracture:
     def effective_permeability(self) -> np.ndarray:
         return self.aperture * self.k_tangential
 
-    def contains(self, p3: np.ndarray, tol: float | None = None) -> bool:
-        tol = self.tol if tol is None else tol
-        if abs((np.asarray(p3, float) - self.frame.origin) @ self.frame.n) > 10 * tol:
-            return False
-        return point_in_polygon(self.frame.to_local(p3), self.local_polygon, tol)
-
     def boundary_distance(self, p3: np.ndarray) -> float:
         q = self.frame.to_local(p3)
         poly = self.local_polygon
@@ -495,11 +488,13 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _crossings(a0, a1, b0, b1, tol: float):
-    """``intersect_lines`` on rows of segment pairs ``a0-a1``, ``b0-b1``.
+    """Crossings of the rows of segment pairs ``a0-a1``, ``b0-b1``.
 
     Returns a mask of the (near-)parallel pairs, which this does not
     decide, and the common interior point of every other pair, nan
-    where there is none.
+    where there is none: crossings at segment endpoints are not
+    reported, since the model requires points interior to each parent
+    line.
     """
     d1, d2 = a1 - a0, b1 - b0
     L1, L2 = _norms(d1), _norms(d2)
@@ -532,23 +527,6 @@ def _check_collinear(a: IntersectionLine, b: IntersectionLine, tol: float):
             raise CollinearOverlap(
                 f"intersection lines {a.id} and {b.id} overlap"
             )
-
-
-def intersect_lines(a: IntersectionLine, b: IntersectionLine,
-                    tol: float = 1e-9):
-    """Common interior point of two intersection segments, or ``None``.
-
-    Raises ``CollinearOverlap`` when the segments overlap along a line;
-    crossings at segment endpoints are not reported (the model requires
-    points interior to each parent line).
-    """
-    parallel, loc = _crossings(a.p0[None], a.p1[None], b.p0[None], b.p1[None],
-                               tol)
-    if parallel[0]:
-        _check_collinear(a, b, tol)
-    if np.isnan(loc[0, 0]):
-        return None
-    return IntersectionPoint(id=-1, location=loc[0], parent_lines=(a.id, b.id))
 
 
 # ------------------------------------------------------------------ #
@@ -697,13 +675,24 @@ def json_list(data: dict, key: str, where: str = "") -> list:
     return items
 
 
+def json_keys(item, known: tuple, where: str) -> None:
+    """``ConfigError`` at ``where`` for the first key of the object ``item``
+    that is not in ``known``: a misspelt optional key would otherwise be
+    ignored.  A non-object ``item`` is left to the caller's checks."""
+    for key in item if isinstance(item, dict) else ():
+        if key not in known:
+            raise ConfigError(f"{where}: unknown key {key!r}; expected one "
+                              f"of {', '.join(known)}")
+
+
 def load_network(path) -> tuple:
     """Read a network from the JSON input format.
 
     Returns ``(network, raw_dict)``; boundary condition selectors in the
-    file are interpreted by the assembly module.  A malformed fracture or
-    intersection entry, or an intersection entry naming fractures that do
-    not meet, raises ``ConfigError`` naming its JSON path.
+    file are interpreted by the assembly module.  An unknown top-level
+    key, a malformed fracture or intersection entry, or an intersection
+    entry naming fractures that do not meet, raises ``ConfigError``
+    naming its JSON path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -713,8 +702,12 @@ def load_network(path) -> tuple:
     if not isinstance(data, dict) or not data.get("fractures"):
         raise ConfigError(f"{path}: network file lacks a non-empty "
                           f"'fractures' array")
+    json_keys(data, ("fractures", "intersections", "boundary_conditions",
+                     "intersection_conditions"), f"{path}: top level")
     fractures = []
     for i, spec in enumerate(json_list(data, "fractures", f"{path}: ")):
+        json_keys(spec, ("id", "vertices", "aperture", "k_tangential"),
+                  f"{path}: fractures[{i}]")
         try:
             k = spec.get("k_tangential", [1.0, 0.0, 1.0])
             kxx, kxy, kyy = (float(v) for v in k)
@@ -743,6 +736,8 @@ def load_network(path) -> tuple:
     props = {}
     keys = []
     for i, isec in enumerate(json_list(data, "intersections", f"{path}: ")):
+        json_keys(isec, ("fractures", "k_hat", "k_tilde"),
+                  f"{path}: intersections[{i}]")
         try:
             for k, v in enumerate(isec["fractures"]):
                 if not is_json_int(v):

@@ -387,25 +387,23 @@ def cartesian_mesh(n: int, ny: int | None = None, frame: Frame | None = None,
     return PolyMesh.from_cells(nodes, loops, frame=frame)
 
 
-def random_mesh(n: int, seed: int, amplitude: float = 0.3,
-                frame: Frame | None = None) -> PolyMesh:
+def random_mesh(n: int, seed: int, frame: Frame | None = None) -> PolyMesh:
     """Cartesian grid with randomly moved internal nodes.
 
-    Each interior node is displaced uniformly within ``amplitude * h``;
+    Each interior node is displaced uniformly within ``0.3 h`` per axis;
     a validity check keeps every quad simple and star-shaped with respect
     to its centroid, resampling offending nodes.
     """
     mesh = cartesian_mesh(n, frame=frame)
     rng = np.random.default_rng(seed)
-    h = 1.0 / n
+    reach = 0.3 * (1.0 / n)   # 0.3 h, with h = 1 / n rounded first
     nodes = mesh.nodes.copy()
     interior = np.where(
         (nodes[:, 0] > 1e-12) & (nodes[:, 0] < 1 - 1e-12)
         & (nodes[:, 1] > 1e-12) & (nodes[:, 1] < 1 - 1e-12)
     )[0]
     base = nodes[interior].copy()
-    nodes[interior] = base + rng.uniform(-amplitude * h, amplitude * h,
-                                         (len(interior), 2))
+    nodes[interior] = base + rng.uniform(-reach, reach, (len(interior), 2))
 
     # A quad must be simple and star-shaped with respect to its vertex mean.
     loops = mesh.entry_tail.reshape(-1, 4)
@@ -422,7 +420,7 @@ def random_mesh(n: int, seed: int, amplitude: float = 0.3,
             break
         for i in bad:
             j = np.searchsorted(interior, i)
-            nodes[i] = base[j] + rng.uniform(-amplitude * h, amplitude * h, 2)
+            nodes[i] = base[j] + rng.uniform(-reach, reach, 2)
     else:
         raise MeshError("random mesh validity check failed to converge")
     return PolyMesh(nodes, mesh.edge_nodes, mesh.cell_ptr, mesh.cell_edge,
@@ -756,7 +754,7 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     return mesh
 
 
-def triangulate_fracture(fracture, lines, h_target, **kw) -> PolyMesh:
+def triangulate_fracture(fracture, lines, h_target) -> PolyMesh:
     """Triangulate a fracture honoring its intersection traces."""
     poly = fracture.local_polygon
     traces = []
@@ -764,7 +762,7 @@ def triangulate_fracture(fracture, lines, h_target, **kw) -> PolyMesh:
         q0 = fracture.frame.to_local(ln.p0)
         q1 = fracture.frame.to_local(ln.p1)
         traces.append((ln.id, q0, q1))
-    return triangulate(poly, traces, h_target, frame=fracture.frame, **kw)
+    return triangulate(poly, traces, h_target, frame=fracture.frame)
 
 
 # ------------------------------------------------------------------ #
@@ -776,16 +774,16 @@ class TraceMesh:
     """Shared 1D partition of one intersection line.
 
     ``edges[fid]`` maps each 1D element to the single covering mesh edge
-    of that fracture (before side splitting); ``side_edges[(fid, side)]``
-    holds the per-side copies afterwards.  ``xi_breaks`` lists forced
-    breakpoints at two-codimensional intersection points.
+    of that fracture (before side splitting); the side copies are found
+    through the split mesh's ``edge_trace``, ``edge_trace_elem`` and
+    ``edge_trace_side`` tags.  ``xi_breaks`` lists forced breakpoints at
+    two-codimensional intersection points, as ``(breakpoint, point id)``.
     """
 
     gamma: int
     line: IntersectionLine
     breakpoints: np.ndarray
     edges: dict = field(default_factory=dict)
-    side_edges: dict = field(default_factory=dict)
     xi_breaks: list = field(default_factory=list)
 
     @property
@@ -929,61 +927,51 @@ def corefine_network(meshes: dict, network) -> dict:
     return out
 
 
-def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict, fid: int,
-                         tol: float = 1e-12) -> PolyMesh:
+def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict,
+                         fid: int) -> PolyMesh:
     """Duplicate every trace edge into a plus and a minus side copy.
 
     Side labels come from the sign of ``(cell centroid - trace point) .
     (n x t)`` evaluated in 3D, which is deterministic and frame
     independent.  Edges where the trace runs along the fracture boundary
     keep a single copy on their only side.  Tip nodes are shared, never
-    duplicated.  The copies are appended trace by trace in element order.
+    duplicated.  One pass serves all of the fracture's trace edges; the
+    copies are appended trace by trace in element order and inherit the
+    trace and element tags, with their own ``edge_trace_side``.
     """
     mesh = mesh.copy()
     traces = [tm for tm in trace_meshes.values() if fid in tm.edges]
     if not traces:
         return mesh
-    # Duplication changes no cell geometry: one pass serves every edge,
-    # and the areas and centroids stay valid for the split mesh.
+    # Duplication changes no cell geometry: the areas and centroids stay
+    # valid for the split mesh.
     edge_cells, edge_entry = mesh.edge_cells, mesh.edge_entry
     centroids = mesh.cell_centroids
-    cen3 = mesh.frame.to_global(centroids)
-    mid3 = mesh.frame.to_global(mesh.edge_mid)
-    first_dup = n_edges = mesh.n_edges
-    sources, sides = [], []
-    for tm in traces:
-        line = tm.line
-        eids = np.asarray(tm.edges[fid], int)
-        cells = edge_cells[eids]
-        side_vec = np.cross(mesh.frame.n, line.direction)
-        dist = (cen3[cells] - mid3[eids, None]) @ side_vec
-        side = np.where(dist > 0, 1, -1).astype(np.int8)
-        n_adj = (cells >= 0).sum(axis=1)
-        two = n_adj == 2
-        bad = np.flatnonzero((n_adj == 0) | (two & (side[:, 0] == side[:, 1])))
-        if len(bad):
-            e = int(eids[bad[0]])
-            if n_adj[bad[0]] == 0:
-                raise MeshError(f"trace edge {e} has no adjacent cell")
-            raise MeshError(
-                f"trace {line.id}: cells on the same side of edge {e}"
-            )
-        # The second cell of an interior edge moves to an appended copy.
-        dup = np.full(len(eids), -1, int)
-        dup[two] = n_edges + np.arange(two.sum())
-        n_edges += int(two.sum())
-        sources.append(eids[two])
-        sides.append(side[two, 1])
-        mesh.edge_trace_side[eids] = side[:, 0]
-        plus = np.where(side[:, 0] > 0, eids, dup)
-        minus = np.where(side[:, 0] > 0, dup, eids)
-        if (plus >= 0).any():
-            tm.side_edges[(fid, 1)] = plus
-        if (minus >= 0).any():
-            tm.side_edges[(fid, -1)] = minus
-    sources = np.concatenate(sources)
-    mesh._append_edge_tags(sources, np.concatenate(sides))
-    mesh.cell_edge[edge_entry[sources, 1]] = first_dup + np.arange(len(sources))
+    count = [len(tm.edges[fid]) for tm in traces]
+    eids = np.concatenate([tm.edges[fid] for tm in traces]).astype(int)
+    gids = np.repeat([tm.gamma for tm in traces], count)
+    side_vec = np.repeat(np.cross(mesh.frame.n, [tm.line.direction
+                                                 for tm in traces]),
+                         count, axis=0)
+    cells = edge_cells[eids]
+    offset = (mesh.frame.to_global(centroids)[cells]
+              - mesh.frame.to_global(mesh.edge_mid)[eids, None])
+    side = np.where(np.einsum("eck,ek->ec", offset, side_vec) > 0,
+                    1, -1).astype(np.int8)
+    n_adj = (cells >= 0).sum(axis=1)
+    two = n_adj == 2
+    bad = np.flatnonzero((n_adj == 0) | (two & (side[:, 0] == side[:, 1])))
+    if len(bad):
+        k = bad[0]
+        if n_adj[k] == 0:
+            raise MeshError(f"trace edge {eids[k]} has no adjacent cell")
+        raise MeshError(
+            f"trace {gids[k]}: cells on the same side of edge {eids[k]}")
+    # The second cell of an interior edge moves to an appended copy.
+    sources = eids[two]
+    mesh.edge_trace_side[eids] = side[:, 0]
+    mesh._append_edge_tags(sources, side[two, 1])
+    mesh.cell_edge[edge_entry[sources, 1]] = mesh.n_edges + np.arange(len(sources))
     return PolyMesh(
         mesh.nodes, np.vstack([mesh.edge_nodes, mesh.edge_nodes[sources]]),
         mesh.cell_ptr, mesh.cell_edge, mesh.cell_sign, frame=mesh.frame,

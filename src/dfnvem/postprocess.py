@@ -10,7 +10,7 @@ convergence tables.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class ErrorReport:
     sparsity: float = None
     n_cells: int = 0
     faces: tuple = (0, 0.0, 0)
-    extras: dict = field(default_factory=dict)
 
 
 def _componentwise_rel(num: np.ndarray, den: np.ndarray) -> float:
@@ -74,8 +73,8 @@ def relative_errors(problem, system, solution, case, level: int = 0) -> ErrorRep
     ``case`` provides ``p_exact(fid, pts3)`` / ``u_exact(fid, pts3)`` and,
     for the flow-carrying model, ``p_hat_exact(gid, pts3)`` /
     ``u_hat_exact(gid, pts3)``.  Velocity errors are aggregated component
-    by component over the whole network (see ``_componentwise_rel``); the
-    plain Euclidean-difference variant is kept in ``extras``.
+    by component over the whole network (see ``_componentwise_rel``).
+    Intersection errors are computed for dc systems only.
     """
     if getattr(case, "p_exact", None) is None:
         raise MissingExactSolution(f"case {getattr(case, 'name', '?')} has no "
@@ -118,10 +117,7 @@ def relative_errors(problem, system, solution, case, level: int = 0) -> ErrorRep
     )
     if case.u_exact is not None:
         report.err_u = _componentwise_rel(u_num, u_den)
-        report.extras["err_u_euclidean"] = float(
-            np.sqrt(u_num.sum() / max(u_den.sum(), 1e-300))
-        )
-    if getattr(case, "p_hat_exact", None) is not None and solution.line_pressure:
+    if getattr(case, "p_hat_exact", None) is not None and system.model == "dc":
         hp_num = hp_den = 0.0
         hu_num = np.zeros(3)
         hu_den = np.zeros(3)
@@ -130,7 +126,7 @@ def relative_errors(problem, system, solution, case, level: int = 0) -> ErrorRep
             w = tm.elem_len
             mid3 = tm.elem_mid_3d()
             p_ex = np.asarray(case.p_hat_exact(gid, mid3), float)
-            dp = solution.line_pressure[gid] - p_ex
+            dp = solution.trace_pressure[gid] - p_ex
             hp_num += float(w @ dp**2)
             hp_den += float(w @ p_ex**2)
             if case.u_hat_exact is not None:
@@ -228,19 +224,15 @@ def export_vtk(problem, solution, path) -> None:
 
 
 def export_line_vtk(problem, solution, path) -> None:
-    """Intersection polylines with 1D pressures (dc) or multipliers (cc)."""
+    """Intersection polylines with their trace pressures: the dc p-hat or
+    the cc multipliers."""
     points, first, vals = [np.zeros((0, 3))], [np.zeros(0, int)], [np.zeros(0)]
     base = 0
     for gid, tm in sorted(problem.traces.items()):
         points.append(tm.line.p0 + tm.breakpoints[:, None] * tm.line.direction)
         first.append(base + np.arange(tm.n_elems))
         base += len(tm.breakpoints)
-        data = (solution.line_pressure.get(gid)
-                if solution.line_pressure else None)
-        if data is None:
-            data = solution.interface_pressure.get(gid)
-        vals.append(np.zeros(tm.n_elems) if data is None
-                    else np.asarray(data, float)[:tm.n_elems])
+        vals.append(solution.trace_pressure[gid])
     points, first, vals = (np.concatenate(v) for v in (points, first, vals))
     n = len(first)
     with open(path, "w", encoding="ascii", newline="\n") as fh:

@@ -34,7 +34,6 @@ RESIDUAL_TOL = 1e-8   # largest relative saddle residual a solve may return
 class SolveReport:
     x: np.ndarray
     residual: float
-    nullspace_pinned: bool = False
     reduced_size: int = 0     # unknowns of the factored hybrid system
     lu_fill: int = 0          # nnz of its L and U factors
     timings: dict = field(default_factory=dict)   # stage -> wall seconds
@@ -180,6 +179,4 @@ def solve(system: SaddleSystem) -> SolveReport:
             f"direct solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}; "
             "system is numerically singular"
         )
-    return SolveReport(x=x, residual=res,
-                       nullspace_pinned=bool(system.pinned),
-                       reduced_size=size, lu_fill=fill)
+    return SolveReport(x=x, residual=res, reduced_size=size, lu_fill=fill)

@@ -81,34 +81,37 @@ def project_velocity(area, centroid, edge_mid, fluxes) -> np.ndarray:
 
 @dataclass
 class LocalElement1D:
-    """Local matrices of one intersection segment element.
+    """Local matrices of intersection segment elements of lengths ``h``.
 
     Dofs are endpoint values of the tangential flux, oriented outward
     from the element.  The closed forms are
 
         consistency  = h / (4 lam_hat) [[1, -1], [-1, 1]]
         stabilization = 1/2 [[1, 1], [1, 1]]  scaled by  h / lam_hat.
+
+    A scalar ``h`` gives ``(2, 2)`` matrices, an ``(n,)`` one ``(n, 2, 2)``.
     """
 
-    h: float
-    lam_hat: float
     consistency: np.ndarray
     stabilization: np.ndarray
     varsigma_hat: float
     M: np.ndarray
 
 
-def local_matrices_1d(h: float, lam_hat: float) -> LocalElement1D:
+def local_matrices_1d(h, lam_hat: float) -> LocalElement1D:
     """Closed-form 1D mixed-VEM matrices with stabilization h/lam_hat."""
-    if h <= 0.0 or lam_hat <= 0.0:
-        raise SingularG(f"invalid segment element: h={h}, lam_hat={lam_hat}")
-    consistency = (h / (4.0 * lam_hat)) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    h = np.asarray(h, float)
+    if (h <= 0.0).any() or lam_hat <= 0.0:
+        raise SingularG(f"invalid segment element: h={h.min()}, "
+                        f"lam_hat={lam_hat}")
+    consistency = (h / (4.0 * lam_hat))[..., None, None] * np.array(
+        [[1.0, -1.0], [-1.0, 1.0]])
     stab = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
     varsigma_hat = h / lam_hat
     return LocalElement1D(
-        h=float(h), lam_hat=float(lam_hat), consistency=consistency,
-        stabilization=stab, varsigma_hat=varsigma_hat,
-        M=consistency + varsigma_hat * stab,
+        consistency=consistency, stabilization=stab,
+        varsigma_hat=varsigma_hat,
+        M=consistency + varsigma_hat[..., None, None] * stab,
     )
 
 

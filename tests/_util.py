@@ -134,6 +134,23 @@ def run(network, meshes, model="cc", g=None, g_hat=None, f=None, f_hat=None,
     return problem, dofs, system, asm.extract_solution(system, report.x), report
 
 
+def side_edges_of(problem, gid) -> dict:
+    """``(fid, side) -> (n_elems,)`` ids of the side copies of trace
+    ``gid``'s edges in element order, -1 where a side has no copy,
+    rebuilt from the split meshes' edge tags.  ``problem`` needs only
+    ``meshes`` (split) and ``traces``."""
+    out = {}
+    for fid, mesh in sorted(problem.meshes.items()):
+        on = np.flatnonzero(mesh.edge_trace == gid)
+        for side in (1, -1):
+            eids = on[mesh.edge_trace_side[on] == side]
+            if len(eids):
+                arr = np.full(problem.traces[gid].n_elems, -1)
+                arr[mesh.edge_trace_elem[eids]] = eids
+                out[(fid, side)] = arr
+    return out
+
+
 def symmetry_error(system) -> float:
     """Largest |A - A^T| entry of an assembled system."""
     d = (system.A - system.A.T).tocoo()
@@ -1013,6 +1030,29 @@ def _same_segment_ref(a, b, tol: float) -> bool:
     return min(d00, d01) < tol
 
 
+def fracture_contains(frac, p3, tol: float | None = None) -> bool:
+    """True if the 3D point ``p3`` lies in the fracture's plane and polygon,
+    within ``tol`` (default the fracture's own)."""
+    tol = frac.tol if tol is None else tol
+    if abs((np.asarray(p3, float) - frac.frame.origin) @ frac.frame.n) > 10 * tol:
+        return False
+    return point_in_polygon(frac.frame.to_local(p3), frac.local_polygon, tol)
+
+
+def intersect_lines(a, b, tol: float = 1e-9):
+    """Common interior point of two intersection segments, or ``None``,
+    through ``geometry``'s batched crossing test; ``CollinearOverlap``
+    when the segments overlap along a line."""
+    parallel, loc = geo._crossings(a.p0[None], a.p1[None], b.p0[None],
+                                   b.p1[None], tol)
+    if parallel[0]:
+        geo._check_collinear(a, b, tol)
+    if np.isnan(loc[0, 0]):
+        return None
+    return geo.IntersectionPoint(id=-1, location=loc[0],
+                                 parent_lines=(a.id, b.id))
+
+
 def intersect_lines_ref(a, b, tol: float = 1e-9):
     """Common interior point of two intersection segments, or ``None``.
 
@@ -1175,19 +1215,15 @@ def export_vtk_ref(problem, solution, path) -> None:
 
 
 def export_line_vtk_ref(problem, solution, path) -> None:
-    """Intersection polylines with 1D pressures (dc) or multipliers (cc)."""
+    """Intersection polylines with their trace pressures."""
     points, lines, vals = [], [], []
     for gid, tm in sorted(problem.traces.items()):
         base = len(points)
         pts = [tm.line.p0 + t * tm.line.direction for t in tm.breakpoints]
         points.extend(pts)
-        data = (solution.line_pressure.get(gid)
-                if solution.line_pressure else None)
-        if data is None:
-            data = solution.interface_pressure.get(gid)
         for j in range(tm.n_elems):
             lines.append((base + j, base + j + 1))
-            vals.append(float(data[j]) if data is not None else 0.0)
+            vals.append(float(solution.trace_pressure[gid][j]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("# vtk DataFile Version 4.2\n")
         fh.write("dfnvem intersection fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")

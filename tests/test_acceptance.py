@@ -168,7 +168,8 @@ def test_criterion_5_property_suite():
     msgs.append(f"consistency={worst_c:.1e}")
 
     # --- local conservation and interface balance ------------------------
-    from _util import crossing_rectangles, rect_mesh_with_trace, run
+    from _util import (crossing_rectangles, rect_mesh_with_trace, run,
+                       side_edges_of)
     net2 = crossing_rectangles()
     meshes = {0: rect_mesh_with_trace(net2.fractures[0], 4, 2),
               1: rect_mesh_with_trace(net2.fractures[1], 4, 2)}
@@ -189,10 +190,10 @@ def test_criterion_5_property_suite():
             worst_cons = max(worst_cons,
                              abs(float(s @ sol.edge_flux[fid][es]) - target[k]))
     worst_bal = 0.0
-    tm = problem.traces[0]
+    tm, sides = problem.traces[0], side_edges_of(problem, 0)
     for elem in range(tm.n_elems):
         total = sum(sol.edge_flux[fid][int(eids[elem])]
-                    for (fid, side), eids in tm.side_edges.items())
+                    for (fid, side), eids in sides.items())
         worst_bal = max(worst_bal, abs(total))
     ok &= worst_cons < 1e-10 and worst_bal < 1e-10
     msgs.append(f"conservation={worst_cons:.1e} balance={worst_bal:.1e}")

@@ -21,10 +21,23 @@ from _util import (
     pointwise_bc,
     rect_mesh_with_trace,
     run,
+    side_edges_of,
     single_fracture_plane,
     symmetry_error,
     write_perfbench_network,
 )
+
+
+def three_planes():
+    """The planes z = 0, y = 0 and x = 0 around the origin: three lines
+    that cross at one point."""
+    return geo.build_network([
+        geo.Fracture(id=0, vertices=[[-1, -1, 0], [1, -1, 0],
+                                     [1, 1, 0], [-1, 1, 0]]),
+        geo.Fracture(id=1, vertices=[[-1, 0, -1], [1, 0, -1],
+                                     [1, 0, 1], [-1, 0, 1]]),
+        geo.Fracture(id=2, vertices=[[0, -1, -1], [0, 1, -1],
+                                     [0, 1, 1], [0, -1, 1]])])
 
 
 def single_fracture_problem(mesh_builder, **kw):
@@ -148,7 +161,7 @@ class TestDofMap:
         assert tm.n_elems == 3
         n_interface = sum((problem.meshes[f].edge_trace >= 0).sum() for f in (0, 1))
         assert n_interface == 12  # 2 fractures x 2 sides x 3 elements
-        assert len(dofs.elem_mult[0]) == 3
+        assert len(dofs.trace_pressure[0]) == 3
         n_edges = sum(problem.meshes[f].n_edges for f in (0, 1))
         n_cells = sum(problem.meshes[f].n_cells for f in (0, 1))
         assert dofs.total == n_edges + n_cells + 3
@@ -164,6 +177,34 @@ class TestDofMap:
         # 1D: 4 breakpoints (no xi), 3 pressures, no multipliers.
         assert dofs.total == n_edges + n_cells + 4 + 3
         assert len(dofs.blocks["multiplier"]) == 0
+
+    def test_assembler_rejects_the_other_models_dofs(self):
+        net = crossing_rectangles()
+        meshes = {0: rect_mesh_with_trace(net.fractures[0]),
+                  1: rect_mesh_with_trace(net.fractures[1])}
+        problem = asm.prepare_problem(net, meshes)
+        with pytest.raises(ValueError, match="numbered for dc"):
+            asm.assemble_cc(problem, asm.build_dof_map(problem, "dc"))
+        with pytest.raises(ValueError, match="numbered for cc"):
+            asm.assemble_dc(problem, asm.build_dof_map(problem, "cc"))
+
+    def test_line_ends_number_crossings_twice(self):
+        # Three planes meeting at the origin: each line has one crossing
+        # breakpoint, whose left and right dofs follow each other.
+        net = three_planes()
+        meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.4)
+                  for f in net.fractures}
+        problem = asm.prepare_problem(net, meshes)
+        dofs = asm.build_dof_map(problem, "dc")
+        flux = np.concatenate([e.ravel() for e in dofs.line_ends.values()])
+        assert np.array_equal(np.unique(flux), dofs.blocks["line_flux"])
+        for gid, tm in problem.traces.items():
+            ends = dofs.line_ends[gid]
+            (bp, _), = tm.xi_breaks
+            step = ends[1:, 0] - ends[:-1, 1]
+            assert step.tolist() == [1 if j + 1 == bp else 0
+                                     for j in range(tm.n_elems - 1)]
+            assert np.array_equal(ends[:, 1] - ends[:, 0], np.ones(tm.n_elems))
 
     def test_single_fracture_no_traces(self):
         frac = single_fracture_plane()
@@ -229,13 +270,13 @@ class TestStitchedPair:
         tm = problem.traces[0]
         for elem in range(tm.n_elems):
             total = 0.0
-            for (fid, side), eids in tm.side_edges.items():
+            for (fid, side), eids in side_edges_of(problem, 0).items():
                 e = int(eids[elem])
                 if e >= 0:
                     total += sol.edge_flux[fid][e]
             assert abs(total) < 1e-11
         # Multipliers approximate the interface pressure x=1.
-        assert np.abs(sol.interface_pressure[0] - 1.0).max() < 1e-9
+        assert np.abs(sol.trace_pressure[0] - 1.0).max() < 1e-9
 
 
 class TestCrossingPair:
@@ -282,7 +323,7 @@ class TestCrossingPair:
         exact_p = g0 + (g1 - g0) * y_mid
         # Tangential flux along the line's stored direction.
         exact_u = -lam_hat * (g1 - g0) * float(tm.line.direction[1])
-        assert np.abs(sol.line_pressure[0] - exact_p).max() < 1e-9
+        assert np.abs(sol.trace_pressure[0] - exact_p).max() < 1e-9
         assert np.abs(sol.line_flux[0] - exact_u).max() < 1e-9
 
     def test_dc_limit_matches_cc(self):
@@ -327,10 +368,11 @@ class TestCrossingPair:
 
         problem, dofs, system, sol, rep = run(net, meshes, g=g)
         tm = problem.traces[0]
-        assert len(tm.side_edges) == 6  # three parents, two sides each
+        sides = side_edges_of(problem, 0)
+        assert len(sides) == 6  # three parents, two sides each
         for elem in range(tm.n_elems):
             total = sum(sol.edge_flux[fid][int(eids[elem])]
-                        for (fid, side), eids in tm.side_edges.items())
+                        for (fid, side), eids in sides.items())
             assert abs(total) < 1e-11
         for fid in (0, 1, 2):
             m = problem.meshes[fid]
@@ -339,13 +381,7 @@ class TestCrossingPair:
 
     def test_xi_balance(self):
         # Three planes meeting at the origin: one xi point, three lines.
-        f0 = geo.Fracture(id=0, vertices=[[-1, -1, 0], [1, -1, 0],
-                                          [1, 1, 0], [-1, 1, 0]])
-        f1 = geo.Fracture(id=1, vertices=[[-1, 0, -1], [1, 0, -1],
-                                          [1, 0, 1], [-1, 0, 1]])
-        f2 = geo.Fracture(id=2, vertices=[[0, -1, -1], [0, 1, -1],
-                                          [0, 1, 1], [0, -1, 1]])
-        net = geo.build_network([f0, f1, f2])
+        net = three_planes()
         assert len(net.points) == 1
         meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.4)
                   for f in net.fractures}
@@ -362,7 +398,8 @@ class TestCrossingPair:
         total = 0.0
         for gid, tm in problem.traces.items():
             for bp_idx, xi_id in tm.xi_breaks:
-                left, right = dofs.line_dup[gid][bp_idx]
+                left = dofs.line_ends[gid][bp_idx - 1, 1]
+                right = dofs.line_ends[gid][bp_idx, 0]
                 total += sol.x[left] - sol.x[right]
         assert abs(total) < 1e-10
 
@@ -410,8 +447,8 @@ class TestApplyBC:
         dofs = asm.build_dof_map(problem, "cc")
         with pytest.warns(UnconstrainedPressureWarning):
             system = asm.assemble_cc(problem, dofs, no_flow())
+        assert system.pinned == {0: dofs.cell_dof[0][0]}
         rep = slv.solve(system)
-        assert rep.nullspace_pinned
         assert rep.residual < 1e-10
 
 
@@ -490,3 +527,46 @@ class TestJsonBCs:
         mids = {1: np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0]])}
         got, want = json_bc_outcomes(raw, net, mids)
         assert got == want == {1: "ConflictingBC"}
+
+
+def _pinned_system_solve(tmp_path, name):
+    """One solve of the pinned-system test: a built-in case level, or
+    ``perfbench/network.py`` seed 0 at ``--h 0.5`` as ``solve`` runs it."""
+    from dfnvem import cases
+    if name.startswith("network-"):
+        path = tmp_path / "net.json"
+        write_perfbench_network(path, 0)
+        net, raw = geo.load_network(path)
+        meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.5)
+                  for f in net.fractures}
+        return cases.solve_meshes(net, meshes,
+                                  asm.boundary_spec_from_json(raw, net),
+                                  name.removeprefix("network-"))
+    case_name, family, level = {
+        "four-fractures-L1": ("four-fractures", "triangular", 1),
+        "intersection-flow-coarse4-L2": ("intersection-flow", "coarse4", 2),
+    }[name]
+    return cases.run_level(cases.get_case(case_name), family, level)[:4]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("four-fractures-L1",
+     "2c0186b22dc321ab62628ad79373cf0fd22777b96820654ff665d79272c86386"),
+    ("intersection-flow-coarse4-L2",
+     "3fdab1f467a2fd9e0b5f85022493fc8333e247c5bf3698024691b498aedadffb"),
+    ("network-cc",
+     "3d5a795f151ba871f9794a4827f51e0ca225d99057db5acd651c802fef580b21"),
+    ("network-dc",
+     "b8e73e4723433412bfa41c255c559bd775b0d0b2ca3a161ad97db0da158dd4bf"),
+])
+def test_assembled_systems_are_pinned(tmp_path, name, digest):
+    # Any change to the dof numbering, the assembled entries, the boundary
+    # data or the solve changes the digest; taken with numpy 2.4.6 and
+    # scipy 1.17.1, as the pinned mesh digests in test_meshing.py.
+    import hashlib
+    _, system, _, report = _pinned_system_solve(tmp_path, name)
+    h = hashlib.sha256()
+    for a in (system.A.indptr, system.A.indices, system.A.data, system.rhs,
+              system.fixed, system.bc_value, report.x):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == digest

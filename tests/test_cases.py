@@ -3,7 +3,7 @@ import pytest
 
 from dfnvem import cases
 
-from _util import symmetry_error, verify_strong_form
+from _util import side_edges_of, symmetry_error, verify_strong_form
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ class TestIntersectionFlow:
         for j in range(tm.n_elems):
             div = u[j + 1] - u[j]
             jump = 0.0
-            for (fid, side), eids in tm.side_edges.items():
+            for (fid, side), eids in side_edges_of(problem, gid).items():
                 jump += solution.edge_flux[fid][int(eids[j])]
             mid3 = tm.elem_mid_3d()[j][None]
             f_hat = float(np.asarray(isect.line_source(gid, mid3)).ravel()[0])
@@ -164,7 +164,7 @@ class TestFourFractures:
             omega = (set(parents) - {0}).pop()
             supply = np.zeros(tm.n_elems)
             discharge = np.zeros(tm.n_elems)
-            for (fid, side), eids in tm.side_edges.items():
+            for (fid, side), eids in side_edges_of(problem, gid).items():
                 for j, e in enumerate(eids):
                     v = solution.edge_flux[fid][int(e)]
                     if fid == 0:

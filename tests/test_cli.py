@@ -365,6 +365,15 @@ EDITS = {
         {"gamma": 0.5, "end": 0, "type": "tip"}]),
     "end_bool.json": lambda data: data.update(intersection_conditions=[
         {"gamma": 0, "end": False, "type": "tip"}]),
+    # Misspelt or misplaced keys, each ignored if it were accepted.
+    "bc_valeu.json": _set("valeu", 2.0),
+    "frac_apperture.json": _set("apperture", 0.5, entry="fractures"),
+    "isec_k_hatt.json": lambda data: data.update(
+        intersections=[{"fractures": [0, 4], "k_hatt": 2.0}]),
+    "ic_fracture.json": lambda data: data.update(intersection_conditions=[
+        {"gamma": 0, "end": 0, "type": "dirichlet", "value": 1.0,
+         "fracture": 0}]),
+    "top_bc.json": lambda data: data.update(boundary_condition=[]),
 }
 
 
@@ -490,6 +499,17 @@ MALFORMED = {
         "intersection_conditions[0].gamma: 0.5"),
     "intersection-bool-end": (["solve", "--network", "end_bool.json"],
                               "intersection_conditions[0].end: False"),
+    "bc-unknown-key": (["solve", "--network", "bc_valeu.json"],
+                       "boundary_conditions[0]: unknown key 'valeu'"),
+    "fracture-unknown-key": (["mesh", "--network", "frac_apperture.json"],
+                             "fractures[0]: unknown key 'apperture'"),
+    "intersection-unknown-key": (["mesh", "--network", "isec_k_hatt.json"],
+                                 "intersections[0]: unknown key 'k_hatt'"),
+    "intersection-condition-unknown-key": (
+        ["solve", "--network", "ic_fracture.json"],
+        "intersection_conditions[0]: unknown key 'fracture'"),
+    "top-level-unknown-key": (["mesh", "--network", "top_bc.json"],
+                              "top level: unknown key 'boundary_condition'"),
     "h-with-case": (["solve", "--case", "single", "--family", "cartesian",
                      "--h", "0.2"], "--h"),
     "c-depth-with-solve-case": (["solve", "--case", "single", "--family",

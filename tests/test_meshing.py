@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from dfnvem.errors import ConstraintConflict, InconsistentEndpoints, MeshError
 
 from _util import (ORACLE_MESHES, cell_of, corefine_network_ref,
                    crossing_rectangles, oracle_meshes, outward_normals_of_cell,
-                   point_pool_ref, split_edges_ref, trace_edges_ref,
-                   traced_triangulations, write_perfbench_network)
+                   point_pool_ref, side_edges_of, split_edges_ref,
+                   trace_edges_ref, traced_triangulations,
+                   write_perfbench_network)
 
 UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
 
@@ -325,14 +327,15 @@ class TestSplitInterface:
             before = meshes[fid].n_edges
             split = msh.split_interface_dofs(meshes[fid], tms, fid)
             assert split.n_edges == before + tm.n_elems
+            sides = side_edges_of(SimpleNamespace(meshes={fid: split},
+                                                  traces=tms), 0)
             for side in (1, -1):
-                eids = tm.side_edges[(fid, side)]
+                eids = sides[(fid, side)]
                 assert len(eids) == tm.n_elems
                 # Each duplicated edge has exactly one adjacent cell.
                 assert (split.edge_cells[eids, 0] >= 0).all()
                 assert (split.edge_cells[eids, 1] < 0).all()
                 assert (split.edge_trace_side[eids] == side).all()
-            tm.side_edges.clear()
 
     def test_agglomerated_mesh_keeps_its_geometry(self):
         net = two_fracture_network()
@@ -436,9 +439,9 @@ class TestSplitMatchesReference:
         for fid, mesh in meshes.items():
             ref, ref_sides = split_one_edge_at_a_time(mesh, tms, fid)
             got = msh.split_interface_dofs(mesh, tms, fid)
-            got_sides = {(tm.gamma, f, side): arr
-                         for tm in tms.values()
-                         for (f, side), arr in tm.side_edges.items() if f == fid}
+            split = SimpleNamespace(meshes={fid: got}, traces=tms)
+            got_sides = {(gid, f, side): arr for gid in tms
+                         for (f, side), arr in side_edges_of(split, gid).items()}
             assert np.array_equal(got.edge_nodes, ref.edge_nodes)
             assert np.array_equal(got.edge_trace, ref.edge_trace)
             assert np.array_equal(got.edge_trace_elem, ref.edge_trace_elem)

@@ -42,7 +42,7 @@ class TestRelativeErrors:
         class Sol:
             pressure = {fid: 1.1 * v for fid, v in ones.items()}
             velocity = solution.velocity
-            line_pressure = {}
+            trace_pressure = {}
             line_flux = {}
 
         class Shim:
@@ -71,7 +71,7 @@ class TestRelativeErrors:
                 for fid in solution.pressure
             }
             velocity = solution.velocity
-            line_pressure = {}
+            trace_pressure = {}
             line_flux = {}
 
         rep = post.relative_errors(problem, system, Sol, case)
@@ -234,17 +234,22 @@ class TestBatchedExportAgainstReference:
         export_vtk_ref(prob, solution, tmp_path / "b.vtk")
         assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
 
-    @pytest.mark.parametrize("data", ["line", "interface", "none"])
+    # "line": dc trace pressures; "interface": cc multipliers. Both reach
+    # the writer as Solution.trace_pressure.
+    @pytest.mark.parametrize("data", ["line", "interface"])
     def test_line_vtk_with_special_values(self, tmp_path, data):
         from types import SimpleNamespace
         from _util import export_line_vtk_ref
         case = cases.case_intersection_flow()
-        problem, _, _, _, _ = cases.run_level(case, "triangular", 1)
+        model = "dc" if data == "line" else "cc"
+        problem, _, solution, _, _ = cases.run_level(
+            case, "triangular", 1, model=model)
         values = {gid: special(tm.n_elems, gid)
                   for gid, tm in problem.traces.items()}
-        sol = SimpleNamespace(
-            line_pressure=values if data == "line" else {},
-            interface_pressure=values if data == "interface" else {})
-        post.export_line_vtk(problem, sol, tmp_path / "a.vtk")
-        export_line_vtk_ref(problem, sol, tmp_path / "b.vtk")
-        assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
+        odd = SimpleNamespace(trace_pressure=values)
+        for name, soln in (("real", solution), ("odd", odd)):
+            post.export_line_vtk(problem, soln, tmp_path / f"{name}.vtk")
+            export_line_vtk_ref(problem, soln, tmp_path / f"{name}_ref.vtk")
+            assert ((tmp_path / f"{name}.vtk").read_bytes()
+                    == (tmp_path / f"{name}_ref.vtk").read_bytes())
+        assert "nan" in (tmp_path / "odd.vtk").read_text()
