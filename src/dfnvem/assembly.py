@@ -156,14 +156,18 @@ def build_dof_map(problem: DiscreteProblem, model: str) -> DofMap:
     n_frac_press = nxt
     line_ends, trace_pressure, xi_mult = {}, {}, {}
     if model == "dc":
-        for gid in sorted(problem.traces):
-            tm = problem.traces[gid]
-            width = np.ones(tm.n_elems + 1, int)
-            width[[idx for idx, _ in tm.xi_breaks]] = 2
-            first = nxt + np.cumsum(width) - width
-            line_ends[gid] = np.column_stack([(first + width - 1)[:-1],
-                                              first[1:]])
-            nxt += int(width.sum())
+        # One flux per breakpoint of every line, two at a crossing: the
+        # elements' end dofs come from one running sum over all lines.
+        gids = sorted(problem.traces)
+        start = np.cumsum([0] + [problem.traces[g].n_elems + 1 for g in gids])
+        width = np.ones(start[-1], int)
+        width[[s + idx for s, g in zip(start, gids)
+               for idx, _ in problem.traces[g].xi_breaks]] = 2
+        first = nxt + np.cumsum(width) - width
+        ends = np.column_stack([(first + width - 1)[:-1], first[1:]])
+        for s, e, g in zip(start, start[1:], gids):
+            line_ends[g] = ends[s:e - 1]
+        nxt += int(width.sum())
     n_line_flux = nxt
     for gid in sorted(problem.traces):
         trace_pressure[gid] = np.arange(nxt, nxt + problem.traces[gid].n_elems)

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import cases as case_mod
 from . import coarsening as coa
 from . import meshing as msh
 from . import postprocess as post
-from .errors import ConfigError, DfnError
+from .errors import ConfigError, DfnError, IgnoredInputWarning
 from .geometry import load_network
 
 SUMMARY_SCHEMA = 1
@@ -112,13 +113,15 @@ def _case(args):
     return case_mod.get_case(args.case)
 
 
-def _load_inputs(args):
+def _load_inputs(args, model=None):
     """Network, fine meshes and boundary data of ``--network`` or ``--case``,
     and the wall seconds spent on the network and its boundary data.
 
     Network files are triangulated one fracture after another at ``--h``:
     triangulation runs in Python under the interpreter lock, so threads
-    would not overlap it.
+    would not overlap it.  ``model`` is the coupling a solve will use: cc
+    has no intersection unknowns, so it warns that a network's
+    ``intersection_conditions`` are ignored.
     """
     t0 = time.perf_counter()
     if args.network is None:
@@ -131,6 +134,10 @@ def _load_inputs(args):
         bcs = asm.boundary_spec_from_json(raw, network)
     except ConfigError as exc:
         raise ConfigError(f"{args.network}: {exc}") from None
+    if model == "cc" and raw.get("intersection_conditions"):
+        warnings.warn(IgnoredInputWarning(
+            f"{args.network}: intersection_conditions: ignored by the cc "
+            "model, which has no intersection unknowns to impose them on"))
     network_s = time.perf_counter() - t0
     meshes = {
         fid: msh.triangulate_fracture(network.fracture(fid),
@@ -211,11 +218,11 @@ def _solve_once(args):
         model = args.model or case.model
         return *case_mod.run_level(case, args.family, args.level,
                                    model=model), model
+    model = args.model or "cc"
     t0 = time.perf_counter()
-    network, meshes, bcs, network_s = _load_inputs(args)
+    network, meshes, bcs, network_s = _load_inputs(args, model)
     meshes = _network_coarse(args, network, meshes)
     mesh_s = time.perf_counter() - t0 - network_s
-    model = args.model or "cc"
     problem, system, solution, report = case_mod.solve_meshes(
         network, meshes, bcs, model)
     report.timings = {"network_s": network_s, "mesh_s": mesh_s,
@@ -246,6 +253,7 @@ def cmd_solve(args) -> dict:
         "nnz": system.A.nnz,
         "sparsity": system.sparsity, "residual": report.residual,
         "reduced_size": report.reduced_size, "lu_fill": report.lu_fill,
+        "solver": report.solver,
         "pinned": [{"fracture": fid, "dof": dof}
                    for fid, dof in sorted(system.pinned.items())],
         "timings": {**report.timings, "export_s": now - t_export,
@@ -333,12 +341,24 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     commands = {"mesh": cmd_mesh, "coarsen": cmd_coarsen,
                 "solve": cmd_solve, "convergence": cmd_convergence}
+    # Warnings are recorded for the summary, then shown as they would
+    # have been without the recording.
+    caught, error = [], None
     try:
-        _check_flags(args)
-        payload = commands[args.command](args)
+        with warnings.catch_warnings(record=True) as caught:
+            _check_flags(args)
+            payload = commands[args.command](args)
     except DfnError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return exc.exit_code
+        error = exc
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename,
+                                 w.lineno, w.file, w.line)
+    if error is not None:
+        print(f"error [{type(error).__name__}]: {error}", file=sys.stderr)
+        return error.exit_code
+    payload["warnings"] = [{"class": w.category.__name__,
+                            "message": str(w.message)} for w in caught]
     _write_summary(args.out, payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0

@@ -89,3 +89,8 @@ class UnconstrainedPressureWarning(UserWarning):
     The well-posedness analysis assumes Dirichlet data somewhere; runs
     without it are permitted but flagged.
     """
+
+
+class IgnoredInputWarning(UserWarning):
+    """An input the chosen model has no use for was read and ignored; the
+    message names its JSON path."""

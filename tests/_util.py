@@ -258,6 +258,22 @@ def saddle_lu_solve(system) -> np.ndarray:
     return spla.splu(system.A.tocsc(), permc_spec="COLAMD").solve(system.rhs)
 
 
+def line_ends_ref(problem, first: int) -> dict:
+    """Oracle of the dc ``DofMap.line_ends``: each line numbered on its
+    own from ``first`` on, in gid order, with two fluxes at a crossing
+    breakpoint."""
+    line_ends = {}
+    for gid in sorted(problem.traces):
+        tm = problem.traces[gid]
+        width = np.ones(tm.n_elems + 1, int)
+        width[[idx for idx, _ in tm.xi_breaks]] = 2
+        start = first + np.cumsum(width) - width
+        line_ends[gid] = np.column_stack([(start + width - 1)[:-1],
+                                          start[1:]])
+        first += int(width.sum())
+    return line_ends
+
+
 def write_perfbench_network(path, seed: int) -> None:
     """Write ``perfbench/network.py``'s seeded 12-fracture network to
     ``path``: four x-planes, four y-planes, two z-planes, an immersed

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dfnvem import assembly as asm
+from dfnvem import cases
 from dfnvem import coarsening as coa
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
@@ -16,6 +17,7 @@ from _util import (
     cell_of,
     crossing_rectangles,
     json_bc_outcomes,
+    line_ends_ref,
     no_flow,
     outward_normals_of_cell,
     pointwise_bc,
@@ -205,6 +207,35 @@ class TestDofMap:
             assert step.tolist() == [1 if j + 1 == bp else 0
                                      for j in range(tm.n_elems - 1)]
             assert np.array_equal(ends[:, 1] - ends[:, 0], np.ones(tm.n_elems))
+
+    DC_SOURCES = [(name, family) for name in cases.CASE_NAMES
+                  if name != "single"
+                  for family in cases.get_case(name).families]
+
+    @pytest.mark.parametrize("name, family", [*DC_SOURCES, ("network", None)],
+                             ids=[*map("-".join, DC_SOURCES), "network"])
+    def test_line_ends_match_the_per_line_numbering(self, tmp_path, name,
+                                                    family):
+        if name == "network":
+            path = tmp_path / "net.json"
+            write_perfbench_network(path, 0)
+            net, _ = geo.load_network(path)
+            meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id),
+                                                     0.14)
+                      for f in net.fractures}
+            problem = asm.prepare_problem(net, meshes)
+            assert any(tm.xi_breaks for tm in problem.traces.values())
+        else:
+            case = cases.get_case(name)
+            problem = asm.prepare_problem(case.network(),
+                                          case.meshes(family, 2))
+        dofs = asm.build_dof_map(problem, "dc")
+        ref = line_ends_ref(problem, int(dofs.blocks["line_flux"][0]))
+        assert ref.keys() == dofs.line_ends.keys()
+        for gid, ends in ref.items():
+            got = dofs.line_ends[gid]
+            assert got.dtype == ends.dtype
+            assert np.array_equal(got, ends)
 
     def test_single_fracture_no_traces(self):
         frac = single_fracture_plane()

@@ -16,7 +16,7 @@ from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
 from dfnvem import vem
-from dfnvem.errors import UnconstrainedPressureWarning
+from dfnvem.errors import IgnoredInputWarning, UnconstrainedPressureWarning
 
 from _util import README_NETWORK, import_network_dict
 
@@ -36,6 +36,11 @@ class TestSolveCommand:
         assert summary["residual"] < 1e-10
         assert 0 < summary["reduced_size"] < summary["size"]
         assert summary["lu_fill"] > 0
+        assert summary["solver"]["path"] == "lu"
+        assert summary["solver"]["levels"] == [summary["reduced_size"]]
+        assert summary["solver"]["iterations"] == [0, 0]
+        assert summary["solver"]["setup_s"] >= 0
+        assert summary["warnings"] == []
         assert (tmp_path / "single_cartesian_1.vtk").exists()
 
     def test_four_fracture_dc_writes_line_fields(self, tmp_path):
@@ -154,8 +159,9 @@ class TestSolveCommand:
         # not read as a relative imbalance of 1.
         net_path = tmp_path / "readme.json"
         net_path.write_text(json.dumps(README_NETWORK))
-        rc = run_cli(["solve", "--network", net_path, "--h", "0.2",
-                      "--model", "cc", "--out", tmp_path])
+        with pytest.warns(IgnoredInputWarning):
+            rc = run_cli(["solve", "--network", net_path, "--h", "0.2",
+                          "--model", "cc", "--out", tmp_path])
         assert rc == 0
         balance = json.loads((tmp_path / "summary.json").read_text())[
             "flux_balance"]
@@ -191,6 +197,35 @@ def test_summary_lists_pinned_pressures(tmp_path, dirichlet):
     assert dirichlet or summary["pinned"][0]["dof"] == first
     assert len(fids) == sum(issubclass(w.category, UnconstrainedPressureWarning)
                             for w in caught)
+    # The summary lists the same warnings next to the pins.
+    assert summary["warnings"] == [
+        {"class": w.category.__name__, "message": str(w.message)}
+        for w in caught]
+    assert [w["class"] for w in summary["warnings"]].count(
+        "UnconstrainedPressureWarning") == len(fids)
+
+
+@pytest.mark.parametrize("model", ["cc", "dc"])
+def test_cc_warns_that_intersection_conditions_are_ignored(tmp_path, model):
+    """cc has no intersection unknowns, so the README network's
+    intersection condition is ignored, with a warning on stderr that
+    names its JSON path and is listed in the summary; dc imposes it."""
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(README_NETWORK))
+    src = str(Path(dfnvem.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dfnvem.cli", "solve", "--network", str(path),
+         "--h", "0.2", "--model", model, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    if model == "dc":
+        assert summary["warnings"] == [] and proc.stderr == ""
+        return
+    ignored, = summary["warnings"]
+    assert ignored["class"] == "IgnoredInputWarning"
+    assert ignored["message"].startswith(f"{path}: intersection_conditions:")
+    assert f"IgnoredInputWarning: {ignored['message']}\n" in proc.stderr
 
 
 def test_cli_import_defers_scipy_spatial():

@@ -211,3 +211,114 @@ def test_hybrid_matches_saddle_lu_two_pins_nonzero_neumann(model):
     assert len(inflow)
     assert np.allclose(rep.x[dofs.edge_dof[2][inflow]],
                        -0.7 * mesh.edge_len[inflow], rtol=0, atol=1e-14)
+
+
+# ------------------------------------------------------------------ #
+# smoothed-aggregation PCG on large cc systems
+# ------------------------------------------------------------------ #
+
+@pytest.fixture
+def pcg(monkeypatch):
+    """Send every cc system down the PCG path, with a coarsest level
+    small enough that the test systems get more than one level."""
+    monkeypatch.setattr(slv, "PCG_MIN_SIZE", 0)
+    monkeypatch.setattr(slv, "COARSEST_SIZE", 50)
+
+
+def assert_pcg_matches_saddle_lu(system):
+    rep = assert_matches_saddle_lu(system)
+    assert rep.solver["path"] == "pcg"
+    assert len(rep.solver["levels"]) > 1
+    assert rep.solver["levels"][0] == rep.reduced_size
+    assert rep.solver["levels"][-1] <= slv.COARSEST_SIZE
+    assert len(rep.solver["iterations"]) == 2
+    assert 0 < rep.solver["iterations"][0] < slv.PCG_MAX_ITER
+    return rep
+
+
+def _single_random(level):
+    case = cases.get_case("single")
+    return cases.solve_meshes(case.network(), case.meshes("random", level),
+                              case.bcs(), "cc", source=case.source)[1]
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_pcg_matches_saddle_lu_on_single_random(pcg, level):
+    assert_pcg_matches_saddle_lu(_single_random(level))
+
+
+def test_pcg_matches_saddle_lu_on_network_with_traces(pcg, tmp_path):
+    path = tmp_path / "net.json"
+    write_perfbench_network(path, 1)
+    network, raw = geo.load_network(path)
+    bcs = asm.boundary_spec_from_json(raw, network)
+    meshes = {f.id: msh.triangulate_fracture(f, network.traces_of(f.id), 0.14)
+              for f in network.fractures}
+    _, system, _, _ = cases.solve_meshes(network, meshes, bcs, "cc")
+    assert system.dofs.trace_pressure
+    assert_pcg_matches_saddle_lu(system)
+
+
+def test_pcg_matches_saddle_lu_with_pinned_component(pcg):
+    frac = single_fracture_plane()
+    net = geo.build_network([frac])
+    problem = asm.prepare_problem(
+        net, {0: msh.random_mesh(12, seed=3, frame=frac.frame)})
+    dofs = asm.build_dof_map(problem, "cc")
+    with pytest.warns(UnconstrainedPressureWarning):
+        system = asm.assemble_cc(problem, dofs, _inflow_outflow(1.0, 1.0))
+    assert system.pinned
+    assert_pcg_matches_saddle_lu(system)
+
+
+def test_pcg_is_deterministic(pcg):
+    system = _single_random(3)
+    first, second = slv.solve(system), slv.solve(system)
+    assert first.solver["path"] == "pcg"
+    assert first.x.tobytes() == second.x.tobytes()
+
+
+def test_pcg_without_convergence_falls_back_to_the_lu(pcg, monkeypatch):
+    monkeypatch.setattr(slv, "PCG_MAX_ITER", 1)
+    system = _single_random(3)
+    rep = assert_matches_saddle_lu(system)
+    assert rep.solver["path"] == "lu"
+    assert rep.solver["levels"] == [rep.reduced_size]
+    assert rep.solver["iterations"] == [1, 0]
+    monkeypatch.setattr(slv, "PCG_MIN_SIZE", system.size)
+    lu = slv.solve(system)
+    assert lu.solver["path"] == "lu" and lu.solver["iterations"] == [0, 0]
+    assert rep.lu_fill == lu.lu_fill
+
+
+def test_pcg_needs_a_positive_diagonal(pcg):
+    """Without cell blocks K = -A; the saddle toy's K has diagonal
+    (-1, 0), so it is not positive definite and goes to the LU."""
+    rep = slv.solve(toy_system([[1, 1], [1, 0]], [0, 1]))
+    assert rep.solver["path"] == "lu" and rep.solver["iterations"] == [0, 0]
+    assert np.allclose(rep.x, [1, -1], atol=1e-14)
+
+
+def test_dc_stays_on_the_lu(pcg):
+    case = cases.get_case("intersection-flow")
+    _, system, _, rep = cases.solve_meshes(
+        case.network(), case.meshes("triangular", 2), case.bcs(), "dc",
+        source=case.source, line_source=case.line_source,
+        point_sources=case.point_sources)
+    assert rep.solver["path"] == "lu"
+    assert rep.solver["levels"] == [rep.reduced_size]
+
+
+def test_single_random_l5_takes_the_pcg_path():
+    """The built-in threshold sends single random L5 (50,880 unknowns in
+    K) down the PCG path; the refinement step then needs few iterations."""
+    case = cases.get_case("single")
+    _, system, _, rep = cases.solve_meshes(
+        case.network(), case.meshes("random", 5), case.bcs(), "cc",
+        source=case.source)
+    assert rep.reduced_size == 50_880 > slv.PCG_MIN_SIZE
+    assert rep.solver["path"] == "pcg"
+    assert rep.solver["levels"][-1] <= slv.COARSEST_SIZE
+    first, refine = rep.solver["iterations"]
+    assert first < slv.PCG_MAX_ITER and refine <= 5
+    assert rep.residual <= 1e-10
