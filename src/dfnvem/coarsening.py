@@ -409,9 +409,11 @@ def agglomerate_network(network, meshes: dict, c_depth: int,
     out = {}
     for fid, mesh in meshes.items():
         frac = network.fracture(fid)
-        tips = [frac.frame.to_local(p)
-                for ln in network.traces_of(fid) for p in (ln.p0, ln.p1)
-                if frac.boundary_distance(p) > 100 * frac.tol]
+        ends = np.array([p for ln in network.traces_of(fid)
+                         for p in (ln.p0, ln.p1)]).reshape(-1, 3)
+        # Each end maps to the frame as it would alone (see to_local).
+        tips = frac.frame.to_local(ends[:, None])[:, 0][
+            frac.boundary_distance(ends) > 100 * frac.tol]
         coarse, part = agglomerate(mesh, tips_local=tips, c_depth=c_depth,
                                    eps_str=eps_str,
                                    lam=frac.effective_permeability)

@@ -92,18 +92,21 @@ def point_in_polygon(pts, poly: np.ndarray, tol: float):
 
 
 def segments_cross(a0, a1, b0, b1, tol: float) -> bool:
-    """True if the open interiors of two 2D segments cross transversally."""
+    """True if the open interiors of two 2D segments cross transversally.
+
+    Segments whose directions meet at a sine of at most ``_PARALLEL_TOL``
+    count as parallel and do not cross, at any scale."""
     a0, a1, b0, b1 = (np.asarray(v, float) for v in (a0, a1, b0, b1))
     d1, d2 = a1 - a0, b1 - b0
     den = d1[0] * d2[1] - d1[1] * d2[0]
-    scale = max(np.linalg.norm(d1), np.linalg.norm(d2), 1.0)
-    if abs(den) <= _PARALLEL_TOL * scale * scale:
+    L1, L2 = np.linalg.norm(d1), np.linalg.norm(d2)
+    if abs(den) <= _PARALLEL_TOL * L1 * L2:
         return False
     r = b0 - a0
     t = (r[0] * d2[1] - r[1] * d2[0]) / den
     u = (r[0] * d1[1] - r[1] * d1[0]) / den
-    eps_t = tol / max(np.linalg.norm(d1), tol)
-    eps_u = tol / max(np.linalg.norm(d2), tol)
+    eps_t = tol / max(L1, tol)
+    eps_u = tol / max(L2, tol)
     return eps_t < t < 1 - eps_t and eps_u < u < 1 - eps_u
 
 
@@ -117,53 +120,6 @@ def polygon_is_simple(pts: np.ndarray, tol: float) -> bool:
             if segments_cross(a0, a1, pts[j], pts[(j + 1) % n], tol):
                 return False
     return True
-
-
-def clip_line_to_polygon(q0, d2, poly: np.ndarray, tol: float):
-    """Parameter intervals of the line ``q0 + t*d2`` inside a 2D polygon.
-
-    Works for non-convex polygons; boundary runs count as inside.
-    Returns a list of (t0, t1) with t0 < t1.
-    """
-    q0 = np.asarray(q0, float)
-    d2 = np.asarray(d2, float)
-    n = len(poly)
-    ts = []
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        e = b - a
-        Le = np.linalg.norm(e)
-        den = d2[0] * e[1] - d2[1] * e[0]
-        r = a - q0
-        if abs(den) <= _PARALLEL_TOL * max(Le, 1.0):
-            # Edge parallel to the line: if collinear, its endpoints are
-            # crossing parameters.
-            if abs(d2[0] * r[1] - d2[1] * r[0]) <= tol:
-                for v in (a, b):
-                    ts.append(float((v - q0) @ d2) / float(d2 @ d2))
-            continue
-        t = (r[0] * e[1] - r[1] * e[0]) / den
-        u = (r[0] * d2[1] - r[1] * d2[0]) / den
-        if -tol <= u * Le <= Le + tol:
-            ts.append(t)
-    if not ts:
-        return []
-    ts = sorted(ts)
-    merged = [ts[0]]
-    for t in ts[1:]:
-        if t - merged[-1] > tol:
-            merged.append(t)
-    mids = q0 + 0.5 * np.add(merged[:-1], merged[1:])[:, None] * d2
-    inside = point_in_polygon(mids, poly, tol)
-    intervals = [iv for iv, ok in zip(zip(merged[:-1], merged[1:]), inside) if ok]
-    # Fuse adjacent intervals sharing an endpoint.
-    fused: list[list[float]] = []
-    for t0, t1 in intervals:
-        if fused and abs(fused[-1][1] - t0) <= tol:
-            fused[-1][1] = t1
-        else:
-            fused.append([t0, t1])
-    return [(lo, hi) for lo, hi in fused]
 
 
 # ------------------------------------------------------------------ #
@@ -297,10 +253,13 @@ class Fracture:
     def effective_permeability(self) -> np.ndarray:
         return self.aperture * self.k_tangential
 
-    def boundary_distance(self, p3: np.ndarray) -> float:
-        q = self.frame.to_local(p3)
+    def boundary_distance(self, p3: np.ndarray) -> np.ndarray:
+        """In-plane distance of each of the points ``p3`` (shape ``(n, 3)``)
+        to the polygon's boundary.  Each point maps to the frame as it
+        would alone, so a point's distance does not depend on the others."""
+        q = self.frame.to_local(p3[:, None])
         poly = self.local_polygon
-        return float(point_segment_distance(q, poly, np.roll(poly, -1, 0)).min())
+        return point_segment_distance(q, poly, np.roll(poly, -1, 0)).min(1)
 
 
 @dataclass
@@ -422,58 +381,171 @@ def intersect_fractures(a: Fracture, b: Fracture, tol: float | None = None):
     builder) or ``None`` for disjoint, parallel or point-contact pairs.
     Coplanar pairs sharing a boundary segment are supported; coplanar
     pairs overlapping with positive area raise ``CoplanarOverlap``.
+    This is the one-pair call of ``_intersect_pairs``.
     """
     if tol is None:
         tol = max(a.tol, b.tol)
-    na, nb = a.frame.n, b.frame.n
-    cross = np.cross(na, nb)
-    cn = np.linalg.norm(cross)
-    if cn < _PARALLEL_TOL:
-        off = abs((b.frame.origin - a.frame.origin) @ na)
-        if off > 10 * tol:
-            return None
+    return _intersect_pairs([a, b], np.array([0]), np.array([1]), tol)[0]
+
+
+def _ranges(start, count):
+    """Concatenated ``arange(start[k], start[k] + count[k])`` over ``k``:
+    the ``k`` of each position, and the positions."""
+    k = np.repeat(np.arange(len(start)), count)
+    return k, np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _clip_lines(polygons: list, q0: np.ndarray, d2: np.ndarray,
+                tol: float) -> list:
+    """Parameter intervals of each line ``q0[g] + t * d2[g]`` inside the 2D
+    polygon ``polygons[g]``, for every ``g`` in one batch.
+
+    ``d2`` holds unit vectors.  Works for non-convex polygons; boundary
+    runs count as inside.  One array expression crosses every line with
+    every edge of its polygon, and one even-odd test with a boundary band
+    of ``tol`` takes every gap between consecutive crossings; only each
+    line's few crossing parameters are sorted and merged as floats.  An
+    edge is parallel to its line when their sine is at most
+    ``_PARALLEL_TOL``, at any scale.  Returns, per line, a list of
+    ``[t0, t1]`` with ``t0 < t1``.
+    """
+    m = np.array([len(v) for v in polygons])
+    first = np.cumsum(m) - m
+    ea = np.concatenate(polygons)
+    nxt = np.arange(len(ea)) + 1
+    nxt[first + m - 1] = first
+    eb = ea[nxt]
+
+    g, e = _ranges(first, m)
+    a, b, u, v = ea[e], eb[e], d2[g], q0[g]
+    ed, r = b - a, a - v
+    le = _norms(ed)
+    den = u[:, 0] * ed[:, 1] - u[:, 1] * ed[:, 0]
+    par = np.abs(den) <= _PARALLEL_TOL * le
+    den = np.where(par, 1.0, den)
+    t = (r[:, 0] * ed[:, 1] - r[:, 1] * ed[:, 0]) / den
+    w = (r[:, 0] * u[:, 1] - r[:, 1] * u[:, 0]) / den * le
+    # An edge on the line adds both its end points' parameters.
+    on = par & (np.abs(u[:, 0] * r[:, 1] - u[:, 1] * r[:, 0]) <= tol)
+    uu = _dots(u, u)
+    ts = np.column_stack([np.where(on, _dots(r, u) / uu, t),
+                          _dots(b - v, u) / uu])
+    keep = np.column_stack([on | (~par & (-tol <= w) & (w <= le + tol)), on])
+    tg = np.broadcast_to(g[:, None], keep.shape)[keep]
+    ts = ts[keep]
+    order = np.lexsort((ts, tg))      # stable: equal values keep edge order
+    merged: list = [[] for _ in polygons]
+    for gk, tk in zip(tg[order].tolist(), ts[order].tolist()):
+        row = merged[gk]
+        if not row or tk - row[-1] > tol:
+            row.append(tk)
+
+    ig = [gk for gk, row in enumerate(merged) for _ in row[1:]]
+    lo = [tk for row in merged for tk in row[:-1]]
+    hi = [tk for row in merged for tk in row[1:]]
+    inside = []
+    if ig:
+        mid = q0[ig] + 0.5 * np.add(lo, hi)[:, None] * d2[ig]
+        k, e = _ranges(first[ig], m[ig])
+        x, y = mid[k, 0], mid[k, 1]
+        (x0, y0), (x1, y1) = ea[e].T, eb[e].T
+        dy = y1 - y0
+        xc = x0 + (y - y0) * (x1 - x0) / np.where(dy != 0, dy, 1.0)
+        start = np.cumsum(m[ig]) - m[ig]
+        odd = np.logical_xor.reduceat(((y0 > y) != (y1 > y)) & (xc > x), start)
+        near = np.logical_or.reduceat(
+            point_segment_distance(mid[k], ea[e], eb[e]) <= tol, start)
+        inside = (odd | near).tolist()
+    # Fuse the inside gaps that share an end.
+    out: list = [[] for _ in polygons]
+    for gk, t0, t1, ok in zip(ig, lo, hi, inside):
+        row = out[gk]
+        if ok and row and abs(row[-1][1] - t0) <= tol:
+            row[-1][1] = t1
+        elif ok:
+            row.append([t0, t1])
+    return out
+
+
+def _intersect_pairs(fractures: list, i: np.ndarray, j: np.ndarray,
+                     tol: float) -> list:
+    """``intersect_fractures(fractures[i[k]], fractures[j[k]], tol)`` for
+    every ``k``, as one batch over the pairs.
+
+    Coplanar pairs go through ``_coplanar_intersection`` in pair order,
+    so the first error raised is the first failing pair's; no other pair
+    raises.  Every other pair's line of planes is clipped to both parent
+    polygons in one ``_clip_lines`` call, and one
+    ``Fracture.boundary_distance`` call per fracture classifies the
+    segment ends.
+    """
+    out: list = [None] * len(i)
+    frame = np.array([[f.frame.origin, f.frame.t1, f.frame.t2, f.frame.n]
+                      for f in fractures]).reshape(-1, 4, 3)
+    origin, t1, t2, normal = frame.transpose(1, 0, 2)
+    cross = np.cross(normal[i], normal[j])
+    cn = _norms(cross)
+    flat = cn < _PARALLEL_TOL
+    for k in np.flatnonzero(flat).tolist():
+        a, b = fractures[i[k]], fractures[j[k]]
+        if abs((b.frame.origin - a.frame.origin) @ a.frame.n) > 10 * tol:
+            continue
         seg = _coplanar_intersection(a, b, tol)
-        if seg is None:
-            return None
-        p0, p1 = seg
-        return IntersectionLine(
-            id=-1, p0=p0, p1=p1, parents=(a.id, b.id),
-            end_kind=("boundary", "boundary"),
-        )
-    d = cross / cn
-    # Minimal-norm point on both planes.
-    A = np.vstack([na, nb])
-    rhs = np.array([na @ a.frame.origin, nb @ b.frame.origin])
-    p0 = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        if seg is not None:
+            out[k] = IntersectionLine(id=-1, p0=seg[0], p1=seg[1],
+                                      parents=(a.id, b.id))
+    pair = np.flatnonzero(~flat)
+    if not len(pair):
+        return out
+    ia, ib = i[pair], j[pair]
+    d = cross[pair] / cn[pair, None]
+    # The point of both planes nearest the origin, pair by pair: a
+    # batched closed form rounds differently.
+    rhs = np.column_stack([_dots(normal[ia], origin[ia]),
+                           _dots(normal[ib], origin[ib])])
+    p0 = np.array([np.linalg.lstsq(A, r, rcond=None)[0] for A, r in
+                   zip(np.stack([normal[ia], normal[ib]], 1), rhs)])
 
-    def clip(frac):
-        q0 = frac.frame.to_local(p0)
-        d2 = frac.frame.vector_to_local(d)
-        nd = np.linalg.norm(d2)
-        if nd < _PARALLEL_TOL:
-            return []
-        # Parameter along d (3D arclength) equals parameter along d2 / |d2|.
-        ivs = clip_line_to_polygon(q0, d2 / nd, frac.local_polygon, tol)
-        return ivs
+    # Line 2k + s is pair k's line in the frame of parent s.  It lies in
+    # that plane, so its direction keeps unit length there up to
+    # rounding, and its parameter stays the 3D arclength.
+    fg = np.column_stack([ia, ib]).ravel()
+    pg = np.repeat(np.arange(len(pair)), 2)
+    q = p0[pg] - origin[fg]
+    q0 = np.column_stack([_dots(q, t1[fg]), _dots(q, t2[fg])])
+    d2 = np.column_stack([_dots(d[pg], t1[fg]), _dots(d[pg], t2[fg])])
+    ivs = _clip_lines([fractures[f].local_polygon for f in fg.tolist()],
+                      q0, d2 / _norms(d2)[:, None], tol)
 
-    iva = clip(a)
-    ivb = clip(b)
-    best = None
-    for ta0, ta1 in iva:
-        for tb0, tb1 in ivb:
-            lo, hi = max(ta0, tb0), min(ta1, tb1)
-            if hi - lo > tol and (best is None or hi - lo > best[1] - best[0]):
-                best = (lo, hi)
-    if best is None:
-        return None
-    p_start, p_end = p0 + best[0] * d, p0 + best[1] * d
-    kinds = []
-    for p in (p_start, p_end):
-        on_b = min(a.boundary_distance(p), b.boundary_distance(p)) <= 10 * tol
-        kinds.append("boundary" if on_b else "immersed")
-    return IntersectionLine(
-        id=-1, p0=p_start, p1=p_end, parents=(a.id, b.id), end_kind=tuple(kinds)
-    )
+    # The longest overlap of the two parents' intervals.
+    hit, ends = [], []
+    for k in range(len(pair)):
+        best = None
+        for ta0, ta1 in ivs[2 * k]:
+            for tb0, tb1 in ivs[2 * k + 1]:
+                lo, hi = max(ta0, tb0), min(ta1, tb1)
+                if hi - lo > tol and (best is None or hi - lo > best[1] - best[0]):
+                    best = (lo, hi)
+        if best is not None:
+            hit.append(k)
+            ends.append(best)
+    if not hit:
+        return out
+    ends = np.array(ends)[:, :, None] * d[hit][:, None] + p0[hit][:, None]
+    parents = np.column_stack([ia[hit], ib[hit]])
+    dist = np.empty((len(hit), 2, 2))     # (segment, end, parent)
+    for f in np.unique(parents).tolist():
+        h, s = np.nonzero(parents == f)
+        dist[h, :, s] = fractures[f].boundary_distance(
+            ends[h].reshape(-1, 3)).reshape(-1, 2)
+    kinds = np.where(dist.min(2) <= 10 * tol, "boundary", "immersed").tolist()
+    for n, k in enumerate(hit):
+        fa, fb = parents[n].tolist()
+        out[pair[k]] = IntersectionLine(
+            id=-1, p0=ends[n, 0], p1=ends[n, 1],
+            parents=(fractures[fa].id, fractures[fb].id),
+            end_kind=tuple(kinds[n]))
+    return out
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -603,8 +675,7 @@ def build_network(fractures: list, tol: float | None = None,
         & (np.abs(((origin[j] - origin[i]) * normal[i]).sum(1)) <= 20 * tol))
     ends = np.empty((near.sum(), 2, 3))
     lines: list[IntersectionLine] = []
-    for a, b in zip(i[near].tolist(), j[near].tolist()):
-        seg = intersect_fractures(fractures[a], fractures[b], tol)
+    for seg in _intersect_pairs(fractures, i[near], j[near], tol):
         if seg is None:
             continue
         kept = ends[:len(lines)]

@@ -29,6 +29,7 @@ from .geometry import (
     IntersectionLine,
     _dots,
     _norms,
+    _ranges,
     point_in_polygon,
     point_segment_distance,
     polygon_area,
@@ -430,13 +431,6 @@ def random_mesh(n: int, seed: int, frame: Frame | None = None) -> PolyMesh:
 # ------------------------------------------------------------------ #
 # constrained triangulation
 # ------------------------------------------------------------------ #
-
-def _ranges(start, count):
-    """Concatenated ``arange(start[k], start[k] + count[k])`` over ``k``:
-    the ``k`` of each position, and the positions."""
-    k = np.repeat(np.arange(len(start)), count)
-    return k, np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-
 
 class _PointPool:
     """Deduplicating point registry for the PSLG.

@@ -274,15 +274,25 @@ def line_ends_ref(problem, first: int) -> dict:
     return line_ends
 
 
-def write_perfbench_network(path, seed: int) -> None:
-    """Write ``perfbench/network.py``'s seeded 12-fracture network to
-    ``path``: four x-planes, four y-planes, two z-planes, an immersed
-    sheet and a slanted rectangle, with crossings (xi points) and tips."""
+@functools.lru_cache(maxsize=1)
+def _perfbench_network_module():
     file = Path(__file__).resolve().parents[1] / "perfbench" / "network.py"
     spec = importlib.util.spec_from_file_location("perfbench_network", file)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.write_network(path, seed)
+    return module
+
+
+def write_perfbench_network(path, seed: int) -> None:
+    """Write ``perfbench/network.py``'s seeded 12-fracture network to
+    ``path``: four x-planes, four y-planes, two z-planes, an immersed
+    sheet and a slanted rectangle, with crossings (xi points) and tips."""
+    _perfbench_network_module().write_network(path, seed)
+
+
+def perfbench_network_dict(seed: int) -> dict:
+    """The payload that ``write_perfbench_network`` writes."""
+    return _perfbench_network_module().network_dict(seed)
 
 
 # The network file of the README's input-format section.
@@ -1035,9 +1045,9 @@ def point_in_polygon_ref(p, poly, tol) -> bool:
 
 
 # ------------------------------------------------------------------ #
-# Network set-up oracles: the pair-by-pair ``build_network``, the
-# scanning point pool of ``triangulate`` and the float-by-float VTK
-# writer that the array versions replaced.
+# Network set-up oracles: the pair-by-pair ``build_network`` with its
+# one-pair clipping, the scanning point pool of ``triangulate`` and the
+# float-by-float VTK writer that the array versions replaced.
 # ------------------------------------------------------------------ #
 
 def _same_segment_ref(a, b, tol: float) -> bool:
@@ -1104,6 +1114,118 @@ def intersect_lines_ref(a, b, tol: float = 1e-9):
                                  parent_lines=(a.id, b.id))
 
 
+def clip_line_to_polygon_ref(q0, d2, poly: np.ndarray, tol: float):
+    """Parameter intervals of the line ``q0 + t*d2`` inside a 2D polygon,
+    one edge at a time; ``d2`` is a unit vector.
+
+    Works for non-convex polygons; boundary runs count as inside.
+    Returns a list of (t0, t1) with t0 < t1.
+    """
+    q0 = np.asarray(q0, float)
+    d2 = np.asarray(d2, float)
+    n = len(poly)
+    ts = []
+    for i in range(n):
+        a, b = poly[i], poly[(i + 1) % n]
+        e = b - a
+        Le = np.linalg.norm(e)
+        den = d2[0] * e[1] - d2[1] * e[0]
+        r = a - q0
+        if abs(den) <= geo._PARALLEL_TOL * Le:
+            # Edge parallel to the line: if collinear, its endpoints are
+            # crossing parameters.
+            if abs(d2[0] * r[1] - d2[1] * r[0]) <= tol:
+                for v in (a, b):
+                    ts.append(float((v - q0) @ d2) / float(d2 @ d2))
+            continue
+        t = (r[0] * e[1] - r[1] * e[0]) / den
+        u = (r[0] * d2[1] - r[1] * d2[0]) / den
+        if -tol <= u * Le <= Le + tol:
+            ts.append(t)
+    if not ts:
+        return []
+    ts = sorted(ts)
+    merged = [ts[0]]
+    for t in ts[1:]:
+        if t - merged[-1] > tol:
+            merged.append(t)
+    mids = q0 + 0.5 * np.add(merged[:-1], merged[1:])[:, None] * d2
+    inside = point_in_polygon(mids, poly, tol)
+    intervals = [iv for iv, ok in zip(zip(merged[:-1], merged[1:]), inside) if ok]
+    # Fuse adjacent intervals sharing an endpoint.
+    fused: list[list[float]] = []
+    for t0, t1 in intervals:
+        if fused and abs(fused[-1][1] - t0) <= tol:
+            fused[-1][1] = t1
+        else:
+            fused.append([t0, t1])
+    return [(lo, hi) for lo, hi in fused]
+
+
+def boundary_distance_ref(frac, p3) -> float:
+    """In-plane distance of the one point ``p3`` to the fracture's
+    boundary."""
+    q = frac.frame.to_local(p3)
+    poly = frac.local_polygon
+    return float(point_segment_distance(q, poly, np.roll(poly, -1, 0)).min())
+
+
+def intersect_fractures_ref(a, b, tol: float | None = None):
+    """Intersection segment of two fractures, clipped to each polygon in
+    turn: the one-pair code that ``geometry._intersect_pairs`` batches."""
+    if tol is None:
+        tol = max(a.tol, b.tol)
+    na, nb = a.frame.n, b.frame.n
+    cross = np.cross(na, nb)
+    cn = np.linalg.norm(cross)
+    if cn < geo._PARALLEL_TOL:
+        off = abs((b.frame.origin - a.frame.origin) @ na)
+        if off > 10 * tol:
+            return None
+        seg = geo._coplanar_intersection(a, b, tol)
+        if seg is None:
+            return None
+        p0, p1 = seg
+        return IntersectionLine(
+            id=-1, p0=p0, p1=p1, parents=(a.id, b.id),
+            end_kind=("boundary", "boundary"),
+        )
+    d = cross / cn
+    # Minimal-norm point on both planes.
+    A = np.vstack([na, nb])
+    rhs = np.array([na @ a.frame.origin, nb @ b.frame.origin])
+    p0 = np.linalg.lstsq(A, rhs, rcond=None)[0]
+
+    def clip(frac):
+        q0 = frac.frame.to_local(p0)
+        d2 = frac.frame.vector_to_local(d)
+        nd = np.linalg.norm(d2)
+        if nd < geo._PARALLEL_TOL:
+            return []
+        # Parameter along d (3D arclength) equals parameter along d2 / |d2|.
+        return clip_line_to_polygon_ref(q0, d2 / nd, frac.local_polygon, tol)
+
+    iva = clip(a)
+    ivb = clip(b)
+    best = None
+    for ta0, ta1 in iva:
+        for tb0, tb1 in ivb:
+            lo, hi = max(ta0, tb0), min(ta1, tb1)
+            if hi - lo > tol and (best is None or hi - lo > best[1] - best[0]):
+                best = (lo, hi)
+    if best is None:
+        return None
+    p_start, p_end = p0 + best[0] * d, p0 + best[1] * d
+    kinds = []
+    for p in (p_start, p_end):
+        on_b = min(boundary_distance_ref(a, p),
+                   boundary_distance_ref(b, p)) <= 10 * tol
+        kinds.append("boundary" if on_b else "immersed")
+    return IntersectionLine(
+        id=-1, p0=p_start, p1=p_end, parents=(a.id, b.id), end_kind=tuple(kinds)
+    )
+
+
 def build_network_ref(fractures: list, tol: float | None = None,
                       intersection_props: dict | None = None):
     """Every fracture pair and every line pair, merged by linear scans."""
@@ -1114,7 +1236,7 @@ def build_network_ref(fractures: list, tol: float | None = None,
     raw = []
     for i, fa in enumerate(fractures):
         for fb in fractures[i + 1:]:
-            seg = geo.intersect_fractures(fa, fb, tol)
+            seg = intersect_fractures_ref(fa, fb, tol)
             if seg is not None:
                 raw.append(seg)
     merge_tol = max(tol * 1e3, tol)

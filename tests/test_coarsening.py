@@ -10,9 +10,9 @@ from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 
 from _util import (ORACLE_MESHES, RefStrength, agglomerate_ref,
-                   attach_fine_ref, cf_split_ref, chain_loop_ref,
-                   import_network_dict, oracle_meshes, partition_members,
-                   strong_sets_ref, tpfa_matrix_ref)
+                   attach_fine_ref, boundary_distance_ref, cf_split_ref,
+                   chain_loop_ref, import_network_dict, oracle_meshes,
+                   partition_members, strong_sets_ref, tpfa_matrix_ref)
 
 
 def strength_from_dense(A):
@@ -331,7 +331,7 @@ class TestBatchedAgainstReference:
             frac = network.fracture(fid)
             tips = [frac.frame.to_local(p)
                     for ln in network.traces_of(fid) for p in (ln.p0, ln.p1)
-                    if frac.boundary_distance(p) > 100 * frac.tol]
+                    if boundary_distance_ref(frac, p) > 100 * frac.tol]
             coarse_ref, total_ref = agglomerate_ref(
                 mesh, tips, c_depth, lam=frac.effective_permeability)
             coarse, part = got[fid]

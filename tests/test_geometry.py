@@ -6,7 +6,8 @@ from dfnvem.errors import (CollinearOverlap, CollinearVertices, CoplanarOverlap,
                            GeometryError)
 
 from _util import (build_network_ref, fracture_contains, import_network_dict,
-                   intersect_lines, network_outcome, normal_projector,
+                   intersect_fractures_ref, intersect_lines, network_outcome,
+                   normal_projector, perfbench_network_dict,
                    point_in_polygon_ref, point_segment_distance_ref,
                    tangent_projector)
 
@@ -190,6 +191,21 @@ class TestIntersectFractures:
         for p in (ln.p0, ln.p1):
             assert fracture_contains(a, p, tol=1e-8)
             assert fracture_contains(b, p, tol=1e-8)
+
+
+    @pytest.mark.parametrize("pair", [
+        (("x", 0.0), ("z", 0.0)), (("x", 0.5), ("z", 0.5)),
+        (("x", 0.5), ("z", 1.2)), (("z", 0.5), ("x", 0.0))])
+    def test_one_pair_call_equals_reference(self, pair):
+        (pa, ya), (pb, yb) = pair
+        a, b = octagon(ya, pa, fid=0), octagon(yb, pb, fid=1)
+        want = intersect_fractures_ref(a, b)
+        got = geo.intersect_fractures(a, b)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.p0.tobytes() == want.p0.tobytes()
+            assert got.p1.tobytes() == want.p1.tobytes()
+            assert (got.parents, got.end_kind) == (want.parents, want.end_kind)
 
 
 class TestIntersectLines:
@@ -412,15 +428,66 @@ class TestPrunedNetworkAgainstReference:
     def test_imported_network_with_fewer_pairs(self, monkeypatch):
         fracs = [geo.Fracture(id=f["id"], vertices=f["vertices"])
                  for f in import_network_dict()["fractures"]]
-        calls = []
-        real = geo.intersect_fractures
-        monkeypatch.setattr(geo, "intersect_fractures",
-                            lambda *a: calls.append(a) or real(*a))
+        batches = []
+        real = geo._intersect_pairs
+        monkeypatch.setattr(geo, "_intersect_pairs",
+                            lambda fr, i, j, tol: batches.append(len(i))
+                            or real(fr, i, j, tol))
         got = network_outcome(geo.build_network, fracs)
         monkeypatch.undo()
         assert got == network_outcome(build_network_ref, fracs)
         assert (len(got[0]), len(got[1])) == (45, 50)
-        assert len(calls) < 66 * 3 // 4
+        assert len(batches) == 1 and batches[0] < 66 * 3 // 4
+
+
+THREE_PLANES = [
+    [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+    [[0.5, 0, -0.5], [0.5, 1, -0.5], [0.5, 1, 0.5], [0.5, 0, 0.5]],
+    [[0, 0.3, -0.5], [1, 0.3, -0.5], [1, 0.3, 0.5], [0, 0.3, 0.5]],
+]
+BOW_TIE = np.array([[0, 0, 0], [1, 1, 0], [1, 0, 0], [0, 1, 0]], float)
+SCALES = [-8, -5, -3, 0, 3, 6]
+
+
+def scalable_network(name):
+    """Vertex arrays of a unit-sized network: the unit square cut by the
+    planes x = 0.5 and y = 0.3, or a ``perfbench/network.py`` seed."""
+    if name == "three-planes":
+        return [np.array(v, float) for v in THREE_PLANES]
+    seed = int(name.removeprefix("perfbench-"))
+    return [np.array(f["vertices"], float)
+            for f in perfbench_network_dict(seed)["fractures"]]
+
+
+class TestScaleInvariance:
+    """Parallel and crossing tests are relative: a network scaled by
+    10^k has the unit network's lines, points and end kinds, with line
+    ends scaled to relative 1e-9."""
+
+    @pytest.mark.parametrize("k", SCALES)
+    @pytest.mark.parametrize("name", ["three-planes", "perfbench-0",
+                                      "perfbench-1"])
+    def test_network_scales(self, name, k):
+        def build(scale):
+            return geo.build_network([geo.Fracture(id=i, vertices=v * scale)
+                                      for i, v in enumerate(
+                                          scalable_network(name))])
+        unit, net = build(1.0), build(10.0 ** k)
+        assert len(unit.lines) >= 3 and len(unit.points) >= 1
+        assert len(net.lines) == len(unit.lines)
+        assert len(net.points) == len(unit.points)
+        assert ([(ln.parents, ln.end_kind) for ln in net.lines]
+                == [(ln.parents, ln.end_kind) for ln in unit.lines])
+        assert ([pt.parent_lines for pt in net.points]
+                == [pt.parent_lines for pt in unit.points])
+        ends = np.array([[ln.p0, ln.p1] for ln in net.lines])
+        want = np.array([[ln.p0, ln.p1] for ln in unit.lines])
+        assert np.allclose(ends / 10.0 ** k, want, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_bow_tie_raises(self, k):
+        with pytest.raises(GeometryError, match="not simple"):
+            geo.Fracture(id=0, vertices=BOW_TIE * 10.0 ** k)
 
 
 class TestFractureEdges:

@@ -1,9 +1,10 @@
 """Property checks of the array network code against piecewise oracles.
 
-Random networks of rectangles, axis-aligned or turned about a coordinate
-axis, with corners on a coarse grid so that traces often cross, end on
-each other, share a line or lie in one plane.  ``build_network`` must
-give the lines and points of ``build_network_ref``, or raise the same
+Random networks of rectangles, or of triangles, rectangles, L-shaped
+hexagons and octagons, axis-aligned or turned about a coordinate axis,
+with corners on a coarse grid so that traces often cross, end on each
+other, share a line or lie in one plane.  ``build_network`` must give
+the lines and points of ``build_network_ref``, or raise the same
 error.  Random convex polygons with traces on a coarse grid of weights:
 ``triangulate`` must give the arrays of ``triangulate_ref``, or raise
 the same error type.
@@ -51,6 +52,45 @@ def rectangles(draw):
 @given(st.lists(rectangles(), min_size=1, max_size=7))
 def test_pruned_build_equals_all_pairs(quads):
     fractures = [geo.Fracture(id=i, vertices=q) for i, q in enumerate(quads)]
+    assert (network_outcome(geo.build_network, fractures)
+            == network_outcome(build_network_ref, fractures))
+
+
+def shape(kind: str, a: float, b: float) -> np.ndarray:
+    """In-plane corners of a polygon of half-sizes ``a`` and ``b``."""
+    if kind == "triangle":
+        return np.array([[-a, -b], [a, -b], [-a, b]])
+    if kind == "rectangle":
+        return np.array([[-a, -b], [a, -b], [a, b], [-a, b]])
+    if kind == "pentagon":       # a rectangle with two collinear edges
+        return np.array([[-a, -b], [0, -b], [a, -b], [a, b], [-a, b]])
+    if kind == "ell":            # non-convex: the upper right quarter cut
+        return np.array([[-a, -b], [a, -b], [a, 0], [0, 0], [0, b], [-a, b]])
+    h, k = a / 2, b / 2          # an octagon: the rectangle's corners cut
+    return np.array([[-a, -k], [-h, -b], [h, -b], [a, -k], [a, k], [h, b],
+                     [-h, b], [-a, k]])
+
+
+@st.composite
+def polygons(draw):
+    """A polygon of 3-8 corners about a grid point, mirrored in its plane
+    and turned about an axis through it: edges often lie on other
+    fractures' traces, and batches mix polygons of different sizes."""
+    center = np.array([draw(st.sampled_from(STEPS)) for _ in range(3)])
+    normal = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["triangle", "rectangle", "pentagon", "ell",
+                                 "octagon"]))
+    a, b = (draw(st.sampled_from(HALF)) for _ in range(2))
+    uv = shape(kind, a, b) * [draw(st.sampled_from([-1, 1])) for _ in range(2)]
+    u, v = np.eye(3)[(normal + 1) % 3], np.eye(3)[(normal + 2) % 3]
+    rot = turn(draw(st.integers(0, 2)), draw(st.sampled_from(ANGLES)))
+    return center + np.outer(uv[:, 0], u) @ rot.T + np.outer(uv[:, 1], v) @ rot.T
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(polygons(), min_size=1, max_size=7))
+def test_batched_pairs_equal_one_pair_clipping(corners):
+    fractures = [geo.Fracture(id=i, vertices=c) for i, c in enumerate(corners)]
     assert (network_outcome(geo.build_network, fractures)
             == network_outcome(build_network_ref, fractures))
 
