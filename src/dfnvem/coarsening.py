@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -32,7 +33,10 @@ __all__ = [
 
 @dataclass
 class StrengthMatrix:
-    """TPFA matrix whose negative couplings give the strength graph."""
+    """TPFA matrix whose negative couplings give the strength graph.
+
+    ``A`` is in canonical CSR form: sorted column indices, no duplicates.
+    """
 
     A: sparse.csr_matrix
 
@@ -40,11 +44,16 @@ class StrengthMatrix:
     def n(self) -> int:
         return self.A.shape[0]
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row index of each entry of ``A.data``."""
+        return np.repeat(np.arange(self.n), np.diff(self.A.indptr))
+
     def strong_sets(self, eps_str: float) -> np.ndarray:
         """Mask over ``A.data`` of the strong couplings: the off-diagonal
         ``A_ij`` with ``-A_ij >= eps_str * max_k(-A_ik)``."""
         A = self.A
-        row = np.repeat(np.arange(self.n), np.diff(A.indptr))
+        row = self.rows
         neg = A.data < 0
         most = np.zeros(self.n)
         np.maximum.at(most, row, np.where(neg, -A.data, 0.0))
@@ -52,16 +61,14 @@ class StrengthMatrix:
 
 
 def _cell_lambda(lam, centroids: np.ndarray) -> np.ndarray:
-    n = len(centroids)
+    """The ``(n, 2, 2)`` tensors of a callback, else ``lam`` as an array:
+    one ``(2, 2)`` tensor for every cell, or one per cell."""
     if callable(lam):
         out = np.asarray(lam(centroids), float)
-        if out.shape != (n, 2, 2):
+        if out.shape != (len(centroids), 2, 2):
             raise ValueError("permeability callback must return (n, 2, 2)")
         return out
-    lam = np.asarray(lam, float)
-    if lam.shape == (2, 2):
-        return np.broadcast_to(lam, (n, 2, 2))
-    return lam
+    return np.asarray(lam, float)
 
 
 def tpfa_matrix(mesh: PolyMesh, lam, dirichlet_boundary: bool = True) -> StrengthMatrix:
@@ -93,32 +100,26 @@ def tpfa_matrix(mesh: PolyMesh, lam, dirichlet_boundary: bool = True) -> Strengt
         raise DegenerateCell(
             f"cell {cell[i]}: centroid coincides with edge {e[i]} midpoint")
     nrm = mesh.outward_normals(mesh.edge_entry[e, side])
-    flux = np.matmul(nrm[:, None, :],
-                     np.matmul(lam_c[cell], d[:, :, None]))[:, 0, 0]
+    # A (2, 2) tensor broadcasts through the same per-slot products.
+    lam_e = lam_c if lam_c.ndim == 2 else lam_c[cell]
+    flux = np.matmul(nrm[:, None, :], np.matmul(lam_e, d[:, :, None]))[:, 0, 0]
     elen = mesh.edge_len[e]
     # Non-convex agglomerates can produce non-positive contributions;
     # clamp so the strength graph stays usable.
-    alpha = np.zeros(need.shape)
-    alpha[e, side] = np.maximum(elen * flux / dd, 1e-12 * elen)
-    a0, a1 = alpha[inner, 0], alpha[inner, 1]
+    alpha = np.maximum(elen * flux / dd, 1e-12 * elen)
+    # An inner edge's two slots are consecutive, side 0 first.
+    k = np.flatnonzero(inner[e] & (side == 0))
+    a0, a1 = alpha[k], alpha[k + 1]
     T = a0 * a1 / (a0 + a1)
-    alpha[inner] = T[:, None]
-    diag = np.bincount(cell, weights=alpha[e, side], minlength=n)
-    pair = ec[inner]
+    alpha[k] = alpha[k + 1] = T
+    diag = np.bincount(cell, weights=alpha, minlength=n)
+    pair = np.column_stack([cell[k], cell[k + 1]])
     rows = np.concatenate([pair.ravel(), np.arange(n)])
     cols = np.concatenate([pair[:, ::-1].ravel(), np.arange(n)])
     vals = np.concatenate([np.repeat(-T, 2), diag])
     A = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     A.sum_duplicates()
     return StrengthMatrix(A=A)
-
-
-def _row_lists(n: int, rows: np.ndarray, cols: np.ndarray) -> list:
-    """``out[i]``: the ``cols`` of the entries with ``rows == i``, in their
-    order; ``rows`` must be sorted."""
-    cols = cols.tolist()
-    ptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    return [cols[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 def cf_split(strength: StrengthMatrix, eps_str: float = 0.25,
@@ -130,53 +131,74 @@ def cf_split(strength: StrengthMatrix, eps_str: float = 0.25,
     it coarse and its strong dependents fine.  Cells without strong
     couplings in either direction become coarse.  Returns 1 for C, 0
     for F.
+
+    Keys ``i - lam[i] * n`` order by largest weight, then lowest index,
+    and are distinct across cells.  The candidates are the keys after
+    the premarks, sorted once into ``queue``, and the raised keys, pushed
+    on ``heap`` as they are raised; a lowered weight pushes nothing.  So
+    every undecided cell keeps a key no larger than its current one in
+    ``queue[q:]`` or ``heap``, and the least candidate, when current, is
+    the least current key of all: the pick an exact priority queue would
+    make.  A least candidate below its cell's current key is pushed
+    again as current.
     """
     if not 0.0 < eps_str < 1.0:
         raise ValueError("eps_str must lie in (0, 1)")
     n = strength.n
     A = strength.A
     strong = strength.strong_sets(eps_str)
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))[strong]
-    cols = A.indices[strong]
-    S = _row_lists(n, rows, cols)
-    by_col = np.argsort(cols, kind="stable")
-    ST = _row_lists(n, cols[by_col], rows[by_col])   # ascending rows
+    # S: the strong couplings by row; ST: by column, rows ascending.
+    S = sparse.csr_matrix(
+        (np.ones(strong.sum()), A.indices[strong],
+         np.concatenate([[0], np.cumsum(strong)])[A.indptr]), shape=(n, n))
+    ST = S.tocsc()
+    n_s, n_st = np.diff(S.indptr), np.diff(ST.indptr)
+    s_ptr, s_col = S.indptr.tolist(), S.indices.tolist()
+    st_ptr, st_row = ST.indptr.tolist(), ST.indices.tolist()
     UNDECIDED, FINE, COARSE = -1, 0, 1
-    labels = [UNDECIDED] * n
-    lam = [len(t) for t in ST]
-    # Heap keys i - lam[i] * n order by largest weight, then lowest index.
-    heap = []
-    push = heapq.heappush
+    labels = np.where((n_s == 0) & (n_st == 0), COARSE, UNDECIDED).tolist()
+    lam = n_st.tolist()
+    top = n * n + n                 # above every key
+    heap = [top]
+    push, pop = heapq.heappush, heapq.heappop
 
     def mark_coarse(i):
         labels[i] = COARSE
-        for k in S[i]:
-            if labels[k] == UNDECIDED:
-                lam[k] -= 1
-                push(heap, k - lam[k] * n)
-        for j in ST[i]:
-            if labels[j] == UNDECIDED:
-                labels[j] = FINE
-                for k in S[j]:
-                    if labels[k] == UNDECIDED:
-                        lam[k] += 1
-                        push(heap, k - lam[k] * n)
+        for k in s_col[s_ptr[i]:s_ptr[i + 1]]:
+            lam[k] -= 1
+        fine = [j for j in st_row[st_ptr[i]:st_ptr[i + 1]]
+                if labels[j] == UNDECIDED]
+        for j in fine:
+            labels[j] = FINE
+        for j in fine:
+            for k in s_col[s_ptr[j]:s_ptr[j + 1]]:
+                if labels[k] == UNDECIDED:
+                    lam[k] += 1
+                    push(heap, k - lam[k] * n)
 
-    for i in range(n):
-        if not S[i] and not ST[i]:
-            labels[i] = COARSE
     premark = [int(i) for i in sorted(set(premark_c)) if labels[i] == UNDECIDED]
     for i in premark:
         labels[i] = COARSE
     for i in premark:
         mark_coarse(i)
-    heap += [i - lam[i] * n for i in range(n) if labels[i] == UNDECIDED]
-    heapq.heapify(heap)
-    while heap:
-        key = heapq.heappop(heap)
+    und = np.flatnonzero(np.array(labels) == UNDECIDED)
+    queue = np.sort(und - np.array(lam)[und] * n).tolist() + [top]
+    q = 0
+    while True:
+        if queue[q] < heap[0]:
+            key = queue[q]
+            q += 1
+        elif heap[0] < top:
+            key = pop(heap)
+        else:
+            break
         i = key % n
-        if labels[i] == UNDECIDED and key == i - lam[i] * n:   # not stale
+        if labels[i] != UNDECIDED:
+            continue
+        if key == i - lam[i] * n:
             mark_coarse(i)
+        else:                           # lowered since it was pushed
+            push(heap, i - lam[i] * n)
     return np.array(labels)
 
 
@@ -230,10 +252,14 @@ def _attach_fine(strength: StrengthMatrix, labels, trace_sides) -> np.ndarray:
                 if coarse[c] and _mixes_sides(sides)]] = True
     has_sides = np.zeros(n, bool)
     has_sides[list(trace_sides)] = True
-    row = np.repeat(np.arange(n), np.diff(A.indptr))
+    row = strength.rows
     col = A.indices
+    # Candidates by row, then value; ``cand`` starts in (row, col) order
+    # and the stable value sort keeps it among equal values.
     cand = np.flatnonzero((A.data < 0) & (labels[row] == 0) & coarse[col])
-    cand = cand[np.lexsort((col[cand], A.data[cand], row[cand]))]
+    rank = np.empty(len(cand), int)
+    rank[np.argsort(A.data[cand], kind="stable")] = np.arange(len(cand))
+    cand = cand[np.argsort(row[cand] * len(cand) + rank)]
     # A cell without sides takes its first candidate that is no split seed.
     ok = cand[~has_sides[row[cand]] & ~split_seed[col[cand]]]
     cells, best = np.unique(row[ok], return_index=True)
@@ -257,11 +283,16 @@ def _attach_fine(strength: StrengthMatrix, labels, trace_sides) -> np.ndarray:
 
 
 def _tip_cells(mesh: PolyMesh, tips_local) -> list:
-    """Cells sharing an immersed tip node and owning a trace edge."""
+    """Cells sharing an immersed tip node and owning a trace edge.
+
+    A node is the tip's when within 1e-9 of the nodes' bounding-box
+    diagonal, the scale of ``Fracture.tol``, so the pick is the same at
+    every scale.
+    """
     if tips_local is None or len(tips_local) == 0:
         return []
     tips_local = np.atleast_2d(np.asarray(tips_local, float))
-    tol = 1e-9 * max(mesh.cell_diameters.max(), 1.0)
+    tol = 1e-9 * np.linalg.norm(mesh.nodes.max(0) - mesh.nodes.min(0))
     has_trace = np.zeros(mesh.n_cells, bool)
     has_trace[mesh.entry_cell[mesh.edge_trace[mesh.cell_edge] >= 0]] = True
     entries = np.flatnonzero(has_trace[mesh.entry_cell])
@@ -291,27 +322,35 @@ def _build_coarse_mesh(mesh: PolyMesh, part: np.ndarray) -> PolyMesh:
     bounds = np.searchsorted(group[kept], np.arange(n_coarse + 1))
     edges = new_eid[mesh.cell_edge[kept]]
     signs = mesh.cell_sign[kept]
-    areas = np.zeros(n_coarse)
-    centroids = np.zeros((n_coarse, 2))
-    np.add.at(areas, part, mesh.cell_areas)
-    np.add.at(centroids, part, mesh.cell_areas[:, None] * mesh.cell_centroids)
+    areas = np.bincount(part, mesh.cell_areas, n_coarse)
+    moments = mesh.cell_areas[:, None] * mesh.cell_centroids
+    centroids = np.column_stack([np.bincount(part, moments[:, 0], n_coarse),
+                                 np.bincount(part, moments[:, 1], n_coarse)])
     centroids /= areas[:, None]
 
     # Node renumbering restricted to kept edges.
     old_nodes = mesh.edge_nodes[keep]
-    used = np.unique(old_nodes)
+    used = np.zeros(mesh.n_nodes, bool)
+    used[old_nodes] = True
+    used = np.flatnonzero(used)
     nid = -np.ones(mesh.n_nodes, int)
     nid[used] = np.arange(len(used))
     edge_nodes = nid[old_nodes]
 
     order, chained = _chain_loops(edge_nodes, edges, signs, bounds)
+    # A kept edge keeps every entry, so its coarse slots are its fine
+    # entries' new positions, ascending; ``at[-1]`` marks an absent slot.
+    at = np.full(len(mesh.cell_edge) + 1, -1)
+    at[kept[order]] = np.arange(len(kept))
+    slots = at[mesh.edge_entry[keep]]
+    slots = np.where(slots[:, 1:] < 0, slots, np.sort(slots, axis=1))
     return PolyMesh(
         mesh.nodes[used], edge_nodes, bounds, edges[order], signs[order],
         frame=mesh.frame,
         edge_trace=mesh.edge_trace[keep],
         edge_trace_elem=mesh.edge_trace_elem[keep],
         edge_trace_side=mesh.edge_trace_side[keep],
-        areas=areas, centroids=centroids, chained=chained,
+        areas=areas, centroids=centroids, chained=chained, edge_entry=slots,
     )
 
 

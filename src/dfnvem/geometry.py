@@ -278,7 +278,6 @@ class IntersectionLine:
     parents: tuple
     k_hat: float = 1.0
     k_tilde: float = 1.0
-    end_kind: tuple = ("boundary", "boundary")
 
     def __post_init__(self):
         self.p0 = np.asarray(self.p0, float)
@@ -475,9 +474,7 @@ def _intersect_pairs(fractures: list, i: np.ndarray, j: np.ndarray,
     Coplanar pairs go through ``_coplanar_intersection`` in pair order,
     so the first error raised is the first failing pair's; no other pair
     raises.  Every other pair's line of planes is clipped to both parent
-    polygons in one ``_clip_lines`` call, and one
-    ``Fracture.boundary_distance`` call per fracture classifies the
-    segment ends.
+    polygons in one ``_clip_lines`` call.
     """
     out: list = [None] * len(i)
     frame = np.array([[f.frame.origin, f.frame.t1, f.frame.t2, f.frame.n]
@@ -532,19 +529,10 @@ def _intersect_pairs(fractures: list, i: np.ndarray, j: np.ndarray,
     if not hit:
         return out
     ends = np.array(ends)[:, :, None] * d[hit][:, None] + p0[hit][:, None]
-    parents = np.column_stack([ia[hit], ib[hit]])
-    dist = np.empty((len(hit), 2, 2))     # (segment, end, parent)
-    for f in np.unique(parents).tolist():
-        h, s = np.nonzero(parents == f)
-        dist[h, :, s] = fractures[f].boundary_distance(
-            ends[h].reshape(-1, 3)).reshape(-1, 2)
-    kinds = np.where(dist.min(2) <= 10 * tol, "boundary", "immersed").tolist()
     for n, k in enumerate(hit):
-        fa, fb = parents[n].tolist()
         out[pair[k]] = IntersectionLine(
             id=-1, p0=ends[n, 0], p1=ends[n, 1],
-            parents=(fractures[fa].id, fractures[fb].id),
-            end_kind=tuple(kinds[n]))
+            parents=(fractures[ia[k]].id, fractures[ib[k]].id))
     return out
 
 

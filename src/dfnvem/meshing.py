@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 
+_RIGHT = np.array([1, -1], np.int8)
+
+
 class PolyMesh:
     """Polygonal tessellation of one fracture in frame coordinates.
 
@@ -60,14 +63,15 @@ class PolyMesh:
     means edge ``(a, b)`` is walked a->b in the cell's counterclockwise
     boundary, so its outward normal is the right-hand side of a->b.
     Agglomerated cells may carry an unordered edge set; their area and
-    centroid are then supplied explicitly.  Index arrays are int32.
-    Derived data is computed from these arrays and cached until the mesh
-    is mutated.
+    centroid are then supplied explicitly, and so may ``edge_entry``.
+    Index arrays are int32.  Derived data is computed from these arrays
+    and cached until the mesh is mutated.
     """
 
     def __init__(self, nodes, edge_nodes, cell_ptr, cell_edge, cell_sign,
                  frame=None, edge_trace=None, edge_trace_elem=None,
-                 edge_trace_side=None, areas=None, centroids=None, chained=None):
+                 edge_trace_side=None, areas=None, centroids=None, chained=None,
+                 edge_entry=None):
         self.nodes = np.asarray(nodes, float)
         self.edge_nodes = np.asarray(edge_nodes, int)
         self.cell_ptr = np.asarray(cell_ptr, np.int32)
@@ -86,6 +90,8 @@ class PolyMesh:
         self.chained = (np.ones(self.n_cells, bool) if chained is None
                         else np.asarray(chained, bool))
         self._cache = {}
+        if edge_entry is not None:
+            self._set_edge_entry(np.asarray(edge_entry, np.int32))
 
     # -------------------------------------------------------------- #
     # construction helpers
@@ -219,19 +225,26 @@ class PolyMesh:
         # Slot 0 of an edge is its first entry, slot 1 the second; a third
         # entry is an error.
         if "edge_cells" not in self._cache:
-            order = np.argsort(self.cell_edge, kind="stable")
-            sorted_edges = self.cell_edge[order]
-            rank = np.arange(len(order)) - np.searchsorted(sorted_edges,
-                                                           sorted_edges)
-            if (rank > 1).any():
-                e = self.cell_edge[order[rank > 1].min()]
-                raise MeshError(f"edge {e} bounds more than two cells")
-            entry = np.full((self.n_edges, 2), -1, np.int32)
-            entry[sorted_edges, rank] = order
-            self._cache["edge_entry"] = entry
-            self._cache["edge_cells"] = np.where(
-                entry >= 0, self.entry_cell[entry], -1).astype(int)
+            ce = self.cell_edge
+            count = np.bincount(ce, minlength=self.n_edges)
+            if (count > 2).any():
+                third = [(np.flatnonzero(ce == e)[2], e)
+                         for e in np.flatnonzero(count > 2).tolist()]
+                raise MeshError(f"edge {min(third)[1]} bounds more than two cells")
+            pos = np.arange(len(ce), dtype=np.int32)
+            first = np.full(self.n_edges, len(ce), np.int32)
+            last = np.full(self.n_edges, -1, np.int32)
+            np.minimum.at(first, ce, pos)
+            np.maximum.at(last, ce, pos)
+            entry = np.column_stack([np.where(count > 0, first, -1),
+                                     np.where(count > 1, last, -1)])
+            self._set_edge_entry(entry)
         return self._cache["edge_cells"], self._cache["edge_entry"]
+
+    def _set_edge_entry(self, entry):
+        self._cache["edge_entry"] = entry
+        self._cache["edge_cells"] = np.where(
+            entry >= 0, self.entry_cell[entry], -1).astype(int)
 
     @property
     def edge_cells(self):
@@ -245,10 +258,14 @@ class PolyMesh:
 
     def outward_normals(self, entries) -> np.ndarray:
         """Outward unit normals of entries, shape ``entries.shape + (2,)``."""
+        # The unit tangent t = (b - a) / |e| of each edge a->b; (t1, t0) *
+        # (s, -s) is the right-hand normal (t1, -t0) times the sign s, bit
+        # for bit.
         edges = self.cell_edge[entries]
-        ends = self.nodes[self.edge_nodes[edges]]
-        t = (ends[..., 1, :] - ends[..., 0, :]) / self.edge_len[edges][..., None]
-        return np.stack([t[..., 1], -t[..., 0]], axis=-1) * self.cell_sign[entries][..., None]
+        a, b = self.edge_nodes[edges, 0], self.edge_nodes[edges, 1]
+        t = (self.nodes[b] - self.nodes[a]) / self.edge_len[edges][..., None]
+        s = self.cell_sign[entries][..., None]
+        return t[..., ::-1] * (s * _RIGHT)
 
     def _loop_sums(self):
         """Per cell, twice the signed shoelace area and the first moment
@@ -296,8 +313,10 @@ class PolyMesh:
             diam = np.zeros(self.n_cells)
             for ids, pos in self.cell_groups:
                 pts = self.nodes[self.entry_tail[pos]]
-                d2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(-1)
-                diam[ids] = np.sqrt(d2.max(axis=(1, 2)))
+                a, b = np.triu_indices(pos.shape[1], 1)
+                dx = pts[:, a, 0] - pts[:, b, 0]
+                dy = pts[:, a, 1] - pts[:, b, 1]
+                diam[ids] = np.sqrt((dx * dx + dy * dy).max(axis=1, initial=0.0))
             self._cache["diameters"] = diam
         return self._cache["diameters"]
 
@@ -583,7 +602,16 @@ def _constraint_points(seg0, seg1, hard, on_seg, tol, h_target):
 
 
 def _clear_of_segments(pts, seg0, seg1, reach):
-    """Mask of the points at least ``reach`` from every segment.
+    """Mask of the points at least ``reach`` from every segment."""
+    j, dist = _near_segments(pts, seg0, seg1, reach)
+    clear = np.ones(len(pts), bool)
+    clear[j[dist < reach]] = False
+    return clear
+
+
+def _near_segments(pts, seg0, seg1, reach):
+    """Points ``j`` and their distances to segment ``seg0[k]``-``seg1[k]``,
+    over every pair that may lie within ``reach``.
 
     Only the points inside a segment's bounding box grown by ``2 *
     reach`` are measured against it: a point outside is farther than
@@ -598,9 +626,7 @@ def _clear_of_segments(pts, seg0, seg1, reach):
     j = order[at]
     box = (lo[k, 1] <= pts[j, 1]) & (pts[j, 1] <= hi[k, 1])
     k, j = k[box], j[box]
-    clear = np.ones(len(pts), bool)
-    clear[j[point_segment_distance(pts[j], seg0[k], seg1[k]) < reach]] = False
-    return clear
+    return j, point_segment_distance(pts[j], seg0[k], seg1[k])
 
 
 def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
@@ -701,7 +727,7 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
         tri = Delaunay(np.vstack([pts, pad]))
         stride = n_real + len(pad)
         ends = np.sort(tri.simplices, axis=1).astype(int)
-        keys = np.unique(ends[:, [0, 1, 0]] * stride + ends[:, [1, 2, 2]])
+        keys = np.sort(ends[:, [0, 1, 0]] * stride + ends[:, [1, 2, 2]], None)
         link = np.ones(len(chain) - 1, bool)
         link[ptr[1:-1] - 1] = False
         pairs = np.column_stack([chain[:-1], chain[1:]])[link]
@@ -722,11 +748,15 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     real = tri.simplices[(tri.simplices < n_real).all(axis=1)]
     all_pts = np.vstack([pts, pad])
     centers = all_pts[real].mean(axis=1)
-    inside = point_in_polygon(centers, polygon, tol)
+    # point_in_polygon(centers, polygon, tol), measuring the tol band
+    # only near each edge.
+    inside = point_in_polygon(centers, polygon, -1.0)
+    j, dist = _near_segments(centers, polygon, np.roll(polygon, -1, 0), tol)
+    inside[j[dist <= tol]] = True
     keep = real[inside]
     if not len(keep):
         raise EmptyDomain("no triangles inside the polygon")
-    used = np.unique(keep)
+    used = np.flatnonzero(np.bincount(keep.ravel(), minlength=len(pts)))
     renum = -np.ones(len(pts), int)
     renum[used] = np.arange(len(used))
     loops = renum[keep]

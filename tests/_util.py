@@ -685,7 +685,7 @@ def tpfa_matrix_ref(mesh, lam, dirichlet_boundary=True):
 
     n = mesh.n_cells
     _, centroids = geometry_ref(mesh)
-    lam_c = coa._cell_lambda(lam, centroids)
+    lam_c = np.broadcast_to(coa._cell_lambda(lam, centroids), (n, 2, 2))
 
     def half_trans(cell, eid, nrm):
         d = mesh.edge_mid[eid] - centroids[cell]
@@ -759,7 +759,7 @@ def tip_cells_ref(mesh, tips_local):
     if tips_local is None or len(tips_local) == 0:
         return []
     tips_local = np.atleast_2d(np.asarray(tips_local, float))
-    tol = 1e-9 * max(cell_diameters_ref(mesh).max(), 1.0)
+    tol = 1e-9 * np.linalg.norm(mesh.nodes.max(0) - mesh.nodes.min(0))
     out = []
     cells, _ = cell_lists(mesh)
     for k in range(mesh.n_cells):
@@ -775,13 +775,74 @@ def tip_cells_ref(mesh, tips_local):
 
 # ------------------------------------------------------------------ #
 # Sequential coarsening pieces.  ``coarsening`` runs the C/F split on
-# lists and a heap, the fine-cell attachment as one row-wise selection
-# and the loop chaining by pointer jumping over all coarse cells; these
-# are the one-cell-at-a-time versions they replaced, kept as oracles.
+# flat lists and a lazy-decrement queue, the fine-cell attachment as one
+# row-wise selection and the loop chaining by pointer jumping over all
+# coarse cells; these are the versions they replaced, kept as oracles.
 # ------------------------------------------------------------------ #
+
+def _row_lists(n: int, rows: np.ndarray, cols: np.ndarray) -> list:
+    """``out[i]``: the ``cols`` of the entries with ``rows == i``, in their
+    order; ``rows`` must be sorted."""
+    cols = cols.tolist()
+    ptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    return [cols[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+
 
 def cf_split_ref(strength, eps_str: float = 0.25,
                  premark_c=()) -> np.ndarray:
+    """``coarsening.cf_split`` with one row list per cell and a heap that
+    takes a push on every change of weight, raised or lowered."""
+    if not 0.0 < eps_str < 1.0:
+        raise ValueError("eps_str must lie in (0, 1)")
+    n = strength.n
+    A = strength.A
+    strong = strength.strong_sets(eps_str)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))[strong]
+    cols = A.indices[strong]
+    S = _row_lists(n, rows, cols)
+    by_col = np.argsort(cols, kind="stable")
+    ST = _row_lists(n, cols[by_col], rows[by_col])   # ascending rows
+    UNDECIDED, FINE, COARSE = -1, 0, 1
+    labels = [UNDECIDED] * n
+    lam = [len(t) for t in ST]
+    # Heap keys i - lam[i] * n order by largest weight, then lowest index.
+    heap = []
+    push = heapq.heappush
+
+    def mark_coarse(i):
+        labels[i] = COARSE
+        for k in S[i]:
+            if labels[k] == UNDECIDED:
+                lam[k] -= 1
+                push(heap, k - lam[k] * n)
+        for j in ST[i]:
+            if labels[j] == UNDECIDED:
+                labels[j] = FINE
+                for k in S[j]:
+                    if labels[k] == UNDECIDED:
+                        lam[k] += 1
+                        push(heap, k - lam[k] * n)
+
+    for i in range(n):
+        if not S[i] and not ST[i]:
+            labels[i] = COARSE
+    premark = [int(i) for i in sorted(set(premark_c)) if labels[i] == UNDECIDED]
+    for i in premark:
+        labels[i] = COARSE
+    for i in premark:
+        mark_coarse(i)
+    heap += [i - lam[i] * n for i in range(n) if labels[i] == UNDECIDED]
+    heapq.heapify(heap)
+    while heap:
+        key = heapq.heappop(heap)
+        i = key % n
+        if labels[i] == UNDECIDED and key == i - lam[i] * n:   # not stale
+            mark_coarse(i)
+    return np.array(labels)
+
+
+def cf_split_sets_ref(strength, eps_str: float = 0.25,
+                      premark_c=()) -> np.ndarray:
     """Coarse/fine labelling by strong negative couplings.
 
     Repeatedly picks the undecided cell maximizing
@@ -986,8 +1047,8 @@ def agglomerate_ref(mesh, tips_local=None, c_depth=1, eps_str=0.25,
     current = mesh
     for _ in range(c_depth):
         strength = RefStrength(A=tpfa_matrix_ref(current, lam))
-        labels = cf_split_ref(strength, eps_str,
-                              premark_c=tip_cells_ref(current, tips_local))
+        labels = cf_split_sets_ref(strength, eps_str,
+                                   premark_c=tip_cells_ref(current, tips_local))
         part = attach_fine_ref(strength, strength.strong_sets(eps_str),
                                labels, cell_trace_sides_ref(current))
         if part.max() + 1 >= current.n_cells:
@@ -1186,10 +1247,7 @@ def intersect_fractures_ref(a, b, tol: float | None = None):
         if seg is None:
             return None
         p0, p1 = seg
-        return IntersectionLine(
-            id=-1, p0=p0, p1=p1, parents=(a.id, b.id),
-            end_kind=("boundary", "boundary"),
-        )
+        return IntersectionLine(id=-1, p0=p0, p1=p1, parents=(a.id, b.id))
     d = cross / cn
     # Minimal-norm point on both planes.
     A = np.vstack([na, nb])
@@ -1215,15 +1273,8 @@ def intersect_fractures_ref(a, b, tol: float | None = None):
                 best = (lo, hi)
     if best is None:
         return None
-    p_start, p_end = p0 + best[0] * d, p0 + best[1] * d
-    kinds = []
-    for p in (p_start, p_end):
-        on_b = min(boundary_distance_ref(a, p),
-                   boundary_distance_ref(b, p)) <= 10 * tol
-        kinds.append("boundary" if on_b else "immersed")
-    return IntersectionLine(
-        id=-1, p0=p_start, p1=p_end, parents=(a.id, b.id), end_kind=tuple(kinds)
-    )
+    return IntersectionLine(id=-1, p0=p0 + best[0] * d, p1=p0 + best[1] * d,
+                            parents=(a.id, b.id))
 
 
 def build_network_ref(fractures: list, tol: float | None = None,
@@ -1386,7 +1437,7 @@ def network_outcome(build, fractures, **kw) -> tuple:
     except DfnError as exc:
         return type(exc), str(exc)
     lines = tuple((ln.id, ln.p0.tobytes(), ln.p1.tobytes(), ln.parents,
-                   ln.end_kind, ln.k_hat, ln.k_tilde) for ln in net.lines)
+                   ln.k_hat, ln.k_tilde) for ln in net.lines)
     points = tuple((pt.id, pt.location.tobytes(), pt.parent_lines)
                    for pt in net.points)
     return lines, points, net.tol

@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from dfnvem import cases
@@ -11,8 +14,9 @@ from dfnvem import meshing as msh
 
 from _util import (ORACLE_MESHES, RefStrength, agglomerate_ref,
                    attach_fine_ref, boundary_distance_ref, cf_split_ref,
-                   chain_loop_ref, import_network_dict, oracle_meshes,
-                   partition_members, strong_sets_ref, tpfa_matrix_ref)
+                   cf_split_sets_ref, chain_loop_ref, import_network_dict,
+                   oracle_meshes, partition_members, strong_sets_ref,
+                   tpfa_matrix_ref, write_perfbench_network)
 
 
 def strength_from_dense(A):
@@ -207,9 +211,6 @@ class TestAgglomerate:
 
     def test_trace_separation_and_tip_rule(self):
         frac = square_fracture()
-        line = geo.IntersectionLine(
-            id=0, p0=[0.0, 0.5, 0.0], p1=[0.6, 0.5, 0.0], parents=(0, 1),
-            end_kind=("boundary", "immersed"))
         mesh = msh.triangulate(frac.local_polygon, [(0, [0, 0.5], [0.6, 0.5])],
                                h_target=0.12, frame=frac.frame)
         tip = frac.frame.to_local(np.array([0.6, 0.5, 0.0]))
@@ -496,7 +497,7 @@ class TestSplitAndAttachAgainstSequential:
         eps = float(rng.choice([0.1, 0.25, 0.5, 0.9]))
         premark = rng.choice(n, size=int(rng.integers(0, 5)), replace=False)
         got = coa.cf_split(coa.StrengthMatrix(A=A), eps, premark_c=premark)
-        ref = cf_split_ref(RefStrength(A=A), eps, premark_c=premark)
+        ref = cf_split_sets_ref(RefStrength(A=A), eps, premark_c=premark)
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
 
@@ -554,3 +555,120 @@ class TestSplitAndAttachAgainstSequential:
         A = [[2, -1, 0.5], [-1, 2, -1], [0.5, -1, 2]]
         part = self.attach(A, [1, 0, 0], {})
         assert part == [0, 0, 1]
+
+
+@st.composite
+def tpfa_like(draw):
+    """A TPFA-like matrix on an ``r`` by ``c`` grid of cells: symmetric,
+    with negative couplings of a few weights, so that weights and
+    strengths tie and a coupling can be strong for one of its cells only.
+    Some couplings are missing, some cells have no entry at all, and
+    some are premarked."""
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n = r * c
+    cell = st.integers(0, n - 1)
+    weight = st.sampled_from([0.0, 0.1, 0.3, 1.0, 1.0, 3.0, 10.0])
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in ([i + 1] if (i + 1) % c else []) + [i + c]:
+            if j < n:
+                A[i, j] = A[j, i] = -draw(weight)
+    A[np.arange(n), np.arange(n)] = 1.0 - A.sum(axis=1)
+    empty = draw(st.lists(cell, max_size=3))
+    A[empty, :] = 0.0
+    A[:, empty] = 0.0
+    premark = draw(st.lists(cell, max_size=4))
+    eps = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+    return sparse.csr_matrix(A), premark, eps
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(tpfa_like())
+def test_lazy_split_equals_eager_heap(case):
+    A, premark, eps = case
+    got = coa.cf_split(coa.StrengthMatrix(A=A), eps, premark_c=premark)
+    ref = cf_split_ref(coa.StrengthMatrix(A=A), eps, premark_c=premark)
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+
+
+def perfbench_network(tmp_path, seed):
+    path = tmp_path / f"net{seed}.json"
+    write_perfbench_network(path, seed)
+    return geo.load_network(path)[0]
+
+
+def coarse_digest(out: dict) -> str:
+    """One digest of ``agglomerate_network``'s coarse meshes and partitions."""
+    h = hashlib.sha256()
+    for fid in sorted(out):
+        mesh, part = out[fid]
+        for a in (mesh.nodes, mesh.edge_nodes, mesh.cell_ptr, mesh.cell_edge,
+                  mesh.cell_sign, mesh.cell_areas, mesh.cell_centroids,
+                  mesh.chained, part.cell_to_coarse):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedAgglomerates:
+    """Every pick of the C/F split and every attachment shows in these
+    digests; the partitions must not move."""
+
+    @pytest.mark.parametrize("depth, level, digest", [
+        (4, 5, "00927ef0a267cf873ee098051f12cca3e6a43f1f2c7f3876c422a59a2af25108"),
+        (2, 3, "ba81b590cf8bf3e82e690af210e9956d008a4edf76cb136e5888754d96821db8"),
+        (5, 3, "51b1f946c61a16035d34526c4983c3de971cc04d27565d8899050bcd3e6ef2db"),
+    ])
+    def test_intersection_flow(self, depth, level, digest):
+        case = cases.get_case("intersection-flow")
+        out = coa.agglomerate_network(case.network(),
+                                      case.meshes("triangular", level), depth)
+        assert coarse_digest(out) == digest
+
+    def test_network_with_immersed_tips(self, tmp_path):
+        net = perfbench_network(tmp_path, 2)
+        meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), 0.1)
+                  for f in net.fractures}
+        out = coa.agglomerate_network(net, meshes, 2)
+        assert coarse_digest(out) == (
+            "6cd13c7d3dc593d3cd274f05aebade0eb007fac32d8fc9fe61e85b18d044343b")
+
+    @pytest.mark.parametrize("name", [n for n in ORACLE_MESHES
+                                      if n.startswith("agglomerated-")])
+    def test_coarse_edge_slots(self, name):
+        # The slots a coarse mesh gets from its fine mesh are the ones its
+        # own entries give.
+        mesh = oracle_meshes()[name]
+        bare = msh.PolyMesh(mesh.nodes, mesh.edge_nodes, mesh.cell_ptr,
+                            mesh.cell_edge, mesh.cell_sign)
+        assert np.array_equal(mesh.edge_entry, bare.edge_entry)
+        assert np.array_equal(mesh.edge_cells, bare.edge_cells)
+
+
+class TestTipScale:
+    """Tip cells are found within 1e-9 of the mesh's extent, so a mesh and
+    its tips scaled by a power of two, which scales exactly, keep their
+    tip cells and their partition."""
+
+    @staticmethod
+    def fracture_zero(tmp_path, scale):
+        net = perfbench_network(tmp_path, 2)
+        frac = net.fracture(0)
+        mesh = msh.triangulate_fracture(frac, net.traces_of(0), 0.1)
+        ends = np.array([p for ln in net.traces_of(0) for p in (ln.p0, ln.p1)])
+        tips = frac.frame.to_local(ends[:, None])[:, 0][
+            frac.boundary_distance(ends) > 100 * frac.tol]
+        return msh.PolyMesh(mesh.nodes * scale, mesh.edge_nodes, mesh.cell_ptr,
+                            mesh.cell_edge, mesh.cell_sign,
+                            edge_trace=mesh.edge_trace), tips * scale
+
+    @pytest.mark.parametrize("k", [-40, -20, 20])
+    def test_power_of_two_scales(self, tmp_path, k):
+        unit, unit_tips = self.fracture_zero(tmp_path, 1.0)
+        mesh, tips = self.fracture_zero(tmp_path, 2.0 ** k)
+        want = coa._tip_cells(unit, unit_tips)
+        assert len(unit_tips) == 4 and len(want) == 15
+        assert coa._tip_cells(mesh, tips) == want
+        _, part = coa.agglomerate(mesh, tips_local=tips, c_depth=2)
+        _, unit_part = coa.agglomerate(unit, tips_local=unit_tips, c_depth=2)
+        assert np.array_equal(part.cell_to_coarse, unit_part.cell_to_coarse)

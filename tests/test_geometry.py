@@ -142,7 +142,6 @@ class TestIntersectFractures:
         lo, hi = sorted([ln.p0[1], ln.p1[1]])
         assert np.allclose([lo, hi], [-0.5, 0.5], atol=1e-9)
         assert np.allclose(ln.p0[[0, 2]], 0, atol=1e-9)
-        assert ln.end_kind == ("boundary", "boundary")
 
     def test_parallel_squares_disjoint(self):
         a = unit_square(z=0.0, fid=0)
@@ -205,7 +204,7 @@ class TestIntersectFractures:
         if want is not None:
             assert got.p0.tobytes() == want.p0.tobytes()
             assert got.p1.tobytes() == want.p1.tobytes()
-            assert (got.parents, got.end_kind) == (want.parents, want.end_kind)
+            assert got.parents == want.parents
 
 
 class TestIntersectLines:
@@ -461,8 +460,8 @@ def scalable_network(name):
 
 class TestScaleInvariance:
     """Parallel and crossing tests are relative: a network scaled by
-    10^k has the unit network's lines, points and end kinds, with line
-    ends scaled to relative 1e-9."""
+    10^k has the unit network's lines and points, with line ends scaled
+    to relative 1e-9."""
 
     @pytest.mark.parametrize("k", SCALES)
     @pytest.mark.parametrize("name", ["three-planes", "perfbench-0",
@@ -476,8 +475,7 @@ class TestScaleInvariance:
         assert len(unit.lines) >= 3 and len(unit.points) >= 1
         assert len(net.lines) == len(unit.lines)
         assert len(net.points) == len(unit.points)
-        assert ([(ln.parents, ln.end_kind) for ln in net.lines]
-                == [(ln.parents, ln.end_kind) for ln in unit.lines])
+        assert [ln.parents for ln in net.lines] == [ln.parents for ln in unit.lines]
         assert ([pt.parent_lines for pt in net.points]
                 == [pt.parent_lines for pt in unit.points])
         ends = np.array([[ln.p0, ln.p1] for ln in net.lines])

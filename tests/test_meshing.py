@@ -364,8 +364,7 @@ class TestSplitInterface:
         f = geo.Fracture(id=0, vertices=np.array(
             [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float))
         line = geo.IntersectionLine(
-            id=0, p0=[0.0, 0.5, 0.0], p1=[0.6, 0.5, 0.0], parents=(0, 1),
-            end_kind=("boundary", "immersed"))
+            id=0, p0=[0.0, 0.5, 0.0], p1=[0.6, 0.5, 0.0], parents=(0, 1))
         mesh = msh.triangulate(
             f.local_polygon, [(0, [0.0, 0.5], [0.6, 0.5])], 0.3, frame=f.frame)
         n_nodes = mesh.n_nodes
