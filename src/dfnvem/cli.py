@@ -117,11 +117,11 @@ def _load_inputs(args, model=None):
     """Network, fine meshes and boundary data of ``--network`` or ``--case``,
     and the wall seconds spent on the network and its boundary data.
 
-    Network files are triangulated one fracture after another at ``--h``:
-    triangulation runs in Python under the interpreter lock, so threads
-    would not overlap it.  ``model`` is the coupling a solve will use: cc
-    has no intersection unknowns, so it warns that a network's
-    ``intersection_conditions`` are ignored.
+    Network files are triangulated at ``--h`` in one batched pass over
+    all fractures (``meshing.triangulate_network``), which gives each
+    fracture the mesh it would get alone.  ``model`` is the coupling a
+    solve will use: cc has no intersection unknowns, so it warns that a
+    network's ``intersection_conditions`` are ignored.
     """
     t0 = time.perf_counter()
     if args.network is None:
@@ -139,12 +139,7 @@ def _load_inputs(args, model=None):
             f"{args.network}: intersection_conditions: ignored by the cc "
             "model, which has no intersection unknowns to impose them on"))
     network_s = time.perf_counter() - t0
-    meshes = {
-        fid: msh.triangulate_fracture(network.fracture(fid),
-                                      network.traces_of(fid), args.h)
-        for fid in sorted(f.id for f in network.fractures)
-    }
-    return network, meshes, bcs, network_s
+    return network, msh.triangulate_network(network, args.h), bcs, network_s
 
 
 def _network_coarse(args, network, meshes: dict) -> dict:

@@ -91,6 +91,32 @@ def point_in_polygon(pts, poly: np.ndarray, tol: float):
     return bool(inside) if inside.ndim == 0 else inside
 
 
+def _even_odd(pts, fid, poly, ptr, nxt):
+    """``point_in_polygon(pts[i], polygon, -1.0)`` against polygon
+    ``fid[i]``, rows ``ptr[f]:ptr[f + 1]`` of ``poly`` whose vertex ``e``
+    is followed by ``nxt[e]``, for points sorted by ``fid``.  One pass per
+    edge number, as ``point_in_polygon`` makes one per edge, with each
+    polygon's edge repeated over its points."""
+    n, count = np.bincount(fid, minlength=len(ptr) - 1), np.diff(ptr)
+    # Edge e of polygon f runs from vertex a[f, e] to b[f, e]; a polygon
+    # with fewer edges repeats its last one, masked out by ``real``.
+    e = np.arange(count.max(initial=0))
+    a = ptr[:-1, None] + np.minimum(e, count[:, None] - 1)
+    b = nxt[a]
+    real = e < count[:, None]
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.zeros(len(pts), bool)
+    for k in e:
+        # Only the points level with an edge can see it cross their ray.
+        i = np.flatnonzero(np.repeat(real[:, k], n)
+                           & ((np.repeat(poly[a[:, k], 1], n) > y)
+                              != (np.repeat(poly[b[:, k], 1], n) > y)))
+        (x0, y0), (x1, y1) = poly[a[fid[i], k]].T, poly[b[fid[i], k]].T
+        xc = x0 + (y[i] - y0) * (x1 - x0) / (y1 - y0)
+        inside[i[xc > x[i]]] ^= True
+    return inside
+
+
 def segments_cross(a0, a1, b0, b1, tol: float) -> bool:
     """True if the open interiors of two 2D segments cross transversally.
 
@@ -152,11 +178,6 @@ class Frame:
         q = np.atleast_2d(vec2)
         out = np.outer(q[:, 0], self.t1) + np.outer(q[:, 1], self.t2)
         return out[0] if np.ndim(vec2) == 1 else out
-
-    def vector_to_local(self, vec3: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(vec3)
-        out = np.column_stack([q @ self.t1, q @ self.t2])
-        return out[0] if np.ndim(vec3) == 1 else out
 
 
 def build_frame(vertices: np.ndarray, tol_plane: float | None = None) -> Frame:
@@ -445,15 +466,11 @@ def _clip_lines(polygons: list, q0: np.ndarray, d2: np.ndarray,
     inside = []
     if ig:
         mid = q0[ig] + 0.5 * np.add(lo, hi)[:, None] * d2[ig]
+        odd = _even_odd(mid, np.array(ig), ea, np.append(first, len(ea)), nxt)
         k, e = _ranges(first[ig], m[ig])
-        x, y = mid[k, 0], mid[k, 1]
-        (x0, y0), (x1, y1) = ea[e].T, eb[e].T
-        dy = y1 - y0
-        xc = x0 + (y - y0) * (x1 - x0) / np.where(dy != 0, dy, 1.0)
-        start = np.cumsum(m[ig]) - m[ig]
-        odd = np.logical_xor.reduceat(((y0 > y) != (y1 > y)) & (xc > x), start)
         near = np.logical_or.reduceat(
-            point_segment_distance(mid[k], ea[e], eb[e]) <= tol, start)
+            point_segment_distance(mid[k], ea[e], eb[e]) <= tol,
+            np.cumsum(m[ig]) - m[ig])
         inside = (odd | near).tolist()
     # Fuse the inside gaps that share an end.
     out: list = [[] for _ in polygons]

@@ -1,7 +1,8 @@
 """Per-fracture polygonal meshes and the conforming-but-nonmatching glue.
 
-Each fracture is meshed independently in its own 2D frame; intersection
-traces enter the triangulation as internal constraint polylines.  Trace
+Each fracture is meshed independently in its own 2D frame, all of a
+network's fractures in one batched pass; intersection traces enter the
+triangulation as internal constraint polylines.  Trace
 partitions shared by several fractures are then co-refined to the union
 of breakpoints, and finally every edge lying on a trace is duplicated
 into a plus and a minus side copy so that interface fluxes can jump.
@@ -28,9 +29,9 @@ from .geometry import (
     Frame,
     IntersectionLine,
     _dots,
+    _even_odd,
     _norms,
     _ranges,
-    point_in_polygon,
     point_segment_distance,
     polygon_area,
     segments_cross,
@@ -42,6 +43,8 @@ __all__ = [
     "cartesian_mesh",
     "random_mesh",
     "triangulate",
+    "triangulate_fracture",
+    "triangulate_network",
     "corefine",
     "corefine_network",
     "split_interface_dofs",
@@ -450,40 +453,107 @@ def random_mesh(n: int, seed: int, frame: Frame | None = None) -> PolyMesh:
 # ------------------------------------------------------------------ #
 # constrained triangulation
 # ------------------------------------------------------------------ #
+#
+# Every stage below runs on the polygons of several fractures at once:
+# their points, traces and segments are concatenated fracture after
+# fracture and keyed by a fracture index ``fid``, and no stage mixes two
+# fractures.  A fracture's arrays, and so its mesh, are those of a batch
+# holding it alone.  Of the stages, only the Delaunay calls loop over the
+# fractures; the polygons' checks and the final cut into per-fracture
+# meshes take one short step each.
+
+class _Failed(Exception):
+    """Fracture ``index`` of a batch fails with ``error``."""
+
+    def __init__(self, index: int, error: Exception):
+        super().__init__(index, error)
+        self.index, self.error = index, error
+
+
+def _aranges(start, stop, step):
+    """``np.arange(start[k], stop[k], step)`` over ``k``, end to end, bit
+    for bit: numpy fills ``start + i * ((start + step) - start)`` past its
+    first two values.  Returns the ``k`` and ``i`` of each value, and the
+    values."""
+    count = np.maximum(np.ceil((stop - start) / step), 0).astype(int)
+    k, i = _ranges(np.zeros(len(count), int), count)
+    out = start[k] + i * ((start + step) - start)[k]
+    out[i == 0] = start[k[i == 0]]
+    out[i == 1] = start[k[i == 1]] + step
+    return k, i, out
+
+
+def _lattice(lo, hi, s, jitter, seed):
+    """Jittered hexagonal lattice points over each box ``lo[f]``-``hi[f]``
+    grown by ``s``, and their box, box after box.  Rows are ``s * sqrt(3)
+    / 2`` apart; even rows take the x run from ``lo[f, 0] - s``, odd rows
+    the one offset by ``s / 2``.  Every box takes the same draws."""
+    rfid, r, rows = _aranges(lo[:, 1] - s, hi[:, 1] + s, s * np.sqrt(3) / 2)
+    # Run 2 f + p is box f's x run of parity p.
+    runs = np.column_stack([lo[:, 0] - s + 0.0, lo[:, 0] - s + 0.5 * s]).ravel()
+    run, _, xs = _aranges(runs, np.repeat(hi[:, 0] + s, 2), s)
+    count = np.bincount(run, minlength=len(runs))
+    row_run = 2 * rfid + r % 2
+    row, at = _ranges((np.cumsum(count) - count)[row_run], count[row_run])
+    fid = rfid[row]
+    pts = np.column_stack([xs[at], rows[row]])
+    if len(pts):
+        local = np.arange(len(pts)) - np.searchsorted(fid, fid)
+        pts = pts + np.random.default_rng(seed).uniform(
+            -jitter * s, jitter * s, (np.bincount(fid).max(), 2))[local]
+    return pts, fid
+
 
 class _PointPool:
-    """Deduplicating point registry for the PSLG.
+    """Deduplicating point registries of one or more fractures.
 
-    Points are looked up on a grid of square cells of side ``2 * tol``:
-    two points within ``tol`` of each other lie in the same or in
-    neighbouring cells, even after the rounding of the cell index.
+    Fracture ``f``'s points are rows ``ptr[f]:ptr[f + 1]`` of ``pts``, in
+    the order they were registered, and a point's id is its row within
+    its fracture.  Points are looked up on a grid of square cells of side
+    ``2 * tol[f]``: two points within ``tol[f]`` of each other lie in the
+    same or in neighbouring cells, even after the rounding of the cell
+    index.  Rows passed in one call are grouped by ascending fracture.
     """
 
     def __init__(self, tol):
-        self.tol = tol
-        self._side = 2.0 * tol
+        self.tol = np.atleast_1d(np.asarray(tol, float))
+        self._side = 2.0 * self.tol
         self.pts = np.zeros((0, 2))
+        self.ptr = np.zeros(len(self.tol) + 1, int)
 
-    def extend(self, pts: np.ndarray) -> None:
+    def extend(self, pts: np.ndarray, fid=None) -> None:
         """Register the rows of ``pts`` without deduplication."""
-        self.pts = np.vstack([self.pts, pts])
+        fid = np.zeros(len(pts), int) if fid is None else fid
+        counts = np.bincount(fid, minlength=len(self.tol))
+        self.pts = np.insert(self.pts, np.repeat(self.ptr[1:], counts), pts,
+                             axis=0)
+        self.ptr[1:] += np.cumsum(counts)
 
     def add(self, p) -> int:
         """Id of the first point within ``tol`` of ``p``, else a new id."""
         return self.add_rows(np.reshape(p, (1, 2)))[0]
 
-    def add_rows(self, pts: np.ndarray) -> list:
+    def add_rows(self, pts: np.ndarray, fid=None) -> list:
         """``add`` of each row of ``pts`` in turn."""
+        return self.ids(pts, fid).tolist()
+
+    def ids(self, pts: np.ndarray, fid=None) -> np.ndarray:
+        """``add_rows`` as an array, rows of fracture ``fid[i]``."""
         pts = np.asarray(pts, float).reshape(-1, 2)
-        n0, m = len(self.pts), len(pts)
+        fid = np.zeros(len(pts), int) if fid is None else np.asarray(fid)
+        size, m = np.diff(self.ptr), len(pts)
         # The lowest id wins, which keeps the numbering deterministic.
-        ids = np.full(m, n0 + m)
-        np.minimum.at(ids, *self._near(pts, self.pts))
+        ids = np.full(m, len(self.pts) + m)
+        # Only the points of the rows' fractures can be near them.
+        f = np.unique(fid)
+        _, rows = _ranges(self.ptr[f], size[f])
+        i, j = self._near(pts, fid, self.pts[rows], np.repeat(f, size[f]))
+        np.minimum.at(ids, i, rows[j] - self.ptr[fid[i]])
         # A row near no earlier point merges into the first earlier row
         # near it that was itself registered, else it is registered.  A
         # row is settled once every earlier row near it is.
-        new = np.flatnonzero(ids == n0 + m)
-        i, j = self._near(pts[new], pts[new])
+        new = np.flatnonzero(ids == len(self.pts) + m)
+        i, j = self._near(pts[new], fid[new], pts[new], fid[new])
         later, earlier = i[j < i], j[j < i]
         target = np.arange(len(new))
         pending = np.zeros(len(new), bool)
@@ -499,83 +569,104 @@ class _PointPool:
             target[merged] = hit[merged]
             pending[ready] = False
         kept = target == np.arange(len(new))
-        ids[new] = n0 + (np.cumsum(kept) - 1)[target]
-        self.pts = np.vstack([self.pts, pts[new[kept]]])
-        return ids.tolist()
+        # A kept row's id follows its fracture's points and the rows of
+        # the same fracture kept before it.
+        f = fid[new]
+        before = np.cumsum(np.bincount(f[kept], minlength=len(size))) \
+            - np.bincount(f[kept], minlength=len(size))
+        rank = np.cumsum(kept) - 1 - before[f]
+        ids[new] = (size[f] + rank)[target]
+        self.extend(pts[new[kept]], f[kept])
+        return ids
 
-    def _near(self, a, b):
-        """Index pairs ``(i, j)`` with ``a[i]`` within ``tol`` of ``b[j]``."""
+    def _near(self, a, fa, b, fb):
+        """Index pairs ``(i, j)`` with ``a[i]`` within ``tol`` of ``b[j]``
+        and of the same fracture."""
         if not len(a) or not len(b):
             return np.zeros(0, int), np.zeros(0, int)
+        cb = np.floor(b / self._side[fb, None])
+        ca = np.floor(a / self._side[fa, None])
+        # Each fracture's cell columns are shifted past the previous
+        # fracture's, two columns apart, so no lookup reaches another
+        # fracture; cell indices and shifts are integers below 2**53.
+        f = np.concatenate([fb, fa])
+        x = np.concatenate([cb[:, 0], ca[:, 0]])
+        lo = np.full(len(self.tol), np.inf)
+        hi = np.full(len(self.tol), -np.inf)
+        np.minimum.at(lo, f, x)
+        np.maximum.at(hi, f, x)
+        width = np.where(hi >= lo, hi - lo + 3.0, 0.0)
+        shift = np.cumsum(width) - width - np.where(hi >= lo, lo, 0.0)
         # Complex keys order cells by x, then y: the three cells of one
         # column around a point are one run of the sorted keys.
-        cell = np.floor(b / self._side)
-        key = cell[:, 0] + 1j * cell[:, 1]
+        key = cb[:, 0] + shift[fb] + 1j * cb[:, 1]
         order = np.argsort(key)
         key = key[order]
-        cell = np.floor(a / self._side)
-        x = (cell[:, 0] + np.array([[-1.0], [0.0], [1.0]])).ravel()
-        y = np.tile(cell[:, 1], 3)
+        x = (ca[:, 0] + shift[fa] + np.array([[-1.0], [0.0], [1.0]])).ravel()
+        y = np.tile(ca[:, 1], 3)
         lo = np.searchsorted(key, x + 1j * (y - 1.0), "left")
         hi = np.searchsorted(key, x + 1j * (y + 1.0), "right")
         i, at = _ranges(lo, hi - lo)
         i, j = i % len(a), order[at]
         # The distance is np.linalg.norm's, rounding for rounding.
         d = a[i] - b[j]
-        near = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= self.tol
+        near = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= self.tol[fa[i]]
         return i[near], j[near]
 
 
-def _trace_pieces(traces, tol):
+def _trace_pieces(fid, gid, p0, p1, tol):
     """Split traces at their mutual crossings so constraints never cross.
 
-    Returns the trace id and the two end points of every piece longer
-    than ``tol`` in parameter, trace by trace and along each trace.
+    Trace ``k`` runs from ``p0[k]`` to ``p1[k]`` in fracture ``fid[k]``,
+    ascending.  Returns the fracture, the trace id and the two end points
+    of every piece longer than ``tol[fid]`` in parameter, trace by trace
+    and along each trace.
     """
-    gid = np.array([g for g, _, _ in traces], int)
-    p0 = np.array([a for _, a, _ in traces], float).reshape(-1, 2)
-    p1 = np.array([b for _, _, b in traces], float).reshape(-1, 2)
+    counts = np.bincount(fid, minlength=len(tol))
+    start = np.cumsum(counts) - counts
+    # Trace j of the same fracture meets trace i at s along i and u
+    # along j.
+    i, j = _ranges(start[fid], counts[fid])
     d = p1 - p0
-    # Trace j meets trace i at s along i and u along j.
-    d1, d2 = d[:, None], d[None, :]
-    r = p0[None, :] - p0[:, None]
-    den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    d1, d2, r = d[i], d[j], p0[j] - p0[i]
+    den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / den
-        u = (r[..., 0] * d1[..., 1] - r[..., 1] * d1[..., 0]) / den
+        s = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / den
+        u = (r[:, 0] * d1[:, 1] - r[:, 1] * d1[:, 0]) / den
     # |den| is |d1| |d2| sin(angle), so parallel is judged by the angle
     # alone, at every scale.
     length = _norms(d)
-    cross = ((gid[:, None] != gid[None, :])
-             & (np.abs(den) >= 1e-14 * length[:, None] * length[None, :])
+    cross = ((gid[i] != gid[j])
+             & (np.abs(den) >= 1e-14 * length[i] * length[j])
              & (-1e-12 <= s) & (s <= 1 + 1e-12) & (-1e-12 <= u) & (u <= 1 + 1e-12))
-    i, j = np.nonzero(cross)
-    n = len(traces)
-    owner = np.concatenate([np.arange(n), np.arange(n), i])
+    n = len(gid)
+    owner = np.concatenate([np.arange(n), np.arange(n), i[cross]])
     # + 0.0 turns a clipped -0.0 into the 0.0 it repeats.
-    at = np.concatenate([np.zeros(n), np.ones(n), np.clip(s[i, j], 0.0, 1.0) + 0.0])
+    at = np.concatenate([np.zeros(n), np.ones(n),
+                         np.clip(s[cross], 0.0, 1.0) + 0.0])
     order = np.lexsort((at, owner))
     owner, at = owner[order], at[order]
-    k = np.flatnonzero((owner[1:] == owner[:-1]) & (at[1:] - at[:-1] > tol))
+    k = np.flatnonzero((owner[1:] == owner[:-1])
+                       & (at[1:] - at[:-1] > tol[fid[owner[1:]]]))
     own = owner[k]
-    return (gid[own], p0[own] + at[k, None] * d[own],
+    return (fid[own], gid[own], p0[own] + at[k, None] * d[own],
             p0[own] + at[k + 1, None] * d[own])
 
 
-def _constraint_points(seg0, seg1, hard, on_seg, tol, h_target):
+def _constraint_points(seg0, seg1, hard, k, v, tol, h_target):
     """Points of the constraint segments ``seg0[k]``-``seg1[k]``.
 
-    Each segment is split at the hard vertices ``on_seg[k]`` marks inside
-    it, then every piece into equal parts no longer than ``h_target``.
-    Returns the rows of every segment, one segment after the other, each
-    from its first end, and the row count of each segment.
+    Each segment is split at the hard vertices ``hard[v]`` of the pairs
+    ``(k, v)`` that lie inside it by more than ``tol[k]``, then every
+    piece into equal parts no longer than ``h_target``.  Returns the rows
+    of every segment, one segment after the other, each from its first
+    end, and the row count of each segment.
     """
     d = seg1 - seg0
     length = _norms(d)
     u = d / length[:, None]
-    k, v = np.nonzero(on_seg)
     t = _dots(hard[v] - seg0[k], u[k])
-    inner = (tol < t) & (t < length[k] - tol)
+    inner = (tol[k] < t) & (t < length[k] - tol[k])
     n_seg = len(seg0)
     seg = np.concatenate([np.arange(n_seg), np.arange(n_seg), k[inner]])
     at = np.concatenate([np.zeros(n_seg), length, t[inner]])
@@ -601,32 +692,272 @@ def _constraint_points(seg0, seg1, hard, on_seg, tol, h_target):
     return out, counts
 
 
-def _clear_of_segments(pts, seg0, seg1, reach):
-    """Mask of the points at least ``reach`` from every segment."""
-    j, dist = _near_segments(pts, seg0, seg1, reach)
-    clear = np.ones(len(pts), bool)
-    clear[j[dist < reach]] = False
-    return clear
-
-
-def _near_segments(pts, seg0, seg1, reach):
-    """Points ``j`` and their distances to segment ``seg0[k]``-``seg1[k]``,
-    over every pair that may lie within ``reach``.
+def _near_segments(pts, pts_fid, seg0, seg1, seg_fid, reach):
+    """Segments ``k``, points ``j`` of the same fracture and the distance
+    of each pair, over every pair that may lie within ``reach[k]``.
 
     Only the points inside a segment's bounding box grown by ``2 *
-    reach`` are measured against it: a point outside is farther than
-    ``reach`` with room to spare for rounding.
+    reach[k]`` are measured against it: a point outside is farther than
+    ``reach[k]`` with room to spare for rounding.  One sort of the points
+    by fracture, then x, gives each box the points of its x range in its
+    fracture's run (sort and sweep).
     """
-    order = np.argsort(pts[:, 0], kind="stable")
-    lo = np.minimum(seg0, seg1) - 2 * reach
-    hi = np.maximum(seg0, seg1) + 2 * reach
-    start = np.searchsorted(pts[order, 0], lo[:, 0], "left")
-    stop = np.searchsorted(pts[order, 0], hi[:, 0], "right")
+    key = pts_fid + 1j * pts[:, 0]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    lo = np.minimum(seg0, seg1) - 2 * reach[:, None]
+    hi = np.maximum(seg0, seg1) + 2 * reach[:, None]
+    start = np.searchsorted(key, seg_fid + 1j * lo[:, 0], "left")
+    stop = np.searchsorted(key, seg_fid + 1j * hi[:, 0], "right")
     k, at = _ranges(start, stop - start)
     j = order[at]
     box = (lo[k, 1] <= pts[j, 1]) & (pts[j, 1] <= hi[k, 1])
     k, j = k[box], j[box]
-    return j, point_segment_distance(pts[j], seg0[k], seg1[k])
+    return k, j, point_segment_distance(pts[j], seg0[k], seg1[k])
+
+
+def _close_pieces(fid, tol, ends0, ends1, i, j):
+    """The pairs of pieces among the candidates ``(i, j)`` that lie
+    between ``tol`` and ``100 * tol`` apart, with that distance, in the
+    order of ``np.triu_indices`` over each fracture's pieces.  The
+    candidates must hold every such pair, in either order."""
+    n = len(ends0)
+    key = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    i, j = key // n, key % n
+    a0, a1, b0, b1 = ends0[i], ends1[i], ends0[j], ends1[j]
+    d = point_segment_distance(np.stack([a0, a1, b0, b1]),
+                               np.stack([b0, b0, a0, a0]),
+                               np.stack([b1, b1, a1, a1])).min(axis=0)
+    close = (tol[fid[i]] < d) & (d < 100 * tol[fid[i]])
+    return i[close], j[close], d[close]
+
+
+def _triangulate_all(polygons, traces, h_target, tols, frames,
+                     jitter=0.15, seed=1234) -> list:
+    """Meshes of ``polygons``, with the traces ``(fid, gid, p0, p1)`` of
+    polygon ``fid``, or the error that meshing them one after another
+    would raise first: the lowest failing polygon's, at its first stage
+    that fails."""
+    try:
+        return _triangulate_batch(polygons, traces, h_target, tols, frames,
+                                  jitter, seed)
+    except _Failed as failed:
+        k = failed.index
+        if k:
+            # The polygons before the failing one may fail at a later
+            # stage; their error comes first.
+            keep = traces[0] < k
+            _triangulate_all(polygons[:k], tuple(a[keep] for a in traces),
+                             h_target, tols[:k], frames[:k], jitter, seed)
+        raise failed.error from None
+
+
+def _triangulate_batch(polygons, traces, h_target, tols, frames, jitter,
+                       seed) -> list:
+    """``_triangulate_all`` in one pass; raises ``_Failed`` with a failing
+    polygon, the lowest of those that fail at the first failing stage."""
+    # Imported here so that commands which never triangulate skip it.
+    from scipy.spatial import Delaunay
+
+    n_f = len(polygons)
+    polys, tol, diag = [], np.empty(n_f), np.empty(n_f)
+    for f, polygon in enumerate(polygons):
+        polygon = np.asarray(polygon, float)
+        area = polygon_area(polygon)
+        if area < 0:
+            polygon = polygon[::-1]
+            area = -area
+        if area <= 1e-300:
+            raise _Failed(f, EmptyDomain("polygon has no area"))
+        if h_target <= 0:
+            raise _Failed(f, EmptyDomain("h_target must be positive"))
+        diag[f] = np.linalg.norm(polygon.max(0) - polygon.min(0))
+        tol[f] = 1e-9 * diag[f] if tols[f] is None else tols[f]
+        polys.append(polygon)
+    # Polygon vertex e of fracture vfid[e] is followed by vertex nxt[e].
+    vptr = np.concatenate([[0], np.cumsum([len(p) for p in polys])])
+    vfid = np.repeat(np.arange(n_f), np.diff(vptr))
+    poly = np.vstack(polys)
+    nxt = np.arange(1, len(poly) + 1)
+    nxt[vptr[1:] - 1] = vptr[:-1]
+
+    pfid, gids, ends0, ends1 = _trace_pieces(*traces, tol)
+    n_p = len(gids)
+
+    # Hard vertices: polygon corners and trace piece endpoints.  Any
+    # constraint segment passing through one (a trace ending mid-edge on
+    # the boundary, a T-junction between traces) is split there first so
+    # consecutive constraint points are always Delaunay-connectable.
+    # Constraint segments: the polygon's edges, then the trace pieces.
+    # Both run fracture after fracture; ``*_piece`` is the piece of each,
+    # -1 on the polygon.
+    hfid = np.concatenate([vfid, pfid, pfid])
+    order = np.argsort(hfid, kind="stable")
+    hfid, hard = hfid[order], np.vstack([poly, ends0, ends1])[order]
+    hard_piece = np.concatenate([np.full(len(poly), -1), np.arange(n_p),
+                                 np.arange(n_p)])[order]
+    sfid = np.concatenate([vfid, pfid])
+    order = np.argsort(sfid, kind="stable")
+    sfid = sfid[order]
+    seg0 = np.vstack([poly, ends0])[order]
+    seg1 = np.vstack([poly[nxt], ends1])[order]
+    seg_piece = np.concatenate([np.full(len(poly), -1), np.arange(n_p)])[order]
+    chain_gid = np.concatenate([np.full(len(poly), -1), gids])[order]
+    stol = tol[sfid]
+
+    # One sweep serves two tests.  Conflict detection: pieces of two
+    # traces closer than 100 tol without meeting; a piece end lies within
+    # that reach of the other piece.  Hard-vertex marks: the vertices
+    # within tol of each segment.
+    k, v, dist = _near_segments(hard, hfid, seg0, seg1, sfid, 100 * stol)
+    a, b = hard_piece[v], seg_piece[k]
+    near = (a >= 0) & (b >= 0) & (dist < 100 * stol[k])
+    near[near] = gids[a[near]] != gids[b[near]]
+    for i, j, d in zip(*_close_pieces(pfid, tol, ends0, ends1, a[near],
+                                      b[near])):
+        f = pfid[i]
+        if not segments_cross(ends0[i], ends1[i], ends0[j], ends1[j], tol[f]):
+            raise _Failed(f, ConstraintConflict(
+                f"traces {gids[i]} and {gids[j]} are {d:.3e} apart "
+                f"without meeting"))
+    on = dist <= stol[k]
+
+    # Chains of point ids whose consecutive pairs must become edges, one
+    # per segment, end to end in ``chain``; ``ptr`` bounds them and
+    # ``chain_gid`` is the trace id each carries (-1 on the polygon).
+    pool = _PointPool(np.maximum(tol, 1e-12 * diag))
+    points, counts = _constraint_points(seg0, seg1, hard, k[on], v[on], stol,
+                                        h_target)
+    chain = pool.ids(points, np.repeat(sfid, counts))
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    chain_fid = np.repeat(sfid, counts)
+
+    # Hexagonal interior lattice with deterministic jitter.
+    s = h_target
+    lo = np.minimum.reduceat(poly, vptr[:-1])
+    hi = np.maximum.reduceat(poly, vptr[:-1])
+    cand, cfid = _lattice(lo, hi, s, jitter, seed)
+    # Even-odd only: the distance test below drops boundary points.
+    inside = _even_odd(cand, cfid, poly, vptr, nxt)
+    cand, cfid = cand[inside], cfid[inside]
+    k, j, dist = _near_segments(cand, cfid, seg0, seg1, sfid,
+                                np.full(len(seg0), 0.5 * s))
+    clear = np.ones(len(cand), bool)
+    clear[j[dist < 0.5 * s]] = False
+    # Lattice points are well separated; skip dedup.  Fracture f's are
+    # its points lattice[f] to lattice[f] + n_lattice[f].
+    lattice = np.diff(pool.ptr)
+    pool.extend(cand[clear], cfid[clear])
+    n_lattice = np.diff(pool.ptr) - lattice
+
+    # Delaunay with constraint-edge recovery by midpoint insertion.  Four
+    # distant padding points keep every real point off the convex hull,
+    # which prevents zero-area slivers between collinear boundary points.
+    center = 0.5 * (lo + hi)
+    pad = center[:, None] + 10 * diag[:, None, None] * np.array(
+        [(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    simplices, keys = [None] * n_f, [None] * n_f
+    pending = range(n_f)
+    for _ in range(12):
+        n_real = np.diff(pool.ptr)
+        stride = n_real + len(pad[0])
+        for f in pending:
+            if n_real[f] < 3:
+                raise _Failed(f, EmptyDomain("not enough points to triangulate"))
+            pts = pool.pts[pool.ptr[f]:pool.ptr[f + 1]]
+            simplices[f] = Delaunay(np.vstack([pts, pad[f]])).simplices
+            ends = np.sort(simplices[f], axis=1).astype(int)
+            keys[f] = f + 1j * np.sort(ends[:, [0, 1, 0]] * stride[f]
+                                       + ends[:, [1, 2, 2]], None)
+        edge_keys = np.concatenate(keys)
+        link = np.ones(len(chain) - 1, bool)
+        link[ptr[1:-1] - 1] = False
+        pairs = np.column_stack([chain[:-1], chain[1:]])[link]
+        pair_fid = chain_fid[:-1][link]
+        want = pair_fid + 1j * (pairs.min(axis=1) * stride[pair_fid]
+                                + pairs.max(axis=1))
+        found = edge_keys[np.searchsorted(edge_keys, want)
+                          % len(edge_keys)] == want
+        if found.all():
+            break
+        # Split each missing pair at its midpoint, in chain order.
+        at = np.flatnonzero(link)[~found] + 1
+        miss = pair_fid[~found]
+        rows = pool.ptr[miss, None] + pairs[~found]
+        mids = 0.5 * (pool.pts[rows[:, 0]] + pool.pts[rows[:, 1]])
+        chain = np.insert(chain, at, pool.ids(mids, miss))
+        chain_fid = np.insert(chain_fid, at, miss)
+        ptr = ptr + np.searchsorted(at, ptr)
+        pending = np.unique(miss).tolist()
+    else:
+        raise _Failed(pending[0], MeshError("constraint recovery did not converge"))
+
+    # Keep real triangles inside the polygon.  After recovery constraints
+    # are unions of Delaunay edges, so no triangle crosses the polygon:
+    # one with a lattice point, at least s / 2 inside, is inside, and
+    # the centroid test decides the others.  Triangles are numbered by
+    # the pool's rows, across fractures.
+    tri_fid = np.repeat(np.arange(n_f), [len(t) for t in simplices])
+    tris = np.concatenate(simplices)
+    real = (tris < n_real[tri_fid, None]).all(axis=1)
+    tri_fid, tris = tri_fid[real], tris[real]
+    inside = ((tris >= lattice[tri_fid, None])
+              & (tris < (lattice + n_lattice)[tri_fid, None])).any(axis=1)
+    tris = tris + pool.ptr[tri_fid, None]
+    test = np.flatnonzero(~inside)
+    centers = pool.pts[tris[test]].mean(axis=1)
+    inside[test] = _even_odd(centers, tri_fid[test], poly, vptr, nxt)
+    # The tol band, measured only for the centers still outside.
+    out = ~inside[test]
+    test, centers = test[out], centers[out]
+    k, j, dist = _near_segments(centers, tri_fid[test], poly, poly[nxt], vfid,
+                                tol[vfid])
+    inside[test[j[dist <= tol[vfid[k]]]]] = True
+    tris, tri_fid = tris[inside], tri_fid[inside]
+    cell_ptr = np.concatenate([[0], np.cumsum(np.bincount(tri_fid,
+                                                          minlength=n_f))])
+    empty = np.flatnonzero(cell_ptr[1:] == cell_ptr[:-1])
+    if len(empty):
+        raise _Failed(empty[0], EmptyDomain("no triangles inside the polygon"))
+    used = np.flatnonzero(np.bincount(tris.ravel(), minlength=len(pool.pts)))
+    renum = -np.ones(len(pool.pts), int)
+    renum[used] = np.arange(len(used))
+    # One mesh of every fracture: their nodes, cells and edges (numbered
+    # by first appearance) are runs, fracture after fracture.
+    whole = PolyMesh.from_cells(pool.pts[used], renum[tris])
+
+    # Tag trace edges: every consecutive pair of a trace chain is one.
+    gids = np.repeat(chain_gid, np.diff(ptr) - 1)
+    pairs = np.sort(renum[pool.ptr[pair_fid, None] + pairs][gids >= 0], axis=1)
+    pair_fid, gids = pair_fid[gids >= 0], gids[gids >= 0]
+    n = len(used)
+    keys = whole.edge_nodes[:, 0] * n + whole.edge_nodes[:, 1]
+    order = np.argsort(keys)
+    want = pairs[:, 0] * n + pairs[:, 1]
+    at = order[np.searchsorted(keys, want, sorter=order) % len(keys)]
+    bad = np.flatnonzero(keys[at] != want)
+    if len(bad):
+        raise _Failed(pair_fid[bad[0]], MeshError(
+            f"trace {gids[bad[0]]} not covered by mesh edges"))
+    whole.edge_trace[at] = gids
+
+    node_ptr = np.searchsorted(used, pool.ptr)
+    edge_fid = np.searchsorted(node_ptr, whole.edge_nodes[:, 0], "right") - 1
+    edge_ptr = np.concatenate([[0], np.cumsum(np.bincount(edge_fid,
+                                                          minlength=n_f))])
+    entry_ptr = whole.cell_ptr[cell_ptr]
+    meshes = []
+    for f in range(n_f):
+        n0, n1 = node_ptr[f], node_ptr[f + 1]
+        e0, e1 = edge_ptr[f], edge_ptr[f + 1]
+        c0, c1 = cell_ptr[f], cell_ptr[f + 1]
+        entries = slice(entry_ptr[f], entry_ptr[f + 1])
+        meshes.append(PolyMesh(
+            whole.nodes[n0:n1], whole.edge_nodes[e0:e1] - n0,
+            whole.cell_ptr[c0:c1 + 1] - entry_ptr[f],
+            whole.cell_edge[entries] - e0, whole.cell_sign[entries],
+            frame=frames[f], edge_trace=whole.edge_trace[e0:e1]))
+    return meshes
 
 
 def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
@@ -639,154 +970,56 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     All constraints are subdivided to ``h_target`` and recovered exactly:
     every trace is covered by a chain of mesh edges tagged with its id.
     Interior points come from a lightly jittered hexagonal lattice, so
-    the result is deterministic but unstructured.
+    the result is deterministic but unstructured.  This is
+    ``triangulate_network``'s pass on one polygon.
     """
-    # Imported here so that commands which never triangulate skip it.
-    from scipy.spatial import Delaunay
+    traces = [] if traces is None else traces
+    gid = np.array([g for g, _, _ in traces], int)
+    p0 = np.array([a for _, a, _ in traces], float).reshape(-1, 2)
+    p1 = np.array([b for _, _, b in traces], float).reshape(-1, 2)
+    return _triangulate_all([polygon], (np.zeros(len(gid), int), gid, p0, p1),
+                            h_target, [tol], [frame], jitter, seed)[0]
 
-    polygon = np.asarray(polygon, float)
-    if traces is None:
-        traces = []
-    area = polygon_area(polygon)
-    if area < 0:
-        polygon = polygon[::-1]
-        area = -area
-    if area <= 1e-300:
-        raise EmptyDomain("polygon has no area")
-    if h_target <= 0:
-        raise EmptyDomain("h_target must be positive")
-    diag = np.linalg.norm(polygon.max(0) - polygon.min(0))
-    if tol is None:
-        tol = 1e-9 * diag
 
-    gids, ends0, ends1 = _trace_pieces(traces, tol)
-
-    # Conflict detection: non-touching constraints closer than tol.
-    i, j = np.triu_indices(len(gids), 1)
-    pair = gids[i] != gids[j]
-    i, j = i[pair], j[pair]
-    a0, a1, b0, b1 = ends0[i], ends1[i], ends0[j], ends1[j]
-    d = point_segment_distance(np.stack([a0, a1, b0, b1]),
-                               np.stack([b0, b0, a0, a0]),
-                               np.stack([b1, b1, a1, a1])).min(axis=0)
-    for k in np.flatnonzero((tol < d) & (d < 100 * tol)):
-        if not segments_cross(a0[k], a1[k], b0[k], b1[k], tol):
-            raise ConstraintConflict(
-                f"traces {gids[i[k]]} and {gids[j[k]]} are {d[k]:.3e} apart "
-                f"without meeting"
-            )
-
-    pool = _PointPool(max(tol, 1e-12 * diag))
-    nbv = len(polygon)
-    # Hard vertices: polygon corners and trace piece endpoints.  Any
-    # constraint segment passing through one (a trace ending mid-edge on
-    # the boundary, a T-junction between traces) is split there first so
-    # consecutive constraint points are always Delaunay-connectable.
-    hard = np.vstack([polygon, ends0, ends1])
-    # Constraint segments: the polygon's edges, then the trace pieces.
-    seg0 = np.vstack([polygon, ends0])
-    seg1 = np.vstack([np.roll(polygon, -1, 0), ends1])
-    on_seg = point_segment_distance(hard, seg0[:, None], seg1[:, None]) <= tol
-
-    # Chains of point ids whose consecutive pairs must become edges, one
-    # per segment, end to end in ``chain``; ``ptr`` bounds them and
-    # ``chain_gid`` is the trace id each carries (-1 on the polygon).
-    points, counts = _constraint_points(seg0, seg1, hard, on_seg, tol, h_target)
-    chain = np.array(pool.add_rows(points), int)
-    ptr = np.concatenate([[0], np.cumsum(counts)])
-    chain_gid = np.concatenate([np.full(nbv, -1), gids])
-
-    # Hexagonal interior lattice with deterministic jitter.
-    rng = np.random.default_rng(seed)
-    s = h_target
-    lo, hi = polygon.min(0), polygon.max(0)
-    rows = np.arange(lo[1] - s, hi[1] + s, s * np.sqrt(3) / 2)
-    # Even rows take the first x run, odd rows the one offset by s / 2.
-    xs = [np.arange(lo[0] - s + off, hi[0] + s, s) for off in (0.0, 0.5 * s)]
-    per_row = np.resize([len(xs[0]), len(xs[1])], len(rows))
-    cand = np.column_stack([np.resize(np.concatenate(xs), per_row.sum()),
-                            np.repeat(rows, per_row)])
-    if len(cand):
-        cand = cand + rng.uniform(-jitter * s, jitter * s, cand.shape)
-        # Even-odd only: the distance test below drops boundary points.
-        cand = cand[point_in_polygon(cand, polygon, -1.0)]
-        # Lattice points are well separated; skip dedup.
-        pool.extend(cand[_clear_of_segments(cand, seg0, seg1, 0.5 * s)])
-
-    # Delaunay with constraint-edge recovery by midpoint insertion.  Four
-    # distant padding points keep every real point off the convex hull,
-    # which prevents zero-area slivers between collinear boundary points.
-    center = 0.5 * (lo + hi)
-    pad = np.array([center + 10 * diag * np.array(d)
-                    for d in ((-1, -1), (1, -1), (1, 1), (-1, 1))])
-    for _ in range(12):
-        pts = pool.pts
-        n_real = len(pts)
-        if n_real < 3:
-            raise EmptyDomain("not enough points to triangulate")
-        tri = Delaunay(np.vstack([pts, pad]))
-        stride = n_real + len(pad)
-        ends = np.sort(tri.simplices, axis=1).astype(int)
-        keys = np.sort(ends[:, [0, 1, 0]] * stride + ends[:, [1, 2, 2]], None)
-        link = np.ones(len(chain) - 1, bool)
-        link[ptr[1:-1] - 1] = False
-        pairs = np.column_stack([chain[:-1], chain[1:]])[link]
-        want = pairs.min(axis=1) * stride + pairs.max(axis=1)
-        found = keys[np.searchsorted(keys, want) % len(keys)] == want
-        if found.all():
-            break
-        # Split each missing pair at its midpoint, in chain order.
-        at = np.flatnonzero(link)[~found] + 1
-        mids = 0.5 * (pts[pairs[~found, 0]] + pts[pairs[~found, 1]])
-        chain = np.insert(chain, at, pool.add_rows(mids))
-        ptr = ptr + np.searchsorted(at, ptr)
-    else:
-        raise MeshError("constraint recovery did not converge")
-
-    # Keep real triangles inside the polygon; after recovery constraints
-    # are unions of Delaunay edges, so the centroid test is sufficient.
-    real = tri.simplices[(tri.simplices < n_real).all(axis=1)]
-    all_pts = np.vstack([pts, pad])
-    centers = all_pts[real].mean(axis=1)
-    # point_in_polygon(centers, polygon, tol), measuring the tol band
-    # only near each edge.
-    inside = point_in_polygon(centers, polygon, -1.0)
-    j, dist = _near_segments(centers, polygon, np.roll(polygon, -1, 0), tol)
-    inside[j[dist <= tol]] = True
-    keep = real[inside]
-    if not len(keep):
-        raise EmptyDomain("no triangles inside the polygon")
-    used = np.flatnonzero(np.bincount(keep.ravel(), minlength=len(pts)))
-    renum = -np.ones(len(pts), int)
-    renum[used] = np.arange(len(used))
-    loops = renum[keep]
-    mesh = PolyMesh.from_cells(pts[used], loops, frame=frame)
-
-    # Tag trace edges: every consecutive pair of a trace chain is one.
-    gids = np.repeat(chain_gid, np.diff(ptr) - 1)
-    pairs = np.sort(renum[pairs[gids >= 0]], axis=1)
-    gids = gids[gids >= 0]
-    n = len(used)
-    keys = mesh.edge_nodes[:, 0] * n + mesh.edge_nodes[:, 1]
-    order = np.argsort(keys)
-    want = pairs[:, 0] * n + pairs[:, 1]
-    at = order[np.searchsorted(keys, want, sorter=order) % len(keys)]
-    bad = keys[at] != want
-    if bad.any():
-        raise MeshError(f"trace {gids[bad][0]} not covered by mesh edges")
-    mesh.edge_trace[at] = gids
-    return mesh
+def _triangulate_fractures(fractures: list, lines: list, h_target) -> list:
+    """Meshes of ``fractures[f]`` honoring the traces ``lines[f]``."""
+    fid = np.repeat(np.arange(len(fractures)), [len(ls) for ls in lines])
+    ls = list(chain.from_iterable(lines))
+    gid = np.array([ln.id for ln in ls], int)
+    origin, t1, t2 = (np.array([getattr(f.frame, a) for f in fractures])
+                      .reshape(-1, 3)[fid] for a in ("origin", "t1", "t2"))
+    # Frame.to_local of each end alone, bit for bit (see _dots).
+    ends = [np.column_stack([_dots(q, t1), _dots(q, t2)]) for q in (
+        np.array([ln.p0 for ln in ls]).reshape(-1, 3) - origin,
+        np.array([ln.p1 for ln in ls]).reshape(-1, 3) - origin)]
+    return _triangulate_all([f.local_polygon for f in fractures],
+                            (fid, gid, *ends), h_target,
+                            [None] * len(fractures),
+                            [f.frame for f in fractures])
 
 
 def triangulate_fracture(fracture, lines, h_target) -> PolyMesh:
-    """Triangulate a fracture honoring its intersection traces."""
-    poly = fracture.local_polygon
-    traces = []
-    for ln in lines:
-        q0 = fracture.frame.to_local(ln.p0)
-        q1 = fracture.frame.to_local(ln.p1)
-        traces.append((ln.id, q0, q1))
-    return triangulate(poly, traces, h_target, frame=fracture.frame)
+    """Triangulate a fracture honoring its intersection traces: the pass
+    of ``triangulate_network`` on one fracture."""
+    return _triangulate_fractures([fracture], [list(lines)], h_target)[0]
+
+
+def triangulate_network(network, h_target) -> dict:
+    """Fracture id -> the triangulation of that fracture honoring its
+    traces, for every fracture of ``network``, in one pass.
+
+    Each mesh is the one ``triangulate_fracture`` gives.  On failure the
+    error is the one meshing the fractures one after another, by id,
+    would raise first.
+    """
+    fractures = sorted(network.fractures, key=lambda f: f.id)
+    lines = {f.id: [] for f in fractures}
+    for ln in network.lines:
+        for fid in ln.parents:
+            if fid in lines:
+                lines[fid].append(ln)
+    meshes = _triangulate_fractures(fractures, list(lines.values()), h_target)
+    return {f.id: mesh for f, mesh in zip(fractures, meshes)}
 
 
 # ------------------------------------------------------------------ #
@@ -955,13 +1188,17 @@ def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict,
                          fid: int) -> PolyMesh:
     """Duplicate every trace edge into a plus and a minus side copy.
 
-    Side labels come from the sign of ``(cell centroid - trace point) .
-    (n x t)`` evaluated in 3D, which is deterministic and frame
-    independent.  Edges where the trace runs along the fracture boundary
-    keep a single copy on their only side.  Tip nodes are shared, never
-    duplicated.  One pass serves all of the fracture's trace edges; the
-    copies are appended trace by trace in element order and inherit the
-    trace and element tags, with their own ``edge_trace_side``.
+    A cell's side label is the sign of ``(n x s (b - a)) . (n x t)``:
+    ``n x s (b - a)`` points into the cell that walks edge ``a -> b``
+    with sign ``s``, and ``n x t`` is the trace's side direction.  For
+    vectors in the fracture plane this is ``s (b - a) . t``, which holds
+    for any polygon, agglomerated ones whose centroid lies across the
+    trace too, and is deterministic and frame independent.  Edges where
+    the trace runs along the fracture boundary keep a single copy on
+    their only side.  Tip nodes are shared, never duplicated.  One pass
+    serves all of the fracture's trace edges; the copies are appended
+    trace by trace in element order and inherit the trace and element
+    tags, with their own ``edge_trace_side``.
     """
     mesh = mesh.copy()
     traces = [tm for tm in trace_meshes.values() if fid in tm.edges]
@@ -969,19 +1206,17 @@ def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict,
         return mesh
     # Duplication changes no cell geometry: the areas and centroids stay
     # valid for the split mesh.
+    centroids, areas = mesh.cell_centroids, mesh.cell_areas
     edge_cells, edge_entry = mesh.edge_cells, mesh.edge_entry
-    centroids = mesh.cell_centroids
     count = [len(tm.edges[fid]) for tm in traces]
     eids = np.concatenate([tm.edges[fid] for tm in traces]).astype(int)
     gids = np.repeat([tm.gamma for tm in traces], count)
-    side_vec = np.repeat(np.cross(mesh.frame.n, [tm.line.direction
-                                                 for tm in traces]),
-                         count, axis=0)
+    t = np.repeat([tm.line.direction for tm in traces], count, axis=0)
+    a, b = mesh.nodes[mesh.edge_nodes[eids, 0]], mesh.nodes[mesh.edge_nodes[eids, 1]]
+    along = _dots(mesh.frame.vector_to_global(b - a), t)
     cells = edge_cells[eids]
-    offset = (mesh.frame.to_global(centroids)[cells]
-              - mesh.frame.to_global(mesh.edge_mid)[eids, None])
-    side = np.where(np.einsum("eck,ek->ec", offset, side_vec) > 0,
-                    1, -1).astype(np.int8)
+    walk = mesh.cell_sign[edge_entry[eids]] * along[:, None]
+    side = np.where(walk > 0, 1, -1).astype(np.int8)
     n_adj = (cells >= 0).sum(axis=1)
     two = n_adj == 2
     bad = np.flatnonzero((n_adj == 0) | (two & (side[:, 0] == side[:, 1])))
@@ -1000,7 +1235,7 @@ def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict,
         mesh.nodes, np.vstack([mesh.edge_nodes, mesh.edge_nodes[sources]]),
         mesh.cell_ptr, mesh.cell_edge, mesh.cell_sign, frame=mesh.frame,
         edge_trace=mesh.edge_trace, edge_trace_elem=mesh.edge_trace_elem,
-        edge_trace_side=mesh.edge_trace_side, areas=mesh.cell_areas,
+        edge_trace_side=mesh.edge_trace_side, areas=areas,
         centroids=centroids, chained=mesh.chained)
 
 

@@ -295,6 +295,35 @@ def perfbench_network_dict(seed: int) -> dict:
     return _perfbench_network_module().network_dict(seed)
 
 
+def grid_dict(k: int, seed: int) -> dict:
+    """Network file payload of a grid network: k x-, k y- and k z-planes
+    across the unit cube at ``(i + 1/2) / k``, each shifted along its
+    normal by U(-0.03, 0.03) as in ``perfbench/network.py``, so 3k
+    fractures, 3k^2 traces and k^3 crossing points.  Boundary data make
+    ``p = x`` exact: Dirichlet ``x`` on the edges at x = 0 and x = 1,
+    no flow elsewhere."""
+    rng = np.random.default_rng(seed)
+    jitter = _perfbench_network_module().JITTER
+    rects = []    # (vertices, indices of the edges lying in a plane x = c)
+    for c in (np.arange(k) + 0.5) / k:
+        a = c + rng.uniform(-jitter, jitter)
+        rects.append(([[a, 0, 0], [a, 1, 0], [a, 1, 1], [a, 0, 1]], ()))
+    for c in (np.arange(k) + 0.5) / k:
+        b = c + rng.uniform(-jitter, jitter)
+        rects.append(([[0, b, 0], [1, b, 0], [1, b, 1], [0, b, 1]], (1, 3)))
+    for c in (np.arange(k) + 0.5) / k:
+        z = c + rng.uniform(-jitter, jitter)
+        rects.append(([[0, 0, z], [1, 0, z], [1, 1, z], [0, 1, z]], (1, 3)))
+    fractures, bcs = [], []
+    for fid, (verts, x_edges) in enumerate(rects):
+        verts = [[float(v) for v in p] for p in verts]
+        fractures.append({"id": fid, "aperture": 1.0,
+                          "k_tangential": [1.0, 0.0, 1.0], "vertices": verts})
+        bcs.extend({"fracture": fid, "edge": e, "type": "dirichlet",
+                    "value": verts[e][0]} for e in x_edges)
+    return {"fractures": fractures, "boundary_conditions": bcs}
+
+
 # The network file of the README's input-format section.
 README_NETWORK = {
     "fractures": [
@@ -1231,6 +1260,13 @@ def boundary_distance_ref(frac, p3) -> float:
     return float(point_segment_distance(q, poly, np.roll(poly, -1, 0)).min())
 
 
+def vector_to_local(frame: Frame, vec3: np.ndarray) -> np.ndarray:
+    """In-plane (u, v) components of 3D vectors (shape ``(..., 3)``)."""
+    q = np.atleast_2d(vec3)
+    out = np.column_stack([q @ frame.t1, q @ frame.t2])
+    return out[0] if np.ndim(vec3) == 1 else out
+
+
 def intersect_fractures_ref(a, b, tol: float | None = None):
     """Intersection segment of two fractures, clipped to each polygon in
     turn: the one-pair code that ``geometry._intersect_pairs`` batches."""
@@ -1256,7 +1292,7 @@ def intersect_fractures_ref(a, b, tol: float | None = None):
 
     def clip(frac):
         q0 = frac.frame.to_local(p0)
-        d2 = frac.frame.vector_to_local(d)
+        d2 = vector_to_local(frac.frame, d)
         nd = np.linalg.norm(d2)
         if nd < geo._PARALLEL_TOL:
             return []
@@ -1504,6 +1540,29 @@ class grid_pool_ref:
         return ids
 
 
+def close_pieces_ref(gids, ends0, ends1, tol):
+    """The all-pairs conflict test of one polygon's trace pieces: the
+    pairs ``i < j`` of pieces of two traces, in ``np.triu_indices``
+    order, that lie between ``tol`` and ``100 * tol`` apart, and that
+    distance."""
+    i, j = np.triu_indices(len(gids), 1)
+    pair = gids[i] != gids[j]
+    i, j = i[pair], j[pair]
+    a0, a1, b0, b1 = ends0[i], ends1[i], ends0[j], ends1[j]
+    d = np.min([point_segment_distance(a0, b0, b1),
+                point_segment_distance(a1, b0, b1),
+                point_segment_distance(b0, a0, a1),
+                point_segment_distance(b1, a0, a1)], axis=0)
+    close = (tol < d) & (d < 100 * tol)
+    return i[close], j[close], d[close]
+
+
+def on_segments_ref(hard, seg0, seg1, tol):
+    """The all-pairs hard-vertex test of one polygon: ``on_seg[k, v]``
+    when hard vertex ``v`` lies within ``tol`` of segment ``k``."""
+    return point_segment_distance(hard, seg0[:, None], seg1[:, None]) <= tol
+
+
 def triangulate_ref(polygon: np.ndarray, traces=None, h_target: float = 0.1,
                 tol: float | None = None, frame: Frame | None = None,
                 jitter: float = 0.15, seed: int = 1234) -> PolyMesh:
@@ -1560,18 +1619,10 @@ def triangulate_ref(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     gids = np.array([gid for gid, _, _ in pieces], int)
     ends0 = np.array([q0 for _, q0, _ in pieces]).reshape(-1, 2)
     ends1 = np.array([q1 for _, _, q1 in pieces]).reshape(-1, 2)
-    i, j = np.triu_indices(len(pieces), 1)
-    pair = gids[i] != gids[j]
-    i, j = i[pair], j[pair]
-    a0, a1, b0, b1 = ends0[i], ends1[i], ends0[j], ends1[j]
-    d = np.min([point_segment_distance(a0, b0, b1),
-                point_segment_distance(a1, b0, b1),
-                point_segment_distance(b0, a0, a1),
-                point_segment_distance(b1, a0, a1)], axis=0)
-    for k in np.flatnonzero((tol < d) & (d < 100 * tol)):
-        if not segments_cross(a0[k], a1[k], b0[k], b1[k], tol):
+    for i, j, d in zip(*close_pieces_ref(gids, ends0, ends1, tol)):
+        if not segments_cross(ends0[i], ends1[i], ends0[j], ends1[j], tol):
             raise ConstraintConflict(
-                f"traces {gids[i[k]]} and {gids[j[k]]} are {d[k]:.3e} apart "
+                f"traces {gids[i]} and {gids[j]} are {d:.3e} apart "
                 f"without meeting"
             )
 
@@ -1585,7 +1636,7 @@ def triangulate_ref(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     # Constraint segments: the polygon's edges, then the trace pieces.
     seg0 = np.vstack([polygon, ends0])
     seg1 = np.vstack([np.roll(polygon, -1, 0), ends1])
-    on_seg = point_segment_distance(hard, seg0[:, None], seg1[:, None]) <= tol
+    on_seg = on_segments_ref(hard, seg0, seg1, tol)
 
     steps = {}  # n -> np.linspace(0, 1, n + 1)[1:] as a column
 

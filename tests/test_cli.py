@@ -18,7 +18,7 @@ from dfnvem import solver as slv
 from dfnvem import vem
 from dfnvem.errors import IgnoredInputWarning, UnconstrainedPressureWarning
 
-from _util import README_NETWORK, import_network_dict
+from _util import README_NETWORK, import_network_dict, write_perfbench_network
 
 
 def run_cli(args):
@@ -257,6 +257,21 @@ class TestMeshAndCoarsen:
         for fid, stats in summary["coarsen_stats"].items():
             assert stats["coarse_cells"] < stats["fine_cells"]
         assert (out / "partition_0.csv").exists()
+
+
+@pytest.mark.parametrize("c_depth", [1, 2])
+def test_agglomerated_network_solves(tmp_path, c_depth):
+    # Some coarse cells of seed 3 have their centroid across a trace; a
+    # cell's side of a trace edge comes from its own walk along the edge.
+    net_path = tmp_path / "net.json"
+    write_perfbench_network(net_path, 3)
+    out = tmp_path / "o"
+    rc = run_cli(["solve", "--network", net_path, "--h", "0.1",
+                  "--c-depth", c_depth, "--out", out])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["residual"] <= 1e-8
+    assert summary["flux_balance"]["relative_imbalance"] <= 1e-8
 
 
 class TestConvergenceCommand:
@@ -613,18 +628,19 @@ class TestSharedPaths:
             (asm, "prepare_problem"), (asm, "build_dof_map"),
             (asm, "assemble_cc"), (asm, "assemble_dc"),
             (slv, "solve"), (asm, "extract_solution"),
-            (msh, "triangulate_fracture"),
+            (msh, "triangulate_fracture"), (msh, "triangulate_network"),
         ])
         inputs = (["--case", "two-fractures", "--level", "1"]
                   if source == "case" else ["--network", net_path, "--h", "0.3"])
         rc = run_cli(["solve", *inputs, "--model", "cc", "--out", tmp_path / "o"])
         assert rc == 0
-        n_fractures = 2 if source == "case" else 12
+        # A case meshes fracture by fracture, a network file in one pass.
         assert counts == {
             "assembly.prepare_problem": 1, "assembly.build_dof_map": 1,
             "assembly.assemble_cc": 1, "assembly.assemble_dc": 0,
             "solver.solve": 1, "assembly.extract_solution": 1,
-            "meshing.triangulate_fracture": n_fractures,
+            "meshing.triangulate_fracture": 2 if source == "case" else 0,
+            "meshing.triangulate_network": 0 if source == "case" else 1,
         }
 
     def test_network_solve_honours_eps_str(self, tmp_path, monkeypatch):
