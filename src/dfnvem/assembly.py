@@ -109,7 +109,7 @@ def prepare_problem(network: FractureNetwork, meshes: dict, source=None,
     for fid, mesh in split.items():
         perm = network.fracture(fid).effective_permeability
         lam_arrays[fid] = np.broadcast_to(perm, (mesh.n_cells, 2, 2)).copy()
-        sigma[fid] = vem.stabilization_parameter(lam_arrays[fid])
+        sigma[fid] = vem.stabilization_parameter(perm)
     return DiscreteProblem(
         network=network, meshes=split, traces=traces, lam=lam_arrays,
         varsigma=sigma, source=source, line_source=line_source,

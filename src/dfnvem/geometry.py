@@ -638,10 +638,69 @@ def _boxes_meet(lo: np.ndarray, hi: np.ndarray, i, j, pad: float):
     return ((lo[i] - pad <= hi[j] + pad) & (lo[j] - pad <= hi[i] + pad)).all(axis=1)
 
 
-def _first_below(values: np.ndarray, bound: float):
-    """Index of the first entry of ``values`` below ``bound``, or None."""
-    hits = np.flatnonzero(values < bound)
-    return int(hits[0]) if len(hits) else None
+def _meeting_pairs(lo: np.ndarray, hi: np.ndarray, pad: float):
+    """The pairs ``(i, j)`` of ``np.triu_indices(len(lo), 1)`` for which
+    ``_boxes_meet`` holds, by the same comparisons, made on a block of
+    rows at a time with no pair gathered."""
+    lo, hi = lo - pad, hi + pad
+    n = len(lo)
+    rows = max(1, 2 ** 20 // max(n, 1))
+    i, j = [np.zeros(0, int)], [np.zeros(0, int)]
+    for r in range(0, n, rows):
+        s = slice(r, min(r + rows, n))
+        meet = np.triu(np.ones((s.stop - r, n), bool), r + 1)
+        for k in range(lo.shape[1]):
+            meet &= (lo[s, k, None] <= hi[:, k]) & (lo[:, k] <= hi[s, k, None])
+        a, b = np.nonzero(meet)
+        i.append(a + r)
+        j.append(b)
+    return np.concatenate(i), np.concatenate(j)
+
+
+# A unit vector along no axis: a network's lines mostly run along axes,
+# and so do its grids of crossing points.
+_SWEEP = np.array([0.6, 0.48, 0.64])
+
+
+def _sweep_pairs(pts: np.ndarray, reach: float):
+    """Index pairs ``(i, j)``, ``i < j``, of the rows of ``pts`` whose
+    projections on ``_SWEEP`` lie within ``reach``: one sort, then a
+    window on the sorted projections (sort and sweep).  Rows closer than
+    ``reach / 2`` always pair, with room for rounding."""
+    key = pts @ _SWEEP
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    after = np.arange(1, len(key) + 1)
+    k, at = _ranges(after, np.searchsorted(key, key + reach, "right") - after)
+    a, b = order[k], order[at]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _merge_targets(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The entries ``0 .. n - 1`` merged in order: entry ``q`` merges into
+    the first kept entry ``p < q`` of a close pair ``(i[k], j[k]) = (p,
+    q)``, and is kept if there is none.  Returns each entry's target, the
+    entry itself if kept.
+
+    An entry that is no pair's ``q`` is kept, so an entry whose first
+    partner is such a one merges into it; only the others are decided
+    one by one, in order, and they are rare.
+    """
+    order = np.lexsort((i, j))
+    p, q = i[order], j[order]
+    target = np.arange(n)
+    head = np.flatnonzero(np.diff(q, prepend=-1) != 0)
+    root = np.ones(n, bool)
+    root[q[head]] = False
+    easy = root[p[head]]
+    target[q[head[easy]]] = p[head[easy]]
+    stop = np.append(head[1:], len(q))
+    for a, b in zip(head[~easy].tolist(), stop[~easy].tolist()):
+        for pp in p[a:b].tolist():
+            if target[pp] == pp:
+                target[q[a]] = pp
+                break
+    return target
 
 
 def build_network(fractures: list, tol: float | None = None,
@@ -678,22 +737,23 @@ def build_network(fractures: list, tol: float | None = None,
         (np.linalg.norm(np.cross(normal[i], normal[j]), axis=1)
          < 2 * _PARALLEL_TOL)
         & (np.abs(((origin[j] - origin[i]) * normal[i]).sum(1)) <= 20 * tol))
-    ends = np.empty((near.sum(), 2, 3))
-    lines: list[IntersectionLine] = []
-    for seg in _intersect_pairs(fractures, i[near], j[near], tol):
-        if seg is None:
-            continue
-        kept = ends[:len(lines)]
-        k = _first_below(np.minimum(
-            _norms(kept[:, 0] - seg.p0) + _norms(kept[:, 1] - seg.p1),
-            _norms(kept[:, 0] - seg.p1) + _norms(kept[:, 1] - seg.p0)),
-            merge_tol)
-        if k is None:
-            ends[len(lines)] = seg.p0, seg.p1
-            lines.append(seg)
-        else:
-            lines[k].parents = tuple(sorted(set(lines[k].parents)
-                                            | set(seg.parents)))
+    segs = [s for s in _intersect_pairs(fractures, i[near], j[near], tol)
+            if s is not None]
+    ends = np.array([(s.p0, s.p1) for s in segs]).reshape(-1, 2, 3)
+    # A segment within merge_tol of a kept one, end to end, merges into
+    # the first such; the two midpoints are then within merge_tol / 2.
+    a, b = _sweep_pairs(ends.sum(1) / 2, 2 * merge_tol)
+    ea, eb = ends[a], ends[b]
+    close = np.minimum(
+        _norms(ea[:, 0] - eb[:, 0]) + _norms(ea[:, 1] - eb[:, 1]),
+        _norms(ea[:, 0] - eb[:, 1]) + _norms(ea[:, 1] - eb[:, 0])) < merge_tol
+    target = _merge_targets(len(segs), a[close], b[close])
+    kept = target == np.arange(len(segs))
+    for k in np.flatnonzero(~kept).tolist():
+        ln = segs[target[k]]
+        ln.parents = tuple(sorted(set(ln.parents) | set(segs[k].parents)))
+    lines = [segs[k] for k in np.flatnonzero(kept).tolist()]
+    ends = ends[kept]
     for k, ln in enumerate(lines):
         ln.id = k
         props = None
@@ -708,27 +768,26 @@ def build_network(fractures: list, tol: float | None = None,
             ln.k_hat = float(props.get("k_hat", ln.k_hat))
             ln.k_tilde = float(props.get("k_tilde", ln.k_tilde))
 
-    ends = ends[:len(lines)]
-    a, b = np.triu_indices(len(lines), 1)
-    near = _boxes_meet(ends.min(1), ends.max(1), a, b, merge_tol)
-    a, b = a[near], b[near]
+    a, b = _meeting_pairs(ends.min(1), ends.max(1), merge_tol)
     parallel, found = _crossings(ends[a, 0], ends[a, 1], ends[b, 0], ends[b, 1],
                                  merge_tol)
-    locations = np.empty((len(a), 3))
-    points: list[IntersectionPoint] = []
-    for la, lb, par, loc in zip(a.tolist(), b.tolist(), parallel, found):
-        if par:
-            _check_collinear(lines[la], lines[lb], merge_tol)
-        if np.isnan(loc[0]):
-            continue
-        k = _first_below(_norms(locations[:len(points)] - loc), merge_tol)
-        if k is None:
-            locations[len(points)] = loc
-            points.append(IntersectionPoint(id=len(points), location=loc,
-                                            parent_lines=(la, lb)))
-        else:
-            points[k].parent_lines = tuple(
-                sorted(set(points[k].parent_lines) | {la, lb}))
+    for k in np.flatnonzero(parallel).tolist():
+        _check_collinear(lines[a[k]], lines[b[k]], merge_tol)
+    # A crossing within merge_tol of a kept one merges into the first such.
+    hit = np.flatnonzero(~np.isnan(found[:, 0]))
+    loc, a, b = found[hit], a[hit], b[hit]
+    i, j = _sweep_pairs(loc, 2 * merge_tol)
+    close = _norms(loc[i] - loc[j]) < merge_tol
+    target = _merge_targets(len(hit), i[close], j[close])
+    # Each kept crossing's lines, with those of the crossings merged in.
+    key = np.unique(np.tile(target, 2) * len(lines) + np.concatenate([a, b]))
+    owner, member = np.divmod(key, len(lines))
+    run = np.flatnonzero(np.diff(owner, prepend=-1)).tolist() + [len(key)]
+    member = member.tolist()
+    points = [IntersectionPoint(id=n, location=loc[k],
+                                parent_lines=tuple(member[s:e]))
+              for n, (k, s, e) in enumerate(zip(owner[run[:-1]].tolist(),
+                                                run[:-1], run[1:]))]
     return FractureNetwork(fractures=fractures, lines=lines, points=points,
                            tol=tol)
 

@@ -332,20 +332,19 @@ class PolyMesh:
     # mutation (used by co-refinement)
     # -------------------------------------------------------------- #
 
-    def split_edges(self, splits):
+    def split_edges(self, eids, counts, points):
         """Split edges at interior points, all in one batch.
 
-        ``splits`` lists ``(eid, points)`` pairs, each edge at most once
-        and with at least one point, the points ordered from node a to
-        node b of the edge.  Edge ``eid`` keeps its first piece and the
-        others are appended; nodes and edges are numbered as if the edges
-        were split one after the other in list order.
+        Edge ``eids[i]``, each edge at most once, is cut at ``counts[i]
+        >= 1`` points: the next rows of ``points``, ordered from node a
+        to node b of the edge.  Edge ``eids[i]`` keeps its first piece
+        and the others are appended; nodes and edges are numbered as if
+        the edges were split one after the other in ``eids`` order.
         """
-        splits = [(e, np.atleast_2d(p)) for e, p in splits]
-        if not splits:
+        eids = np.asarray(eids, int)
+        n_pts = np.asarray(counts, int)
+        if not len(eids):
             return
-        eids = np.array([e for e, _ in splits], int)
-        n_pts = np.array([len(p) for _, p in splits], int)
         # Split i adds nodes and edges k0[i] .. k0[i] + n_pts[i] - 1 past
         # the current counts; its pieces are eid, then those new edges.
         k0 = np.cumsum(n_pts) - n_pts
@@ -372,7 +371,7 @@ class PolyMesh:
         self.cell_edge = cell_edge
         self.cell_sign = np.repeat(self.cell_sign, reps)
         self.edge_nodes[eids, 1] = tails[k0]
-        self.nodes = np.vstack([self.nodes, *(p for _, p in splits)])
+        self.nodes = np.vstack([self.nodes, np.reshape(points, (-1, 2))])
         self.edge_nodes = np.vstack([self.edge_nodes,
                                      np.column_stack([tails, heads])])
         self._append_edge_tags(np.repeat(eids, n_pts))
@@ -1059,20 +1058,70 @@ class TraceMesh:
         return self.line.p0 + np.outer(self.elem_mid, self.line.direction)
 
 
-def _edges_by_trace(mesh: PolyMesh) -> dict:
-    """Trace id -> the ids of the mesh's edges on that trace, ascending."""
-    on = np.flatnonzero(mesh.edge_trace >= 0)
-    on = on[np.argsort(mesh.edge_trace[on], kind="stable")]
-    gids, start = np.unique(mesh.edge_trace[on], return_index=True)
-    return dict(zip(gids.tolist(), np.split(on, start[1:])))
+def _searcher(line, breaks):
+    """``searchsorted`` over breaks sorted by line, then value: ``find(l,
+    t, side)`` places each query ``t[k]`` among the breaks of line
+    ``l[k]`` as ``np.searchsorted`` would in that line's run alone, and
+    returns the position in ``breaks``.  The breaks' values are ranked
+    once, so the queries compare floats as themselves, with no offset,
+    and then integer keys."""
+    values = np.unique(breaks)
+    keys = line * len(values) + np.searchsorted(values, breaks)
+
+    def find(l, t, side="left"):
+        return np.searchsorted(keys, l * len(values)
+                               + np.searchsorted(values, t, side))
+    return find
 
 
-def _trace_draft(mesh: PolyMesh, nodes3: np.ndarray, eids: np.ndarray,
-                line: IntersectionLine) -> np.ndarray:
-    """Breakpoint parameters of the partition of ``line`` by the mesh's
-    edges ``eids``; ``nodes3`` holds the mesh's nodes in 3D."""
-    nodes = np.unique(mesh.edge_nodes[eids])
-    return np.sort(_dots(nodes3[nodes] - line.p0, line.direction))
+def _to_global(uv, f, origin, t1, t2):
+    """``Frame.to_global`` of each point ``uv[k]`` (leading axes ``k``)
+    in the frame ``origin[f[k]], t1[f[k]], t2[f[k]]``, bit for bit."""
+    return origin[f] + uv[..., :1] * t1[f] + uv[..., 1:] * t2[f]
+
+
+def _corefine_lines(ts, counts, draft_line, length, tol):
+    """``corefine`` of many lines at once.
+
+    Draft ``d`` is the next ``counts[d] >= 1`` values of ``ts`` and
+    partitions line ``draft_line[d]`` (nondecreasing) of length
+    ``length[l]``.  Returns the union partitions line after line and
+    their bounds ``ptr``.  One sort by (line, t) lines up every line's
+    values.  A value more than ``tol`` past its predecessor is more than
+    ``tol`` past the last value kept, so it is kept, and a run of closer
+    values keeps only its first unless it spans more than ``tol``; only
+    such rare runs take the sequential rule value by value.
+    """
+    counts = np.asarray(counts)
+    start = np.cumsum(counts) - counts
+    lo, hi = np.minimum.reduceat(ts, start), np.maximum.reduceat(ts, start)
+    span = length[draft_line]
+    bad = np.flatnonzero((np.abs(lo) > tol) | (np.abs(hi - span) > tol))
+    if len(bad):
+        d = bad[0]
+        raise InconsistentEndpoints(
+            f"trace draft spans [{lo[d]:.3e}, {hi[d]:.3e}], "
+            f"expected [0, {span[d]:.3e}]")
+    line = np.repeat(draft_line, counts)
+    order = np.lexsort((ts, line))
+    t, line = ts[order], line[order]
+    keep = np.ones(len(t), bool)
+    keep[1:] = (line[1:] != line[:-1]) | (t[1:] - t[:-1] > tol)
+    run = np.flatnonzero(keep)
+    end = np.append(run[1:], len(t))
+    long = t[end - 1] - t[run] > tol
+    for a, b in zip(run[long].tolist(), end[long].tolist()):
+        vals = t[a:b].tolist()
+        last = vals[0]
+        for i, v in enumerate(vals[1:], a + 1):
+            if v - last > tol:
+                keep[i], last = True, v
+    t, line = t[keep], line[keep]
+    ptr = np.searchsorted(line, np.arange(len(length) + 1))
+    full = ptr[1:] > ptr[:-1]
+    t[ptr[:-1][full]] = 0.0
+    t[ptr[1:][full] - 1] = length[full]
+    return ptr, t
 
 
 def corefine(drafts: list, length: float, tol: float) -> np.ndarray:
@@ -1080,54 +1129,59 @@ def corefine(drafts: list, length: float, tol: float) -> np.ndarray:
 
     Every draft must span ``[0, length]``; duplicates are resolved toward
     the smaller coordinate.  Raises ``InconsistentEndpoints`` when the
-    parents disagree on the segment endpoints.
+    parents disagree on the segment endpoints.  This is the pass of
+    ``corefine_network`` on one line.
     """
-    for ts in drafts:
-        if abs(ts[0]) > tol or abs(ts[-1] - length) > tol:
-            raise InconsistentEndpoints(
-                f"trace draft spans [{ts[0]:.3e}, {ts[-1]:.3e}], "
-                f"expected [0, {length:.3e}]"
-            )
-    allts = np.sort(np.concatenate([np.asarray(d, float) for d in drafts]))
-    merged = [allts[0]]
-    for t in allts[1:]:
-        if t - merged[-1] > tol:
-            merged.append(t)
-    merged[0], merged[-1] = 0.0, length
-    return np.asarray(merged)
+    return _corefine_lines(
+        np.concatenate([np.asarray(d, float) for d in drafts]),
+        [len(d) for d in drafts], np.zeros(len(drafts), int),
+        np.array([length], float), tol)[1]
 
 
-def _trace_splits(mesh: PolyMesh, nodes3: np.ndarray, eids: np.ndarray,
-                  line: IntersectionLine, breaks: np.ndarray, tol: float) -> list:
-    """``split_edges`` pairs that cut the mesh's edges ``eids`` on ``line``
-    at the breakpoints strictly inside them, in edge order."""
-    ends = nodes3[mesh.edge_nodes[eids].ravel()]
-    ts = ((ends - line.p0) @ line.direction).reshape(-1, 2)
-    first = np.searchsorted(breaks, ts.min(axis=1) + tol, "right")
-    count = np.searchsorted(breaks, ts.max(axis=1) - tol, "left") - first
-    local = [None] * len(eids)
-    for m in np.unique(count[count > 0]):
-        sel = np.flatnonzero(count == m)
-        idx = first[sel, None] + np.arange(m)
-        idx = np.where((ts[sel, 1] < ts[sel, 0])[:, None], idx[:, ::-1], idx)
-        pts3 = line.p0 + breaks[idx][..., None] * line.direction
-        for k, pts in zip(sel.tolist(), mesh.frame.to_local(pts3)):
-            local[k] = pts
-    return [(e, pts) for e, pts in zip(eids.tolist(), local) if pts is not None]
+def _nearest(breaks, find, ptr, line, t):
+    """Per query ``k``, the position of the break of line ``line[k]``
+    nearest ``t[k]`` (the first of two as near, as ``np.argmin``) and its
+    distance ``|break - t[k]|``.  The breaks run line after line, line
+    ``l``'s in ``ptr[l]:ptr[l + 1]``, and ``find`` is their ``_searcher``."""
+    pos = find(line, t)
+    last = len(breaks) - 1
+    left = np.where(pos > ptr[line], np.abs(breaks[np.maximum(pos - 1, 0)] - t),
+                    np.inf)
+    right = np.where(pos < ptr[line + 1],
+                     np.abs(breaks[np.minimum(pos, last)] - t), np.inf)
+    return np.where(left <= right, pos - 1, pos), np.minimum(left, right)
 
 
-def _assign_elements(mesh: PolyMesh, mids3: np.ndarray, eids: np.ndarray,
-                     line: IntersectionLine, breaks: np.ndarray) -> np.ndarray:
-    """Tag the mesh's edges ``eids`` on ``line`` with their 1D element
-    from their midpoints ``mids3[eids]``; returns them in element order."""
-    elems = np.searchsorted(breaks, _dots(mids3[eids] - line.p0,
-                                          line.direction)) - 1
-    if len(np.unique(elems)) != len(breaks) - 1 or len(eids) != len(breaks) - 1:
-        raise MeshError(
-            f"trace {line.id}: partition mismatch after corefinement"
-        )
-    mesh.edge_trace_elem[eids] = elems
-    return eids[np.argsort(elems)]
+def _trace_entries(meshes: list, gids, pair_key, n_f: int):
+    """Every edge of ``meshes`` on a line that the mesh's fracture
+    parents, found by one pass over every mesh's trace tags.
+
+    Draft pair ``p`` of line ``l`` (the line of id ``gids[l]``) and mesh
+    ``f`` has key ``pair_key[p] = l * n_f + f``.  Returns the nodes of all
+    meshes end to end and the mesh of each, then per entry its pair, its
+    edge id in its mesh and its two end nodes as rows of those nodes.
+    Entries are sorted by mesh, then pair, then edge, so each mesh's and
+    each pair's entries are one run.
+    """
+    n_nodes = np.array([m.n_nodes for m in meshes])
+    n_edges = np.array([m.n_edges for m in meshes])
+    node_frac = np.repeat(np.arange(n_f), n_nodes)
+    edge_frac = np.repeat(np.arange(n_f), n_edges)
+    tags = np.concatenate([m.edge_trace for m in meshes])
+    on = np.flatnonzero(tags >= 0)
+    by_id = np.argsort(gids)
+    line = by_id[np.searchsorted(gids, tags[on], sorter=by_id) % len(gids)]
+    key = line * n_f + edge_frac[on]
+    by_key = np.argsort(pair_key)
+    pair = by_key[np.searchsorted(pair_key, key, sorter=by_key) % len(pair_key)]
+    ok = (gids[line] == tags[on]) & (pair_key[pair] == key)
+    on, pair = on[ok], pair[ok]
+    order = np.lexsort((on, pair, edge_frac[on]))
+    on, pair, f = on[order], pair[order], edge_frac[on[order]]
+    ends = (np.concatenate([m.edge_nodes for m in meshes])[on]
+            + (np.cumsum(n_nodes) - n_nodes)[f, None])
+    return (np.concatenate([m.nodes for m in meshes]), node_frac, pair,
+            on - (np.cumsum(n_edges) - n_edges)[f], ends)
 
 
 def corefine_network(meshes: dict, network) -> dict:
@@ -1135,52 +1189,156 @@ def corefine_network(meshes: dict, network) -> dict:
 
     Returns a ``TraceMesh`` per intersection line; the per-fracture meshes
     are modified in place (edge splits only).  Intersection points are
-    forced into every partition.
+    forced into every partition.  Breakpoints closer than ``100 *
+    network.tol`` merge, a tolerance relative to the network's size.
+
+    Every line is co-refined at once, on arrays keyed by (line, parent)
+    pairs: the drafts come from one pass over every mesh's trace tags,
+    their union from one sort by (line, t), and the edge splits and
+    element tags from ``searchsorted`` over every line's breaks; only
+    ``PolyMesh.split_edges`` runs once per fracture.  Each comparison is
+    the one of the line-by-line rule, so the partitions, splits and tags
+    are that rule's bit for bit.
     """
-    tol = 100 * max(network.tol, 1e-12)
-    points = {}
-    for pt in network.points:
-        for gid in set(pt.parent_lines):
-            points.setdefault(gid, []).append(pt)
-    on_trace = {fid: _edges_by_trace(mesh) for fid, mesh in meshes.items()}
-    nodes3 = {fid: mesh.frame.to_global(mesh.nodes)
-              for fid, mesh in meshes.items()}
-    out = {}
-    splits = {fid: [] for fid in meshes}
-    for ln in network.lines:
-        parents = [f for f in ln.parents if f in meshes]
-        for f in parents:
-            if ln.id not in on_trace[f]:
-                raise InconsistentEndpoints(
-                    f"mesh has no edges on trace {ln.id}")
-        breaks = corefine([_trace_draft(meshes[f], nodes3[f],
-                                        on_trace[f][ln.id], ln)
-                           for f in parents], ln.length, tol)
-        on_line = [(ln.param_of(pt.location), pt.id)
-                   for pt in points.get(ln.id, ())]
-        for t, _ in on_line:
-            if np.min(np.abs(breaks - t)) > tol:
-                breaks = np.sort(np.append(breaks, t))
-        out[ln.id] = TraceMesh(
-            gamma=ln.id, line=ln, breakpoints=breaks,
-            xi_breaks=[(int(np.argmin(np.abs(breaks - t))), pid)
-                       for t, pid in on_line])
-        for f in parents:
-            splits[f] += _trace_splits(meshes[f], nodes3[f], on_trace[f][ln.id],
-                                       ln, breaks, tol)
+    lines, fids, ms = network.lines, list(meshes), list(meshes.values())
+    if not lines:
+        return {}
+    tol = 100 * network.tol
+    n_l, n_f = len(lines), len(fids)
+    at = {fid: k for k, fid in enumerate(fids)}
+    # Draft pair p: line pair_line[p] in mesh pair_frac[p], line after
+    # line, each line's parents in its order.
+    pair_line, pair_frac = np.array(
+        [(l, at[f]) for l, ln in enumerate(lines) for f in ln.parents
+         if f in at], int).reshape(-1, 2).T
+    gids = np.array([ln.id for ln in lines])
+    p0, u = (np.array([getattr(ln, a) for ln in lines]).reshape(-1, 3)
+             for a in ("p0", "direction"))
+    length = np.array([ln.length for ln in lines], float)
+    frame = [np.array([getattr(m.frame, a) for m in ms]).reshape(-1, 3)
+             for a in ("origin", "t1", "t2")]
+    pair_key = pair_line * n_f + pair_frac
+    if not len(pair_key):
+        raise InconsistentEndpoints(f"mesh has no edges on trace {gids[0]}")
+
+    # Each pair's draft: the parameters of the nodes of its edges.
+    nodes, node_frac, pair, edge, ends = _trace_entries(ms, gids, pair_key,
+                                                        n_f)
+    key = np.unique(pair[:, None] * len(nodes) + ends)
+    dpair, node = key // len(nodes), key % len(nodes)
+    count = np.bincount(dpair, minlength=len(pair_line))
+    # The first line without edges in one of its meshes, or without a
+    # mesh, fails after the drafts of the lines before it are checked.
+    lost = np.union1d(pair_line[count == 0],
+                      np.flatnonzero(np.bincount(pair_line, minlength=n_l) == 0))
+    n_ok = np.searchsorted(pair_line, lost[0]) if len(lost) else len(count)
+    if n_ok:
+        m = np.searchsorted(dpair, n_ok)
+        dl = pair_line[dpair[:m]]
+        ts = _dots(_to_global(nodes[node[:m]], node_frac[node[:m]], *frame)
+                   - p0[dl], u[dl])
+        ptr, breaks = _corefine_lines(ts, count[:n_ok], pair_line[:n_ok],
+                                      length, tol)
+    if len(lost):
+        raise InconsistentEndpoints(
+            f"mesh has no edges on trace {gids[lost[0]]}")
+
+    # Intersection points, each once per line, in the network's order;
+    # one not within tol of a break is inserted, unless an earlier one of
+    # the same line is within tol of it.
+    row = {gid: l for l, gid in enumerate(gids.tolist())}
+    points = network.points
+    pt, pt_line = np.array(
+        [(k, row[g]) for k, p in enumerate(points) for g in set(p.parent_lines)
+         if g in row], int).reshape(-1, 2).T
+    loc = np.array([p.location for p in points]).reshape(-1, 3)
+    t_pt = _dots(loc[pt] - p0[pt_line], u[pt_line])
+    line = np.repeat(np.arange(n_l), np.diff(ptr))
+    new = _nearest(breaks, _searcher(line, breaks), ptr, pt_line,
+                   t_pt)[1] > tol
+    c = np.flatnonzero(new)
+    o = np.lexsort((t_pt[c], pt_line[c]))
+    cl, ct = pt_line[c[o]], t_pt[c[o]]
+    for l in np.unique(cl[1:][(cl[1:] == cl[:-1])
+                              & (ct[1:] - ct[:-1] <= tol)]).tolist():
+        kept = []
+        for k in c[pt_line[c] == l].tolist():
+            if all(abs(t - t_pt[k]) > tol for t in kept):
+                kept.append(t_pt[k])
+            else:
+                new[k] = False
+    line = np.concatenate([line, pt_line[new]])
+    breaks = np.concatenate([breaks, t_pt[new]])
+    o = np.lexsort((breaks, line))
+    line, breaks = line[o], breaks[o]
+    ptr = np.searchsorted(line, np.arange(n_l + 1))
+    find = _searcher(line, breaks)
+    xi = [[] for _ in lines]
+    near = _nearest(breaks, find, ptr, pt_line, t_pt)[0] - ptr[pt_line]
+    for k, l, i in zip(pt.tolist(), pt_line.tolist(), near.tolist()):
+        xi[l].append((i, points[k].id))
+
+    # Each trace edge is cut at the breaks strictly inside it, from its
+    # node a.  A stacked (2, 3) @ (3, 1) product per edge rounds each end
+    # as the matrix-vector product over a line's edge ends does, and the
+    # (m, 3) point sets map to each frame as ``Frame.to_local`` maps them.
+    el = pair_line[pair]
+    ts = ((_to_global(nodes[ends], node_frac[ends], *frame) - p0[el][:, None])
+          @ u[el][:, :, None])[..., 0]
+    first = find(el, ts.min(axis=1) + tol, "right")
+    n_cut = np.maximum(find(el, ts.max(axis=1) - tol) - first, 0)
+    cut = np.flatnonzero(n_cut)
+    bound = np.concatenate([[0], np.cumsum(n_cut[cut])])
+    pts = np.empty((bound[-1], 2))
+    origin, t1, t2 = frame
+    for m in np.unique(n_cut[cut]).tolist():
+        sel = np.flatnonzero(n_cut[cut] == m)
+        e = cut[sel]
+        idx = first[e, None] + np.arange(m)
+        idx = np.where((ts[e, 1] < ts[e, 0])[:, None], idx[:, ::-1], idx)
+        f = pair_frac[pair[e]]
+        q = (p0[el[e]][:, None] + breaks[idx][..., None] * u[el[e]][:, None]
+             - origin[f][:, None])
+        pts[bound[sel, None] + np.arange(m)] = np.concatenate(
+            [q @ t1[f][:, :, None], q @ t2[f][:, :, None]], axis=-1)
     # An edge lies on one trace only, so the lines' splits are disjoint
     # and one batch per fracture numbers them as line after line would.
-    mids3 = {}
-    for fid, mesh in meshes.items():
-        mesh.split_edges(splits[fid])
-        on_trace[fid] = _edges_by_trace(mesh)
-        mids3[fid] = mesh.frame.to_global(mesh.edge_mid)
-    for tm in out.values():
-        for f in tm.line.parents:
-            if f in meshes:
-                tm.edges[f] = _assign_elements(
-                    meshes[f], mids3[f], on_trace[f][tm.gamma], tm.line,
-                    tm.breakpoints)
+    mesh_of = pair_frac[pair[cut]]
+    run = np.searchsorted(mesh_of, np.arange(n_f + 1))
+    for k, mesh in enumerate(ms):
+        a, b = run[k], run[k + 1]
+        mesh.split_edges(edge[cut[a:b]], n_cut[cut[a:b]],
+                         pts[bound[a]:bound[b]])
+
+    # Element tags from the split edges' midpoints.
+    nodes, node_frac, pair, edge, ends = _trace_entries(ms, gids, pair_key,
+                                                        n_f)
+    el = pair_line[pair]
+    mid = 0.5 * (nodes[ends[:, 0]] + nodes[ends[:, 1]])
+    t_mid = _dots(_to_global(mid, node_frac[ends[:, 0]], *frame) - p0[el],
+                  u[el])
+    elem = find(el, t_mid) - ptr[el] - 1
+    o = np.lexsort((elem, pair))
+    n_elems = np.diff(ptr)[pair_line] - 1
+    count = np.bincount(pair, minlength=len(pair_line))
+    step = np.ones(len(o), bool)
+    step[1:] = (pair[o][1:] != pair[o][:-1]) | (elem[o][1:] != elem[o][:-1])
+    distinct = np.bincount(pair[o][step], minlength=len(pair_line))
+    bad = np.flatnonzero((count != n_elems) | (distinct != n_elems))
+    if len(bad):
+        raise MeshError(f"trace {gids[pair_line[bad[0]]]}: partition "
+                        f"mismatch after corefinement")
+    run = np.searchsorted(pair_frac[pair], np.arange(n_f + 1))
+    for k, mesh in enumerate(ms):
+        mesh.edge_trace_elem[edge[run[k]:run[k + 1]]] = elem[run[k]:run[k + 1]]
+
+    gids = gids.tolist()
+    out = {gid: TraceMesh(gamma=gid, line=ln, breakpoints=b, xi_breaks=x)
+           for gid, ln, b, x in zip(gids, lines, np.split(breaks, ptr[1:-1]),
+                                    xi)}
+    for l, f, eids in zip(pair_line.tolist(), pair_frac.tolist(),
+                          np.split(edge[o], np.cumsum(count)[:-1])):
+        out[gids[l]].edges[fids[f]] = eids
     return out
 
 

@@ -3,6 +3,7 @@
 import functools
 import heapq
 import importlib.util
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 from scipy.sparse import linalg as spla
 
 from dfnvem import assembly as asm
+from dfnvem import cases
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
@@ -293,6 +295,67 @@ def write_perfbench_network(path, seed: int) -> None:
 def perfbench_network_dict(seed: int) -> dict:
     """The payload that ``write_perfbench_network`` writes."""
     return _perfbench_network_module().network_dict(seed)
+
+
+def turned(a, b):
+    """Rotation by ``a`` about z after rotation by ``b`` about x."""
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    return (np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
+            @ np.array([[1, 0, 0], [0, cb, -sb], [0, sb, cb]]))
+
+
+def load_network_dict(tmp_path, payload: dict, turn=None):
+    """``load_network`` of a network file payload, with every vertex
+    first multiplied by the matrix ``turn`` if one is given."""
+    payload = json.loads(json.dumps(payload))
+    if turn is not None:
+        for frac in payload["fractures"]:
+            frac["vertices"] = (np.array(frac["vertices"]) @ turn.T).tolist()
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(payload))
+    return geo.load_network(path)[0]
+
+
+# The networks of the array-against-oracle tests: ``perfbench/network.py``
+# seeds 0-7, plain and turned so that no line runs along an axis, and the
+# grid networks k = 2-6.
+TURN = turned(0.3, 0.7)
+ORACLE_NETWORKS = ([f"network-{s}" for s in range(8)]
+                   + [f"turned-{s}" for s in range(8)]
+                   + [f"grid-{k}" for k in range(2, 7)])
+
+
+def oracle_network(tmp_path, name: str):
+    """The network of an ``ORACLE_NETWORKS`` name."""
+    kind, number = name.rsplit("-", 1)
+    if kind == "grid":
+        return load_network_dict(tmp_path, grid_dict(int(number), 0))
+    return load_network_dict(tmp_path, perfbench_network_dict(int(number)),
+                             TURN if kind == "turned" else None)
+
+
+def solve_network_dict(tmp_path, payload: dict, h: float, model: str = "cc"):
+    """Solve a network file payload as ``dfnvem solve --network`` does:
+    returns its problem, solution and solver report."""
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(payload))
+    network, raw = geo.load_network(path)
+    problem, _, solution, report = cases.solve_meshes(
+        network, msh.triangulate_network(network, h),
+        asm.boundary_spec_from_json(raw, network), model)
+    return problem, solution, report
+
+
+def scaled_network_dict(payload: dict, scale: float) -> dict:
+    """A network file payload with its vertices and Dirichlet values
+    multiplied by ``scale``; ``p = x`` stays the exact solution of a
+    ``perfbench/network.py`` or ``grid_dict`` payload."""
+    payload = json.loads(json.dumps(payload))
+    for frac in payload["fractures"]:
+        frac["vertices"] = [[scale * v for v in p] for p in frac["vertices"]]
+    for bc in payload["boundary_conditions"]:
+        bc["value"] *= scale
+    return payload
 
 
 def grid_dict(k: int, seed: int) -> dict:
@@ -1780,7 +1843,8 @@ def apply_breakpoints_ref(mesh: PolyMesh, line: IntersectionLine,
             inner = inner[::-1]
         pts3 = line.p0 + np.outer(inner, line.direction)
         splits.append((e, mesh.frame.to_local(pts3)))
-    mesh.split_edges(splits)
+    mesh.split_edges([e for e, _ in splits], [len(p) for _, p in splits],
+                     np.reshape([p for _, pts in splits for p in pts], (-1, 2)))
     # Assign element indices from edge midpoints.
     eids = np.where(mesh.edge_trace == line.id)[0]
     mids3 = mesh.frame.to_global(mesh.edge_mid[eids])
@@ -1793,6 +1857,34 @@ def apply_breakpoints_ref(mesh: PolyMesh, line: IntersectionLine,
     mesh.edge_trace_elem[eids] = elems
 
 
+def corefine_ref(drafts: list, length: float, tol: float) -> np.ndarray:
+    """``meshing.corefine`` value by value: each sorted breakpoint is kept
+    when it lies more than ``tol`` past the last one kept."""
+    for ts in drafts:
+        if abs(ts[0]) > tol or abs(ts[-1] - length) > tol:
+            raise InconsistentEndpoints(
+                f"trace draft spans [{ts[0]:.3e}, {ts[-1]:.3e}], "
+                f"expected [0, {length:.3e}]")
+    allts = np.sort(np.concatenate([np.asarray(d, float) for d in drafts]))
+    merged = [allts[0]]
+    for t in allts[1:]:
+        if t - merged[-1] > tol:
+            merged.append(t)
+    merged[0], merged[-1] = 0.0, length
+    return np.asarray(merged)
+
+
+def merge_targets_ref(n: int, pairs) -> list:
+    """Entry ``q`` merges into the first kept ``p < q`` with ``(p, q)`` in
+    ``pairs``, one entry after the other; each entry's target."""
+    close = set(map(tuple, pairs))
+    target = []
+    for q in range(n):
+        target.append(next((p for p in range(q) if target[p] == p
+                            and (p, q) in close), q))
+    return target
+
+
 def corefine_network_ref(meshes: dict, network) -> dict:
     """Co-refine every trace across its parent fractures.
 
@@ -1800,12 +1892,12 @@ def corefine_network_ref(meshes: dict, network) -> dict:
     are modified in place (edge splits only).  Intersection points are
     forced into every partition.
     """
-    tol = max(network.tol, 1e-12)
+    tol = network.tol
     out = {}
     for ln in network.lines:
         parents = [f for f in ln.parents if f in meshes]
         drafts = [trace_draft_ref(meshes[f], ln) for f in parents]
-        breaks = msh.corefine(drafts, ln.length, 100 * tol)
+        breaks = corefine_ref(drafts, ln.length, 100 * tol)
         for pt in network.points:
             if ln.id in pt.parent_lines:
                 t = ln.param_of(pt.location)

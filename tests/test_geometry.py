@@ -6,8 +6,8 @@ from dfnvem.errors import (CollinearOverlap, CollinearVertices, CoplanarOverlap,
                            GeometryError)
 
 from _util import (build_network_ref, fracture_contains, import_network_dict,
-                   intersect_fractures_ref, intersect_lines, network_outcome,
-                   normal_projector, perfbench_network_dict,
+                   intersect_fractures_ref, intersect_lines, merge_targets_ref,
+                   network_outcome, normal_projector, perfbench_network_dict,
                    point_in_polygon_ref, point_segment_distance_ref,
                    tangent_projector)
 
@@ -456,6 +456,21 @@ def scalable_network(name):
     seed = int(name.removeprefix("perfbench-"))
     return [np.array(f["vertices"], float)
             for f in perfbench_network_dict(seed)["fractures"]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merge_targets_decide_in_order(seed):
+    # Random points on a line closer than tol in chains: a point whose
+    # first close partner was itself merged is decided in order.
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, 300)
+    i, j = np.triu_indices(len(x), 1)
+    close = np.abs(x[i] - x[j]) < 0.004
+    want = merge_targets_ref(len(x), zip(i[close], j[close]))
+    got = geo._merge_targets(len(x), i[close], j[close])
+    assert got.tolist() == want
+    chained = [q for q, p in enumerate(want)
+               if p == q and any(i[close][j[close] == q] < q)]
+    assert chained
 
 
 class TestScaleInvariance:

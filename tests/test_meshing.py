@@ -10,11 +10,11 @@ from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem.errors import ConstraintConflict, InconsistentEndpoints, MeshError
 
-from _util import (ORACLE_MESHES, cell_of, corefine_network_ref,
-                   crossing_rectangles, oracle_meshes, outward_normals_of_cell,
-                   point_pool_ref, side_edges_of, split_edges_ref,
-                   trace_edges_ref, traced_triangulations,
-                   write_perfbench_network)
+from _util import (ORACLE_MESHES, ORACLE_NETWORKS, cell_of, corefine_ref,
+                   corefine_network_ref, crossing_rectangles, grid_dict,
+                   load_network_dict, oracle_meshes, oracle_network,
+                   outward_normals_of_cell, point_pool_ref, side_edges_of,
+                   split_edges_ref, trace_edges_ref, traced_triangulations)
 
 UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
 
@@ -232,6 +232,21 @@ class TestCorefine:
         assert np.allclose(got, [0, 0.5, 1.0])
         assert len(got) == 3
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chains_merge_value_by_value(self, seed):
+        # Runs of breakpoints each within tol of the next but longer than
+        # tol keep every value more than tol past the last one kept.
+        rng = np.random.default_rng(seed)
+        tol = 1e-3
+        drafts = [np.sort(np.concatenate([
+            [0.0, 1.0], rng.uniform(0.0, 1.0, 20),
+            rng.uniform(0.2, 0.21, 30), rng.uniform(0.7, 0.7 + 3 * tol, 10)]))
+            for _ in range(3)]
+        got = msh.corefine(drafts, 1.0, tol)
+        want = corefine_ref(drafts, 1.0, tol)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert len(want) > 25
+
     def test_inconsistent_endpoints(self):
         with pytest.raises(InconsistentEndpoints):
             msh.corefine([np.array([0, 0.9]), np.array([0, 1.0])], 1.0, 1e-9)
@@ -262,36 +277,9 @@ class TestCorefine:
             assert abs(meshes[fid].cell_areas.sum() - area) < 1e-10 * area
 
 
-def perfbench_meshes(tmp_path, seed, h, turn=None):
-    """The benchmark network of ``seed`` and its meshes at ``h``, with
-    every vertex first multiplied by the matrix ``turn`` if one is given."""
-    path = tmp_path / f"net{seed}.json"
-    write_perfbench_network(path, seed)
-    if turn is not None:
-        raw = json.loads(path.read_text())
-        for frac in raw["fractures"]:
-            frac["vertices"] = (np.array(frac["vertices"]) @ turn.T).tolist()
-        path.write_text(json.dumps(raw))
-    net, _ = geo.load_network(path)
-    return net, {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), h)
-                 for f in net.fractures}
-
-
-def turned(a, b):
-    """Rotation by ``a`` about z after rotation by ``b`` about x."""
-    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
-    return (np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
-            @ np.array([[1, 0, 0], [0, cb, -sb], [0, sb, cb]]))
-
-
-@pytest.mark.parametrize("seed, turn", [(0, None), (1, None),
-                                        (0, turned(0.3, 0.7))])
-def test_network_corefine_equals_line_by_line(tmp_path, seed, turn):
-    # One batch of edge splits per fracture numbers nodes and edges as the
-    # per-line splits did, and the array parameters round as param_of.
-    # Turned, no line runs along an axis, so a matrix-vector product
-    # would round some parameters differently.
-    net, meshes = perfbench_meshes(tmp_path, seed, 0.14, turn)
+def assert_corefine_matches_ref(net, meshes):
+    """``corefine_network`` on ``meshes`` gives the meshes and trace meshes
+    of ``corefine_network_ref`` on copies of them, bit for bit."""
     ref = {fid: mesh.copy() for fid, mesh in meshes.items()}
     got_tm = msh.corefine_network(meshes, net)
     ref_tm = corefine_network_ref(ref, net)
@@ -304,10 +292,67 @@ def test_network_corefine_equals_line_by_line(tmp_path, seed, turn):
     for gid, tm in got_tm.items():
         assert np.array_equal(tm.breakpoints, ref_tm[gid].breakpoints)
         assert tm.xi_breaks == ref_tm[gid].xi_breaks
-        assert tm.edges.keys() == ref_tm[gid].edges.keys()
+        assert list(tm.edges) == list(ref_tm[gid].edges)
         for fid, eids in tm.edges.items():
             assert np.array_equal(eids, ref_tm[gid].edges[fid])
-    assert any(tm.xi_breaks for tm in got_tm.values())
+    return got_tm
+
+
+@pytest.mark.parametrize("name", ORACLE_NETWORKS)
+def test_network_corefine_equals_line_by_line(tmp_path, name):
+    # One pass over every line numbers nodes and edges as the per-line
+    # splits did, and the array parameters round as param_of and the
+    # per-line matrix-vector products.  Turned, no line runs along an
+    # axis, so a product that rounds differently would show.
+    net = oracle_network(tmp_path, name)
+    got = assert_corefine_matches_ref(net, msh.triangulate_network(net, 0.14))
+    assert any(tm.xi_breaks for tm in got.values())
+
+
+class _Counted:
+    """A numpy callable that counts its calls, and its callable
+    attributes (``np.minimum.reduceat``) too."""
+
+    def __init__(self, fn, spy):
+        self.fn, self.spy = fn, spy
+
+    def __call__(self, *args, **kwargs):
+        self.spy.calls += 1
+        return self.fn(*args, **kwargs)
+
+    def __getattr__(self, name):
+        attr = getattr(self.fn, name)
+        return _Counted(attr, self.spy) if callable(attr) else attr
+
+
+class NumpySpy:
+    """Stands in for a module's ``np`` and counts the calls made through
+    it; types (``np.int8``) pass through uncounted."""
+
+    calls = 0
+
+    def __getattr__(self, name):
+        obj = getattr(np, name)
+        if callable(obj) and not isinstance(obj, type):
+            return _Counted(obj, self)
+        return obj
+
+
+def test_corefine_numpy_calls_grow_with_fractures(tmp_path, monkeypatch):
+    # From k = 4 to k = 8 the grid network goes from 12 to 24 fractures
+    # and from 48 to 192 lines: a few calls per fracture, none per line.
+    count = {}
+    for k in (4, 8):
+        net = load_network_dict(tmp_path, grid_dict(k, 0))
+        meshes = msh.triangulate_network(net, 0.25)
+        spy = NumpySpy()
+        monkeypatch.setattr(msh, "np", spy)
+        msh.corefine_network(meshes, net)
+        monkeypatch.undo()
+        count[k] = spy.calls, len(net.fractures), len(net.lines)
+    (n4, f4, l4), (n8, f8, l8) = count[4], count[8]
+    assert (f4, l4, f8, l8) == (12, 48, 24, 192)
+    assert n8 - n4 <= 4 * (f8 - f4)
 
 
 class TestSplitInterface:
@@ -358,6 +403,34 @@ class TestSplitInterface:
         out = msh.split_interface_dofs(mesh, {}, 0)
         assert out.n_edges == mesh.n_edges
         assert out.n_cells == mesh.n_cells
+
+    def test_points_within_tol_of_each_other(self):
+        # Two crossings of one line closer than the co-refinement tol:
+        # only the first is forced in, and both name its breakpoint.
+        f = geo.Fracture(id=0, vertices=np.array(
+            [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float))
+        line = geo.IntersectionLine(
+            id=0, p0=[0.0, 0.5, 0.0], p1=[1.0, 0.5, 0.0], parents=(0, 1))
+        tol = 1e-9
+
+        class FakeNet:
+            lines = [line]
+            points = [geo.IntersectionPoint(id=k, location=[x, 0.5, 0.0],
+                                            parent_lines=(0,))
+                      for k, x in enumerate([0.37, 0.37 + 50 * tol,
+                                             0.37 + 150 * tol, 0.61])]
+
+        FakeNet.tol = tol
+        mesh = msh.triangulate(f.local_polygon, [(0, [0.0, 0.5], [1.0, 0.5])],
+                               0.3, frame=f.frame)
+        ref = mesh.copy()
+        got = msh.corefine_network({0: mesh}, FakeNet())[0]
+        want = corefine_network_ref({0: ref}, FakeNet())[0]
+        assert np.array_equal(got.breakpoints, want.breakpoints)
+        assert got.xi_breaks == want.xi_breaks
+        assert np.array_equal(mesh.edge_trace_elem, ref.edge_trace_elem)
+        assert [k for k, _ in got.xi_breaks][:2] == [got.xi_breaks[0][0]] * 2
+        assert len(set(k for k, _ in got.xi_breaks)) == 3
 
     def test_immersed_tip_not_duplicated(self):
         # Partial trace: tip node stays shared, non-trace edges untouched.
@@ -494,7 +567,9 @@ class TestSplitEdgesMatchesReference:
     def check(self, mesh, splits):
         ref = split_edges_ref(mesh, splits)
         got = mesh.copy()
-        got.split_edges(splits)
+        got.split_edges([e for e, _ in splits], [len(np.atleast_2d(p))
+                                                   for _, p in splits],
+                        np.vstack([np.atleast_2d(p) for _, p in splits]))
         for name in self.FIELDS:
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
             assert getattr(got, name).dtype == getattr(ref, name).dtype, name
@@ -606,7 +681,8 @@ class TestMeshIO:
             mesh = msh.cartesian_mesh(4)
         elif name == "corefined-network":
             # The slanted fracture of the benchmark network, nine traces.
-            net, meshes = perfbench_meshes(tmp_path, 0, 0.1)
+            net = oracle_network(tmp_path, "network-0")
+            meshes = msh.triangulate_network(net, 0.1)
             msh.corefine_network(meshes, net)
             mesh = meshes[11]
         elif name == "triangulated-crossing":

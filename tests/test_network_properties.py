@@ -11,16 +11,21 @@ the same error type.
 """
 
 import functools
+import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 
-from _util import (boundary_mids, build_network_ref, crossing_rectangles,
-                   json_bc_outcomes, network_outcome, triangulate_ref)
+from _util import (ORACLE_NETWORKS, boundary_mids, build_network_ref,
+                   crossing_rectangles, json_bc_outcomes, network_outcome,
+                   oracle_network, perfbench_network_dict, scaled_network_dict,
+                   solve_network_dict, triangulate_ref)
 
 STEPS = np.linspace(0.25, 0.75, 17).tolist()
 HALF = [0.25, 0.5]
@@ -46,6 +51,15 @@ def rectangles(draw):
     quad = np.array([-a * u - b * v, a * u - b * v, a * u + b * v, -a * u + b * v])
     rot = turn(draw(st.integers(0, 2)), draw(st.sampled_from(ANGLES)))
     return center + quad @ rot.T
+
+
+@pytest.mark.parametrize("name", ORACLE_NETWORKS)
+def test_build_equals_all_pairs_on_benchmark_networks(tmp_path, name):
+    # Lines meet in many crossings there, most shared by three lines.
+    fractures = oracle_network(tmp_path, name).fractures
+    got = network_outcome(geo.build_network, fractures)
+    assert got == network_outcome(build_network_ref, fractures)
+    assert len(got[1]) > 0
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -192,3 +206,105 @@ def test_json_bc_masks_equal_pointwise_ref(rules):
     net, mids = crossing_pair_mids()
     got, want = json_bc_outcomes({"boundary_conditions": rules}, net, mids)
     assert got == want
+
+
+# ------------------------------------------------------------------ #
+# Whole solves: scale and fracture-id invariance
+# ------------------------------------------------------------------ #
+
+@pytest.mark.parametrize("model", ["cc", "dc"])
+@pytest.mark.parametrize("exponent", [-27, -30])
+def test_tiny_networks_solve_exactly(tmp_path, exponent, model):
+    # network.tol is 1.3e-17 at 2**-27.  An absolute floor of 1e-12 on
+    # it set the co-refinement tolerance to 1e-10, a seventh of h, which
+    # merged distinct breakpoints: the solve failed with a partition
+    # mismatch.  The discretization scales exactly; p = x is exact in cc
+    # only, since dc's normal coupling jumps across traces.
+    scale = 2.0 ** exponent
+    payload = perfbench_network_dict(0)
+    unit = solve_network_dict(tmp_path, payload, 0.1, model)[1]
+    problem, solution, report = solve_network_dict(
+        tmp_path, scaled_network_dict(payload, scale), 0.1 * scale, model)
+    assert report.residual <= 1e-8
+    assert len(solution.x) == len(unit.x)
+    for fid, mesh in problem.meshes.items() if model == "cc" else ():
+        x = mesh.frame.to_global(mesh.cell_centroids)[:, 0]
+        assert np.abs(solution.pressure[fid] - x).max() <= 1e-9 * scale
+
+
+def cell_fields(problem, solution, fid) -> tuple:
+    """Fracture ``fid``'s cell centroids and pressures, then per cell and
+    edge of it the cell centroid and edge midpoint, end to end, and the
+    flux out of the cell through the edge: all free of the numbering."""
+    mesh = problem.meshes[fid]
+    centroids = mesh.frame.to_global(mesh.cell_centroids)
+    mids = mesh.frame.to_global(mesh.edge_mid[mesh.cell_edge])
+    return (centroids, solution.pressure[fid],
+            np.hstack([centroids[mesh.entry_cell], mids]),
+            mesh.cell_sign * solution.edge_flux[fid][mesh.cell_edge])
+
+
+def assert_same_field(at_a, a, at_b, b, size):
+    """Values ``a`` at points ``at_a`` are values ``b`` at the same
+    points ``at_b``, in some order, to 1e-10 of ``size``."""
+    dist, k = cKDTree(at_b).query(at_a)
+    assert dist.max() <= 1e-9
+    assert len(np.unique(k)) == len(k) == len(b)
+    assert np.abs(a - b[k]).max() <= 1e-10 * size
+
+
+def relabelled_solves(tmp_path, seed: int) -> tuple:
+    """Solves of ``perfbench/network.py``'s seed at ``--h 0.2`` in cc,
+    as given and with its fracture ids permuted, and the new id of each
+    old one.  New ids reorder the fracture pairs, so lines are numbered,
+    and may run, the other way."""
+    payload = perfbench_network_dict(seed)
+    new_id = np.random.default_rng(seed).permutation(
+        len(payload["fractures"])).tolist()
+    relabelled = json.loads(json.dumps(payload))
+    for frac in relabelled["fractures"]:
+        frac["id"] = new_id[frac["id"]]
+    for bc in relabelled["boundary_conditions"]:
+        bc["fracture"] = new_id[bc["fracture"]]
+    return (solve_network_dict(tmp_path, payload, 0.2),
+            solve_network_dict(tmp_path, relabelled, 0.2), new_id)
+
+
+def line_key(line) -> frozenset:
+    return frozenset(map(tuple, np.round([line.p0, line.p1], 9)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fracture_relabelling_keeps_nodes_and_multipliers(tmp_path, seed):
+    (a_problem, a, _), (b_problem, b, _), new_id = relabelled_solves(
+        tmp_path, seed)
+    for fid, mesh in a_problem.meshes.items():
+        other = b_problem.meshes[new_id[fid]]
+        dist = cKDTree(other.nodes).query(mesh.nodes)[0]
+        assert mesh.n_nodes == other.n_nodes and dist.max() <= 1e-12
+    size = max(np.abs(p).max() for p in a.pressure.values())
+    lines = {line_key(tm.line): tm for tm in b_problem.traces.values()}
+    assert len(lines) == len(a_problem.traces)
+    for gid, tm in a_problem.traces.items():
+        other = lines[line_key(tm.line)]
+        assert {new_id[f] for f in tm.line.parents} == set(other.line.parents)
+        assert_same_field(tm.elem_mid_3d(), a.trace_pressure[gid],
+                          other.elem_mid_3d(), b.trace_pressure[other.gamma],
+                          size)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the triangulation depends on the order of a fracture's traces: "
+    "relabelled fractures keep their nodes but qhull breaks ties between "
+    "cocircular points by input order, so some cells differ"))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fracture_relabelling_leaves_the_solution(tmp_path, seed):
+    (a_problem, a, _), (b_problem, b, _), new_id = relabelled_solves(
+        tmp_path, seed)
+    got = {fid: cell_fields(a_problem, a, fid) for fid in a_problem.meshes}
+    p_size = max(np.abs(f[1]).max() for f in got.values())
+    u_size = max(np.abs(f[3]).max() for f in got.values())
+    for fid, (centroids, p, entries, flux) in got.items():
+        want = cell_fields(b_problem, b, new_id[fid])
+        assert_same_field(centroids, p, want[0], want[1], p_size)
+        assert_same_field(entries, flux, want[2], want[3], u_size)
