@@ -29,7 +29,7 @@ from .errors import (
     UnconstrainedPressureWarning,
 )
 from .geometry import (FractureNetwork, is_json_int, json_keys, json_list,
-                       point_segment_distance)
+                       json_numbers, point_segment_distance)
 from .meshing import PolyMesh, corefine_network, split_interface_dofs
 
 __all__ = [
@@ -538,7 +538,8 @@ def boundary_spec_from_json(raw: dict, network: FractureNetwork) -> BoundarySpec
     selector that is not an object or has an unknown key, an unknown
     ``type``, fracture, edge,
     intersection or end, a ``value`` that is not a finite number, a
-    ``box`` that is not two finite 3-vectors ``lo <= hi``, or a fracture
+    ``box`` that is not two finite 3-vectors ``lo <= hi`` (a boolean is
+    neither), or a fracture
     selector without exactly one of ``edge`` and ``box`` raises
     ``ConfigError`` naming its JSON path.
     """
@@ -576,6 +577,7 @@ def boundary_spec_from_json(raw: dict, network: FractureNetwork) -> BoundarySpec
             if not isinstance(item, dict):
                 raise ConfigError(f"{path}: {item!r} is not an object")
             json_keys(item, known, path)
+            json_numbers(item, ("value", "box"), path)
             if item.get("type", kinds[0]) not in kinds:
                 raise ConfigError(f"{path}.type: {item['type']!r} is "
                                   f"not one of {kinds}")

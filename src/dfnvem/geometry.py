@@ -4,8 +4,9 @@ A fracture is a planar simple polygon embedded in 3D carrying an aperture
 and a tangential permeability tensor expressed in its local frame.
 Fracture pairs meet in line segments (the one-codimensional intersections),
 and those segments may meet each other in points (two-codimensional
-intersections).  All functions here are pure; fracture pairs can be
-processed in parallel.
+intersections).  All functions here are pure, and the network's pairs
+of fractures, of lines and of close points are each found and handled
+in one batch.
 """
 
 from __future__ import annotations
@@ -67,36 +68,13 @@ def point_segment_distance(p, a, b):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def point_in_polygon(pts, poly: np.ndarray, tol: float):
-    """Even-odd test of 2D points ``pts`` (shape ``(..., 2)``) in a polygon.
-
-    A point within ``tol`` of the boundary counts as inside, so ``tol = 0``
-    still takes points lying exactly on an edge; a negative ``tol`` means
-    no boundary band.  Returns a bool for a single point, else a bool
-    array of shape ``pts.shape[:-1]``.
-    """
-    pts = np.asarray(pts, float)
-    poly = np.asarray(poly, float)
-    nxt = np.roll(poly, -1, axis=0)
-    x, y = pts[..., 0], pts[..., 1]
-    inside = np.zeros(x.shape, bool)
-    for (x0, y0), (x1, y1) in zip(poly, nxt):
-        if y1 != y0:
-            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            inside ^= ((y0 > y) != (y1 > y)) & (xc > x)
-    if tol >= 0:
-        # One edge at a time keeps memory linear in the number of points.
-        for a, b in zip(poly, nxt):
-            inside |= point_segment_distance(pts, a, b) <= tol
-    return bool(inside) if inside.ndim == 0 else inside
-
-
 def _even_odd(pts, fid, poly, ptr, nxt):
-    """``point_in_polygon(pts[i], polygon, -1.0)`` against polygon
-    ``fid[i]``, rows ``ptr[f]:ptr[f + 1]`` of ``poly`` whose vertex ``e``
-    is followed by ``nxt[e]``, for points sorted by ``fid``.  One pass per
-    edge number, as ``point_in_polygon`` makes one per edge, with each
-    polygon's edge repeated over its points."""
+    """Even-odd test, with no boundary band, of each point ``pts[i]``
+    against polygon ``fid[i]``, rows ``ptr[f]:ptr[f + 1]`` of ``poly``
+    whose vertex ``e`` is followed by ``nxt[e]``, for points sorted by
+    ``fid``.  A point flips at each edge that spans its ``y`` and meets
+    that level at an ``x`` beyond it.  One pass per edge number, with
+    each polygon's edge repeated over its points."""
     n, count = np.bincount(fid, minlength=len(ptr) - 1), np.diff(ptr)
     # Edge e of polygon f runs from vertex a[f, e] to b[f, e]; a polygon
     # with fewer edges repeats its last one, masked out by ``real``.
@@ -117,35 +95,36 @@ def _even_odd(pts, fid, poly, ptr, nxt):
     return inside
 
 
-def segments_cross(a0, a1, b0, b1, tol: float) -> bool:
-    """True if the open interiors of two 2D segments cross transversally.
+def segments_cross(a0, a1, b0, b1, tol):
+    """Whether the open interiors of the 2D segments ``a0[k]``-``a1[k]``
+    and ``b0[k]``-``b1[k]`` cross transversally, row by row, each row
+    with its own ``tol[k]`` or one ``tol`` for all.
 
     Segments whose directions meet at a sine of at most ``_PARALLEL_TOL``
     count as parallel and do not cross, at any scale."""
-    a0, a1, b0, b1 = (np.asarray(v, float) for v in (a0, a1, b0, b1))
     d1, d2 = a1 - a0, b1 - b0
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    L1, L2 = np.linalg.norm(d1), np.linalg.norm(d2)
-    if abs(den) <= _PARALLEL_TOL * L1 * L2:
-        return False
+    den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    L1, L2 = _norms(d1), _norms(d2)
+    parallel = np.abs(den) <= _PARALLEL_TOL * L1 * L2
+    den = np.where(parallel, 1.0, den)
     r = b0 - a0
-    t = (r[0] * d2[1] - r[1] * d2[0]) / den
-    u = (r[0] * d1[1] - r[1] * d1[0]) / den
-    eps_t = tol / max(L1, tol)
-    eps_u = tol / max(L2, tol)
-    return eps_t < t < 1 - eps_t and eps_u < u < 1 - eps_u
+    t = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / den
+    u = (r[:, 0] * d1[:, 1] - r[:, 1] * d1[:, 0]) / den
+    eps_t = tol / np.maximum(L1, tol)
+    eps_u = tol / np.maximum(L2, tol)
+    return (~parallel & (eps_t < t) & (t < 1 - eps_t)
+            & (eps_u < u) & (u < 1 - eps_u))
 
 
 def polygon_is_simple(pts: np.ndarray, tol: float) -> bool:
+    """True unless two edges of ``pts`` that share no vertex cross."""
     n = len(pts)
-    for i in range(n):
-        a0, a1 = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if segments_cross(a0, a1, pts[j], pts[(j + 1) % n], tol):
-                return False
-    return True
+    nxt = (np.arange(n) + 1) % n
+    i, j = np.divmod(np.arange(n * n), n)
+    apart = (i + 1 < j) & (nxt[j] != i)
+    i, j = i[apart], j[apart]
+    return not segments_cross(pts[i], pts[nxt[i]], pts[j], pts[nxt[j]],
+                              tol).any()
 
 
 # ------------------------------------------------------------------ #
@@ -344,42 +323,40 @@ def _coplanar_intersection(a: Fracture, b: Fracture, tol: float):
     pb = a.frame.to_local(b.vertices)
     if polygon_area(pb) < 0:
         pb = pb[::-1]
-    na, nb = len(pa), len(pb)
-    for i in range(na):
-        for j in range(nb):
-            if segments_cross(pa[i], pa[(i + 1) % na], pb[j], pb[(j + 1) % nb], tol):
-                raise CoplanarOverlap(
-                    f"fractures {a.id} and {b.id} are coplanar and overlap"
-                )
+    # Edge i of a against edge j of b in row i * len(pb) + j.
+    i, j = np.divmod(np.arange(len(pa) * len(pb)), len(pb))
+    a0, a1 = pa[i], np.roll(pa, -1, 0)[i]
+    b0, b1 = pb[j], np.roll(pb, -1, 0)[j]
+    if segments_cross(a0, a1, b0, b1, tol).any():
+        raise CoplanarOverlap(
+            f"fractures {a.id} and {b.id} are coplanar and overlap"
+        )
     for q, poly in ((pb, pa), (pa, pb)):
         # A vertex strictly inside the other polygon, off its boundary band.
         off_boundary = point_segment_distance(
             q[:, None], poly, np.roll(poly, -1, 0)).min(1) > tol
-        if (point_in_polygon(q, poly, -1.0) & off_boundary).any():
+        n = len(poly)
+        inside = _even_odd(q, np.zeros(len(q), int), poly, np.array([0, n]),
+                           (np.arange(n) + 1) % n)
+        if (inside & off_boundary).any():
             raise CoplanarOverlap(
                 f"fractures {a.id} and {b.id} are coplanar and overlap"
             )
-    # Collect collinear overlaps of boundary edges.
-    pieces = []
-    for i in range(na):
-        a0, a1 = pa[i], pa[(i + 1) % na]
-        da = a1 - a0
-        La = np.linalg.norm(da)
-        ua = da / La
-        for j in range(nb):
-            b0, b1 = pb[j], pb[(j + 1) % nb]
-            if (
-                point_segment_distance(b0, a0 - 2 * La * ua, a1 + 2 * La * ua) > tol
-                or point_segment_distance(b1, a0 - 2 * La * ua, a1 + 2 * La * ua) > tol
-            ):
-                continue
-            t0, t1 = sorted([float((b0 - a0) @ ua), float((b1 - a0) @ ua)])
-            lo, hi = max(0.0, t0), min(La, t1)
-            if hi - lo > tol:
-                pieces.append((a0 + lo * ua, a0 + hi * ua))
-    if not pieces:
+    # Collinear overlaps of boundary edges: b's edge within tol of the
+    # line of a's edge, grown to three times its length, and overlapping
+    # the edge by more than tol.
+    La = _norms(a1 - a0)
+    ua = (a1 - a0) / La[:, None]
+    grow = 2 * La[:, None] * ua
+    on = ((point_segment_distance(b0, a0 - grow, a1 + grow) <= tol)
+          & (point_segment_distance(b1, a0 - grow, a1 + grow) <= tol))
+    t = np.sort(np.column_stack([_dots(b0 - a0, ua), _dots(b1 - a0, ua)]), 1)
+    lo, hi = np.maximum(0.0, t[:, 0]), np.minimum(La, t[:, 1])
+    piece = on & (hi - lo > tol)
+    if not piece.any():
         return None
-    ends = np.array([q for seg in pieces for q in seg])
+    ends = np.stack([a0 + lo[:, None] * ua, a0 + hi[:, None] * ua],
+                    1)[piece].reshape(-1, 2)
     far = int(np.argmax(np.linalg.norm(ends - ends[0], axis=1)))
     u = ends[far] - ends[0]
     u = u / np.linalg.norm(u)
@@ -657,23 +634,39 @@ def _meeting_pairs(lo: np.ndarray, hi: np.ndarray, pad: float):
     return np.concatenate(i), np.concatenate(j)
 
 
-# A unit vector along no axis: a network's lines mostly run along axes,
-# and so do its grids of crossing points.
+# A unit vector along no axis, whose first two entries serve 2D points:
+# a network's lines and a fracture's traces mostly run along axes, and so
+# do their grids of crossing points.
 _SWEEP = np.array([0.6, 0.48, 0.64])
 
 
-def _sweep_pairs(pts: np.ndarray, reach: float):
-    """Index pairs ``(i, j)``, ``i < j``, of the rows of ``pts`` whose
-    projections on ``_SWEEP`` lie within ``reach``: one sort, then a
-    window on the sorted projections (sort and sweep).  Rows closer than
-    ``reach / 2`` always pair, with room for rounding."""
-    key = pts @ _SWEEP
+def _points_in_boxes(pts, lo, hi, pts_group=None, box_group=None):
+    """Index pairs ``(k, j)`` with ``lo[k] <= pts[j] <= hi[k]`` in every
+    coordinate and, if groups are given, ``pts_group[j] ==
+    box_group[k]``; boxes have ``lo <= hi``.
+
+    One sort of the points by group, then projection on ``_SWEEP``, gives
+    each box the points of its projected range (sort and sweep), and the
+    box test then runs one coordinate at a time on those.  Every row is
+    projected by the same sum of products with positive weights, and
+    rounding is monotone, so a point in a box projects into its range.
+    """
+    w = _SWEEP[:pts.shape[1]]
+    if pts_group is None:
+        pts_group, box_group = np.zeros(len(pts)), np.zeros(len(lo))
+    key = pts_group + 1j * (pts * w).sum(1)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    after = np.arange(1, len(key) + 1)
-    k, at = _ranges(after, np.searchsorted(key, key + reach, "right") - after)
-    a, b = order[k], order[at]
-    return np.minimum(a, b), np.maximum(a, b)
+    start = np.searchsorted(key, box_group + 1j * (lo * w).sum(1), "left")
+    stop = np.searchsorted(key, box_group + 1j * (hi * w).sum(1), "right")
+    k, at = _ranges(start, stop - start)
+    # Gathers from contiguous columns are the cheapest.
+    cols, lo, hi = pts[order].T.copy(), lo.T.copy(), hi.T.copy()
+    for x, a, b in zip(cols, lo, hi):
+        x = x[at]
+        inside = (a[k] <= x) & (x <= b[k])
+        k, at = k[inside], at[inside]
+    return k, order[at]
 
 
 def _merge_targets(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -741,8 +734,11 @@ def build_network(fractures: list, tol: float | None = None,
             if s is not None]
     ends = np.array([(s.p0, s.p1) for s in segs]).reshape(-1, 2, 3)
     # A segment within merge_tol of a kept one, end to end, merges into
-    # the first such; the two midpoints are then within merge_tol / 2.
-    a, b = _sweep_pairs(ends.sum(1) / 2, 2 * merge_tol)
+    # the first such; the two midpoints are then within merge_tol / 2,
+    # and each midpoint's box is twice that for rounding.
+    mid = ends.sum(1) / 2
+    a, b = _points_in_boxes(mid, mid - merge_tol, mid + merge_tol)
+    a, b = a[a < b], b[a < b]
     ea, eb = ends[a], ends[b]
     close = np.minimum(
         _norms(ea[:, 0] - eb[:, 0]) + _norms(ea[:, 1] - eb[:, 1]),
@@ -776,7 +772,8 @@ def build_network(fractures: list, tol: float | None = None,
     # A crossing within merge_tol of a kept one merges into the first such.
     hit = np.flatnonzero(~np.isnan(found[:, 0]))
     loc, a, b = found[hit], a[hit], b[hit]
-    i, j = _sweep_pairs(loc, 2 * merge_tol)
+    i, j = _points_in_boxes(loc, loc - 2 * merge_tol, loc + 2 * merge_tol)
+    i, j = i[i < j], j[i < j]
     close = _norms(loc[i] - loc[j]) < merge_tol
     target = _merge_targets(len(hit), i[close], j[close])
     # Each kept crossing's lines, with those of the crossings merged in.
@@ -820,14 +817,28 @@ def json_keys(item, known: tuple, where: str) -> None:
                               f"of {', '.join(known)}")
 
 
+def json_numbers(item, keys: tuple, where: str) -> None:
+    """``ConfigError`` at ``where`` for the first of ``keys`` whose value in
+    the object ``item`` is or holds a JSON boolean, which Python would
+    read as a number.  A non-object ``item`` is left to the caller."""
+    def boolean(v):
+        return isinstance(v, bool) or (isinstance(v, list)
+                                       and any(map(boolean, v)))
+    for key in keys if isinstance(item, dict) else ():
+        if boolean(item.get(key)):
+            raise ConfigError(f"{where}.{key}: {item[key]!r} is a boolean, "
+                              f"not a number")
+
+
 def load_network(path) -> tuple:
     """Read a network from the JSON input format.
 
     Returns ``(network, raw_dict)``; boundary condition selectors in the
     file are interpreted by the assembly module.  An unknown top-level
-    key, a malformed fracture or intersection entry, or an intersection
-    entry naming fractures that do not meet, raises ``ConfigError``
-    naming its JSON path.
+    key, a malformed fracture or intersection entry (a boolean where a
+    number is expected included), or an intersection entry naming
+    fractures that do not meet, raises ``ConfigError`` naming its JSON
+    path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -843,6 +854,8 @@ def load_network(path) -> tuple:
     for i, spec in enumerate(json_list(data, "fractures", f"{path}: ")):
         json_keys(spec, ("id", "vertices", "aperture", "k_tangential"),
                   f"{path}: fractures[{i}]")
+        json_numbers(spec, ("vertices", "aperture", "k_tangential"),
+                     f"{path}: fractures[{i}]")
         try:
             k = spec.get("k_tangential", [1.0, 0.0, 1.0])
             kxx, kxy, kyy = (float(v) for v in k)
@@ -873,6 +886,7 @@ def load_network(path) -> tuple:
     for i, isec in enumerate(json_list(data, "intersections", f"{path}: ")):
         json_keys(isec, ("fractures", "k_hat", "k_tilde"),
                   f"{path}: intersections[{i}]")
+        json_numbers(isec, ("k_hat", "k_tilde"), f"{path}: intersections[{i}]")
         try:
             for k, v in enumerate(isec["fractures"]):
                 if not is_json_int(v):

@@ -31,6 +31,7 @@ from .geometry import (
     _dots,
     _even_odd,
     _norms,
+    _points_in_boxes,
     _ranges,
     point_segment_distance,
     polygon_area,
@@ -482,11 +483,12 @@ def _aranges(start, stop, step):
     return k, i, out
 
 
-def _lattice(lo, hi, s, jitter, seed):
-    """Jittered hexagonal lattice points over each box ``lo[f]``-``hi[f]``
-    grown by ``s``, and their box, box after box.  Rows are ``s * sqrt(3)
-    / 2`` apart; even rows take the x run from ``lo[f, 0] - s``, odd rows
-    the one offset by ``s / 2``.  Every box takes the same draws."""
+def _lattice(lo, hi, s, seed):
+    """Hexagonal lattice points over each box ``lo[f]``-``hi[f]`` grown by
+    ``s``, each moved by up to ``0.15 s`` per axis, and their box, box
+    after box.  Rows are ``s * sqrt(3) / 2`` apart; even rows take the x
+    run from ``lo[f, 0] - s``, odd rows the one offset by ``s / 2``.
+    Every box takes the same draws."""
     rfid, r, rows = _aranges(lo[:, 1] - s, hi[:, 1] + s, s * np.sqrt(3) / 2)
     # Run 2 f + p is box f's x run of parity p.
     runs = np.column_stack([lo[:, 0] - s + 0.0, lo[:, 0] - s + 0.5 * s]).ravel()
@@ -499,7 +501,7 @@ def _lattice(lo, hi, s, jitter, seed):
     if len(pts):
         local = np.arange(len(pts)) - np.searchsorted(fid, fid)
         pts = pts + np.random.default_rng(seed).uniform(
-            -jitter * s, jitter * s, (np.bincount(fid).max(), 2))[local]
+            -0.15 * s, 0.15 * s, (np.bincount(fid).max(), 2))[local]
     return pts, fid
 
 
@@ -508,15 +510,12 @@ class _PointPool:
 
     Fracture ``f``'s points are rows ``ptr[f]:ptr[f + 1]`` of ``pts``, in
     the order they were registered, and a point's id is its row within
-    its fracture.  Points are looked up on a grid of square cells of side
-    ``2 * tol[f]``: two points within ``tol[f]`` of each other lie in the
-    same or in neighbouring cells, even after the rounding of the cell
-    index.  Rows passed in one call are grouped by ascending fracture.
+    its fracture.  Rows passed in one call are grouped by ascending
+    fracture.
     """
 
     def __init__(self, tol):
         self.tol = np.atleast_1d(np.asarray(tol, float))
-        self._side = 2.0 * self.tol
         self.pts = np.zeros((0, 2))
         self.ptr = np.zeros(len(self.tol) + 1, int)
 
@@ -528,16 +527,10 @@ class _PointPool:
                              axis=0)
         self.ptr[1:] += np.cumsum(counts)
 
-    def add(self, p) -> int:
-        """Id of the first point within ``tol`` of ``p``, else a new id."""
-        return self.add_rows(np.reshape(p, (1, 2)))[0]
-
-    def add_rows(self, pts: np.ndarray, fid=None) -> list:
-        """``add`` of each row of ``pts`` in turn."""
-        return self.ids(pts, fid).tolist()
-
     def ids(self, pts: np.ndarray, fid=None) -> np.ndarray:
-        """``add_rows`` as an array, rows of fracture ``fid[i]``."""
+        """Id of each row of ``pts``, of fracture ``fid[i]``, as if the rows
+        were added in turn: the first point within ``tol`` of the row,
+        else a new point."""
         pts = np.asarray(pts, float).reshape(-1, 2)
         fid = np.zeros(len(pts), int) if fid is None else np.asarray(fid)
         size, m = np.diff(self.ptr), len(pts)
@@ -581,32 +574,9 @@ class _PointPool:
     def _near(self, a, fa, b, fb):
         """Index pairs ``(i, j)`` with ``a[i]`` within ``tol`` of ``b[j]``
         and of the same fracture."""
-        if not len(a) or not len(b):
-            return np.zeros(0, int), np.zeros(0, int)
-        cb = np.floor(b / self._side[fb, None])
-        ca = np.floor(a / self._side[fa, None])
-        # Each fracture's cell columns are shifted past the previous
-        # fracture's, two columns apart, so no lookup reaches another
-        # fracture; cell indices and shifts are integers below 2**53.
-        f = np.concatenate([fb, fa])
-        x = np.concatenate([cb[:, 0], ca[:, 0]])
-        lo = np.full(len(self.tol), np.inf)
-        hi = np.full(len(self.tol), -np.inf)
-        np.minimum.at(lo, f, x)
-        np.maximum.at(hi, f, x)
-        width = np.where(hi >= lo, hi - lo + 3.0, 0.0)
-        shift = np.cumsum(width) - width - np.where(hi >= lo, lo, 0.0)
-        # Complex keys order cells by x, then y: the three cells of one
-        # column around a point are one run of the sorted keys.
-        key = cb[:, 0] + shift[fb] + 1j * cb[:, 1]
-        order = np.argsort(key)
-        key = key[order]
-        x = (ca[:, 0] + shift[fa] + np.array([[-1.0], [0.0], [1.0]])).ravel()
-        y = np.tile(ca[:, 1], 3)
-        lo = np.searchsorted(key, x + 1j * (y - 1.0), "left")
-        hi = np.searchsorted(key, x + 1j * (y + 1.0), "right")
-        i, at = _ranges(lo, hi - lo)
-        i, j = i % len(a), order[at]
+        # Boxes of half-side twice the reach, for rounding.
+        reach = 2 * self.tol[fa, None]
+        i, j = _points_in_boxes(b, a - reach, a + reach, fb, fa)
         # The distance is np.linalg.norm's, rounding for rounding.
         d = a[i] - b[j]
         near = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= self.tol[fa[i]]
@@ -697,21 +667,11 @@ def _near_segments(pts, pts_fid, seg0, seg1, seg_fid, reach):
 
     Only the points inside a segment's bounding box grown by ``2 *
     reach[k]`` are measured against it: a point outside is farther than
-    ``reach[k]`` with room to spare for rounding.  One sort of the points
-    by fracture, then x, gives each box the points of its x range in its
-    fracture's run (sort and sweep).
+    ``reach[k]`` with room to spare for rounding.
     """
-    key = pts_fid + 1j * pts[:, 0]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    lo = np.minimum(seg0, seg1) - 2 * reach[:, None]
-    hi = np.maximum(seg0, seg1) + 2 * reach[:, None]
-    start = np.searchsorted(key, seg_fid + 1j * lo[:, 0], "left")
-    stop = np.searchsorted(key, seg_fid + 1j * hi[:, 0], "right")
-    k, at = _ranges(start, stop - start)
-    j = order[at]
-    box = (lo[k, 1] <= pts[j, 1]) & (pts[j, 1] <= hi[k, 1])
-    k, j = k[box], j[box]
+    grow = 2 * reach[:, None]
+    k, j = _points_in_boxes(pts, np.minimum(seg0, seg1) - grow,
+                            np.maximum(seg0, seg1) + grow, pts_fid, seg_fid)
     return k, j, point_segment_distance(pts[j], seg0[k], seg1[k])
 
 
@@ -731,15 +691,13 @@ def _close_pieces(fid, tol, ends0, ends1, i, j):
     return i[close], j[close], d[close]
 
 
-def _triangulate_all(polygons, traces, h_target, tols, frames,
-                     jitter=0.15, seed=1234) -> list:
+def _triangulate_all(polygons, traces, h_target, frames, seed=1234) -> list:
     """Meshes of ``polygons``, with the traces ``(fid, gid, p0, p1)`` of
     polygon ``fid``, or the error that meshing them one after another
     would raise first: the lowest failing polygon's, at its first stage
     that fails."""
     try:
-        return _triangulate_batch(polygons, traces, h_target, tols, frames,
-                                  jitter, seed)
+        return _triangulate_batch(polygons, traces, h_target, frames, seed)
     except _Failed as failed:
         k = failed.index
         if k:
@@ -747,19 +705,18 @@ def _triangulate_all(polygons, traces, h_target, tols, frames,
             # stage; their error comes first.
             keep = traces[0] < k
             _triangulate_all(polygons[:k], tuple(a[keep] for a in traces),
-                             h_target, tols[:k], frames[:k], jitter, seed)
+                             h_target, frames[:k], seed)
         raise failed.error from None
 
 
-def _triangulate_batch(polygons, traces, h_target, tols, frames, jitter,
-                       seed) -> list:
+def _triangulate_batch(polygons, traces, h_target, frames, seed) -> list:
     """``_triangulate_all`` in one pass; raises ``_Failed`` with a failing
     polygon, the lowest of those that fail at the first failing stage."""
     # Imported here so that commands which never triangulate skip it.
     from scipy.spatial import Delaunay
 
     n_f = len(polygons)
-    polys, tol, diag = [], np.empty(n_f), np.empty(n_f)
+    polys, diag = [], np.empty(n_f)
     for f, polygon in enumerate(polygons):
         polygon = np.asarray(polygon, float)
         area = polygon_area(polygon)
@@ -771,8 +728,8 @@ def _triangulate_batch(polygons, traces, h_target, tols, frames, jitter,
         if h_target <= 0:
             raise _Failed(f, EmptyDomain("h_target must be positive"))
         diag[f] = np.linalg.norm(polygon.max(0) - polygon.min(0))
-        tol[f] = 1e-9 * diag[f] if tols[f] is None else tols[f]
         polys.append(polygon)
+    tol = 1e-9 * diag
     # Polygon vertex e of fracture vfid[e] is followed by vertex nxt[e].
     vptr = np.concatenate([[0], np.cumsum([len(p) for p in polys])])
     vfid = np.repeat(np.arange(n_f), np.diff(vptr))
@@ -812,13 +769,14 @@ def _triangulate_batch(polygons, traces, h_target, tols, frames, jitter,
     a, b = hard_piece[v], seg_piece[k]
     near = (a >= 0) & (b >= 0) & (dist < 100 * stol[k])
     near[near] = gids[a[near]] != gids[b[near]]
-    for i, j, d in zip(*_close_pieces(pfid, tol, ends0, ends1, a[near],
-                                      b[near])):
-        f = pfid[i]
-        if not segments_cross(ends0[i], ends1[i], ends0[j], ends1[j], tol[f]):
-            raise _Failed(f, ConstraintConflict(
-                f"traces {gids[i]} and {gids[j]} are {d:.3e} apart "
-                f"without meeting"))
+    i, j, d = _close_pieces(pfid, tol, ends0, ends1, a[near], b[near])
+    apart = np.flatnonzero(~segments_cross(ends0[i], ends1[i], ends0[j],
+                                           ends1[j], tol[pfid[i]]))
+    if len(apart):
+        i, j, d = i[apart[0]], j[apart[0]], d[apart[0]]
+        raise _Failed(pfid[i], ConstraintConflict(
+            f"traces {gids[i]} and {gids[j]} are {d:.3e} apart "
+            f"without meeting"))
     on = dist <= stol[k]
 
     # Chains of point ids whose consecutive pairs must become edges, one
@@ -835,7 +793,7 @@ def _triangulate_batch(polygons, traces, h_target, tols, frames, jitter,
     s = h_target
     lo = np.minimum.reduceat(poly, vptr[:-1])
     hi = np.maximum.reduceat(poly, vptr[:-1])
-    cand, cfid = _lattice(lo, hi, s, jitter, seed)
+    cand, cfid = _lattice(lo, hi, s, seed)
     # Even-odd only: the distance test below drops boundary points.
     inside = _even_odd(cand, cfid, poly, vptr, nxt)
     cand, cfid = cand[inside], cfid[inside]
@@ -960,8 +918,7 @@ def _triangulate_batch(polygons, traces, h_target, tols, frames, jitter,
 
 
 def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
-                tol: float | None = None, frame: Frame | None = None,
-                jitter: float = 0.15, seed: int = 1234) -> PolyMesh:
+                frame: Frame | None = None, seed: int = 1234) -> PolyMesh:
     """Constrained Delaunay triangulation of a polygon with trace segments.
 
     ``polygon`` is the CCW boundary in frame coordinates and ``traces`` a
@@ -977,7 +934,7 @@ def triangulate(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     p0 = np.array([a for _, a, _ in traces], float).reshape(-1, 2)
     p1 = np.array([b for _, _, b in traces], float).reshape(-1, 2)
     return _triangulate_all([polygon], (np.zeros(len(gid), int), gid, p0, p1),
-                            h_target, [tol], [frame], jitter, seed)[0]
+                            h_target, [frame], seed)[0]
 
 
 def _triangulate_fractures(fractures: list, lines: list, h_target) -> list:
@@ -993,7 +950,6 @@ def _triangulate_fractures(fractures: list, lines: list, h_target) -> list:
         np.array([ln.p1 for ln in ls]).reshape(-1, 3) - origin)]
     return _triangulate_all([f.local_polygon for f in fractures],
                             (fid, gid, *ends), h_target,
-                            [None] * len(fractures),
                             [f.frame for f in fractures])
 
 

@@ -18,9 +18,8 @@ from dfnvem import solver as slv
 from dfnvem.errors import (CollinearOverlap, ConfigError, ConflictingBC,
                            ConstraintConflict, DfnError, EmptyDomain,
                            InconsistentEndpoints, MeshError, SingularG)
-from dfnvem.geometry import (Frame, IntersectionLine, _dots, point_in_polygon,
-                             point_segment_distance, polygon_area,
-                             segments_cross)
+from dfnvem.geometry import (_PARALLEL_TOL, Frame, IntersectionLine, _dots,
+                             point_segment_distance, polygon_area)
 from dfnvem.meshing import PolyMesh
 
 
@@ -45,7 +44,7 @@ def verify_strong_form(case, n_samples: int = 100,
         pts = []
         while len(pts) < n_samples:
             q = rng.uniform(lo, hi)
-            if geo.point_in_polygon(q, poly, -1e-3):
+            if point_in_polygon(q, poly, -1e-3):
                 # Stay away from branch interfaces of the piecewise data
                 # (the in-plane coordinate among x and z changes branch).
                 p3 = frac.frame.to_global(q)
@@ -1159,10 +1158,57 @@ def partition_members(partition):
 
 
 # ------------------------------------------------------------------ #
-# Scalar geometric predicates.  ``geometry.point_segment_distance`` and
-# ``geometry.point_in_polygon`` broadcast over arrays of points; these
-# one-point loops are the formulas they replaced.
+# Geometric predicates.  ``point_in_polygon`` is the even-odd test with
+# a boundary band over arrays of points, one pass per edge, that
+# ``geometry._even_odd`` batches over ragged groups of polygons;
+# ``segments_cross_ref`` is the one-pair form of the row-wise
+# ``geometry.segments_cross``.  The ``_ref`` one-point loops are the
+# formulas ``geometry.point_segment_distance`` and ``point_in_polygon``
+# replaced.
 # ------------------------------------------------------------------ #
+
+def point_in_polygon(pts, poly: np.ndarray, tol: float):
+    """Even-odd test of 2D points ``pts`` (shape ``(..., 2)``) in a polygon.
+
+    A point within ``tol`` of the boundary counts as inside, so ``tol = 0``
+    still takes points lying exactly on an edge; a negative ``tol`` means
+    no boundary band.  Returns a bool for a single point, else a bool
+    array of shape ``pts.shape[:-1]``.
+    """
+    pts = np.asarray(pts, float)
+    poly = np.asarray(poly, float)
+    nxt = np.roll(poly, -1, axis=0)
+    x, y = pts[..., 0], pts[..., 1]
+    inside = np.zeros(x.shape, bool)
+    for (x0, y0), (x1, y1) in zip(poly, nxt):
+        if y1 != y0:
+            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+            inside ^= ((y0 > y) != (y1 > y)) & (xc > x)
+    if tol >= 0:
+        # One edge at a time keeps memory linear in the number of points.
+        for a, b in zip(poly, nxt):
+            inside |= point_segment_distance(pts, a, b) <= tol
+    return bool(inside) if inside.ndim == 0 else inside
+
+
+def segments_cross_ref(a0, a1, b0, b1, tol: float) -> bool:
+    """True if the open interiors of two 2D segments cross transversally.
+
+    Segments whose directions meet at a sine of at most ``_PARALLEL_TOL``
+    count as parallel and do not cross, at any scale."""
+    a0, a1, b0, b1 = (np.asarray(v, float) for v in (a0, a1, b0, b1))
+    d1, d2 = a1 - a0, b1 - b0
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    L1, L2 = np.linalg.norm(d1), np.linalg.norm(d2)
+    if abs(den) <= _PARALLEL_TOL * L1 * L2:
+        return False
+    r = b0 - a0
+    t = (r[0] * d2[1] - r[1] * d2[0]) / den
+    u = (r[0] * d1[1] - r[1] * d1[0]) / den
+    eps_t = tol / max(L1, tol)
+    eps_u = tol / max(L2, tol)
+    return eps_t < t < 1 - eps_t and eps_u < u < 1 - eps_u
+
 
 def point_segment_distance_ref(p, a, b) -> float:
     p, a, b = np.asarray(p, float), np.asarray(a, float), np.asarray(b, float)
@@ -1683,7 +1729,7 @@ def triangulate_ref(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     ends0 = np.array([q0 for _, q0, _ in pieces]).reshape(-1, 2)
     ends1 = np.array([q1 for _, _, q1 in pieces]).reshape(-1, 2)
     for i, j, d in zip(*close_pieces_ref(gids, ends0, ends1, tol)):
-        if not segments_cross(ends0[i], ends1[i], ends0[j], ends1[j], tol):
+        if not segments_cross_ref(ends0[i], ends1[i], ends0[j], ends1[j], tol):
             raise ConstraintConflict(
                 f"traces {gids[i]} and {gids[j]} are {d:.3e} apart "
                 f"without meeting"

@@ -424,6 +424,19 @@ EDITS = {
         {"gamma": 0, "end": 0, "type": "dirichlet", "value": 1.0,
          "fracture": 0}]),
     "top_bc.json": lambda data: data.update(boundary_condition=[]),
+    # JSON booleans where numbers belong; Python reads true as 1.
+    "aperture_bool.json": _set("aperture", True, entry="fractures"),
+    "k_bool.json": _set("k_tangential", [True, 0, 1], entry="fractures"),
+    "vertex_bool.json": lambda data: data["fractures"][0]["vertices"][1]
+    .__setitem__(1, True),
+    "isec_k_hat_bool.json": lambda data: data.update(
+        intersections=[{"fractures": [0, 4], "k_hat": True}]),
+    "isec_k_tilde_bool.json": lambda data: data.update(
+        intersections=[{"fractures": [0, 4], "k_tilde": False}]),
+    "bc_value_bool.json": _set("value", True),
+    "bc_box_bool.json": _selector(box=[[0, 0, 0], [1, True, 1]]),
+    "ic_value_bool.json": lambda data: data.update(intersection_conditions=[
+        {"gamma": 0, "end": 0, "type": "dirichlet", "value": True}]),
 }
 
 
@@ -560,6 +573,24 @@ MALFORMED = {
         "intersection_conditions[0]: unknown key 'fracture'"),
     "top-level-unknown-key": (["mesh", "--network", "top_bc.json"],
                               "top level: unknown key 'boundary_condition'"),
+    "bool-aperture": (["mesh", "--network", "aperture_bool.json"],
+                      "fractures[0].aperture: True is a boolean, not a number"),
+    "bool-k-tangential": (["mesh", "--network", "k_bool.json"],
+                          "fractures[0].k_tangential: [True, 0, 1]"),
+    "bool-vertex": (["mesh", "--network", "vertex_bool.json"],
+                    "fractures[0].vertices: "),
+    "intersection-bool-k-hat": (["mesh", "--network", "isec_k_hat_bool.json"],
+                                "intersections[0].k_hat: True"),
+    "intersection-bool-k-tilde": (
+        ["mesh", "--network", "isec_k_tilde_bool.json"],
+        "intersections[0].k_tilde: False"),
+    "bc-bool-value": (["solve", "--network", "bc_value_bool.json"],
+                      "boundary_conditions[0].value: True"),
+    "bc-bool-box": (["solve", "--network", "bc_box_bool.json"],
+                    "boundary_conditions[0].box: "),
+    "intersection-condition-bool-value": (
+        ["solve", "--network", "ic_value_bool.json"],
+        "intersection_conditions[0].value: True"),
     "h-with-case": (["solve", "--case", "single", "--family", "cartesian",
                      "--h", "0.2"], "--h"),
     "c-depth-with-solve-case": (["solve", "--case", "single", "--family",

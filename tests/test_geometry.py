@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfnvem import geometry as geo
 from dfnvem.errors import (CollinearOverlap, CollinearVertices, CoplanarOverlap,
@@ -8,7 +10,8 @@ from dfnvem.errors import (CollinearOverlap, CollinearVertices, CoplanarOverlap,
 from _util import (build_network_ref, fracture_contains, import_network_dict,
                    intersect_fractures_ref, intersect_lines, merge_targets_ref,
                    network_outcome, normal_projector, perfbench_network_dict,
-                   point_in_polygon_ref, point_segment_distance_ref,
+                   point_in_polygon, point_in_polygon_ref,
+                   point_segment_distance_ref, segments_cross_ref,
                    tangent_projector)
 
 RNG = np.random.default_rng(20240811)
@@ -115,22 +118,119 @@ class TestPredicates:
     @pytest.mark.parametrize("tol", [-0.1, 0.0, 0.1])
     def test_in_polygon_equals_scalar_reference(self, tol):
         probes = polygon_probes(NOTCHED)
-        got = geo.point_in_polygon(probes, NOTCHED, tol)
+        got = point_in_polygon(probes, NOTCHED, tol)
         ref = [point_in_polygon_ref(p, NOTCHED, tol) for p in probes]
         assert np.array_equal(got, ref)
         assert np.array_equal(
-            geo.point_in_polygon(probes[:, None], NOTCHED, tol), got[:, None])
+            point_in_polygon(probes[:, None], NOTCHED, tol), got[:, None])
+        if tol < 0:
+            # The batched even-odd test, the notch alone and then the
+            # notch after a square, is the one-polygon test without band.
+            square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
+            poly = np.vstack([square, NOTCHED])
+            ptr = np.array([0, 4, len(poly)])
+            nxt = np.append(np.roll(np.arange(4), -1),
+                            4 + np.roll(np.arange(len(NOTCHED)), -1))
+            fid = np.repeat([0, 1], len(probes))
+            both = geo._even_odd(np.vstack([probes, probes]), fid, poly, ptr,
+                                 nxt)
+            assert np.array_equal(both[len(probes):], got)
+            assert np.array_equal(both[:len(probes)],
+                                  point_in_polygon(probes, square, tol))
 
     def test_in_polygon_boundary_band(self):
         mids = 0.5 * (NOTCHED + np.roll(NOTCHED, -1, 0))
         on_boundary = np.vstack([NOTCHED, mids])
-        assert geo.point_in_polygon(on_boundary, NOTCHED, 0.0).all()
+        assert point_in_polygon(on_boundary, NOTCHED, 0.0).all()
         # Without the band the even-odd test splits boundary points.
-        bare = geo.point_in_polygon(on_boundary, NOTCHED, -1.0)
+        bare = point_in_polygon(on_boundary, NOTCHED, -1.0)
         assert bare.any() and not bare.all()
-        assert geo.point_in_polygon([2, 0.5], NOTCHED, -1.0) is True
-        assert geo.point_in_polygon([2, 1.05], NOTCHED, 0.0) is False
-        assert geo.point_in_polygon([2, 1.05], NOTCHED, 0.1) is True
+        assert point_in_polygon([2, 0.5], NOTCHED, -1.0) is True
+        assert point_in_polygon([2, 1.05], NOTCHED, 0.0) is False
+        assert point_in_polygon([2, 1.05], NOTCHED, 0.1) is True
+
+
+def segment_pairs():
+    """Rows ``a0, a1, b0, b1`` of 2D segment pairs: random pairs, pairs
+    turned from parallel by sines around ``_PARALLEL_TOL``, and pairs
+    whose crossing lies at, near or past an end of either segment."""
+    rng = np.random.default_rng(7)
+    rows = [rng.normal(size=(4, 300, 2))]
+    sine = np.array([0.0, 1e-9, 9.9e-9, 1e-8, 1.01e-8, 1e-7, 1e-3, 0.5])
+    turn = np.column_stack([np.sqrt(1 - sine ** 2), sine])
+    turn = np.vstack([turn, turn * [1, -1]])
+    # b turned about the middle of a = (0, 0)-(1, 0).
+    a0, a1 = np.zeros((len(turn), 2)), np.tile([1.0, 0.0], (len(turn), 1))
+    rows.append(np.stack([a0, a1, [0.5, 0] - 0.5 * turn,
+                          [0.5, 0] + 0.5 * turn]))
+    # b upright at x from y0 to y1, against the same a.
+    x = np.array([0.0, 1e-12, 1e-9, 1e-3 * (1 - 1e-9), 1e-3,
+                  1e-3 * (1 + 1e-9), 0.2, 0.5, 1 - 1e-3, 1 - 1e-9, 1.0, 1.1])
+    y = np.array([(-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0), (1e-9, 1.0),
+                  (-1e-3, 1.0), (-1.0, 1e-3)])
+    x, (y0, y1) = np.repeat(x, len(y)), np.tile(y.T, len(x))
+    a0, a1 = np.zeros((len(x), 2)), np.tile([1.0, 0.0], (len(x), 1))
+    rows.append(np.stack([a0, a1, np.column_stack([x, y0]),
+                          np.column_stack([x, y1])]))
+    return np.concatenate(rows, axis=1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e4])
+def test_segments_cross_equals_pair_by_pair(scale):
+    a0, a1, b0, b1 = segment_pairs() * scale
+    for tol in (1e-12, 1e-9, 1e-3, 0.2, 0.6):
+        ref = [segments_cross_ref(*row, tol * scale)
+               for row in zip(a0, a1, b0, b1)]
+        assert geo.segments_cross(a0, a1, b0, b1, tol * scale).tolist() == ref
+    # One tolerance per row, each row's outcome as if alone.
+    tol = np.resize([1e-12, 1e-3, 0.2], len(a0)) * scale
+    ref = [segments_cross_ref(*row) for row in zip(a0, a1, b0, b1, tol)]
+    assert geo.segments_cross(a0, a1, b0, b1, tol).tolist() == ref
+    assert 50 < sum(ref) < len(ref) - 50
+
+
+GRID = [-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def points_and_boxes(draw):
+    """2D or 3D points and boxes, with or without groups.  Coordinates and
+    sizes come from a coarse grid, so points lie on faces and corners and
+    some boxes have zero size; one row of points runs across the sweep
+    direction, so its points share one projection up to rounding."""
+    dim = draw(st.sampled_from([2, 3]))
+    point = st.tuples(*[st.sampled_from(GRID)] * dim)
+    pts = np.reshape(draw(st.lists(point, max_size=25)), (-1, dim))
+    across = np.array([0.48, -0.6, 0.0])[:dim] * 0.25
+    steps = draw(st.lists(st.integers(-3, 3), max_size=8))
+    row = np.array(draw(point)) + np.multiply.outer(steps, across)
+    pts = np.vstack([pts, row])
+    n_box = draw(st.integers(0, 12))
+    lo = np.reshape([draw(point) for _ in range(n_box)], (-1, dim))
+    # Some boxes start at a point of the row.
+    at = [draw(st.integers(0, len(row) - 1)) for _ in range(len(row) and 3)]
+    lo = np.vstack([lo, row[at]])
+    size = st.sampled_from([0.0, 0.0, 0.12, 0.25, 0.5, 1.5])
+    hi = lo + np.reshape([draw(size) for _ in range(lo.size)], lo.shape)
+    n_group = draw(st.sampled_from([None, 1, 3]))
+    if n_group is None:
+        return pts, lo, hi, None, None
+    group = st.integers(0, n_group - 1)
+    return (pts, lo, hi, np.array([draw(group) for _ in pts], int),
+            np.array([draw(group) for _ in lo], int))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(points_and_boxes())
+def test_points_in_boxes_equals_brute_force(case):
+    pts, lo, hi, pts_group, box_group = case
+    inside = ((lo[:, None] <= pts) & (pts <= hi[:, None])).all(-1)
+    if pts_group is not None:
+        inside &= box_group[:, None] == pts_group
+    k, j = geo._points_in_boxes(pts, lo, hi, pts_group, box_group)
+    pairs = list(zip(k.tolist(), j.tolist()))
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(zip(*np.nonzero(inside)))
 
 
 class TestIntersectFractures:
@@ -154,6 +254,12 @@ class TestIntersectFractures:
         b = geo.Fracture(id=1, vertices=verts)
         with pytest.raises(CoplanarOverlap):
             geo.intersect_fractures(a, b)
+        # A plus sign: no vertex of either lies inside the other, but
+        # their edges cross.
+        tall = geo.Fracture(id=2, vertices=np.array(
+            [[0.4, -1, 0], [0.6, -1, 0], [0.6, 2, 0], [0.4, 2, 0]]))
+        with pytest.raises(CoplanarOverlap, match="coplanar and overlap"):
+            geo.intersect_fractures(a, tall)
 
     def test_coplanar_shared_edge(self):
         a = unit_square(fid=0)

@@ -172,7 +172,7 @@ class TestTriangulate:
             hits = [i for i, q in enumerate(ref) if np.linalg.norm(q - p) <= 1e-12]
             if not hits:
                 ref.append(p)
-            assert pool.add(p) == (hits[0] if hits else len(ref) - 1)
+            assert pool.ids(p).tolist() == [hits[0] if hits else len(ref) - 1]
         assert np.array_equal(pool.pts, ref)
 
     @pytest.mark.parametrize("tol", [1e-12, 0.1, 1.0])
@@ -192,7 +192,8 @@ class TestTriangulate:
         pool.extend(pts[:5])
         for p in pts[:5]:
             ref.append(p)
-        got = [pool.add(p) for p in pts[5:300]] + pool.add_rows(pts[300:])
+        got = [int(pool.ids(p)[0]) for p in pts[5:300]] + pool.ids(
+            pts[300:]).tolist()
         assert got == [ref.add(p) for p in pts[5:]]
         assert np.array_equal(pool.pts, ref.pts)
         # Both outcomes occur: merged into an earlier point, and new.
