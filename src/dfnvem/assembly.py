@@ -227,13 +227,13 @@ class SaddleSystem:
 
 
 def _cell_groups(mesh: PolyMesh):
-    """Per edge count ``d``: cell ids ``(n,)``, edge ids ``(n, d)``, outward
-    unit normals ``(n, d, 2)`` and signs ``(n, d)``, +1 where the global dof
+    """Per edge count ``d``: cell ids ``(n,)``, entry positions ``(n, d)``,
+    edge ids ``(n, d)`` and signs ``(n, d)``, +1 where the global dof
     (outward from the first adjacent cell) is this cell's outward flux."""
     for ids, pos in mesh.cell_groups:
         es = mesh.cell_edge[pos]
         signs = np.where(mesh.edge_cells[es, 0] == ids[:, None], 1.0, -1.0)
-        yield ids, es, mesh.outward_normals(pos), signs
+        yield ids, pos, es, signs
 
 
 def _cell_source(problem, fid, mesh) -> np.ndarray:
@@ -264,10 +264,11 @@ def _assemble_fractures(problem, dofs, rhs, robin):
         edof = dofs.edge_dof[fid]
         cdof = dofs.cell_dof[fid]
         rhs[cdof] -= _cell_source(problem, fid, mesh)
-        for ids, es, normals, s in _cell_groups(mesh):
+        for ids, pos, es, s in _cell_groups(mesh):
             M = vem.local_matrices_2d(
                 mesh.cell_areas[ids], mesh.cell_centroids[ids],
-                mesh.edge_len[es], normals, mesh.edge_mid[es],
+                mesh.edge_len[es], mesh.outward_normals(pos),
+                mesh.edge_mid[es],
                 problem.lam[fid][ids], problem.varsigma[fid])
             d = es.shape[1]
             g = edof[es]
@@ -351,6 +352,21 @@ def _line_entries_dc(problem, dofs, rhs):
     return rows, cols, vals
 
 
+def _stacked(dtype, *lists) -> np.ndarray:
+    """The pieces of ``lists``, in order, as one array of ``dtype``.  The
+    lists are emptied as they are copied, so each piece is freed once
+    its copy is made."""
+    out = np.empty(sum(len(p) for pieces in lists for p in pieces), dtype)
+    end = 0
+    for pieces in lists:
+        pieces.reverse()
+        while pieces:
+            piece = pieces.pop()
+            out[end:end + len(piece)] = piece
+            end += len(piece)
+    return out
+
+
 def _assemble(problem, dofs, bcs, model) -> SaddleSystem:
     if dofs.model != model:
         raise ValueError(f"dofs numbered for {dofs.model}, not {model}")
@@ -360,14 +376,14 @@ def _assemble(problem, dofs, bcs, model) -> SaddleSystem:
     if dofs.model == "dc":
         lrows, lcols, lvals = _line_entries_dc(problem, dofs, rhs)
         rows, cols, vals = rows + lrows, cols + lcols, vals + lvals
+        del lrows, lcols, lvals
     frows, fcols, fvals, groups = _assemble_fractures(problem, dofs, rhs,
                                                       robin)
+    # Each triplet is copied once, into the arrays the conversion takes.
     A = sparse.csr_matrix(
-        (np.concatenate([*fvals, *vals]),
-         (np.concatenate([*frows, *rows]), np.concatenate([*fcols, *cols]))),
-        shape=(dofs.total, dofs.total),
-    )
-    A.sum_duplicates()
+        (_stacked(float, fvals, vals),
+         (_stacked(np.int32, frows, rows), _stacked(np.int32, fcols, cols))),
+        shape=(dofs.total, dofs.total))
     system = SaddleSystem(A=A, rhs=rhs, dofs=dofs, problem=problem,
                           model=dofs.model, fixed=np.zeros(dofs.total, bool),
                           bc_value=np.zeros(dofs.total), groups=groups)
@@ -510,7 +526,7 @@ def extract_solution(system: SaddleSystem, x: np.ndarray) -> Solution:
         pressure[fid] = x[dofs.cell_dof[fid]]
         edge_flux[fid] = x[dofs.edge_dof[fid]]
         vel = np.empty((mesh.n_cells, 2))
-        for ids, es, _, s in _cell_groups(mesh):
+        for ids, _, es, s in _cell_groups(mesh):
             vel[ids] = vem.project_velocity(
                 mesh.cell_areas[ids], mesh.cell_centroids[ids],
                 mesh.edge_mid[es], s * edge_flux[fid][es])

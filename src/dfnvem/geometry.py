@@ -669,6 +669,20 @@ def _points_in_boxes(pts, lo, hi, pts_group=None, box_group=None):
     return k, order[at]
 
 
+def _sweep_pairs(pts: np.ndarray, reach: float):
+    """Index pairs ``(i, j)``, ``i < j``, of 3D points whose projections
+    on ``_SWEEP`` differ by at most ``reach``: every pair closer than
+    ``reach`` less the projections' rounding.  The projections are
+    sorted once and each point pairs with those after it in the window
+    (sort and sweep), so no pair comes back twice."""
+    key = (pts * _SWEEP).sum(1)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.arange(1, len(key) + 1)
+    s, t = _ranges(first, np.searchsorted(key, key + reach, "right") - first)
+    return np.minimum(order[s], order[t]), np.maximum(order[s], order[t])
+
+
 def _merge_targets(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The entries ``0 .. n - 1`` merged in order: entry ``q`` merges into
     the first kept entry ``p < q`` of a close pair ``(i[k], j[k]) = (p,
@@ -735,10 +749,8 @@ def build_network(fractures: list, tol: float | None = None,
     ends = np.array([(s.p0, s.p1) for s in segs]).reshape(-1, 2, 3)
     # A segment within merge_tol of a kept one, end to end, merges into
     # the first such; the two midpoints are then within merge_tol / 2,
-    # and each midpoint's box is twice that for rounding.
-    mid = ends.sum(1) / 2
-    a, b = _points_in_boxes(mid, mid - merge_tol, mid + merge_tol)
-    a, b = a[a < b], b[a < b]
+    # and the sweep's reach is twice that for rounding.
+    a, b = _sweep_pairs(ends.sum(1) / 2, merge_tol)
     ea, eb = ends[a], ends[b]
     close = np.minimum(
         _norms(ea[:, 0] - eb[:, 0]) + _norms(ea[:, 1] - eb[:, 1]),
@@ -772,8 +784,7 @@ def build_network(fractures: list, tol: float | None = None,
     # A crossing within merge_tol of a kept one merges into the first such.
     hit = np.flatnonzero(~np.isnan(found[:, 0]))
     loc, a, b = found[hit], a[hit], b[hit]
-    i, j = _points_in_boxes(loc, loc - 2 * merge_tol, loc + 2 * merge_tol)
-    i, j = i[i < j], j[i < j]
+    i, j = _sweep_pairs(loc, 2 * merge_tol)
     close = _norms(loc[i] - loc[j]) < merge_tol
     target = _merge_targets(len(hit), i[close], j[close])
     # Each kept crossing's lines, with those of the crossings merged in.

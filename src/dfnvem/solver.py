@@ -18,10 +18,16 @@ the saddle residual follows.
   V-cycle (Vanek, Mandel & Brezina 1996).  The LU factorization of such
   a ``K`` fills in superlinearly and sets the run's peak memory; the
   V-cycle's set-up and each of its iterations cost work linear in the
-  unknowns.  CG stops at an absolute residual of ``PCG_RTOL`` times the
-  first reduced right-hand side, so the refinement step takes only a few
-  iterations; a solve that has not converged after ``PCG_MAX_ITER``
-  iterations falls back to the LU;
+  unknowns.  The aggregates come from Luby rounds (Luby 1986) on a
+  ``(w, n)`` table of each node's strong neighbours, so that each
+  maximum over the neighbourhoods is one gather and one maximum down
+  the columns, and the rounds after the first visit only the undecided
+  nodes and their neighbours.  ``K``'s triplets are written once into
+  arrays sized up front and freed before the hierarchy is built.  CG
+  stops at an absolute residual of ``PCG_RTOL`` times the first reduced
+  right-hand side, so the refinement step takes only a few iterations;
+  a solve that has not converged after ``PCG_MAX_ITER`` iterations
+  falls back to the LU;
 - every other system, dc included, is factored by sparse LU with a
   symmetric ordering.  A dc ``K`` keeps the saddle blocks of the 1D
   intersection unknowns, is indefinite, and CG does not converge on it.
@@ -114,56 +120,64 @@ def _factor(K):
         raise SingularSystem(f"direct factorization failed: {exc}") from exc
 
 
-def _neighbour_max(S, v):
-    """Per row of the CSR pattern ``S = (indptr, indices)``, the largest
-    ``v`` over its columns; every row must be non-empty."""
-    indptr, indices = S
-    return np.maximum.reduceat(np.take(v, indices), indptr[:-1])
-
-
-def _strength(A):
-    """Closed strong neighbourhoods of ``A`` as a CSR pattern: ``j`` is a
-    neighbour of ``i`` when ``|A_ij| >= STRENGTH sqrt(A_ii A_jj)``.  The
-    stored diagonal passes the test, so every node is its own neighbour
-    and no row is empty."""
+def _strong_table(A):
+    """Closed strong neighbourhoods of ``A`` as the columns of a ``(w, n)``
+    table: ``j`` is a neighbour of ``i`` when ``|A_ij| >= STRENGTH
+    sqrt(A_ii A_jj)``, and column ``i`` holds row ``i``'s neighbours,
+    padded to the widest row with ``i`` itself.  The stored diagonal
+    passes the test, so every node is its own neighbour and the padding
+    changes no maximum over a column."""
     n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
     d = np.abs(A.diagonal())
     keep = A.data ** 2 >= STRENGTH ** 2 * d[rows] * d[A.indices]
-    indptr = np.zeros(n + 1, A.indptr.dtype)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    return indptr, A.indices[keep]
+    rows, cols = rows[keep], A.indices[keep]
+    count = np.bincount(rows, minlength=n)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    table = np.tile(np.arange(n, dtype=cols.dtype), (count.max(), 1))
+    table.reshape(-1)[slot * n + rows] = cols
+    return table
 
 
-def _aggregate(S):
-    """Aggregate index of each node of the strength pattern ``S``, and
-    the aggregate count.
+def _aggregate(table):
+    """Aggregate index of each node of the strong-neighbour ``table`` (see
+    ``_strong_table``), and the aggregate count.
 
     The roots form a distance-2 maximal independent set, built in Luby
     rounds with fixed priorities (a permutation seeded by the node
     count).  Each round takes the largest value within distance 2 of
-    every node: an undecided node that finds a root there drops out, and
+    every undecided node from each neighbour's largest value within
+    distance 1, a gather and a maximum down the table's columns, which
+    after the first round is taken again only for the undecided nodes'
+    neighbours: an undecided node that finds a root there drops out, and
     one that finds its own priority becomes a root.  Every other node
     then joins the aggregate of its highest-priority assigned neighbour,
     first the roots' neighbours, then theirs.
     """
-    n = len(S[0]) - 1
+    n = table.shape[1]
     prio = np.random.default_rng(n).permutation(n).astype(np.int32)
     v = prio.copy()             # undecided: prio, root: n + prio, out: -1
-    undecided = np.ones(n, bool)
-    while undecided.any():
-        m = _neighbour_max(S, _neighbour_max(S, v))
-        v[undecided & (m >= n)] = -1
-        v[undecided & (m == prio)] += n
-        undecided = (v >= 0) & (v < n)
+    near = v[table].max(axis=0)     # largest v among a node's neighbours
+    todo = np.arange(n)
+    while len(todo):
+        m = near[table[:, todo]].max(axis=0)
+        v[todo[m >= n]] = -1
+        v[todo[m == prio[todo]]] += n
+        todo = todo[(m < n) & (m != prio[todo])]
+        hit = np.zeros(n, bool)
+        hit[table[:, todo]] = True
+        nbrs = np.flatnonzero(hit)
+        near[nbrs] = v[table[:, nbrs]].max(axis=0)
     roots = np.flatnonzero(v >= n)
     agg = np.full(n, -1)
     agg[roots] = np.arange(len(roots))
     node_of = np.argsort(prio)
-    while (agg < 0).any():
-        best = _neighbour_max(S, np.where(agg >= 0, prio, -1))
-        join = (agg < 0) & (best >= 0)
-        agg[join] = agg[node_of[best[join]]]
+    todo = np.flatnonzero(agg < 0)
+    while len(todo):
+        best = np.where(agg >= 0, prio, -1)[table[:, todo]].max(axis=0)
+        join = best >= 0
+        agg[todo[join]] = agg[node_of[best[join]]]
+        todo = todo[~join]
     return agg, len(roots)
 
 
@@ -191,7 +205,7 @@ def _hierarchy(K):
     A = K
     while A.shape[0] > COARSEST_SIZE:
         n = A.shape[0]
-        agg, nc = _aggregate(_strength(A))
+        agg, nc = _aggregate(_strong_table(A))
         if nc == n:
             break
         dinv = 1.0 / A.diagonal()
@@ -201,6 +215,7 @@ def _hierarchy(K):
         AT.data *= np.repeat(4.0 / (3.0 * _spectral_radius(A, dinv)) * dinv,
                              np.diff(AT.indptr))
         P = T - AT
+        del T, AT       # only A @ P stays alive beside P and R
         R = P.T.tocsr()
         levels.append((A, JACOBI_WEIGHT * dinv, P, R))
         A = R @ (A @ P)
@@ -246,14 +261,15 @@ def _pcg(A, levels, coarse, b, tol):
 class _ReducedSolver:
     """Solves ``K z = r`` on the path the model and the size of ``K``
     choose (see the module docstring), and keeps the solver record and
-    the fill of the LU that ran."""
+    the fill of the LU that ran.  ``K`` comes in CSR for the PCG path,
+    otherwise in CSC."""
 
-    def __init__(self, coo, model):
+    def __init__(self, K):
         t0 = time.perf_counter()
-        n = coo.shape[0]
+        n = K.shape[0]
         self.record = {"path": "lu", "iterations": [], "levels": [n]}
         self.levels, self.lu, self.tol = None, None, None
-        self.K = coo.tocsr() if model == "cc" and n > PCG_MIN_SIZE else None
+        self.K = K if K.format == "csr" else None
         # A K with a diagonal entry <= 0 is not positive definite, so CG
         # cannot take it, and the strength test and Jacobi divide by it.
         if self.K is not None and (self.K.diagonal() > 0).all():
@@ -262,7 +278,7 @@ class _ReducedSolver:
                 *(A.shape[0] for A, _, _, _ in self.levels),
                 self.lu.shape[0]])
         elif n:
-            self.lu = _factor(coo)
+            self.lu = _factor(K)
         self.record["setup_s"] = time.perf_counter() - t0
 
     @property
@@ -309,7 +325,7 @@ def _hybrid_factor(system: SaddleSystem):
     outside = np.flatnonzero(~in_cell)
     z_dofs = np.flatnonzero(lam | ~in_cell)
     nz = len(z_dofs)
-    zpos = np.full(n, -1)
+    zpos = np.full(n, -1, np.int32)
     zpos[z_dofs] = np.arange(nz)
     # Each cell dof links to at most one z unknown: its edge multiplier,
     # or the one outside dof (trace multiplier or p-hat) a side edge
@@ -324,17 +340,36 @@ def _hybrid_factor(system: SaddleSystem):
     link[C.col[keep]] = ypos[C.row[keep]]
     coef[C.col[keep]] = C.data[keep]
     A_yy = A_out[:, outside].tocoo()
-    rows, cols = [ypos[A_yy.row]], [ypos[A_yy.col]]
-    vals = [-A_yy.data]
     blocks = list(_cell_blocks(system, link, coef, lam))
-    for _, Linv, col, c, _ in blocks:
+    # K's triplets: -A_YY, then each group's linked pairs (a cell with k
+    # linked dofs has k^2), written once into arrays sized up front; they
+    # and the COO are freed before the set-up.
+    linked = [(col >= 0).sum(axis=1) for _, _, col, _, _ in blocks]
+    size = A_yy.nnz + sum(int(k @ k) for k in linked)
+    rows, cols = np.empty(size, np.int32), np.empty(size, np.int32)
+    vals = np.empty(size)
+    end = A_yy.nnz
+    rows[:end] = ypos[A_yy.row]
+    cols[:end] = ypos[A_yy.col]
+    vals[:end] = -A_yy.data
+    del A_yy
+    for (_, Linv, col, c, _), k in zip(blocks, linked):
         pair = (col[:, :, None] >= 0) & (col[:, None, :] >= 0)
-        rows.append(np.broadcast_to(col[:, :, None], Linv.shape)[pair])
-        cols.append(np.broadcast_to(col[:, None, :], Linv.shape)[pair])
-        vals.append((c[:, :, None] * Linv * c[:, None, :])[pair])
-    reduced = _ReducedSolver(sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nz, nz)), system.model)
+        part = slice(end, end + int(k @ k))
+        rows[part] = np.broadcast_to(col[:, :, None], Linv.shape)[pair]
+        cols[part] = np.broadcast_to(col[:, None, :], Linv.shape)[pair]
+        v = c[:, :, None] * Linv
+        v *= c[:, None, :]
+        vals[part] = v[pair]
+        end = part.stop
+        del pair, v
+    K = sparse.coo_matrix((vals, (rows, cols)), shape=(nz, nz))
+    del rows, cols, vals
+    # The format chooses the path: CSR for PCG, CSC for the LU.
+    K = (K.tocsr() if system.model == "cc" and nz > PCG_MIN_SIZE
+         else K.tocsc())
+    reduced = _ReducedSolver(K)
+    del K
 
     def solve_for(b):
         rhs = np.zeros(nz + 1)      # slot 0 collects column -1: no link

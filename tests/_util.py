@@ -831,6 +831,40 @@ def strong_sets_ref(A, eps_str):
     return S
 
 
+def aggregate_ref(A):
+    """``solver``'s aggregation of ``A`` on a CSR strength pattern, with
+    one ``np.maximum.reduceat`` over every row for each maximum: the
+    aggregate of each node, and the aggregate count."""
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    d = np.abs(A.diagonal())
+    keep = A.data ** 2 >= slv.STRENGTH ** 2 * d[rows] * d[A.indices]
+    indptr = np.zeros(n + 1, A.indptr.dtype)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    indices = A.indices[keep]
+
+    def neighbour_max(v):
+        return np.maximum.reduceat(np.take(v, indices), indptr[:-1])
+
+    prio = np.random.default_rng(n).permutation(n).astype(np.int32)
+    v = prio.copy()             # undecided: prio, root: n + prio, out: -1
+    undecided = np.ones(n, bool)
+    while undecided.any():
+        m = neighbour_max(neighbour_max(v))
+        v[undecided & (m >= n)] = -1
+        v[undecided & (m == prio)] += n
+        undecided = (v >= 0) & (v < n)
+    roots = np.flatnonzero(v >= n)
+    agg = np.full(n, -1)
+    agg[roots] = np.arange(len(roots))
+    node_of = np.argsort(prio)
+    while (agg < 0).any():
+        best = neighbour_max(np.where(agg >= 0, prio, -1))
+        join = (agg < 0) & (best >= 0)
+        agg[join] = agg[node_of[best[join]]]
+    return agg, len(roots)
+
+
 def cell_trace_sides_ref(mesh):
     out = [set() for _ in range(mesh.n_cells)]
     ec = edge_cells_ref(mesh)

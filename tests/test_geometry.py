@@ -270,6 +270,21 @@ class TestIntersectFractures:
         assert abs(ln.length - 1.0) < 1e-9
         assert np.allclose(sorted([ln.p0[1], ln.p1[1]]), [0, 1], atol=1e-9)
 
+    def test_coplanar_overlap_between_tol_and_twice_tol(self):
+        """Two coplanar squares whose shared boundary piece is 1.5 tol
+        long: it is a line, as in the pair-by-pair reference."""
+        a = unit_square(fid=0)
+        gap = 1.5 * a.tol
+        b = geo.Fracture(id=1, vertices=np.array(
+            [[1, 1 - gap, 0], [2, 1 - gap, 0], [2, 2 - gap, 0],
+             [1, 2 - gap, 0]]))
+        ln = geo.intersect_fractures(a, b)
+        assert ln is not None
+        assert max(a.tol, b.tol) < ln.length < 2 * max(a.tol, b.tol)
+        ref = intersect_fractures_ref(a, b)
+        assert (ln.p0.tobytes(), ln.p1.tobytes()) == (ref.p0.tobytes(),
+                                                      ref.p1.tobytes())
+
     def test_symmetry(self):
         a = octagon(plane="x", fid=0)
         b = octagon(plane="z", fid=1)
@@ -577,6 +592,44 @@ def test_merge_targets_decide_in_order(seed):
     chained = [q for q, p in enumerate(want)
                if p == q and any(i[close][j[close] == q] < q)]
     assert chained
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.sampled_from(GRID)] * 3), max_size=30),
+       st.sampled_from([0.0, 0.1, 0.25, 0.6, 2.0]))
+def test_sweep_pairs_hold_every_close_pair(points, reach):
+    """Every pair within ``reach`` (points on a coarse grid, so many
+    coincide or sit exactly ``reach`` apart), once each, as ``i < j``."""
+    pts = np.reshape(points, (-1, 3))
+    i, j = geo._sweep_pairs(pts, reach)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    assert len(pairs) == len(set(pairs)) and (i < j).all()
+    a, b = np.triu_indices(len(pts), 1)
+    near = np.linalg.norm(pts[a] - pts[b], axis=1) <= reach
+    assert set(zip(a[near].tolist(), b[near].tolist())) <= set(pairs)
+
+
+def test_segments_half_merge_tol_apart_merge():
+    """Four fractures through the line x = y = 0.5: the pairs among 0 and
+    1 end at z = 0 and 1, the pair (2, 3) at z = delta and 1 + delta,
+    and the others at z = delta and 1.  (2, 3)'s only kept close
+    partner is (0, 1), whose midpoint is 0.49 merge_tol away along z,
+    more than 0.3 merge_tol on every measure a search could take; their
+    ends are 0.98 merge_tol apart in sum, so the four make one line."""
+    merge_tol = 1e3 * 1e-9 * np.sqrt(3.0)
+    delta = 0.49 * merge_tol
+    low, high = [0.0, 0.0, 1.0, 1.0], [delta, delta, 1 + delta, 1 + delta]
+    planes = [([0.5, 0.5, 0.5, 0.5], [0, 1, 1, 0], low),
+              ([0, 1, 1, 0], [0.5, 0.5, 0.5, 0.5], low),
+              ([0, 1, 1, 0], [1, 0, 0, 1], high),
+              ([0, 1, 1, 0], [0, 1, 1, 0], high)]
+    fractures = [geo.Fracture(id=k, vertices=np.column_stack(xyz))
+                 for k, xyz in enumerate(planes)]
+    net = geo.build_network(fractures)
+    assert 1e3 * net.tol == pytest.approx(merge_tol, rel=1e-6)
+    assert [ln.parents for ln in net.lines] == [(0, 1, 2, 3)]
+    assert (network_outcome(geo.build_network, fractures)
+            == network_outcome(build_network_ref, fractures))
 
 
 class TestScaleInvariance:

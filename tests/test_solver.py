@@ -1,7 +1,13 @@
+import gc
+import hashlib
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from dfnvem import assembly as asm
@@ -11,9 +17,9 @@ from dfnvem import meshing as msh
 from dfnvem import solver as slv
 from dfnvem.errors import SingularSystem, UnconstrainedPressureWarning
 
-from _util import (crossing_rectangles, pointwise_bc, rect_mesh_with_trace,
-                   saddle_lu_solve, single_fracture_plane,
-                   write_perfbench_network)
+from _util import (aggregate_ref, crossing_rectangles, grid_dict,
+                   pointwise_bc, rect_mesh_with_trace, saddle_lu_solve,
+                   single_fracture_plane, write_perfbench_network)
 
 
 def toy_system(A, b):
@@ -322,3 +328,116 @@ def test_single_random_l5_takes_the_pcg_path():
     first, refine = rep.solver["iterations"]
     assert first < slv.PCG_MAX_ITER and refine <= 5
     assert rep.residual <= 1e-10
+
+
+# ------------------------------------------------------------------ #
+# aggregation on the strong-neighbour table
+# ------------------------------------------------------------------ #
+
+def assert_aggregates_like_ref(A):
+    agg, nc = slv._aggregate(slv._strong_table(A))
+    ref, ref_nc = aggregate_ref(A)
+    assert nc == ref_nc
+    assert np.array_equal(agg, ref)
+
+
+@st.composite
+def strength_matrices(draw):
+    """A symmetric pattern on ``n`` nodes with a positive diagonal: each
+    row draws up to ``width - 1`` random partners, some nodes are
+    isolated and one set of nodes is a clique.  Off-diagonal values
+    straddle the strength threshold, and some matrices are slightly
+    unsymmetric in value, as a Galerkin product can be."""
+    n = draw(st.integers(1, 2000))
+    width = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = np.repeat(np.arange(n), rng.integers(0, width, n))
+    cols = rng.integers(0, n, len(rows))
+    clique = rng.permutation(n)[:draw(st.integers(0, min(n, 40)))]
+    rows = np.concatenate([rows, np.repeat(clique, len(clique))])
+    cols = np.concatenate([cols, np.tile(clique, len(clique))])
+    isolated = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    pair = (rows != cols) & ~isolated[rows] & ~isolated[cols]
+    rows, cols = rows[pair], cols[pair]
+    vals = rng.choice([-1.0, 1.0], len(rows)) * rng.uniform(0.0, 0.3, len(rows))
+    B = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    A = (B + B.T).tocsr()
+    if draw(st.booleans()):
+        A.data *= 1.0 + 1e-3 * rng.standard_normal(A.nnz)
+    return (A + sparse.diags(rng.uniform(0.5, 2.0, n))).tocsr()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(strength_matrices())
+def test_aggregate_equals_reduceat_ref(A):
+    assert_aggregates_like_ref(A)
+
+
+def _levels(system):
+    """Every level matrix of ``system``'s PCG hierarchy."""
+    _, reduced = slv._hybrid_factor(system)
+    assert reduced.record["path"] == "pcg"
+    return [A for A, _, _, _ in reduced.levels]
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_aggregate_equals_ref_on_single_random(pcg, level):
+    for A in _levels(_single_random(level)):
+        assert_aggregates_like_ref(A)
+
+
+def test_aggregate_equals_ref_on_grid_network(pcg, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid_dict(4, 0)))
+    network, raw = geo.load_network(path)
+    _, system, _, _ = cases.solve_meshes(
+        network, msh.triangulate_network(network, 0.1),
+        asm.boundary_spec_from_json(raw, network), "cc")
+    for A in _levels(system):
+        assert_aggregates_like_ref(A)
+
+
+# ------------------------------------------------------------------ #
+# set-up memory on single random L5
+# ------------------------------------------------------------------ #
+
+def _traced_peak_mib(call, *args):
+    """``(result, peak MiB)`` of the allocations that tracemalloc sees
+    during ``call(*args)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_and_solve_peaks_stay_low():
+    """The tracemalloc peaks of ``assemble_cc`` and ``solve`` on single
+    random L5, the ``single-random`` benchmark system, stay at or below
+    0.8 of those of the assembly that concatenated its triplet lists and
+    the condensation that kept them through the hierarchy set-up: 48.9
+    and 45.1 MiB.  (On L4 the solve takes the LU path, whose peak is the
+    10 MiB of L and U factors that ``lu_fill`` counts.)"""
+    case = cases.get_case("single")
+    problem = asm.prepare_problem(case.network(), case.meshes("random", 5),
+                                  source=case.source)
+    dofs = asm.build_dof_map(problem, "cc")
+    system, assemble_mib = _traced_peak_mib(asm.assemble_cc, problem, dofs,
+                                            case.bcs())
+    rep, solve_mib = _traced_peak_mib(slv.solve, system)
+    assert rep.solver["path"] == "pcg"
+    assert assemble_mib <= 0.8 * 48.9
+    assert solve_mib <= 0.8 * 45.1
+
+
+@pytest.mark.slow
+def test_single_random_l5_solution_is_pinned():
+    """The solution, levels and iterations of single random L5, as the
+    reduceat aggregation and the list-held triplets gave them."""
+    rep = slv.solve(_single_random(5))
+    assert rep.solver["levels"] == [50_880, 6083, 765]
+    assert rep.solver["iterations"] == [29, 0]
+    assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
+        "a9360f3905f6a9dbcd2e8e328041f6077763bcaa6ae39655d9e5d33d44ffd3e3")
