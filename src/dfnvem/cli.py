@@ -54,8 +54,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=Path, default=Path("out"))
         sp.add_argument("--threads", type=int,
                         default=os.environ.get("DFN_VEM_THREADS", "1"),
-                        help="accepted for compatibility; meshing runs "
-                             "serially")
+                        help="accepted for compatibility; any value but "
+                             "1 is ignored, with a warning")
         if with_model:
             sp.add_argument("--model", choices=("cc", "dc"), default=None)
 
@@ -72,7 +72,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _check_flags(args):
     """Reject inapplicable or out-of-range flags before any work starts,
-    then fill in the defaults of the flags left unset."""
+    fill in the defaults of unset flags, and warn of an ignored --threads."""
     case_only = ["network", "h"]
     if args.command != "coarsen":
         case_only += ["c_depth", "eps_str"]
@@ -105,6 +105,10 @@ def _check_flags(args):
             flag = "--" + dest.replace("_", "-")
             raise ConfigError(f"{flag} must be {need}, got "
                               f"{getattr(args, dest)!r}")
+    if args.threads != 1:
+        warnings.warn(IgnoredInputWarning(
+            f"--threads {args.threads} (default from DFN_VEM_THREADS): "
+            "ignored; every stage runs on one thread"))
 
 
 def _case(args):

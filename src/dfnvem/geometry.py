@@ -286,9 +286,6 @@ class IntersectionLine:
         self.length = float(np.linalg.norm(self.p1 - self.p0))
         self.direction = (self.p1 - self.p0) / self.length
 
-    def param_of(self, p3: np.ndarray) -> float:
-        return float((np.asarray(p3, float) - self.p0) @ self.direction)
-
     def effective_tangential(self, apertures: dict) -> float:
         d = [apertures[f] for f in self.parents[:2]]
         return d[0] * d[1] * self.k_hat
@@ -609,78 +606,42 @@ class FractureNetwork:
         return self.lines[gid]
 
 
-def _boxes_meet(lo: np.ndarray, hi: np.ndarray, i, j, pad: float):
-    """Whether boxes ``[lo[i], hi[i]]`` and ``[lo[j], hi[j]]`` overlap
-    once each is grown by ``pad``."""
-    return ((lo[i] - pad <= hi[j] + pad) & (lo[j] - pad <= hi[i] + pad)).all(axis=1)
-
-
-def _meeting_pairs(lo: np.ndarray, hi: np.ndarray, pad: float):
-    """The pairs ``(i, j)`` of ``np.triu_indices(len(lo), 1)`` for which
-    ``_boxes_meet`` holds, by the same comparisons, made on a block of
-    rows at a time with no pair gathered."""
-    lo, hi = lo - pad, hi + pad
-    n = len(lo)
-    rows = max(1, 2 ** 20 // max(n, 1))
-    i, j = [np.zeros(0, int)], [np.zeros(0, int)]
-    for r in range(0, n, rows):
-        s = slice(r, min(r + rows, n))
-        meet = np.triu(np.ones((s.stop - r, n), bool), r + 1)
-        for k in range(lo.shape[1]):
-            meet &= (lo[s, k, None] <= hi[:, k]) & (lo[:, k] <= hi[s, k, None])
-        a, b = np.nonzero(meet)
-        i.append(a + r)
-        j.append(b)
-    return np.concatenate(i), np.concatenate(j)
-
-
-# A unit vector along no axis, whose first two entries serve 2D points:
-# a network's lines and a fracture's traces mostly run along axes, and so
+# A unit vector along no axis, whose first two entries serve 2D boxes: a
+# network's lines and a fracture's traces mostly run along axes, and so
 # do their grids of crossing points.
 _SWEEP = np.array([0.6, 0.48, 0.64])
 
 
-def _points_in_boxes(pts, lo, hi, pts_group=None, box_group=None):
-    """Index pairs ``(k, j)`` with ``lo[k] <= pts[j] <= hi[k]`` in every
-    coordinate and, if groups are given, ``pts_group[j] ==
-    box_group[k]``; boxes have ``lo <= hi``.
+def _box_pairs(alo, ahi, blo, bhi, agroup=None, bgroup=None):
+    """Index pairs ``(i, j)`` of boxes ``[alo[i], ahi[i]]`` and ``[blo[j],
+    bhi[j]]`` that meet, closed in every coordinate, and, if groups are
+    given, have ``agroup[i] == bgroup[j]``; boxes have ``lo <= hi``, and a
+    point is a box with ``lo == hi``.  The pairs come by ascending ``i``.
 
-    One sort of the points by group, then projection on ``_SWEEP``, gives
-    each box the points of its projected range (sort and sweep), and the
-    box test then runs one coordinate at a time on those.  Every row is
-    projected by the same sum of products with positive weights, and
-    rounding is monotone, so a point in a box projects into its range.
+    One sort of the ``b`` boxes by group, then by the projection of their
+    low corners on ``_SWEEP``, gives each ``a`` box a run of them (sort and
+    sweep): from the first whose running maximum of projected high corners
+    reaches the ``a`` box's low corner, to the last whose low corner does
+    not pass its high corner.  The box test then runs one coordinate at a
+    time on the run.  Every corner is projected by the same sum of
+    products with positive weights, and rounding is monotone, so boxes
+    that meet project onto ranges that meet.
     """
-    w = _SWEEP[:pts.shape[1]]
-    if pts_group is None:
-        pts_group, box_group = np.zeros(len(pts)), np.zeros(len(lo))
-    key = pts_group + 1j * (pts * w).sum(1)
+    w = _SWEEP[:blo.shape[1]]
+    if agroup is None:
+        agroup, bgroup = np.zeros(len(alo)), np.zeros(len(blo))
+    key = bgroup + 1j * (blo * w).sum(1)
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    start = np.searchsorted(key, box_group + 1j * (lo * w).sum(1), "left")
-    stop = np.searchsorted(key, box_group + 1j * (hi * w).sum(1), "right")
-    k, at = _ranges(start, stop - start)
+    top = np.maximum.accumulate(bgroup[order] + 1j * (bhi[order] * w).sum(1))
+    start = np.searchsorted(top, agroup + 1j * (alo * w).sum(1), "left")
+    stop = np.searchsorted(key[order], agroup + 1j * (ahi * w).sum(1), "right")
+    i, at = _ranges(start, stop - start)
     # Gathers from contiguous columns are the cheapest.
-    cols, lo, hi = pts[order].T.copy(), lo.T.copy(), hi.T.copy()
-    for x, a, b in zip(cols, lo, hi):
-        x = x[at]
-        inside = (a[k] <= x) & (x <= b[k])
-        k, at = k[inside], at[inside]
-    return k, order[at]
-
-
-def _sweep_pairs(pts: np.ndarray, reach: float):
-    """Index pairs ``(i, j)``, ``i < j``, of 3D points whose projections
-    on ``_SWEEP`` differ by at most ``reach``: every pair closer than
-    ``reach`` less the projections' rounding.  The projections are
-    sorted once and each point pairs with those after it in the window
-    (sort and sweep), so no pair comes back twice."""
-    key = (pts * _SWEEP).sum(1)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.arange(1, len(key) + 1)
-    s, t = _ranges(first, np.searchsorted(key, key + reach, "right") - first)
-    return np.minimum(order[s], order[t]), np.maximum(order[s], order[t])
+    for a0, a1, b0, b1 in zip(alo.T.copy(), ahi.T.copy(),
+                              blo[order].T.copy(), bhi[order].T.copy()):
+        meet = (a0[i] <= b1[at]) & (b0[at] <= a1[i])
+        i, at = i[meet], at[meet]
+    return i, order[at]
 
 
 def _merge_targets(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -738,9 +699,12 @@ def build_network(fractures: list, tol: float | None = None,
                     for f in fractures]).reshape(-1, 2, 3)
     frame = np.array([[f.frame.origin, f.frame.n]
                       for f in fractures]).reshape(-1, 2, 3)
+    lo, hi = box[:, 0] - merge_tol, box[:, 1] + merge_tol
+    meet = np.zeros((len(fractures),) * 2, bool)
+    meet[_box_pairs(lo, hi, lo, hi)] = True
     i, j = np.triu_indices(len(fractures), 1)
     origin, normal = frame[:, 0], frame[:, 1]
-    near = _boxes_meet(box[:, 0], box[:, 1], i, j, merge_tol) | (
+    near = meet[i, j] | (
         (np.linalg.norm(np.cross(normal[i], normal[j]), axis=1)
          < 2 * _PARALLEL_TOL)
         & (np.abs(((origin[j] - origin[i]) * normal[i]).sum(1)) <= 20 * tol))
@@ -749,12 +713,13 @@ def build_network(fractures: list, tol: float | None = None,
     ends = np.array([(s.p0, s.p1) for s in segs]).reshape(-1, 2, 3)
     # A segment within merge_tol of a kept one, end to end, merges into
     # the first such; the two midpoints are then within merge_tol / 2,
-    # and the sweep's reach is twice that for rounding.
-    a, b = _sweep_pairs(ends.sum(1) / 2, merge_tol)
+    # and the search reaches twice that for rounding.
+    mid = ends.sum(1) / 2
+    a, b = _box_pairs(mid - merge_tol, mid + merge_tol, mid, mid)
     ea, eb = ends[a], ends[b]
-    close = np.minimum(
+    close = (a < b) & (np.minimum(
         _norms(ea[:, 0] - eb[:, 0]) + _norms(ea[:, 1] - eb[:, 1]),
-        _norms(ea[:, 0] - eb[:, 1]) + _norms(ea[:, 1] - eb[:, 0])) < merge_tol
+        _norms(ea[:, 0] - eb[:, 1]) + _norms(ea[:, 1] - eb[:, 0])) < merge_tol)
     target = _merge_targets(len(segs), a[close], b[close])
     kept = target == np.arange(len(segs))
     for k in np.flatnonzero(~kept).tolist():
@@ -776,7 +741,11 @@ def build_network(fractures: list, tol: float | None = None,
             ln.k_hat = float(props.get("k_hat", ln.k_hat))
             ln.k_tilde = float(props.get("k_tilde", ln.k_tilde))
 
-    a, b = _meeting_pairs(ends.min(1), ends.max(1), merge_tol)
+    # The line pairs in np.triu_indices order, so the first collinear
+    # overlap raised is the lowest pair's.
+    lo, hi = ends.min(1) - merge_tol, ends.max(1) + merge_tol
+    a, b = _box_pairs(lo, hi, lo, hi)
+    a, b = np.divmod(np.sort((a * len(lines) + b)[a < b]), len(lines))
     parallel, found = _crossings(ends[a, 0], ends[a, 1], ends[b, 0], ends[b, 1],
                                  merge_tol)
     for k in np.flatnonzero(parallel).tolist():
@@ -784,8 +753,8 @@ def build_network(fractures: list, tol: float | None = None,
     # A crossing within merge_tol of a kept one merges into the first such.
     hit = np.flatnonzero(~np.isnan(found[:, 0]))
     loc, a, b = found[hit], a[hit], b[hit]
-    i, j = _sweep_pairs(loc, 2 * merge_tol)
-    close = _norms(loc[i] - loc[j]) < merge_tol
+    i, j = _box_pairs(loc - 2 * merge_tol, loc + 2 * merge_tol, loc, loc)
+    close = (i < j) & (_norms(loc[i] - loc[j]) < merge_tol)
     target = _merge_targets(len(hit), i[close], j[close])
     # Each kept crossing's lines, with those of the crossings merged in.
     key = np.unique(np.tile(target, 2) * len(lines) + np.concatenate([a, b]))

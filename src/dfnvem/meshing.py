@@ -28,10 +28,10 @@ from .errors import (
 from .geometry import (
     Frame,
     IntersectionLine,
+    _box_pairs,
     _dots,
     _even_odd,
     _norms,
-    _points_in_boxes,
     _ranges,
     point_segment_distance,
     polygon_area,
@@ -576,7 +576,7 @@ class _PointPool:
         and of the same fracture."""
         # Boxes of half-side twice the reach, for rounding.
         reach = 2 * self.tol[fa, None]
-        i, j = _points_in_boxes(b, a - reach, a + reach, fb, fa)
+        i, j = _box_pairs(a - reach, a + reach, b, b, fa, fb)
         # The distance is np.linalg.norm's, rounding for rounding.
         d = a[i] - b[j]
         near = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= self.tol[fa[i]]
@@ -670,8 +670,8 @@ def _near_segments(pts, pts_fid, seg0, seg1, seg_fid, reach):
     ``reach[k]`` with room to spare for rounding.
     """
     grow = 2 * reach[:, None]
-    k, j = _points_in_boxes(pts, np.minimum(seg0, seg1) - grow,
-                            np.maximum(seg0, seg1) + grow, pts_fid, seg_fid)
+    k, j = _box_pairs(np.minimum(seg0, seg1) - grow,
+                      np.maximum(seg0, seg1) + grow, pts, pts, seg_fid, pts_fid)
     return k, j, point_segment_distance(pts[j], seg0[k], seg1[k])
 
 

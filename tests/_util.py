@@ -1894,6 +1894,11 @@ def triangulate_ref(polygon: np.ndarray, traces=None, h_target: float = 0.1,
     return mesh
 
 
+def param_of(line: IntersectionLine, p3: np.ndarray) -> float:
+    """Parameter of the point ``p3`` along ``line``, from its ``p0``."""
+    return float((np.asarray(p3, float) - line.p0) @ line.direction)
+
+
 def trace_draft_ref(mesh: PolyMesh, line: IntersectionLine) -> np.ndarray:
     """Breakpoint parameters of the mesh's partition of one trace."""
     eids = np.where(mesh.edge_trace == line.id)[0]
@@ -1903,7 +1908,7 @@ def trace_draft_ref(mesh: PolyMesh, line: IntersectionLine) -> np.ndarray:
         )
     nodes = np.unique(mesh.edge_nodes[eids])
     pts3 = mesh.frame.to_global(mesh.nodes[nodes])
-    ts = np.sort([line.param_of(p) for p in np.atleast_2d(pts3)])
+    ts = np.sort([param_of(line, p) for p in np.atleast_2d(pts3)])
     return np.asarray(ts, float)
 
 
@@ -1928,7 +1933,7 @@ def apply_breakpoints_ref(mesh: PolyMesh, line: IntersectionLine,
     # Assign element indices from edge midpoints.
     eids = np.where(mesh.edge_trace == line.id)[0]
     mids3 = mesh.frame.to_global(mesh.edge_mid[eids])
-    tm = np.array([line.param_of(p) for p in np.atleast_2d(mids3)])
+    tm = np.array([param_of(line, p) for p in np.atleast_2d(mids3)])
     elems = np.searchsorted(breaks, tm) - 1
     if len(np.unique(elems)) != len(breaks) - 1 or len(eids) != len(breaks) - 1:
         raise MeshError(
@@ -1980,13 +1985,13 @@ def corefine_network_ref(meshes: dict, network) -> dict:
         breaks = corefine_ref(drafts, ln.length, 100 * tol)
         for pt in network.points:
             if ln.id in pt.parent_lines:
-                t = ln.param_of(pt.location)
+                t = param_of(ln, pt.location)
                 if np.min(np.abs(breaks - t)) > 100 * tol:
                     breaks = np.sort(np.append(breaks, t))
         tm = msh.TraceMesh(gamma=ln.id, line=ln, breakpoints=breaks)
         for pt in network.points:
             if ln.id in pt.parent_lines:
-                t = ln.param_of(pt.location)
+                t = param_of(ln, pt.location)
                 idx = int(np.argmin(np.abs(breaks - t)))
                 tm.xi_breaks.append((idx, pt.id))
         for f in parents:

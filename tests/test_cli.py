@@ -777,6 +777,23 @@ class TestSharedPaths:
                    for s in stats["coarsen"]["coarsen_stats"].values())
 
 
+def threads_ignored(value) -> dict:
+    """The summary's entry for an ignored ``--threads value``."""
+    return {"class": "IgnoredInputWarning",
+            "message": f"--threads {value} (default from DFN_VEM_THREADS): "
+                       "ignored; every stage runs on one thread"}
+
+
+def run_recording(args) -> list:
+    """Run the CLI, which must succeed, and return the warnings it showed
+    as the summary lists them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(args) == 0
+    return [{"class": w.category.__name__, "message": str(w.message)}
+            for w in caught]
+
+
 class TestThreads:
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("DFN_VEM_THREADS", "3")
@@ -784,14 +801,27 @@ class TestThreads:
         assert args.threads == 3
 
     def test_threaded_matches_serial(self, tmp_path):
+        # A value other than 1 is ignored, with a warning that names the
+        # flag and is listed in the summary; 1 is silent.
         net_path = tmp_path / "net.json"
         net_path.write_text(json.dumps(import_network_dict()))
-        outs = []
+        outs, warned = [], []
         for threads in ("1", "3"):
             out = tmp_path / f"out{threads}"
-            rc = run_cli(["solve", "--network", net_path, "--h", "0.25",
-                          "--threads", threads, "--out", out])
-            assert rc == 0
+            caught = run_recording(["solve", "--network", net_path, "--h",
+                                    "0.25", "--threads", threads, "--out", out])
             summary = json.loads((out / "summary.json").read_text())
             outs.append(summary["flux_balance"]["boundary_outflow"])
+            assert summary["warnings"] == caught
+            warned.append(caught)
         assert outs[0] == outs[1]
+        assert warned == [[], [threads_ignored(3)]]
+
+    @pytest.mark.parametrize("value", ["1", "2"])
+    def test_env_var_other_than_one_warns(self, tmp_path, monkeypatch,
+                                          value):
+        monkeypatch.setenv("DFN_VEM_THREADS", value)
+        caught = run_recording(["mesh", "--case", "single", "--out", tmp_path])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["warnings"] == caught
+        assert caught == ([] if value == "1" else [threads_ignored(value)])

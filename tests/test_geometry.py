@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfnvem import geometry as geo
@@ -193,44 +193,63 @@ GRID = [-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]
 
 
 @st.composite
-def points_and_boxes(draw):
-    """2D or 3D points and boxes, with or without groups.  Coordinates and
-    sizes come from a coarse grid, so points lie on faces and corners and
-    some boxes have zero size; one row of points runs across the sweep
-    direction, so its points share one projection up to rounding."""
+def box_sets(draw):
+    """2D or 3D ``a`` and ``b`` boxes, with or without groups.  Corners and
+    sizes come from a coarse grid, so some boxes meet only at a face or a
+    corner and some have zero size; the ``b`` boxes may all be points.  One
+    row of ``b`` corners runs across the sweep direction, so they share
+    one projection up to rounding, and one long ``b`` box may start at the
+    grid's lowest corner, first in projection order, so the running
+    maximum of the high corners decides where the ``a`` boxes' runs
+    start."""
     dim = draw(st.sampled_from([2, 3]))
     point = st.tuples(*[st.sampled_from(GRID)] * dim)
-    pts = np.reshape(draw(st.lists(point, max_size=25)), (-1, dim))
+    size = st.sampled_from([0.0, 0.0, 0.12, 0.25, 0.5, 1.5])
+
+    def grown(lo, sizes=size):
+        return lo + np.reshape([draw(sizes) for _ in range(lo.size)], lo.shape)
+
+    blo = np.reshape(draw(st.lists(point, max_size=25)), (-1, dim))
     across = np.array([0.48, -0.6, 0.0])[:dim] * 0.25
     steps = draw(st.lists(st.integers(-3, 3), max_size=8))
     row = np.array(draw(point)) + np.multiply.outer(steps, across)
-    pts = np.vstack([pts, row])
+    blo = np.vstack([blo, row])
+    bhi = grown(blo) if draw(st.booleans()) else blo
+    if draw(st.booleans()):
+        long = np.full((1, dim), -1.0)
+        blo = np.vstack([long, blo])
+        bhi = np.vstack([grown(long, st.sampled_from([0.0, 2.0])), bhi])
     n_box = draw(st.integers(0, 12))
-    lo = np.reshape([draw(point) for _ in range(n_box)], (-1, dim))
+    alo = np.reshape([draw(point) for _ in range(n_box)], (-1, dim))
     # Some boxes start at a point of the row.
     at = [draw(st.integers(0, len(row) - 1)) for _ in range(len(row) and 3)]
-    lo = np.vstack([lo, row[at]])
-    size = st.sampled_from([0.0, 0.0, 0.12, 0.25, 0.5, 1.5])
-    hi = lo + np.reshape([draw(size) for _ in range(lo.size)], lo.shape)
+    alo = np.vstack([alo, row[at]])
+    ahi = grown(alo)
     n_group = draw(st.sampled_from([None, 1, 3]))
     if n_group is None:
-        return pts, lo, hi, None, None
+        return alo, ahi, blo, bhi, None, None
     group = st.integers(0, n_group - 1)
-    return (pts, lo, hi, np.array([draw(group) for _ in pts], int),
-            np.array([draw(group) for _ in lo], int))
+    return (alo, ahi, blo, bhi, np.array([draw(group) for _ in alo], int),
+            np.array([draw(group) for _ in blo], int))
+
+
+NO_BOXES = np.zeros((0, 3))
+SOME_BOXES = (np.array([[0.0, 0, 0], [1, 1, 1]]), np.array([[1.0, 1, 1]] * 2))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(points_and_boxes())
-def test_points_in_boxes_equals_brute_force(case):
-    pts, lo, hi, pts_group, box_group = case
-    inside = ((lo[:, None] <= pts) & (pts <= hi[:, None])).all(-1)
-    if pts_group is not None:
-        inside &= box_group[:, None] == pts_group
-    k, j = geo._points_in_boxes(pts, lo, hi, pts_group, box_group)
-    pairs = list(zip(k.tolist(), j.tolist()))
-    assert len(pairs) == len(set(pairs))
-    assert set(pairs) == set(zip(*np.nonzero(inside)))
+@given(box_sets())
+@example((NO_BOXES, NO_BOXES, *SOME_BOXES, None, None))
+@example((*SOME_BOXES, NO_BOXES, NO_BOXES, None, None))
+def test_box_pairs_equals_brute_force(case):
+    alo, ahi, blo, bhi, agroup, bgroup = case
+    meet = ((alo[:, None] <= bhi) & (blo <= ahi[:, None])).all(-1)
+    if agroup is not None:
+        meet &= agroup[:, None] == bgroup
+    i, j = geo._box_pairs(alo, ahi, blo, bhi, agroup, bgroup)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    assert len(pairs) == len(set(pairs)) and (np.diff(i) >= 0).all()
+    assert set(pairs) == set(zip(*np.nonzero(meet)))
 
 
 class TestIntersectFractures:
@@ -470,10 +489,10 @@ class TestPrunedNetworkAgainstReference:
     def test_boxes_touching_at_the_pad_are_paired(self):
         lo = np.array([[0.0, 0, 0], [1.5, 0, 0], [1.5 + 2**-20, 0, 0]])
         hi = lo + [1.0, 1, 1]
-        i, j = np.triu_indices(3, 1)
-        meet = geo._boxes_meet(lo, hi, i, j, 0.25)
+        i, j = geo._box_pairs(lo - 0.25, hi + 0.25, lo - 0.25, hi + 0.25)
         # Box 1 is 0.5 = 2 * pad from box 0; box 2 is just beyond.
-        assert list(zip(i[meet].tolist(), j[meet].tolist())) == [(0, 1), (1, 2)]
+        assert [(a, b) for a, b in zip(i.tolist(), j.tolist()) if a < b] == [
+            (0, 1), (1, 2)]
 
     @pytest.mark.parametrize("gap", [0.5e-6, 1e-6, 2e-6, 2e-6 * (1 + 1e-9),
                                      3e-6])
@@ -597,13 +616,16 @@ def test_merge_targets_decide_in_order(seed):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.tuples(*[st.sampled_from(GRID)] * 3), max_size=30),
        st.sampled_from([0.0, 0.1, 0.25, 0.6, 2.0]))
-def test_sweep_pairs_hold_every_close_pair(points, reach):
+def test_box_pairs_hold_every_close_pair(points, reach):
     """Every pair within ``reach`` (points on a coarse grid, so many
-    coincide or sit exactly ``reach`` apart), once each, as ``i < j``."""
+    coincide or sit exactly ``reach`` apart), once each as ``i < j``,
+    from the points against their boxes of half-side ``reach``, as the
+    merges search them."""
     pts = np.reshape(points, (-1, 3))
-    i, j = geo._sweep_pairs(pts, reach)
+    i, j = geo._box_pairs(pts - reach, pts + reach, pts, pts)
+    i, j = i[i < j], j[i < j]
     pairs = list(zip(i.tolist(), j.tolist()))
-    assert len(pairs) == len(set(pairs)) and (i < j).all()
+    assert len(pairs) == len(set(pairs))
     a, b = np.triu_indices(len(pts), 1)
     near = np.linalg.norm(pts[a] - pts[b], axis=1) <= reach
     assert set(zip(a[near].tolist(), b[near].tolist())) <= set(pairs)

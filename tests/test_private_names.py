@@ -5,10 +5,12 @@ constant, or a private method, that no code in ``src/`` names outside its
 own definition is dead: tests may call it, but the program never does.
 A public top-level function or class, or a public method, that nothing
 in ``src/``, ``tests/`` or ``perfbench/`` names outside its own
-definition is dead too.
+definition is dead too.  And every name that the benchmark's tracer
+wraps still exists.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,3 +105,27 @@ def test_every_public_name_is_used():
     dead = unused(public_definitions, trees, uses(everywhere, strings=True))
     assert not dead, ("defined in src/ but named nowhere in src/, tests/ "
                       "or perfbench/: " + ", ".join(dead))
+
+
+def test_every_name_the_benchmark_wraps_exists():
+    """Each ``(module, attribute)`` row of the span table in
+    ``perfbench/run.py``'s ``install_spans`` names an attribute of
+    ``dfnvem``; a rename would otherwise show only in a traced benchmark
+    run, as a per-layer metric gone missing."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    install, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "install_spans"]
+    table, = [node.value for node in ast.walk(install)
+              if isinstance(node, ast.Assign)
+              and [ast.unparse(t) for t in node.targets] == ["spans"]]
+    rows = [(ast.unparse(row.elts[0]), row.elts[1].value) for row in table.elts]
+    missing = []
+    for owner, attr in rows:
+        first, *rest = owner.split(".")
+        obj = importlib.import_module(f"dfnvem.{first}")
+        for part in rest:
+            obj = getattr(obj, part)
+        if not hasattr(obj, attr):
+            missing.append(f"{owner}.{attr}")
+    assert rows
+    assert not missing, "perfbench wraps names dfnvem lacks: " + ", ".join(missing)

@@ -227,8 +227,8 @@ def test_pairs_measured_grow_with_the_pieces(tmp_path, monkeypatch):
 
 def test_point_searches_examine_few_candidates(tmp_path, monkeypatch):
     # On the k = 12 grid at h 0.1, sorting the points by x alone gave the
-    # constraint searches 1,148,124 candidates; the one point-in-box
-    # search gives them 839,496, and the point pool 92,784 more.
+    # constraint searches 1,148,124 candidates; the one box-pair search
+    # gives them 839,496, and the point pool 92,784 more.
     net = load(tmp_path, grid_dict(12, 0))
     examined = []
     real = geo._ranges
