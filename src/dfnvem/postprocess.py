@@ -4,7 +4,16 @@ Errors follow the cell-centred convention: the exact solution is sampled
 at cell centroids (element midpoints on intersections) and weighted by
 cell measures.  Export targets are legacy-ASCII VTK unstructured grids
 (3D-embedded polygons plus intersection polylines) and RFC-4180 CSV
-convergence tables.
+convergence tables and partition maps.
+
+Every number of the VTK files and of the partition CSV goes through one
+array writer, ``_write``, which gives the bytes of ``'%.16g' % v`` and
+``'%d' % v`` exactly.  A float's 16 significant digits come from an
+error-free product (Dekker 1971) of the value with an exact power of
+ten, as in fixed-precision printf (Adams 2019, Ryu printf); the rare
+value this cannot decide (a near tie, nan, inf, or a nonzero one outside
+``[1e-280, 1e16)``) is formatted alone by ``%``.  The files are written
+in binary mode, about 8 k values at a time.
 """
 
 from __future__ import annotations
@@ -169,14 +178,238 @@ def convergence_orders(reports: list) -> list:
 # VTK / CSV export
 # ------------------------------------------------------------------ #
 
-def _rows(fmt: str, values: np.ndarray) -> str:
-    """One ``fmt % row`` per row of ``values``."""
-    return (fmt * len(values)) % tuple(values.ravel().tolist())
+# Every number is written by ``_write``, which gives exactly the bytes of
+# ``'%.16g' % v`` for a float and of ``'%d' % v`` for an integer, from
+# array operations.  Each value is laid out in a fixed-width byte row
+# that holds every character its text may need; a mask looked up by the
+# value's layout picks the bytes to keep, and one boolean index over all
+# rows joins them.  A float row is
+#
+#   bytes  0-5     6-21       22   23-38      39-44     45-46
+#          "-0.0"  16 digits  "."  16 digits  "e-0281"  separator
+#
+# from a template row per (exponent, sign) that holds the sign, any
+# leading "0.000" and the exponent's text.  The significant digits are
+# written twice, so that one mask per (layout class, last nonzero digit,
+# sign) can put the point after any of them; the layout classes tell
+# the fixed-point exponents apart, and exponent notation with two
+# exponent digits from that with three.  An integer row is "-", its
+# digits right-aligned in four bytes per group of four, and the
+# separator.
+
+_CHUNK = 1 << 13            # values laid out at a time
+_SPLIT = 134217729.0        # 2**27 + 1, Dekker's splitting constant
+_GUARD = 1e-6               # nearest a scaled value may come to a tie
+_EXP_MIN = -281             # least exponent the array path writes
+# Layout classes: x + 4 for a fixed-point exponent x in [-4, 15], then
+# exponent notation with two or with three exponent digits, then +-0.
+_E2, _E3, _ZERO = 20, 21, 22
 
 
-def _column(values: np.ndarray) -> str:
-    """One ``%.16g`` value per line; a lone newline when there are none."""
-    return "\n".join(["%.16g"] * len(values)) % tuple(values.tolist()) + "\n"
+def _split(a):
+    """Dekker's split of ``a`` into two halves of 26 bits each."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10^k = _POW[k] + _TAIL[k] to 5e-33 relative; exact, _TAIL 0, to 10^22.
+_POW = np.array([float(10**k) for k in range(15 - _EXP_MIN + 1)])
+_TAIL = np.array([float(10**k - int(p)) for k, p in enumerate(_POW)])
+_POW_HI, _POW_LO = _split(_POW)
+
+_GROUP = np.arange(10_000, dtype=np.int16)
+_TENS = 10 ** np.arange(4, dtype=np.int16)     # 1, 10, 100, 1000
+# The four ASCII digits of 0..9999 as one native uint32 each, and how
+# many of them are trailing and leading zeros (4 for 0).
+_DIGITS = (48 + _GROUP[:, None] // _TENS[::-1] % 10).astype(np.uint8).view(
+    np.uint32).ravel()
+_TRAILING = (_GROUP[:, None] % (10 * _TENS) == 0).sum(axis=1, dtype=np.int8)
+_LEADING = (_GROUP[:, None] < _TENS).sum(axis=1, dtype=np.int8)
+
+
+def _float_layout():
+    """The template row of each ``(exponent - _EXP_MIN, sign)``, +-0
+    after the exponents; the layout class of each exponent and of +-0;
+    and the keep mask of each ``(class * 16 + last nonzero digit) * 2 +
+    sign``."""
+    x = np.arange(_EXP_MIN, 17)
+    layout = np.append(np.where((x >= -4) & (x < 16), x + 4,
+                                _E2 + (x <= -100)), _ZERO)
+    template = np.empty((len(layout), 2, 47), np.uint8)
+    template[:] = np.frombuffer(b" " * 22 + b"." + b" " * 16 + b"e" + b" " * 7,
+                                np.uint8)
+    template[:-1, :, 40] = np.where(x < 0, ord("-"), ord("+"))[:, None]
+    template[:-1, :, 41:45] = _DIGITS[np.abs(x)].view(np.uint8).reshape(
+        -1, 1, 4)
+    for c in range(_ZERO + 1):
+        zeros = (b"0" if c == _ZERO else b"0." + b"0" * (3 - c)
+                 if c < 4 else b"")
+        for neg in (0, 1):
+            text = b"-" * neg + zeros       # right-aligned before the digits
+            template[layout == c, neg, 6 - len(text):6] = np.frombuffer(
+                text, np.uint8)
+    c, last, neg = np.unravel_index(np.arange(32 * (_ZERO + 1)),
+                                    (_ZERO + 1, 16, 2))
+    j = np.arange(47)
+    c, last, neg = c[:, None], last[:, None], neg[:, None]
+    a, b = j - 6, j - 23            # digit index in the first / second copy
+    in_a, in_b = (a >= 0) & (a < 16), (b >= 0) & (b < 16)
+    small = c < 4                   # 0.000ddd
+    expo = (c == _E2) | (c == _E3)
+    s = np.where(expo, 0, c - 4)    # digits before the point, less one
+    # Where the sign and the leading "0.000" of the template start.
+    start = np.where(small, 1 + c, np.where(c == _ZERO, 5, 6)) - neg
+    keep = ((j >= start) & (j < 6)
+            | small & in_a & (a <= last)
+            | (c >= 4) & (c < _ZERO) & (in_a & (a <= s) | (last > s) & (
+                (j == 22) | in_b & (b > s) & (b <= last)))
+            | expo & ((j == 39) | (j == 40) | (j > 42 - c + _E2) & (j < 45)))
+    return template.reshape(-1, 47), layout, keep
+
+
+_FLOAT_TEMPLATE, _LAYOUT, _FLOAT_KEEP = _float_layout()
+
+
+def _zero_run(groups, table):
+    """Zeros that ``table`` counts in each digit group, summed along
+    ``groups`` up to and including the first nonzero group."""
+    run = table[groups[0]]
+    rest = np.flatnonzero(groups[0] == 0)
+    for g in groups[1:]:
+        g = g[rest]
+        run[rest] += table[g]
+        rest = rest[g == 0]
+    return run
+
+
+def _put_digits(rows, starts, groups):
+    """Write the four ASCII digits of each group of ``groups`` (one
+    array per group, most significant first) from each byte of
+    ``starts`` on."""
+    words = np.empty((len(rows), len(groups)), np.uint32)
+    for col, g in enumerate(groups):
+        words[:, col] = _DIGITS[g]
+    width = 4 * len(groups)
+    for start in starts:
+        rows[:, start:start + width].view(f"V{width}")[:, 0] = (
+            words.view(f"V{width}")[:, 0])
+
+
+def _compact(rows, keep, sep):
+    """The kept bytes of ``rows``, each row ended by its separator in its
+    last two bytes."""
+    rows[:, -2:] = sep
+    keep[:, -2] = True
+    keep[:, -1] = sep[:, 1] != 0
+    return rows[keep]
+
+
+def _two_product(m, k):
+    """``(hi, lo)`` with ``hi + lo = m 10^k``: exactly (Dekker 1971) for
+    ``k <= 22``, to 1e-31 relative above."""
+    hi = m * _POW[k]
+    m_hi, m_lo = _split(m)
+    p_hi, p_lo = _POW_HI[k], _POW_LO[k]
+    return hi, (((m_hi * p_hi - hi) + m_hi * p_lo + m_lo * p_hi)
+                + m_lo * p_lo + m * _TAIL[k])
+
+
+def _significand(x):
+    """``(q, e, ok)``: each ``|x|`` rounded to 16 significant digits is
+    ``q 10^(e - 15)`` with ``10^15 <= q < 10^16``, where ``ok``.
+
+    ``m = |x|`` with ``1e-280 <= m < 1e16`` is scaled by ``10^(15 - e)``,
+    ``e = floor(log10 m)``, which gives ``hi + lo`` to 1e-15 of a unit
+    of ``q``.  ``hi - floor(hi)`` is exact and its sum with ``lo`` and
+    1/2 good to 1e-15 too, so the rounding is decided unless that
+    fraction lies within ``_GUARD`` of 1/2.  ``q = 10^16`` is the carry
+    of a value that rounds up to the next power of ten.  A ``log10``
+    that is one too high shows as a scaled value below ``10^15``, a test
+    that is exact where the product is, and elsewhere (``m < 1e-7``)
+    safe: no double comes nearer than 1e-18 relative to a power of ten
+    below 1e-7.  A ``log10`` one too low shows as ``q > 10^16``.  ``ok``
+    is false for those, near ties, zeros, nan, +-inf and values out of
+    range.
+    """
+    m = np.abs(x)
+    fast = (m >= 1e-280) & (m < 1e16)
+    m = np.where(fast, m, 1.0)
+    e = np.floor(np.log10(m)).clip(_EXP_MIN, 15).astype(np.intp)
+    hi, lo = _two_product(m, 15 - e)
+    whole = np.floor(hi)
+    t = (hi - whole) + lo + 0.5
+    up = np.floor(t)
+    t -= up
+    q = whole.astype(np.int64) + up.astype(np.int64)
+    ok = (fast & (t > _GUARD) & (t < 1.0 - _GUARD) & (q <= 10**16)
+          & ((hi > 1e15) | (hi == 1e15) & (lo >= 0.0)))
+    carry = q == 10**16
+    return np.where(ok & ~carry, q, 10**15), e + carry, ok
+
+
+def _groups(m, n_groups):
+    """The ``n_groups`` groups of four decimal digits of each ``m``, most
+    significant first."""
+    groups = []
+    for _ in range(n_groups):
+        top = m // 10_000
+        groups.insert(0, m - top * 10_000)
+        m = top
+    return groups
+
+
+def _float_text(x, sep):
+    """``'%.16g' % v`` and its separator for each float64 ``v`` in ``x``:
+    +-0 has a layout class of its own, and every value that
+    ``_significand`` cannot decide is formatted alone by ``%``."""
+    q, e, ok = _significand(x)
+    groups = _groups(q, 4)
+    last = 15 - _zero_run(groups[::-1], _TRAILING)
+    exp = np.where(x == 0, len(_LAYOUT) - 1, e - _EXP_MIN)
+    neg = np.signbit(x)
+    rows = np.take(_FLOAT_TEMPLATE, exp * 2 + neg, axis=0)
+    keep = np.take(_FLOAT_KEEP, (_LAYOUT[exp] * 16 + last) * 2 + neg, axis=0)
+    _put_digits(rows, (6, 23), groups)
+    alone = np.flatnonzero(~ok & (x != 0))
+    text = np.array([b"%.16g" % v for v in x[alone].tolist()], "S45")
+    text = text.view(np.uint8).reshape(-1, 45)     # padded with NUL bytes
+    rows[alone, :45] = text
+    keep[alone, :45] = text != 0
+    return _compact(rows, keep, sep)
+
+
+def _int_text(v, sep):
+    """``'%d' % v`` and its separator for each int64 ``v`` in ``v``."""
+    m = np.abs(v).view(np.uint64)       # |-2^63| wraps to 2^63
+    n_groups = (len(str(m.max())) + 3) // 4
+    groups = [g.view(np.int64) for g in _groups(m, n_groups)]
+    width = 4 * n_groups
+    zeros = np.minimum(_zero_run(groups, _LEADING), width - 1)
+    rows = np.zeros((len(v), width + 3), np.uint8)
+    rows[:, 0] = ord("-")
+    _put_digits(rows, (1,), groups)
+    j = np.arange(width + 3)
+    keep = (j > zeros[:, None]) & (j <= width) | (j == 0) & (v[:, None] < 0)
+    return _compact(rows, keep, sep)
+
+
+def _write(fh, values, sep) -> None:
+    """Write ``values`` to the binary file ``fh``, each float as
+    ``'%.16g' % v`` and each integer as ``'%d' % v``, followed by its
+    separator: ``sep`` holds one- or two-byte strings and is broadcast
+    against ``values``.  Rows are laid out ``_CHUNK`` values at a time."""
+    sep = np.broadcast_to(np.asarray(sep, "S2"), values.shape)
+    sep = sep.ravel().view(np.uint8).reshape(-1, 2)
+    float_kind = values.dtype.kind == "f"
+    values = values.astype(np.float64 if float_kind else np.int64,
+                           copy=False).ravel()
+    text = _float_text if float_kind else _int_text
+    for i in range(0, len(values), _CHUNK):
+        fh.write(text(values[i:i + _CHUNK], sep[i:i + _CHUNK]))
+
+
+_XYZ = [b" ", b" ", b"\n"]     # separators of a three-column row
 
 
 def export_vtk(problem, solution, path) -> None:
@@ -204,23 +437,24 @@ def export_vtk(problem, solution, path) -> None:
     vvals = np.concatenate(vvals)
     # A cell's row is its node count, then its nodes.
     cells = np.insert(np.concatenate(tails), np.cumsum(counts) - counts, counts)
-    fmt = {d: "%d" + " %d" * d + "\n" for d in set(counts.tolist())}
+    seps = np.full(len(cells), b" ", "S2")
+    seps[np.cumsum(counts + 1) - 1] = b"\n"
     n = len(counts)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("# vtk DataFile Version 4.2\n")
-        fh.write("dfnvem fracture fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {len(points)} double\n")
-        fh.write(_rows("%.16g %.16g %.16g\n", points))
-        fh.write(f"CELLS {n} {len(cells)}\n")
-        fh.write("".join([fmt[d] for d in counts.tolist()])
-                 % tuple(cells.tolist()))
-        fh.write(f"CELL_TYPES {n}\n")
-        fh.write("\n".join(["7"] * n) + "\n")
-        fh.write(f"CELL_DATA {n}\n")
-        fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-        fh.write(_column(pvals))
-        fh.write("VECTORS velocity double\n")
-        fh.write(_rows("%.16g %.16g %.16g\n", vvals))
+    with open(path, "wb") as fh:
+        fh.write(b"# vtk DataFile Version 4.2\n"
+                 b"dfnvem fracture fields\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                 b"POINTS %d double\n" % len(points))
+        _write(fh, points, _XYZ)
+        fh.write(b"CELLS %d %d\n" % (n, len(cells)))
+        _write(fh, cells, seps)
+        fh.write(b"CELL_TYPES %d\n" % n + b"\n".join([b"7"] * n) + b"\n")
+        fh.write(b"CELL_DATA %d\n" % n)
+        fh.write(b"SCALARS pressure double 1\nLOOKUP_TABLE default\n")
+        _write(fh, pvals, b"\n")
+        if not n:
+            fh.write(b"\n")        # an empty column is one bare newline
+        fh.write(b"VECTORS velocity double\n")
+        _write(fh, vvals, _XYZ)
 
 
 def export_line_vtk(problem, solution, path) -> None:
@@ -235,18 +469,20 @@ def export_line_vtk(problem, solution, path) -> None:
         vals.append(solution.trace_pressure[gid])
     points, first, vals = (np.concatenate(v) for v in (points, first, vals))
     n = len(first)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("# vtk DataFile Version 4.2\n")
-        fh.write("dfnvem intersection fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {len(points)} double\n")
-        fh.write(_rows("%.16g %.16g %.16g\n", points))
-        fh.write(f"CELLS {n} {3 * n}\n")
-        fh.write(_rows("2 %d %d\n", np.column_stack([first, first + 1])))
-        fh.write(f"CELL_TYPES {n}\n")
-        fh.write("\n".join(["3"] * n) + "\n")
-        fh.write(f"CELL_DATA {n}\n")
-        fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-        fh.write(_column(vals))
+    with open(path, "wb") as fh:
+        fh.write(b"# vtk DataFile Version 4.2\n"
+                 b"dfnvem intersection fields\nASCII\n"
+                 b"DATASET UNSTRUCTURED_GRID\n"
+                 b"POINTS %d double\n" % len(points))
+        _write(fh, points, _XYZ)
+        fh.write(b"CELLS %d %d\n" % (n, 3 * n))
+        _write(fh, np.column_stack([np.full(n, 2), first, first + 1]), _XYZ)
+        fh.write(b"CELL_TYPES %d\n" % n + b"\n".join([b"3"] * n) + b"\n")
+        fh.write(b"CELL_DATA %d\n" % n)
+        fh.write(b"SCALARS pressure double 1\nLOOKUP_TABLE default\n")
+        _write(fh, vals, b"\n")
+        if not n:
+            fh.write(b"\n")
 
 
 _CSV_COLUMNS = [
@@ -278,9 +514,10 @@ def export_csv(reports: list, path, intersection: bool = False) -> None:
 
 
 def export_partition_csv(partition, path) -> None:
-    """cell id -> coarse id map for visualization overlays."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["cell", "coarse"])
-        for i, g in enumerate(partition.cell_to_coarse):
-            writer.writerow([i, int(g)])
+    """cell id -> coarse id map for visualization overlays, as RFC-4180
+    CSV with CRLF line ends."""
+    ids = partition.cell_to_coarse
+    with open(path, "wb") as fh:
+        fh.write(b"cell,coarse\r\n")
+        _write(fh, np.column_stack([np.arange(len(ids)), ids]),
+               [b",", b"\r\n"])

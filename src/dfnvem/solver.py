@@ -67,7 +67,9 @@ class SolveReport:
     lu_fill: int = 0          # nnz of the L and U factors of the LU that ran
     timings: dict = field(default_factory=dict)   # stage -> wall seconds
     # "path" ("lu" or "pcg"), CG "iterations" per solve call, "setup_s"
-    # (factorization or hierarchy) and "levels" (unknowns per level).
+    # (factorization or hierarchy), "levels" and "nnz" (unknowns and
+    # stored entries per level, K first) and "operator_complexity" (the
+    # levels' total nnz over K's; 1 on the LU path).
     solver: dict = field(default_factory=dict)
 
 
@@ -193,7 +195,7 @@ def _spectral_radius(A, dinv):
 
 def _hierarchy(K):
     """Smoothed-aggregation levels ``(A, JACOBI_WEIGHT D^-1, P, P^T)``
-    from ``K`` down, and the LU of the coarsest level.
+    from ``K`` down, and the coarsest level's matrix.
 
     Each level's tentative prolongator maps an aggregate to the constant
     on its nodes, and one Jacobi step with ``omega = 4 / (3 rho)``
@@ -219,7 +221,15 @@ def _hierarchy(K):
         R = P.T.tocsr()
         levels.append((A, JACOBI_WEIGHT * dinv, P, R))
         A = R @ (A @ P)
-    return levels, _factor(A)
+    return levels, A
+
+
+def _level_record(mats) -> dict:
+    """The unknowns and nnz of each matrix of ``mats``, finest first,
+    and their operator complexity."""
+    nnz = [A.nnz for A in mats]
+    return {"levels": [A.shape[0] for A in mats], "nnz": nnz,
+            "operator_complexity": sum(nnz) / max(nnz[0], 1)}
 
 
 def _v_cycle(levels, coarse, b, k=0):
@@ -267,16 +277,16 @@ class _ReducedSolver:
     def __init__(self, K):
         t0 = time.perf_counter()
         n = K.shape[0]
-        self.record = {"path": "lu", "iterations": [], "levels": [n]}
+        self.record = {"path": "lu", "iterations": [], **_level_record([K])}
         self.levels, self.lu, self.tol = None, None, None
         self.K = K if K.format == "csr" else None
         # A K with a diagonal entry <= 0 is not positive definite, so CG
         # cannot take it, and the strength test and Jacobi divide by it.
         if self.K is not None and (self.K.diagonal() > 0).all():
-            self.levels, self.lu = _hierarchy(self.K)
-            self.record.update(path="pcg", levels=[
-                *(A.shape[0] for A, _, _, _ in self.levels),
-                self.lu.shape[0]])
+            self.levels, coarsest = _hierarchy(self.K)
+            self.lu = _factor(coarsest)
+            self.record.update(path="pcg", **_level_record(
+                [*(A for A, _, _, _ in self.levels), coarsest]))
         elif n:
             self.lu = _factor(K)
         self.record["setup_s"] = time.perf_counter() - t0
@@ -296,7 +306,7 @@ class _ReducedSolver:
             if z is None:       # not converged: the LU from now on
                 t0 = time.perf_counter()
                 self.levels, self.lu = None, _factor(self.K)
-                self.record.update(path="lu", levels=[self.K.shape[0]])
+                self.record.update(path="lu", **_level_record([self.K]))
                 self.record["setup_s"] += time.perf_counter() - t0
         self.record["iterations"].append(its)
         return self.lu.solve(r) if z is None else z

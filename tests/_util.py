@@ -1,5 +1,6 @@
 """Shared builders for the assembly/solver/case tests."""
 
+import csv
 import functools
 import heapq
 import importlib.util
@@ -1606,6 +1607,15 @@ def export_line_vtk_ref(problem, solution, path) -> None:
         fh.write(f"CELL_DATA {len(lines)}\n")
         fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
         fh.write("\n".join(_fmt_ref(v) for v in vals) + "\n")
+
+
+def export_partition_csv_ref(partition, path) -> None:
+    """cell id -> coarse id map, one ``csv.writer`` row per cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(["cell", "coarse"])
+        for i, g in enumerate(partition.cell_to_coarse):
+            writer.writerow([i, int(g)])
 
 
 def network_outcome(build, fractures, **kw) -> tuple:

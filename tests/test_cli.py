@@ -38,6 +38,8 @@ class TestSolveCommand:
         assert summary["lu_fill"] > 0
         assert summary["solver"]["path"] == "lu"
         assert summary["solver"]["levels"] == [summary["reduced_size"]]
+        assert len(summary["solver"]["nnz"]) == 1
+        assert summary["solver"]["operator_complexity"] == 1.0
         assert summary["solver"]["iterations"] == [0, 0]
         assert summary["solver"]["setup_s"] >= 0
         assert summary["warnings"] == []

@@ -1,4 +1,6 @@
 import csv
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,3 +255,45 @@ class TestBatchedExportAgainstReference:
             assert ((tmp_path / f"{name}.vtk").read_bytes()
                     == (tmp_path / f"{name}_ref.vtk").read_bytes())
         assert "nan" in (tmp_path / "odd.vtk").read_text()
+
+
+def test_partition_csv_against_csv_writer(tmp_path):
+    """The array writer gives the bytes of one ``csv.writer`` row per
+    cell, CRLF line ends included."""
+    from types import SimpleNamespace
+    from dfnvem import coarsening as coa
+    from dfnvem import meshing as msh
+    from _util import export_partition_csv_ref
+    mesh = msh.triangulate(
+        np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float), h_target=0.1)
+    _, part = coa.agglomerate(mesh, c_depth=2)
+    ids = np.array([0, 7, 9999, 10_000, -1, 123_456_789, 2**62])
+    for name, p in (("real", part),
+                    ("empty", SimpleNamespace(cell_to_coarse=np.zeros(0, int))),
+                    ("odd", SimpleNamespace(cell_to_coarse=ids))):
+        post.export_partition_csv(p, tmp_path / f"{name}.csv")
+        export_partition_csv_ref(p, tmp_path / f"{name}_ref.csv")
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}_ref.csv").read_bytes())
+
+
+def test_export_vtk_on_single_random_l5_is_lean(tmp_path):
+    """``export_vtk`` on single random L5, the ``single-random``
+    benchmark output, gives the bytes of the per-float reference, and its
+    tracemalloc peak stays at or below the 7.9 MiB of the writer that
+    formatted each section by one ``%`` over a tuple of its values."""
+    from _util import export_vtk_ref
+    case = cases.get_case("single")
+    problem, _, solution, _ = cases.solve_meshes(
+        case.network(), case.meshes("random", 5), case.bcs(), "cc",
+        source=case.source)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        post.export_vtk(problem, solution, tmp_path / "a.vtk")
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    export_vtk_ref(problem, solution, tmp_path / "b.vtk")
+    assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
+    assert peak_mib <= 7.9

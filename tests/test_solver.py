@@ -297,6 +297,29 @@ def test_pcg_without_convergence_falls_back_to_the_lu(pcg, monkeypatch):
     assert rep.lu_fill == lu.lu_fill
 
 
+def test_solver_record_counts_each_levels_nnz(pcg, monkeypatch):
+    """The record lists the nnz of every level, K's first, and the
+    operator complexity: their sum over K's nnz.  A PCG solve that falls
+    back to the LU records K alone and a complexity of 1."""
+    system = _single_random(3)
+    _, reduced = slv._hybrid_factor(system)
+    record = reduced.record
+    A, _, P, R = reduced.levels[-1]
+    mats = [*(level[0] for level in reduced.levels), R @ (A @ P)]
+    assert record["path"] == "pcg"
+    assert record["levels"] == [M.shape[0] for M in mats]
+    assert record["nnz"] == [M.nnz for M in mats]
+    assert record["nnz"][0] == reduced.K.nnz
+    assert record["operator_complexity"] == (
+        sum(record["nnz"]) / reduced.K.nnz)
+    assert 1.0 < record["operator_complexity"] < 2.0
+    monkeypatch.setattr(slv, "PCG_MAX_ITER", 1)
+    rep = slv.solve(system)
+    assert rep.solver["path"] == "lu"
+    assert rep.solver["nnz"] == [reduced.K.nnz]
+    assert rep.solver["operator_complexity"] == 1.0
+
+
 def test_pcg_needs_a_positive_diagonal(pcg):
     """Without cell blocks K = -A; the saddle toy's K has diagonal
     (-1, 0), so it is not positive definite and goes to the LU."""
