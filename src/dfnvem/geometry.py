@@ -553,6 +553,8 @@ def _crossings(a0, a1, b0, b1, tol: float):
     parallel = _norms(np.cross(d1 / L1[:, None], d2 / L2[:, None])) < _PARALLEL_TOL
     loc = np.full(a0.shape, np.nan)
     k = np.flatnonzero(~parallel)
+    if not len(k):      # no stacked solve on an empty batch
+        return parallel, loc
     d1, d2, r, L1, L2 = d1[k], d2[k], r[k], L1[k], L2[k]
     d12 = _dots(d1, d2)
     M = np.stack([_dots(d1, d1), -d12, -d12, _dots(d2, d2)], 1).reshape(-1, 2, 2)

@@ -3,11 +3,15 @@
 The solve hybridizes the mixed system (Arnold & Brezzi 1985): every
 cell keeps its own copy of its edge fluxes, a multiplier on each shared
 edge ties the two copies together, and each cell's local saddle block is
-inverted on its own, one batched ``np.linalg.inv`` per (fracture,
-edge count) group.  What is left is a symmetric system ``K`` in the edge
-multipliers and the unknowns outside the cells (trace multipliers, 1D
-intersection fluxes and pressures, point multipliers), much smaller and
-sparser than the saddle system.  The cell unknowns are recovered group
+inverted on its own, one (fracture, edge count) group at a time with the
+cell axis last: blocks of at most ``ELIMINATION_MAX`` unknowns by
+Gauss-Jordan elimination over the whole group, which makes no LAPACK
+call, larger ones by one batched ``np.linalg.inv``, which is faster on
+the few large polygons a group of a coarse mesh holds.  What is left is
+a symmetric system ``K`` in the edge multipliers and the unknowns
+outside the cells (trace multipliers, 1D intersection fluxes and
+pressures, point multipliers), much smaller and sparser than the saddle
+system.  The cell unknowns are recovered group
 by group from its solution, and one step of iterative refinement against
 the saddle residual follows.
 
@@ -57,6 +61,7 @@ PCG_RTOL = 1e-12      # CG tolerance, times the first reduced rhs norm
 STRENGTH = 0.08       # strong coupling: |K_ij| >= STRENGTH sqrt(K_ii K_jj)
 COARSEST_SIZE = 2000  # unknowns at or below which a level is factored
 JACOBI_WEIGHT = 0.6   # damping of the V-cycle's Jacobi sweeps
+ELIMINATION_MAX = 6   # cell blocks of at most this size: _eliminate
 
 
 @dataclass
@@ -80,35 +85,72 @@ def _relative_residual(A, x, b) -> float:
     return float(np.linalg.norm(A @ x - b) / nb)
 
 
+def _eliminate(L):
+    """Invert each block of the batch-last ``L (m, m, n)`` in place by
+    Gauss-Jordan elimination, one sweep over every block per pivot, in
+    dof order and without pivoting; returns ``L``.
+
+    A cell block's fluxes come first and its pressure last.  The flux
+    block is symmetric positive definite, with or without the Robin
+    diagonal, so its pivots are positive, and the last pivot is the
+    Schur complement ``-s^T B^-1 s`` of the pressure.  A zero pivot raises
+    ``SingularSystem`` before anything is divided by it.
+    """
+    m = L.shape[0]
+    scratch = np.empty_like(L)
+    for k in range(m):
+        pivot = L[k, k].copy()
+        if not pivot.all():
+            raise SingularSystem(f"singular cell block: zero pivot {k}")
+        col = L[:, k].copy()
+        col[k] = 0.0
+        L[:, k] = 0.0
+        L[k, k] = 1.0
+        L[k] /= pivot
+        np.multiply(col[:, None], L[k], out=scratch)
+        L -= scratch
+    return L
+
+
 def _cell_blocks(system: SaddleSystem, link, coef, lam):
-    """Per cell group: the global dofs ``(n, m)`` of each cell's local
-    block (its fluxes, then its pressure), the inverse blocks, each local
-    dof's reduced column and coefficient, and where the cell takes its
-    right-hand side from.
+    """Per cell group, batch-last: the global dofs ``(m, n)`` of each
+    cell's local block (its fluxes, then its pressure), the inverse
+    blocks ``(m, m, n)``, each local dof's reduced column and coefficient
+    ``(m, n)``, and where the cell takes its right-hand side from.
 
     A block is ``[[sMs, -s], [-s^T, 0]]``, where ``M`` carries the dc
     Robin diagonal on side edges.  Fixed dofs get a zero row and column
-    and a unit diagonal, as in the assembled system.  The right-hand side
-    of a flux shared by two cells goes to the cell in its slot 0
-    (``s > 0``); the edge multiplier absorbs either split.
+    and a unit diagonal, as in the assembled system.  Blocks of at most
+    ``ELIMINATION_MAX`` unknowns are inverted by ``_eliminate``, larger
+    ones by one batched ``np.linalg.inv``.  The right-hand side of a flux
+    shared by two cells goes to the cell in its slot 0 (``s > 0``); the
+    edge multiplier absorbs either split.
     """
     for g, s, p, M in system.groups:
         n, d = g.shape
-        idx = np.concatenate([g, p[:, None]], axis=1)
-        L = np.zeros((n, d + 1, d + 1))
-        L[:, :d, :d] = M * s[:, :, None] * s[:, None, :]
-        L[:, :d, d] = L[:, d, :d] = -s
-        diag = np.arange(d + 1)
+        idx = np.concatenate([g.T, p[None]])
+        s = s.T
+        L = np.empty((d + 1, d + 1, n))
+        B = L[:d, :d]
+        B[...] = M.transpose(1, 2, 0)
+        B *= s[:, None]
+        B *= s[None]
+        L[:d, d] = L[d, :d] = -s
+        L[d, d] = 0.0
         mk = system.fixed[idx]
-        L[mk[:, :, None] | mk[:, None, :]] = 0.0
-        L[:, diag, diag] += mk
-        try:
-            Linv = np.linalg.inv(L)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"singular cell block: {exc}") from exc
+        if mk.any():
+            L[mk[:, None] | mk[None]] = 0.0
+            L[np.arange(d + 1), np.arange(d + 1)] += mk
+        if d + 1 <= ELIMINATION_MAX:
+            Linv = _eliminate(L)
+        else:
+            try:
+                Linv = np.linalg.inv(L.transpose(2, 0, 1)).transpose(1, 2, 0)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystem(f"singular cell block: {exc}") from exc
         c = coef[idx]
-        c[:, :d] = np.where(lam[g], s, c[:, :d])
-        own = np.concatenate([s > 0, np.ones((n, 1), bool)], axis=1)
+        c[:d] = np.where(lam[g.T], s, c[:d])
+        own = np.concatenate([s > 0, np.ones((1, n), bool)])
         yield idx, Linv, link[idx], c, own
 
 
@@ -354,7 +396,7 @@ def _hybrid_factor(system: SaddleSystem):
     # K's triplets: -A_YY, then each group's linked pairs (a cell with k
     # linked dofs has k^2), written once into arrays sized up front; they
     # and the COO are freed before the set-up.
-    linked = [(col >= 0).sum(axis=1) for _, _, col, _, _ in blocks]
+    linked = [(col >= 0).sum(axis=0) for _, _, col, _, _ in blocks]
     size = A_yy.nnz + sum(int(k @ k) for k in linked)
     rows, cols = np.empty(size, np.int32), np.empty(size, np.int32)
     vals = np.empty(size)
@@ -364,12 +406,12 @@ def _hybrid_factor(system: SaddleSystem):
     vals[:end] = -A_yy.data
     del A_yy
     for (_, Linv, col, c, _), k in zip(blocks, linked):
-        pair = (col[:, :, None] >= 0) & (col[:, None, :] >= 0)
+        pair = (col[:, None] >= 0) & (col[None] >= 0)
         part = slice(end, end + int(k @ k))
-        rows[part] = np.broadcast_to(col[:, :, None], Linv.shape)[pair]
-        cols[part] = np.broadcast_to(col[:, None, :], Linv.shape)[pair]
-        v = c[:, :, None] * Linv
-        v *= c[:, None, :]
+        rows[part] = np.broadcast_to(col[:, None], Linv.shape)[pair]
+        cols[part] = np.broadcast_to(col[None], Linv.shape)[pair]
+        v = c[:, None] * Linv
+        v *= c[None]
         vals[part] = v[pair]
         end = part.stop
         del pair, v
@@ -386,7 +428,7 @@ def _hybrid_factor(system: SaddleSystem):
         rhs[ypos + 1] = -b[outside]
         local = []
         for idx, Linv, col, c, own in blocks:
-            local.append(np.einsum("kij,kj->ki", Linv, b[idx] * own))
+            local.append(np.einsum("ijk,jk->ik", Linv, b[idx] * own))
             rhs += np.bincount(col.ravel() + 1, (c * local[-1]).ravel(),
                                minlength=nz + 1)
         z = reduced(rhs[1:])
@@ -394,7 +436,7 @@ def _hybrid_factor(system: SaddleSystem):
         x[outside] = z[ypos]
         z = np.append(z, 0.0)       # the value at column -1
         for (idx, Linv, col, c, _), Lr in zip(blocks, local):
-            x[idx] = Lr - np.einsum("kij,kj->ki", Linv, c * z[col])
+            x[idx] = Lr - np.einsum("ijk,jk->ik", Linv, c * z[col])
         return x
 
     return solve_for, reduced

@@ -22,7 +22,16 @@ diameter ``h`` cancels everywhere:
     lam Pi u / h = |E|^-1 Delta^T u  (the projected velocity).
 
 So the kernels below need neither ``h`` nor ``G``, and the velocity does
-not depend on ``lam``.
+not depend on ``lam``.  Since ``R^T R = I - (Delta W^T + W Delta^T) / |E|
++ Delta W^T W Delta^T / |E|^2``,
+
+    M_E = varsigma I + Delta C Delta^T
+          - varsigma (Delta W^T + W Delta^T) / |E|,
+    C = |E|^-1 lam^-1 + varsigma |E|^-2 W^T W,
+
+with one 2x2 ``C`` per cell and ``lam^-1`` in closed form, so the 2D
+kernel is plain broadcast arithmetic on arrays with the cell axis last
+and makes no LAPACK call.
 """
 
 from __future__ import annotations
@@ -51,25 +60,48 @@ def local_matrices_2d(area, centroid, edge_len, edge_normal, edge_mid, lam,
     ``edge_mid (n, d, 2)`` and ``lam (n, 2, 2)``; ``varsigma`` is a scalar
     or ``(n,)``.  ``centroid`` must be the exact area centroid.  Returns
     ``M`` of shape ``(n, d, d)`` for outward-oriented dofs; the assembly
-    applies orientation signs.
+    applies orientation signs.  ``M`` is the transposed view of a
+    C-contiguous ``(d, d, n)`` array, which ``M.transpose(1, 2, 0)``
+    gives back without a copy.  It is formed as ``P + P^T`` plus the
+    diagonal (see the module docstring), so it is exactly symmetric.
 
     Raises ``SingularG`` for a cell with ``area <= 0``, named by its row
-    in the batch, and for a tensor that is not positive definite.
+    in the batch, and for a tensor that is not positive definite
+    (``lam_00 <= 0`` or ``det lam <= 0``).
     """
     area = np.asarray(area, float)
     lam = np.asarray(lam, float)
     bad = np.flatnonzero(area <= 0.0)
     if bad.size:
         raise SingularG(f"degenerate cell {bad[0]}: area={area[bad[0]]}")
-    if (np.linalg.det(lam) <= 0.0).any():
+    (l00, l01), (l10, l11) = lam.transpose(1, 2, 0)
+    det = l00 * l11 - l01 * l10
+    if not ((l00 > 0.0) & (det > 0.0)).all():
         raise SingularG("permeability tensor is not positive definite")
-    delta = np.asarray(edge_mid, float) - np.asarray(centroid, float)[:, None]
-    w = np.asarray(edge_len, float)[..., None] * np.asarray(edge_normal, float)
-    a, delta_t = area[:, None, None], delta.transpose(0, 2, 1)
-    r = np.eye(delta.shape[1]) - w @ delta_t / a
-    M = (delta @ np.linalg.solve(lam, delta_t) / a
-         + np.reshape(varsigma, (-1, 1, 1)) * (r.transpose(0, 2, 1) @ r))
-    return 0.5 * (M + M.transpose(0, 2, 1))  # exact symmetry for the scatter
+    # The x and y columns of Delta and W, (d, n) each: cell axis last.
+    d0, d1 = (np.asarray(edge_mid, float)
+              - np.asarray(centroid, float)[:, None]).T.copy()
+    w0, w1 = (np.asarray(edge_len, float)[..., None]
+              * np.asarray(edge_normal, float)).T.copy()
+    sig = np.reshape(varsigma, -1)
+    inv_a = 1.0 / area
+    s = sig * inv_a             # varsigma / |E|
+    k = inv_a / det             # lam^-1 / |E| = k adj(lam)
+    q = s * inv_a               # varsigma / |E|^2
+    w01 = q * (w0 * w1).sum(axis=0)
+    c00 = k * l11 + q * (w0 * w0).sum(axis=0)
+    c11 = k * l00 + q * (w1 * w1).sum(axis=0)
+    c01, c10 = w01 - k * l01, w01 - k * l10
+    # P = Delta (C Delta^T / 2 - varsigma W^T / |E|), so that P + P^T is
+    # the sum of the last two terms of M_E.
+    t0 = 0.5 * (c00 * d0 + c01 * d1) - s * w0
+    t1 = 0.5 * (c10 * d0 + c11 * d1) - s * w1
+    P = d0[:, None] * t0
+    P += d1[:, None] * t1
+    M = P + P.transpose(1, 0, 2)
+    diag = np.arange(M.shape[0])
+    M[diag, diag] += sig
+    return M.transpose(2, 0, 1)
 
 
 def project_velocity(area, centroid, edge_mid, fluxes) -> np.ndarray:

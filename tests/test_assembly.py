@@ -582,13 +582,13 @@ def _pinned_system_solve(tmp_path, name):
 
 @pytest.mark.parametrize("name, digest", [
     ("four-fractures-L1",
-     "2c0186b22dc321ab62628ad79373cf0fd22777b96820654ff665d79272c86386"),
+     "62d40d571d0e2aaba29876d3b8184c1b32ef9076d3034852b645a2a83723f88b"),
     ("intersection-flow-coarse4-L2",
-     "3fdab1f467a2fd9e0b5f85022493fc8333e247c5bf3698024691b498aedadffb"),
+     "d97b0b475c3a327efd09a2a6fafd865557394aadd305fad7cf9368a125784a1d"),
     ("network-cc",
-     "3d5a795f151ba871f9794a4827f51e0ca225d99057db5acd651c802fef580b21"),
+     "fecccbef49b6bb01a8d6be60f5f5b05d178365edefdc4f71be8be33c4fd029b1"),
     ("network-dc",
-     "b8e73e4723433412bfa41c255c559bd775b0d0b2ca3a161ad97db0da158dd4bf"),
+     "d0c1a2a391ccebdece4499ee51d58d71d287fe00b3dabbda3a382464a847d770"),
 ])
 def test_assembled_systems_are_pinned(tmp_path, name, digest):
     # Any change to the dof numbering, the assembled entries, the boundary

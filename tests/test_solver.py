@@ -457,10 +457,110 @@ def test_assembly_and_solve_peaks_stay_low():
 
 @pytest.mark.slow
 def test_single_random_l5_solution_is_pinned():
-    """The solution, levels and iterations of single random L5, as the
-    reduceat aggregation and the list-held triplets gave them."""
+    """The solution, levels and iterations of single random L5: the
+    levels and iterations as the reduceat aggregation and the list-held
+    triplets gave them, the solution as the closed-form mass matrices
+    and the eliminated cell blocks give it."""
     rep = slv.solve(_single_random(5))
     assert rep.solver["levels"] == [50_880, 6083, 765]
     assert rep.solver["iterations"] == [29, 0]
     assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "a9360f3905f6a9dbcd2e8e328041f6077763bcaa6ae39655d9e5d33d44ffd3e3")
+        "a4272acfe8feb12a11b2cff021d63604424a7d2dd94a6724d8c0769a5c420641")
+
+
+# ------------------------------------------------------------------ #
+# cell block inversion
+# ------------------------------------------------------------------ #
+
+def _block_system(rng, n, d, fixed_flux=0.3, fixed_pressure=0.3,
+                  robin=0.5):
+    """A stand-in for the ``groups`` and ``fixed`` that ``_cell_blocks``
+    reads: ``n`` cells of ``d`` fluxes with random SPD ``M``, signs,
+    Robin diagonals on a share of the fluxes, and a share of fixed
+    fluxes and pressures.  Returns it and the blocks ``(n, m, m)`` that
+    ``_cell_blocks`` inverts, built one by one."""
+    g = np.arange(n * d).reshape(n, d)
+    p = n * d + np.arange(n)
+    X = rng.normal(size=(n, d, d))
+    M = X @ X.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    ar = np.arange(d)
+    M[:, ar, ar] += np.where(rng.random((n, d)) < robin,
+                             10.0 ** rng.uniform(-2, 3, (n, d)), 0.0)
+    s = rng.choice([-1.0, 1.0], size=(n, d))
+    fixed_q = rng.random((n, d)) < fixed_flux
+    # A free pressure needs a free flux (see the singular test below).
+    fixed_p = (rng.random(n) < fixed_pressure) | fixed_q.all(axis=1)
+    fixed = np.concatenate([fixed_q.ravel(), fixed_p])
+    system = type("Blocks", (), {"groups": [(g, s, p, M)], "fixed": fixed})
+    L = np.zeros((n, d + 1, d + 1))
+    for i in range(n):
+        L[i, :d, :d] = M[i] * np.outer(s[i], s[i])
+        L[i, :d, d] = L[i, d, :d] = -s[i]
+        mk = fixed[np.append(g[i], p[i])]
+        L[i][mk] = 0.0
+        L[i][:, mk] = 0.0
+        L[i][mk, mk] = 1.0
+    return system, L
+
+
+def _inverse_blocks(system):
+    size = len(system.fixed)
+    (_, Linv, _, _, _), = slv._cell_blocks(
+        system, np.full(size, -1), np.zeros(size), np.zeros(size, bool))
+    return Linv.transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("d", range(1, slv.ELIMINATION_MAX + 1))
+def test_cell_block_inverse_matches_lapack(d):
+    # d + 1 unknowns: 2 .. ELIMINATION_MAX by elimination, the next by LAPACK.
+    system, L = _block_system(np.random.default_rng(d), 300, d)
+    got, want = _inverse_blocks(system), np.linalg.inv(L)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("d", [slv.ELIMINATION_MAX - 1, slv.ELIMINATION_MAX])
+def test_cell_block_with_every_flux_fixed_is_singular(d):
+    # The pressure of a cell whose fluxes are all fixed has no equation:
+    # its block is singular on either side of the switch.
+    system, _ = _block_system(np.random.default_rng(0), 3, d,
+                              fixed_flux=0.0, fixed_pressure=0.0)
+    g = system.groups[0][0]
+    system.fixed[g[1]] = True           # every flux of cell 1
+    with pytest.raises(SingularSystem, match="singular cell block"):
+        _inverse_blocks(system)
+
+
+def _spy_dense_linalg(monkeypatch):
+    """Record the name and matrix shape of every ``np.linalg`` inv, solve
+    and det call."""
+    calls = []
+    for name in ("inv", "solve", "det"):
+        def spy(a, *args, _name=name, _real=getattr(np.linalg, name),
+                **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_small_cell_kernels_call_no_dense_lapack(monkeypatch):
+    calls = _spy_dense_linalg(monkeypatch)
+    _single_random(3)
+    assert calls == []
+
+
+def test_large_cell_blocks_take_lapack(monkeypatch):
+    calls = _spy_dense_linalg(monkeypatch)
+    cases.run_level(cases.get_case("intersection-flow"), "coarse4", 2)
+    assert calls
+    assert all(name == "inv" and shape[-1] > slv.ELIMINATION_MAX
+               for name, shape in calls)
+
+
+def test_elimination_agrees_with_lapack_on_single_random(monkeypatch):
+    system = _single_random(3)
+    x = slv.solve(system).x
+    monkeypatch.setattr(slv, "ELIMINATION_MAX", 0)
+    x_lapack = slv.solve(system).x
+    assert np.linalg.norm(x - x_lapack) <= 1e-12 * np.linalg.norm(x_lapack)

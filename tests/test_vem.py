@@ -97,6 +97,15 @@ class TestLocalMatrices2D:
             vem.local_matrices_2d([1.0, 1.0], *args[1:5],
                                   [np.eye(2), np.diag([1.0, -1.0])])
 
+    @pytest.mark.parametrize("lam", [-np.eye(2), np.diag([-1.0, -2.0])])
+    def test_negative_definite_tensor_raises(self, lam):
+        # det > 0 alone passes these; the unit square then gets an M with
+        # negative eigenvalues.
+        sq = square_cell()
+        with pytest.raises(SingularG, match="positive definite"):
+            vem.local_matrices_2d([1.0], [sq.centroid], [sq.edge_len],
+                                  [sq.edge_normal], [sq.edge_mid], [lam])
+
     def test_spectral_ratio_mesh_independent(self):
         # Stability vs consistency scales stay bounded as cells shrink.
         ratios = []
