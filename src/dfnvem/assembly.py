@@ -212,9 +212,11 @@ class SaddleSystem:
     fixed: np.ndarray                                # (size,) bool
     bc_value: np.ndarray                             # (size,)
     pinned: dict = field(default_factory=dict)       # fid -> pinned dof
-    # One (flux dofs (n, d), signs (n, d), pressure dofs (n,), M (n, d, d))
-    # per (fracture, edge count) cell group, before the boundary
-    # conditions: the solver condenses the cells.
+    # One (flux dofs (n, d), signs (n, d), pressure dofs (n,), signed
+    # mass matrices s_i s_j M_ij (n, d, d)) per (fracture, edge count)
+    # cell group, in that order, before the boundary conditions: the
+    # solver condenses the cells.  The arrays are views of the kernel's
+    # cell buckets, without their padding.
     groups: list = field(default_factory=list)
 
     @property
@@ -226,14 +228,20 @@ class SaddleSystem:
         return self.A.nnz / float(self.size) ** 2
 
 
-def _cell_groups(mesh: PolyMesh):
-    """Per edge count ``d``: cell ids ``(n,)``, entry positions ``(n, d)``,
-    edge ids ``(n, d)`` and signs ``(n, d)``, +1 where the global dof
-    (outward from the first adjacent cell) is this cell's outward flux."""
-    for ids, pos in mesh.cell_groups:
+def _cell_buckets(mesh: PolyMesh):
+    """Per bucket of ``mesh.cell_buckets``: cell ids ``(n,)``, entry
+    positions ``(n, D)``, edge ids ``(n, D)``, signs ``(n, D)``, +1 where
+    the global dof (outward from the first adjacent cell) is this cell's
+    outward flux and 0 on a padding slot, the edge counts ``(n,)``, and
+    the mask of real slots ``(n, D)``, None in a bucket without padding."""
+    for ids, pos, count in mesh.cell_buckets:
         es = mesh.cell_edge[pos]
         signs = np.where(mesh.edge_cells[es, 0] == ids[:, None], 1.0, -1.0)
-        yield ids, pos, es, signs
+        real = None
+        if count[0] < pos.shape[1]:
+            real = np.arange(pos.shape[1]) < count[:, None]
+            signs[~real] = 0.0
+        yield ids, pos, es, signs, count, real
 
 
 def _cell_source(problem, fid, mesh) -> np.ndarray:
@@ -254,32 +262,72 @@ def _cell_source(problem, fid, mesh) -> np.ndarray:
     return vals
 
 
+def _joined(parts):
+    """``parts`` as one array along the cell axis; a single part is
+    returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _assemble_fractures(problem, dofs, rhs, robin):
-    """Fracture triplets and cell groups: one kernel call per (fracture,
-    edge count).  ``robin`` (per dof) adds the dc exchange term to the
+    """Fracture triplets and cell groups: one kernel call per bucket of
+    ``meshing.bucket_width`` over the whole network, its cells fracture
+    by fracture and edge count by edge count.  A padding slot is inert:
+    zero length, its midpoint at the centroid, sign 0, dof -1 and no
+    triplet.  ``robin`` (per dof) adds the dc exchange term to the
     diagonal of each side edge's one cell block."""
-    rows, cols, vals, groups = [], [], [], []
+    pieces, rank = {}, 0
     for fid in sorted(problem.meshes):
         mesh = problem.meshes[fid]
         edof = dofs.edge_dof[fid]
         cdof = dofs.cell_dof[fid]
         rhs[cdof] -= _cell_source(problem, fid, mesh)
-        for ids, pos, es, s in _cell_groups(mesh):
-            M = vem.local_matrices_2d(
-                mesh.cell_areas[ids], mesh.cell_centroids[ids],
-                mesh.edge_len[es], mesh.outward_normals(pos),
-                mesh.edge_mid[es],
-                problem.lam[fid][ids], problem.varsigma[fid])
-            d = es.shape[1]
-            g = edof[es]
-            M[:, np.arange(d), np.arange(d)] += robin[g]
-            p = np.repeat(cdof[ids], d)
-            rows += [np.repeat(g, d, axis=1).ravel(), p, g.ravel()]
-            cols += [np.tile(g, d).ravel(), g.ravel(), p]
-            # b(u, q) = -(div u, q): entries -s on (pressure row, flux col).
-            vals += [(M * s[:, :, None] * s[:, None, :]).ravel(),
-                     -s.ravel(), -s.ravel()]
-            groups.append((g, s, cdof[ids], M))
+        for ids, pos, es, s, count, real in _cell_buckets(mesh):
+            centroid = mesh.cell_centroids[ids]
+            elen, mid, g = mesh.edge_len[es], mesh.edge_mid[es], edof[es]
+            if real is not None:
+                elen = np.where(real, elen, 0.0)
+                mid = np.where(real[..., None], mid, centroid[:, None])
+                g = np.where(real, g, -1)
+            sizes = np.unique(count, return_counts=True)[1]
+            pieces.setdefault(pos.shape[1], []).append((
+                mesh.cell_areas[ids], centroid, elen,
+                mesh.outward_normals(pos), mid, problem.lam[fid][ids],
+                np.full(len(ids), problem.varsigma[fid]), g, s, cdof[ids],
+                sizes, rank + np.arange(len(sizes))))
+            rank += len(sizes)
+    rows, cols, vals, groups = [], [], [], []
+    for d, parts in sorted(pieces.items()):
+        *geometry, g, s, p, sizes, ranks = map(_joined, zip(*parts))
+        real = None if s.all() else s != 0
+        # numpy sums the edges of a one-cell batch pairwise: a cell alone
+        # in its (fracture, edge count) group keeps those sums, so that
+        # every M is the one of a kernel call per group.
+        M = vem.local_matrices_2d(*geometry,
+                                  alone=np.repeat(sizes == 1, sizes))
+        M[:, np.arange(d), np.arange(d)] += robin[g]
+        ss = s[:, :, None] * s[:, None, :]
+        ss *= M
+        del M
+        mrow, mcol, mval = (np.repeat(g, d, axis=1).ravel(),
+                            np.tile(g, d).ravel(), ss.ravel())
+        prow, frow, fval = np.repeat(p, d), g.ravel(), -s.ravel()
+        if real is not None:
+            pair = (real[:, :, None] & real[:, None, :]).ravel()
+            mrow, mcol, mval = mrow[pair], mcol[pair], mval[pair]
+            one = real.ravel()
+            prow, frow, fval = prow[one], frow[one], fval[one]
+        # b(u, q) = -(div u, q): entries -s on (pressure row, flux col).
+        rows += [mrow, prow, frow]
+        cols += [mcol, frow, prow]
+        vals += [mval, fval, fval]
+        # The solver takes each run of one (fracture, edge count) group
+        # on its own and at its size, as views of the bucket.
+        ends = np.cumsum(sizes).tolist()
+        for rank, a, b in zip(ranks.tolist(), [0] + ends[:-1], ends):
+            k = d if real is None else int(real[a].sum())
+            groups.append((rank, (g[a:b, :k], s[a:b, :k], p[a:b],
+                                  ss[a:b, :k, :k])))
+    groups = [group for _, group in sorted(groups, key=lambda rg: rg[0])]
     return rows, cols, vals, groups
 
 
@@ -526,7 +574,7 @@ def extract_solution(system: SaddleSystem, x: np.ndarray) -> Solution:
         pressure[fid] = x[dofs.cell_dof[fid]]
         edge_flux[fid] = x[dofs.edge_dof[fid]]
         vel = np.empty((mesh.n_cells, 2))
-        for ids, _, es, s in _cell_groups(mesh):
+        for ids, _, es, s, _, _ in _cell_buckets(mesh):
             vel[ids] = vem.project_velocity(
                 mesh.cell_areas[ids], mesh.cell_centroids[ids],
                 mesh.edge_mid[es], s * edge_flux[fid][es])

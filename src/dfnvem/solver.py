@@ -4,10 +4,13 @@ The solve hybridizes the mixed system (Arnold & Brezzi 1985): every
 cell keeps its own copy of its edge fluxes, a multiplier on each shared
 edge ties the two copies together, and each cell's local saddle block is
 inverted on its own, one (fracture, edge count) group at a time with the
-cell axis last: blocks of at most ``ELIMINATION_MAX`` unknowns by
-Gauss-Jordan elimination over the whole group, which makes no LAPACK
-call, larger ones by one batched ``np.linalg.inv``, which is faster on
-the few large polygons a group of a coarse mesh holds.  What is left is
+cell axis last.  The groups are unpadded views of the assembly's cell
+buckets: the solver keeps them apart because ``np.einsum`` sums a cell's
+products in an order that depends on the shape and layout of its batch.
+Blocks of at most ``ELIMINATION_MAX`` unknowns go by Gauss-Jordan
+elimination over the whole group, which makes no LAPACK call, larger
+ones by one batched ``np.linalg.inv``, which is faster on the few large
+polygons a group of a coarse mesh holds.  What is left is
 a symmetric system ``K`` in the edge multipliers and the unknowns
 outside the cells (trace multipliers, 1D intersection fluxes and
 pressures, point multipliers), much smaller and sparser than the saddle
@@ -126,15 +129,12 @@ def _cell_blocks(system: SaddleSystem, link, coef, lam):
     shared by two cells goes to the cell in its slot 0 (``s > 0``); the
     edge multiplier absorbs either split.
     """
-    for g, s, p, M in system.groups:
+    for g, s, p, sMs in system.groups:
         n, d = g.shape
         idx = np.concatenate([g.T, p[None]])
         s = s.T
         L = np.empty((d + 1, d + 1, n))
-        B = L[:d, :d]
-        B[...] = M.transpose(1, 2, 0)
-        B *= s[:, None]
-        B *= s[None]
+        L[:d, :d] = sMs.transpose(1, 2, 0)
         L[:d, d] = L[d, :d] = -s
         L[d, d] = 0.0
         mk = system.fixed[idx]

@@ -713,9 +713,9 @@ class TestSharedPaths:
         ("single", "random", 2), ("two-fractures", "coarse2", 1)])
     def test_one_kernel_call_per_cell_group(self, tmp_path, monkeypatch,
                                             case, family, level):
-        # Assembly calls the local kernel once per (fracture, edge count)
-        # group, through the module attribute the benchmark traces, and
-        # extraction never calls it.
+        # Assembly calls the local kernel once per cell bucket of the
+        # network (``meshing.bucket_width``), through the module attribute
+        # the benchmark traces, and extraction never calls it.
         counts = _count_calls(monkeypatch, [(vem, "local_matrices_2d")])
         seen = {}
         real = asm.extract_solution
@@ -725,8 +725,11 @@ class TestSharedPaths:
             out = real(system, x)
             seen["extraction"] = (counts["vem.local_matrices_2d"]
                                   - seen["assembly"])
+            meshes = system.problem.meshes.values()
             seen["groups"] = sum(len(set(np.diff(mesh.cell_ptr)))
-                                 for mesh in system.problem.meshes.values())
+                                 for mesh in meshes)
+            seen["buckets"] = len({int(msh.bucket_width(d)) for mesh in meshes
+                                   for d in np.diff(mesh.cell_ptr)})
             seen["fractures"] = len(system.problem.meshes)
             return out
 
@@ -734,10 +737,11 @@ class TestSharedPaths:
         rc = run_cli(["solve", "--case", case, "--family", family,
                       "--level", level, "--out", tmp_path])
         assert rc == 0
-        assert seen["assembly"] == seen["groups"]
+        assert seen["assembly"] == seen["buckets"]
         assert seen["extraction"] == 0
         if family == "coarse2":   # mixed edge counts: several groups each
             assert seen["groups"] > 2 * seen["fractures"]
+            assert seen["buckets"] < seen["groups"]
 
     def test_coarsen_defaults_to_one_sweep(self, tmp_path, monkeypatch):
         seen = []

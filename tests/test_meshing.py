@@ -760,3 +760,25 @@ class TestBatchedGeometry:
         mesh = msh.PolyMesh.from_cells(nodes, [[0, 1, 2], [0, 3, 1], [0, 1, 4]])
         with pytest.raises(MeshError, match="edge 0 bounds more than two"):
             mesh.edge_cells
+
+
+@pytest.mark.parametrize("first", ["cell_areas", "cell_centroids"])
+def test_areas_and_centroids_share_one_loop_pass(monkeypatch, first):
+    # Whichever is read first, both come from one pass of the loop sums,
+    # bit for bit.
+    mesh = msh.random_mesh(4, seed=1)
+    twice, moment = mesh._loop_sums()
+    mesh = msh.PolyMesh(mesh.nodes, mesh.edge_nodes, mesh.cell_ptr,
+                        mesh.cell_edge, mesh.cell_sign)
+    passes = []
+    entry_next = msh.PolyMesh.entry_next     # read once per pass
+
+    def counted(self):
+        passes.append(1)
+        return entry_next.fget(self)
+    monkeypatch.setattr(msh.PolyMesh, "entry_next", property(counted))
+    getattr(mesh, first)
+    areas, centroids = mesh.cell_areas, mesh.cell_centroids
+    assert len(passes) == 1
+    assert areas.tobytes() == (0.5 * twice).tobytes()
+    assert centroids.tobytes() == (moment / (3 * twice)[:, None]).tobytes()

@@ -1,6 +1,9 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -15,6 +18,7 @@ from dfnvem import cases
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
+from dfnvem import vem
 from dfnvem.errors import SingularSystem, UnconstrainedPressureWarning
 
 from _util import (aggregate_ref, crossing_rectangles, grid_dict,
@@ -455,17 +459,38 @@ def test_assembly_and_solve_peaks_stay_low():
     assert solve_mib <= 0.8 * 45.1
 
 
+_L5_CHILD = """
+import hashlib, json
+from dfnvem import cases, solver as slv
+case = cases.get_case("single")
+system = cases.solve_meshes(case.network(), case.meshes("random", 5),
+                            case.bcs(), "cc", source=case.source)[1]
+rep = slv.solve(system)
+print(json.dumps({"levels": rep.solver["levels"],
+                  "iterations": rep.solver["iterations"],
+                  "x": hashlib.sha256(rep.x.tobytes()).hexdigest()}))
+"""
+
+
 @pytest.mark.slow
 def test_single_random_l5_solution_is_pinned():
     """The solution, levels and iterations of single random L5: the
     levels and iterations as the reduceat aggregation and the list-held
     triplets gave them, the solution as the closed-form mass matrices
-    and the eliminated cell blocks give it."""
-    rep = slv.solve(_single_random(5))
-    assert rep.solver["levels"] == [50_880, 6083, 765]
-    assert rep.solver["iterations"] == [29, 0]
-    assert hashlib.sha256(rep.x.tobytes()).hexdigest() == (
-        "a4272acfe8feb12a11b2cff021d63604424a7d2dd94a6724d8c0769a5c420641")
+    and the eliminated cell blocks give it.  A threaded BLAS sums the
+    CG's dot products in an order that depends on its thread count, so
+    the solve runs in a child process with one BLAS thread, the
+    variables ``perfbench/run.py`` pins."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slv.__file__)))
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _L5_CHILD], env=env,
+                         capture_output=True, text=True, check=True)
+    rec = json.loads(out.stdout)
+    assert rec["levels"] == [50_880, 6083, 765]
+    assert rec["iterations"] == [29, 0]
+    assert rec["x"] == (
+        "470c359a11b9a384932f9e68effa38bd102a9c87fce16f024f1bd0a83b5457b0")
 
 
 # ------------------------------------------------------------------ #
@@ -491,7 +516,9 @@ def _block_system(rng, n, d, fixed_flux=0.3, fixed_pressure=0.3,
     # A free pressure needs a free flux (see the singular test below).
     fixed_p = (rng.random(n) < fixed_pressure) | fixed_q.all(axis=1)
     fixed = np.concatenate([fixed_q.ravel(), fixed_p])
-    system = type("Blocks", (), {"groups": [(g, s, p, M)], "fixed": fixed})
+    system = type("Blocks", (), {
+        "groups": [(g, s, p, M * s[:, :, None] * s[:, None, :])],
+        "fixed": fixed})
     L = np.zeros((n, d + 1, d + 1))
     for i in range(n):
         L[i, :d, :d] = M[i] * np.outer(s[i], s[i])
@@ -529,6 +556,64 @@ def test_cell_block_with_every_flux_fixed_is_singular(d):
     system.fixed[g[1]] = True           # every flux of cell 1
     with pytest.raises(SingularSystem, match="singular cell block"):
         _inverse_blocks(system)
+
+
+@pytest.mark.parametrize("d", [9, 12, 16])
+def test_cell_blocks_of_bucket_views_match_exact_blocks(d):
+    # The assembly pads a group to its bucket width and hands the solver
+    # views of the real slots: they invert bit for bit as the exact-size
+    # group does, and match LAPACK's inverse of each block to 1e-13.
+    system, L = _block_system(np.random.default_rng(d), 50, d)
+    g, s, p, sMs = system.groups[0]
+    width = int(msh.bucket_width(d))
+    pad = ((0, 0), (0, width - d))
+    gp, sp = np.pad(g, pad, constant_values=-1), np.pad(s, pad)
+    ssp = np.pad(sMs, ((0, 0), (0, width - d), (0, width - d)))
+    views = type("Blocks", (), {
+        "groups": [(gp[:, :d], sp[:, :d], p, ssp[:, :d, :d])],
+        "fixed": system.fixed})
+    got, exact = _inverse_blocks(views), _inverse_blocks(system)
+    assert got.tobytes() == exact.tobytes()
+    want = np.linalg.inv(L)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
+
+
+def _kernel_calls(monkeypatch):
+    """The batch arguments of every ``vem.local_matrices_2d`` call."""
+    calls = []
+    real = vem.local_matrices_2d
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(vem, "local_matrices_2d", spy)
+    return calls
+
+
+def test_kernel_runs_once_per_bucket(monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    problem = cases.run_level(cases.get_case("intersection-flow"), "coarse4",
+                              2, "dc")[0]
+    counts = np.concatenate([np.diff(m.cell_ptr)
+                             for m in problem.meshes.values()])
+    widths = sorted(set(msh.bucket_width(counts).tolist()))
+    assert [args[2].shape[1] for args in calls] == widths
+    groups = sum(len(m.cell_groups) for m in problem.meshes.values())
+    assert len(calls) < groups
+
+
+def test_single_random_group_arrives_unpadded(monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    system = _single_random(3)
+    mesh, = system.problem.meshes.values()
+    (ids, pos), = mesh.cell_groups
+    (bucket_ids, bucket_pos, _), = mesh.cell_buckets
+    assert bucket_ids is ids and bucket_pos is pos
+    (args,) = calls
+    assert args[2].shape == (mesh.n_cells, 4) and (args[2] > 0).all()
+    (g, s, _, _), = system.groups
+    assert g.shape == (mesh.n_cells, 4) and np.abs(s).min() == 1.0
 
 
 def _spy_dense_linalg(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from dfnvem import vem
 from dfnvem.errors import SingularG
+from dfnvem.meshing import bucket_width
 
 from _util import local_matrices_2d_ref, polygon_geometry, project_velocity_ref
 
@@ -263,3 +264,73 @@ class TestStabilizationParameter:
     def test_heterogeneous(self):
         lam = np.stack([np.diag([4.0, 2.0]), np.diag([0.5, 1.0])])
         assert vem.stabilization_parameter(lam) == 2.0
+
+
+def _padded_cells(rng, count, d):
+    """``count`` random star-shaped polygons of ``d`` edges with random
+    SPD tensors and stabilization parameters, as batch arguments of
+    ``local_matrices_2d``, exact and padded to ``bucket_width(d)`` with
+    inert slots (zero length, midpoint at the centroid)."""
+    cells = []
+    for _ in range(count):
+        ang = np.linspace(0, 2 * np.pi, d, endpoint=False)
+        ang = ang + rng.uniform(0, 0.5, d) * 2 * np.pi / d
+        r = rng.uniform(0.8, 1.2, d) * 10.0 ** rng.uniform(-2, 1)
+        pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+        cells.append(polygon_geometry(pts + rng.normal(size=2)))
+    area, centroid, _, elen, normal, mid = (np.array(x) for x in zip(*cells))
+    X = rng.normal(size=(count, 2, 2))
+    lam = X @ X.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    sig = rng.uniform(0.1, 10.0, count)
+    pad = int(bucket_width(d)) - d
+    padded = (area, centroid, np.pad(elen, ((0, 0), (0, pad))),
+              np.pad(normal, ((0, 0), (0, pad), (0, 0))),
+              np.concatenate([mid, np.repeat(centroid[:, None], pad, 1)], 1),
+              lam, sig)
+    return (area, centroid, elen, normal, mid, lam, sig), padded
+
+
+class TestPaddedKernel:
+    """The kernel on cells padded to their bucket width."""
+
+    @pytest.mark.parametrize("d", range(3, 41))
+    def test_real_entries_are_bit_identical(self, d):
+        exact, padded = _padded_cells(np.random.default_rng(d), 40, d)
+        alone = np.arange(40) % 3 == 0
+        M = vem.local_matrices_2d(*exact, alone=alone)
+        P = vem.local_matrices_2d(*padded, alone=alone)
+        assert P.shape[1] == bucket_width(d)
+        assert np.ascontiguousarray(P[:, :d, :d]).tobytes() == (
+            np.ascontiguousarray(M).tobytes())
+        pad = P[:, d:, :]
+        assert (pad[:, :, :d] == 0).all() and (P[:, :d, d:] == 0).all()
+        ar = np.arange(P.shape[1] - d)
+        assert (pad[:, ar, d + ar].T == exact[-1]).all()
+
+    @pytest.mark.parametrize("d", [5, 8, 13, 40, 150])
+    def test_cells_do_not_depend_on_their_batch(self, d):
+        exact, _ = _padded_cells(np.random.default_rng(d), 6, d)
+        alone = np.array([True, False] * 3)
+        M = vem.local_matrices_2d(*exact, alone=alone)
+        for i in range(6):
+            one = vem.local_matrices_2d(*(a[i:i + 1] for a in exact),
+                                        alone=alone[i:i + 1])
+            assert M[i].tobytes() == np.ascontiguousarray(one[0]).tobytes()
+
+
+@pytest.mark.parametrize("D", [3, 7, 8, 16, 40, 136, 264])
+def test_edge_sums_add_as_numpy_adds_one_cell(D):
+    # Where ``pairwise``, as numpy sums a one-dimensional array (and so a
+    # batch of one cell); elsewhere in row order, as numpy sums the rows
+    # of a batch of several cells.
+    rng = np.random.default_rng(D)
+    count = np.full(200, D) if D < 8 else rng.integers(1, D + 1, 200)
+    x = rng.normal(size=(D, 200)) * 10.0 ** rng.uniform(-3, 3, (D, 200))
+    x[np.arange(D)[:, None] >= count] = 0.0
+    pairwise = rng.random(200) < 0.5
+    got = vem._edge_sums(x, count, pairwise)
+    for i in range(200):
+        col = np.ascontiguousarray(x[:count[i], i])
+        want = np.add.reduce(col) if pairwise[i] else np.add.reduce(
+            np.stack([col, col], axis=1), axis=0)[0]
+        assert got[i] == want
