@@ -216,7 +216,8 @@ class SaddleSystem:
     # mass matrices s_i s_j M_ij (n, d, d)) per (fracture, edge count)
     # cell group, in that order, before the boundary conditions: the
     # solver condenses the cells.  The arrays are views of the kernel's
-    # cell buckets, without their padding.
+    # cell buckets, without their padding; the signed mass matrices view
+    # a (d, d, n) buffer, cell axis last.
     groups: list = field(default_factory=list)
 
     @property
@@ -228,20 +229,48 @@ class SaddleSystem:
         return self.A.nnz / float(self.size) ** 2
 
 
-def _cell_buckets(mesh: PolyMesh):
-    """Per bucket of ``mesh.cell_buckets``: cell ids ``(n,)``, entry
-    positions ``(n, D)``, edge ids ``(n, D)``, signs ``(n, D)``, +1 where
-    the global dof (outward from the first adjacent cell) is this cell's
-    outward flux and 0 on a padding slot, the edge counts ``(n,)``, and
-    the mask of real slots ``(n, D)``, None in a bucket without padding."""
-    for ids, pos, count in mesh.cell_buckets:
+def _cell_groups(mesh: PolyMesh):
+    """Per edge count ``d``: cell ids ``(n,)``, entry positions ``(n, d)``,
+    edge ids ``(n, d)`` and signs ``(n, d)``, +1 where the global dof
+    (outward from the first adjacent cell) is this cell's outward flux."""
+    for ids, pos in mesh.cell_groups:
         es = mesh.cell_edge[pos]
         signs = np.where(mesh.edge_cells[es, 0] == ids[:, None], 1.0, -1.0)
+        yield ids, pos, es, signs
+
+
+def _bucket_width(d: int) -> int:
+    """The width a cell of ``d`` edges is padded to in the kernel's
+    batches: ``d`` itself up to 8, then the next multiple of 8."""
+    return d if d <= 8 else -(-d // 8) * 8
+
+
+def _cell_buckets(mesh: PolyMesh):
+    """The groups of ``mesh.cell_groups`` joined per ``_bucket_width``,
+    widths increasing: cell ids ``(n,)``, entry positions ``(n, D)``,
+    edge ids and signs ``(n, D)`` as in ``_cell_groups`` (a sign is 0 on
+    a padding slot, whose entry repeats its cell's last one), the sizes
+    of the joined groups, and the mask of real slots ``(n, D)``, None in
+    a bucket that is one group without padding, which is that group,
+    uncopied."""
+    groups = mesh.cell_groups
+    widths = [_bucket_width(pos.shape[1]) for _, pos in groups]
+    for w in sorted(set(widths)):
+        part = [g for g, gw in zip(groups, widths) if gw == w]
+        sizes = np.array([len(ids) for ids, _ in part])
+        ids, pos = part[0]
         real = None
-        if count[0] < pos.shape[1]:
-            real = np.arange(pos.shape[1]) < count[:, None]
+        if pos.shape[1] < w or len(part) > 1:
+            ids = np.concatenate([ids for ids, _ in part])
+            count = np.repeat([pos.shape[1] for _, pos in part], sizes)
+            real = np.arange(w) < count[:, None]
+            pos = mesh.cell_ptr[ids][:, None] + np.minimum(
+                np.arange(w), count[:, None] - 1)
+        es = mesh.cell_edge[pos]
+        signs = np.where(mesh.edge_cells[es, 0] == ids[:, None], 1.0, -1.0)
+        if real is not None:
             signs[~real] = 0.0
-        yield ids, pos, es, signs, count, real
+        yield ids, pos, es, signs, sizes, real
 
 
 def _cell_source(problem, fid, mesh) -> np.ndarray:
@@ -270,8 +299,8 @@ def _joined(parts):
 
 def _assemble_fractures(problem, dofs, rhs, robin):
     """Fracture triplets and cell groups: one kernel call per bucket of
-    ``meshing.bucket_width`` over the whole network, its cells fracture
-    by fracture and edge count by edge count.  A padding slot is inert:
+    ``_bucket_width`` over the whole network, its cells fracture by
+    fracture and edge count by edge count.  A padding slot is inert:
     zero length, its midpoint at the centroid, sign 0, dof -1 and no
     triplet.  ``robin`` (per dof) adds the dc exchange term to the
     diagonal of each side edge's one cell block."""
@@ -281,14 +310,13 @@ def _assemble_fractures(problem, dofs, rhs, robin):
         edof = dofs.edge_dof[fid]
         cdof = dofs.cell_dof[fid]
         rhs[cdof] -= _cell_source(problem, fid, mesh)
-        for ids, pos, es, s, count, real in _cell_buckets(mesh):
+        for ids, pos, es, s, sizes, real in _cell_buckets(mesh):
             centroid = mesh.cell_centroids[ids]
             elen, mid, g = mesh.edge_len[es], mesh.edge_mid[es], edof[es]
             if real is not None:
                 elen = np.where(real, elen, 0.0)
                 mid = np.where(real[..., None], mid, centroid[:, None])
                 g = np.where(real, g, -1)
-            sizes = np.unique(count, return_counts=True)[1]
             pieces.setdefault(pos.shape[1], []).append((
                 mesh.cell_areas[ids], centroid, elen,
                 mesh.outward_normals(pos), mid, problem.lam[fid][ids],
@@ -296,18 +324,22 @@ def _assemble_fractures(problem, dofs, rhs, robin):
                 sizes, rank + np.arange(len(sizes))))
             rank += len(sizes)
     rows, cols, vals, groups = [], [], [], []
-    for d, parts in sorted(pieces.items()):
-        *geometry, g, s, p, sizes, ranks = map(_joined, zip(*parts))
+    for d in sorted(pieces):
+        *geometry, g, s, p, sizes, ranks = map(_joined, zip(*pieces.pop(d)))
         real = None if s.all() else s != 0
         # numpy sums the edges of a one-cell batch pairwise: a cell alone
         # in its (fracture, edge count) group keeps those sums, so that
         # every M is the one of a kernel call per group.
         M = vem.local_matrices_2d(*geometry,
                                   alone=np.repeat(sizes == 1, sizes))
+        del geometry
         M[:, np.arange(d), np.arange(d)] += robin[g]
-        ss = s[:, :, None] * s[:, None, :]
-        ss *= M
-        del M
+        # s_i s_j M_ij with the cell axis last, as the kernel and the
+        # solver lay it out.
+        st = np.ascontiguousarray(s.T)
+        ss = st[:, None] * st[None]
+        ss *= M.transpose(1, 2, 0)
+        ss = ss.transpose(2, 0, 1)
         mrow, mcol, mval = (np.repeat(g, d, axis=1).ravel(),
                             np.tile(g, d).ravel(), ss.ravel())
         prow, frow, fval = np.repeat(p, d), g.ravel(), -s.ravel()
@@ -574,7 +606,7 @@ def extract_solution(system: SaddleSystem, x: np.ndarray) -> Solution:
         pressure[fid] = x[dofs.cell_dof[fid]]
         edge_flux[fid] = x[dofs.edge_dof[fid]]
         vel = np.empty((mesh.n_cells, 2))
-        for ids, _, es, s, _, _ in _cell_buckets(mesh):
+        for ids, _, es, s in _cell_groups(mesh):
             vel[ids] = vem.project_velocity(
                 mesh.cell_areas[ids], mesh.cell_centroids[ids],
                 mesh.edge_mid[es], s * edge_flux[fid][es])

@@ -40,7 +40,6 @@ from .geometry import (
 
 __all__ = [
     "PolyMesh",
-    "bucket_width",
     "TraceMesh",
     "cartesian_mesh",
     "random_mesh",
@@ -57,13 +56,6 @@ __all__ = [
 
 
 _RIGHT = np.array([1, -1], np.int8)
-
-
-def bucket_width(d):
-    """The width a cell of ``d`` edges is padded to in a batched cell
-    loop: ``d`` itself up to 8, then the next multiple of 8."""
-    d = np.asarray(d)
-    return np.where(d <= 8, d, -(-d // 8) * 8)
 
 
 class PolyMesh:
@@ -219,32 +211,6 @@ class PolyMesh:
         return self._cache["cell_groups"]
 
     @property
-    def cell_buckets(self):
-        """The cells batched by ``bucket_width``: per width ``D``,
-        increasing, cell ids ``(n,)`` in edge count and then id order,
-        their entry positions ``(n, D)`` and edge counts ``(n,)``.  The
-        slots past a cell's own edges repeat its last entry.  A bucket
-        that is one ``cell_groups`` group without padding is that group,
-        uncopied."""
-        if "cell_buckets" not in self._cache:
-            groups = self.cell_groups
-            widths = bucket_width([pos.shape[1] for _, pos in groups])
-            buckets = []
-            for w in np.unique(widths).tolist():
-                part = [g for g, gw in zip(groups, widths) if gw == w]
-                count = np.concatenate([np.full(len(ids), pos.shape[1],
-                                                np.int32) for ids, pos in part])
-                if len(part) == 1 and part[0][1].shape[1] == w:
-                    buckets.append((*part[0], count))
-                    continue
-                ids = np.concatenate([ids for ids, _ in part])
-                pos = self.cell_ptr[ids][:, None] + np.minimum(
-                    np.arange(w), count[:, None] - 1)
-                buckets.append((ids, pos, count))
-            self._cache["cell_buckets"] = tuple(buckets)
-        return self._cache["cell_buckets"]
-
-    @property
     def edge_len(self):
         if "edge_len" not in self._cache:
             d = self.nodes[self.edge_nodes[:, 1]] - self.nodes[self.edge_nodes[:, 0]]
@@ -309,9 +275,7 @@ class PolyMesh:
         """Per cell, twice the signed shoelace area and the first moment
         ``sum((p + q) (p x q))`` over its entries' edges ``p -> q``, from
         one pass that the areas and the centroids share: it is cached
-        until the centroids are taken from it.  The sums run
-        over exact edge-count groups: padding would regroup the pairwise
-        sums of cells with eight edges or more."""
+        until the centroids are taken from it."""
         if "loop_sums" not in self._cache:
             p = self.nodes[self.entry_tail]
             q = p[self.entry_next]
@@ -353,11 +317,10 @@ class PolyMesh:
     @property
     def cell_diameters(self):
         """Largest vertex distance per cell.  Every node of a cell bounded
-        by closed walks is the tail of one of its entries; a padding slot
-        repeats one of them."""
+        by closed walks is the tail of one of its entries."""
         if "diameters" not in self._cache:
             diam = np.zeros(self.n_cells)
-            for ids, pos, _ in self.cell_buckets:
+            for ids, pos in self.cell_groups:
                 pts = self.nodes[self.entry_tail[pos]]
                 a, b = np.triu_indices(pos.shape[1], 1)
                 dx = pts[:, a, 0] - pts[:, b, 0]

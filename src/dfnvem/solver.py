@@ -4,9 +4,8 @@ The solve hybridizes the mixed system (Arnold & Brezzi 1985): every
 cell keeps its own copy of its edge fluxes, a multiplier on each shared
 edge ties the two copies together, and each cell's local saddle block is
 inverted on its own, one (fracture, edge count) group at a time with the
-cell axis last.  The groups are unpadded views of the assembly's cell
-buckets: the solver keeps them apart because ``np.einsum`` sums a cell's
-products in an order that depends on the shape and layout of its batch.
+cell axis last (``np.einsum`` sums a cell's products in an order that
+depends on the shape and layout of its batch, so groups are not joined).
 Blocks of at most ``ELIMINATION_MAX`` unknowns go by Gauss-Jordan
 elimination over the whole group, which makes no LAPACK call, larger
 ones by one batched ``np.linalg.inv``, which is faster on the few large

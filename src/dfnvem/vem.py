@@ -70,7 +70,8 @@ def local_matrices_2d(area, centroid, edge_len, edge_normal, edge_mid, lam,
     padding rows and columns hold only the diagonal ``varsigma``.  The
     sums over a cell's edges run in edge order; ``alone (n,)`` marks the
     cells summed as numpy sums a batch of one cell, pairwise from 8 edges
-    on (see ``_edge_sums``).
+    on (see ``_edge_sums``), and counts a cell's edges by their nonzero
+    lengths.
 
     Raises ``SingularG`` for a cell with ``area <= 0``, named by its row
     in the batch, and for a tensor that is not positive definite
@@ -95,11 +96,14 @@ def local_matrices_2d(area, centroid, edge_len, edge_normal, edge_mid, lam,
     s = sig * inv_a             # varsigma / |E|
     k = inv_a / det             # lam^-1 / |E| = k adj(lam)
     q = s * inv_a               # varsigma / |E|^2
-    count = (np.asarray(edge_len) > 0.0).sum(axis=1) if len(w0) >= 8 else None
-    alone = np.zeros(len(area), bool) if alone is None else alone
-    w01 = q * _edge_sums(w0 * w1, count, alone)
-    c00 = k * l11 + q * _edge_sums(w0 * w0, count, alone)
-    c11 = k * l00 + q * _edge_sums(w1 * w1, count, alone)
+    pairwise = []
+    if alone is not None and len(w0) >= 8:
+        count = (np.asarray(edge_len) > 0.0).sum(axis=1)
+        pick = np.flatnonzero(alone & (count >= 8))
+        pairwise = list(zip(pick.tolist(), count[pick].tolist()))
+    w01 = q * _edge_sums(w0 * w1, pairwise)
+    c00 = k * l11 + q * _edge_sums(w0 * w0, pairwise)
+    c11 = k * l00 + q * _edge_sums(w1 * w1, pairwise)
     c01, c10 = w01 - k * l01, w01 - k * l10
     # P = Delta (C Delta^T / 2 - varsigma W^T / |E|), so that P + P^T is
     # the sum of the last two terms of M_E.
@@ -113,33 +117,17 @@ def local_matrices_2d(area, centroid, edge_len, edge_normal, edge_mid, lam,
     return M.transpose(2, 0, 1)
 
 
-def _edge_sums(x, count, pairwise):
-    """Per cell, the sum of the leading ``count`` rows of the batch-last
-    ``x (D, n)`` (all ``D`` rows below 8): in row order, or, where
-    ``pairwise``, as numpy sums a one-dimensional array, which is in
-    order up to 8 terms and else pairwise (8 partial sums over the blocks
-    of 8, combined as a tree, then the rest in order; halves above 128
-    terms, left to numpy).  Either way a cell's sum depends neither on
-    the other cells of the batch nor on its padding."""
-    D, n = x.shape
-    if D < 8:
-        return x.sum(axis=0)
-    total = np.cumsum(x, axis=0)[count - 1, np.arange(n)]
-    pairwise = pairwise & (count >= 8)
-    if pairwise.any():
-        full = count - count % 8
-        r = x[:8].copy()
-        for b in range(8, D, 8):
-            part = r[:min(8, D - b)]
-            np.add(part, x[b:b + 8], out=part, where=b < full)
-        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for t in range(7):
-            at = full + t
-            np.add(tree, x[np.minimum(at, D - 1), np.arange(n)], out=tree,
-                   where=at < count)
-        total = np.where(pairwise, tree, total)
-        for i in np.flatnonzero(pairwise & (count > 128)).tolist():
-            total[i] = np.add.reduce(x[:count[i], i])
+def _edge_sums(x, pairwise):
+    """Per cell, the sum of the rows of the batch-last ``x (D, n)`` in row
+    order, where padding rows add exact zeros; for each ``(cell, count)``
+    of ``pairwise``, the sum of its leading ``count`` rows as numpy sums
+    a one-dimensional array (pairwise from 8 terms on).  Either way a
+    cell's sum depends neither on the other cells of the batch nor on
+    its padding."""
+    # numpy sums a batch of one cell as a one-dimensional array.
+    total = x.sum(axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
+    for i, count in pairwise:
+        total[i] = np.add.reduce(x[:count, i])
     return total
 
 

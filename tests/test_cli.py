@@ -714,7 +714,7 @@ class TestSharedPaths:
     def test_one_kernel_call_per_cell_group(self, tmp_path, monkeypatch,
                                             case, family, level):
         # Assembly calls the local kernel once per cell bucket of the
-        # network (``meshing.bucket_width``), through the module attribute
+        # network (``assembly._bucket_width``), through the module attribute
         # the benchmark traces, and extraction never calls it.
         counts = _count_calls(monkeypatch, [(vem, "local_matrices_2d")])
         seen = {}
@@ -728,7 +728,7 @@ class TestSharedPaths:
             meshes = system.problem.meshes.values()
             seen["groups"] = sum(len(set(np.diff(mesh.cell_ptr)))
                                  for mesh in meshes)
-            seen["buckets"] = len({int(msh.bucket_width(d)) for mesh in meshes
+            seen["buckets"] = len({asm._bucket_width(int(d)) for mesh in meshes
                                    for d in np.diff(mesh.cell_ptr)})
             seen["fractures"] = len(system.problem.meshes)
             return out

@@ -565,10 +565,12 @@ def test_cell_blocks_of_bucket_views_match_exact_blocks(d):
     # group does, and match LAPACK's inverse of each block to 1e-13.
     system, L = _block_system(np.random.default_rng(d), 50, d)
     g, s, p, sMs = system.groups[0]
-    width = int(msh.bucket_width(d))
+    width = asm._bucket_width(d)
     pad = ((0, 0), (0, width - d))
     gp, sp = np.pad(g, pad, constant_values=-1), np.pad(s, pad)
-    ssp = np.pad(sMs, ((0, 0), (0, width - d), (0, width - d)))
+    # The signed mass matrices cell axis last, as the assembly lays out.
+    ssp = np.pad(sMs.transpose(1, 2, 0),
+                 ((0, width - d), (0, width - d), (0, 0))).transpose(2, 0, 1)
     views = type("Blocks", (), {
         "groups": [(gp[:, :d], sp[:, :d], p, ssp[:, :d, :d])],
         "fixed": system.fixed})
@@ -597,7 +599,7 @@ def test_kernel_runs_once_per_bucket(monkeypatch):
                               2, "dc")[0]
     counts = np.concatenate([np.diff(m.cell_ptr)
                              for m in problem.meshes.values()])
-    widths = sorted(set(msh.bucket_width(counts).tolist()))
+    widths = sorted({asm._bucket_width(d) for d in counts.tolist()})
     assert [args[2].shape[1] for args in calls] == widths
     groups = sum(len(m.cell_groups) for m in problem.meshes.values())
     assert len(calls) < groups
@@ -608,12 +610,13 @@ def test_single_random_group_arrives_unpadded(monkeypatch):
     system = _single_random(3)
     mesh, = system.problem.meshes.values()
     (ids, pos), = mesh.cell_groups
-    (bucket_ids, bucket_pos, _), = mesh.cell_buckets
+    (bucket_ids, bucket_pos, *_), = asm._cell_buckets(mesh)
     assert bucket_ids is ids and bucket_pos is pos
     (args,) = calls
     assert args[2].shape == (mesh.n_cells, 4) and (args[2] > 0).all()
-    (g, s, _, _), = system.groups
+    (g, s, _, sMs), = system.groups
     assert g.shape == (mesh.n_cells, 4) and np.abs(s).min() == 1.0
+    assert sMs.transpose(1, 2, 0).flags.c_contiguous
 
 
 def _spy_dense_linalg(monkeypatch):

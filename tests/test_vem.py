@@ -3,7 +3,7 @@ import pytest
 
 from dfnvem import vem
 from dfnvem.errors import SingularG
-from dfnvem.meshing import bucket_width
+from dfnvem.assembly import _bucket_width
 
 from _util import local_matrices_2d_ref, polygon_geometry, project_velocity_ref
 
@@ -269,7 +269,7 @@ class TestStabilizationParameter:
 def _padded_cells(rng, count, d):
     """``count`` random star-shaped polygons of ``d`` edges with random
     SPD tensors and stabilization parameters, as batch arguments of
-    ``local_matrices_2d``, exact and padded to ``bucket_width(d)`` with
+    ``local_matrices_2d``, exact and padded to ``_bucket_width(d)`` with
     inert slots (zero length, midpoint at the centroid)."""
     cells = []
     for _ in range(count):
@@ -282,7 +282,7 @@ def _padded_cells(rng, count, d):
     X = rng.normal(size=(count, 2, 2))
     lam = X @ X.transpose(0, 2, 1) + 0.1 * np.eye(2)
     sig = rng.uniform(0.1, 10.0, count)
-    pad = int(bucket_width(d)) - d
+    pad = _bucket_width(d) - d
     padded = (area, centroid, np.pad(elen, ((0, 0), (0, pad))),
               np.pad(normal, ((0, 0), (0, pad), (0, 0))),
               np.concatenate([mid, np.repeat(centroid[:, None], pad, 1)], 1),
@@ -299,7 +299,7 @@ class TestPaddedKernel:
         alone = np.arange(40) % 3 == 0
         M = vem.local_matrices_2d(*exact, alone=alone)
         P = vem.local_matrices_2d(*padded, alone=alone)
-        assert P.shape[1] == bucket_width(d)
+        assert P.shape[1] == _bucket_width(d)
         assert np.ascontiguousarray(P[:, :d, :d]).tobytes() == (
             np.ascontiguousarray(M).tobytes())
         pad = P[:, d:, :]
@@ -328,7 +328,8 @@ def test_edge_sums_add_as_numpy_adds_one_cell(D):
     x = rng.normal(size=(D, 200)) * 10.0 ** rng.uniform(-3, 3, (D, 200))
     x[np.arange(D)[:, None] >= count] = 0.0
     pairwise = rng.random(200) < 0.5
-    got = vem._edge_sums(x, count, pairwise)
+    got = vem._edge_sums(x, [(i, c) for i, c in enumerate(count.tolist())
+                             if pairwise[i]])
     for i in range(200):
         col = np.ascontiguousarray(x[:count[i], i])
         want = np.add.reduce(col) if pairwise[i] else np.add.reduce(
