@@ -235,7 +235,8 @@ def _cell_groups(mesh: PolyMesh):
     (outward from the first adjacent cell) is this cell's outward flux."""
     for ids, pos in mesh.cell_groups:
         es = mesh.cell_edge[pos]
-        signs = np.where(mesh.edge_cells[es, 0] == ids[:, None], 1.0, -1.0)
+        signs = np.where(mesh.edge_cells.take(es, axis=0)[..., 0]
+                         == ids[:, None], 1.0, -1.0)
         yield ids, pos, es, signs
 
 
@@ -267,7 +268,8 @@ def _cell_buckets(mesh: PolyMesh):
             pos = mesh.cell_ptr[ids][:, None] + np.minimum(
                 np.arange(w), count[:, None] - 1)
         es = mesh.cell_edge[pos]
-        signs = np.where(mesh.edge_cells[es, 0] == ids[:, None], 1.0, -1.0)
+        signs = np.where(mesh.edge_cells.take(es, axis=0)[..., 0]
+                         == ids[:, None], 1.0, -1.0)
         if real is not None:
             signs[~real] = 0.0
         yield ids, pos, es, signs, sizes, real
@@ -311,15 +313,17 @@ def _assemble_fractures(problem, dofs, rhs, robin):
         cdof = dofs.cell_dof[fid]
         rhs[cdof] -= _cell_source(problem, fid, mesh)
         for ids, pos, es, s, sizes, real in _cell_buckets(mesh):
-            centroid = mesh.cell_centroids[ids]
-            elen, mid, g = mesh.edge_len[es], mesh.edge_mid[es], edof[es]
+            centroid = mesh.cell_centroids.take(ids, axis=0)
+            elen, g = mesh.edge_len[es], edof[es]
+            mid = mesh.edge_mid.take(es, axis=0)
             if real is not None:
                 elen = np.where(real, elen, 0.0)
                 mid = np.where(real[..., None], mid, centroid[:, None])
                 g = np.where(real, g, -1)
             pieces.setdefault(pos.shape[1], []).append((
                 mesh.cell_areas[ids], centroid, elen,
-                mesh.outward_normals(pos), mid, problem.lam[fid][ids],
+                mesh.outward_normals(pos), mid,
+                problem.lam[fid].take(ids, axis=0),
                 np.full(len(ids), problem.varsigma[fid]), g, s, cdof[ids],
                 sizes, rank + np.arange(len(sizes))))
             rank += len(sizes)
@@ -608,8 +612,8 @@ def extract_solution(system: SaddleSystem, x: np.ndarray) -> Solution:
         vel = np.empty((mesh.n_cells, 2))
         for ids, _, es, s in _cell_groups(mesh):
             vel[ids] = vem.project_velocity(
-                mesh.cell_areas[ids], mesh.cell_centroids[ids],
-                mesh.edge_mid[es], s * edge_flux[fid][es])
+                mesh.cell_areas[ids], mesh.cell_centroids.take(ids, axis=0),
+                mesh.edge_mid.take(es, axis=0), s * edge_flux[fid][es])
         velocity[fid] = mesh.frame.vector_to_global(vel)
     ends = dofs.line_ends
     return Solution(

@@ -93,7 +93,7 @@ def tpfa_matrix(mesh: PolyMesh, lam, dirichlet_boundary: bool = True) -> Strengt
     need = (ec >= 0) & (inner | closed)[:, None]
     e, side = np.nonzero(need)
     cell = ec[e, side]
-    d = mesh.edge_mid[e] - mesh.cell_centroids[cell]
+    d = mesh.edge_mid.take(e, axis=0) - mesh.cell_centroids.take(cell, axis=0)
     dd = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
     if (dd <= 0.0).any():
         i = np.flatnonzero(dd <= 0.0)[0]
@@ -101,7 +101,7 @@ def tpfa_matrix(mesh: PolyMesh, lam, dirichlet_boundary: bool = True) -> Strengt
             f"cell {cell[i]}: centroid coincides with edge {e[i]} midpoint")
     nrm = mesh.outward_normals(mesh.edge_entry[e, side])
     # A (2, 2) tensor broadcasts through the same per-slot products.
-    lam_e = lam_c if lam_c.ndim == 2 else lam_c[cell]
+    lam_e = lam_c if lam_c.ndim == 2 else lam_c.take(cell, axis=0)
     flux = np.matmul(nrm[:, None, :], np.matmul(lam_e, d[:, :, None]))[:, 0, 0]
     elen = mesh.edge_len[e]
     # Non-convex agglomerates can produce non-positive contributions;
@@ -208,9 +208,9 @@ def _cell_trace_sides(mesh: PolyMesh):
     e, slot = np.nonzero((mesh.edge_cells >= 0)
                          & (mesh.edge_trace >= 0)[:, None])
     cell = mesh.edge_cells[e, slot]
-    ends = mesh.nodes[mesh.edge_nodes[e]]
+    ends = mesh.nodes.take(mesh.edge_nodes.take(e, axis=0), axis=0)
     t = ends[:, 1] - ends[:, 0]
-    d = mesh.cell_centroids[cell] - mesh.edge_mid[e]
+    d = mesh.cell_centroids.take(cell, axis=0) - mesh.edge_mid.take(e, axis=0)
     side = np.where(t[:, 0] * d[:, 1] - t[:, 1] * d[:, 0] > 0, 1, -1)
     for c, gid, s in zip(cell.tolist(), mesh.edge_trace[e].tolist(),
                          side.tolist()):
@@ -296,7 +296,8 @@ def _tip_cells(mesh: PolyMesh, tips_local) -> list:
     has_trace = np.zeros(mesh.n_cells, bool)
     has_trace[mesh.entry_cell[mesh.edge_trace[mesh.cell_edge] >= 0]] = True
     entries = np.flatnonzero(has_trace[mesh.entry_cell])
-    pts = mesh.nodes[mesh.edge_nodes[mesh.cell_edge[entries]]]
+    pts = mesh.nodes.take(
+        mesh.edge_nodes.take(mesh.cell_edge[entries], axis=0), axis=0)
     d = np.linalg.norm(pts[:, :, None, :] - tips_local[None, None], axis=3)
     near = np.zeros(mesh.n_cells, bool)
     near[mesh.entry_cell[entries[(d < tol).any(axis=(1, 2))]]] = True
@@ -329,7 +330,7 @@ def _build_coarse_mesh(mesh: PolyMesh, part: np.ndarray) -> PolyMesh:
     centroids /= areas[:, None]
 
     # Node renumbering restricted to kept edges.
-    old_nodes = mesh.edge_nodes[keep]
+    old_nodes = mesh.edge_nodes.take(keep, axis=0)
     used = np.zeros(mesh.n_nodes, bool)
     used[old_nodes] = True
     used = np.flatnonzero(used)
@@ -342,10 +343,11 @@ def _build_coarse_mesh(mesh: PolyMesh, part: np.ndarray) -> PolyMesh:
     # entries' new positions, ascending; ``at[-1]`` marks an absent slot.
     at = np.full(len(mesh.cell_edge) + 1, -1)
     at[kept[order]] = np.arange(len(kept))
-    slots = at[mesh.edge_entry[keep]]
+    slots = at[mesh.edge_entry.take(keep, axis=0)]
     slots = np.where(slots[:, 1:] < 0, slots, np.sort(slots, axis=1))
     return PolyMesh(
-        mesh.nodes[used], edge_nodes, bounds, edges[order], signs[order],
+        mesh.nodes.take(used, axis=0), edge_nodes, bounds, edges[order],
+        signs[order],
         frame=mesh.frame,
         edge_trace=mesh.edge_trace[keep],
         edge_trace_elem=mesh.edge_trace_elem[keep],
@@ -371,7 +373,7 @@ def _chain_loops(edge_nodes, edges, signs, bounds):
     count = np.diff(bounds)
     cell = np.repeat(np.arange(n_cells), count)
     m = len(cell)
-    ends = edge_nodes[edges]
+    ends = edge_nodes.take(edges, axis=0)
     fwd = signs > 0
     width = int(edge_nodes.max(initial=-1)) + 1
     tail = cell * width + np.where(fwd, ends[:, 0], ends[:, 1])

@@ -121,7 +121,7 @@ class PolyMesh:
         head = np.empty_like(loop)
         for d in np.unique(counts):
             pos = ptr[:-1][counts == d][:, None] + np.arange(d)
-            pts = nodes[loop[pos]]
+            pts = nodes.take(loop[pos], axis=0)
             nxt = np.roll(pts, -1, axis=1)
             cw = (pts[..., 0] * nxt[..., 1] - nxt[..., 0] * pts[..., 1]).sum(axis=1) < 0
             loop[pos[cw]] = loop[pos[cw, ::-1]]
@@ -131,7 +131,7 @@ class PolyMesh:
                                       return_inverse=True)
         edge_id = np.empty(len(first), int)
         edge_id[np.argsort(first)] = np.arange(len(first))
-        edge_nodes = np.column_stack([lo, hi])[np.sort(first)]
+        edge_nodes = np.column_stack([lo, hi]).take(np.sort(first), axis=0)
         return cls(nodes, edge_nodes, ptr, edge_id[inverse],
                    np.where(loop <= head, 1, -1), frame=frame)
 
@@ -179,7 +179,7 @@ class PolyMesh:
         """Node each entry's edge is walked from.  A chained cell's polygon
         is ``nodes[entry_tail]`` over its entries."""
         if "entry_tail" not in self._cache:
-            ends = self.edge_nodes[self.cell_edge]
+            ends = self.edge_nodes.take(self.cell_edge, axis=0)
             self._cache["entry_tail"] = np.where(
                 self.cell_sign > 0, ends[:, 0], ends[:, 1]).astype(np.int32)
         return self._cache["entry_tail"]
@@ -213,16 +213,16 @@ class PolyMesh:
     @property
     def edge_len(self):
         if "edge_len" not in self._cache:
-            d = self.nodes[self.edge_nodes[:, 1]] - self.nodes[self.edge_nodes[:, 0]]
-            self._cache["edge_len"] = np.linalg.norm(d, axis=1)
+            ends = self.nodes.take(self.edge_nodes, axis=0)
+            self._cache["edge_len"] = np.linalg.norm(ends[:, 1] - ends[:, 0],
+                                                     axis=1)
         return self._cache["edge_len"]
 
     @property
     def edge_mid(self):
         if "edge_mid" not in self._cache:
-            self._cache["edge_mid"] = 0.5 * (
-                self.nodes[self.edge_nodes[:, 0]] + self.nodes[self.edge_nodes[:, 1]]
-            )
+            ends = self.nodes.take(self.edge_nodes, axis=0)
+            self._cache["edge_mid"] = 0.5 * (ends[:, 0] + ends[:, 1])
         return self._cache["edge_mid"]
 
     def _edge_slots(self):
@@ -266,8 +266,8 @@ class PolyMesh:
         # (s, -s) is the right-hand normal (t1, -t0) times the sign s, bit
         # for bit.
         edges = self.cell_edge[entries]
-        a, b = self.edge_nodes[edges, 0], self.edge_nodes[edges, 1]
-        t = (self.nodes[b] - self.nodes[a]) / self.edge_len[edges][..., None]
+        ends = self.nodes.take(self.edge_nodes.take(edges, axis=0), axis=0)
+        t = (ends[..., 1, :] - ends[..., 0, :]) / self.edge_len[edges][..., None]
         s = self.cell_sign[entries][..., None]
         return t[..., ::-1] * (s * _RIGHT)
 
@@ -277,15 +277,15 @@ class PolyMesh:
         one pass that the areas and the centroids share: it is cached
         until the centroids are taken from it."""
         if "loop_sums" not in self._cache:
-            p = self.nodes[self.entry_tail]
-            q = p[self.entry_next]
+            p = self.nodes.take(self.entry_tail, axis=0)
+            q = p.take(self.entry_next, axis=0)
             cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
             moment = (p + q) * cross[:, None]
             twice = np.zeros(self.n_cells)
             first = np.zeros((self.n_cells, 2))
             for ids, pos in self.cell_groups:
                 twice[ids] = cross[pos].sum(axis=1)
-                first[ids] = moment[pos].sum(axis=1)
+                first[ids] = moment.take(pos, axis=0).sum(axis=1)
             self._cache["loop_sums"] = twice, first
         return self._cache["loop_sums"]
 
@@ -321,7 +321,7 @@ class PolyMesh:
         if "diameters" not in self._cache:
             diam = np.zeros(self.n_cells)
             for ids, pos in self.cell_groups:
-                pts = self.nodes[self.entry_tail[pos]]
+                pts = self.nodes.take(self.entry_tail[pos], axis=0)
                 a, b = np.triu_indices(pos.shape[1], 1)
                 dx = pts[:, a, 0] - pts[:, b, 0]
                 dy = pts[:, a, 1] - pts[:, b, 1]
@@ -430,7 +430,7 @@ def random_mesh(n: int, seed: int, frame: Frame | None = None) -> PolyMesh:
         (nodes[:, 0] > 1e-12) & (nodes[:, 0] < 1 - 1e-12)
         & (nodes[:, 1] > 1e-12) & (nodes[:, 1] < 1 - 1e-12)
     )[0]
-    base = nodes[interior].copy()
+    base = nodes.take(interior, axis=0)
     nodes[interior] = base + rng.uniform(-reach, reach, (len(interior), 2))
 
     # A quad must be simple and star-shaped with respect to its vertex mean.
@@ -438,7 +438,7 @@ def random_mesh(n: int, seed: int, frame: Frame | None = None) -> PolyMesh:
     is_interior = np.zeros(len(nodes), bool)
     is_interior[interior] = True
     for _ in range(50):
-        pts = nodes[loops]
+        pts = nodes.take(loops, axis=0)
         c = pts.mean(axis=1)[:, None, :]
         d = np.roll(pts, -1, axis=1) - pts
         cr = d[..., 0] * (c[..., 1] - pts[..., 1]) - d[..., 1] * (c[..., 0] - pts[..., 0])
@@ -544,7 +544,8 @@ class _PointPool:
         # Only the points of the rows' fractures can be near them.
         f = np.unique(fid)
         _, rows = _ranges(self.ptr[f], size[f])
-        i, j = self._near(pts, fid, self.pts[rows], np.repeat(f, size[f]))
+        i, j = self._near(pts, fid, self.pts.take(rows, axis=0),
+                          np.repeat(f, size[f]))
         np.minimum.at(ids, i, rows[j] - self.ptr[fid[i]])
         # A row near no earlier point merges into the first earlier row
         # near it that was itself registered, else it is registered.  A
@@ -583,7 +584,7 @@ class _PointPool:
         reach = 2 * self.tol[fa, None]
         i, j = _box_pairs(a - reach, a + reach, b, b, fa, fb)
         # The distance is np.linalg.norm's, rounding for rounding.
-        d = a[i] - b[j]
+        d = a.take(i, axis=0) - b.take(j, axis=0)
         near = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= self.tol[fa[i]]
         return i[near], j[near]
 
@@ -846,7 +847,8 @@ def _triangulate_batch(polygons, traces, h_target, frames, seed) -> list:
         at = np.flatnonzero(link)[~found] + 1
         miss = pair_fid[~found]
         rows = pool.ptr[miss, None] + pairs[~found]
-        mids = 0.5 * (pool.pts[rows[:, 0]] + pool.pts[rows[:, 1]])
+        pair_pts = pool.pts.take(rows, axis=0)
+        mids = 0.5 * (pair_pts[:, 0] + pair_pts[:, 1])
         chain = np.insert(chain, at, pool.ids(mids, miss))
         chain_fid = np.insert(chain_fid, at, miss)
         ptr = ptr + np.searchsorted(at, ptr)
@@ -867,7 +869,7 @@ def _triangulate_batch(polygons, traces, h_target, frames, seed) -> list:
               & (tris < (lattice + n_lattice)[tri_fid, None])).any(axis=1)
     tris = tris + pool.ptr[tri_fid, None]
     test = np.flatnonzero(~inside)
-    centers = pool.pts[tris[test]].mean(axis=1)
+    centers = pool.pts.take(tris[test], axis=0).mean(axis=1)
     inside[test] = _even_odd(centers, tri_fid[test], poly, vptr, nxt)
     # The tol band, measured only for the centers still outside.
     out = ~inside[test]
@@ -886,7 +888,7 @@ def _triangulate_batch(polygons, traces, h_target, frames, seed) -> list:
     renum[used] = np.arange(len(used))
     # One mesh of every fracture: their nodes, cells and edges (numbered
     # by first appearance) are runs, fracture after fracture.
-    whole = PolyMesh.from_cells(pool.pts[used], renum[tris])
+    whole = PolyMesh.from_cells(pool.pts.take(used, axis=0), renum[tris])
 
     # Tag trace edges: every consecutive pair of a trace chain is one.
     gids = np.repeat(chain_gid, np.diff(ptr) - 1)

@@ -24,9 +24,9 @@ the saddle residual follows.
   V-cycle (Vanek, Mandel & Brezina 1996).  The LU factorization of such
   a ``K`` fills in superlinearly and sets the run's peak memory; the
   V-cycle's set-up and each of its iterations cost work linear in the
-  unknowns.  The aggregates come from Luby rounds (Luby 1986) on a
-  ``(w, n)`` table of each node's strong neighbours, so that each
-  maximum over the neighbourhoods is one gather and one maximum down
+  unknowns.  The aggregates come from Luby rounds (Luby 1986) on an
+  intp ``(w, n)`` table of each node's strong neighbours, so that each
+  maximum over the neighbourhoods is one ``take`` and one maximum down
   the columns, and the rounds after the first visit only the undecided
   nodes and their neighbours.  ``K``'s triplets are written once into
   arrays sized up front and freed before the hierarchy is built.  CG
@@ -64,6 +64,7 @@ STRENGTH = 0.08       # strong coupling: |K_ij| >= STRENGTH sqrt(K_ii K_jj)
 COARSEST_SIZE = 2000  # unknowns at or below which a level is factored
 JACOBI_WEIGHT = 0.6   # damping of the V-cycle's Jacobi sweeps
 ELIMINATION_MAX = 6   # cell blocks of at most this size: _eliminate
+_SLAB = 4096          # cells per slab of _eliminate
 
 
 @dataclass
@@ -89,8 +90,12 @@ def _relative_residual(A, x, b) -> float:
 
 def _eliminate(L):
     """Invert each block of the batch-last ``L (m, m, n)`` in place by
-    Gauss-Jordan elimination, one sweep over every block per pivot, in
-    dof order and without pivoting; returns ``L``.
+    Gauss-Jordan elimination, in dof order and without pivoting; returns
+    ``L``.  The cells go in slabs of ``_SLAB``, each swept once per pivot
+    in place, which beats sweeping a large group whole (3.9 against 5.8
+    ms, medians of 25, on the 25,600 quads of single random L5, one
+    Xeon vCPU); every block is eliminated on its own, so the slabs
+    change no bit.
 
     A cell block's fluxes come first and its pressure last.  The flux
     block is symmetric positive definite, with or without the Robin
@@ -98,19 +103,22 @@ def _eliminate(L):
     Schur complement ``-s^T B^-1 s`` of the pressure.  A zero pivot raises
     ``SingularSystem`` before anything is divided by it.
     """
-    m = L.shape[0]
-    scratch = np.empty_like(L)
-    for k in range(m):
-        pivot = L[k, k].copy()
-        if not pivot.all():
-            raise SingularSystem(f"singular cell block: zero pivot {k}")
-        col = L[:, k].copy()
-        col[k] = 0.0
-        L[:, k] = 0.0
-        L[k, k] = 1.0
-        L[k] /= pivot
-        np.multiply(col[:, None], L[k], out=scratch)
-        L -= scratch
+    m, _, n = L.shape
+    scratch = np.empty((m, m, min(n, _SLAB)))
+    for a in range(0, n, _SLAB):
+        S = L[:, :, a:a + _SLAB]
+        tmp = scratch[:, :, :S.shape[2]]
+        for k in range(m):
+            pivot = S[k, k].copy()
+            if not pivot.all():
+                raise SingularSystem(f"singular cell block: zero pivot {k}")
+            col = S[:, k].copy()
+            col[k] = 0.0
+            S[:, k] = 0.0
+            S[k, k] = 1.0
+            S[k] /= pivot
+            np.multiply(col[:, None], S[k], out=tmp)
+            S -= tmp
     return L
 
 
@@ -165,20 +173,31 @@ def _factor(K):
 
 def _strong_table(A):
     """Closed strong neighbourhoods of ``A`` as the columns of a ``(w, n)``
-    table: ``j`` is a neighbour of ``i`` when ``|A_ij| >= STRENGTH
+    intp table: ``j`` is a neighbour of ``i`` when ``|A_ij| >= STRENGTH
     sqrt(A_ii A_jj)``, and column ``i`` holds row ``i``'s neighbours,
     padded to the widest row with ``i`` itself.  The stored diagonal
     passes the test, so every node is its own neighbour and the padding
-    changes no maximum over a column."""
+    changes no maximum over a column.
+
+    The table is intp whatever the index dtype of ``A``, so that each
+    Luby round of ``_aggregate`` is one ``take`` through it, with no
+    cast.  The test takes each row's diagonal by ``np.repeat`` and each
+    column's through ``A``'s own indices by fancy indexing: ``take``
+    would first copy those indices to intp."""
     n = A.shape[0]
-    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    stored = np.diff(A.indptr)
+    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), stored)
     d = np.abs(A.diagonal())
-    keep = A.data ** 2 >= STRENGTH ** 2 * d[rows] * d[A.indices]
+    keep = A.data ** 2 >= np.repeat(STRENGTH ** 2 * d, stored) * d[A.indices]
     rows, cols = rows[keep], A.indices[keep]
     count = np.bincount(rows, minlength=n)
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
-    table = np.tile(np.arange(n, dtype=cols.dtype), (count.max(), 1))
-    table.reshape(-1)[slot * n + rows] = cols
+    at = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    # Each kept entry's flat position slot * n + row, formed in place so
+    # that one int64 array of the kept entries is alive, not two.
+    at *= n
+    at += rows
+    table = np.tile(np.arange(n), (count.max(), 1))
+    table.reshape(-1)[at] = cols
     return table
 
 
@@ -200,24 +219,25 @@ def _aggregate(table):
     n = table.shape[1]
     prio = np.random.default_rng(n).permutation(n).astype(np.int32)
     v = prio.copy()             # undecided: prio, root: n + prio, out: -1
-    near = v[table].max(axis=0)     # largest v among a node's neighbours
+    near = v.take(table).max(axis=0)    # largest v among a node's neighbours
     todo = np.arange(n)
     while len(todo):
-        m = near[table[:, todo]].max(axis=0)
+        m = near.take(table.take(todo, axis=1)).max(axis=0)
         v[todo[m >= n]] = -1
         v[todo[m == prio[todo]]] += n
         todo = todo[(m < n) & (m != prio[todo])]
         hit = np.zeros(n, bool)
-        hit[table[:, todo]] = True
+        hit[table.take(todo, axis=1)] = True
         nbrs = np.flatnonzero(hit)
-        near[nbrs] = v[table[:, nbrs]].max(axis=0)
+        near[nbrs] = v.take(table.take(nbrs, axis=1)).max(axis=0)
     roots = np.flatnonzero(v >= n)
     agg = np.full(n, -1)
     agg[roots] = np.arange(len(roots))
     node_of = np.argsort(prio)
     todo = np.flatnonzero(agg < 0)
     while len(todo):
-        best = np.where(agg >= 0, prio, -1)[table[:, todo]].max(axis=0)
+        best = np.where(agg >= 0, prio, -1).take(
+            table.take(todo, axis=1)).max(axis=0)
         join = best >= 0
         agg[todo[join]] = agg[node_of[best[join]]]
         todo = todo[~join]
@@ -427,6 +447,8 @@ def _hybrid_factor(system: SaddleSystem):
         rhs[ypos + 1] = -b[outside]
         local = []
         for idx, Linv, col, c, own in blocks:
+            # Fancy indexing keeps the F order of ``idx``, which sets the
+            # order einsum sums in; ``take`` would return C order.
             local.append(np.einsum("ijk,jk->ik", Linv, b[idx] * own))
             rhs += np.bincount(col.ravel() + 1, (c * local[-1]).ravel(),
                                minlength=nz + 1)

@@ -576,6 +576,7 @@ def _pinned_system_solve(tmp_path, name):
     case_name, family, level = {
         "four-fractures-L1": ("four-fractures", "triangular", 1),
         "intersection-flow-coarse4-L2": ("intersection-flow", "coarse4", 2),
+        "intersection-flow-coarse4-L5": ("intersection-flow", "coarse4", 5),
     }[name]
     return cases.run_level(cases.get_case(case_name), family, level)[:4]
 
@@ -585,6 +586,10 @@ def _pinned_system_solve(tmp_path, name):
      "62d40d571d0e2aaba29876d3b8184c1b32ef9076d3034852b645a2a83723f88b"),
     ("intersection-flow-coarse4-L2",
      "d97b0b475c3a327efd09a2a6fafd865557394aadd305fad7cf9368a125784a1d"),
+    # The benchmark's ellipses-dc-coarse system: its large polygons take
+    # the kernel's padded buckets and the solver's batched inverses.
+    ("intersection-flow-coarse4-L5",
+     "c61838821fc05f3ab5bad0bb7c5d9c6692aa912febfe46621da5b3af457d465a"),
     ("network-cc",
      "fecccbef49b6bb01a8d6be60f5f5b05d178365edefdc4f71be8be33c4fd029b1"),
     ("network-dc",

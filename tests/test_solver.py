@@ -400,6 +400,23 @@ def test_aggregate_equals_reduceat_ref(A):
     assert_aggregates_like_ref(A)
 
 
+def test_strong_table_is_intp_for_either_index_dtype(pcg):
+    # scipy stores a large matrix's indices as int64, a small one's as
+    # int32: the table is intp either way and gives the same aggregates.
+    A32 = _levels(_single_random(3))[0]
+    A64 = A32.copy()
+    A64.indices = A64.indices.astype(np.int64)
+    A64.indptr = A64.indptr.astype(np.int64)
+    assert (A32.indices.dtype, A64.indices.dtype) == (np.int32, np.int64)
+    tables = [slv._strong_table(A) for A in (A32, A64)]
+    assert all(t.dtype == np.intp for t in tables)
+    assert np.array_equal(*tables)
+    ref, ref_nc = aggregate_ref(A32)
+    for table in tables:
+        agg, nc = slv._aggregate(table)
+        assert nc == ref_nc and np.array_equal(agg, ref)
+
+
 def _levels(system):
     """Every level matrix of ``system``'s PCG hierarchy."""
     _, reduced = slv._hybrid_factor(system)
@@ -556,6 +573,22 @@ def test_cell_block_with_every_flux_fixed_is_singular(d):
     system.fixed[g[1]] = True           # every flux of cell 1
     with pytest.raises(SingularSystem, match="singular cell block"):
         _inverse_blocks(system)
+
+
+def test_elimination_slabs_invert_each_block_on_its_own(monkeypatch):
+    # _eliminate sweeps the cells slab by slab, in place: each block
+    # inverts bit for bit as it does in a batch of one, wherever the slab
+    # ends fall, and a zero pivot in the last slab still raises.
+    monkeypatch.setattr(slv, "_SLAB", 64)
+    _, L = _block_system(np.random.default_rng(5), 3 * 64 + 9, 4)
+    batch = np.ascontiguousarray(L.transpose(1, 2, 0))
+    got = slv._eliminate(batch.copy())
+    for i in range(batch.shape[2]):
+        alone = slv._eliminate(batch[:, :, i:i + 1].copy())
+        assert got[:, :, i:i + 1].tobytes() == alone.tobytes()
+    batch[:, 0, -1] = batch[0, :, -1] = 0.0
+    with pytest.raises(SingularSystem, match="zero pivot 0"):
+        slv._eliminate(batch)
 
 
 @pytest.mark.parametrize("d", [9, 12, 16])
