@@ -267,7 +267,8 @@ class PolyMesh:
         # for bit.
         edges = self.cell_edge[entries]
         ends = self.nodes.take(self.edge_nodes.take(edges, axis=0), axis=0)
-        t = (ends[..., 1, :] - ends[..., 0, :]) / self.edge_len[edges][..., None]
+        t = ((ends[..., 1, :] - ends[..., 0, :])
+             / self.edge_len[edges][..., None])
         s = self.cell_sign[entries][..., None]
         return t[..., ::-1] * (s * _RIGHT)
 
