@@ -212,12 +212,14 @@ class SaddleSystem:
     fixed: np.ndarray                                # (size,) bool
     bc_value: np.ndarray                             # (size,)
     pinned: dict = field(default_factory=dict)       # fid -> pinned dof
-    # One (flux dofs (n, d), signs (n, d), pressure dofs (n,), signed
-    # mass matrices s_i s_j M_ij (n, d, d)) per (fracture, edge count)
-    # cell group, in that order, before the boundary conditions: the
-    # solver condenses the cells.  The arrays are views of the kernel's
-    # cell buckets, without their padding; the signed mass matrices view
-    # a (d, d, n) buffer, cell axis last.
+    # One (flux dofs (n, d), signs (n, d), pressure dofs (n,), mass) per
+    # kernel bucket of width d, widths increasing, before the boundary
+    # conditions: the solver condenses the cells.  A padding slot has dof
+    # -1 and sign 0.  Where the solver eliminates the blocks (d + 1 <=
+    # solver.ELIMINATION_MAX), mass is the signed mass matrices s_i s_j
+    # M_ij (n, d, d), a view of a (d, d, n) buffer, cell axis last;
+    # elsewhere it is the kernel's factors of M (vem._mass_factors), with
+    # varsigma plus the Robin term per slot (d, n) in place of varsigma.
     groups: list = field(default_factory=list)
 
     @property
@@ -250,10 +252,9 @@ def _cell_buckets(mesh: PolyMesh):
     """The groups of ``mesh.cell_groups`` joined per ``_bucket_width``,
     widths increasing: cell ids ``(n,)``, entry positions ``(n, D)``,
     edge ids and signs ``(n, D)`` as in ``_cell_groups`` (a sign is 0 on
-    a padding slot, whose entry repeats its cell's last one), the sizes
-    of the joined groups, and the mask of real slots ``(n, D)``, None in
-    a bucket that is one group without padding, which is that group,
-    uncopied."""
+    a padding slot, whose entry repeats its cell's last one), and the
+    mask of real slots ``(n, D)``, None in a bucket that is one group
+    without padding, which is that group, uncopied."""
     groups = mesh.cell_groups
     widths = [_bucket_width(pos.shape[1]) for _, pos in groups]
     for w in sorted(set(widths)):
@@ -272,7 +273,7 @@ def _cell_buckets(mesh: PolyMesh):
                          == ids[:, None], 1.0, -1.0)
         if real is not None:
             signs[~real] = 0.0
-        yield ids, pos, es, signs, sizes, real
+        yield ids, pos, es, signs, real
 
 
 def _cell_source(problem, fid, mesh) -> np.ndarray:
@@ -306,13 +307,14 @@ def _assemble_fractures(problem, dofs, rhs, robin):
     zero length, its midpoint at the centroid, sign 0, dof -1 and no
     triplet.  ``robin`` (per dof) adds the dc exchange term to the
     diagonal of each side edge's one cell block."""
-    pieces, rank = {}, 0
+    from .solver import ELIMINATION_MAX     # solver imports this module
+    pieces = {}
     for fid in sorted(problem.meshes):
         mesh = problem.meshes[fid]
         edof = dofs.edge_dof[fid]
         cdof = dofs.cell_dof[fid]
         rhs[cdof] -= _cell_source(problem, fid, mesh)
-        for ids, pos, es, s, sizes, real in _cell_buckets(mesh):
+        for ids, pos, es, s, real in _cell_buckets(mesh):
             centroid = mesh.cell_centroids.take(ids, axis=0)
             elen, g = mesh.edge_len[es], edof[es]
             mid = mesh.edge_mid.take(es, axis=0)
@@ -324,18 +326,16 @@ def _assemble_fractures(problem, dofs, rhs, robin):
                 mesh.cell_areas[ids], centroid, elen,
                 mesh.outward_normals(pos), mid,
                 problem.lam[fid].take(ids, axis=0),
-                np.full(len(ids), problem.varsigma[fid]), g, s, cdof[ids],
-                sizes, rank + np.arange(len(sizes))))
-            rank += len(sizes)
+                np.full(len(ids), problem.varsigma[fid]), g, s, cdof[ids]))
     rows, cols, vals, groups = [], [], [], []
     for d in sorted(pieces):
-        *geometry, g, s, p, sizes, ranks = map(_joined, zip(*pieces.pop(d)))
+        *geometry, g, s, p = map(_joined, zip(*pieces.pop(d)))
         real = None if s.all() else s != 0
-        # numpy sums the edges of a one-cell batch pairwise: a cell alone
-        # in its (fracture, edge count) group keeps those sums, so that
-        # every M is the one of a kernel call per group.
-        M = vem.local_matrices_2d(*geometry,
-                                  alone=np.repeat(sizes == 1, sizes))
+        M = vem.local_matrices_2d(*geometry)
+        mass = None
+        if d + 1 > ELIMINATION_MAX:
+            *factors, sig = vem._mass_factors(*geometry)
+            mass = (*factors, sig + robin[g].T)
         del geometry
         M[:, np.arange(d), np.arange(d)] += robin[g]
         # s_i s_j M_ij with the cell axis last, as the kernel and the
@@ -356,14 +356,7 @@ def _assemble_fractures(problem, dofs, rhs, robin):
         rows += [mrow, prow, frow]
         cols += [mcol, frow, prow]
         vals += [mval, fval, fval]
-        # The solver takes each run of one (fracture, edge count) group
-        # on its own and at its size, as views of the bucket.
-        ends = np.cumsum(sizes).tolist()
-        for rank, a, b in zip(ranks.tolist(), [0] + ends[:-1], ends):
-            k = d if real is None else int(real[a].sum())
-            groups.append((rank, (g[a:b, :k], s[a:b, :k], p[a:b],
-                                  ss[a:b, :k, :k])))
-    groups = [group for _, group in sorted(groups, key=lambda rg: rg[0])]
+        groups.append((g, s, p, ss if mass is None else mass))
     return rows, cols, vals, groups
 
 

@@ -883,6 +883,10 @@ def load_network(path) -> tuple:
                           for k in ("k_hat", "k_tilde")}
             if not np.isfinite(list(props[key].values())).all():
                 raise ValueError("k_hat and k_tilde must be finite")
+            for k, v in props[key].items():
+                if v <= 0.0:
+                    raise ConfigError(f"{path}: intersections[{i}].{k}: {v!r} "
+                                      "is not positive")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
                 f"{path}: intersections[{i}]: {type(exc).__name__}: {exc}"

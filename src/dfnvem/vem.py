@@ -52,7 +52,7 @@ __all__ = [
 
 
 def local_matrices_2d(area, centroid, edge_len, edge_normal, edge_mid, lam,
-                      varsigma=1.0, alone=None) -> np.ndarray:
+                      varsigma=1.0) -> np.ndarray:
     """Local H(div) mass matrices of ``n`` polygons with ``d`` edges each.
 
     Every argument has a leading cell axis: ``area (n,)``, ``centroid
@@ -68,15 +68,36 @@ def local_matrices_2d(area, centroid, edge_len, edge_normal, edge_mid, lam,
     A cell may be padded with trailing slots of zero ``edge_len``, their
     ``edge_mid`` at the centroid: its real entries do not change, and the
     padding rows and columns hold only the diagonal ``varsigma``.  The
-    sums over a cell's edges run in edge order; ``alone (n,)`` marks the
-    cells summed as numpy sums a batch of one cell, pairwise from 8 edges
-    on (see ``_edge_sums``), and counts a cell's edges by their nonzero
-    lengths.
+    sums over a cell's edges run in edge order, so a cell's ``M`` depends
+    neither on the other cells of its batch nor on its padding.
 
     Raises ``SingularG`` for a cell with ``area <= 0``, named by its row
     in the batch, and for a tensor that is not positive definite
     (``lam_00 <= 0`` or ``det lam <= 0``).
     """
+    (d0, d1), (w0, w1), (c00, c01, c10, c11), s, sig = _mass_factors(
+        area, centroid, edge_len, edge_normal, edge_mid, lam, varsigma)
+    # P = Delta (C Delta^T / 2 - varsigma W^T / |E|), so that P + P^T is
+    # the sum of the last two terms of M_E.
+    t0 = 0.5 * (c00 * d0 + c01 * d1) - s * w0
+    t1 = 0.5 * (c10 * d0 + c11 * d1) - s * w1
+    P = d0[:, None] * t0
+    P += d1[:, None] * t1
+    M = P + P.transpose(1, 0, 2)
+    diag = np.arange(M.shape[0])
+    M[diag, diag] += sig
+    return M.transpose(2, 0, 1)
+
+
+def _mass_factors(area, centroid, edge_len, edge_normal, edge_mid, lam,
+                  varsigma=1.0):
+    """The factors of ``M = varsigma I + [Delta W] G [Delta W]^T``, with
+    ``G = [[C, -(varsigma / |E|) I], [-(varsigma / |E|) I, 0]]`` (see the
+    module docstring), for the arguments of ``local_matrices_2d``, which
+    checks them here: the columns ``(Delta_x, Delta_y)`` and ``(W_x,
+    W_y)``, ``(d, n)`` each and C-contiguous, the entries ``(C_00, C_01,
+    C_10, C_11)`` and ``varsigma / |E|``, ``(n,)`` each, and ``varsigma``.
+    A padding slot has zero rows in ``Delta`` and ``W``."""
     area = np.asarray(area, float)
     lam = np.asarray(lam, float)
     bad = np.flatnonzero(area <= 0.0)
@@ -96,39 +117,19 @@ def local_matrices_2d(area, centroid, edge_len, edge_normal, edge_mid, lam,
     s = sig * inv_a             # varsigma / |E|
     k = inv_a / det             # lam^-1 / |E| = k adj(lam)
     q = s * inv_a               # varsigma / |E|^2
-    pairwise = []
-    if alone is not None and len(w0) >= 8:
-        count = (np.asarray(edge_len) > 0.0).sum(axis=1)
-        pick = np.flatnonzero(alone & (count >= 8))
-        pairwise = list(zip(pick.tolist(), count[pick].tolist()))
-    w01 = q * _edge_sums(w0 * w1, pairwise)
-    c00 = k * l11 + q * _edge_sums(w0 * w0, pairwise)
-    c11 = k * l00 + q * _edge_sums(w1 * w1, pairwise)
-    c01, c10 = w01 - k * l01, w01 - k * l10
-    # P = Delta (C Delta^T / 2 - varsigma W^T / |E|), so that P + P^T is
-    # the sum of the last two terms of M_E.
-    t0 = 0.5 * (c00 * d0 + c01 * d1) - s * w0
-    t1 = 0.5 * (c10 * d0 + c11 * d1) - s * w1
-    P = d0[:, None] * t0
-    P += d1[:, None] * t1
-    M = P + P.transpose(1, 0, 2)
-    diag = np.arange(M.shape[0])
-    M[diag, diag] += sig
-    return M.transpose(2, 0, 1)
+    w01 = q * _edge_sums(w0 * w1)
+    c00 = k * l11 + q * _edge_sums(w0 * w0)
+    c11 = k * l00 + q * _edge_sums(w1 * w1)
+    return (d0, d1), (w0, w1), (c00, w01 - k * l01, w01 - k * l10, c11), s, sig
 
 
-def _edge_sums(x, pairwise):
+def _edge_sums(x):
     """Per cell, the sum of the rows of the batch-last ``x (D, n)`` in row
-    order, where padding rows add exact zeros; for each ``(cell, count)``
-    of ``pairwise``, the sum of its leading ``count`` rows as numpy sums
-    a one-dimensional array (pairwise from 8 terms on).  Either way a
-    cell's sum depends neither on the other cells of the batch nor on
-    its padding."""
-    # numpy sums a batch of one cell as a one-dimensional array.
-    total = x.sum(axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
-    for i, count in pairwise:
-        total[i] = np.add.reduce(x[:count, i])
-    return total
+    order, where padding rows add exact zeros, so that a cell's sum
+    depends neither on the other cells of the batch nor on its padding."""
+    # numpy sums a batch of one cell as a one-dimensional array, pairwise
+    # from 8 terms on.
+    return x.sum(axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
 
 
 def project_velocity(area, centroid, edge_mid, fluxes) -> np.ndarray:

@@ -583,17 +583,17 @@ def _pinned_system_solve(tmp_path, name):
 
 @pytest.mark.parametrize("name, digest", [
     ("four-fractures-L1",
-     "62d40d571d0e2aaba29876d3b8184c1b32ef9076d3034852b645a2a83723f88b"),
+     "15f636e4a1a3d2731a98e71f5d21ac642c9114786ec5f75da816a54fb0362163"),
     ("intersection-flow-coarse4-L2",
-     "d97b0b475c3a327efd09a2a6fafd865557394aadd305fad7cf9368a125784a1d"),
+     "ff5b94060f5763c4bac54b776238c4ce0646dd1e4a0cd00584d2bd47c825b7d3"),
     # The benchmark's ellipses-dc-coarse system: its large polygons take
-    # the kernel's padded buckets and the solver's batched inverses.
+    # the kernel's padded buckets and the solver's closed-form inverses.
     ("intersection-flow-coarse4-L5",
-     "c61838821fc05f3ab5bad0bb7c5d9c6692aa912febfe46621da5b3af457d465a"),
+     "85c4d1b53f64f6cc053b8c7625848ac1fdf5da59ef2c3428256d7029d545aa21"),
     ("network-cc",
-     "fecccbef49b6bb01a8d6be60f5f5b05d178365edefdc4f71be8be33c4fd029b1"),
+     "7c3593f71fc43d3f80253db171986a7cbc5fa90d1838d7ea97cd5d0d506475fd"),
     ("network-dc",
-     "d0c1a2a391ccebdece4499ee51d58d71d287fe00b3dabbda3a382464a847d770"),
+     "cd87cd76f48482f61900a27f27f01b6ca1fbfbf31ac29f36d1a11601c6738f60"),
 ])
 def test_assembled_systems_are_pinned(tmp_path, name, digest):
     # Any change to the dof numbering, the assembled entries, the boundary

@@ -388,6 +388,10 @@ EDITS = {
         intersections=[{"fractures": [0, 4], "k_hat": "abc"}]),
     "isec_k_tilde.json": lambda data: data.update(
         intersections=[{"fractures": [0, 4], "k_tilde": "abc"}]),
+    "isec_k_hat_zero.json": lambda data: data.update(
+        intersections=[{"fractures": [0, 4], "k_hat": 0.0}]),
+    "isec_k_tilde_negative.json": lambda data: data.update(
+        intersections=[{"fractures": [0, 4], "k_tilde": -1.0}]),
     "isec_not_list.json": lambda data: data.update(intersections=5),
     "isec_empty.json":
         lambda data: data.update(intersections=[{"fractures": []}]),
@@ -517,6 +521,12 @@ MALFORMED = {
         ["mesh", "--network", "isec_k_hat.json"], "intersections[0]"),
     "intersection-k-tilde-text": (
         ["mesh", "--network", "isec_k_tilde.json"], "intersections[0]"),
+    "intersection-k-hat-zero-cc": (
+        ["solve", "--network", "isec_k_hat_zero.json", "--model", "cc"],
+        "intersections[0].k_hat"),
+    "intersection-k-tilde-negative-dc": (
+        ["solve", "--network", "isec_k_tilde_negative.json", "--model", "dc"],
+        "intersections[0].k_tilde"),
     "intersections-not-a-list": (
         ["mesh", "--network", "isec_not_list.json"], "intersections: "),
     "intersection-empty-fractures": (

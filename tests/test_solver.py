@@ -22,8 +22,9 @@ from dfnvem import vem
 from dfnvem.errors import SingularSystem, UnconstrainedPressureWarning
 
 from _util import (aggregate_ref, crossing_rectangles, grid_dict,
-                   pointwise_bc, rect_mesh_with_trace, saddle_lu_solve,
-                   single_fracture_plane, write_perfbench_network)
+                   pointwise_bc, polygon_geometry, rect_mesh_with_trace,
+                   saddle_lu_solve, single_fracture_plane,
+                   write_perfbench_network)
 
 
 def toy_system(A, b):
@@ -514,33 +515,75 @@ def test_single_random_l5_solution_is_pinned():
 # cell block inversion
 # ------------------------------------------------------------------ #
 
+def _polygon_cells(rng, n, d, width):
+    """The ``local_matrices_2d`` arguments of ``n`` random star-shaped
+    polygons of ``d`` edges, sizes 1e-2..10, with random SPD tensors and
+    stabilization parameters, padded to ``width`` with inert slots (zero
+    length, midpoint at the centroid)."""
+    cells = []
+    for _ in range(n):
+        ang = np.linspace(0, 2 * np.pi, d, endpoint=False)
+        ang = ang + rng.uniform(0, 0.5, d) * 2 * np.pi / d
+        r = rng.uniform(0.8, 1.2, d) * 10.0 ** rng.uniform(-2, 1)
+        pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+        cells.append(polygon_geometry(pts + rng.normal(size=2)))
+    area, centroid, _, elen, normal, mid = (np.array(x) for x in zip(*cells))
+    X = rng.normal(size=(n, 2, 2))
+    lam = X @ X.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    pad = width - d
+    return (area, centroid, np.pad(elen, ((0, 0), (0, pad))),
+            np.pad(normal, ((0, 0), (0, pad), (0, 0))),
+            np.concatenate([mid, np.repeat(centroid[:, None], pad, 1)], 1),
+            lam, rng.uniform(0.1, 10.0, n))
+
+
 def _block_system(rng, n, d, fixed_flux=0.3, fixed_pressure=0.3,
-                  robin=0.5):
+                  robin=0.5, width=None):
     """A stand-in for the ``groups`` and ``fixed`` that ``_cell_blocks``
-    reads: ``n`` cells of ``d`` fluxes with random SPD ``M``, signs,
-    Robin diagonals on a share of the fluxes, and a share of fixed
-    fluxes and pressures.  Returns it and the blocks ``(n, m, m)`` that
-    ``_cell_blocks`` inverts, built one by one."""
+    reads: one bucket of ``n`` cells of ``d`` fluxes, padded to ``width``
+    (``d`` by default) with slots of dof -1 and sign 0, with signs, Robin
+    diagonals 1e-2..1e3 on a share of the fluxes, and a share of fixed
+    fluxes and pressures.  A bucket that ``_cell_blocks`` eliminates gets
+    random SPD mass matrices; a larger one the VEM mass matrices of
+    random polygons (``_polygon_cells``) and the kernel's factors of
+    them, which the closed form reads.  Returns it and the blocks ``(n,
+    m, m)`` that ``_cell_blocks`` inverts, built one by one, the padding
+    slots fixed."""
+    width = d if width is None else width
+    closed = width + 1 > slv.ELIMINATION_MAX
+    ar = np.arange(d)
+    if closed:
+        cells = _polygon_cells(rng, n, d, width)
+        M = vem.local_matrices_2d(*cells)[:, :d, :d]
+    else:
+        X = rng.normal(size=(n, d, d))
+        M = X @ X.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    R = np.where(rng.random((n, d)) < robin,
+                 10.0 ** rng.uniform(-2, 3, (n, d)), 0.0)
+    M[:, ar, ar] += R
+    s = rng.choice([-1.0, 1.0], size=(n, d))
     g = np.arange(n * d).reshape(n, d)
     p = n * d + np.arange(n)
-    X = rng.normal(size=(n, d, d))
-    M = X @ X.transpose(0, 2, 1) + 0.1 * np.eye(d)
-    ar = np.arange(d)
-    M[:, ar, ar] += np.where(rng.random((n, d)) < robin,
-                             10.0 ** rng.uniform(-2, 3, (n, d)), 0.0)
-    s = rng.choice([-1.0, 1.0], size=(n, d))
     fixed_q = rng.random((n, d)) < fixed_flux
     # A free pressure needs a free flux (see the singular test below).
     fixed_p = (rng.random(n) < fixed_pressure) | fixed_q.all(axis=1)
     fixed = np.concatenate([fixed_q.ravel(), fixed_p])
+    pad = ((0, 0), (0, width - d))
+    if closed:
+        *factors, sig = vem._mass_factors(*cells)
+        mass = (*factors, sig + np.pad(R, pad).T)
+    else:
+        mass = M * s[:, :, None] * s[:, None, :]
     system = type("Blocks", (), {
-        "groups": [(g, s, p, M * s[:, :, None] * s[:, None, :])],
+        "groups": [(np.pad(g, pad, constant_values=-1), np.pad(s, pad), p,
+                    mass)],
         "fixed": fixed})
-    L = np.zeros((n, d + 1, d + 1))
+    L = np.zeros((n, width + 1, width + 1))
     for i in range(n):
         L[i, :d, :d] = M[i] * np.outer(s[i], s[i])
-        L[i, :d, d] = L[i, d, :d] = -s[i]
-        mk = fixed[np.append(g[i], p[i])]
+        L[i, :d, width] = L[i, width, :d] = -s[i]
+        mk = np.concatenate([fixed[g[i]], np.ones(width - d, bool),
+                             fixed[p[i:i + 1]]])
         L[i][mk] = 0.0
         L[i][:, mk] = 0.0
         L[i][mk, mk] = 1.0
@@ -554,13 +597,27 @@ def _inverse_blocks(system):
     return Linv.transpose(2, 0, 1)
 
 
-@pytest.mark.parametrize("d", range(1, slv.ELIMINATION_MAX + 1))
-def test_cell_block_inverse_matches_lapack(d):
-    # d + 1 unknowns: 2 .. ELIMINATION_MAX by elimination, the next by LAPACK.
-    system, L = _block_system(np.random.default_rng(d), 300, d)
-    got, want = _inverse_blocks(system), np.linalg.inv(L)
+def _assert_inverts(got, L):
+    want = np.linalg.inv(L)
     scale = np.abs(want).max(axis=(1, 2))
     assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("d", range(1, slv.ELIMINATION_MAX + 1))
+def test_cell_block_inverse_matches_lapack(d):
+    # d + 1 unknowns: 2 .. ELIMINATION_MAX by elimination, the next in
+    # closed form.
+    system, L = _block_system(np.random.default_rng(d), 300, d)
+    _assert_inverts(_inverse_blocks(system), L)
+
+
+@pytest.mark.parametrize("d", [6, 7, 8, 9, 12, 16, 23, 31, 40, 57, 72, 80])
+def test_closed_form_inverse_matches_lapack(d):
+    # The closed form on the padded buckets of polygons of 6 to 80 edges,
+    # with a pinned pressure in a third of the cells.
+    system, L = _block_system(np.random.default_rng(d), 60, d,
+                              width=asm._bucket_width(d))
+    _assert_inverts(_inverse_blocks(system), L)
 
 
 @pytest.mark.parametrize("d", [slv.ELIMINATION_MAX - 1, slv.ELIMINATION_MAX])
@@ -593,25 +650,18 @@ def test_elimination_slabs_invert_each_block_on_its_own(monkeypatch):
 
 @pytest.mark.parametrize("d", [9, 12, 16])
 def test_cell_blocks_of_bucket_views_match_exact_blocks(d):
-    # The assembly pads a group to its bucket width and hands the solver
-    # views of the real slots: they invert bit for bit as the exact-size
-    # group does, and match LAPACK's inverse of each block to 1e-13.
-    system, L = _block_system(np.random.default_rng(d), 50, d)
-    g, s, p, sMs = system.groups[0]
-    width = asm._bucket_width(d)
-    pad = ((0, 0), (0, width - d))
-    gp, sp = np.pad(g, pad, constant_values=-1), np.pad(s, pad)
-    # The signed mass matrices cell axis last, as the assembly lays out.
-    ssp = np.pad(sMs.transpose(1, 2, 0),
-                 ((0, width - d), (0, width - d), (0, 0))).transpose(2, 0, 1)
-    views = type("Blocks", (), {
-        "groups": [(gp[:, :d], sp[:, :d], p, ssp[:, :d, :d])],
-        "fixed": system.fixed})
-    got, exact = _inverse_blocks(views), _inverse_blocks(system)
-    assert got.tobytes() == exact.tobytes()
-    want = np.linalg.inv(L)
-    scale = np.abs(want).max(axis=(1, 2))
-    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
+    # The assembly pads a group to its bucket width, and the solver
+    # inverts the padded blocks whole: their real entries match the
+    # exact-size blocks' to 1e-13, and the padding is the identity's.
+    exact, got = (_inverse_blocks(_block_system(
+        np.random.default_rng(d), 50, d, width=w)[0])
+        for w in (d, asm._bucket_width(d)))
+    real = np.r_[:d, -1]
+    scale = np.abs(exact).max(axis=(1, 2))
+    assert (np.abs(got[:, real][:, :, real] - exact).max(axis=(1, 2))
+            <= 1e-13 * scale).all()
+    pad = np.r_[d:got.shape[1] - 1]
+    assert (got[:, pad] == np.eye(got.shape[1])[pad]).all()
 
 
 def _kernel_calls(monkeypatch):
@@ -671,17 +721,40 @@ def test_small_cell_kernels_call_no_dense_lapack(monkeypatch):
     assert calls == []
 
 
-def test_large_cell_blocks_take_lapack(monkeypatch):
+def test_large_cell_blocks_call_no_dense_lapack(monkeypatch):
+    # intersection-flow coarse4 L2, polygons of 6 to 25 edges: no
+    # np.linalg call, and one _cell_blocks batch per kernel bucket.
     calls = _spy_dense_linalg(monkeypatch)
-    cases.run_level(cases.get_case("intersection-flow"), "coarse4", 2)
-    assert calls
-    assert all(name == "inv" and shape[-1] > slv.ELIMINATION_MAX
-               for name, shape in calls)
+    batches = []
+    real = slv._cell_blocks
+
+    def spy(*args):
+        for block in real(*args):
+            batches.append(block[1].shape)
+            yield block
+    monkeypatch.setattr(slv, "_cell_blocks", spy)
+    problem = cases.run_level(cases.get_case("intersection-flow"), "coarse4",
+                              2)[0]
+    assert calls == []
+    counts = np.concatenate([np.diff(m.cell_ptr)
+                             for m in problem.meshes.values()])
+    widths = sorted({asm._bucket_width(d) for d in counts.tolist()})
+    assert [m - 1 for m, _, _ in batches] == widths
+    assert sum(n for _, _, n in batches) == len(counts)
 
 
-def test_elimination_agrees_with_lapack_on_single_random(monkeypatch):
-    system = _single_random(3)
-    x = slv.solve(system).x
-    monkeypatch.setattr(slv, "ELIMINATION_MAX", 0)
-    x_lapack = slv.solve(system).x
-    assert np.linalg.norm(x - x_lapack) <= 1e-12 * np.linalg.norm(x_lapack)
+def test_closed_form_agrees_with_elimination_on_single_random(monkeypatch):
+    # With the switch at 0 every block takes the closed form, with the
+    # switch at 100 every block the elimination: single random L3 (quads)
+    # and intersection-flow coarse4 L4 (50 polygons of 7 to 59 edges)
+    # solve alike to 1e-12 either way.
+    for name, build in (
+            ("single", lambda: _single_random(3)),
+            ("coarse", lambda: cases.run_level(cases.get_case(
+                "intersection-flow"), "coarse4", 4)[1])):
+        x = {}
+        for switch in (0, 100):
+            monkeypatch.setattr(slv, "ELIMINATION_MAX", switch)
+            x[switch] = slv.solve(build()).x
+        assert np.linalg.norm(x[0] - x[100]) <= 1e-12 * np.linalg.norm(
+            x[100]), name

@@ -296,9 +296,8 @@ class TestPaddedKernel:
     @pytest.mark.parametrize("d", range(3, 41))
     def test_real_entries_are_bit_identical(self, d):
         exact, padded = _padded_cells(np.random.default_rng(d), 40, d)
-        alone = np.arange(40) % 3 == 0
-        M = vem.local_matrices_2d(*exact, alone=alone)
-        P = vem.local_matrices_2d(*padded, alone=alone)
+        M = vem.local_matrices_2d(*exact)
+        P = vem.local_matrices_2d(*padded)
         assert P.shape[1] == _bucket_width(d)
         assert np.ascontiguousarray(P[:, :d, :d]).tobytes() == (
             np.ascontiguousarray(M).tobytes())
@@ -310,28 +309,25 @@ class TestPaddedKernel:
     @pytest.mark.parametrize("d", [5, 8, 13, 40, 150])
     def test_cells_do_not_depend_on_their_batch(self, d):
         exact, _ = _padded_cells(np.random.default_rng(d), 6, d)
-        alone = np.array([True, False] * 3)
-        M = vem.local_matrices_2d(*exact, alone=alone)
+        M = vem.local_matrices_2d(*exact)
         for i in range(6):
-            one = vem.local_matrices_2d(*(a[i:i + 1] for a in exact),
-                                        alone=alone[i:i + 1])
+            one = vem.local_matrices_2d(*(a[i:i + 1] for a in exact))
             assert M[i].tobytes() == np.ascontiguousarray(one[0]).tobytes()
 
 
 @pytest.mark.parametrize("D", [3, 7, 8, 16, 40, 136, 264])
 def test_edge_sums_add_as_numpy_adds_one_cell(D):
-    # Where ``pairwise``, as numpy sums a one-dimensional array (and so a
-    # batch of one cell); elsewhere in row order, as numpy sums the rows
-    # of a batch of several cells.
+    # In row order, one term after the other, in a batch of several cells
+    # and in a batch of one cell alike, where numpy would sum a
+    # one-dimensional array pairwise from 8 terms on.
     rng = np.random.default_rng(D)
     count = np.full(200, D) if D < 8 else rng.integers(1, D + 1, 200)
     x = rng.normal(size=(D, 200)) * 10.0 ** rng.uniform(-3, 3, (D, 200))
     x[np.arange(D)[:, None] >= count] = 0.0
-    pairwise = rng.random(200) < 0.5
-    got = vem._edge_sums(x, [(i, c) for i, c in enumerate(count.tolist())
-                             if pairwise[i]])
+    got = vem._edge_sums(x)
     for i in range(200):
-        col = np.ascontiguousarray(x[:count[i], i])
-        want = np.add.reduce(col) if pairwise[i] else np.add.reduce(
-            np.stack([col, col], axis=1), axis=0)[0]
+        want = 0.0
+        for term in x[:count[i], i].tolist():
+            want += term
         assert got[i] == want
+        assert vem._edge_sums(np.ascontiguousarray(x[:, i:i + 1]))[0] == want
