@@ -332,10 +332,9 @@ def _assemble_fractures(problem, dofs, rhs, robin):
         *geometry, g, s, p = map(_joined, zip(*pieces.pop(d)))
         real = None if s.all() else s != 0
         M = vem.local_matrices_2d(*geometry)
-        mass = None
-        if d + 1 > ELIMINATION_MAX:
+        closed = d + 1 > ELIMINATION_MAX    # the solver's closed form
+        if closed:
             *factors, sig = vem._mass_factors(*geometry)
-            mass = (*factors, sig + robin[g].T)
         del geometry
         M[:, np.arange(d), np.arange(d)] += robin[g]
         # s_i s_j M_ij with the cell axis last, as the kernel and the
@@ -356,7 +355,8 @@ def _assemble_fractures(problem, dofs, rhs, robin):
         rows += [mrow, prow, frow]
         cols += [mcol, frow, prow]
         vals += [mval, fval, fval]
-        groups.append((g, s, p, ss if mass is None else mass))
+        groups.append((g, s, p, (*factors, sig + robin[g].T) if closed
+                       else ss))
     return rows, cols, vals, groups
 
 
