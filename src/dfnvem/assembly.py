@@ -30,7 +30,7 @@ from .errors import (
 )
 from .geometry import (FractureNetwork, is_json_int, json_keys, json_list,
                        json_numbers, point_segment_distance)
-from .meshing import PolyMesh, corefine_network, split_interface_dofs
+from .meshing import corefine_network, split_interface_dofs
 
 __all__ = [
     "BoundarySpec",
@@ -231,51 +231,6 @@ class SaddleSystem:
         return self.A.nnz / float(self.size) ** 2
 
 
-def _cell_groups(mesh: PolyMesh):
-    """Per edge count ``d``: cell ids ``(n,)``, entry positions ``(n, d)``,
-    edge ids ``(n, d)`` and signs ``(n, d)``, +1 where the global dof
-    (outward from the first adjacent cell) is this cell's outward flux."""
-    for ids, pos in mesh.cell_groups:
-        es = mesh.cell_edge[pos]
-        signs = np.where(mesh.edge_cells.take(es, axis=0)[..., 0]
-                         == ids[:, None], 1.0, -1.0)
-        yield ids, pos, es, signs
-
-
-def _bucket_width(d: int) -> int:
-    """The width a cell of ``d`` edges is padded to in the kernel's
-    batches: ``d`` itself up to 8, then the next multiple of 8."""
-    return d if d <= 8 else -(-d // 8) * 8
-
-
-def _cell_buckets(mesh: PolyMesh):
-    """The groups of ``mesh.cell_groups`` joined per ``_bucket_width``,
-    widths increasing: cell ids ``(n,)``, entry positions ``(n, D)``,
-    edge ids and signs ``(n, D)`` as in ``_cell_groups`` (a sign is 0 on
-    a padding slot, whose entry repeats its cell's last one), and the
-    mask of real slots ``(n, D)``, None in a bucket that is one group
-    without padding, which is that group, uncopied."""
-    groups = mesh.cell_groups
-    widths = [_bucket_width(pos.shape[1]) for _, pos in groups]
-    for w in sorted(set(widths)):
-        part = [g for g, gw in zip(groups, widths) if gw == w]
-        sizes = np.array([len(ids) for ids, _ in part])
-        ids, pos = part[0]
-        real = None
-        if pos.shape[1] < w or len(part) > 1:
-            ids = np.concatenate([ids for ids, _ in part])
-            count = np.repeat([pos.shape[1] for _, pos in part], sizes)
-            real = np.arange(w) < count[:, None]
-            pos = mesh.cell_ptr[ids][:, None] + np.minimum(
-                np.arange(w), count[:, None] - 1)
-        es = mesh.cell_edge[pos]
-        signs = np.where(mesh.edge_cells.take(es, axis=0)[..., 0]
-                         == ids[:, None], 1.0, -1.0)
-        if real is not None:
-            signs[~real] = 0.0
-        yield ids, pos, es, signs, real
-
-
 def _cell_source(problem, fid, mesh) -> np.ndarray:
     vals = np.zeros(mesh.n_cells)
     if problem.source is not None:
@@ -301,12 +256,13 @@ def _joined(parts):
 
 
 def _assemble_fractures(problem, dofs, rhs, robin):
-    """Fracture triplets and cell groups: one kernel call per bucket of
-    ``_bucket_width`` over the whole network, its cells fracture by
-    fracture and edge count by edge count.  A padding slot is inert:
-    zero length, its midpoint at the centroid, sign 0, dof -1 and no
-    triplet.  ``robin`` (per dof) adds the dc exchange term to the
-    diagonal of each side edge's one cell block."""
+    """Fracture triplets and cell groups: one kernel call per width of
+    ``PolyMesh.cell_buckets`` over the whole network, its cells fracture
+    by fracture in bucket order.  A cell's sign is +1 where the global
+    dof (outward from the first adjacent cell) is its outward flux.  A
+    padding slot is inert: zero length, its midpoint at the centroid,
+    sign 0, dof -1 and no triplet.  ``robin`` (per dof) adds the dc
+    exchange term to the diagonal of each side edge's one cell block."""
     from .solver import ELIMINATION_MAX     # solver imports this module
     pieces = {}
     for fid in sorted(problem.meshes):
@@ -314,11 +270,15 @@ def _assemble_fractures(problem, dofs, rhs, robin):
         edof = dofs.edge_dof[fid]
         cdof = dofs.cell_dof[fid]
         rhs[cdof] -= _cell_source(problem, fid, mesh)
-        for ids, pos, es, s, real in _cell_buckets(mesh):
+        for ids, pos, real in mesh.cell_buckets:
+            es = mesh.cell_edge[pos]
+            s = np.where(mesh.edge_cells.take(es, axis=0)[..., 0]
+                         == ids[:, None], 1.0, -1.0)
             centroid = mesh.cell_centroids.take(ids, axis=0)
             elen, g = mesh.edge_len[es], edof[es]
             mid = mesh.edge_mid.take(es, axis=0)
             if real is not None:
+                s[~real] = 0.0
                 elen = np.where(real, elen, 0.0)
                 mid = np.where(real[..., None], mid, centroid[:, None])
                 g = np.where(real, g, -1)
@@ -602,11 +562,11 @@ def extract_solution(system: SaddleSystem, x: np.ndarray) -> Solution:
         mesh = problem.meshes[fid]
         pressure[fid] = x[dofs.cell_dof[fid]]
         edge_flux[fid] = x[dofs.edge_dof[fid]]
-        vel = np.empty((mesh.n_cells, 2))
-        for ids, _, es, s in _cell_groups(mesh):
-            vel[ids] = vem.project_velocity(
-                mesh.cell_areas[ids], mesh.cell_centroids.take(ids, axis=0),
-                mesh.edge_mid.take(es, axis=0), s * edge_flux[fid][es])
+        cell, es = mesh.entry_cell, mesh.cell_edge
+        s = np.where(mesh.edge_cells[es, 0] == cell, 1.0, -1.0)
+        vel = vem.project_velocity(
+            mesh.cell_areas, mesh.cell_centroids, cell,
+            mesh.edge_mid.take(es, axis=0), s * edge_flux[fid][es])
         velocity[fid] = mesh.frame.vector_to_global(vel)
     ends = dofs.line_ends
     return Solution(

@@ -87,6 +87,7 @@ def _check_flags(args):
                       "--levels"))
     # coarsen always runs at least one sweep; elsewhere 0 means none.
     min_depth = 1 if args.command == "coarsen" else 0
+    eps_given = args.eps_str is not None
     for dest, value in (("h", 0.1), ("c_depth", min_depth), ("eps_str", 0.25),
                         ("family", "triangular"), ("level", 1)):
         if getattr(args, dest) is None:
@@ -96,6 +97,8 @@ def _check_flags(args):
         ("h", math.isfinite(args.h) and args.h > 0, "a finite number > 0"),
         ("c_depth", args.c_depth >= min_depth, f"an integer >= {min_depth}"),
         ("eps_str", 0 < args.eps_str < 1, "a number in (0, 1)"),
+        ("eps_str", not eps_given or args.c_depth > 0,
+         f"left out of {args.command} without --c-depth >= 1"),
         ("threads", args.threads >= 1, "an integer >= 1"),
     ]
     if args.command == "convergence":

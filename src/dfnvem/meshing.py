@@ -58,6 +58,22 @@ __all__ = [
 _RIGHT = np.array([1, -1], np.int8)
 
 
+def _bucket_width(d):
+    """The width a cell of ``d`` edges is padded to in
+    ``PolyMesh.cell_buckets``: ``d`` itself up to 8, then the next
+    multiple of 8; ``d`` is an int or an integer array."""
+    return d + (d > 8) * (-d % 8)
+
+
+def _entry_next(ptr) -> np.ndarray:
+    """Per entry of the cells ``ptr[k]:ptr[k + 1]``, the position of the
+    following entry in the same cell; the last wraps to the first."""
+    nxt = np.arange(1, ptr[-1] + 1, dtype=np.int32)
+    full = ptr[1:] > ptr[:-1]
+    nxt[ptr[1:][full] - 1] = ptr[:-1][full]
+    return nxt
+
+
 class PolyMesh:
     """Polygonal tessellation of one fracture in frame coordinates.
 
@@ -68,8 +84,10 @@ class PolyMesh:
     boundary, so its outward normal is the right-hand side of a->b.
     Agglomerated cells may carry an unordered edge set; their area and
     centroid are then supplied explicitly, and so may ``edge_entry``.
-    Index arrays are int32.  Derived data is computed from these arrays
-    and cached until the mesh is mutated.
+    The cell arrays ``cell_ptr`` and ``cell_edge`` are int32, the edge
+    arrays ``edge_nodes``, ``edge_trace`` and ``edge_trace_elem`` int64.
+    Derived data is computed from these arrays and cached until the mesh
+    is mutated; every per-cell sum over entries runs in entry order.
     """
 
     def __init__(self, nodes, edge_nodes, cell_ptr, cell_edge, cell_sign,
@@ -118,14 +136,16 @@ class PolyMesh:
             loop = np.fromiter(chain.from_iterable(cell_nodes), int, counts.sum())
         ptr = np.zeros(len(counts) + 1, int)
         np.cumsum(counts, out=ptr[1:])
-        head = np.empty_like(loop)
-        for d in np.unique(counts):
-            pos = ptr[:-1][counts == d][:, None] + np.arange(d)
-            pts = nodes.take(loop[pos], axis=0)
-            nxt = np.roll(pts, -1, axis=1)
-            cw = (pts[..., 0] * nxt[..., 1] - nxt[..., 0] * pts[..., 1]).sum(axis=1) < 0
-            loop[pos[cw]] = loop[pos[cw, ::-1]]
-            head[pos] = loop[np.roll(pos, -1, axis=1)]
+        cell = np.repeat(np.arange(len(counts)), counts)
+        nxt = _entry_next(ptr)
+        pts = nodes.take(loop, axis=0)
+        q = pts.take(nxt, axis=0)
+        cw = np.bincount(cell, pts[:, 0] * q[:, 1] - q[:, 0] * pts[:, 1],
+                         len(counts)) < 0
+        # A clockwise loop's entries are read back to front.
+        at = np.arange(len(loop))
+        loop = loop[np.where(cw[cell], (ptr[:-1] + ptr[1:] - 1)[cell] - at, at)]
+        head = loop[nxt]
         lo, hi = np.minimum(loop, head), np.maximum(loop, head)
         _, first, inverse = np.unique(lo * len(nodes) + hi, return_index=True,
                                       return_inverse=True)
@@ -189,26 +209,31 @@ class PolyMesh:
         """Position of the following entry in the same cell; the last
         wraps to the first."""
         if "entry_next" not in self._cache:
-            ptr = self.cell_ptr
-            nxt = np.arange(1, ptr[-1] + 1, dtype=np.int32)
-            full = ptr[1:] > ptr[:-1]
-            nxt[ptr[1:][full] - 1] = ptr[:-1][full]
-            self._cache["entry_next"] = nxt
+            self._cache["entry_next"] = _entry_next(self.cell_ptr)
         return self._cache["entry_next"]
 
     @property
-    def cell_groups(self):
-        """Per edge count ``d``, increasing: cell ids ``(n,)`` and their
-        entry positions ``(n, d)``.  A sum over ``axis=1`` of a gathered
-        group adds in the order a per-cell sum over its entries would."""
-        if "cell_groups" not in self._cache:
+    def cell_buckets(self):
+        """The cells in fixed-width blocks: per ``_bucket_width`` ``w``,
+        increasing, cell ids ``(n,)`` by edge count and then id, their
+        entry positions ``(n, w)`` and the mask of real slots ``(n, w)``,
+        None where no cell of the bucket is padded.  A padding slot
+        repeats its cell's last entry; a cell without entries is in no
+        bucket."""
+        if "cell_buckets" not in self._cache:
             counts = np.diff(self.cell_ptr)
-            groups = []
-            for d in np.unique(counts[counts > 0]):
-                ids = np.flatnonzero(counts == d).astype(np.int32)
-                groups.append((ids, self.cell_ptr[ids][:, None] + np.arange(d)))
-            self._cache["cell_groups"] = tuple(groups)
-        return self._cache["cell_groups"]
+            width = _bucket_width(counts)
+            buckets = []
+            for w in np.unique(width[counts > 0]).tolist():
+                ids = np.flatnonzero(width == w)
+                ids = ids[np.argsort(counts[ids], kind="stable")]
+                count = counts[ids][:, None]
+                slot = np.arange(w)
+                real = None if (count == w).all() else slot < count
+                buckets.append((ids, self.cell_ptr[ids][:, None]
+                                + np.minimum(slot, count - 1), real))
+            self._cache["cell_buckets"] = tuple(buckets)
+        return self._cache["cell_buckets"]
 
     @property
     def edge_len(self):
@@ -274,20 +299,18 @@ class PolyMesh:
 
     def _loop_sums(self):
         """Per cell, twice the signed shoelace area and the first moment
-        ``sum((p + q) (p x q))`` over its entries' edges ``p -> q``, from
-        one pass that the areas and the centroids share: it is cached
-        until the centroids are taken from it."""
+        ``sum((p + q) (p x q))`` over its entries' edges ``p -> q``, summed
+        in entry order, from one pass that the areas and the centroids
+        share: it is cached until the centroids are taken from it."""
         if "loop_sums" not in self._cache:
             p = self.nodes.take(self.entry_tail, axis=0)
             q = p.take(self.entry_next, axis=0)
             cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
-            moment = (p + q) * cross[:, None]
-            twice = np.zeros(self.n_cells)
-            first = np.zeros((self.n_cells, 2))
-            for ids, pos in self.cell_groups:
-                twice[ids] = cross[pos].sum(axis=1)
-                first[ids] = moment.take(pos, axis=0).sum(axis=1)
-            self._cache["loop_sums"] = twice, first
+            cell, n = self.entry_cell, self.n_cells
+            first = np.column_stack([
+                np.bincount(cell, (p[:, k] + q[:, k]) * cross, n)
+                for k in (0, 1)])
+            self._cache["loop_sums"] = np.bincount(cell, cross, n), first
         return self._cache["loop_sums"]
 
     @property
@@ -321,7 +344,7 @@ class PolyMesh:
         by closed walks is the tail of one of its entries."""
         if "diameters" not in self._cache:
             diam = np.zeros(self.n_cells)
-            for ids, pos in self.cell_groups:
+            for ids, pos, _ in self.cell_buckets:
                 pts = self.nodes.take(self.entry_tail[pos], axis=0)
                 a, b = np.triu_indices(pos.shape[1], 1)
                 dx = pts[:, a, 0] - pts[:, b, 0]
@@ -1379,8 +1402,7 @@ def mesh_stats(mesh: PolyMesh) -> dict:
         c = mesh.cell_centroids[mesh.entry_cell]
         cross = d[:, 0] * (c[:, 1] - p[:, 1]) - d[:, 1] * (c[:, 0] - p[:, 0])
         ok = cross > -1e-12 * mesh.cell_diameters[mesh.entry_cell] ** 2
-        for ids, pos in mesh.cell_groups:
-            star[ids] &= ok[pos].all(axis=1)
+        star &= np.bincount(mesh.entry_cell[~ok], minlength=mesh.n_cells) == 0
     return {
         "n_cells": mesh.n_cells,
         "n_edges": mesh.n_edges,

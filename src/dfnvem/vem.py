@@ -132,11 +132,17 @@ def _edge_sums(x):
     return x.sum(axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
 
 
-def project_velocity(area, centroid, edge_mid, fluxes) -> np.ndarray:
+def project_velocity(area, centroid, entry_cell, edge_mid,
+                     fluxes) -> np.ndarray:
     """Cell velocities ``|E|^-1 (x_e - x_E)^T u`` in the 2D frame, ``(n, 2)``,
-    from outward-oriented ``fluxes (n, d)``; see ``local_matrices_2d``."""
-    delta = np.asarray(edge_mid, float) - np.asarray(centroid, float)[:, None]
-    return np.einsum("nd,ndk->nk", fluxes, delta) / np.asarray(area)[:, None]
+    for ``n`` cells of ``area (n,)`` and ``centroid (n, 2)``, from flat
+    entries: each one's cell ``entry_cell``, ``edge_mid (m, 2)`` and
+    outward-oriented flux ``fluxes (m,)``, summed per cell in entry
+    order; see ``local_matrices_2d``."""
+    return np.column_stack([
+        np.bincount(entry_cell,
+                    (edge_mid[:, k] - centroid[:, k].take(entry_cell)) * fluxes,
+                    len(area)) for k in (0, 1)]) / area[:, None]
 
 
 @dataclass

@@ -717,18 +717,31 @@ def loop_nodes_ref(mesh, k):
     return [a if s > 0 else b for (a, b), s in zip(ends, signs)]
 
 
+def in_order_sum(x):
+    """The sum over the first axis of ``x``, one term after the other:
+    the order in which ``PolyMesh`` sums a cell's entries."""
+    return np.cumsum(x, axis=0)[-1]
+
+
+def loop_ref(mesh, k):
+    """Cell ``k``'s loop points ``p``, their successors ``q`` and the
+    cross products ``p x q``, in entry order."""
+    pts = mesh.nodes[loop_nodes_ref(mesh, k)]
+    nxt = np.concatenate([pts[1:], pts[:1]])
+    return pts, nxt, pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
+
+
 def cell_areas_ref(mesh):
-    return np.array([geo.polygon_area(mesh.nodes[loop_nodes_ref(mesh, k)])
+    return np.array([0.5 * in_order_sum(loop_ref(mesh, k)[2])
                      for k in range(mesh.n_cells)])
 
 
 def cell_centroids_ref(mesh):
     cen = np.empty((mesh.n_cells, 2))
     for k in range(mesh.n_cells):
-        pts = mesh.nodes[loop_nodes_ref(mesh, k)]
-        nxt = np.concatenate([pts[1:], pts[:1]])
-        cr = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
-        cen[k] = ((pts + nxt) * cr[:, None]).sum(axis=0) / (3 * cr.sum())
+        pts, nxt, cr = loop_ref(mesh, k)
+        cen[k] = (in_order_sum((pts + nxt) * cr[:, None])
+                  / (3 * in_order_sum(cr)))
     return cen
 
 
@@ -737,6 +750,19 @@ def geometry_ref(mesh):
     areas = cell_areas_ref(mesh) if mesh._areas is None else mesh._areas
     cen = cell_centroids_ref(mesh) if mesh._centroids is None else mesh._centroids
     return areas, cen
+
+
+def velocity_ref(mesh, fluxes):
+    """Per cell, ``|E|^-1 sum_e (x_e - x_E) u_e`` over its entries in
+    entry order, from outward ``fluxes`` per entry."""
+    areas, centroids = geometry_ref(mesh)
+    vel = np.empty((mesh.n_cells, 2))
+    for k in range(mesh.n_cells):
+        es, _ = cell_of(mesh, k)
+        at = slice(mesh.cell_ptr[k], mesh.cell_ptr[k + 1])
+        delta = mesh.edge_mid[es] - centroids[k]
+        vel[k] = in_order_sum(delta * fluxes[at, None]) / areas[k]
+    return vel
 
 
 def cell_diameters_ref(mesh):

@@ -489,6 +489,13 @@ MALFORMED = {
                          "--c-depth"),
     "eps-str-above-1": (["coarsen", "--network", "net.json",
                          "--eps-str", "1.5"], "--eps-str"),
+    "eps-str-without-c-depth-solve": (
+        ["solve", "--network", "net.json", "--eps-str", "0.5"],
+        "--eps-str must be left out of solve without --c-depth >= 1"),
+    "eps-str-with-c-depth-0-mesh": (
+        ["mesh", "--network", "net.json", "--c-depth", "0", "--eps-str",
+         "0.5"],
+        "--eps-str must be left out of mesh without --c-depth >= 1"),
     "threads-0": (["solve", "--case", "single", "--threads", "0"],
                   "--threads"),
     "levels-0": (["convergence", "--case", "single", "--levels", "0"],
@@ -724,7 +731,7 @@ class TestSharedPaths:
     def test_one_kernel_call_per_cell_group(self, tmp_path, monkeypatch,
                                             case, family, level):
         # Assembly calls the local kernel once per cell bucket of the
-        # network (``assembly._bucket_width``), through the module attribute
+        # network (``meshing._bucket_width``), through the module attribute
         # the benchmark traces, and extraction never calls it.
         counts = _count_calls(monkeypatch, [(vem, "local_matrices_2d")])
         seen = {}
@@ -738,7 +745,7 @@ class TestSharedPaths:
             meshes = system.problem.meshes.values()
             seen["groups"] = sum(len(set(np.diff(mesh.cell_ptr)))
                                  for mesh in meshes)
-            seen["buckets"] = len({asm._bucket_width(int(d)) for mesh in meshes
+            seen["buckets"] = len({msh._bucket_width(int(d)) for mesh in meshes
                                    for d in np.diff(mesh.cell_ptr)})
             seen["fractures"] = len(system.problem.meshes)
             return out

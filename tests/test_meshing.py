@@ -8,6 +8,7 @@ import pytest
 from dfnvem import coarsening as coa
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
+from dfnvem import vem
 from dfnvem.errors import ConstraintConflict, InconsistentEndpoints, MeshError
 
 from _util import (ORACLE_MESHES, ORACLE_NETWORKS, cell_of, corefine_ref,
@@ -732,17 +733,55 @@ class TestBatchedGeometry:
     @pytest.mark.parametrize("name", ORACLE_MESHES)
     def test_equals_per_cell_reference(self, name):
         from _util import (cell_diameters_ref, cell_outward_normals_ref,
-                           edge_cells_ref, geometry_ref)
+                           edge_cells_ref, geometry_ref, local_matrices_2d_ref,
+                           project_velocity_ref, velocity_ref)
 
         mesh = oracle_meshes()[name]
         areas, centroids = geometry_ref(mesh)
         assert np.array_equal(mesh.cell_areas, areas)
         assert np.array_equal(mesh.cell_centroids, centroids)
-        assert np.array_equal(mesh.cell_diameters, cell_diameters_ref(mesh))
+        diam = cell_diameters_ref(mesh)
+        assert np.array_equal(mesh.cell_diameters, diam)
         assert np.array_equal(mesh.edge_cells, edge_cells_ref(mesh))
+        normals = [cell_outward_normals_ref(mesh, k)
+                   for k in range(mesh.n_cells)]
         for k in range(mesh.n_cells):
-            assert np.array_equal(outward_normals_of_cell(mesh, k),
-                                  cell_outward_normals_ref(mesh, k))
+            assert np.array_equal(outward_normals_of_cell(mesh, k), normals[k])
+        # Each cell in one bucket, by (width, edge count, id); a padding
+        # slot repeats the cell's last entry.
+        ptr, counts = mesh.cell_ptr, np.diff(mesh.cell_ptr)
+        want = sorted(range(mesh.n_cells), key=lambda k: (
+            msh._bucket_width(int(counts[k])), counts[k], k))
+        buckets = mesh.cell_buckets
+        assert np.concatenate([ids for ids, _, _ in buckets]).tolist() == want
+        widths = [pos.shape[1] for _, pos, _ in buckets]
+        assert widths == sorted(set(widths))
+        for ids, pos, real in buckets:
+            w = pos.shape[1]
+            assert (msh._bucket_width(counts[ids]) == w).all()
+            for k, row in zip(ids.tolist(), pos.tolist()):
+                entries = list(range(ptr[k], ptr[k + 1]))
+                assert row == entries + entries[-1:] * (w - len(entries))
+            mask = np.arange(w) < counts[ids][:, None]
+            assert (real is None) == mask.all()
+            assert real is None or np.array_equal(real, mask)
+        # The flat velocity, cell by cell in entry order, and the VEM
+        # projection lam Pi u / h (unit lam) to rounding.
+        fluxes = np.random.default_rng(3).normal(size=len(mesh.cell_edge))
+        vel = vem.project_velocity(
+            mesh.cell_areas, mesh.cell_centroids, mesh.entry_cell,
+            mesh.edge_mid.take(mesh.cell_edge, axis=0), fluxes)
+        assert np.array_equal(vel, velocity_ref(mesh, fluxes))
+        for k in range(mesh.n_cells):
+            es = mesh.cell_edge[ptr[k]:ptr[k + 1]]
+            u = fluxes[ptr[k]:ptr[k + 1]]
+            mid = mesh.edge_mid[es]
+            elem = local_matrices_2d_ref(areas[k], centroids[k], diam[k],
+                                         mesh.edge_len[es], normals[k], mid,
+                                         np.eye(2))
+            scale = np.abs(mid - centroids[k]).max() * np.abs(u).sum()
+            assert np.abs(vel[k] - project_velocity_ref(elem, u)).max() <= (
+                1e-13 * scale / abs(areas[k]))
 
     def test_from_cells_orients_and_numbers_edges_by_first_appearance(self):
         nodes = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [2, 0]], float)

@@ -616,7 +616,7 @@ def test_closed_form_inverse_matches_lapack(d):
     # The closed form on the padded buckets of polygons of 6 to 80 edges,
     # with a pinned pressure in a third of the cells.
     system, L = _block_system(np.random.default_rng(d), 60, d,
-                              width=asm._bucket_width(d))
+                              width=msh._bucket_width(d))
     _assert_inverts(_inverse_blocks(system), L)
 
 
@@ -655,7 +655,7 @@ def test_cell_blocks_of_bucket_views_match_exact_blocks(d):
     # exact-size blocks' to 1e-13, and the padding is the identity's.
     exact, got = (_inverse_blocks(_block_system(
         np.random.default_rng(d), 50, d, width=w)[0])
-        for w in (d, asm._bucket_width(d)))
+        for w in (d, msh._bucket_width(d)))
     real = np.r_[:d, -1]
     scale = np.abs(exact).max(axis=(1, 2))
     assert (np.abs(got[:, real][:, :, real] - exact).max(axis=(1, 2))
@@ -682,9 +682,13 @@ def test_kernel_runs_once_per_bucket(monkeypatch):
                               2, "dc")[0]
     counts = np.concatenate([np.diff(m.cell_ptr)
                              for m in problem.meshes.values()])
-    widths = sorted({asm._bucket_width(d) for d in counts.tolist()})
+    widths = sorted({msh._bucket_width(d) for d in counts.tolist()})
     assert [args[2].shape[1] for args in calls] == widths
-    groups = sum(len(m.cell_groups) for m in problem.meshes.values())
+    assert widths == sorted({pos.shape[1] for m in problem.meshes.values()
+                             for _, pos, _ in m.cell_buckets})
+    # Fewer calls than (fracture, edge count) groups.
+    groups = sum(len(np.unique(np.diff(m.cell_ptr)))
+                 for m in problem.meshes.values())
     assert len(calls) < groups
 
 
@@ -692,9 +696,10 @@ def test_single_random_group_arrives_unpadded(monkeypatch):
     calls = _kernel_calls(monkeypatch)
     system = _single_random(3)
     mesh, = system.problem.meshes.values()
-    (ids, pos), = mesh.cell_groups
-    (bucket_ids, bucket_pos, *_), = asm._cell_buckets(mesh)
-    assert bucket_ids is ids and bucket_pos is pos
+    (ids, pos, real), = mesh.cell_buckets
+    assert real is None
+    assert np.array_equal(ids, np.arange(mesh.n_cells))
+    assert np.array_equal(pos.ravel(), np.arange(4 * mesh.n_cells))
     (args,) = calls
     assert args[2].shape == (mesh.n_cells, 4) and (args[2] > 0).all()
     (g, s, _, sMs), = system.groups
@@ -738,7 +743,7 @@ def test_large_cell_blocks_call_no_dense_lapack(monkeypatch):
     assert calls == []
     counts = np.concatenate([np.diff(m.cell_ptr)
                              for m in problem.meshes.values()])
-    widths = sorted({asm._bucket_width(d) for d in counts.tolist()})
+    widths = sorted({msh._bucket_width(d) for d in counts.tolist()})
     assert [m - 1 for m, _, _ in batches] == widths
     assert sum(n for _, _, n in batches) == len(counts)
 

@@ -3,7 +3,7 @@ import pytest
 
 from dfnvem import vem
 from dfnvem.errors import SingularG
-from dfnvem.assembly import _bucket_width
+from dfnvem.meshing import _bucket_width
 
 from _util import local_matrices_2d_ref, polygon_geometry, project_velocity_ref
 
@@ -226,7 +226,10 @@ class TestBatchedKernel:
             geo = [np.array(x) for x in zip(*(g for g, _, _ in cases))]
             area, centroid, _, _, _, mid = geo
             fluxes = rng.normal(size=(len(cases), d))
-            got = vem.project_velocity(area, centroid, mid, fluxes)
+            # One flat entry per (cell, edge), cell by cell.
+            cell = np.repeat(np.arange(len(cases)), d)
+            got = vem.project_velocity(area, centroid, cell,
+                                       mid.reshape(-1, 2), fluxes.ravel())
             for i, (g, lam_i, cond) in enumerate(cases):
                 ref = project_velocity_ref(local_matrices_2d_ref(*g, lam_i),
                                            fluxes[i])
