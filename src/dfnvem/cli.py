@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -52,8 +51,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="default 0; 1 for coarsen")
         sp.add_argument("--eps-str", type=float, help="default 0.25")
         sp.add_argument("--out", type=Path, default=Path("out"))
-        sp.add_argument("--threads", type=int,
-                        default=os.environ.get("DFN_VEM_THREADS", "1"),
+        sp.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; any value but "
                              "1 is ignored, with a warning")
         if with_model:
@@ -110,8 +108,8 @@ def _check_flags(args):
                               f"{getattr(args, dest)!r}")
     if args.threads != 1:
         warnings.warn(IgnoredInputWarning(
-            f"--threads {args.threads} (default from DFN_VEM_THREADS): "
-            "ignored; every stage runs on one thread"))
+            f"--threads {args.threads}: ignored; every stage runs on one "
+            "thread"))
 
 
 def _case(args):

@@ -397,8 +397,9 @@ def _clip_lines(polygons: list, q0: np.ndarray, d2: np.ndarray,
     ``d2`` holds unit vectors.  Works for non-convex polygons; boundary
     runs count as inside.  One array expression crosses every line with
     every edge of its polygon, and one even-odd test with a boundary band
-    of ``tol`` takes every gap between consecutive crossings; only each
-    line's few crossing parameters are sorted and merged as floats.  An
+    of ``tol`` takes every gap between consecutive crossings.  Each
+    line's crossing parameters, in ascending order, merge by
+    ``_merge_targets``' rule (``_first_kept``).  An
     edge is parallel to its line when their sine is at most
     ``_PARALLEL_TOL``, at any scale.  Returns, per line, a list of
     ``[t0, t1]`` with ``t0 < t1``.
@@ -427,20 +428,15 @@ def _clip_lines(polygons: list, q0: np.ndarray, d2: np.ndarray,
     keep = np.column_stack([on | (~par & (-tol <= w) & (w <= le + tol)), on])
     tg = np.broadcast_to(g[:, None], keep.shape)[keep]
     ts = ts[keep]
-    order = np.lexsort((ts, tg))      # stable: equal values keep edge order
-    merged: list = [[] for _ in polygons]
-    for gk, tk in zip(tg[order].tolist(), ts[order].tolist()):
-        row = merged[gk]
-        if not row or tk - row[-1] > tol:
-            row.append(tk)
-
-    ig = [gk for gk, row in enumerate(merged) for _ in row[1:]]
-    lo = [tk for row in merged for tk in row[:-1]]
-    hi = [tk for row in merged for tk in row[1:]]
+    order = np.lexsort((ts, tg))
+    order = order[_first_kept(ts[order], tg[order], tol)]
+    tg, ts = tg[order], ts[order]
+    gap = np.flatnonzero(tg[1:] == tg[:-1])
+    ig, lo, hi = tg[gap], ts[gap], ts[gap + 1]
     inside = []
-    if ig:
-        mid = q0[ig] + 0.5 * np.add(lo, hi)[:, None] * d2[ig]
-        odd = _even_odd(mid, np.array(ig), ea, np.append(first, len(ea)), nxt)
+    if len(ig):
+        mid = q0[ig] + 0.5 * (lo + hi)[:, None] * d2[ig]
+        odd = _even_odd(mid, ig, ea, np.append(first, len(ea)), nxt)
         k, e = _ranges(first[ig], m[ig])
         near = np.logical_or.reduceat(
             point_segment_distance(mid[k], ea[e], eb[e]) <= tol,
@@ -448,7 +444,7 @@ def _clip_lines(polygons: list, q0: np.ndarray, d2: np.ndarray,
         inside = (odd | near).tolist()
     # Fuse the inside gaps that share an end.
     out: list = [[] for _ in polygons]
-    for gk, t0, t1, ok in zip(ig, lo, hi, inside):
+    for gk, t0, t1, ok in zip(ig.tolist(), lo.tolist(), hi.tolist(), inside):
         row = out[gk]
         if ok and row and abs(row[-1][1] - t0) <= tol:
             row[-1][1] = t1
@@ -671,6 +667,28 @@ def _merge_targets(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
                 target[q[a]] = pp
                 break
     return target
+
+
+def _first_kept(t: np.ndarray, group: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the values ``t`` that ``_merge_targets`` keeps, in index
+    order, two values being close when they share a group and lie at
+    most ``tol`` apart.
+
+    In (group, value) order every close pair lies inside a run of
+    neighbours at most ``tol`` apart, so only the pairs within runs are
+    measured.
+    """
+    # One complex key sorts by (group, value) several times faster than
+    # np.lexsort on these small arrays.
+    order = np.argsort(group + 1j * t, kind="stable")
+    s, g = t[order], group[order]
+    cut = np.append(np.flatnonzero((g[1:] != g[:-1]) | (s[1:] - s[:-1] > tol))
+                    + 1, len(s))
+    k = np.arange(len(s))
+    a, b = _ranges(k + 1, cut[np.searchsorted(cut, k, "right")] - k - 1)
+    close = s[b] - s[a] <= tol
+    p, q = order[a[close]], order[b[close]]
+    return _merge_targets(len(s), np.minimum(p, q), np.maximum(p, q)) == k
 
 
 def build_network(fractures: list, tol: float | None = None,

@@ -31,6 +31,8 @@ from .geometry import (
     _box_pairs,
     _dots,
     _even_odd,
+    _first_kept,
+    _merge_targets,
     _norms,
     _ranges,
     point_segment_distance,
@@ -572,24 +574,11 @@ class _PointPool:
                           np.repeat(f, size[f]))
         np.minimum.at(ids, i, rows[j] - self.ptr[fid[i]])
         # A row near no earlier point merges into the first earlier row
-        # near it that was itself registered, else it is registered.  A
-        # row is settled once every earlier row near it is.
+        # near it that was itself registered, else it is registered
+        # (``_merge_targets``' rule).
         new = np.flatnonzero(ids == len(self.pts) + m)
         i, j = self._near(pts[new], fid[new], pts[new], fid[new])
-        later, earlier = i[j < i], j[j < i]
-        target = np.arange(len(new))
-        pending = np.zeros(len(new), bool)
-        pending[later] = True
-        while pending.any():
-            blocked = np.zeros(len(new), bool)
-            blocked[later[pending[earlier]]] = True
-            ready = pending & ~blocked
-            hit = np.full(len(new), len(new))
-            sel = ready[later] & (target[earlier] == earlier)
-            np.minimum.at(hit, later[sel], earlier[sel])
-            merged = ready & (hit < len(new))
-            target[merged] = hit[merged]
-            pending[ready] = False
+        target = _merge_targets(len(new), j[j < i], i[j < i])
         kept = target == np.arange(len(new))
         # A kept row's id follows its fracture's points and the rows of
         # the same fracture kept before it.
@@ -1074,10 +1063,8 @@ def _corefine_lines(ts, counts, draft_line, length, tol):
     partitions line ``draft_line[d]`` (nondecreasing) of length
     ``length[l]``.  Returns the union partitions line after line and
     their bounds ``ptr``.  One sort by (line, t) lines up every line's
-    values.  A value more than ``tol`` past its predecessor is more than
-    ``tol`` past the last value kept, so it is kept, and a run of closer
-    values keeps only its first unless it spans more than ``tol``; only
-    such rare runs take the sequential rule value by value.
+    values, and in that order each merges into the first kept value of
+    its line within ``tol`` (``_merge_targets``' rule, by ``_first_kept``).
     """
     counts = np.asarray(counts)
     start = np.cumsum(counts) - counts
@@ -1092,17 +1079,7 @@ def _corefine_lines(ts, counts, draft_line, length, tol):
     line = np.repeat(draft_line, counts)
     order = np.lexsort((ts, line))
     t, line = ts[order], line[order]
-    keep = np.ones(len(t), bool)
-    keep[1:] = (line[1:] != line[:-1]) | (t[1:] - t[:-1] > tol)
-    run = np.flatnonzero(keep)
-    end = np.append(run[1:], len(t))
-    long = t[end - 1] - t[run] > tol
-    for a, b in zip(run[long].tolist(), end[long].tolist()):
-        vals = t[a:b].tolist()
-        last = vals[0]
-        for i, v in enumerate(vals[1:], a + 1):
-            if v - last > tol:
-                keep[i], last = True, v
+    keep = _first_kept(t, line, tol)
     t, line = t[keep], line[keep]
     ptr = np.searchsorted(line, np.arange(len(length) + 1))
     full = ptr[1:] > ptr[:-1]
@@ -1231,8 +1208,8 @@ def corefine_network(meshes: dict, network) -> dict:
             f"mesh has no edges on trace {gids[lost[0]]}")
 
     # Intersection points, each once per line, in the network's order;
-    # one not within tol of a break is inserted, unless an earlier one of
-    # the same line is within tol of it.
+    # those not within tol of a break merge by ``_merge_targets``' rule,
+    # and each kept one is inserted.
     row = {gid: l for l, gid in enumerate(gids.tolist())}
     points = network.points
     pt, pt_line = np.array(
@@ -1244,16 +1221,7 @@ def corefine_network(meshes: dict, network) -> dict:
     new = _nearest(breaks, _searcher(line, breaks), ptr, pt_line,
                    t_pt)[1] > tol
     c = np.flatnonzero(new)
-    o = np.lexsort((t_pt[c], pt_line[c]))
-    cl, ct = pt_line[c[o]], t_pt[c[o]]
-    for l in np.unique(cl[1:][(cl[1:] == cl[:-1])
-                              & (ct[1:] - ct[:-1] <= tol)]).tolist():
-        kept = []
-        for k in c[pt_line[c] == l].tolist():
-            if all(abs(t - t_pt[k]) > tol for t in kept):
-                kept.append(t_pt[k])
-            else:
-                new[k] = False
+    new[c] = _first_kept(t_pt[c], pt_line[c], tol)
     line = np.concatenate([line, pt_line[new]])
     breaks = np.concatenate([breaks, t_pt[new]])
     o = np.lexsort((breaks, line))

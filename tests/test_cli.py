@@ -803,8 +803,8 @@ class TestSharedPaths:
 def threads_ignored(value) -> dict:
     """The summary's entry for an ignored ``--threads value``."""
     return {"class": "IgnoredInputWarning",
-            "message": f"--threads {value} (default from DFN_VEM_THREADS): "
-                       "ignored; every stage runs on one thread"}
+            "message": f"--threads {value}: ignored; every stage runs on "
+                       "one thread"}
 
 
 def run_recording(args) -> list:
@@ -818,11 +818,6 @@ def run_recording(args) -> list:
 
 
 class TestThreads:
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("DFN_VEM_THREADS", "3")
-        args = cli._parser().parse_args(["solve", "--case", "single"])
-        assert args.threads == 3
-
     def test_threaded_matches_serial(self, tmp_path):
         # A value other than 1 is ignored, with a warning that names the
         # flag and is listed in the summary; 1 is silent.
@@ -839,12 +834,3 @@ class TestThreads:
             warned.append(caught)
         assert outs[0] == outs[1]
         assert warned == [[], [threads_ignored(3)]]
-
-    @pytest.mark.parametrize("value", ["1", "2"])
-    def test_env_var_other_than_one_warns(self, tmp_path, monkeypatch,
-                                          value):
-        monkeypatch.setenv("DFN_VEM_THREADS", value)
-        caught = run_recording(["mesh", "--case", "single", "--out", tmp_path])
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["warnings"] == caught
-        assert caught == ([] if value == "1" else [threads_ignored(value)])

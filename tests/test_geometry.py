@@ -602,7 +602,8 @@ def scalable_network(name):
 def test_merge_targets_decide_in_order(seed):
     # Random points on a line closer than tol in chains: a point whose
     # first close partner was itself merged is decided in order.
-    x = np.random.default_rng(seed).uniform(0.0, 1.0, 300)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, 300)
     i, j = np.triu_indices(len(x), 1)
     close = np.abs(x[i] - x[j]) < 0.004
     want = merge_targets_ref(len(x), zip(i[close], j[close]))
@@ -611,6 +612,13 @@ def test_merge_targets_decide_in_order(seed):
     chained = [q for q, p in enumerate(want)
                if p == q and any(i[close][j[close] == q] < q)]
     assert chained
+    # The 1D form keeps the same set from the unsorted values, with one
+    # group and with two, pairs closed at tol.
+    for group in (np.zeros(len(x), int), rng.integers(0, 2, len(x))):
+        close = (group[i] == group[j]) & (np.abs(x[i] - x[j]) <= 0.004)
+        want = merge_targets_ref(len(x), zip(i[close], j[close]))
+        assert (geo._first_kept(x, group, 0.004).tolist()
+                == [p == q for q, p in enumerate(want)])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
