@@ -98,13 +98,14 @@ def prepare_problem(network: FractureNetwork, meshes: dict, source=None,
                     line_source=None, point_sources=()):
     """Co-refine traces, split interface dofs and bundle the coefficients.
 
-    ``meshes`` maps fracture id to its (not yet split) mesh and is
-    modified in place by the co-refinement.  Each cell's permeability is
-    its fracture's ``aperture * k_tangential``.
+    ``meshes`` maps fracture id to its (not yet split) mesh and is left
+    as it is: the problem holds the co-refined, side-split meshes that
+    ``corefine_network`` and ``split_interface_dofs`` return.  Each
+    cell's permeability is its fracture's ``aperture * k_tangential``.
     """
-    traces = corefine_network(meshes, network)
-    split = {fid: split_interface_dofs(meshes[fid], traces, fid)
-             for fid in sorted(meshes)}
+    traces, refined = corefine_network(meshes, network)
+    split = {fid: split_interface_dofs(refined[fid], traces, fid)
+             for fid in sorted(refined)}
     lam_arrays, sigma = {}, {}
     for fid, mesh in split.items():
         perm = network.fracture(fid).effective_permeability

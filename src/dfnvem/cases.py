@@ -425,9 +425,10 @@ def solve_meshes(network, meshes: dict, bcs, model: str, *, source=None,
                  line_source=None, point_sources=()):
     """Prepare, number, assemble, solve and extract one set of meshes.
 
-    ``meshes`` maps fracture id to its unsplit mesh and is modified in
-    place by the co-refinement.  Returns ``(problem, system, solution,
-    report)``; ``report.timings`` holds each stage's wall seconds.
+    ``meshes`` maps fracture id to its unsplit mesh and is left as it
+    is; ``problem.meshes`` holds the co-refined, side-split ones.
+    Returns ``(problem, system, solution, report)``; ``report.timings``
+    holds each stage's wall seconds.
     """
     clock = [time.perf_counter()]
     problem = asm.prepare_problem(network, meshes, source=source,

@@ -444,8 +444,9 @@ def agglomerate_network(network, meshes: dict, c_depth: int,
     A trace endpoint farther than ``100 * tol`` from its fracture's
     boundary is an immersed tip; the strength matrix uses the fracture's
     effective permeability ``aperture * k_tangential``.  Each coarse mesh
-    gets its fracture's frame.  Returns ``{fid: (coarse_mesh,
-    CoarsePartition)}`` in the order of ``meshes``.
+    keeps its fine mesh's frame, which must be its fracture's; where no
+    sweep coarsens, the coarse mesh is the fine one.  Returns ``{fid:
+    (coarse_mesh, CoarsePartition)}`` in the order of ``meshes``.
     """
     out = {}
     for fid, mesh in meshes.items():
@@ -458,6 +459,5 @@ def agglomerate_network(network, meshes: dict, c_depth: int,
         coarse, part = agglomerate(mesh, tips_local=tips, c_depth=c_depth,
                                    eps_str=eps_str,
                                    lam=frac.effective_permeability)
-        coarse.frame = frac.frame
         out[fid] = coarse, part
     return out

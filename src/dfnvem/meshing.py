@@ -15,6 +15,7 @@ coarsening module are representable without special cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -58,6 +59,8 @@ __all__ = [
 
 
 _RIGHT = np.array([1, -1], np.int8)
+_FIELDS = ("nodes", "edge_nodes", "cell_ptr", "cell_edge", "cell_sign", "frame",
+           "edge_trace", "edge_trace_elem", "edge_trace_side", "chained")
 
 
 def _bucket_width(d):
@@ -88,8 +91,10 @@ class PolyMesh:
     centroid are then supplied explicitly, and so may ``edge_entry``.
     The cell arrays ``cell_ptr`` and ``cell_edge`` are int32, the edge
     arrays ``edge_nodes``, ``edge_trace`` and ``edge_trace_elem`` int64.
-    Derived data is computed from these arrays and cached until the mesh
-    is mutated; every per-cell sum over entries runs in entry order.
+    A mesh is a value: nothing writes into it after construction.
+    Derived data is computed on first use and kept, supplied data kept as
+    given (``given_geometry``); every per-cell sum over entries runs in
+    entry order.
     """
 
     def __init__(self, nodes, edge_nodes, cell_ptr, cell_edge, cell_sign,
@@ -109,13 +114,15 @@ class PolyMesh:
                                 else np.asarray(edge_trace_elem, int))
         self.edge_trace_side = (np.zeros(ne, np.int8) if edge_trace_side is None
                                 else np.asarray(edge_trace_side, np.int8))
-        self._areas = None if areas is None else np.asarray(areas, float)
-        self._centroids = None if centroids is None else np.asarray(centroids, float)
         self.chained = (np.ones(self.n_cells, bool) if chained is None
                         else np.asarray(chained, bool))
-        self._cache = {}
+        given = self.given_geometry = {}
+        if areas is not None:
+            given["areas"] = self.cell_areas = np.asarray(areas, float)
+        if centroids is not None:
+            given["centroids"] = self.cell_centroids = np.asarray(centroids, float)
         if edge_entry is not None:
-            self._set_edge_entry(np.asarray(edge_entry, np.int32))
+            self.edge_entry = np.asarray(edge_entry, np.int32)
 
     # -------------------------------------------------------------- #
     # construction helpers
@@ -157,20 +164,8 @@ class PolyMesh:
         return cls(nodes, edge_nodes, ptr, edge_id[inverse],
                    np.where(loop <= head, 1, -1), frame=frame)
 
-    def copy(self) -> "PolyMesh":
-        return PolyMesh(
-            self.nodes.copy(), self.edge_nodes.copy(), self.cell_ptr.copy(),
-            self.cell_edge.copy(), self.cell_sign.copy(),
-            frame=self.frame, edge_trace=self.edge_trace.copy(),
-            edge_trace_elem=self.edge_trace_elem.copy(),
-            edge_trace_side=self.edge_trace_side.copy(),
-            areas=None if self._areas is None else self._areas.copy(),
-            centroids=None if self._centroids is None else self._centroids.copy(),
-            chained=self.chained.copy(),
-        )
-
     # -------------------------------------------------------------- #
-    # cached geometry
+    # derived data, computed on first use
     # -------------------------------------------------------------- #
 
     @property
@@ -185,36 +180,27 @@ class PolyMesh:
     def n_cells(self):
         return len(self.cell_ptr) - 1
 
-    def _invalidate(self):
-        self._cache.clear()
-
-    @property
+    @cached_property
     def entry_cell(self):
         """Cell id of each entry."""
-        if "entry_cell" not in self._cache:
-            self._cache["entry_cell"] = np.repeat(
-                np.arange(self.n_cells, dtype=np.int32), np.diff(self.cell_ptr))
-        return self._cache["entry_cell"]
+        return np.repeat(np.arange(self.n_cells, dtype=np.int32),
+                         np.diff(self.cell_ptr))
 
-    @property
+    @cached_property
     def entry_tail(self):
         """Node each entry's edge is walked from.  A chained cell's polygon
         is ``nodes[entry_tail]`` over its entries."""
-        if "entry_tail" not in self._cache:
-            ends = self.edge_nodes.take(self.cell_edge, axis=0)
-            self._cache["entry_tail"] = np.where(
-                self.cell_sign > 0, ends[:, 0], ends[:, 1]).astype(np.int32)
-        return self._cache["entry_tail"]
+        ends = self.edge_nodes.take(self.cell_edge, axis=0)
+        return np.where(self.cell_sign > 0, ends[:, 0],
+                        ends[:, 1]).astype(np.int32)
 
-    @property
+    @cached_property
     def entry_next(self):
         """Position of the following entry in the same cell; the last
         wraps to the first."""
-        if "entry_next" not in self._cache:
-            self._cache["entry_next"] = _entry_next(self.cell_ptr)
-        return self._cache["entry_next"]
+        return _entry_next(self.cell_ptr)
 
-    @property
+    @cached_property
     def cell_buckets(self):
         """The cells in fixed-width blocks: per ``_bucket_width`` ``w``,
         increasing, cell ids ``(n,)`` by edge count and then id, their
@@ -222,70 +208,53 @@ class PolyMesh:
         None where no cell of the bucket is padded.  A padding slot
         repeats its cell's last entry; a cell without entries is in no
         bucket."""
-        if "cell_buckets" not in self._cache:
-            counts = np.diff(self.cell_ptr)
-            width = _bucket_width(counts)
-            buckets = []
-            for w in np.unique(width[counts > 0]).tolist():
-                ids = np.flatnonzero(width == w)
-                ids = ids[np.argsort(counts[ids], kind="stable")]
-                count = counts[ids][:, None]
-                slot = np.arange(w)
-                real = None if (count == w).all() else slot < count
-                buckets.append((ids, self.cell_ptr[ids][:, None]
-                                + np.minimum(slot, count - 1), real))
-            self._cache["cell_buckets"] = tuple(buckets)
-        return self._cache["cell_buckets"]
+        counts = np.diff(self.cell_ptr)
+        width = _bucket_width(counts)
+        buckets = []
+        for w in np.unique(width[counts > 0]).tolist():
+            ids = np.flatnonzero(width == w)
+            ids = ids[np.argsort(counts[ids], kind="stable")]
+            count = counts[ids][:, None]
+            slot = np.arange(w)
+            real = None if (count == w).all() else slot < count
+            buckets.append((ids, self.cell_ptr[ids][:, None]
+                            + np.minimum(slot, count - 1), real))
+        return tuple(buckets)
 
-    @property
+    @cached_property
     def edge_len(self):
-        if "edge_len" not in self._cache:
-            ends = self.nodes.take(self.edge_nodes, axis=0)
-            self._cache["edge_len"] = np.linalg.norm(ends[:, 1] - ends[:, 0],
-                                                     axis=1)
-        return self._cache["edge_len"]
+        ends = self.nodes.take(self.edge_nodes, axis=0)
+        return np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
 
-    @property
+    @cached_property
     def edge_mid(self):
-        if "edge_mid" not in self._cache:
-            ends = self.nodes.take(self.edge_nodes, axis=0)
-            self._cache["edge_mid"] = 0.5 * (ends[:, 0] + ends[:, 1])
-        return self._cache["edge_mid"]
+        ends = self.nodes.take(self.edge_nodes, axis=0)
+        return 0.5 * (ends[:, 0] + ends[:, 1])
 
-    def _edge_slots(self):
-        # Slot 0 of an edge is its first entry, slot 1 the second; a third
-        # entry is an error.
-        if "edge_cells" not in self._cache:
-            ce = self.cell_edge
-            count = np.bincount(ce, minlength=self.n_edges)
-            if (count > 2).any():
-                third = [(np.flatnonzero(ce == e)[2], e)
-                         for e in np.flatnonzero(count > 2).tolist()]
-                raise MeshError(f"edge {min(third)[1]} bounds more than two cells")
-            pos = np.arange(len(ce), dtype=np.int32)
-            first = np.full(self.n_edges, len(ce), np.int32)
-            last = np.full(self.n_edges, -1, np.int32)
-            np.minimum.at(first, ce, pos)
-            np.maximum.at(last, ce, pos)
-            entry = np.column_stack([np.where(count > 0, first, -1),
-                                     np.where(count > 1, last, -1)])
-            self._set_edge_entry(entry)
-        return self._cache["edge_cells"], self._cache["edge_entry"]
+    @cached_property
+    def edge_entry(self):
+        """(E, 2) entry of each ``edge_cells`` cell, -1 where absent: slot
+        0 is an edge's first entry, slot 1 its second; a third entry is an
+        error."""
+        ce = self.cell_edge
+        count = np.bincount(ce, minlength=self.n_edges)
+        if (count > 2).any():
+            third = [(np.flatnonzero(ce == e)[2], e)
+                     for e in np.flatnonzero(count > 2).tolist()]
+            raise MeshError(f"edge {min(third)[1]} bounds more than two cells")
+        pos = np.arange(len(ce), dtype=np.int32)
+        first = np.full(self.n_edges, len(ce), np.int32)
+        last = np.full(self.n_edges, -1, np.int32)
+        np.minimum.at(first, ce, pos)
+        np.maximum.at(last, ce, pos)
+        return np.column_stack([np.where(count > 0, first, -1),
+                                np.where(count > 1, last, -1)])
 
-    def _set_edge_entry(self, entry):
-        self._cache["edge_entry"] = entry
-        self._cache["edge_cells"] = np.where(
-            entry >= 0, self.entry_cell[entry], -1).astype(int)
-
-    @property
+    @cached_property
     def edge_cells(self):
         """(E, 2) adjacent cell ids, -1 where absent."""
-        return self._edge_slots()[0]
-
-    @property
-    def edge_entry(self):
-        """(E, 2) entry of each ``edge_cells`` cell, -1 where absent."""
-        return self._edge_slots()[1]
+        entry = self.edge_entry
+        return np.where(entry >= 0, self.entry_cell[entry], -1).astype(int)
 
     def outward_normals(self, entries) -> np.ndarray:
         """Outward unit normals of entries, shape ``entries.shape + (2,)``."""
@@ -299,61 +268,44 @@ class PolyMesh:
         s = self.cell_sign[entries][..., None]
         return t[..., ::-1] * (s * _RIGHT)
 
+    @cached_property
     def _loop_sums(self):
         """Per cell, twice the signed shoelace area and the first moment
         ``sum((p + q) (p x q))`` over its entries' edges ``p -> q``, summed
         in entry order, from one pass that the areas and the centroids
-        share: it is cached until the centroids are taken from it."""
-        if "loop_sums" not in self._cache:
-            p = self.nodes.take(self.entry_tail, axis=0)
-            q = p.take(self.entry_next, axis=0)
-            cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
-            cell, n = self.entry_cell, self.n_cells
-            first = np.column_stack([
-                np.bincount(cell, (p[:, k] + q[:, k]) * cross, n)
-                for k in (0, 1)])
-            self._cache["loop_sums"] = np.bincount(cell, cross, n), first
-        return self._cache["loop_sums"]
+        share."""
+        p = self.nodes.take(self.entry_tail, axis=0)
+        q = p.take(self.entry_next, axis=0)
+        cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+        cell, n = self.entry_cell, self.n_cells
+        first = np.column_stack([
+            np.bincount(cell, (p[:, k] + q[:, k]) * cross, n) for k in (0, 1)])
+        return np.bincount(cell, cross, n), first
 
-    @property
+    @cached_property
     def cell_areas(self):
-        if "areas" not in self._cache:
-            if self._areas is not None:
-                self._cache["areas"] = self._areas
-            else:
-                self._cache["areas"] = 0.5 * self._loop_sums()[0]
-        return self._cache["areas"]
+        return 0.5 * self._loop_sums[0]
 
-    @property
+    @cached_property
     def cell_centroids(self):
-        if "centroids" not in self._cache:
-            if self._centroids is not None:
-                self._cache["centroids"] = self._centroids
-            else:
-                twice, first = self._loop_sums()
-                zero = np.flatnonzero(np.abs(twice) < 1e-300)
-                if len(zero):
-                    raise MeshError(f"cell {zero[0]} has zero area")
-                self._cache["centroids"] = first / (3 * twice)[:, None]
-                if self._areas is None:
-                    self._cache["areas"] = 0.5 * twice
-                del self._cache["loop_sums"]
-        return self._cache["centroids"]
+        twice, first = self._loop_sums
+        zero = np.flatnonzero(np.abs(twice) < 1e-300)
+        if len(zero):
+            raise MeshError(f"cell {zero[0]} has zero area")
+        return first / (3 * twice)[:, None]
 
-    @property
+    @cached_property
     def cell_diameters(self):
         """Largest vertex distance per cell.  Every node of a cell bounded
         by closed walks is the tail of one of its entries."""
-        if "diameters" not in self._cache:
-            diam = np.zeros(self.n_cells)
-            for ids, pos, _ in self.cell_buckets:
-                pts = self.nodes.take(self.entry_tail[pos], axis=0)
-                a, b = np.triu_indices(pos.shape[1], 1)
-                dx = pts[:, a, 0] - pts[:, b, 0]
-                dy = pts[:, a, 1] - pts[:, b, 1]
-                diam[ids] = np.sqrt((dx * dx + dy * dy).max(axis=1, initial=0.0))
-            self._cache["diameters"] = diam
-        return self._cache["diameters"]
+        diam = np.zeros(self.n_cells)
+        for ids, pos, _ in self.cell_buckets:
+            pts = self.nodes.take(self.entry_tail[pos], axis=0)
+            a, b = np.triu_indices(pos.shape[1], 1)
+            dx = pts[:, a, 0] - pts[:, b, 0]
+            dy = pts[:, a, 1] - pts[:, b, 1]
+            diam[ids] = np.sqrt((dx * dx + dy * dy).max(axis=1, initial=0.0))
+        return diam
 
     @property
     def boundary_edges(self):
@@ -361,11 +313,17 @@ class PolyMesh:
         return np.where((self.edge_cells[:, 1] < 0) & (self.edge_trace < 0))[0]
 
     # -------------------------------------------------------------- #
-    # mutation (used by co-refinement)
+    # refinement (used by co-refinement)
     # -------------------------------------------------------------- #
 
-    def split_edges(self, eids, counts, points):
-        """Split edges at interior points, all in one batch.
+    @property
+    def fields(self) -> dict:
+        """The constructor arguments that build this mesh again."""
+        return {**{name: getattr(self, name) for name in _FIELDS},
+                **self.given_geometry}
+
+    def split_edges(self, eids, counts, points) -> "PolyMesh":
+        """The mesh with edges split at interior points, all in one batch.
 
         Edge ``eids[i]``, each edge at most once, is cut at ``counts[i]
         >= 1`` points: the next rows of ``points``, ordered from node a
@@ -373,52 +331,51 @@ class PolyMesh:
         and the others are appended; nodes and edges are numbered as if
         the edges were split one after the other in ``eids`` order.
         """
-        eids = np.asarray(eids, int)
-        n_pts = np.asarray(counts, int)
-        if not len(eids):
-            return
-        # Split i adds nodes and edges k0[i] .. k0[i] + n_pts[i] - 1 past
-        # the current counts; its pieces are eid, then those new edges.
-        k0 = np.cumsum(n_pts) - n_pts
-        tails = self.n_nodes + np.arange(n_pts.sum())
-        heads = tails + 1
-        heads[k0 + n_pts - 1] = self.edge_nodes[eids, 1]
-        # Every entry of a split edge becomes its pieces, reversed where
-        # the cell walks the edge b -> a.
-        entries = self.edge_entry[eids]
-        split_of = np.nonzero(entries >= 0)[0]
-        entries = entries[entries >= 0]
-        m = n_pts[split_of] + 1
-        reps = np.ones(len(self.cell_edge), int)
-        reps[entries] = m
-        end = np.cumsum(reps)
-        k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
-        piece = np.where(np.repeat(self.cell_sign[entries] > 0, m), k,
-                         np.repeat(m - 1, m) - k)
-        i = np.repeat(split_of, m)
-        cell_edge = np.repeat(self.cell_edge, reps)
-        cell_edge[np.repeat(end[entries] - m, m) + k] = np.where(
-            piece == 0, eids[i], self.n_edges + k0[i] + piece - 1)
-        self.cell_ptr = np.concatenate([[0], end])[self.cell_ptr].astype(np.int32)
-        self.cell_edge = cell_edge
-        self.cell_sign = np.repeat(self.cell_sign, reps)
-        self.edge_nodes[eids, 1] = tails[k0]
-        self.nodes = np.vstack([self.nodes, np.reshape(points, (-1, 2))])
-        self.edge_nodes = np.vstack([self.edge_nodes,
-                                     np.column_stack([tails, heads])])
-        self._append_edge_tags(np.repeat(eids, n_pts))
-        self._invalidate()
+        return PolyMesh(**_split_fields(self, eids, counts, points))
 
-    def _append_edge_tags(self, parents, side=None):
-        """Append the trace tags of edges ``parents`` for new edges."""
-        parents = np.asarray(parents, int)
-        self.edge_trace = np.concatenate(
-            [self.edge_trace, self.edge_trace[parents]])
-        self.edge_trace_elem = np.concatenate(
-            [self.edge_trace_elem, self.edge_trace_elem[parents]])
-        side = self.edge_trace_side[parents] if side is None else side
-        self.edge_trace_side = np.concatenate(
-            [self.edge_trace_side, side]).astype(np.int8)
+
+def _split_fields(mesh, eids, counts, points) -> dict:
+    """``mesh.fields`` after ``mesh.split_edges(eids, counts, points)``.
+    A new edge takes its parent's trace tags, and given geometry carries
+    over, since a split moves no cell."""
+    eids = np.asarray(eids, int)
+    n_pts = np.asarray(counts, int)
+    fields = mesh.fields
+    if not len(eids):
+        return fields
+    # Split i adds nodes and edges k0[i] .. k0[i] + n_pts[i] - 1 past
+    # the current counts; its pieces are eid, then those new edges.
+    k0 = np.cumsum(n_pts) - n_pts
+    tails = mesh.n_nodes + np.arange(n_pts.sum())
+    heads = tails + 1
+    heads[k0 + n_pts - 1] = mesh.edge_nodes[eids, 1]
+    # Every entry of a split edge becomes its pieces, reversed where
+    # the cell walks the edge b -> a.
+    entries = mesh.edge_entry[eids]
+    split_of = np.nonzero(entries >= 0)[0]
+    entries = entries[entries >= 0]
+    m = n_pts[split_of] + 1
+    reps = np.ones(len(mesh.cell_edge), int)
+    reps[entries] = m
+    end = np.cumsum(reps)
+    k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    piece = np.where(np.repeat(mesh.cell_sign[entries] > 0, m), k,
+                     np.repeat(m - 1, m) - k)
+    i = np.repeat(split_of, m)
+    cell_edge = np.repeat(mesh.cell_edge, reps)
+    cell_edge[np.repeat(end[entries] - m, m) + k] = np.where(
+        piece == 0, eids[i], mesh.n_edges + k0[i] + piece - 1)
+    edge_nodes = np.vstack([mesh.edge_nodes, np.column_stack([tails, heads])])
+    edge_nodes[eids, 1] = tails[k0]
+    parent = np.concatenate([np.arange(mesh.n_edges), np.repeat(eids, n_pts)])
+    fields.update(
+        nodes=np.vstack([mesh.nodes, np.reshape(points, (-1, 2))]),
+        edge_nodes=edge_nodes, cell_ptr=np.concatenate([[0], end])[mesh.cell_ptr],
+        cell_edge=cell_edge, cell_sign=np.repeat(mesh.cell_sign, reps),
+        edge_trace=mesh.edge_trace[parent],
+        edge_trace_elem=mesh.edge_trace_elem[parent],
+        edge_trace_side=mesh.edge_trace_side[parent])
+    return fields
 
 
 # ------------------------------------------------------------------ #
@@ -916,7 +873,8 @@ def _triangulate_batch(polygons, traces, h_target, frames, seed) -> list:
     if len(bad):
         raise _Failed(pair_fid[bad[0]], MeshError(
             f"trace {gids[bad[0]]} not covered by mesh edges"))
-    whole.edge_trace[at] = gids
+    edge_trace = np.full(whole.n_edges, -1)
+    edge_trace[at] = gids
 
     node_ptr = np.searchsorted(used, pool.ptr)
     edge_fid = np.searchsorted(node_ptr, whole.edge_nodes[:, 0], "right") - 1
@@ -933,7 +891,7 @@ def _triangulate_batch(polygons, traces, h_target, frames, seed) -> list:
             whole.nodes[n0:n1], whole.edge_nodes[e0:e1] - n0,
             whole.cell_ptr[c0:c1 + 1] - entry_ptr[f],
             whole.cell_edge[entries] - e0, whole.cell_sign[entries],
-            frame=frames[f], edge_trace=whole.edge_trace[e0:e1]))
+            frame=frames[f], edge_trace=edge_trace[e0:e1]))
     return meshes
 
 
@@ -1117,8 +1075,8 @@ def _nearest(breaks, find, ptr, line, t):
 
 
 def _trace_entries(meshes: list, gids, pair_key, n_f: int):
-    """Every edge of ``meshes`` on a line that the mesh's fracture
-    parents, found by one pass over every mesh's trace tags.
+    """Every edge of ``meshes`` (``PolyMesh.fields``) on a line that the
+    mesh's fracture parents, found by one pass over their trace tags.
 
     Draft pair ``p`` of line ``l`` (the line of id ``gids[l]``) and mesh
     ``f`` has key ``pair_key[p] = l * n_f + f``.  Returns the nodes of all
@@ -1127,11 +1085,11 @@ def _trace_entries(meshes: list, gids, pair_key, n_f: int):
     Entries are sorted by mesh, then pair, then edge, so each mesh's and
     each pair's entries are one run.
     """
-    n_nodes = np.array([m.n_nodes for m in meshes])
-    n_edges = np.array([m.n_edges for m in meshes])
+    n_nodes = np.array([len(m["nodes"]) for m in meshes])
+    n_edges = np.array([len(m["edge_nodes"]) for m in meshes])
     node_frac = np.repeat(np.arange(n_f), n_nodes)
     edge_frac = np.repeat(np.arange(n_f), n_edges)
-    tags = np.concatenate([m.edge_trace for m in meshes])
+    tags = np.concatenate([m["edge_trace"] for m in meshes])
     on = np.flatnonzero(tags >= 0)
     by_id = np.argsort(gids)
     line = by_id[np.searchsorted(gids, tags[on], sorter=by_id) % len(gids)]
@@ -1142,31 +1100,33 @@ def _trace_entries(meshes: list, gids, pair_key, n_f: int):
     on, pair = on[ok], pair[ok]
     order = np.lexsort((on, pair, edge_frac[on]))
     on, pair, f = on[order], pair[order], edge_frac[on[order]]
-    ends = (np.concatenate([m.edge_nodes for m in meshes])[on]
+    ends = (np.concatenate([m["edge_nodes"] for m in meshes])[on]
             + (np.cumsum(n_nodes) - n_nodes)[f, None])
-    return (np.concatenate([m.nodes for m in meshes]), node_frac, pair,
+    return (np.concatenate([m["nodes"] for m in meshes]), node_frac, pair,
             on - (np.cumsum(n_edges) - n_edges)[f], ends)
 
 
-def corefine_network(meshes: dict, network) -> dict:
+def corefine_network(meshes: dict, network) -> tuple[dict, dict]:
     """Co-refine every trace across its parent fractures.
 
-    Returns a ``TraceMesh`` per intersection line; the per-fracture meshes
-    are modified in place (edge splits only).  Intersection points are
-    forced into every partition.  Breakpoints closer than ``100 *
-    network.tol`` merge, a tolerance relative to the network's size.
+    Returns ``(trace_meshes, refined)``: a ``TraceMesh`` per line id,
+    and per fracture id its mesh with the trace edges split and tagged
+    with their elements (a fracture without trace edges keeps its own);
+    neither argument changes.  Intersection points are forced into every
+    partition.  Breakpoints closer than ``100 * network.tol`` merge, a
+    tolerance relative to the network's size.
 
     Every line is co-refined at once, on arrays keyed by (line, parent)
     pairs: the drafts come from one pass over every mesh's trace tags,
     their union from one sort by (line, t), and the edge splits and
-    element tags from ``searchsorted`` over every line's breaks; only
-    ``PolyMesh.split_edges`` runs once per fracture.  Each comparison is
-    the one of the line-by-line rule, so the partitions, splits and tags
-    are that rule's bit for bit.
+    element tags from ``searchsorted`` over every line's breaks; only the
+    split and the refined mesh's construction run once per fracture.
+    Each comparison is the one of the line-by-line rule, so the
+    partitions, splits and tags are that rule's bit for bit.
     """
     lines, fids, ms = network.lines, list(meshes), list(meshes.values())
     if not lines:
-        return {}
+        return {}, dict(meshes)
     tol = 100 * network.tol
     n_l, n_f = len(lines), len(fids)
     at = {fid: k for k, fid in enumerate(fids)}
@@ -1186,8 +1146,8 @@ def corefine_network(meshes: dict, network) -> dict:
         raise InconsistentEndpoints(f"mesh has no edges on trace {gids[0]}")
 
     # Each pair's draft: the parameters of the nodes of its edges.
-    nodes, node_frac, pair, edge, ends = _trace_entries(ms, gids, pair_key,
-                                                        n_f)
+    nodes, node_frac, pair, edge, ends = _trace_entries(
+        [m.fields for m in ms], gids, pair_key, n_f)
     key = np.unique(pair[:, None] * len(nodes) + ends)
     dpair, node = key // len(nodes), key % len(nodes)
     count = np.bincount(dpair, minlength=len(pair_line))
@@ -1260,13 +1220,12 @@ def corefine_network(meshes: dict, network) -> dict:
     # and one batch per fracture numbers them as line after line would.
     mesh_of = pair_frac[pair[cut]]
     run = np.searchsorted(mesh_of, np.arange(n_f + 1))
-    for k, mesh in enumerate(ms):
-        a, b = run[k], run[k + 1]
-        mesh.split_edges(edge[cut[a:b]], n_cut[cut[a:b]],
-                         pts[bound[a]:bound[b]])
+    split = [_split_fields(mesh, edge[cut[a:b]], n_cut[cut[a:b]],
+                           pts[bound[a]:bound[b]])
+             for mesh, a, b in zip(ms, run[:-1], run[1:])]
 
     # Element tags from the split edges' midpoints.
-    nodes, node_frac, pair, edge, ends = _trace_entries(ms, gids, pair_key,
+    nodes, node_frac, pair, edge, ends = _trace_entries(split, gids, pair_key,
                                                         n_f)
     el = pair_line[pair]
     mid = 0.5 * (nodes[ends[:, 0]] + nodes[ends[:, 1]])
@@ -1284,8 +1243,12 @@ def corefine_network(meshes: dict, network) -> dict:
         raise MeshError(f"trace {gids[pair_line[bad[0]]]}: partition "
                         f"mismatch after corefinement")
     run = np.searchsorted(pair_frac[pair], np.arange(n_f + 1))
-    for k, mesh in enumerate(ms):
-        mesh.edge_trace_elem[edge[run[k]:run[k + 1]]] = elem[run[k]:run[k + 1]]
+    refined = dict(meshes)
+    for fid, fields, a, b in zip(fids, split, run[:-1], run[1:]):
+        if a < b:
+            tags = fields["edge_trace_elem"].copy()
+            tags[edge[a:b]] = elem[a:b]
+            refined[fid] = PolyMesh(**{**fields, "edge_trace_elem": tags})
 
     gids = gids.tolist()
     out = {gid: TraceMesh(gamma=gid, line=ln, breakpoints=b, xi_breaks=x)
@@ -1294,7 +1257,7 @@ def corefine_network(meshes: dict, network) -> dict:
     for l, f, eids in zip(pair_line.tolist(), pair_frac.tolist(),
                           np.split(edge[o], np.cumsum(count)[:-1])):
         out[gids[l]].edges[fids[f]] = eids
-    return out
+    return out, refined
 
 
 def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict,
@@ -1311,9 +1274,9 @@ def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict,
     their only side.  Tip nodes are shared, never duplicated.  One pass
     serves all of the fracture's trace edges; the copies are appended
     trace by trace in element order and inherit the trace and element
-    tags, with their own ``edge_trace_side``.
+    tags, with their own ``edge_trace_side``.  A fracture without trace
+    edges keeps ``mesh`` itself.
     """
-    mesh = mesh.copy()
     traces = [tm for tm in trace_meshes.values() if fid in tm.edges]
     if not traces:
         return mesh
@@ -1341,15 +1304,16 @@ def split_interface_dofs(mesh: PolyMesh, trace_meshes: dict,
             f"trace {gids[k]}: cells on the same side of edge {eids[k]}")
     # The second cell of an interior edge moves to an appended copy.
     sources = eids[two]
-    mesh.edge_trace_side[eids] = side[:, 0]
-    mesh._append_edge_tags(sources, side[two, 1])
-    mesh.cell_edge[edge_entry[sources, 1]] = mesh.n_edges + np.arange(len(sources))
-    return PolyMesh(
-        mesh.nodes, np.vstack([mesh.edge_nodes, mesh.edge_nodes[sources]]),
-        mesh.cell_ptr, mesh.cell_edge, mesh.cell_sign, frame=mesh.frame,
-        edge_trace=mesh.edge_trace, edge_trace_elem=mesh.edge_trace_elem,
-        edge_trace_side=mesh.edge_trace_side, areas=areas,
-        centroids=centroids, chained=mesh.chained)
+    parent = np.concatenate([np.arange(mesh.n_edges), sources])
+    sides = np.concatenate([mesh.edge_trace_side, side[two, 1]])
+    sides[eids] = side[:, 0]
+    cell_edge = mesh.cell_edge.copy()
+    cell_edge[edge_entry[sources, 1]] = mesh.n_edges + np.arange(len(sources))
+    return PolyMesh(**{
+        **mesh.fields, "edge_nodes": mesh.edge_nodes[parent],
+        "cell_edge": cell_edge, "edge_trace": mesh.edge_trace[parent],
+        "edge_trace_elem": mesh.edge_trace_elem[parent],
+        "edge_trace_side": sides, "areas": areas, "centroids": centroids})
 
 
 # ------------------------------------------------------------------ #

@@ -603,7 +603,7 @@ def oracle_meshes():
     net = crossing_rectangles()
     meshes = {f.id: msh.triangulate_fracture(f, net.traces_of(f.id), h)
               for f, h in zip(net.fractures, (0.3, 0.17))}
-    tms = msh.corefine_network(meshes, net)
+    tms, meshes = msh.corefine_network(meshes, net)
     # The split mesh carries its fine geometry; it is dropped so that the
     # loops with hanging nodes go through the batched sums.
     out["corefined-split"] = bare(msh.split_interface_dofs(meshes[0], tms, 0))
@@ -650,6 +650,12 @@ def mesh_from_lists(nodes, edge_nodes, cells, cell_signs, **kw):
     return msh.PolyMesh(nodes, edge_nodes, ptr,
                         np.concatenate([np.zeros(0, int), *cells]),
                         np.concatenate([np.zeros(0, int), *cell_signs]), **kw)
+
+
+def copy_mesh(mesh):
+    """A mesh equal to ``mesh`` that shares no array with it."""
+    return msh.PolyMesh(**{k: v.copy() if isinstance(v, np.ndarray) else v
+                           for k, v in mesh.fields.items()})
 
 
 def outward_normals_of_cell(mesh, k):
@@ -747,8 +753,9 @@ def cell_centroids_ref(mesh):
 
 def geometry_ref(mesh):
     """Areas and centroids, the explicit ones of an agglomerated mesh."""
-    areas = cell_areas_ref(mesh) if mesh._areas is None else mesh._areas
-    cen = cell_centroids_ref(mesh) if mesh._centroids is None else mesh._centroids
+    given = mesh.given_geometry
+    areas = given["areas"] if "areas" in given else cell_areas_ref(mesh)
+    cen = given["centroids"] if "centroids" in given else cell_centroids_ref(mesh)
     return areas, cen
 
 
@@ -1950,7 +1957,8 @@ def trace_draft_ref(mesh: PolyMesh, line: IntersectionLine) -> np.ndarray:
 
 def apply_breakpoints_ref(mesh: PolyMesh, line: IntersectionLine,
                        breaks: np.ndarray, tol: float):
-    """Split the mesh's trace edges so they match the union partition."""
+    """The mesh with its trace edges split so they match the union
+    partition and tagged with their elements."""
     eids = np.where(mesh.edge_trace == line.id)[0]
     ends = mesh.frame.to_global(mesh.nodes[mesh.edge_nodes[eids].ravel()])
     ts = ((ends - line.p0) @ line.direction).reshape(-1, 2)
@@ -1964,8 +1972,9 @@ def apply_breakpoints_ref(mesh: PolyMesh, line: IntersectionLine,
             inner = inner[::-1]
         pts3 = line.p0 + np.outer(inner, line.direction)
         splits.append((e, mesh.frame.to_local(pts3)))
-    mesh.split_edges([e for e, _ in splits], [len(p) for _, p in splits],
-                     np.reshape([p for _, pts in splits for p in pts], (-1, 2)))
+    mesh = copy_mesh(mesh.split_edges(
+        [e for e, _ in splits], [len(p) for _, p in splits],
+        np.reshape([p for _, pts in splits for p in pts], (-1, 2))))
     # Assign element indices from edge midpoints.
     eids = np.where(mesh.edge_trace == line.id)[0]
     mids3 = mesh.frame.to_global(mesh.edge_mid[eids])
@@ -1976,6 +1985,7 @@ def apply_breakpoints_ref(mesh: PolyMesh, line: IntersectionLine,
             f"trace {line.id}: partition mismatch after corefinement"
         )
     mesh.edge_trace_elem[eids] = elems
+    return mesh
 
 
 def corefine_ref(drafts: list, length: float, tol: float) -> np.ndarray:
@@ -2006,14 +2016,15 @@ def merge_targets_ref(n: int, pairs) -> list:
     return target
 
 
-def corefine_network_ref(meshes: dict, network) -> dict:
+def corefine_network_ref(meshes: dict, network) -> tuple[dict, dict]:
     """Co-refine every trace across its parent fractures.
 
-    Returns a ``TraceMesh`` per intersection line; the per-fracture meshes
-    are modified in place (edge splits only).  Intersection points are
-    forced into every partition.
+    Returns a ``TraceMesh`` per intersection line and the refined meshes
+    (edge splits only) by fracture id; ``meshes`` is left as it is.
+    Intersection points are forced into every partition.
     """
     tol = network.tol
+    meshes = dict(meshes)
     out = {}
     for ln in network.lines:
         parents = [f for f in ln.parents if f in meshes]
@@ -2031,9 +2042,9 @@ def corefine_network_ref(meshes: dict, network) -> dict:
                 idx = int(np.argmin(np.abs(breaks - t)))
                 tm.xi_breaks.append((idx, pt.id))
         for f in parents:
-            apply_breakpoints_ref(meshes[f], ln, breaks, 100 * tol)
+            meshes[f] = apply_breakpoints_ref(meshes[f], ln, breaks, 100 * tol)
             eids = np.where(meshes[f].edge_trace == ln.id)[0]
             order = np.argsort(meshes[f].edge_trace_elem[eids])
             tm.edges[f] = eids[order]
         out[ln.id] = tm
-    return out
+    return out, meshes

@@ -9,7 +9,7 @@ from dfnvem import cases
 from dfnvem import postprocess as post
 from dfnvem.errors import MissingExactSolution
 
-from _util import regression_order
+from _util import copy_mesh, regression_order
 
 
 @pytest.fixture(scope="module")
@@ -208,9 +208,9 @@ class TestBatchedExportAgainstReference:
         from _util import export_vtk_ref
         problem, solution = coarse_single
         # Agglomerated cells that do not chain into one loop are skipped.
-        mesh = problem.meshes[0].copy()
+        mesh = copy_mesh(problem.meshes[0])
         mesh.chained[1::3] = False
-        far = mesh.copy()
+        far = copy_mesh(mesh)
         far.nodes = far.nodes * 1e300
         odd = SimpleNamespace(meshes={0: mesh, 3: far})
         sol = SimpleNamespace(
@@ -229,7 +229,7 @@ class TestBatchedExportAgainstReference:
         from types import SimpleNamespace
         from _util import export_vtk_ref
         problem, solution = coarse_single
-        mesh = problem.meshes[0].copy()
+        mesh = copy_mesh(problem.meshes[0])
         mesh.chained[:] = False
         prob = SimpleNamespace(meshes={0: mesh})
         post.export_vtk(prob, solution, tmp_path / "a.vtk")
