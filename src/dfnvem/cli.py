@@ -69,8 +69,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args):
-    """Reject inapplicable or out-of-range flags before any work starts,
-    fill in the defaults of unset flags, and warn of an ignored --threads."""
+    """Reject inapplicable or out-of-range flags, and an --out that a file
+    blocks, before any work starts, fill in the defaults of unset flags,
+    and warn of an ignored --threads."""
     case_only = ["network", "h"]
     if args.command != "coarsen":
         case_only += ["c_depth", "eps_str"]
@@ -106,6 +107,12 @@ def _check_flags(args):
             flag = "--" + dest.replace("_", "-")
             raise ConfigError(f"{flag} must be {need}, got "
                               f"{getattr(args, dest)!r}")
+    # Outputs are written after the run; a file in --out's way would end
+    # it in a traceback then.
+    on_disk = next((p for p in (args.out, *args.out.parents) if p.exists()),
+                   None)
+    if on_disk is not None and not on_disk.is_dir():
+        raise ConfigError(f"--out {args.out}: {on_disk} is not a directory")
     if args.threads != 1:
         warnings.warn(IgnoredInputWarning(
             f"--threads {args.threads}: ignored; every stage runs on one "

@@ -428,7 +428,7 @@ def _clip_lines(polygons: list, q0: np.ndarray, d2: np.ndarray,
     keep = np.column_stack([on | (~par & (-tol <= w) & (w <= le + tol)), on])
     tg = np.broadcast_to(g[:, None], keep.shape)[keep]
     ts = ts[keep]
-    order = np.lexsort((ts, tg))
+    order = _by_group(tg, ts)
     order = order[_first_kept(ts[order], tg[order], tol)]
     tg, ts = tg[order], ts[order]
     gap = np.flatnonzero(tg[1:] == tg[:-1])
@@ -669,6 +669,13 @@ def _merge_targets(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return target
 
 
+def _by_group(group: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """``np.lexsort((value, group))`` for integer groups and finite
+    values, from one complex key: the same stable permutation, several
+    times faster on the small arrays of set-up and meshing."""
+    return np.argsort(group + 1j * value, kind="stable")
+
+
 def _first_kept(t: np.ndarray, group: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the values ``t`` that ``_merge_targets`` keeps, in index
     order, two values being close when they share a group and lie at
@@ -678,9 +685,7 @@ def _first_kept(t: np.ndarray, group: np.ndarray, tol: float) -> np.ndarray:
     neighbours at most ``tol`` apart, so only the pairs within runs are
     measured.
     """
-    # One complex key sorts by (group, value) several times faster than
-    # np.lexsort on these small arrays.
-    order = np.argsort(group + 1j * t, kind="stable")
+    order = _by_group(group, t)
     s, g = t[order], group[order]
     cut = np.append(np.flatnonzero((g[1:] != g[:-1]) | (s[1:] - s[:-1] > tol))
                     + 1, len(s))

@@ -30,6 +30,7 @@ from .geometry import (
     Frame,
     IntersectionLine,
     _box_pairs,
+    _by_group,
     _dots,
     _even_odd,
     _first_kept,
@@ -589,7 +590,7 @@ def _trace_pieces(fid, gid, p0, p1, tol):
     # + 0.0 turns a clipped -0.0 into the 0.0 it repeats.
     at = np.concatenate([np.zeros(n), np.ones(n),
                          np.clip(s[cross], 0.0, 1.0) + 0.0])
-    order = np.lexsort((at, owner))
+    order = _by_group(owner, at)
     owner, at = owner[order], at[order]
     k = np.flatnonzero((owner[1:] == owner[:-1])
                        & (at[1:] - at[:-1] > tol[fid[owner[1:]]]))
@@ -615,7 +616,7 @@ def _constraint_points(seg0, seg1, hard, k, v, tol, h_target):
     n_seg = len(seg0)
     seg = np.concatenate([np.arange(n_seg), np.arange(n_seg), k[inner]])
     at = np.concatenate([np.zeros(n_seg), length, t[inner]])
-    order = np.lexsort((at, seg))
+    order = _by_group(seg, at)
     seg, at = seg[order], at[order]
     # Consecutive distinct cuts of one segment bound a piece.
     piece = np.flatnonzero((seg[1:] == seg[:-1]) & (at[1:] > at[:-1]))
@@ -1035,7 +1036,7 @@ def _corefine_lines(ts, counts, draft_line, length, tol):
             f"trace draft spans [{lo[d]:.3e}, {hi[d]:.3e}], "
             f"expected [0, {span[d]:.3e}]")
     line = np.repeat(draft_line, counts)
-    order = np.lexsort((ts, line))
+    order = _by_group(line, ts)
     t, line = ts[order], line[order]
     keep = _first_kept(t, line, tol)
     t, line = t[keep], line[keep]
@@ -1184,7 +1185,7 @@ def corefine_network(meshes: dict, network) -> tuple[dict, dict]:
     new[c] = _first_kept(t_pt[c], pt_line[c], tol)
     line = np.concatenate([line, pt_line[new]])
     breaks = np.concatenate([breaks, t_pt[new]])
-    o = np.lexsort((breaks, line))
+    o = _by_group(line, breaks)
     line, breaks = line[o], breaks[o]
     ptr = np.searchsorted(line, np.arange(n_l + 1))
     find = _searcher(line, breaks)

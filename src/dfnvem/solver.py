@@ -82,7 +82,7 @@ class SolveReport:
     x: np.ndarray
     residual: float
     reduced_size: int = 0     # unknowns of the hybrid system K
-    lu_fill: int = 0          # nnz of the L and U factors of the LU that ran
+    lu_fill: int = 0          # SuperLU.nnz: stored entries of the LU that ran
     timings: dict = field(default_factory=dict)   # stage -> wall seconds
     # "path" ("lu" or "pcg"), CG "iterations" per solve call, "setup_s"
     # (factorization or hierarchy), "levels" and "nnz" (unknowns and
@@ -446,7 +446,7 @@ class _ReducedSolver:
 
     @property
     def fill(self):
-        return 0 if self.lu is None else self.lu.L.nnz + self.lu.U.nnz
+        return 0 if self.lu is None else self.lu.nnz
 
     def __call__(self, r):
         if self.lu is None:

@@ -500,6 +500,15 @@ MALFORMED = {
                   "--threads"),
     "levels-0": (["convergence", "--case", "single", "--levels", "0"],
                  "--levels"),
+    # bad.json is a file: an --out at it or under it is rejected up front.
+    "out-file-solve": (["solve", "--case", "single", "--out", "bad.json"],
+                       "--out"),
+    "out-under-file-mesh": (["mesh", "--case", "single", "--out",
+                             "bad.json/sub"], "--out"),
+    "out-under-file-coarsen": (["coarsen", "--case", "single", "--out",
+                                "bad.json/sub"], "--out"),
+    "out-file-convergence": (["convergence", "--case", "single", "--levels",
+                              "1", "--out", "bad.json"], "--out"),
     "invalid-json": (["solve", "--network", "bad.json"], "bad.json"),
     "missing-file": (["solve", "--network", "missing.json"], "missing.json"),
     "fracture-without-id": (["mesh", "--network", "no_id.json"],
@@ -643,8 +652,9 @@ MALFORMED = {
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, names):
     for name, text in _bad_inputs().items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
-    rc = run_cli(argv + ["--out", tmp_path / "o"])
+    argv = [str(tmp_path / a) if ".json" in a else a for a in argv]
+    # A row's own --out comes later, and so wins.
+    rc = run_cli(argv[:1] + ["--out", tmp_path / "o"] + argv[1:])
     err = capsys.readouterr().err
     assert rc == 2, err
     assert "[ConfigError]" in err and names in err

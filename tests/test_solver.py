@@ -463,8 +463,10 @@ def test_assembly_and_solve_peaks_stay_low():
     random L5, the ``single-random`` benchmark system, stay at or below
     0.8 of those of the assembly that concatenated its triplet lists and
     the condensation that kept them through the hierarchy set-up: 48.9
-    and 45.1 MiB.  (On L4 the solve takes the LU path, whose peak is the
-    10 MiB of L and U factors that ``lu_fill`` counts.)"""
+    and 45.1 MiB.  (On L4 the solve takes the LU path.  Its peak fell
+    from 12.1 to 6.3 MiB when ``lu_fill`` became ``SuperLU.nnz``, the
+    factors' stored entries, instead of building L and U as matrices to
+    count them.)"""
     case = cases.get_case("single")
     problem = asm.prepare_problem(case.network(), case.meshes("random", 5),
                                   source=case.source)
