@@ -473,14 +473,14 @@ def run_level(case: BenchmarkCase, family: str, level: int,
 def run_convergence(case: BenchmarkCase, family: str, levels: int,
                     model: str | None = None):
     """Run a refinement ladder and fill inter-level convergence orders."""
+    if case.p_exact is None:
+        raise ConfigError(f"case {case.name} has no exact solution; "
+                          "convergence study not applicable")
     reports = []
     runs = []
     for level in range(1, levels + 1):
         problem, system, solution, rep, err = run_level(
             case, family, level, model=model)
-        if err is None:
-            raise ConfigError(f"case {case.name} has no exact solution; "
-                              "convergence study not applicable")
         reports.append(err)
         runs.append((problem, system, solution, rep))
     post.convergence_orders(reports)

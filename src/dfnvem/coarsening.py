@@ -71,14 +71,13 @@ def _cell_lambda(lam, centroids: np.ndarray) -> np.ndarray:
     return np.asarray(lam, float)
 
 
-def tpfa_matrix(mesh: PolyMesh, lam, dirichlet_boundary: bool = True) -> StrengthMatrix:
+def tpfa_matrix(mesh: PolyMesh, lam) -> StrengthMatrix:
     """Two-point flux approximation matrix of one fracture mesh.
 
     Half transmissibilities are ``|e| (n . lam d) / |d|^2`` with ``d``
     from the cell centroid to the edge midpoint, harmonically averaged
-    across interior edges.  Trace edges always act as Dirichlet-like
-    closures contributing to the diagonal only; outer boundary edges do
-    so when ``dirichlet_boundary`` is set, otherwise they are no-flow.
+    across interior edges.  Trace edges and outer boundary edges act as
+    Dirichlet-like closures contributing to the diagonal only.
     Triplets are laid out edge by edge, and each diagonal sums its
     contributions in edge order.
     """
@@ -88,10 +87,8 @@ def tpfa_matrix(mesh: PolyMesh, lam, dirichlet_boundary: bool = True) -> Strengt
         raise DegenerateCell("mesh contains non-positive cell areas")
     ec = mesh.edge_cells
     inner = (ec[:, 1] >= 0) & (mesh.edge_trace < 0)
-    closed = (mesh.edge_trace >= 0) | dirichlet_boundary
-    # (edge, side) slots that need a half transmissibility, in loop order.
-    need = (ec >= 0) & (inner | closed)[:, None]
-    e, side = np.nonzero(need)
+    # Every (edge, side) slot with a cell, in loop order.
+    e, side = np.nonzero(ec >= 0)
     cell = ec[e, side]
     d = mesh.edge_mid.take(e, axis=0) - mesh.cell_centroids.take(cell, axis=0)
     dd = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]

@@ -32,7 +32,6 @@ __all__ = [
     "IntersectionPoint",
     "FractureNetwork",
     "build_frame",
-    "intersect_fractures",
     "build_network",
     "load_network",
 ]
@@ -368,20 +367,6 @@ def _coplanar_intersection(a: Fracture, b: Fracture, tol: float):
     return a.frame.to_global(q0), a.frame.to_global(q1)
 
 
-def intersect_fractures(a: Fracture, b: Fracture, tol: float | None = None):
-    """Intersection segment of two fractures, clipped to both polygons.
-
-    Returns an ``IntersectionLine`` (id -1, to be assigned by the network
-    builder) or ``None`` for disjoint, parallel or point-contact pairs.
-    Coplanar pairs sharing a boundary segment are supported; coplanar
-    pairs overlapping with positive area raise ``CoplanarOverlap``.
-    This is the one-pair call of ``_intersect_pairs``.
-    """
-    if tol is None:
-        tol = max(a.tol, b.tol)
-    return _intersect_pairs([a, b], np.array([0]), np.array([1]), tol)[0]
-
-
 def _ranges(start, count):
     """Concatenated ``arange(start[k], start[k] + count[k])`` over ``k``:
     the ``k`` of each position, and the positions."""
@@ -455,8 +440,12 @@ def _clip_lines(polygons: list, q0: np.ndarray, d2: np.ndarray,
 
 def _intersect_pairs(fractures: list, i: np.ndarray, j: np.ndarray,
                      tol: float) -> list:
-    """``intersect_fractures(fractures[i[k]], fractures[j[k]], tol)`` for
-    every ``k``, as one batch over the pairs.
+    """Per ``k``, the intersection segment of ``fractures[i[k]]`` and
+    ``fractures[j[k]]`` clipped to both polygons, as one batch: an
+    ``IntersectionLine`` (id -1, for the network builder to assign) or
+    ``None`` for disjoint, parallel or point-contact pairs.  Coplanar
+    pairs sharing a boundary segment are supported; coplanar pairs
+    overlapping with positive area raise ``CoplanarOverlap``.
 
     Coplanar pairs go through ``_coplanar_intersection`` in pair order,
     so the first error raised is the first failing pair's; no other pair

@@ -50,12 +50,10 @@ __all__ = [
     "triangulate",
     "triangulate_fracture",
     "triangulate_network",
-    "corefine",
     "corefine_network",
     "split_interface_dofs",
     "mesh_stats",
     "save_mesh",
-    "load_mesh",
 ]
 
 
@@ -323,22 +321,14 @@ class PolyMesh:
         return {**{name: getattr(self, name) for name in _FIELDS},
                 **self.given_geometry}
 
-    def split_edges(self, eids, counts, points) -> "PolyMesh":
-        """The mesh with edges split at interior points, all in one batch.
-
-        Edge ``eids[i]``, each edge at most once, is cut at ``counts[i]
-        >= 1`` points: the next rows of ``points``, ordered from node a
-        to node b of the edge.  Edge ``eids[i]`` keeps its first piece
-        and the others are appended; nodes and edges are numbered as if
-        the edges were split one after the other in ``eids`` order.
-        """
-        return PolyMesh(**_split_fields(self, eids, counts, points))
-
 
 def _split_fields(mesh, eids, counts, points) -> dict:
-    """``mesh.fields`` after ``mesh.split_edges(eids, counts, points)``.
-    A new edge takes its parent's trace tags, and given geometry carries
-    over, since a split moves no cell."""
+    """``mesh.fields`` with edge ``eids[i]`` (each edge at most once) cut
+    at ``counts[i] >= 1`` interior points, the next rows of ``points``
+    from node a to node b.  The edge keeps its first piece and the others
+    are appended, numbered as if the edges were split one by one in
+    ``eids`` order.  A new edge takes its parent's trace tags, and given
+    geometry carries over, since a split moves no cell."""
     eids = np.asarray(eids, int)
     n_pts = np.asarray(counts, int)
     fields = mesh.fields
@@ -1016,14 +1006,16 @@ def _to_global(uv, f, origin, t1, t2):
 
 
 def _corefine_lines(ts, counts, draft_line, length, tol):
-    """``corefine`` of many lines at once.
+    """Union of each line's parents' breakpoints, merged within ``tol``.
 
     Draft ``d`` is the next ``counts[d] >= 1`` values of ``ts`` and
     partitions line ``draft_line[d]`` (nondecreasing) of length
-    ``length[l]``.  Returns the union partitions line after line and
-    their bounds ``ptr``.  One sort by (line, t) lines up every line's
-    values, and in that order each merges into the first kept value of
-    its line within ``tol`` (``_merge_targets``' rule, by ``_first_kept``).
+    ``length[l]``; a draft that does not span ``[0, length]`` raises
+    ``InconsistentEndpoints``.  Returns the union partitions line after
+    line and their bounds ``ptr``.  One sort by (line, t) lines up every
+    line's values, and in that order each merges into the first kept
+    value of its line within ``tol`` (``_merge_targets``' rule, by
+    ``_first_kept``), so duplicates resolve toward the smaller value.
     """
     counts = np.asarray(counts)
     start = np.cumsum(counts) - counts
@@ -1045,20 +1037,6 @@ def _corefine_lines(ts, counts, draft_line, length, tol):
     t[ptr[:-1][full]] = 0.0
     t[ptr[1:][full] - 1] = length[full]
     return ptr, t
-
-
-def corefine(drafts: list, length: float, tol: float) -> np.ndarray:
-    """Union of parents' breakpoints merged within tolerance.
-
-    Every draft must span ``[0, length]``; duplicates are resolved toward
-    the smaller coordinate.  Raises ``InconsistentEndpoints`` when the
-    parents disagree on the segment endpoints.  This is the pass of
-    ``corefine_network`` on one line.
-    """
-    return _corefine_lines(
-        np.concatenate([np.asarray(d, float) for d in drafts]),
-        [len(d) for d in drafts], np.zeros(len(drafts), int),
-        np.array([length], float), tol)[1]
 
 
 def _nearest(breaks, find, ptr, line, t):
@@ -1366,58 +1344,3 @@ def save_mesh(mesh: PolyMesh, path) -> None:
         ptr = mesh.cell_ptr.tolist()
         for a, b in zip(ptr[:-1], ptr[1:]):
             fh.write(" ".join(str(v) for v in signed[a:b]) + "\n")
-
-
-def load_mesh(path, frame: Frame | None = None) -> PolyMesh:
-    """Read a mesh written by ``save_mesh``; ``MeshError`` if malformed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# dfnvem mesh"):
-        raise MeshError(f"{path}: not a dfnvem mesh file")
-    at = 1
-
-    def section(tag, convert, width=None):
-        # Parses the rows of section ``tag`` and moves past them; returns
-        # the rows and the index of the first row's line.
-        nonlocal at
-        head = lines[at].split() if at < len(lines) else []
-        if len(head) != 2 or head[0] != tag or not head[1].isdigit():
-            raise MeshError(f"{path}, line {at + 1}: expected '{tag} <count>'")
-        first, n = at + 1, int(head[1])
-        rows = []
-        for i in range(first, first + n):
-            try:
-                row = [convert(v) for v in lines[i].split()]
-            except (IndexError, ValueError, OverflowError):
-                row = None
-            if not row or (width and len(row) != width):
-                raise MeshError(f"{path}, line {i + 1}: malformed '{tag}' row")
-            rows.append(row)
-        at = first + n
-        return rows, first
-
-    def reject(bad_rows, first, what):
-        if len(bad_rows):
-            raise MeshError(f"{path}, line {first + int(bad_rows.min()) + 1}: {what}")
-
-    nodes = np.array(section("nodes", float, 2)[0], float).reshape(-1, 2)
-    rows, edge_line = section("edges", np.int64, 5)
-    rows = np.array(rows, int).reshape(-1, 5)
-    cells, cell_line = section("cells", np.int64)
-    counts = np.fromiter(map(len, cells), int, len(cells))
-    ptr = np.zeros(len(cells) + 1, int)
-    np.cumsum(counts, out=ptr[1:])
-    signed = np.fromiter(chain.from_iterable(cells), int, ptr[-1])
-    n_nodes, n_edges = len(nodes), len(rows)
-    reject(np.flatnonzero(((rows[:, :2] < 0) | (rows[:, :2] >= n_nodes)).any(axis=1)),
-           edge_line, f"edge node outside 0..{n_nodes - 1}")
-    # Range tests, not abs(): abs(-2**63) wraps to a negative int64.
-    reject(np.flatnonzero((rows[:, 4] < -1) | (rows[:, 4] > 1)), edge_line,
-           "side tag not in {-1, 0, 1}")
-    reject(np.repeat(np.arange(len(cells)), counts)[
-               (signed == 0) | (signed < -n_edges) | (signed > n_edges)],
-           cell_line, f"cell entry not in -{n_edges}..-1 or 1..{n_edges}")
-    return PolyMesh(nodes, rows[:, :2], ptr, np.abs(signed) - 1,
-                    np.where(signed > 0, 1, -1), frame=frame,
-                    edge_trace=rows[:, 2], edge_trace_elem=rows[:, 3],
-                    edge_trace_side=rows[:, 4])

@@ -664,7 +664,7 @@ def outward_normals_of_cell(mesh, k):
 
 
 def split_edges_ref(mesh, splits):
-    """``PolyMesh.split_edges`` one edge at a time on per-cell lists.
+    """``meshing._split_fields`` one edge at a time on per-cell lists.
 
     Returns a new mesh; ``mesh`` is left unchanged.
     """
@@ -802,7 +802,7 @@ def cell_outward_normals_ref(mesh, k):
     return nrm * np.asarray(ss, float)[:, None]
 
 
-def tpfa_matrix_ref(mesh, lam, dirichlet_boundary=True):
+def tpfa_matrix_ref(mesh, lam):
     """The TPFA strength matrix, one half transmissibility at a time."""
     from scipy import sparse
 
@@ -838,7 +838,7 @@ def tpfa_matrix_ref(mesh, lam, dirichlet_boundary=True):
             vals += [-T, -T]
             diag[int(c0)] += T
             diag[int(c1)] += T
-        elif on_trace or dirichlet_boundary:
+        else:
             for c in (c0, c1):
                 if c >= 0:
                     diag[int(c)] += half_trans(int(c), e, normal_of[(int(c), e)])
@@ -1972,9 +1972,9 @@ def apply_breakpoints_ref(mesh: PolyMesh, line: IntersectionLine,
             inner = inner[::-1]
         pts3 = line.p0 + np.outer(inner, line.direction)
         splits.append((e, mesh.frame.to_local(pts3)))
-    mesh = copy_mesh(mesh.split_edges(
-        [e for e, _ in splits], [len(p) for _, p in splits],
-        np.reshape([p for _, pts in splits for p in pts], (-1, 2))))
+    mesh = copy_mesh(msh.PolyMesh(**msh._split_fields(
+        mesh, [e for e, _ in splits], [len(p) for _, p in splits],
+        np.reshape([p for _, pts in splits for p in pts], (-1, 2)))))
     # Assign element indices from edge midpoints.
     eids = np.where(mesh.edge_trace == line.id)[0]
     mids3 = mesh.frame.to_global(mesh.edge_mid[eids])
@@ -1989,8 +1989,9 @@ def apply_breakpoints_ref(mesh: PolyMesh, line: IntersectionLine,
 
 
 def corefine_ref(drafts: list, length: float, tol: float) -> np.ndarray:
-    """``meshing.corefine`` value by value: each sorted breakpoint is kept
-    when it lies more than ``tol`` past the last one kept."""
+    """``meshing._corefine_lines`` on one line, value by value: each
+    sorted breakpoint is kept when it lies more than ``tol`` past the
+    last one kept."""
     for ts in drafts:
         if abs(ts[0]) > tol or abs(ts[-1] - length) > tol:
             raise InconsistentEndpoints(

@@ -277,6 +277,16 @@ def test_agglomerated_network_solves(tmp_path, c_depth):
 
 
 class TestConvergenceCommand:
+    def test_case_without_exact_solution_refused_before_any_level(
+            self, tmp_path, monkeypatch, capsys):
+        levels = []
+        monkeypatch.setattr(cases, "run_level",
+                            lambda *args, **kw: levels.append(args))
+        rc = run_cli(["convergence", "--case", "four-fractures", "--levels",
+                      "3", "--out", tmp_path])
+        assert rc == 2 and levels == []
+        assert "no exact solution" in capsys.readouterr().err
+
     def test_two_level_csv(self, tmp_path):
         rc = run_cli(["convergence", "--case", "single", "--family",
                       "cartesian", "--levels", "2", "--out", tmp_path])

@@ -32,11 +32,12 @@ def strong_rows(A, strong):
 class TestTPFA:
     def test_two_unit_squares(self):
         # Hand computation: alpha = 1*(1,0).(0.5,0)/0.25 = 2 per side,
-        # T = 2*2/(2+2) = 1; no closure terms beyond the shared edge.
+        # T = 2*2/(2+2) = 1 across the shared edge; each cell's three
+        # boundary edges close with alpha = 2 each on the diagonal.
         nodes = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], float)
         mesh = msh.PolyMesh.from_cells(nodes, [[0, 1, 4, 5], [1, 2, 3, 4]])
-        A = coa.tpfa_matrix(mesh, np.eye(2), dirichlet_boundary=False).A.toarray()
-        assert np.allclose(A, [[1, -1], [-1, 1]], atol=1e-12)
+        A = coa.tpfa_matrix(mesh, np.eye(2)).A.toarray()
+        assert np.allclose(A, [[1 + 6, -1], [-1, 1 + 6]], atol=1e-12)
 
     def test_single_cell_all_boundary(self):
         mesh = msh.cartesian_mesh(1)
@@ -46,8 +47,7 @@ class TestTPFA:
 
     def test_anisotropy_ratio(self):
         mesh = msh.cartesian_mesh(4)
-        A = coa.tpfa_matrix(mesh, np.diag([100.0, 1.0]),
-                            dirichlet_boundary=False).A
+        A = coa.tpfa_matrix(mesh, np.diag([100.0, 1.0])).A
         horizontal, vertical = [], []
         mids = mesh.edge_mid
         ec = mesh.edge_cells
@@ -62,6 +62,13 @@ class TestTPFA:
             else:
                 vertical.append(val)
         assert np.allclose(np.array(horizontal) / np.array(vertical)[0], 100.0)
+        # h = 1/4: T = 100 across a vertical edge and 1 across a
+        # horizontal one; a boundary edge closes with its half
+        # transmissibility, 200 or 2.  A cell with bx vertical and by
+        # horizontal boundary edges has diagonal 202 + 100 bx + by.
+        ij = np.floor(mesh.cell_centroids * 4).astype(int)
+        bx, by = ((ij == 0) | (ij == 3)).T
+        assert np.allclose(A.diagonal(), 202 + 100 * bx + by)
 
     def test_symmetric_pattern_positive_diagonal(self):
         mesh = msh.triangulate(
@@ -304,12 +311,11 @@ ANISOTROPIC = np.array([[3.0, 0.7], [0.7, 0.4]])
 class TestBatchedAgainstReference:
     @pytest.mark.parametrize("name", ORACLE_MESHES)
     @pytest.mark.parametrize("lam", ["eye", "anisotropic"])
-    @pytest.mark.parametrize("dirichlet", [True, False])
-    def test_tpfa_entries(self, name, lam, dirichlet):
+    def test_tpfa_entries(self, name, lam):
         mesh = oracle_meshes()[name]
         lam = np.eye(2) if lam == "eye" else ANISOTROPIC
-        got = coa.tpfa_matrix(mesh, lam, dirichlet_boundary=dirichlet).A
-        ref = tpfa_matrix_ref(mesh, lam, dirichlet_boundary=dirichlet)
+        got = coa.tpfa_matrix(mesh, lam).A
+        ref = tpfa_matrix_ref(mesh, lam)
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, field), getattr(ref, field))
 

@@ -252,11 +252,17 @@ def test_box_pairs_equals_brute_force(case):
     assert set(pairs) == set(zip(*np.nonzero(meet)))
 
 
+def intersect_pair(a, b):
+    """``geometry._intersect_pairs`` of the one pair ``(a, b)``."""
+    return geo._intersect_pairs([a, b], np.array([0]), np.array([1]),
+                                max(a.tol, b.tol))[0]
+
+
 class TestIntersectFractures:
     def test_orthogonal_ellipses(self):
         a = octagon(center_y=0.0, plane="x", fid=0)
         b = octagon(center_y=0.0, plane="z", fid=1)
-        ln = geo.intersect_fractures(a, b)
+        ln = intersect_pair(a, b)
         assert ln is not None
         lo, hi = sorted([ln.p0[1], ln.p1[1]])
         assert np.allclose([lo, hi], [-0.5, 0.5], atol=1e-9)
@@ -265,26 +271,26 @@ class TestIntersectFractures:
     def test_parallel_squares_disjoint(self):
         a = unit_square(z=0.0, fid=0)
         b = unit_square(z=0.5, fid=1)
-        assert geo.intersect_fractures(a, b) is None
+        assert intersect_pair(a, b) is None
 
     def test_coplanar_overlap_raises(self):
         a = unit_square(fid=0)
         verts = np.array([[0.5, 0.5, 0], [1.5, 0.5, 0], [1.5, 1.5, 0], [0.5, 1.5, 0]])
         b = geo.Fracture(id=1, vertices=verts)
         with pytest.raises(CoplanarOverlap):
-            geo.intersect_fractures(a, b)
+            intersect_pair(a, b)
         # A plus sign: no vertex of either lies inside the other, but
         # their edges cross.
         tall = geo.Fracture(id=2, vertices=np.array(
             [[0.4, -1, 0], [0.6, -1, 0], [0.6, 2, 0], [0.4, 2, 0]]))
         with pytest.raises(CoplanarOverlap, match="coplanar and overlap"):
-            geo.intersect_fractures(a, tall)
+            intersect_pair(a, tall)
 
     def test_coplanar_shared_edge(self):
         a = unit_square(fid=0)
         verts = np.array([[1, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0]], float)
         b = geo.Fracture(id=1, vertices=verts)
-        ln = geo.intersect_fractures(a, b)
+        ln = intersect_pair(a, b)
         assert ln is not None
         assert abs(ln.length - 1.0) < 1e-9
         assert np.allclose(sorted([ln.p0[1], ln.p1[1]]), [0, 1], atol=1e-9)
@@ -297,7 +303,7 @@ class TestIntersectFractures:
         b = geo.Fracture(id=1, vertices=np.array(
             [[1, 1 - gap, 0], [2, 1 - gap, 0], [2, 2 - gap, 0],
              [1, 2 - gap, 0]]))
-        ln = geo.intersect_fractures(a, b)
+        ln = intersect_pair(a, b)
         assert ln is not None
         assert max(a.tol, b.tol) < ln.length < 2 * max(a.tol, b.tol)
         ref = intersect_fractures_ref(a, b)
@@ -307,8 +313,8 @@ class TestIntersectFractures:
     def test_symmetry(self):
         a = octagon(plane="x", fid=0)
         b = octagon(plane="z", fid=1)
-        ab = geo.intersect_fractures(a, b)
-        ba = geo.intersect_fractures(b, a)
+        ab = intersect_pair(a, b)
+        ba = intersect_pair(b, a)
         ends_ab = sorted(map(tuple, np.round([ab.p0, ab.p1], 9)))
         ends_ba = sorted(map(tuple, np.round([ba.p0, ba.p1], 9)))
         assert ends_ab == ends_ba
@@ -320,13 +326,13 @@ class TestIntersectFractures:
             [[0.5, 0.5, 0], [1.5, 0.5, 1], [1.5, 1.5, 2], [0.5, 1.5, 1]], float
         )
         b = geo.Fracture(id=1, vertices=verts)
-        res = geo.intersect_fractures(a, b)
+        res = intersect_pair(a, b)
         assert res is None
 
     def test_endpoints_inside_both_parents(self):
         a = octagon(center_y=0.5, plane="x", fid=0)
         b = octagon(center_y=0.5, plane="z", fid=1)
-        ln = geo.intersect_fractures(a, b)
+        ln = intersect_pair(a, b)
         for p in (ln.p0, ln.p1):
             assert fracture_contains(a, p, tol=1e-8)
             assert fracture_contains(b, p, tol=1e-8)
@@ -339,7 +345,7 @@ class TestIntersectFractures:
         (pa, ya), (pb, yb) = pair
         a, b = octagon(ya, pa, fid=0), octagon(yb, pb, fid=1)
         want = intersect_fractures_ref(a, b)
-        got = geo.intersect_fractures(a, b)
+        got = intersect_pair(a, b)
         assert (got is None) == (want is None)
         if want is not None:
             assert got.p0.tobytes() == want.p0.tobytes()

@@ -220,18 +220,26 @@ def two_fracture_network():
     return geo.build_network([f0, f1])
 
 
+def corefine(drafts, length, tol):
+    """``meshing._corefine_lines`` on one line of the given drafts."""
+    return msh._corefine_lines(
+        np.concatenate([np.asarray(d, float) for d in drafts]),
+        [len(d) for d in drafts], np.zeros(len(drafts), int),
+        np.array([length], float), tol)[1]
+
+
 class TestCorefine:
     def test_union_rule(self):
-        got = msh.corefine([np.array([0, 0.5, 1.0]), np.array([0, 0.3, 1.0])],
-                           1.0, 1e-9)
+        got = corefine([np.array([0, 0.5, 1.0]), np.array([0, 0.3, 1.0])],
+                       1.0, 1e-9)
         assert np.allclose(got, [0, 0.3, 0.5, 1.0])
 
     def test_idempotent(self):
         a = np.array([0, 0.25, 0.5, 1.0])
-        assert np.allclose(msh.corefine([a, a.copy()], 1.0, 1e-9), a)
+        assert np.allclose(corefine([a, a.copy()], 1.0, 1e-9), a)
 
     def test_tolerance_merge(self):
-        got = msh.corefine(
+        got = corefine(
             [np.array([0, 0.5, 1.0]), np.array([0, 0.5 + 1e-12, 1.0])],
             1.0, 1e-9,
         )
@@ -248,14 +256,14 @@ class TestCorefine:
             [0.0, 1.0], rng.uniform(0.0, 1.0, 20),
             rng.uniform(0.2, 0.21, 30), rng.uniform(0.7, 0.7 + 3 * tol, 10)]))
             for _ in range(3)]
-        got = msh.corefine(drafts, 1.0, tol)
+        got = corefine(drafts, 1.0, tol)
         want = corefine_ref(drafts, 1.0, tol)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert len(want) > 25
 
     def test_inconsistent_endpoints(self):
         with pytest.raises(InconsistentEndpoints):
-            msh.corefine([np.array([0, 0.9]), np.array([0, 1.0])], 1.0, 1e-9)
+            corefine([np.array([0, 0.9]), np.array([0, 1.0])], 1.0, 1e-9)
 
     def test_network_corefine_matches_partitions(self):
         net = two_fracture_network()
@@ -345,21 +353,32 @@ class NumpySpy:
 
 def test_corefine_numpy_calls_grow_with_fractures(tmp_path, monkeypatch):
     # From k = 4 to k = 8 the grid network goes from 12 to 24 fractures
-    # and from 48 to 192 lines: a few calls per fracture, none per line.
-    # Each fracture's refined mesh is built once, which takes the
+    # and from 48 to 192 lines: a few calls per fracture and per split
+    # fracture, none per line (one call per line adds 144).  Each
+    # fracture's refined mesh is built once, which takes the
     # constructor's nine calls; a second build would exceed the bound.
-    count = {}
-    for k in (4, 8):
-        net = load_network_dict(tmp_path, grid_dict(k, 0))
-        meshes = msh.triangulate_network(net, 0.25)
-        spy = NumpySpy()
-        monkeypatch.setattr(msh, "np", spy)
-        msh.corefine_network(meshes, net)
-        monkeypatch.undo()
-        count[k] = spy.calls, len(net.fractures), len(net.lines)
-    (n4, f4, l4), (n8, f8, l8) = count[4], count[8]
-    assert (f4, l4, f8, l8) == (12, 48, 24, 192)
-    assert n8 - n4 <= 13 * (f8 - f4)
+    # Meshed at one h, co-refinement splits no edge (249 and 381 calls);
+    # with even-id fractures at h 0.17 and odd-id ones at 0.25 it adds
+    # 48 edges in 6 fractures and 64 in 12 (452 and 782 calls).
+    for h_even, h_odd in ((0.25, 0.25), (0.17, 0.25)):
+        count = {}
+        for k in (4, 8):
+            net = load_network_dict(tmp_path, grid_dict(k, 0))
+            meshes = {f.id: msh.triangulate_fracture(
+                f, net.traces_of(f.id), h_odd if f.id % 2 else h_even)
+                for f in net.fractures}
+            spy = NumpySpy()
+            monkeypatch.setattr(msh, "np", spy)
+            _, refined = msh.corefine_network(meshes, net)
+            monkeypatch.undo()
+            added = [refined[f].n_edges - meshes[f].n_edges for f in meshes]
+            count[k] = (spy.calls, len(meshes), len(net.lines),
+                        sum(a > 0 for a in added), sum(added))
+        (n4, f4, l4, s4, a4), (n8, f8, l8, s8, a8) = count[4], count[8]
+        assert (f4, l4, f8, l8) == (12, 48, 24, 192)
+        if h_even != h_odd:
+            assert a4 > 0 and a8 > 0 and s8 > s4
+        assert n8 - n4 <= 13 * (f8 - f4) + 35 * (s8 - s4)
 
 
 class TestSplitInterface:
@@ -577,9 +596,10 @@ class TestSplitEdgesMatchesReference:
 
     def check(self, mesh, splits):
         ref = split_edges_ref(mesh, splits)
-        got = mesh.split_edges([e for e, _ in splits],
-                               [len(np.atleast_2d(p)) for _, p in splits],
-                               np.vstack([np.atleast_2d(p) for _, p in splits]))
+        got = msh.PolyMesh(**msh._split_fields(
+            mesh, [e for e, _ in splits],
+            [len(np.atleast_2d(p)) for _, p in splits],
+            np.vstack([np.atleast_2d(p) for _, p in splits])))
         for name in self.FIELDS:
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
             assert getattr(got, name).dtype == getattr(ref, name).dtype, name
@@ -624,51 +644,26 @@ class TestSplitEdgesMatchesReference:
 
 class TestMeshIO:
     def test_roundtrip(self, tmp_path):
+        # The file's three sections give back the mesh's arrays exactly.
         mesh = msh.triangulate(UNIT_SQUARE, traces=[(0, [0.25, 0.5], [0.75, 0.5])],
                                h_target=0.3)
         path = tmp_path / "mesh.txt"
         msh.save_mesh(mesh, path)
-        back = msh.load_mesh(path)
-        assert np.array_equal(back.edge_nodes, mesh.edge_nodes)
-        assert np.allclose(back.nodes, mesh.nodes)
-        assert np.array_equal(back.edge_trace, mesh.edge_trace)
-        assert back.n_cells == mesh.n_cells
-        assert np.allclose(back.cell_areas, mesh.cell_areas)
-
-    @pytest.mark.parametrize("tag, fault, expected", [
-        ("edges", lambda head, row: ("egdes" + head[5:], row),
-         "expected 'edges <count>'"),
-        ("edges", lambda head, row: (head, row[:-2]), "malformed 'edges' row"),
-        ("edges", lambda head, row: (head, "x" + row[1:]),
-         "malformed 'edges' row"),
-        ("edges", lambda head, row: (head, "99" + row[1:]),
-         "edge node outside 0..8"),
-        ("edges", lambda head, row: (head, row[:-1] + "2"),
-         "side tag not in"),
-        ("cells", lambda head, row: (head, "0" + row[1:]),
-         "cell entry not in"),
-        ("cells", lambda head, row: (head, "999" + row[1:]),
-         "cell entry not in"),
-        ("edges", lambda head, row: (head, "99999999999999999999" + row[1:]),
-         "malformed 'edges' row"),
-        ("cells", lambda head, row: (head, "99999999999999999999" + row[1:]),
-         "malformed 'cells' row"),
-        ("edges", lambda head, row: (head, row[:-1] + "-9223372036854775808"),
-         "side tag not in"),
-        ("cells", lambda head, row: (head, "-9223372036854775808" + row[1:]),
-         "cell entry not in"),
-    ])
-    def test_malformed_file_raises(self, tmp_path, tag, fault, expected):
-        mesh = msh.cartesian_mesh(2)
-        path = tmp_path / "mesh.txt"
-        msh.save_mesh(mesh, path)
         lines = path.read_text().splitlines()
-        at = lines.index(f"{tag} {getattr(mesh, 'n_' + tag)}")
-        lines[at], lines[at + 1] = fault(lines[at], lines[at + 1])
-        path.write_text("\n".join(lines) + "\n")
-        line = at + 1 if "<count>" in expected else at + 2
-        with pytest.raises(MeshError, match=f"line {line}: {expected}"):
-            msh.load_mesh(path)
+        n, m = mesh.n_nodes, mesh.n_edges
+        assert lines[:2] == ["# dfnvem mesh 1", f"nodes {n}"]
+        assert lines[2 + n] == f"edges {m}"
+        assert lines[3 + n + m] == f"cells {mesh.n_cells}"
+        nodes = np.array([row.split() for row in lines[2:2 + n]], float)
+        edges = np.array([row.split() for row in lines[3 + n:3 + n + m]], int)
+        cells = [np.array(row.split(), int) for row in lines[4 + n + m:]]
+        assert np.array_equal(nodes, mesh.nodes)
+        assert np.array_equal(edges, np.column_stack([
+            mesh.edge_nodes, mesh.edge_trace, mesh.edge_trace_elem,
+            mesh.edge_trace_side]))
+        assert [len(c) for c in cells] == np.diff(mesh.cell_ptr).tolist()
+        assert np.array_equal(np.concatenate(cells),
+                              mesh.cell_sign * (mesh.cell_edge + 1))
 
     @pytest.mark.parametrize("name, digest", [
         ("cartesian-4",
@@ -709,23 +704,6 @@ class TestMeshIO:
         path = tmp_path / "mesh.txt"
         msh.save_mesh(mesh, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-    def test_imported_mesh_solves(self, tmp_path):
-        # Externally generated triangulations enter through the text
-        # format and run through the full pipeline unchanged.
-        from _util import run
-        frac = geo.Fracture(id=0, vertices=np.array(
-            [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float))
-        net = geo.build_network([frac])
-        mesh = msh.triangulate(frac.local_polygon, h_target=0.3,
-                               frame=frac.frame)
-        path = tmp_path / "external.mesh.txt"
-        msh.save_mesh(mesh, path)
-        imported = msh.load_mesh(path, frame=frac.frame)
-        g = lambda fid, x: 1.0 + 2.0 * np.asarray(x)[..., 0]
-        problem, dofs, system, sol, rep = run(net, {0: imported}, g=g)
-        c3 = imported.frame.to_global(imported.cell_centroids)
-        assert np.abs(sol.pressure[0] - g(0, c3)).max() < 1e-10
 
 
 class TestBatchedGeometry:

@@ -15,6 +15,7 @@ from scipy import sparse
 
 from dfnvem import assembly as asm
 from dfnvem import cases
+from dfnvem import cli
 from dfnvem import geometry as geo
 from dfnvem import meshing as msh
 from dfnvem import solver as slv
@@ -341,6 +342,20 @@ def test_dc_stays_on_the_lu(pcg):
         point_sources=case.point_sources)
     assert rep.solver["path"] == "lu"
     assert rep.solver["levels"] == [rep.reduced_size]
+
+
+def test_dc_lu_fill_stays_low(tmp_path):
+    """The dc LU pivots with ``diag_pivot_thresh=0.01``.  On the k = 4
+    grid at h 0.2 (2,092 reduced unknowns) it stores 69,390 entries;
+    with scipy's default threshold it stores 262,196."""
+    network = tmp_path / "grid.json"
+    network.write_text(json.dumps(grid_dict(4, 0)))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--network", str(network), "--h", "0.2",
+                     "--model", "dc", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reduced_size"] == 2092
+    assert summary["lu_fill"] <= 100_000
 
 
 def test_single_random_l5_takes_the_pcg_path():
