@@ -6,14 +6,17 @@ cell measures.  Export targets are legacy-ASCII VTK unstructured grids
 (3D-embedded polygons plus intersection polylines) and RFC-4180 CSV
 convergence tables and partition maps.
 
-Every number of the VTK files and of the partition CSV goes through one
-array writer, ``_write``, which gives the bytes of ``'%.16g' % v`` and
-``'%d' % v`` exactly.  A float's 16 significant digits come from an
-error-free product (Dekker 1971) of the value with an exact power of
-ten, as in fixed-precision printf (Adams 2019, Ryu printf); the rare
-value this cannot decide (a near tie, nan, inf, or a nonzero one outside
-``[1e-280, 1e16)``) is formatted alone by ``%``.  The files are written
-in binary mode, about 8 k values at a time.
+Every float of the VTK files is written as ``b"%24.15e" % v``: 16
+significant digits, so it parses back to the double of ``'%.16g' % v``,
+right-aligned in a 24-byte field that starts with a space.  The fixed
+width makes the files 23-66 % larger than shortest text on the
+benchmark workloads.  The digits come from an error-free product
+(Dekker 1971) of the value with an exact power of ten, as in
+fixed-precision printf (Adams 2019, Ryu printf); the rare value this
+cannot decide (a near tie, nan, inf, or one outside ``[1e-99, 1e16)``
+but 0) is formatted alone by ``%``.  Integers, the cell rows and the
+partition CSV, are written by ``%`` format strings.  The files are
+written in binary mode, about 8 k values at a time.
 """
 
 from __future__ import annotations
@@ -178,32 +181,22 @@ def convergence_orders(reports: list) -> list:
 # VTK / CSV export
 # ------------------------------------------------------------------ #
 
-# Every number is written by ``_write``, which gives exactly the bytes of
-# ``'%.16g' % v`` for a float and of ``'%d' % v`` for an integer, from
-# array operations.  Each value is laid out in a fixed-width byte row
-# that holds every character its text may need; a mask looked up by the
-# value's layout picks the bytes to keep, and one boolean index over all
-# rows joins them.  A float row is
+# Every float is written as ``b"%24.15e" % v``: 16 significant digits,
+# right-aligned in a 24-byte field that always starts with a space, so
+# the fields of a row need no separator.  A field with a two-digit
+# exponent is
 #
-#   bytes  0-5     6-21       22   23-38      39-44     45-46
-#          "-0.0"  16 digits  "."  16 digits  "e-0281"  separator
+#   bytes  0-2     3    4    5-19       20   21   22-23
+#          "  -"   d    "."  15 digits  "e"  "-"  exponent
 #
-# from a template row per (exponent, sign) that holds the sign, any
-# leading "0.000" and the exponent's text.  The significant digits are
-# written twice, so that one mask per (layout class, last nonzero digit,
-# sign) can put the point after any of them; the layout classes tell
-# the fixed-point exponents apart, and exponent notation with two
-# exponent digits from that with three.  An integer row is "-", its
-# digits right-aligned in four bytes per group of four, and the
-# separator.
+# The 16 digits are written as four words of four ASCII digits at bytes
+# 4-19; the first is then moved to byte 3 and the point put in its
+# place.  Integers are written by ``%`` format strings.
 
-_CHUNK = 1 << 13            # values laid out at a time
+_CHUNK = 1 << 13            # values or rows formatted at a time
 _SPLIT = 134217729.0        # 2**27 + 1, Dekker's splitting constant
 _GUARD = 1e-6               # nearest a scaled value may come to a tie
-_EXP_MIN = -281             # least exponent the array path writes
-# Layout classes: x + 4 for a fixed-point exponent x in [-4, 15], then
-# exponent notation with two or with three exponent digits, then +-0.
-_E2, _E3, _ZERO = 20, 21, 22
+_EXP_MIN = -99              # least exponent the array path writes
 
 
 def _split(a):
@@ -218,91 +211,9 @@ _POW = np.array([float(10**k) for k in range(15 - _EXP_MIN + 1)])
 _TAIL = np.array([float(10**k - int(p)) for k, p in enumerate(_POW)])
 _POW_HI, _POW_LO = _split(_POW)
 
-_GROUP = np.arange(10_000, dtype=np.int16)
-_TENS = 10 ** np.arange(4, dtype=np.int16)     # 1, 10, 100, 1000
-# The four ASCII digits of 0..9999 as one native uint32 each, and how
-# many of them are trailing and leading zeros (4 for 0).
-_DIGITS = (48 + _GROUP[:, None] // _TENS[::-1] % 10).astype(np.uint8).view(
-    np.uint32).ravel()
-_TRAILING = (_GROUP[:, None] % (10 * _TENS) == 0).sum(axis=1, dtype=np.int8)
-_LEADING = (_GROUP[:, None] < _TENS).sum(axis=1, dtype=np.int8)
-
-
-def _float_layout():
-    """The template row of each ``(exponent - _EXP_MIN, sign)``, +-0
-    after the exponents; the layout class of each exponent and of +-0;
-    and the keep mask of each ``(class * 16 + last nonzero digit) * 2 +
-    sign``."""
-    x = np.arange(_EXP_MIN, 17)
-    layout = np.append(np.where((x >= -4) & (x < 16), x + 4,
-                                _E2 + (x <= -100)), _ZERO)
-    template = np.empty((len(layout), 2, 47), np.uint8)
-    template[:] = np.frombuffer(b" " * 22 + b"." + b" " * 16 + b"e" + b" " * 7,
-                                np.uint8)
-    template[:-1, :, 40] = np.where(x < 0, ord("-"), ord("+"))[:, None]
-    template[:-1, :, 41:45] = _DIGITS[np.abs(x)].view(np.uint8).reshape(
-        -1, 1, 4)
-    for c in range(_ZERO + 1):
-        zeros = (b"0" if c == _ZERO else b"0." + b"0" * (3 - c)
-                 if c < 4 else b"")
-        for neg in (0, 1):
-            text = b"-" * neg + zeros       # right-aligned before the digits
-            template[layout == c, neg, 6 - len(text):6] = np.frombuffer(
-                text, np.uint8)
-    c, last, neg = np.unravel_index(np.arange(32 * (_ZERO + 1)),
-                                    (_ZERO + 1, 16, 2))
-    j = np.arange(47)
-    c, last, neg = c[:, None], last[:, None], neg[:, None]
-    a, b = j - 6, j - 23            # digit index in the first / second copy
-    in_a, in_b = (a >= 0) & (a < 16), (b >= 0) & (b < 16)
-    small = c < 4                   # 0.000ddd
-    expo = (c == _E2) | (c == _E3)
-    s = np.where(expo, 0, c - 4)    # digits before the point, less one
-    # Where the sign and the leading "0.000" of the template start.
-    start = np.where(small, 1 + c, np.where(c == _ZERO, 5, 6)) - neg
-    keep = ((j >= start) & (j < 6)
-            | small & in_a & (a <= last)
-            | (c >= 4) & (c < _ZERO) & (in_a & (a <= s) | (last > s) & (
-                (j == 22) | in_b & (b > s) & (b <= last)))
-            | expo & ((j == 39) | (j == 40) | (j > 42 - c + _E2) & (j < 45)))
-    return template.reshape(-1, 47), layout, keep
-
-
-_FLOAT_TEMPLATE, _LAYOUT, _FLOAT_KEEP = _float_layout()
-
-
-def _zero_run(groups, table):
-    """Zeros that ``table`` counts in each digit group, summed along
-    ``groups`` up to and including the first nonzero group."""
-    run = table[groups[0]]
-    rest = np.flatnonzero(groups[0] == 0)
-    for g in groups[1:]:
-        g = g[rest]
-        run[rest] += table[g]
-        rest = rest[g == 0]
-    return run
-
-
-def _put_digits(rows, starts, groups):
-    """Write the four ASCII digits of each group of ``groups`` (one
-    array per group, most significant first) from each byte of
-    ``starts`` on."""
-    words = np.empty((len(rows), len(groups)), np.uint32)
-    for col, g in enumerate(groups):
-        words[:, col] = _DIGITS[g]
-    width = 4 * len(groups)
-    for start in starts:
-        rows[:, start:start + width].view(f"V{width}")[:, 0] = (
-            words.view(f"V{width}")[:, 0])
-
-
-def _compact(rows, keep, sep):
-    """The kept bytes of ``rows``, each row ended by its separator in its
-    last two bytes."""
-    rows[:, -2:] = sep
-    keep[:, -2] = True
-    keep[:, -1] = sep[:, 1] != 0
-    return rows[keep]
+# The four ASCII digits of 0..9999 as one native uint32 each.
+_DIGITS = (48 + np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1)
+           % 10).astype(np.uint8).view(np.uint32).ravel()
 
 
 def _two_product(m, k):
@@ -319,7 +230,7 @@ def _significand(x):
     """``(q, e, ok)``: each ``|x|`` rounded to 16 significant digits is
     ``q 10^(e - 15)`` with ``10^15 <= q < 10^16``, where ``ok``.
 
-    ``m = |x|`` with ``1e-280 <= m < 1e16`` is scaled by ``10^(15 - e)``,
+    ``m = |x|`` with ``1e-99 <= m < 1e16`` is scaled by ``10^(15 - e)``,
     ``e = floor(log10 m)``, which gives ``hi + lo`` to 1e-15 of a unit
     of ``q``.  ``hi - floor(hi)`` is exact and its sum with ``lo`` and
     1/2 good to 1e-15 too, so the rounding is decided unless that
@@ -330,10 +241,10 @@ def _significand(x):
     safe: no double comes nearer than 1e-18 relative to a power of ten
     below 1e-7.  A ``log10`` one too low shows as ``q > 10^16``.  ``ok``
     is false for those, near ties, zeros, nan, +-inf and values out of
-    range.
+    range; their ``e`` is 0 where ``|x|`` is out of range.
     """
     m = np.abs(x)
-    fast = (m >= 1e-280) & (m < 1e16)
+    fast = (m >= 1e-99) & (m < 1e16)
     m = np.where(fast, m, 1.0)
     e = np.floor(np.log10(m)).clip(_EXP_MIN, 15).astype(np.intp)
     hi, lo = _two_product(m, 15 - e)
@@ -348,68 +259,57 @@ def _significand(x):
     return np.where(ok & ~carry, q, 10**15), e + carry, ok
 
 
-def _groups(m, n_groups):
-    """The ``n_groups`` groups of four decimal digits of each ``m``, most
-    significant first."""
-    groups = []
-    for _ in range(n_groups):
-        top = m // 10_000
-        groups.insert(0, m - top * 10_000)
-        m = top
-    return groups
-
-
-def _float_text(x, sep):
-    """``'%.16g' % v`` and its separator for each float64 ``v`` in ``x``:
-    +-0 has a layout class of its own, and every value that
-    ``_significand`` cannot decide is formatted alone by ``%``."""
+def _float_fields(x):
+    """``b"%24.15e" % v`` of each float64 ``v`` of ``x``, one row of a
+    ``(len(x), 24)`` byte array each: +-0 gets the digits of 0, and
+    every other value that ``_significand`` cannot decide is formatted
+    alone by ``%``."""
     q, e, ok = _significand(x)
-    groups = _groups(q, 4)
-    last = 15 - _zero_run(groups[::-1], _TRAILING)
-    exp = np.where(x == 0, len(_LAYOUT) - 1, e - _EXP_MIN)
-    neg = np.signbit(x)
-    rows = np.take(_FLOAT_TEMPLATE, exp * 2 + neg, axis=0)
-    keep = np.take(_FLOAT_KEEP, (_LAYOUT[exp] * 16 + last) * 2 + neg, axis=0)
-    _put_digits(rows, (6, 23), groups)
+    q = np.where(x == 0, 0, q)
+    rows = np.empty((len(x), 24), np.uint8)
+    words = rows.view(np.uint32)
+    for col in range(4, 0, -1):
+        top = q // 10_000
+        words[:, col] = _DIGITS[q - top * 10_000]
+        q = top
+    words[:, 5] = _DIGITS[np.abs(e)]    # "00" and the exponent's digits
+    rows[:, 3] = rows[:, 4]
+    rows[:, :2] = ord(" ")
+    rows[:, 2] = np.where(np.signbit(x), ord("-"), ord(" "))
+    rows[:, 4] = ord(".")
+    rows[:, 20] = ord("e")
+    rows[:, 21] = np.where(e < 0, ord("-"), ord("+"))
     alone = np.flatnonzero(~ok & (x != 0))
-    text = np.array([b"%.16g" % v for v in x[alone].tolist()], "S45")
-    text = text.view(np.uint8).reshape(-1, 45)     # padded with NUL bytes
-    rows[alone, :45] = text
-    keep[alone, :45] = text != 0
-    return _compact(rows, keep, sep)
+    rows[alone] = np.frombuffer(
+        b"".join([b"%24.15e" % v for v in x[alone].tolist()]),
+        np.uint8).reshape(-1, 24)
+    return rows
 
 
-def _int_text(v, sep):
-    """``'%d' % v`` and its separator for each int64 ``v`` in ``v``."""
-    m = np.abs(v).view(np.uint64)       # |-2^63| wraps to 2^63
-    n_groups = (len(str(m.max())) + 3) // 4
-    groups = [g.view(np.int64) for g in _groups(m, n_groups)]
-    width = 4 * n_groups
-    zeros = np.minimum(_zero_run(groups, _LEADING), width - 1)
-    rows = np.zeros((len(v), width + 3), np.uint8)
-    rows[:, 0] = ord("-")
-    _put_digits(rows, (1,), groups)
-    j = np.arange(width + 3)
-    keep = (j > zeros[:, None]) & (j <= width) | (j == 0) & (v[:, None] < 0)
-    return _compact(rows, keep, sep)
+def _write_floats(fh, values) -> None:
+    """Write each row of ``values`` (one value or a row of them) as its
+    fields and a newline, ``_CHUNK`` values at a time."""
+    if values.ndim == 1:
+        values = values[:, None]
+    width = values.shape[1]
+    step = _CHUNK // width
+    for i in range(0, len(values), step):
+        chunk = values[i:i + step]
+        rows = np.empty((len(chunk), 24 * width + 1), np.uint8)
+        rows[:, :-1] = _float_fields(chunk.ravel()).reshape(len(chunk), -1)
+        rows[:, -1] = ord("\n")
+        fh.write(rows.tobytes())
 
 
-def _write(fh, values, sep) -> None:
-    """Write ``values`` to the binary file ``fh``, each float as
-    ``'%.16g' % v`` and each integer as ``'%d' % v``, followed by its
-    separator: ``sep`` holds one- or two-byte strings and is broadcast
-    against ``values``.  Rows are laid out ``_CHUNK`` values at a time."""
-    sep = np.broadcast_to(np.asarray(sep, "S2"), values.shape)
-    sep = sep.ravel().view(np.uint8).reshape(-1, 2)
-    float_kind = values.dtype.kind == "f"
-    values = values.astype(np.float64 if float_kind else np.int64,
-                           copy=False).ravel()
-    text = _float_text if float_kind else _int_text
-    for i in range(0, len(values), _CHUNK):
-        fh.write(text(values[i:i + _CHUNK], sep[i:i + _CHUNK]))
-
-
-_XYZ = [b" ", b" ", b"\n"]     # separators of a three-column row
+def _write_ints(fh, values, sizes, formats) -> None:
+    """Write the integers ``values`` as rows of ``sizes`` values each,
+    a row of ``s`` values by ``formats[s]``, ``_CHUNK`` rows at a time."""
+    ends = np.cumsum(sizes)
+    for i in range(0, len(sizes), _CHUNK):
+        chunk = sizes[i:i + _CHUNK].tolist()
+        stop = ends[i + len(chunk) - 1]
+        fmt = b"".join([formats[s] for s in chunk])
+        fh.write(fmt % tuple(values[stop - sum(chunk):stop].tolist()))
 
 
 def export_vtk(problem, solution, path) -> None:
@@ -431,30 +331,27 @@ def export_vtk(problem, solution, path) -> None:
         pvals.append(solution.pressure[fid][keep])
         vvals.append(solution.velocity[fid][keep])
         base += mesh.n_nodes
-    points = np.concatenate(points)
-    counts = np.concatenate(counts)
-    pvals = np.concatenate(pvals)
-    vvals = np.concatenate(vvals)
-    # A cell's row is its node count, then its nodes.
-    cells = np.insert(np.concatenate(tails), np.cumsum(counts) - counts, counts)
-    seps = np.full(len(cells), b" ", "S2")
-    seps[np.cumsum(counts + 1) - 1] = b"\n"
+    points, tails, counts, pvals, vvals = (
+        np.concatenate(v) for v in (points, tails, counts, pvals, vvals))
     n = len(counts)
+    # A cell's row is its node count, then its nodes.
+    cell_rows = {c: b"%d" % c + b" %d" * c + b"\n"
+                 for c in np.unique(counts).tolist()}
     with open(path, "wb") as fh:
         fh.write(b"# vtk DataFile Version 4.2\n"
                  b"dfnvem fracture fields\nASCII\nDATASET UNSTRUCTURED_GRID\n"
                  b"POINTS %d double\n" % len(points))
-        _write(fh, points, _XYZ)
-        fh.write(b"CELLS %d %d\n" % (n, len(cells)))
-        _write(fh, cells, seps)
+        _write_floats(fh, points)
+        fh.write(b"CELLS %d %d\n" % (n, n + counts.sum()))
+        _write_ints(fh, tails, counts, cell_rows)
         fh.write(b"CELL_TYPES %d\n" % n + b"\n".join([b"7"] * n) + b"\n")
         fh.write(b"CELL_DATA %d\n" % n)
         fh.write(b"SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-        _write(fh, pvals, b"\n")
+        _write_floats(fh, pvals)
         if not n:
             fh.write(b"\n")        # an empty column is one bare newline
         fh.write(b"VECTORS velocity double\n")
-        _write(fh, vvals, _XYZ)
+        _write_floats(fh, vvals)
 
 
 def export_line_vtk(problem, solution, path) -> None:
@@ -474,13 +371,14 @@ def export_line_vtk(problem, solution, path) -> None:
                  b"dfnvem intersection fields\nASCII\n"
                  b"DATASET UNSTRUCTURED_GRID\n"
                  b"POINTS %d double\n" % len(points))
-        _write(fh, points, _XYZ)
+        _write_floats(fh, points)
         fh.write(b"CELLS %d %d\n" % (n, 3 * n))
-        _write(fh, np.column_stack([np.full(n, 2), first, first + 1]), _XYZ)
+        _write_ints(fh, np.column_stack([first, first + 1]).ravel(),
+                    np.full(n, 2), {2: b"2 %d %d\n"})
         fh.write(b"CELL_TYPES %d\n" % n + b"\n".join([b"3"] * n) + b"\n")
         fh.write(b"CELL_DATA %d\n" % n)
         fh.write(b"SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-        _write(fh, vals, b"\n")
+        _write_floats(fh, vals)
         if not n:
             fh.write(b"\n")
 
@@ -519,5 +417,5 @@ def export_partition_csv(partition, path) -> None:
     ids = partition.cell_to_coarse
     with open(path, "wb") as fh:
         fh.write(b"cell,coarse\r\n")
-        _write(fh, np.column_stack([np.arange(len(ids)), ids]),
-               [b",", b"\r\n"])
+        _write_ints(fh, np.column_stack([np.arange(len(ids)), ids]).ravel(),
+                    np.full(len(ids), 2), {2: b"%d,%d\r\n"})

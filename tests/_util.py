@@ -1574,7 +1574,8 @@ class point_pool_ref:
 
 
 def _fmt_ref(x) -> str:
-    return f"{float(x):.16g}"
+    """One float's fixed-width field, which starts with a space."""
+    return "%24.15e" % float(x)
 
 
 def export_vtk_ref(problem, solution, path) -> None:
@@ -1601,7 +1602,7 @@ def export_vtk_ref(problem, solution, path) -> None:
         fh.write("dfnvem fracture fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(points)} double\n")
         for p in points:
-            fh.write(" ".join(_fmt_ref(v) for v in p) + "\n")
+            fh.write("".join(_fmt_ref(v) for v in p) + "\n")
         total = sum(len(c) + 1 for c in polys)
         fh.write(f"CELLS {len(polys)} {total}\n")
         for c in polys:
@@ -1613,7 +1614,7 @@ def export_vtk_ref(problem, solution, path) -> None:
         fh.write("\n".join(_fmt_ref(v) for v in pvals) + "\n")
         fh.write("VECTORS velocity double\n")
         for v in vvals:
-            fh.write(" ".join(_fmt_ref(c) for c in v) + "\n")
+            fh.write("".join(_fmt_ref(c) for c in v) + "\n")
 
 
 def export_line_vtk_ref(problem, solution, path) -> None:
@@ -1631,7 +1632,7 @@ def export_line_vtk_ref(problem, solution, path) -> None:
         fh.write("dfnvem intersection fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(points)} double\n")
         for p in points:
-            fh.write(" ".join(_fmt_ref(v) for v in p) + "\n")
+            fh.write("".join(_fmt_ref(v) for v in p) + "\n")
         fh.write(f"CELLS {len(lines)} {3 * len(lines)}\n")
         for a, b in lines:
             fh.write(f"2 {a} {b}\n")

@@ -1,12 +1,14 @@
-"""The array number writer of ``postprocess`` against ``%`` formatting.
+"""The float field kernel of ``postprocess`` against ``%`` formatting.
 
-``postprocess._write`` must give, for every value, exactly the bytes of
-``'%.16g' % v`` (floats) or ``'%d' % v`` (integers) followed by its
-separator.  Derandomized ``hypothesis`` properties draw any float64 and
-any int64; fixed lists cover the powers of ten with their neighbours and
-the integers where the digit count changes.  The ``slow`` sweep compares
-about four million doubles: every binary exponent, and the dyadic values
-whose exact decimal expansion ends in a tie at the 17th digit.
+``postprocess._float_fields`` must give, for every float64, exactly the
+24 bytes of ``b"%24.15e" % v``.  A derandomized ``hypothesis`` property
+draws any float64; fixed lists cover the powers of ten with their
+neighbours, the 16-digit carries, the exponents where the field changes
+width, the special values and several chunks of the file writer.  The
+``slow`` sweep compares about four million doubles: every binary
+exponent, and the dyadic values whose exact decimal expansion ends in a
+tie at the 17th digit.  Integers need no kernel: they are written by
+``%`` itself.
 """
 
 import io
@@ -18,48 +20,28 @@ from hypothesis import strategies as st
 
 from dfnvem import postprocess as post
 
-SEPS = [b" ", b"\n", b",", b"\r\n"]
 SPECIAL = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324,
            -5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 1e-7, 1e16,
            9999999999999998.0, 0.5, -1234567890123456.5]
 
 
-def written(values, seps) -> bytes:
-    fh = io.BytesIO()
-    post._write(fh, values, np.array(seps, "S2"))
-    return fh.getvalue()
+def percent(values) -> bytes:
+    """One ``b"%24.15e" %`` per value."""
+    return b"".join(b"%24.15e" % v for v in np.ravel(values).tolist())
 
 
-def percent(values, seps) -> bytes:
-    """One ``%`` per value, each followed by its separator."""
-    fmt = "%.16g" if values.dtype.kind == "f" else "%d"
-    return ("".join(fmt + s.decode() for s in seps)
-            % tuple(values.ravel().tolist())).encode()
+def assert_fields_like_percent(values):
+    values = np.asarray(values, np.float64)
+    fields = post._float_fields(values)
+    assert fields.shape == (len(values), 24)
+    assert fields.tobytes() == percent(values)
 
 
-def assert_writes_like_percent(values, seps=None):
-    values = np.asarray(values)
-    if seps is None:
-        seps = [SEPS[i % len(SEPS)] for i in range(values.size)]
-    assert written(values, seps) == percent(values, seps)
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.floats(width=64), st.sampled_from(SPECIAL)),
-                min_size=1, max_size=60),
-       st.lists(st.sampled_from(SEPS), min_size=60, max_size=60))
-def test_writer_equals_percent_on_any_float(values, seps):
-    assert_writes_like_percent(np.array(values, np.float64),
-                               seps[:len(values)])
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
-                          st.integers(-10**5, 10**5)),
-                min_size=1, max_size=60),
-       st.lists(st.sampled_from(SEPS), min_size=60, max_size=60))
-def test_writer_equals_percent_on_any_int(values, seps):
-    assert_writes_like_percent(np.array(values, np.int64), seps[:len(values)])
+                min_size=1, max_size=60))
+def test_writer_equals_percent_on_any_float(values):
+    assert_fields_like_percent(values)
 
 
 def test_writer_at_powers_of_ten():
@@ -74,32 +56,66 @@ def test_writer_at_powers_of_ten():
             step = np.nextafter(step, direction)
             near.append(step)
     values = np.concatenate(near)
-    assert_writes_like_percent(np.concatenate([values, -values]))
+    assert_fields_like_percent(np.concatenate([values, -values]))
 
 
-def test_writer_at_integer_digit_edges():
-    edges = [v for k in range(19) for v in (10**k - 1, 10**k)]
-    edges += [2**63 - 1, -2**63]
-    assert_writes_like_percent(np.array(edges + [-v for v in edges[:-1]],
-                                        np.int64))
+def test_fields_at_sixteen_digit_carries():
+    """Values whose 16 digits end in ``j`` nines and whose 17th is a 7:
+    rounding carries through all ``j`` (to ``2.000000000000000`` for
+    ``j = 15``).  The carries that move the exponent are those of the
+    powers of ten, above."""
+    values, carried = [], []
+    for j in range(1, 16):
+        digits = "1" + "2" * (15 - j) + "9" * j + "7"
+        for k in range(-99, 16, 7):
+            values.append(float(f"{digits[0]}.{digits[1:]}e{k}"))
+            carried.append(j)
+    for v, j in zip(values, carried):
+        assert (b"%.15e" % v).split(b"e")[0].endswith(b"0" * j)
+    assert_fields_like_percent(values + [-v for v in values])
+
+
+def test_fields_at_exponent_width_edges():
+    """Exponents +-99 have two digits and +-100 three: the kernel writes
+    the first, ``%`` the second, and every value beside them."""
+    edges = np.array([1e-99, 9.999999999999999e-99, 1e99, 9.99e99, 1e100,
+                      1e-100, 9.999999999999999e-100, 1.5e-100, 1e-101])
+    values = np.concatenate([edges, np.nextafter(edges, 0.0),
+                             np.nextafter(edges, np.inf)])
+    assert_fields_like_percent(np.concatenate([values, -values]))
+
+
+def test_fields_at_special_values():
+    """+-0, nan, +-inf and subnormals, each alone and among others."""
+    sub = np.array([5e-324, 1e-320, 2.225073858507201e-308])
+    values = np.concatenate([SPECIAL, sub, -sub, [np.nan, -0.0, 0.0]])
+    assert_fields_like_percent(values)
+    for v in values:
+        assert_fields_like_percent([v])
+    assert_fields_like_percent(np.zeros(0))
 
 
 def test_writer_across_chunks():
-    """Several chunks of random bit patterns and of small integers, with
-    a separator per value and per column."""
+    """Columns and rows of three of random bit patterns, several chunks
+    of them, each row written as its fields and a newline."""
     rng = np.random.default_rng(7)
     n = 3 * post._CHUNK + 5
-    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
-    assert_writes_like_percent(bits.view(np.float64),
-                               [SEPS[i] for i in rng.integers(0, 4, n)])
-    ints = rng.integers(-30, 10**6, (n, 3))
-    seps = [b" ", b" ", b"\n"]
-    assert written(ints, seps) == percent(ints, seps * n)
+    bits = rng.integers(0, 2**64, (n, 3), dtype=np.uint64, endpoint=False)
+    for values in (bits[:, 0].view(np.float64), bits.view(np.float64)):
+        fh = io.BytesIO()
+        post._write_floats(fh, values)
+        assert fh.getvalue() == b"".join(percent(row) + b"\n"
+                                         for row in values)
 
 
 @pytest.mark.parametrize("values", [np.zeros(0), np.zeros(0, np.int64)])
 def test_writer_writes_nothing_for_no_values(values):
-    assert written(values, [b"\n"]) == b""
+    fh = io.BytesIO()
+    if values.dtype.kind == "f":
+        post._write_floats(fh, values)
+    else:
+        post._write_ints(fh, values, values, {})
+    assert fh.getvalue() == b""
 
 
 def exponent_sweep(rng, per_exponent: int) -> np.ndarray:
@@ -139,5 +155,4 @@ def test_writer_sweep_against_percent():
     values = np.concatenate([exponent_sweep(rng, 1_000), ties, -ties])
     assert len(values) > 4_000_000
     for start in range(0, len(values), 1 << 18):
-        chunk = values[start:start + (1 << 18)]
-        assert_writes_like_percent(chunk, [b"\n"] * len(chunk))
+        assert_fields_like_percent(values[start:start + (1 << 18)])

@@ -129,6 +129,12 @@ class TestExports:
         assert types[0] == "7"
         assert any(ln.startswith("SCALARS pressure") for ln in lines)
         assert any(ln.startswith("VECTORS velocity") for ln in lines)
+        # Three 24-byte fields and a newline per point.
+        n_points = int(lines[4].split()[1])
+        assert {len(ln) for ln in lines[5:5 + n_points]} == {72}
+        from _util import export_vtk_ref
+        export_vtk_ref(problem, solution, tmp_path / "ref.vtk")
+        assert path.read_bytes() == (tmp_path / "ref.vtk").read_bytes()
 
     def test_line_vtk(self, tmp_path):
         case = cases.case_intersection_flow()
@@ -140,6 +146,9 @@ class TestExports:
         assert "CELL_TYPES" in text
         n = problem.traces[0].n_elems
         assert f"CELLS {n} {3 * n}" in text
+        from _util import export_line_vtk_ref
+        export_line_vtk_ref(problem, solution, tmp_path / "ref.vtk")
+        assert path.read_bytes() == (tmp_path / "ref.vtk").read_bytes()
 
     def test_csv_layout_and_determinism(self, solved_single, tmp_path):
         case, problem, system, solution, err = solved_single
@@ -297,3 +306,58 @@ def test_export_vtk_on_single_random_l5_is_lean(tmp_path):
     export_vtk_ref(problem, solution, tmp_path / "b.vtk")
     assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
     assert peak_mib <= 7.9
+
+
+def written_floats(path) -> dict:
+    """The floats of a written VTK file, parsed value by value, by
+    section: ``POINTS``, ``SCALARS`` and, if the file has one,
+    ``VECTORS``."""
+    lines = path.read_bytes().splitlines()
+    at = {ln.split()[0]: i for i, ln in enumerate(lines) if ln[:1].isalpha()}
+    n_points = int(lines[at[b"POINTS"]].split()[1])
+    n_cells = int(lines[at[b"CELL_DATA"]].split()[1])
+    rows = {b"POINTS": (at[b"POINTS"] + 1, n_points),
+            b"SCALARS": (at[b"SCALARS"] + 2, n_cells)}
+    if b"VECTORS" in at:
+        rows[b"VECTORS"] = (at[b"VECTORS"] + 1, n_cells)
+    return {key: [float(t) for ln in lines[i:i + n] for t in ln.split()]
+            for key, (i, n) in rows.items()}
+
+
+def shortest_16_digits(arrays) -> list:
+    """``float(b"%.16g" % v)`` of each value of ``arrays``."""
+    return [float(b"%.16g" % v)
+            for a in arrays for v in np.ravel(a).tolist()]
+
+
+@pytest.mark.parametrize("name", ["single-random-l3", "grid-cc", "grid-dc"])
+def test_vtk_floats_parse_to_their_16_digit_values(tmp_path, name):
+    """Every float of the fracture and the line VTK parses back to the
+    double of the value's ``'%.16g'`` text."""
+    from _util import grid_dict, solve_network_dict
+    if name == "single-random-l3":
+        case = cases.get_case("single")
+        problem, _, solution, _ = cases.solve_meshes(
+            case.network(), case.meshes("random", 3), case.bcs(), "cc",
+            source=case.source)
+    else:
+        problem, solution, _ = solve_network_dict(
+            tmp_path, grid_dict(3, 0), 0.2, name[-2:])
+        assert problem.traces
+    meshes = sorted(problem.meshes.items())
+    post.export_vtk(problem, solution, tmp_path / "a.vtk")
+    got = written_floats(tmp_path / "a.vtk")
+    assert got[b"POINTS"] == shortest_16_digits(
+        m.frame.to_global(m.nodes) for _, m in meshes)
+    assert got[b"SCALARS"] == shortest_16_digits(
+        solution.pressure[fid][m.chained] for fid, m in meshes)
+    assert got[b"VECTORS"] == shortest_16_digits(
+        solution.velocity[fid][m.chained] for fid, m in meshes)
+    traces = sorted(problem.traces.items())
+    post.export_line_vtk(problem, solution, tmp_path / "b.vtk")
+    got = written_floats(tmp_path / "b.vtk")
+    assert got[b"POINTS"] == shortest_16_digits(
+        tm.line.p0 + tm.breakpoints[:, None] * tm.line.direction
+        for _, tm in traces)
+    assert got[b"SCALARS"] == shortest_16_digits(
+        solution.trace_pressure[gid] for gid, _ in traces)
